@@ -13,10 +13,8 @@ Four parts (see docs/testing.md):
 * scenario running and delta-debugging shrinking
   (:mod:`repro.check.harness`, :mod:`repro.check.shrink`).
 
-Exports are lazy (PEP 562): product modules import
-``repro.check.mutants`` for their validation-mutant hooks, and an eager
-re-export here would drag the whole harness — and a circular import of
-``repro.core`` — into every product import.
+Exports are lazy (PEP 562): importing one part (the CLI asks for
+``repro.check.mutants`` alone) should not drag in the whole harness.
 """
 
 from __future__ import annotations

@@ -25,26 +25,89 @@ supposed to police, each off unless a test switches it on:
     the parity symbols — corrupting every later reconstruction of the
     record group's surviving members.
 
-The hooks live in the product code (``core/recovery.py``,
-``core/data_bucket.py``, ``core/parity_bucket.py``) as a single
-``name in mutants.ACTIVE`` membership test — one set lookup against an
-(almost always empty) set, so production runs pay nothing measurable.
-This module imports nothing from ``repro.core``; the dependency points
-one way only.
+The product code knows none of this.  :func:`enable` installs a mutant
+from this side by wrapping the one product method it breaks
+(``RecoveryManager.recover_record``, ``RSDataServer._send_parity``,
+``ParityServer._fold_run``) and :func:`disable` puts the original back,
+so a production run executes unmodified ``repro.core`` code and the
+dependency points downward only (``repro.lint``'s
+``layering.upward-import`` rule keeps it so).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from contextlib import contextmanager
+from typing import Any
+
+from repro.core.data_bucket import RSDataServer
+from repro.core.parity_bucket import ParityServer
+from repro.core.recovery import RecoveryManager
+
+
+def _stale_degraded_read(original: Callable[..., Any]) -> Callable[..., Any]:
+    def recover_record(self: Any, key: int) -> Any:
+        # Memoize the first reconstruction per key and serve it forever.
+        cache = self.__dict__.setdefault("_stale_read_cache", {})
+        if key in cache:
+            self.degraded_reads_served += 1
+            return cache[key]
+        cache[key] = original(self, key)
+        return cache[key]
+
+    return recover_record
+
+
+def _drop_parity_seq(original: Callable[..., Any]) -> Callable[..., Any]:
+    def _send_parity(self: Any, op: dict) -> None:
+        if op["op"] == "update":
+            self._mutant_update_deltas = (
+                getattr(self, "_mutant_update_deltas", 0) + 1
+            )
+            if self._mutant_update_deltas % 2 == 0:
+                # Drop the Δ and hide the gap from the channel.
+                self._parity_seq -= 1
+                return
+        original(self, op)
+
+    return _send_parity
+
+
+def _double_apply_delete(original: Callable[..., Any]) -> Callable[..., Any]:
+    def _fold_run(
+        self: Any, action: str, pos: int, seq0: Any, keys: Any, ranks: Any,
+        deltas: Any, lengths: Any, wal: bool = True,
+    ) -> tuple[int, bool]:
+        applied, stale = original(
+            self, action, pos, seq0, keys, ranks, deltas, lengths, wal
+        )
+        if action == "delete" and applied:
+            # Fold the applied delete Δs once more into every record
+            # group that still has members.
+            for rank, delta in zip(ranks[-applied:], deltas[-applied:]):
+                if rank in self.records:
+                    self.field.scale_accumulate(
+                        self._store.view(rank), self.row[pos], delta
+                    )
+        return applied, stale
+
+    return _fold_run
+
+
+#: mutant name -> (class, method it wraps, wrapper factory)
+_SEAMS: dict[str, tuple[type, str, Callable[..., Any]]] = {
+    "stale_degraded_read": (
+        RecoveryManager, "recover_record", _stale_degraded_read
+    ),
+    "drop_parity_seq": (RSDataServer, "_send_parity", _drop_parity_seq),
+    "double_apply_delete": (ParityServer, "_fold_run", _double_apply_delete),
+}
 
 #: The registered mutant names; enabling anything else is a test bug.
-MUTANT_NAMES = frozenset(
-    {"stale_degraded_read", "drop_parity_seq", "double_apply_delete"}
-)
+MUTANT_NAMES = frozenset(_SEAMS)
 
-#: Currently-enabled mutants.  Product hooks test membership directly
-#: (``"..." in mutants.ACTIVE``) — cheap enough for hot paths.
-ACTIVE: set[str] = set()
+#: Currently-enabled mutants: name -> the original method each displaced.
+ACTIVE: dict[str, Callable[..., Any]] = {}
 
 
 def enable(name: str) -> None:
@@ -53,17 +116,25 @@ def enable(name: str) -> None:
         raise ValueError(
             f"unknown mutant {name!r}; registered: {sorted(MUTANT_NAMES)}"
         )
-    ACTIVE.add(name)
+    if name in ACTIVE:
+        return
+    owner, attr, wrap = _SEAMS[name]
+    ACTIVE[name] = vars(owner)[attr]
+    setattr(owner, attr, wrap(ACTIVE[name]))
 
 
 def disable(name: str) -> None:
     """Switch one mutant off (no-op when it was off)."""
-    ACTIVE.discard(name)
+    original = ACTIVE.pop(name, None)
+    if original is not None:
+        owner, attr, _ = _SEAMS[name]
+        setattr(owner, attr, original)
 
 
 def disable_all() -> None:
     """Switch every mutant off (test teardown)."""
-    ACTIVE.clear()
+    for name in list(ACTIVE):
+        disable(name)
 
 
 def is_active(name: str) -> bool:

@@ -116,13 +116,6 @@ class LHRSConfig:
         are retried under ``retry_policy`` and surface
         :class:`~repro.sdds.client.OperationFailed` when the budget runs
         out.  Off by default for the paper's message counts.
-    parity_stripe_store:
-        Store each parity bucket's records in one contiguous
-        (ranks x stripe) symbol matrix instead of one array per record.
-        Dumps, signature scans and whole-group encodes then run as
-        single 2D kernel passes over the stacked matrix.  On by default;
-        protocol behavior and message counts are identical either way —
-        this is purely the server-side memory layout.
     retry_attempts / retry_backoff_base / retry_backoff_factor /
     retry_backoff_max:
         The bounded-exponential-backoff discipline senders use against
@@ -237,7 +230,6 @@ class LHRSConfig:
     spare_servers: int | None = None
     parity_ack: bool = False
     client_acks: bool = False
-    parity_stripe_store: bool = True
     retry_attempts: int = 4
     retry_backoff_base: float = 1.0
     retry_backoff_factor: float = 2.0

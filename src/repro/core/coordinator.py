@@ -615,7 +615,6 @@ class RSCoordinator(Coordinator):
             index=index,
             row=self.parity_row(index),
             field=self.field,
-            stripe_store=self.config.parity_stripe_store,
         )
         server.inbound_queue_limit = self.config.bucket_queue_limit
         if self.config.durability:

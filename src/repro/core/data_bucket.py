@@ -25,7 +25,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.check import mutants
 from repro.core.group import data_node, group_of, position_of
 from repro.lh import addressing
 from repro.sdds.server import DataServer
@@ -238,18 +237,6 @@ class RSDataServer(DataServer):
         return op
 
     def _send_parity(self, op: dict) -> None:
-        if "drop_parity_seq" in mutants.ACTIVE and op["op"] == "update":
-            # Validation mutant: silently drop every second update Δ
-            # *and roll the sequence counter back*, so the channel sees
-            # no gap — the self-reporting report.stale machinery stays
-            # blind and parity silently decodes stale after the next
-            # bucket loss (tests/check/test_mutants.py).
-            self._mutant_update_deltas = (
-                getattr(self, "_mutant_update_deltas", 0) + 1
-            )
-            if self._mutant_update_deltas % 2 == 0:
-                self._parity_seq -= 1
-                return
         if self._coalesce_depth:
             # Client-batch coalescing: hold every Δ (no size-triggered
             # flush) and ship one parity.batch per target at batch end.
@@ -274,8 +261,8 @@ class RSDataServer(DataServer):
     ) -> dict:
         """One columnar Δ-block: a same-position ``action`` run over
         parallel columns, carrying the next ``len(keys)`` consecutive
-        sequence numbers.  The parity bucket folds it through one
-        stacked kernel (:meth:`ParityServer._fold_block`)."""
+        sequence numbers.  The parity bucket folds it as one run
+        (:meth:`ParityServer._fold_run`)."""
         seq0 = self._parity_seq + 1
         self._parity_seq += len(keys)
         block = {

@@ -20,27 +20,29 @@ reports itself stale to the coordinator, which rebuilds it from the
 group's data.  Unsequenced Δs (coordinator encode batches) apply
 unconditionally.
 
-Storage comes in two layouts.  The classic one keeps one numpy array per
-parity record.  With ``stripe_store=True`` (the file default) all
-records pack into one contiguous :class:`~repro.core.stripe_store.
-StripeStore` matrix with a rank→row map; ``record.symbols`` are then row
-*views*, dumps render the whole bucket in one bytes pass, signature
-scans run as one 2D kernel, and bulk encode batches land as one
-``gf_matmul`` over the stacked Δ matrix.
+Storage and maintenance each have one shape.  Every parity symbol lives
+in one contiguous :class:`~repro.core.stripe_store.StripeStore` matrix
+with a rank→row map (``records`` holds only the key/length directory),
+so dumps render in one bytes pass and signature scans run as one 2D
+kernel.  Every Δ — a ``parity.update``, the per-op entries and columnar
+blocks of a ``parity.batch``, an encode batch, a catch-up tail, a WAL
+frame — is normalised at the handler edge to a *run* (one position, one
+action, distinct ranks, consecutive-or-absent sequence numbers) and
+folded by :meth:`ParityServer._fold_run`, the only routine that writes
+Δ-derived symbols.
 """
 
 from __future__ import annotations
 
 import zlib
 from collections import deque
+from collections.abc import Iterator
 
 import numpy as np
 
-from repro.check import mutants
 from repro.core.records import ParityRecord
 from repro.core.stripe_store import StripeStore
 from repro.gf.field import GF
-from repro.rs.encoder import fold_delta
 from repro.sim.faults import RetryPolicy
 from repro.sim.messages import Message
 from repro.sim.network import DeliveryFault, NodeUnavailable, UnknownNode
@@ -64,16 +66,20 @@ PARITY_FENCED_KINDS = frozenset(
 )
 
 
-class StoredParityRecord(ParityRecord):
-    """A :class:`ParityRecord` whose symbols live in a StripeStore row.
+#: what a Δ may do to a record group's directory
+ACTIONS = ("insert", "update", "delete")
 
-    ``symbols`` is rendered from the store on demand instead of being a
-    cached row view: folds write through the store directly, so there is
-    nothing to re-bind after a store reallocation — the hot batch paths
-    skip both the per-op view creation and the whole-bucket refresh a
-    cached binding would force.  Assignments to ``symbols`` are ignored
-    (every store-path assignment is a rebind of the very view the
-    property renders).
+#: One run of Δs: (action, pos, seq0, keys, ranks, deltas, lengths) —
+#: the columns are parallel, ``seq0`` is None for an unsequenced run.
+Run = tuple[str, int, int | None, list[int], list[int], list[bytes], list[int]]
+
+
+class StoredParityRecord(ParityRecord):
+    """One rank's key/length directory; the symbols are its store row.
+
+    ``symbols`` is a read-only view rendered from the store on demand —
+    folds write through the store, so there is nothing to re-bind after
+    a store reallocation.
     """
 
     def __init__(self, rank: int, store: StripeStore):
@@ -84,15 +90,7 @@ class StoredParityRecord(ParityRecord):
 
     @property
     def symbols(self) -> np.ndarray:
-        store = self._store
-        row = store._row_of.get(self.rank)
-        if row is None:
-            return np.zeros(0, dtype=store.field.symbol_dtype)
-        return store.matrix[row, : store._length[self.rank]]
-
-    @symbols.setter
-    def symbols(self, value: np.ndarray) -> None:
-        pass  # store-backed: the store row *is* the symbol state
+        return self._store.view(self.rank)
 
 
 class ParityServer(Node):
@@ -106,7 +104,6 @@ class ParityServer(Node):
         index: int,
         row: list[int],
         field: GF,
-        stripe_store: bool = False,
     ):
         super().__init__(node_id)
         self.file_id = file_id
@@ -114,11 +111,9 @@ class ParityServer(Node):
         self.index = index
         self.row = list(row)
         self.field = field
-        self.records: dict[int, ParityRecord] = {}
-        #: contiguous stripe layout (None = one array per record)
-        self._store: StripeStore | None = (
-            StripeStore(field) if stripe_store else None
-        )
+        #: rank -> directory entry; the symbols live in ``_store``
+        self.records: dict[int, StoredParityRecord] = {}
+        self._store = StripeStore(field)
         #: next expected Δ sequence number per group position (default 1)
         self._expected_seq: dict[int, int] = {}
         #: retransmissions skipped / gaps detected (observability)
@@ -168,137 +163,200 @@ class ParityServer(Node):
         return super().receive(message)
 
     # ------------------------------------------------------------------
-    # storage layout helpers
-    # ------------------------------------------------------------------
-    def _fold_into(self, record: ParityRecord, coefficient: int, delta: bytes) -> None:
-        """Fold one Δ into a record under the active storage layout."""
-        if self._store is None:
-            record.symbols = fold_delta(
-                self.field, record.symbols, coefficient, delta
-            )
-            return
-        needed = self.field.symbol_length_for_bytes(len(delta))
-        length = max(needed, len(record.symbols))
-        self._store.ensure(record.rank, length)
-        view = self._store.view(record.rank)
-        self.field.scale_accumulate(view, coefficient, delta)
-
-    def _refresh_views(self) -> None:
-        """Re-bind every record's symbols view after a store reallocation."""
-        assert self._store is not None
-        for rank, record in self.records.items():
-            record.symbols = self._store.view(rank)
-
-    def _new_record(self, rank: int) -> ParityRecord:
-        """A record under the active storage layout (store rows = lazy)."""
-        if self._store is None:
-            return ParityRecord(rank=rank)
-        return StoredParityRecord(rank, self._store)
-
-    def _drop_record(self, rank: int) -> None:
-        del self.records[rank]
-        if self._store is not None and rank in self._store:
-            self._store.release(rank)
-
-    def _count_fold(self, coefficient: int, delta_len: int) -> None:
-        self.symbol_ops += self.field.symbol_length_for_bytes(delta_len)
-        if coefficient == 1:
-            self.xor_folds += 1
-        else:
-            self.general_folds += 1
-
-    # ------------------------------------------------------------------
     # the Δ-record protocol
     # ------------------------------------------------------------------
-    def _apply(self, op: dict) -> None:
-        rank = op["rank"]
-        pos = op["pos"]
+    def _fold_run(
+        self,
+        action: str,
+        pos: int,
+        seq0: int | None,
+        keys: list[int],
+        ranks: list[int],
+        deltas: list[bytes],
+        lengths: list[int],
+        wal: bool = True,
+    ) -> tuple[int, bool]:
+        """Fold one run of Δs; returns ``(applied, stale)``.
+
+        The one place parity is maintained: channel check, fold into the
+        store, key directory, ``_key_index``, counters, Δ-log ring, WAL.
+
+        A sequenced run classifies against its channel in one
+        comparison.  ``seq0`` above the expectation is ``stale``: a
+        prior Δ never arrived, this bucket's content is behind its data
+        and must be rebuilt, so nothing applies.  Below it, the Δs up to
+        the expectation are retransmissions and are skipped; the rest
+        apply.  An unsequenced run (``seq0`` None) always applies and
+        leaves the channel untouched.  Each sequenced Δ still gets its
+        own ``parity.delta`` event.
+
+        Validation comes before any state change and the channel only
+        advances after the fold: a rejected or failed Δ can be resent
+        and will apply.  ``wal`` is False when the caller replays the
+        WAL or checkpoints the whole state itself.
+        """
+        if action not in ACTIONS:
+            raise ValueError(f"unknown parity op {action!r}")
         if not 0 <= pos < len(self.row):
             raise ValueError(
                 f"group position {pos} outside 0..{len(self.row) - 1}"
             )
-        # Validate the action BEFORE touching any state: folding the Δ
-        # first and raising after would leave corrupted parity behind an
-        # exception the sender may retry past.
-        action = op["op"]
-        if action not in ("insert", "update", "delete"):
-            raise ValueError(f"unknown parity op {action!r}")
-        record = self.records.get(rank)
-        created = record is None
-        if created:
-            record = self._new_record(rank)
-            self.records[rank] = record
+        n = len(ranks)
+        if n > 1 and len(set(ranks)) != n:
+            # A scatter over repeated ranks would drop all but one fold.
+            raise ValueError("the ranks of a parity run must be distinct")
+        tracer = self.network.tracer if self.network is not None else None
+        expected = 0
+        if seq0 is not None:
+            expected = self._expected_seq.get(pos, 1)
+            if seq0 > expected:
+                self.gaps_detected += 1
+                self.stale = True
+                if tracer is not None:
+                    self._trace_deltas(
+                        tracer, action, pos, "stale", seq0, 1, expected, 0
+                    )
+                return 0, True
+            skip = min(n, expected - seq0)
+            if skip:
+                self.duplicates_skipped += skip
+                if tracer is not None:
+                    self._trace_deltas(
+                        tracer, action, pos, "duplicate", seq0, skip,
+                        expected, 0,
+                    )
+                n -= skip
+                seq0 += skip
+                keys, ranks = keys[skip:], ranks[skip:]
+                deltas, lengths = deltas[skip:], lengths[skip:]
+        if n == 0:
+            return 0, False
 
+        field, store, records = self.field, self._store, self.records
         coefficient = self.row[pos]
         try:
-            self._fold_into(record, coefficient, op["delta"])
+            # The kernel follows the run length: a lone Δ scales into
+            # its row view in place, a longer run is stacked, scaled in
+            # one table gather and scattered in one fancy-index XOR.
+            if n == 1:
+                needs = [field.symbol_length_for_bytes(len(deltas[0]))]
+                field.scale_accumulate(
+                    store.ensure(ranks[0], needs[0]), coefficient, deltas[0]
+                )
+            else:
+                needs = [field.symbol_length_for_bytes(len(d)) for d in deltas]
+                stacked = field.stack_payloads(deltas, max(needs))
+                store.scatter_xor(
+                    ranks, needs,
+                    stacked if coefficient == 1
+                    else field.mul_matrix(stacked, coefficient),
+                )
         except BaseException:
-            if created:
-                # Crash between row allocation and directory insert: roll
-                # the allocation back so parity.locate / parity.dump
-                # never see a half-born record.
-                self._drop_record(rank)
+            # No half-born record for parity.locate / parity.dump to see.
+            for rank in ranks:
+                if rank not in records and rank in store:
+                    store.release(rank)
             raise
-        self._count_fold(coefficient, len(op["delta"]))
 
-        if action == "insert":
-            record.keys[pos] = op["key"]
-            record.lengths[pos] = op["length"]
-            self._key_index[op["key"]] = (rank, pos)
-        elif action == "update":
-            record.lengths[pos] = op["length"]
-        else:  # delete
-            record.keys.pop(pos, None)
-            record.lengths.pop(pos, None)
-            self._key_index.pop(op["key"], None)
-            if "double_apply_delete" in mutants.ACTIVE and record.keys:
-                # Validation mutant: fold the delete Δ a second time.
-                # GF(2) folding is self-inverse, so the second fold
-                # re-adds the deleted payload into the parity symbols,
-                # corrupting every later reconstruction of the rank's
-                # surviving members (tests/check/test_mutants.py).
-                self._fold_into(record, coefficient, op["delta"])
-            if not record.keys:
-                # All members gone: the accumulated deltas cancel exactly.
-                self._drop_record(rank)
-
-    def _channel_check(self, op: dict) -> str:
-        """Classify one Δ against its channel: apply / duplicate / stale.
-
-        ``apply`` advances the channel.  ``duplicate`` (seq below the
-        expectation) must be skipped.  ``stale`` (seq above it) means a
-        prior Δ never arrived — this bucket's content is behind its data
-        and must be rebuilt, so the Δ is *not* applied either.
-        Unsequenced ops (``seq`` absent/None) always apply and leave the
-        channel untouched.
-        """
-        seq = op.get("seq")
-        if seq is None:
-            return "apply"
-        pos = op["pos"]
-        expected = self._expected_seq.get(pos, 1)
-        if seq < expected:
-            self.duplicates_skipped += 1
-            verdict = "duplicate"
-        elif seq > expected:
-            self.gaps_detected += 1
-            self.stale = True
-            verdict = "stale"
+        key_index = self._key_index
+        for key, rank, length in zip(keys, ranks, lengths):
+            record = records.get(rank)
+            if record is None:
+                record = records[rank] = StoredParityRecord(rank, store)
+            if action == "delete":
+                record.keys.pop(pos, None)
+                record.lengths.pop(pos, None)
+                key_index.pop(key, None)
+                if not record.keys:
+                    # All members gone: the accumulated deltas cancel.
+                    del records[rank]
+                    store.release(rank)
+                continue
+            if action == "insert":
+                record.keys[pos] = key
+                key_index[key] = (rank, pos)
+            record.lengths[pos] = length
+        self.symbol_ops += sum(needs)
+        if coefficient == 1:
+            self.xor_folds += n
         else:
-            self._expected_seq[pos] = expected + 1
-            verdict = "apply"
-        tracer = self.network.tracer if self.network is not None else None
-        if tracer is not None:
-            tracer.emit(
-                "parity.delta",
-                node=self.node_id,
-                pos=pos,
-                seq=seq,
-                expected=expected,
-                verdict=verdict,
-                op=op["op"],
+            self.general_folds += n
+
+        if seq0 is not None:
+            if tracer is not None:
+                self._trace_deltas(
+                    tracer, action, pos, "apply", seq0, n, expected, 1
+                )
+            self._expected_seq[pos] = expected + n
+            if self._delta_log is not None:
+                # (seq, action, key, rank) descriptors for delta.tail
+                self._delta_log.setdefault(
+                    pos, deque(maxlen=self._delta_log_cap)
+                ).extend(
+                    (seq0 + i, action, keys[i], ranks[i]) for i in range(n)
+                )
+        if wal and self._wal is not None:
+            self._log_entry(
+                {"prun": [action, pos, seq0, keys, ranks, deltas, lengths]}
             )
-        return verdict
+        return n, False
+
+    def _trace_deltas(
+        self, tracer, action: str, pos: int, verdict: str,
+        seq0: int, count: int, expected: int, step: int,
+    ) -> None:
+        """One ``parity.delta`` event per sequenced Δ of a verdict span;
+        the expectation moves (``step`` 1) only while Δs apply."""
+        for i in range(count):
+            tracer.emit(
+                "parity.delta", node=self.node_id, pos=pos,
+                seq=seq0 + i, expected=expected + i * step,
+                verdict=verdict, op=action,
+            )
+
+    @staticmethod
+    def _runs(entries: list[dict]) -> Iterator[Run]:
+        """Normalise wire Δ entries to runs, in stream order.
+
+        A columnar block already is a run.  Adjacent per-op Δs join one
+        while they share action and position, hit distinct ranks and
+        carry consecutive (or no) sequence numbers.
+        """
+        run: Run | None = None
+        seen: set[int] = set()  # the ranks of ``run``
+        for entry in entries:
+            if "block" in entry:
+                if run is not None:
+                    yield run
+                    run = None
+                yield (
+                    entry["block"], entry["pos"], entry["seq0"], entry["keys"],
+                    entry["ranks"], entry["deltas"], entry["lengths"],
+                )
+                continue
+            action, pos, seq = entry["op"], entry["pos"], entry.get("seq")
+            rank = entry["rank"]
+            if run is not None:
+                run_action, run_pos, seq0, keys, ranks, deltas, lengths = run
+                follows = None if seq0 is None else seq0 + len(ranks)
+                if (
+                    action == run_action and pos == run_pos
+                    and seq == follows and rank not in seen
+                ):
+                    seen.add(rank)
+                    keys.append(entry["key"])
+                    ranks.append(rank)
+                    deltas.append(entry["delta"])
+                    lengths.append(entry["length"])
+                    continue
+                yield run
+            seen = {rank}
+            run = (
+                action, pos, seq, [entry["key"]], [rank],
+                [entry["delta"]], [entry["length"]],
+            )
+        if run is not None:
+            yield run
 
     def _report_stale(self) -> None:
         """Tell the coordinator this bucket missed Δ traffic (rebuild me).
@@ -338,383 +396,60 @@ class ParityServer(Node):
         The return value is the ack in ``parity_ack`` mode; plain sends
         discard it.
         """
-        verdict = self._channel_check(message.payload)
-        if verdict == "apply":
-            self._apply(message.payload)
-            if self._wal is not None:
-                self._record_applied_ops([message.payload])
+        op = message.payload
+        applied, stale = self._fold_run(
+            op["op"], op["pos"], op.get("seq"), [op["key"]], [op["rank"]],
+            [op["delta"]], [op["length"]],
+        )
+        if applied:
             return {"status": "applied"}
-        if verdict == "stale":
+        if stale:
             self._report_stale()
         return {
-            "status": verdict,
-            "expected": self._expected_seq.get(message.payload["pos"], 1),
+            "status": "stale" if stale else "duplicate",
+            "expected": self._expected_seq.get(op["pos"], 1),
         }
-
-    # ------------------------------------------------------------------
-    # batch application
-    # ------------------------------------------------------------------
-    def _bulk_encodable(self, ops: list[dict]) -> bool:
-        """Whole-group encode batches can skip the per-op fold loop.
-
-        Eligible when this bucket is empty and every op is an
-        unsequenced insert hitting a distinct (rank, pos) slot — exactly
-        what the coordinator's parity (re)build paths ship.
-        """
-        if self.records or not ops:
-            return False
-        seen: set[tuple[int, int]] = set()
-        for op in ops:
-            if op.get("seq") is not None or op.get("op") != "insert":
-                return False
-            if not 0 <= op["pos"] < len(self.row):
-                return False  # per-op path raises the proper ValueError
-            slot = (op["rank"], op["pos"])
-            if slot in seen:
-                return False
-            seen.add(slot)
-        return True
-
-    def _bulk_encode(self, ops: list[dict]) -> int:
-        """Encode a whole-group insert batch as one 2D kernel call.
-
-        Packs the Δ payloads into an (m x nranks x L) tensor and applies
-        this bucket's generator row with a single ``gf_matmul`` — one
-        table gather + XOR per coefficient instead of one fold dispatch
-        per record.  Bit-exact with the per-op path (verified by the
-        stripe property tests); the symbol-op accounting still charges
-        the per-record work actually done.
-        """
-        field = self.field
-        m = len(self.row)
-        by_rank: dict[int, list[dict]] = {}
-        for op in ops:
-            by_rank.setdefault(op["rank"], []).append(op)
-        ranks = sorted(by_rank)
-        length = max(
-            field.symbol_length_for_bytes(len(op["delta"])) for op in ops
-        )
-        grid: list[list[bytes | None]] = [[None] * len(ranks) for _ in range(m)]
-        for r, rank in enumerate(ranks):
-            for op in by_rank[rank]:
-                grid[op["pos"]][r] = op["delta"]
-        stacked = np.stack(
-            [field.stack_payloads(column, length) for column in grid]
-        )
-        parity = field.gf_matmul([self.row], stacked)[0]
-
-        for r, rank in enumerate(ranks):
-            record = self._new_record(rank)
-            stripe = max(
-                field.symbol_length_for_bytes(len(op["delta"]))
-                for op in by_rank[rank]
-            )
-            if self._store is None:
-                record.symbols = parity[r, :stripe].copy()
-            else:
-                self._store.ensure(rank, stripe)
-                self._store.view(rank)[:] = parity[r, :stripe]
-            for op in by_rank[rank]:
-                pos = op["pos"]
-                record.keys[pos] = op["key"]
-                record.lengths[pos] = op["length"]
-                self._key_index[op["key"]] = (rank, pos)
-                self._count_fold(self.row[pos], len(op["delta"]))
-            self.records[rank] = record
-        return len(ops)
-
-    def _expand_block(self, block: dict) -> list[dict]:
-        """Per-op Δ-record dicts equivalent to one columnar block."""
-        action = block["block"]
-        pos = block["pos"]
-        seq0 = block["seq0"]
-        return [
-            {
-                "op": action, "key": key, "rank": rank, "pos": pos,
-                "delta": delta, "length": length, "seq": seq0 + i,
-            }
-            for i, (key, rank, delta, length) in enumerate(
-                zip(block["keys"], block["ranks"],
-                    block["deltas"], block["lengths"])
-            )
-        ]
-
-    def _fold_block(self, block: dict) -> tuple[int, bool]:
-        """Fold one columnar Δ-block; returns (applied, stale).
-
-        The block is a same-position insert/update run with consecutive
-        sequence numbers (``seq0`` .. ``seq0`` + n - 1) and distinct
-        ranks — what a data bucket's vectorized batch apply emits.  On a
-        healthy channel (``seq0`` equals the expectation) the whole
-        block channel-checks in one comparison and folds through one
-        stacked kernel + scatter.  Anything else — retransmissions,
-        gaps, the per-record storage layout, malformed shapes — expands
-        to per-op Δs and takes the exact scalar path, so verdicts,
-        counters and trace events match op-for-op.
-        """
-        pos = block["pos"]
-        ranks = block["ranks"]
-        n = len(ranks)
-        expected = self._expected_seq.get(pos, 1)
-        store = self._store
-        if (
-            store is None
-            or n == 0
-            or block["seq0"] != expected
-            or block["block"] not in ("insert", "update")
-            or not 0 <= pos < len(self.row)
-            or len(set(ranks)) != n
-        ):
-            applied = 0
-            for op in self._expand_block(block):
-                verdict = self._channel_check(op)
-                if verdict == "apply":
-                    self._apply(op)
-                    if self._wal is not None:
-                        self._record_applied_ops([op])
-                    applied += 1
-                elif verdict == "stale":
-                    return applied, True
-            return applied, False
-        self._expected_seq[pos] = expected + n
-        field = self.field
-        deltas = block["deltas"]
-        if field.symbol_dtype.itemsize == 1:
-            needs = [len(d) for d in deltas]
-        else:
-            needs = [field.symbol_length_for_bytes(len(d)) for d in deltas]
-        stacked = field.stack_payloads(deltas, max(needs))
-        coefficient = self.row[pos]
-        if coefficient == 1:
-            scaled = stacked  # rows are only read below; alias is safe
-        else:
-            scaled = field.mul_matrix(stacked, coefficient)
-        store.scatter_xor(ranks, needs, scaled)
-        action = block["block"]
-        keys = block["keys"]
-        lengths = block["lengths"]
-        records = self.records
-        key_index = self._key_index
-        for i in range(n):
-            rank = ranks[i]
-            record = records.get(rank)
-            if record is None:
-                record = StoredParityRecord(rank, store)
-                records[rank] = record
-            if action == "insert":
-                record.keys[pos] = keys[i]
-                key_index[keys[i]] = (rank, pos)
-            record.lengths[pos] = lengths[i]
-        tracer = self.network.tracer if self.network is not None else None
-        if tracer is not None:
-            seq0 = block["seq0"]
-            for i in range(n):
-                tracer.emit(
-                    "parity.delta", node=self.node_id, pos=pos,
-                    seq=seq0 + i, expected=expected + i,
-                    verdict="apply", op=action,
-                )
-        self.symbol_ops += sum(needs)
-        if coefficient == 1:
-            self.xor_folds += n
-        else:
-            self.general_folds += n
-        if self._wal is not None:
-            seq0 = block["seq0"]
-            ring = self._delta_log.setdefault(
-                pos, deque(maxlen=self._delta_log_cap)
-            )
-            for i in range(n):
-                ring.append((seq0 + i, action, keys[i], ranks[i]))
-            self._log_entry({"pblock": block})
-        return n, False
-
-    def _bulk_foldable(self, ops: list[dict], start: int) -> int:
-        """Length of the one-kernel-foldable run at ``start``.
-
-        A run is sequenced insert/update Δs sharing one (valid) group
-        position — exactly the shape of a coalesced client batch from
-        one data bucket.  Deletes (record-group bookkeeping, possible
-        drop) and unsequenced ops stay on the per-op path, splitting the
-        batch into segments.
-        """
-        pos = ops[start]["pos"]
-        if not 0 <= pos < len(self.row):
-            return 0  # per-op path raises the proper ValueError
-        run = start
-        while run < len(ops):
-            op = ops[run]
-            if (
-                op.get("seq") is None
-                or op["op"] not in ("insert", "update")
-                or op["pos"] != pos
-            ):
-                break
-            run += 1
-        return run - start
-
-    def _bulk_fold(self, ops: list[dict]) -> tuple[int, bool]:
-        """Fold one same-position run with one stacked kernel pass.
-
-        Channel-checks every op first (collecting the appliers, skipping
-        duplicates, stopping at the first stale — the checks only touch
-        ``_expected_seq``, which no fold reads, so check-then-fold is
-        order-equivalent to the scalar interleaving), then scales the
-        whole stacked Δ matrix by the position's coefficient in ONE
-        table gather and folds row by row.  Returns (applied, stale).
-        """
-        pos = ops[0]["pos"]
-        applies: list[dict] = []
-        stale = False
-        for op in ops:
-            verdict = self._channel_check(op)
-            if verdict == "apply":
-                applies.append(op)
-            elif verdict == "stale":
-                stale = True
-                break
-        if not applies:
-            return 0, stale
-        field = self.field
-        coefficient = self.row[pos]
-        needs = [
-            field.symbol_length_for_bytes(len(op["delta"])) for op in applies
-        ]
-        stacked = field.stack_payloads(
-            [op["delta"] for op in applies], max(needs)
-        )
-        if coefficient == 1:
-            scaled = stacked  # rows are only read below; alias is safe
-        else:
-            scaled = field.mul_matrix(stacked, coefficient)
-        ranks = [op["rank"] for op in applies]
-        if self._store is not None and len(set(ranks)) == len(ranks):
-            # Store-backed with distinct ranks (every coalesced client
-            # batch: distinct keys ⇒ distinct ranks): fold the whole run
-            # in ONE fancy-index scatter instead of a per-row loop.
-            # Rows are zero beyond their logical length, so the
-            # full-width XOR is byte-identical to per-row prefix folds.
-            self._store.scatter_xor(ranks, needs, scaled)
-            records, key_index, store = self.records, self._key_index, self._store
-            for op, rank in zip(applies, ranks):
-                record = records.get(rank)
-                if record is None:
-                    record = StoredParityRecord(rank, store)
-                    records[rank] = record
-                if op["op"] == "insert":
-                    record.keys[pos] = op["key"]
-                    record.lengths[pos] = op["length"]
-                    key_index[op["key"]] = (rank, pos)
-                else:  # update
-                    record.lengths[pos] = op["length"]
-            self.symbol_ops += sum(needs)
-            if coefficient == 1:
-                self.xor_folds += len(applies)
-            else:
-                self.general_folds += len(applies)
-            if self._wal is not None:
-                self._record_applied_ops(applies)
-            return len(applies), stale
-        for op, row, needed in zip(applies, scaled, needs):
-            rank = op["rank"]
-            record = self.records.get(rank)
-            created = record is None
-            if created:
-                record = self._new_record(rank)
-                self.records[rank] = record
-            try:
-                self._fold_prescaled(record, row, needed)
-            except BaseException:
-                if created:
-                    self._drop_record(rank)
-                raise
-            self._count_fold(coefficient, len(op["delta"]))
-            if op["op"] == "insert":
-                record.keys[pos] = op["key"]
-                record.lengths[pos] = op["length"]
-                self._key_index[op["key"]] = (rank, pos)
-            else:  # update
-                record.lengths[pos] = op["length"]
-        if self._wal is not None:
-            self._record_applied_ops(applies)
-        return len(applies), stale
-
-    def _fold_prescaled(
-        self, record: ParityRecord, scaled: np.ndarray, needed: int
-    ) -> None:
-        """Fold one already-scaled Δ row, mirroring :meth:`_fold_into`
-        byte-for-byte (growth rule, store ensure, XOR extent)."""
-        if self._store is None:
-            symbols = record.symbols
-            if needed > len(symbols):
-                grown = np.zeros(needed, dtype=self.field.symbol_dtype)
-                grown[: len(symbols)] = symbols
-                symbols = grown
-            symbols[:needed] ^= scaled[:needed]
-            record.symbols = symbols
-            return
-        length = max(needed, len(record.symbols))
-        self._store.ensure(record.rank, length)
-        view = self._store.view(record.rank)
-        view[:needed] ^= scaled[:needed]
 
     def handle_parity_batch(self, message: Message) -> dict:
         """Batched Δ-records (client batches, splits, merges, encodes).
 
-        Whole-group encode batches (fresh bucket, unsequenced inserts)
-        take the 2D bulk path.  Sequenced same-position insert/update
-        runs — the coalesced client batches — fold through one stacked
-        kernel per run (:meth:`_bulk_fold`); everything else applies op
-        by op.  Ops in one batch share a channel and are contiguous, so
-        the first stale op means every later one is too — stop and
-        report once.  A trailing ``expected_seqs`` map (coordinator
-        encode paths) re-bases the channels afterwards.
+        Ops in one batch share a channel and are contiguous, so the
+        first stale run means every later one is too — stop and report
+        once.  A trailing ``expected_seqs`` map (coordinator encode
+        paths) re-bases the channels afterwards.
         """
         ops = message.payload["ops"]
+        rebase = message.payload.get("expected_seqs")
         tracer = self.network.tracer if self.network is not None else None
         if tracer is not None:
             tracer.emit(
                 "parity.batch", node=self.node_id, ops=len(ops)
             )
-        encoded = False
-        if self._bulk_encodable(ops):
-            applied = self._bulk_encode(ops)
-            encoded = True
-        else:
-            applied = 0
-            i = 0
-            while i < len(ops):
-                if "block" in ops[i]:
-                    done, stale = self._fold_block(ops[i])
-                    applied += done
-                    i += 1
-                elif (run := self._bulk_foldable(ops, i)) >= 2:
-                    done, stale = self._bulk_fold(ops[i:i + run])
-                    applied += done
-                    i += run
-                else:
-                    op = ops[i]
-                    verdict = self._channel_check(op)
-                    stale = verdict == "stale"
-                    if verdict == "apply":
-                        self._apply(op)
-                        if self._wal is not None:
-                            self._record_applied_ops([op])
-                        applied += 1
-                    i += 1
-                if stale:
-                    self._report_stale()
-                    return {"status": "stale", "applied": applied}
-        expected = message.payload.get("expected_seqs")
-        if expected:
+        slots = {
+            (op["rank"], op["pos"]) for op in ops
+            if op.get("op") == "insert" and op.get("seq") is None
+        }
+        if len(slots) == len(ops):
+            # A whole-group encode (unsequenced inserts, one per slot)
+            # arrives rank-major; the inserts commute, so take them
+            # position-major: m long runs instead of one per record.
+            ops = sorted(ops, key=lambda op: op["pos"])
+        applied, stale = 0, False
+        for run in self._runs(ops):
+            # A re-basing batch is a full-state event: checkpointed
+            # below instead of logged run by run.
+            done, stale = self._fold_run(*run, wal=not rebase)
+            applied += done
+            if stale:
+                self._report_stale()
+                break
+        if rebase and not stale:
             self._expected_seq.update(
-                {int(pos): seq for pos, seq in expected.items()}
+                {int(pos): seq for pos, seq in rebase.items()}
             )
-        if self._wal is not None and (encoded or expected):
-            # Whole-group encodes and channel re-bases are full-state
-            # events (recovery paths): checkpoint instead of logging.
+        if rebase and self._wal is not None:
             self.checkpoint_now()
-        return {"status": "applied", "applied": applied}
+        return {"status": "stale" if stale else "applied", "applied": applied}
 
     def handle_parity_reset(self, message: Message) -> None:
         """Close the Δ-channels of retired group positions.
@@ -742,16 +477,14 @@ class ParityServer(Node):
     # queries used by recovery
     # ------------------------------------------------------------------
     def _snapshots(self) -> list[dict]:
-        """Snapshot every record; one contiguous bytes pass with a store."""
-        if self._store is None:
-            return [r.snapshot(self.field) for r in self.records.values()]
+        """Snapshot every record in one contiguous bytes pass."""
         payloads = self._store.row_bytes()
         return [
             {
                 "rank": rank,
                 "keys": dict(record.keys),
                 "lengths": dict(record.lengths),
-                "parity": payloads.get(rank, b""),
+                "parity": payloads[rank],
             }
             for rank, record in self.records.items()
         ]
@@ -790,28 +523,18 @@ class ParityServer(Node):
 
     def _load_records(self, snaps: list[dict]) -> None:
         """Replace the whole record set from snapshots (load / restart)."""
+        self._store.bulk_load(
+            [(snap["rank"], snap["parity"]) for snap in snaps]
+        )
         self.records = {}
-        if self._store is not None:
-            self._store = StripeStore(self.field)
+        self._key_index = {}
         for snap in snaps:
-            record = self._new_record(snap["rank"])
+            rank = snap["rank"]
+            record = self.records[rank] = StoredParityRecord(rank, self._store)
             record.keys = dict(snap["keys"])
             record.lengths = dict(snap["lengths"])
-            self.records[snap["rank"]] = record
-        if self._store is None:
-            for snap in snaps:
-                self.records[snap["rank"]].symbols = (
-                    self.field.symbols_from_bytes(snap["parity"])
-                )
-        else:
-            self._store.bulk_load(
-                [(snap["rank"], snap["parity"]) for snap in snaps]
-            )
-        self._key_index = {
-            key: (rank, pos)
-            for rank, record in self.records.items()
-            for pos, key in record.keys.items()
-        }
+            for pos, key in record.keys.items():
+                self._key_index[key] = (rank, pos)
 
     def handle_parity_load(self, message: Message) -> None:
         """Bulk-load recovered content into a fresh (spare) parity bucket."""
@@ -833,41 +556,24 @@ class ParityServer(Node):
     def handle_signature_dump(self, message: Message) -> dict:
         """Algebraic signatures of every parity record, keyed by rank.
 
-        With the stripe store the whole bucket is one stacked matrix and
-        the signatures come out of one vectorized pass per signature
-        symbol (zero padding contributes nothing to a signature).
+        The whole bucket is one stacked matrix, so the signatures come
+        out of one vectorized pass per signature symbol (zero padding
+        contributes nothing to a signature).
         """
-        count = message.payload.get("count", 2)
-        if self._store is not None:
-            from repro.gf.signatures import signature_matrix
+        from repro.gf.signatures import signature_matrix
 
-            ranks, matrix = self._store.stacked()
-            vectors = signature_matrix(self.field, matrix, count)
-            return {
-                "index": self.index,
-                "ranks": dict(zip(ranks, vectors)),
-            }
-        from repro.gf.signatures import signature_vector
-
-        return {
-            "index": self.index,
-            "ranks": {
-                rank: signature_vector(
-                    self.field, record.parity_bytes(self.field), count
-                )
-                for rank, record in self.records.items()
-            },
-        }
+        ranks, matrix = self._store.stacked()
+        vectors = signature_matrix(
+            self.field, matrix, message.payload.get("count", 2)
+        )
+        return {"index": self.index, "ranks": dict(zip(ranks, vectors))}
 
     def handle_status(self, message: Message) -> dict:
         status = {
             "group": self.group,
             "index": self.index,
             "records": len(self.records),
-            "parity_bytes": int(
-                self._store.nbytes() if self._store is not None
-                else sum(r.symbols.nbytes for r in self.records.values())
-            ),
+            "parity_bytes": self._store.nbytes(),
             "stale": self.stale,
         }
         if self._wal is not None:
@@ -913,16 +619,6 @@ class ParityServer(Node):
         if net is not None and net.is_available(self.node_id):
             net.fail(self.node_id)
         raise NodeUnavailable(self.node_id)
-
-    def _record_applied_ops(self, applies: list[dict]) -> None:
-        """Post-apply durability duties: note sequenced Δs in the
-        per-position catch-up ring, then WAL the batch in one frame."""
-        for op in applies:
-            if op.get("seq") is not None:
-                self._delta_log.setdefault(
-                    op["pos"], deque(maxlen=self._delta_log_cap)
-                ).append((op["seq"], op["op"], op["key"], op["rank"]))
-        self._log_entry({"pops": applies})
 
     def checkpoint_now(self) -> None:
         """Write a full-state checkpoint and truncate the WAL."""
@@ -1055,23 +751,7 @@ class ParityServer(Node):
                     self._expected_seq.pop(pos, None)
                     self._delta_log.pop(pos, None)
             return
-        for op in (
-            self._expand_block(frame["pblock"]) if "pblock" in frame
-            else frame["pops"]
-        ):
-            self._replay_apply(op)
-
-    def _replay_apply(self, op: dict) -> None:
-        """Re-fold one logged Δ without channel checks (the live path
-        already classified it as an apply) but with the same channel
-        advancement, so replayed state matches pre-crash state."""
-        seq = op.get("seq")
-        if seq is not None:
-            self._expected_seq[op["pos"]] = seq + 1
-            self._delta_log.setdefault(
-                op["pos"], deque(maxlen=self._delta_log_cap)
-            ).append((seq, op["op"], op["key"], op["rank"]))
-        self._apply(op)
+        self._fold_run(*frame["prun"], wal=False)
 
     # -- serving catch-up ----------------------------------------------
     def handle_delta_tail(self, message: Message) -> dict:
@@ -1119,21 +799,12 @@ class ParityServer(Node):
         to a full rebuild.
         """
         applied = 0
-        for entry in message.payload["ops"]:
-            ops = (
-                self._expand_block(entry) if "block" in entry else [entry]
-            )
-            for op in ops:
-                verdict = self._channel_check(op)
-                if verdict == "apply":
-                    self._apply(op)
-                    if op.get("seq") is not None:
-                        self._delta_log.setdefault(
-                            op["pos"], deque(maxlen=self._delta_log_cap)
-                        ).append((op["seq"], op["op"], op["key"], op["rank"]))
-                    applied += 1
-                elif verdict == "stale":
-                    return {"ok": False, "applied": applied}
+        for run in self._runs(message.payload["ops"]):
+            # Not logged run by run: the checkpoint below covers them.
+            done, stale = self._fold_run(*run, wal=False)
+            applied += done
+            if stale:
+                return {"ok": False, "applied": applied}
         self.fenced = False
         self.stale = False
         net = self._net()

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.check import mutants
 from repro.core.group import data_node, group_buckets, group_of, parity_node, position_of
 from repro.rs.codec import RSCodec
 from repro.sim.network import NodeUnavailable
@@ -901,18 +900,6 @@ class RecoveryManager:
         Returns ``(found, payload)``; ``(False, None)`` is *certain* —
         the parity directory proves the key was never stored.
         """
-        mutant_cache = None
-        if "stale_degraded_read" in mutants.ACTIVE:
-            # Validation mutant: memoize the first reconstruction per
-            # key and serve it forever — stale once the record changes
-            # between two degraded reads.  The linearizability harness
-            # must catch this (tests/check/test_mutants.py).
-            mutant_cache = getattr(self, "_stale_read_cache", None)
-            if mutant_cache is None:
-                mutant_cache = self._stale_read_cache = {}
-            if key in mutant_cache:
-                self.degraded_reads_served += 1
-                return mutant_cache[key]
         coordinator = self.coordinator
         cfg = coordinator.config
         m = cfg.group_size
@@ -940,8 +927,6 @@ class RecoveryManager:
             "parity.locate", {"key": key},
         )
         if located is None:
-            if mutant_cache is not None:
-                mutant_cache[key] = (False, None)
             return False, None
         rank = located["rank"]
         keys, lengths = located["keys"], located["lengths"]
@@ -989,8 +974,6 @@ class RecoveryManager:
         )
         self.records_reconstructed += 1
         self.degraded_reads_served += 1
-        if mutant_cache is not None:
-            mutant_cache[key] = (True, recovered[pos])
         return True, recovered[pos]
 
     # ------------------------------------------------------------------

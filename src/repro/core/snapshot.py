@@ -16,6 +16,7 @@ encoding is needed).
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 from typing import Any
 
@@ -58,8 +59,6 @@ def snapshot_file(file: LHRSFile) -> dict:
                 "group": server.group,
                 "index": server.index,
                 "expected_seqs": dict(server._expected_seq),
-                # _snapshots renders a stripe-store bucket in one
-                # contiguous bytes pass; identical dicts either way.
                 "records": server._snapshots(),
             }
         )
@@ -73,7 +72,6 @@ def snapshot_file(file: LHRSFile) -> dict:
             "generator": config.generator,
             "compact_ranks": config.compact_ranks,
             "parity_batch_size": config.parity_batch_size,
-            "parity_stripe_store": config.parity_stripe_store,
             "durability": config.durability,
             "wal_fsync_interval": config.wal_fsync_interval,
             "durability_checkpoint_interval":
@@ -103,7 +101,13 @@ def restore_file(snapshot: dict, file_id: str = "f",
         raise ValueError(
             f"unsupported snapshot version {snapshot.get('version')!r}"
         )
-    config = LHRSConfig(**snapshot["config"])
+    # Config keys this build does not have are dropped: earlier builds
+    # of this snapshot version also wrote a since-retired knob (the
+    # parity memory layout), which never was snapshot content.
+    known = {field.name for field in dataclasses.fields(LHRSConfig)}
+    config = LHRSConfig(
+        **{k: v for k, v in snapshot["config"].items() if k in known}
+    )
     file = LHRSFile(config, file_id=file_id, network=network)
     coordinator = file.rs_coordinator
     net = file.network

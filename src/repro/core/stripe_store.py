@@ -1,18 +1,16 @@
 """Contiguous stripe storage for parity buckets.
 
 A parity bucket holds one parity symbol array per record group (rank).
-Storing each as its own numpy array costs one allocation per record and
-forces every bulk operation — dumps, signature scans, recovery decodes —
-to walk Python objects.  :class:`StripeStore` packs them all into one
-``(rows x width)`` symbol matrix with a rank→row map: each rank's parity
-lives in a row slice, zero-padded to the store width (the paper's
-padding rule makes the padding semantically free).
+:class:`StripeStore` packs them all into one ``(rows x width)`` symbol
+matrix with a rank→row map: each rank's parity lives in a row slice,
+zero-padded to the store width (the paper's padding rule makes the
+padding semantically free).  Dumps, signature scans and block folds then
+run as single 2D passes instead of walking one array per record.
 
 The matrix grows geometrically in both dimensions.  Growth reallocates
-the matrix, which invalidates previously handed-out row views, so
-callers that cache views (the parity server binds ``record.symbols`` to
-row views) must refresh them when :attr:`generation` changes —
-:meth:`ensure` returns ``True`` exactly when that happened.
+it, so a row view is only good until the next ``ensure`` /
+``scatter_xor`` / ``bulk_load``: callers fetch a view (:meth:`view`),
+use it and let it go — nothing caches one.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from repro.gf.field import GF
 class StripeStore:
     """One contiguous (rows x width) symbol matrix, addressed by rank."""
 
-    __slots__ = ("field", "matrix", "generation", "_row_of", "_length", "_free")
+    __slots__ = ("field", "matrix", "_row_of", "_length", "_free")
 
     def __init__(self, field: GF, rows: int = 0, width: int = 0):
         if field.width < 8:
@@ -34,8 +32,6 @@ class StripeStore:
             raise ValueError("StripeStore requires a whole-byte symbol field")
         self.field = field
         self.matrix = np.zeros((rows, width), dtype=field.symbol_dtype)
-        #: bumped whenever the matrix is reallocated (views invalidated)
-        self.generation = 0
         self._row_of: dict[int, int] = {}
         self._length: dict[int, int] = {}
         self._free: list[int] = list(range(rows - 1, -1, -1))
@@ -64,45 +60,47 @@ class StripeStore:
         """Logical-length view of one rank's row (writes hit the store)."""
         return self.matrix[self._row_of[rank], : self._length[rank]]
 
-    def ensure(self, rank: int, length: int) -> bool:
-        """Make ``rank`` exist with at least ``length`` logical symbols.
-
-        Returns ``True`` when the matrix was reallocated (all previously
-        obtained views are stale and must be re-fetched via :meth:`view`).
-        """
-        grew = False
-        if length > self.width:
+    def _reserve(self, width: int, fresh: int) -> None:
+        """Grow the matrix to ``width`` columns and ``fresh`` free rows."""
+        if width > self.width:
             new_width = max(8, self.width)
-            while new_width < length:
+            while new_width < width:
                 new_width *= 2
-            fresh = np.zeros(
+            wider = np.zeros(
                 (self.matrix.shape[0], new_width), dtype=self.field.symbol_dtype
             )
-            fresh[:, : self.width] = self.matrix
-            self.matrix = fresh
-            self.generation += 1
-            grew = True
-        if rank not in self._row_of:
-            if not self._free:
-                old_rows = self.matrix.shape[0]
-                new_rows = max(8, 2 * old_rows)
-                fresh = np.zeros(
-                    (new_rows, self.width), dtype=self.field.symbol_dtype
-                )
-                fresh[:old_rows] = self.matrix
-                self.matrix = fresh
-                self.generation += 1
-                grew = True
-                self._free = list(range(new_rows - 1, old_rows - 1, -1))
-            self._row_of[rank] = self._free.pop()
-            self._length[rank] = 0
-        if length > self._length[rank]:
+            wider[:, : self.width] = self.matrix
+            self.matrix = wider
+        if fresh > len(self._free):
+            old_rows = self.matrix.shape[0]
+            new_rows = max(8, 2 * old_rows)
+            while new_rows - old_rows + len(self._free) < fresh:
+                new_rows *= 2
+            taller = np.zeros(
+                (new_rows, self.width), dtype=self.field.symbol_dtype
+            )
+            taller[:old_rows] = self.matrix
+            self.matrix = taller
+            self._free.extend(range(new_rows - 1, old_rows - 1, -1))
+
+    def ensure(self, rank: int, length: int) -> np.ndarray:
+        """Make ``rank`` exist with at least ``length`` logical symbols;
+        returns its :meth:`view`."""
+        row = self._row_of.get(rank)
+        if length > self.matrix.shape[1] or (row is None and not self._free):
+            self._reserve(length, 1 if row is None else 0)
+        if row is None:
+            row = self._row_of[rank] = self._free.pop()
             self._length[rank] = length
-        return grew
+        elif length > self._length[rank]:
+            self._length[rank] = length
+        else:
+            length = self._length[rank]
+        return self.matrix[row, :length]
 
     def scatter_xor(
         self, ranks: list[int], lengths: list[int], rows: np.ndarray
-    ) -> bool:
+    ) -> None:
         """Fold one pre-scaled Δ row per rank in a single scatter.
 
         ``rows`` is a ``(len(ranks) x W)`` matrix whose row *i* is
@@ -113,37 +111,13 @@ class StripeStore:
         fancy-index scatter would silently drop all but one fold.
 
         Equivalent to ``ensure`` + ``view`` + per-row XOR, with at most
-        one reallocation for the whole batch.  Returns ``True`` when
-        the matrix was reallocated (cached views are stale).
+        one reallocation per dimension for the whole batch.
         """
         width = int(rows.shape[1])
-        grew = False
-        if width > self.width:
-            new_width = max(8, self.width)
-            while new_width < width:
-                new_width *= 2
-            fresh = np.zeros(
-                (self.matrix.shape[0], new_width), dtype=self.field.symbol_dtype
-            )
-            fresh[:, : self.width] = self.matrix
-            self.matrix = fresh
-            self.generation += 1
-            grew = True
-        fresh_ranks = [r for r in ranks if r not in self._row_of]
-        if len(fresh_ranks) > len(self._free):
-            old_rows = self.matrix.shape[0]
-            new_rows = max(8, 2 * old_rows)
-            while new_rows - old_rows + len(self._free) < len(fresh_ranks):
-                new_rows *= 2
-            fresh = np.zeros(
-                (new_rows, self.width), dtype=self.field.symbol_dtype
-            )
-            fresh[:old_rows] = self.matrix
-            self.matrix = fresh
-            self.generation += 1
-            grew = True
-            self._free.extend(range(new_rows - 1, old_rows - 1, -1))
         row_of, length_of = self._row_of, self._length
+        fresh_ranks = [r for r in ranks if r not in row_of]
+        if width > self.width or len(fresh_ranks) > len(self._free):
+            self._reserve(width, len(fresh_ranks))
         for rank in fresh_ranks:
             row_of[rank] = self._free.pop()
             length_of[rank] = 0
@@ -152,7 +126,6 @@ class StripeStore:
                 length_of[rank] = length
         targets = [row_of[rank] for rank in ranks]
         self.matrix[targets, :width] ^= rows
-        return grew
 
     def release(self, rank: int) -> None:
         """Drop a rank; its row is zeroed and recycled."""
@@ -207,7 +180,6 @@ class StripeStore:
             # bytes; the store matrix is written in place by later folds.
             packed = packed.copy()
         self.matrix = packed
-        self.generation += 1
         self._row_of = {rank: i for i, (rank, _) in enumerate(items)}
         self._length = {
             rank: length for (rank, _), length in zip(items, lengths)

@@ -87,8 +87,8 @@ class LintContext:
 
 def _build_checks() -> dict:
     # Imported lazily so the checker modules can import engine types.
-    from repro.lint.checkers import determinism, docs_sync, pragma_hygiene
-    from repro.lint.checkers import protocol, seqguard, taxonomy
+    from repro.lint.checkers import determinism, docs_sync, layering
+    from repro.lint.checkers import pragma_hygiene, protocol, seqguard, taxonomy
 
     # Order matters only for the pragma checker, which audits what the
     # others used — it must run last.
@@ -97,6 +97,7 @@ def _build_checks() -> dict:
         "determinism": determinism.check,
         "taxonomy": taxonomy.check,
         "seq-guard": seqguard.check,
+        "layering": layering.check,
         "docs": docs_sync.check,
         "pragma": pragma_hygiene.check,
     }
@@ -108,12 +109,13 @@ CHECKS = _build_checks()
 
 def all_rules() -> frozenset[str]:
     """Every rule id any checker can emit (pragma validation)."""
-    from repro.lint.checkers import determinism, docs_sync, pragma_hygiene
-    from repro.lint.checkers import protocol, seqguard, taxonomy
+    from repro.lint.checkers import determinism, docs_sync, layering
+    from repro.lint.checkers import pragma_hygiene, protocol, seqguard, taxonomy
 
     rules: set[str] = set()
     for module in (
-        protocol, determinism, taxonomy, seqguard, docs_sync, pragma_hygiene
+        protocol, determinism, taxonomy, seqguard, layering, docs_sync,
+        pragma_hygiene,
     ):
         rules.update(module.RULES)
     return frozenset(rules)

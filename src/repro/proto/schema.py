@@ -248,7 +248,7 @@ _ENTRIES: tuple[MessageKind, ...] = (
         reply="{status, expected?}",
         section="parity maintenance",
         summary="one Δ-record; a `call` in `parity_ack` mode",
-        seq_guard=("_channel_check", "_expected_seq"),
+        seq_guard=("_fold_run", "_expected_seq"),
     ),
     MessageKind(
         "parity.batch", "data/coordinator", "parity", "send/call",
@@ -256,7 +256,7 @@ _ENTRIES: tuple[MessageKind, ...] = (
         reply="{status, applied}",
         section="parity maintenance",
         summary="Δ-op list or columnar Δ-blocks; encode batches re-base",
-        seq_guard=("_channel_check", "_expected_seq"),
+        seq_guard=("_fold_run", "_expected_seq"),
     ),
     MessageKind(
         "parity.flush", "any", "data", "call",
@@ -377,7 +377,7 @@ _ENTRIES: tuple[MessageKind, ...] = (
         reply="{ok, applied}",
         section="durable restart & catch-up",
         summary="fold the missed Δs in channel order, then unfence",
-        seq_guard=("_channel_check",),
+        seq_guard=("_fold_run",),
     ),
     # -- coordinator HA ------------------------------------------------
     MessageKind(

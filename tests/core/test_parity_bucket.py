@@ -1,9 +1,16 @@
 """Unit tests of the parity bucket server in isolation."""
 
-import pytest
+import random
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.config import LHRSConfig
 from repro.core.parity_bucket import ParityServer
 from repro.gf import GF
+from repro.rs.encoder import delta_payload, fold_delta
 from repro.rs.generator import parity_matrix
 from repro.sim import Network, Node
 
@@ -185,51 +192,49 @@ class TestKeyIndex:
             assert hit["rank"] == scan_hit
 
 
+def seq_op(seq, *args, **kwargs):
+    return {**op(*args, **kwargs), "seq": seq}
+
+
+def make_server():
+    net = Network()
+    field = GF(8)
+    row = parity_matrix(field, 4, 1).row(0)
+    server = ParityServer("f.p0.0", "f", group=0, index=0, row=row,
+                          field=field)
+    probe = Probe("probe")
+    net.register(server)
+    net.register(probe)
+    return server, probe
+
+
 class TestCrashConsistency:
     """A Δ-fold that dies mid-apply must leave no half-born state.
 
-    ``_apply`` allocates the record (and, with a stripe store, its
-    matrix row) *before* folding, but inserts the key directory and
-    ``_key_index`` entries only after.  A crash in between used to
-    strand an allocated record that ``parity.locate`` and
-    ``parity.dump`` could see with no keys — these tests pin the
-    rollback on both storage layouts.
+    ``_fold_run`` allocates a fresh rank's store row while folding but
+    enters the key directory and ``_key_index`` only after.  A crash in
+    between used to strand an allocated row that ``parity.locate`` and
+    ``parity.dump`` could see with no keys; and a sequenced Δ that was
+    rejected or died mid-fold used to leave its channel advanced, so
+    the sender's retry came back ``duplicate`` and never applied.
     """
 
-    def make_server(self, stripe_store):
-        net = Network()
-        field = GF(8)
-        row = parity_matrix(field, 4, 1).row(0)
-        server = ParityServer("f.p0.0", "f", group=0, index=0, row=row,
-                              field=field, stripe_store=stripe_store)
-        probe = Probe("probe")
-        net.register(server)
-        net.register(probe)
-        return server, probe
-
-    @pytest.fixture(params=[False, True], ids=["classic", "stripe"])
-    def layout(self, request, monkeypatch):
-        server, probe = self.make_server(stripe_store=request.param)
-
+    @pytest.fixture
+    def crashing(self, monkeypatch):
+        server, probe = make_server()
         armed = {"on": False}
+        real = GF.scale_accumulate
 
         def explode(*args, **kwargs):
             if armed["on"]:
                 raise RuntimeError("simulated crash during fold")
             return real(*args, **kwargs)
 
-        if request.param:
-            real = GF.scale_accumulate
-            monkeypatch.setattr(GF, "scale_accumulate", explode)
-        else:
-            import repro.core.parity_bucket as module
-
-            real = module.fold_delta
-            monkeypatch.setattr(module, "fold_delta", explode)
+        monkeypatch.setattr(GF, "scale_accumulate", explode)
         return server, probe, armed
 
-    def test_crash_on_fresh_rank_leaves_locate_consistent(self, layout):
-        server, probe, armed = layout
+    def test_crash_on_fresh_rank_leaves_locate_consistent(self, crashing):
+        server, probe, armed = crashing
         armed["on"] = True
         with pytest.raises(RuntimeError, match="simulated crash"):
             probe.send("f.p0.0", "parity.update", op("insert", 9, 1, 0, b"ab"))
@@ -238,16 +243,15 @@ class TestCrashConsistency:
         assert 9 not in server._key_index
         assert probe.call("f.p0.0", "parity.locate", {"key": 9}) is None
         assert probe.call("f.p0.0", "parity.dump")["records"] == []
-        if server._store is not None:
-            assert 1 not in server._store
+        assert 1 not in server._store
         # The bucket still works: a clean retry of the same op succeeds.
         armed["on"] = False
         probe.send("f.p0.0", "parity.update", op("insert", 9, 1, 0, b"ab"))
         assert probe.call("f.p0.0", "parity.locate", {"key": 9})["rank"] == 1
         assert server.records[1].parity_bytes(server.field) == b"ab"
 
-    def test_crash_on_existing_rank_keeps_old_record_intact(self, layout):
-        server, probe, armed = layout
+    def test_crash_on_existing_rank_keeps_old_record_intact(self, crashing):
+        server, probe, armed = crashing
         probe.send("f.p0.0", "parity.update", op("insert", 9, 1, 0, b"ab"))
         before = server.records[1].parity_bytes(server.field)
         armed["on"] = True
@@ -259,11 +263,9 @@ class TestCrashConsistency:
         assert 8 not in server._key_index
         assert record.parity_bytes(server.field) == before
 
-    @pytest.mark.parametrize("stripe_store", [False, True],
-                             ids=["classic", "stripe"])
-    def test_unknown_action_rejected_before_any_fold(self, stripe_store):
+    def test_unknown_action_rejected_before_any_fold(self):
         """Validation precedes mutation: a bad action folds nothing."""
-        server, probe = self.make_server(stripe_store)
+        server, probe = make_server()
         probe.send("f.p0.0", "parity.update", op("insert", 9, 1, 0, b"ab"))
         before = server.records[1].parity_bytes(server.field)
         ops_before = server.symbol_ops
@@ -278,31 +280,58 @@ class TestCrashConsistency:
                        op("frobnicate", 7, 2, 0, b"zz"))
         assert 2 not in server.records  # fresh rank not allocated either
 
+    @pytest.mark.parametrize("kind", ["parity.update", "parity.batch"])
+    def test_rejected_sequenced_delta_leaves_channel_for_the_retry(self, kind):
+        server, probe = make_server()
+
+        def ship(delta_op):
+            payload = delta_op if kind == "parity.update" else {"ops": [delta_op]}
+            return probe.call("f.p0.0", kind, payload)
+
+        assert ship(seq_op(1, "insert", 9, 1, 0, b"ab"))["status"] == "applied"
+        with pytest.raises(ValueError, match="unknown parity op"):
+            ship(seq_op(2, "frobnicate", 8, 2, 0, b"cd"))
+        assert server._expected_seq == {0: 2}
+        # The sender's retry of the corrected Δ is not a retransmission.
+        reply = ship(seq_op(2, "insert", 8, 2, 0, b"cd"))
+        assert reply["status"] == "applied"
+        assert server._expected_seq[0] == 3
+        assert server.records[2].parity_bytes(server.field) == b"cd"
+        assert not server.stale and server.duplicates_skipped == 0
+
+    def test_sequenced_delta_dying_mid_fold_applies_on_retry(self, crashing):
+        server, probe, armed = crashing
+        armed["on"] = True
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            probe.call("f.p0.0", "parity.update",
+                       seq_op(1, "insert", 9, 1, 0, b"ab"))
+        assert server._expected_seq.get(0, 1) == 1
+        assert 1 not in server.records and 1 not in server._store
+        armed["on"] = False
+        reply = probe.call("f.p0.0", "parity.update",
+                           seq_op(1, "insert", 9, 1, 0, b"ab"))
+        assert reply == {"status": "applied"}
+        assert server.records[1].parity_bytes(server.field) == b"ab"
+        # ... and the retransmission of an applied Δ still is a duplicate.
+        reply = probe.call("f.p0.0", "parity.update",
+                           seq_op(1, "insert", 9, 1, 0, b"ab"))
+        assert reply == {"status": "duplicate", "expected": 2}
+        assert server.records[1].parity_bytes(server.field) == b"ab"
+
 
 class TestStoreViewLifecycle:
-    """Stripe-store view staleness across record churn and reloads."""
-
-    def make_server(self):
-        net = Network()
-        field = GF(8)
-        row = parity_matrix(field, 4, 1).row(0)
-        server = ParityServer("f.p0.0", "f", group=0, index=0, row=row,
-                              field=field, stripe_store=True)
-        probe = Probe("probe")
-        net.register(server)
-        net.register(probe)
-        return server, probe
+    """Stripe-store rows across record churn and reloads."""
 
     def test_deleted_rank_view_raises(self):
-        server, probe = self.make_server()
+        server, probe = make_server()
         probe.send("f.p0.0", "parity.update", op("insert", 9, 1, 0, b"ab"))
         probe.send("f.p0.0", "parity.update", op("delete", 9, 1, 0, b"ab", 0))
         assert 1 not in server._store
         with pytest.raises(KeyError):
             server._store.view(1)
 
-    def test_load_refreshes_views_and_drops_old_ranks(self):
-        server, probe = self.make_server()
+    def test_load_drops_old_ranks_and_serves_live_views(self):
+        server, probe = make_server()
         probe.send("f.p0.0", "parity.update", op("insert", 9, 5, 0, b"old!"))
         dump = probe.call("f.p0.0", "parity.dump")
         assert [r["rank"] for r in dump["records"]] == [5]
@@ -323,6 +352,216 @@ class TestStoreViewLifecycle:
         assert record.symbols.base is server._store.matrix.base or (
             record.symbols.base is server._store.matrix
         )
+
+
+class Coord(Node):
+    """The coordinator as a lone parity bucket needs it."""
+
+    def handle_rejoin(self, message):
+        return {"role": "current"}
+
+    def handle_report_stale(self, message):
+        pass
+
+
+class Oracle:
+    """One parity bucket Δ by Δ: the scalar channel check and the
+    ``rs.encoder.fold_delta`` reference, one array per record."""
+
+    def __init__(self, field, row):
+        self.field, self.row = field, row
+        self.symbols, self.keys, self.lengths = {}, {}, {}
+        self.expected, self.applied = {}, {}
+        self.counters = dict.fromkeys(
+            ("duplicates_skipped", "gaps_detected", "symbol_ops",
+             "xor_folds", "general_folds"), 0)
+
+    def deliver(self, op):
+        pos, rank = op["pos"], op["rank"]
+        expected = self.expected.get(pos, 1)
+        if op["seq"] != expected:
+            late = op["seq"] < expected
+            self.counters["duplicates_skipped" if late else "gaps_detected"] += 1
+            return
+        self.expected[pos] = expected + 1
+        self.applied.setdefault(pos, []).append(
+            (op["seq"], op["op"], op["key"], rank))
+        empty = np.zeros(0, dtype=self.field.symbol_dtype)
+        self.symbols[rank] = fold_delta(
+            self.field, self.symbols.get(rank, empty), self.row[pos], op["delta"]
+        )
+        self.counters["symbol_ops"] += self.field.symbol_length_for_bytes(
+            len(op["delta"]))
+        self.counters["xor_folds" if self.row[pos] == 1 else "general_folds"] += 1
+        keys = self.keys.setdefault(rank, {})
+        lengths = self.lengths.setdefault(rank, {})
+        if op["op"] == "delete":
+            del keys[pos], lengths[pos]
+            if not keys:
+                del self.symbols[rank], self.keys[rank], self.lengths[rank]
+            return
+        if op["op"] == "insert":
+            keys[pos] = op["key"]
+        lengths[pos] = op["length"]
+
+    def replayed(self):
+        """A restart re-folds (and re-counts) every Δ applied so far."""
+        for name in ("symbol_ops", "xor_folds", "general_folds"):
+            self.counters[name] *= 2
+
+    def records(self):
+        return [
+            {"rank": rank, "keys": self.keys[rank],
+             "lengths": self.lengths[rank],
+             "parity": self.field.bytes_from_symbols(self.symbols[rank])}
+            for rank in sorted(self.symbols)
+        ]
+
+
+def delta_streams(rng, positions):
+    """One valid Δ stream (seq 1..n) per position over shared ranks."""
+    streams, next_key = {}, 100
+    for pos in positions:
+        live, ops = {}, []
+        for seq in range(1, rng.randint(3, 14) + 1):
+            free = [rank for rank in range(6) if rank not in live]
+            choice = rng.random()
+            if not live or (free and choice < 0.5):
+                rank, payload = rng.choice(free), rng.randbytes(rng.randint(0, 12))
+                live[rank] = (next_key, payload)
+                ops.append(seq_op(seq, "insert", next_key, rank, pos, payload))
+                next_key += 1
+            elif choice < 0.8:
+                rank = rng.choice(sorted(live))
+                key, old = live[rank]
+                new = rng.randbytes(rng.randint(0, 12))
+                live[rank] = (key, new)
+                ops.append(seq_op(seq, "update", key, rank, pos,
+                                  delta_payload(old, new), len(new)))
+            else:
+                rank = rng.choice(sorted(live))
+                key, old = live.pop(rank)
+                ops.append(seq_op(seq, "delete", key, rank, pos, old, 0))
+        streams[pos] = ops
+    return streams
+
+
+def delivery_schedule(rng, streams):
+    """Slices ``(pos, lo, hi)`` of the streams in delivery order: every
+    Δ at least once, channels interleaved, some slices resent — wholly,
+    or running on into Δs not yet seen — and at the very end one Δ that
+    skips a sequence number (the gap)."""
+    cursor = dict.fromkeys(streams, 0)
+    slices = []
+    while open_channels := [p for p in streams if cursor[p] < len(streams[p])]:
+        pos = rng.choice(open_channels)
+        resend = cursor[pos] and rng.random() < 0.3
+        lo = rng.randrange(cursor[pos]) if resend else cursor[pos]
+        hi = min(len(streams[pos]), lo + rng.randint(1, 6))
+        cursor[pos] = max(cursor[pos], hi)
+        slices.append((pos, lo, hi))
+    pos = rng.choice(sorted(streams))
+    gap = seq_op(len(streams[pos]) + 2, "insert", 99, 7, pos, b"gap")
+    streams[pos].append(gap)
+    slices.append((pos, len(streams[pos]) - 1, len(streams[pos])))
+    return slices
+
+
+def as_blocks(ops):
+    """Columnar blocks: maximal same-action runs over distinct ranks."""
+    blocks = []
+    for delta_op in ops:
+        block = blocks[-1] if blocks else None
+        if (
+            block is None
+            or block["block"] != delta_op["op"]
+            or delta_op["rank"] in block["ranks"]
+            or delta_op["seq"] != block["seq0"] + len(block["ranks"])
+        ):
+            block = {"block": delta_op["op"], "pos": delta_op["pos"],
+                     "seq0": delta_op["seq"], "keys": [], "ranks": [],
+                     "deltas": [], "lengths": []}
+            blocks.append(block)
+        for column, name in (("keys", "key"), ("ranks", "rank"),
+                             ("deltas", "delta"), ("lengths", "length")):
+            block[column].append(delta_op[name])
+    return blocks
+
+
+class TestDeliveryShapes:
+    """The wire shape a Δ stream arrives in is not part of its meaning."""
+
+    SHAPES = ("update", "batch", "block", "mixed")
+
+    def run_shape(self, shape, field, index, durable, streams, slices, cuts):
+        net = Network()
+        row = parity_matrix(field, 4, index + 1).row(index)
+        server = ParityServer("f.p0.0", "f", group=0, index=index, row=row,
+                              field=field)
+        probe = Probe("probe")
+        for node in (server, probe, Coord("f.coord")):
+            net.register(node)
+        if durable:
+            # No checkpoint but the ones restart and catch-up write: the
+            # replay then covers the same Δs whatever frames they came in.
+            server.enable_durability(LHRSConfig(
+                durability=True, durability_checkpoint_interval=10**6))
+        oracle = Oracle(field, row)
+        for step, (pos, lo, hi) in enumerate(slices):
+            if durable and step == len(slices) // 2:
+                net.fail("f.p0.0")
+                net.restore("f.p0.0")
+                assert server.fenced
+                reply = probe.call("f.p0.0", "catchup.parity", {"ops": []})
+                assert reply == {"ok": True, "applied": 0}
+                oracle.replayed()
+            ops = streams[pos][lo:hi]
+            for delta_op in ops:
+                oracle.deliver(delta_op)
+            form = cuts.choice(self.SHAPES[:3]) if shape == "mixed" else shape
+            if form == "update":
+                for delta_op in ops:
+                    probe.call("f.p0.0", "parity.update", delta_op)
+                continue
+            entries = as_blocks(ops) if form == "block" else ops
+            while entries:
+                cut = cuts.randint(1, len(entries))
+                probe.call("f.p0.0", "parity.batch", {"ops": entries[:cut]})
+                entries = entries[cut:]
+        return server, probe.call("f.p0.0", "parity.dump"), oracle
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        width=st.sampled_from([8, 16]),
+        index=st.sampled_from([0, 1]),  # the XOR row and a general one
+        durable=st.booleans(),
+        positions=st.sets(st.integers(0, 3), min_size=1),
+    )
+    def test_every_shape_folds_the_same(self, seed, width, index, durable,
+                                        positions):
+        field, rng = GF(width), random.Random(seed)
+        streams = delta_streams(rng, sorted(positions))
+        slices = delivery_schedule(rng, streams)
+        seen = []
+        for shape in self.SHAPES:
+            server, dump, oracle = self.run_shape(
+                shape, field, index, durable, streams, slices,
+                random.Random(rng.random()),
+            )
+            assert sorted(dump["records"], key=lambda r: r["rank"]) == (
+                oracle.records()
+            )
+            assert server._expected_seq == oracle.expected
+            counters = {name: getattr(server, name) for name in oracle.counters}
+            assert counters == oracle.counters
+            assert server.stale and oracle.counters["gaps_detected"] == 1
+            if durable:  # the catch-up ring names every applied Δ, once
+                assert {
+                    pos: list(ring) for pos, ring in server._delta_log.items()
+                } == oracle.applied
+            seen.append((dump, counters))
+        assert all(result == seen[0] for result in seen)
 
 
 class TestNestedRows:

@@ -109,17 +109,15 @@ class TestDurableRoundtrip:
         seed=st.integers(0, 10_000),
         count=st.integers(20, 160),
         durability=st.booleans(),
-        stripe=st.booleans(),
         capacity=st.sampled_from([4, 8, 16]),
     )
-    def test_roundtrip_property(self, seed, count, durability, stripe,
-                                capacity):
+    def test_roundtrip_property(self, seed, count, durability, capacity):
         """Any (workload, config) point round-trips: census, ranks,
-        levels and parity all byte-identical — StripeStore and the
-        durable plane included."""
+        levels and parity all byte-identical — the durable plane
+        included."""
         original, keys = build(
             count=count, seed=seed, bucket_capacity=capacity,
-            durability=durability, parity_stripe_store=stripe,
+            durability=durability,
         )
         rng = make_rng(seed + 1)
         for key in rng.choice(keys, size=min(10, count), replace=False):
@@ -148,6 +146,17 @@ class TestValidation:
         snap["version"] = 99
         with pytest.raises(ValueError, match="version"):
             restore_file(snap)
+
+    def test_retired_layout_key_is_dropped_on_restore(self):
+        """Snapshots of this version written before the per-record
+        parity layout went away still name it; it was never content."""
+        original, keys = build(count=30)
+        snap = snapshot_file(original)
+        assert "parity_stripe_store" not in snap["config"]
+        snap["config"]["parity_stripe_store"] = False
+        restored = restore_file(snap, file_id="r")
+        assert restored.census_with_ranks() == original.census_with_ranks()
+        assert restored.verify_parity_consistency() == []
 
     def test_state_consistency_check(self):
         original, _ = build(count=30)
