@@ -125,7 +125,10 @@ class RSDataServer(DataServer):
             failure = NodeUnavailable(self.node_id)
             failure.fenced = True
             raise failure
-        return super().receive(message)
+        result = super().receive(message)
+        if self._wal is not None:
+            self._checkpoint_if_due()
+        return result
 
     # ------------------------------------------------------------------
     # rank management
@@ -839,7 +842,21 @@ class RSDataServer(DataServer):
         if "ctl" not in entry:
             self._delta_history.append(entry)
         self._appends_since_ckpt += 1
-        if self._appends_since_ckpt >= self._ckpt_interval:
+
+    def _checkpoint_if_due(self) -> None:
+        """The periodic checkpoint, taken between messages only.
+
+        :meth:`_log_entry` runs in the middle of splits, merges and rank
+        compaction, where ``ranks`` and ``bucket.records`` disagree; the
+        end of :meth:`receive` is the first point at which the bucket is
+        whole again.  A restarting bucket checkpoints when its catch-up
+        lands, a fail-stopped one not at all.
+        """
+        if (
+            self._appends_since_ckpt >= self._ckpt_interval
+            and not self._restarting
+            and self._net().is_available(self.node_id)
+        ):
             self.checkpoint_now()
 
     def _fail_stop(self) -> None:
@@ -856,21 +873,8 @@ class RSDataServer(DataServer):
         locally but may never have left, and the restart resend path
         (:meth:`handle_catchup_load`) needs them back.
         """
-        state = {
-            "kind": "data",
-            "epoch": self.epoch,
-            "level": self.bucket.level,
-            "counter": self._rank_counter,
-            "free": sorted(self._free_ranks),
-            "records": [
-                (key, self.ranks[key], payload)
-                for key, payload in self.bucket.records.items()
-            ],
-            "parity_seq": self._parity_seq,
-            "queue": list(self._parity_queue),
-        }
         try:
-            self._wal.checkpoint(state)
+            self._wal.checkpoint(self._image())
         except DiskError:
             self._fail_stop()
         self._appends_since_ckpt = 0
@@ -884,6 +888,44 @@ class RSDataServer(DataServer):
             net.metrics.counter(
                 "disk.checkpoints", "bucket checkpoints written"
             ).inc()
+
+    def _image(self) -> dict:
+        """The checkpoint image: the bucket as a few long columns.
+
+        Records are three parallel columns in store order — the codec
+        packs each in one pass where a list of per-record tuples would
+        cost a walk over every field.  The parity queue goes as the list
+        of Δ dicts it is: checkpoints are taken at the end of a message,
+        so it is empty unless parity is lazy, and then shorter than
+        ``parity_batch_size``.
+        """
+        records = self.bucket.records
+        return {
+            "kind": "data",
+            "epoch": self.epoch,
+            "level": self.bucket.level,
+            "counter": self._rank_counter,
+            "free": sorted(self._free_ranks),
+            "keys": list(records),
+            "ranks": list(map(self.ranks.__getitem__, records)),
+            "payloads": list(records.values()),
+            "parity_seq": self._parity_seq,
+            "queue": self._parity_queue,
+        }
+
+    def _load_image(self, state: dict) -> None:
+        """Inverse of :meth:`_image` (restart)."""
+        self.epoch = state["epoch"]
+        self.bucket.level = state["level"]
+        self._rank_counter = state["counter"]
+        self._free_ranks = state["free"]
+        heapq.heapify(self._free_ranks)
+        keys, ranks = state["keys"], state["ranks"]
+        self.bucket.records = dict(zip(keys, state["payloads"]))
+        self.ranks = dict(zip(keys, ranks))
+        self._rank_to_key = dict(zip(ranks, keys))
+        self._parity_seq = state["parity_seq"]
+        self._parity_queue = state["queue"]
 
     # -- restart-with-delta-catch-up -----------------------------------
     def on_restored(self) -> None:
@@ -933,16 +975,7 @@ class RSDataServer(DataServer):
             clean, tail = False, []
             self.epoch = 0
         else:
-            self.epoch = state["epoch"]
-            self.bucket.level = state["level"]
-            self._rank_counter = state["counter"]
-            self._free_ranks = list(state["free"])
-            heapq.heapify(self._free_ranks)
-            for key, rank, payload in state["records"]:
-                self.bucket.put(key, payload)
-                self._assign_rank(key, rank)
-            self._parity_seq = state["parity_seq"]
-            self._parity_queue = [dict(op) for op in state["queue"]]
+            self._load_image(state)
             for entry in tail:
                 self._replay_entry(entry)
                 if "ctl" not in entry:

@@ -36,7 +36,8 @@ from __future__ import annotations
 
 import zlib
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
+from itertools import repeat
 
 import numpy as np
 
@@ -93,6 +94,43 @@ class StoredParityRecord(ParityRecord):
         return self._store.view(self.rank)
 
 
+class DeltaRing:
+    """The last ``capacity`` Δs applied on one channel, oldest first.
+
+    Iterates as ``(seq, action, key, rank)`` descriptors but is held as
+    four parallel columns (the action as its index in :data:`ACTIONS`):
+    a run extends each column in one call, and a checkpoint writes the
+    columns as they stand instead of transposing a thousand tuples.
+    """
+
+    __slots__ = ("seqs", "codes", "keys", "ranks")
+
+    def __init__(
+        self, capacity: int,
+        seqs: Iterable[int] = (), codes: Iterable[int] = (),
+        keys: Iterable[int] = (), ranks: Iterable[int] = (),
+    ):
+        self.seqs = deque(seqs, maxlen=capacity)
+        self.codes = deque(codes, maxlen=capacity)
+        self.keys = deque(keys, maxlen=capacity)
+        self.ranks = deque(ranks, maxlen=capacity)
+
+    def extend(
+        self, seq0: int, action: str, keys: list[int], ranks: list[int]
+    ) -> None:
+        """Record one applied run: seqs ``seq0``, ``seq0 + 1``, ..."""
+        self.seqs.extend(range(seq0, seq0 + len(keys)))
+        self.codes.extend(repeat(ACTIONS.index(action), len(keys)))
+        self.keys.extend(keys)
+        self.ranks.extend(ranks)
+
+    def __iter__(self) -> Iterator[tuple[int, str, int, int]]:
+        return zip(
+            self.seqs, map(ACTIONS.__getitem__, self.codes), self.keys,
+            self.ranks,
+        )
+
+
 class ParityServer(Node):
     """One parity bucket of one bucket group."""
 
@@ -144,7 +182,7 @@ class ParityServer(Node):
         self._wal = None
         #: per-position ring of (seq, action, key, rank) descriptors of
         #: applied Δs — serves a restarted data bucket's catch-up ask
-        self._delta_log: dict[int, deque] | None = None
+        self._delta_log: dict[int, DeltaRing] | None = None
         self._delta_log_cap = 0
         self._ckpt_interval = 0
         self._appends_since_ckpt = 0
@@ -160,7 +198,10 @@ class ParityServer(Node):
             failure = NodeUnavailable(self.node_id)
             failure.fenced = True
             raise failure
-        return super().receive(message)
+        result = super().receive(message)
+        if self._wal is not None:
+            self._checkpoint_if_due()
+        return result
 
     # ------------------------------------------------------------------
     # the Δ-record protocol
@@ -290,11 +331,10 @@ class ParityServer(Node):
             self._expected_seq[pos] = expected + n
             if self._delta_log is not None:
                 # (seq, action, key, rank) descriptors for delta.tail
-                self._delta_log.setdefault(
-                    pos, deque(maxlen=self._delta_log_cap)
-                ).extend(
-                    (seq0 + i, action, keys[i], ranks[i]) for i in range(n)
-                )
+                ring = self._delta_log.get(pos)
+                if ring is None:
+                    ring = self._delta_log[pos] = DeltaRing(self._delta_log_cap)
+                ring.extend(seq0, action, keys, ranks)
         if wal and self._wal is not None:
             self._log_entry(
                 {"prun": [action, pos, seq0, keys, ranks, deltas, lengths]}
@@ -610,7 +650,16 @@ class ParityServer(Node):
         except DiskError:
             self._fail_stop()
         self._appends_since_ckpt += 1
-        if self._appends_since_ckpt >= self._ckpt_interval:
+
+    def _checkpoint_if_due(self) -> None:
+        """The periodic checkpoint, taken between messages only and
+        never by a restarting or fail-stopped bucket (the rule of
+        :meth:`RSDataServer._checkpoint_if_due`)."""
+        if (
+            self._appends_since_ckpt >= self._ckpt_interval
+            and not self._restarting
+            and self._net().is_available(self.node_id)
+        ):
             self.checkpoint_now()
 
     def _fail_stop(self) -> None:
@@ -622,19 +671,8 @@ class ParityServer(Node):
 
     def checkpoint_now(self) -> None:
         """Write a full-state checkpoint and truncate the WAL."""
-        state = {
-            "kind": "parity",
-            "epoch": self.epoch,
-            "records": self._snapshots(),
-            "expected_seqs": dict(self._expected_seq),
-            "stale": self.stale,
-            "coord": self.coord_checkpoint,
-            "delta_log": {
-                pos: list(ring) for pos, ring in self._delta_log.items()
-            },
-        }
         try:
-            self._wal.checkpoint(state)
+            self._wal.checkpoint(self._image())
         except DiskError:
             self._fail_stop()
         self._appends_since_ckpt = 0
@@ -648,6 +686,73 @@ class ParityServer(Node):
             net.metrics.counter(
                 "disk.checkpoints", "bucket checkpoints written"
             ).inc()
+
+    def _image(self) -> dict:
+        """The checkpoint image: the bucket as a few long columns.
+
+        ``ranks`` and ``rows`` are the record groups in directory order
+        with their parity symbols, ``dir_*`` the key directory flattened
+        to one row per (rank, position) — the key is None for a member
+        whose length is known but whose key is not —, and each Δ-log
+        ring its four columns.  The wire keeps :meth:`_snapshots`; this shape
+        is for the disk alone, where the codec packs a column in one
+        pass but would walk a per-record dict field by field.
+        """
+        ranks = list(self.records)
+        dir_rank: list[int] = []
+        dir_pos: list[int] = []
+        dir_key: list[int | None] = []
+        dir_len: list[int] = []
+        for rank, record in self.records.items():
+            lengths = record.lengths
+            dir_rank.extend(repeat(rank, len(lengths)))
+            dir_pos.extend(lengths)
+            dir_key.extend(map(record.keys.get, lengths))
+            dir_len.extend(lengths.values())
+        return {
+            "kind": "parity",
+            "epoch": self.epoch,
+            "ranks": ranks,
+            "rows": list(map(self._store.row_bytes().__getitem__, ranks)),
+            "dir_rank": dir_rank,
+            "dir_pos": dir_pos,
+            "dir_key": dir_key,
+            "dir_len": dir_len,
+            "expected_seqs": self._expected_seq,
+            "stale": self.stale,
+            "coord": self.coord_checkpoint,
+            "delta_log": {
+                pos: [list(ring.seqs), list(ring.codes), list(ring.keys),
+                      list(ring.ranks)]
+                for pos, ring in self._delta_log.items()
+            },
+        }
+
+    def _load_image(self, state: dict) -> None:
+        """Inverse of :meth:`_image` (restart)."""
+        self.epoch = state["epoch"]
+        store, ranks = self._store, state["ranks"]
+        store.bulk_load(list(zip(ranks, state["rows"])))
+        records = self.records = {
+            rank: StoredParityRecord(rank, store) for rank in ranks
+        }
+        key_index = self._key_index = {}
+        for rank, pos, key, length in zip(
+            state["dir_rank"], state["dir_pos"], state["dir_key"],
+            state["dir_len"],
+        ):
+            record = records[rank]
+            record.lengths[pos] = length
+            if key is not None:
+                record.keys[pos] = key
+                key_index[key] = (rank, pos)
+        self._expected_seq = state["expected_seqs"]
+        self.stale = state["stale"]
+        self.coord_checkpoint = state["coord"]
+        self._delta_log = {
+            pos: DeltaRing(self._delta_log_cap, *columns)
+            for pos, columns in state["delta_log"].items()
+        }
 
     # -- restart-with-delta-catch-up -----------------------------------
     def on_restored(self) -> None:
@@ -682,19 +787,7 @@ class ParityServer(Node):
             self.epoch = 0
             self._load_records([])
         else:
-            self.epoch = state["epoch"]
-            self._load_records(state["records"])
-            self._expected_seq = {
-                int(pos): seq for pos, seq in state["expected_seqs"].items()
-            }
-            self.stale = bool(state["stale"])
-            self.coord_checkpoint = state["coord"]
-            self._delta_log = {
-                int(pos): deque(
-                    (tuple(item) for item in ring), maxlen=self._delta_log_cap
-                )
-                for pos, ring in state["delta_log"].items()
-            }
+            self._load_image(state)
             for frame in tail:
                 self._replay_frame(frame)
         self.fenced = True

@@ -70,7 +70,10 @@ class SimDisk:
         #: callable returning the current fault profile (merged disk
         #: rules from the fault plane); None = NEUTRAL_PROFILE.
         self.profile = profile
-        self._durable: dict[str, bytes] = {}
+        #: durable images: a replaced file is the ``bytes`` it was staged
+        #: as; the first append at fsync makes it a ``bytearray`` that
+        #: later ones extend in place (:meth:`_mutable`)
+        self._durable: dict[str, bytes | bytearray] = {}
         self._unsynced: dict[str, list[bytes]] = {}
         self._staged: dict[str, bytes] = {}
         # counters (benchmarks and metrics read these)
@@ -85,11 +88,10 @@ class SimDisk:
     # fault profile
     # ------------------------------------------------------------------
     def _profile(self) -> dict[str, float]:
-        if self.profile is None:
+        rules = self.profile() if self.profile is not None else None
+        if not rules:
             return NEUTRAL_PROFILE
-        merged = dict(NEUTRAL_PROFILE)
-        merged.update(self.profile() or {})
-        return merged
+        return {**NEUTRAL_PROFILE, **rules}
 
     def _maybe_io_error(self, op: str) -> None:
         prob = self._profile()["io_error"]
@@ -129,15 +131,26 @@ class SimDisk:
         profile = self._profile()
         synced = 0
         if name in self._staged:
-            self._durable[name] = self._staged.pop(name)
             # a staged replace supersedes appends buffered before it
+            self._durable[name] = self._staged.pop(name)
             synced += len(self._durable[name])
-        tail = self._unsynced.pop(name, [])
-        if tail:
-            self._durable[name] = self._durable.get(name, b"") + b"".join(tail)
-            synced += sum(len(chunk) for chunk in tail)
+        chunks = self._unsynced.pop(name, ())
+        if chunks:
+            image = self._mutable(name)
+            for chunk in chunks:
+                image += chunk
+                synced += len(chunk)
         self.fsyncs += 1
         self.io_time += synced * float(profile["slow_factor"])
+
+    def _mutable(self, name: str) -> bytearray:
+        """The durable image of ``name`` as a ``bytearray`` to change in
+        place.  A replaced file stays the ``bytes`` it was staged as
+        until something is appended to it (a checkpoint never is)."""
+        image = self._durable.get(name, b"")
+        if not isinstance(image, bytearray):
+            image = self._durable[name] = bytearray(image)
+        return image
 
     # ------------------------------------------------------------------
     # read path
@@ -146,8 +159,10 @@ class SimDisk:
         """Current contents: durable image plus the unsynced tail."""
         staged = self._staged.get(name)
         base = staged if staged is not None else self._durable.get(name, b"")
-        tail = self._unsynced.get(name, [])
-        return base + b"".join(tail) if tail else base
+        tail = self._unsynced.get(name)
+        if tail or not isinstance(base, bytes):
+            return bytes(base) + b"".join(tail or ())
+        return base
 
     def exists(self, name: str) -> bool:
         return (
@@ -185,9 +200,7 @@ class SimDisk:
                 first = dropped[0]
                 if len(first) > 1:
                     keep = 1 + int(self.rng.integers(len(first) - 1))
-                    self._durable[name] = (
-                        self._durable.get(name, b"") + first[:keep]
-                    )
+                    self._mutable(name).extend(first[:keep])
         self._unsynced.clear()
         if profile["bitrot"] > 0.0 and float(self.rng.random()) < profile["bitrot"]:
             victims = sorted(
@@ -195,9 +208,8 @@ class SimDisk:
             )
             if victims:
                 name = victims[int(self.rng.integers(len(victims)))]
-                image = bytearray(self._durable[name])
+                image = self._mutable(name)
                 flips = max(1, int(profile["bitrot_flips"]))
                 for _ in range(flips):
                     pos = int(self.rng.integers(len(image)))
                     image[pos] ^= 1 << int(self.rng.integers(8))
-                self._durable[name] = bytes(image)

@@ -3,70 +3,46 @@
 Frame format (little-endian)::
 
     <u32 body length> <u32 crc32(body)> <body ...>
+    body = <u8 format version> <value: [lsn, record]>
 
-The body is canonical JSON (sorted keys, compact separators) with
-``bytes`` values encoded as ``{"__b__": <base64>}`` — deterministic, so
-identical records serialize to identical bytes.  Every frame carries an
-``lsn`` (apply-LSN): replay skips frames at or below the checkpoint's
-LSN high-water, which closes the checkpoint/truncate crash window
-(a crash between checkpoint fsync and log truncate must not double-
-apply the tail).
+The value is written by :mod:`repro.store.codec` — a deterministic
+tagged binary encoding, so identical records serialize to identical
+bytes and every value comes back with the type it went in with.  The
+``lsn`` (apply-LSN, or None for an unstamped frame) travels beside the
+record and is put back into it as ``record["lsn"]`` on decode: replay
+skips frames at or below the checkpoint's LSN high-water, which closes
+the checkpoint/truncate crash window (a crash between checkpoint fsync
+and log truncate must not double-apply the tail).
 
-Replay stops at the *first* frame that is short, torn or fails its
-checksum — everything before it is the durable prefix, everything after
-is untrusted.  :meth:`BucketLog.recover` reports whether the stop was a
+Replay stops at the *first* frame that is short, torn, fails its
+checksum or carries a format version this code does not read —
+everything before it is the durable prefix, everything after is
+untrusted.  :meth:`BucketLog.recover` reports whether the stop was a
 clean end-of-log or a torn/rotted tail so the caller can decide between
 delta catch-up and a full rebuild.
 """
 
 from __future__ import annotations
 
-import base64
-import json
 import struct
 import zlib
 from typing import Any
 
+from repro.store import codec
 from repro.store.simdisk import SimDisk
 
 _HEADER = struct.Struct("<II")
+_VERSION = bytes([codec.VERSION])
 
 #: sanity cap — a rotted length field must not make replay allocate GBs
 _MAX_FRAME = 1 << 26
 
 
-# ----------------------------------------------------------------------
-# body codec (canonical JSON with bytes support)
-# ----------------------------------------------------------------------
-def _encode(value: Any) -> Any:
-    if isinstance(value, bytes):
-        return {"__b__": base64.b64encode(value).decode("ascii")}
-    if isinstance(value, dict):
-        return {str(k): _encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    return value
-
-
-def _decode(value: Any) -> Any:
-    if isinstance(value, dict):
-        if set(value) == {"__b__"}:
-            return base64.b64decode(value["__b__"])
-        return {
-            (int(k) if k.lstrip("-").isdigit() else k): _decode(v)
-            for k, v in value.items()
-        }
-    if isinstance(value, list):
-        return [_decode(v) for v in value]
-    return value
-
-
-def encode_frame(record: dict[str, Any]) -> bytes:
-    """One checksummed frame: header + canonical-JSON body."""
-    body = json.dumps(
-        _encode(record), sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-    return _HEADER.pack(len(body), zlib.crc32(body)) + body
+def encode_frame(record: dict[str, Any], lsn: int | None = None) -> bytes:
+    """One checksummed frame: header + version byte + ``[lsn, record]``."""
+    value = codec.encode((lsn, record))
+    crc = zlib.crc32(value, zlib.crc32(_VERSION))
+    return b"".join((_HEADER.pack(1 + len(value), crc), _VERSION, value))
 
 
 def decode_frames(data: bytes) -> tuple[list[dict[str, Any]], bool]:
@@ -85,19 +61,22 @@ def decode_frames(data: bytes) -> tuple[list[dict[str, Any]], bool]:
         if length > _MAX_FRAME or offset + _HEADER.size + length > total:
             return records, False  # torn / rotted length
         body = data[offset + _HEADER.size:offset + _HEADER.size + length]
-        if zlib.crc32(body) != crc:
-            return records, False  # rotted body
+        if zlib.crc32(body) != crc or body[:1] != _VERSION:
+            return records, False  # rotted body / unknown format
         try:
-            records.append(_decode(json.loads(body.decode("utf-8"))))
-        except (ValueError, UnicodeDecodeError):
-            return records, False
+            lsn, record = codec.decode(body, 1)
+            if lsn is not None:
+                record["lsn"] = lsn
+        except (ValueError, TypeError):
+            return records, False  # not a [lsn, record] value
+        records.append(record)
         offset += _HEADER.size + length
     return records, True
 
 
-def encode_blob(state: dict[str, Any]) -> bytes:
+def encode_blob(state: dict[str, Any], lsn: int | None = None) -> bytes:
     """A whole-file checksummed blob (checkpoints): one frame."""
-    return encode_frame(state)
+    return encode_frame(state, lsn)
 
 
 def decode_blob(data: bytes) -> dict[str, Any] | None:
@@ -136,9 +115,7 @@ class BucketLog:
     def append(self, record: dict[str, Any]) -> int:
         """Log one record; returns the LSN it was stamped with."""
         self.lsn += 1
-        framed = dict(record)
-        framed["lsn"] = self.lsn
-        self.disk.append(self.LOG, encode_frame(framed))
+        self.disk.append(self.LOG, encode_frame(record, self.lsn))
         self._unsynced_appends += 1
         if self._unsynced_appends >= self.fsync_interval:
             self.sync()
@@ -158,9 +135,7 @@ class BucketLog:
         lands between the two fsync barriers below.
         """
         self.sync()
-        blob = dict(state)
-        blob["lsn"] = self.lsn
-        self.disk.write_file(self.CHECKPOINT, encode_blob(blob))
+        self.disk.write_file(self.CHECKPOINT, encode_blob(state, self.lsn))
         self.disk.fsync(self.CHECKPOINT)
         # A crash exactly here leaves checkpoint *and* full log; the
         # LSN skip in recover() makes the overlap harmless.

@@ -19,12 +19,27 @@ The tentpole's service-level contract, pinned end to end:
   run and contain no durable-plane event types at all.
 """
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import LHRSConfig, LHRSFile
+from repro.core.data_bucket import RSDataServer
+from repro.core.parity_bucket import ParityServer
+from repro.gf import GF
+from repro.rs.generator import parity_matrix
 from repro.sdds.client import OperationFailed
-from repro.sim import FaultPlane
+from repro.sim import FaultPlane, Network
+from tests.core.test_parity_bucket import (
+    Coord,
+    Probe,
+    as_blocks,
+    delivery_schedule,
+    delta_streams,
+)
 
 
 def build(durability=True, count=40, k=2, capacity=16, observe=True, **kw):
@@ -134,6 +149,160 @@ class TestParityRestartCatchUp:
         assert not file.network.nodes["f.p0.0"].stale
         assert file.verify_parity_consistency() == []
         assert_all_readable(file)
+
+
+class TestCheckpointsUnderGrowth:
+    """A periodic checkpoint falls due in the middle of a split, a
+    merge or a rank compaction, where ``ranks`` and the record store
+    disagree; it is taken at the end of the message instead."""
+
+    @pytest.mark.parametrize("compact", [False, True])
+    @pytest.mark.parametrize("capacity", [8, 32])
+    def test_durable_file_grows_through_crashes(self, capacity, compact):
+        rng = random.Random(1)
+        file = LHRSFile(LHRSConfig(
+            bucket_capacity=capacity, durability=True, compact_ranks=compact,
+        ))
+        oracle = {}
+        for count in range(1, 3001):
+            key, value = rng.randrange(2**40), rng.randbytes(64)
+            file.insert(key, value)
+            oracle[key] = value
+            if count % 500 == 0:
+                nodes = [s.node_id for s in file.data_servers()]
+                nodes += [s.node_id for s in file.parity_servers()]
+                victim = nodes[count // 500 * 7 % len(nodes)]
+                file.failures.crash([victim])
+                file.failures.heal([victim])
+        assert len(file.data_servers()) > 100
+        assert [k for k, v in oracle.items() if file.search(k).value != v] == []
+        assert file.verify_parity_consistency() == []
+
+    def test_checkpoint_waits_for_the_end_of_the_message(self, monkeypatch):
+        """With a checkpoint due after every append, a split still sees
+        none until its bucket is whole again."""
+        image = RSDataServer._image
+        images = []
+
+        def whole_bucket_image(server):
+            assert set(server.ranks) == set(server.bucket.records)
+            assert server._rank_to_key == {r: k for k, r in server.ranks.items()}
+            images.append(server.node_id)
+            return image(server)
+
+        monkeypatch.setattr(RSDataServer, "_image", whole_bucket_image)
+        file = LHRSFile(LHRSConfig(
+            bucket_capacity=8, durability=True,
+            durability_checkpoint_interval=1,
+        ))
+        for key in range(200):
+            file.insert(key * 7919, b"v%d" % key)
+        assert len(file.data_servers()) > 8 and len(images) > 200
+
+
+class TestImageEqualsLiveState:
+    """``checkpoint_now`` → crash → replay gives back the bucket that
+    was checkpointed, field for field."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        width=st.sampled_from([8, 16]),
+        index=st.sampled_from([0, 1]),
+        positions=st.sets(st.integers(0, 3), min_size=1),
+    )
+    @example(seed=498803173, width=8, index=0, positions={0, 1, 2, 3})
+    def test_parity_bucket(self, seed, width, index, positions):
+        field, rng = GF(width), random.Random(seed)
+        net = Network()
+        server = ParityServer(
+            "f.p0.0", "f", group=0, index=index,
+            row=parity_matrix(field, 4, index + 1).row(index), field=field,
+        )
+        probe = Probe("probe")
+        for node in (server, probe, Coord("f.coord")):
+            net.register(node)
+        server.enable_durability(LHRSConfig(
+            durability=True, durability_checkpoint_interval=10**6))
+        # ragged and zero-length payloads, resends, a final gap
+        streams = delta_streams(rng, sorted(positions))
+        slices = delivery_schedule(rng, streams)
+        for step, (pos, lo, hi) in enumerate(slices):
+            if step == len(slices) // 2 and len(positions) > 1:
+                # one channel closes mid-stream; the first stays open
+                probe.send("f.p0.0", "parity.reset",
+                           {"positions": [rng.choice(sorted(positions)[1:])]})
+            ops = streams[pos][lo:hi]
+            entries = as_blocks(ops) if rng.random() < 0.5 else ops
+            probe.call("f.p0.0", "parity.batch", {"ops": entries})
+        probe.send("f.p0.0", "coord.checkpoint",
+                   {"lsn": 4, "n": 1, "i": 2, "group_levels": {0: 2, 1: 1}})
+
+        def live():
+            return (
+                server.handle_parity_dump(None), dict(server._expected_seq),
+                server.stale, server.coord_checkpoint,
+                {pos: list(ring) for pos, ring in server._delta_log.items()},
+            )
+
+        before = live()
+        assert server.stale and before[4][min(positions)]
+        server.checkpoint_now()
+        net.fail("f.p0.0")
+        net.restore("f.p0.0")  # -> _disk.crash() -> _restart()
+        assert server.fenced and live() == before
+        # The locate index is rebuilt from the directory.  (The live one
+        # is not compared: this generator inserts onto occupied slots,
+        # which no data bucket does, and that leaves the displaced key
+        # behind in it — the pinned example.)
+        assert server._key_index == {
+            key: (rank, pos)
+            for rank, record in server.records.items()
+            for pos, key in record.keys.items()
+        }
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_data_bucket(self, seed):
+        rng = random.Random(seed)
+        file = LHRSFile(LHRSConfig(
+            group_size=4, availability=2, bucket_capacity=4096,
+            durability=True, durability_checkpoint_interval=10**6,
+            parity_batch_size=64,  # lazy parity: the queue fills
+        ))
+        keys = [rng.randrange(2**40) for _ in range(120)]
+        for key in keys:
+            file.insert(key, rng.randbytes(rng.randrange(0, 24)))
+        for key in keys[:30]:  # frees ranks (and flushes the queue)
+            file.delete(key)
+        for key in rng.sample(keys[30:], 60):
+            file.update(key, rng.randbytes(rng.randrange(0, 24)))
+        server = max(file.data_servers(), key=lambda s: len(s._parity_queue))
+        assert server._parity_queue and server._free_ranks
+        # a columnar block between per-op Δs, and an empty one
+        server._parity_queue.insert(1, {
+            "block": "update", "pos": server.position, "seq0": 900,
+            "keys": [5, 6], "ranks": [1, 2], "deltas": [b"", b"xy"],
+            "lengths": [0, 2],
+        })
+        server._parity_queue.append({
+            "block": "delete", "pos": server.position, "seq0": 902,
+            "keys": [], "ranks": [], "deltas": [], "lengths": [],
+        })
+
+        def live():
+            return (
+                dict(server.bucket.records), list(server.bucket.records),
+                dict(server.ranks), dict(server._rank_to_key),
+                sorted(server._free_ranks), server._rank_counter,
+                server._parity_seq, server.bucket.level, server.epoch,
+                [dict(entry) for entry in server._parity_queue],
+            )
+
+        before = live()
+        server.checkpoint_now()
+        server._rejoin_file = lambda clean: None  # the state replay leaves
+        server._restart()
+        assert server.fenced and live() == before
 
 
 class TestFallbackToFullRebuild:

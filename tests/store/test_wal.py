@@ -7,13 +7,16 @@ hypothesis sweep drives record shapes, fsync intervals, checkpoint
 cadences and crash points through that invariant.
 """
 
-import pytest
+import struct
+import zlib
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.store import (
     BucketLog,
     SimDisk,
+    codec,
     decode_blob,
     decode_frames,
     disk_rng,
@@ -45,13 +48,28 @@ class TestFrames:
         assert clean
         assert frames == [record]
 
-    def test_digit_dict_keys_restored_to_int(self):
-        frames, _ = decode_frames(encode_frame({"seqs": {0: 5, 2: 9}}))
-        assert frames[0]["seqs"] == {0: 5, 2: 9}
+    def test_dict_keys_keep_their_type(self):
+        record = {"seqs": {0: 5, 2: 9}, "names": {"0": 5, "-2": 9}}
+        frames, _ = decode_frames(encode_frame(record))
+        assert frames == [record]
+        assert list(frames[0]["seqs"]) == [0, 2]
+        assert list(frames[0]["names"]) == ["-2", "0"]
 
     def test_identical_records_serialize_identically(self):
         record = {"b": 1, "a": b"xy"}
         assert encode_frame(record) == encode_frame(dict(record))
+        assert encode_frame(record) == encode_frame({"a": b"xy", "b": 1})
+
+    def test_lsn_travels_beside_the_record(self):
+        record = {"op": "a"}
+        frames, clean = decode_frames(encode_frame(record, 7))
+        assert clean and frames == [{"op": "a", "lsn": 7}]
+        assert record == {"op": "a"}  # stamped into the frame, not the dict
+
+    def test_value_that_is_not_a_record_stops_scan_unclean(self):
+        body = bytes([codec.VERSION]) + codec.encode([1, 2, 3])
+        frame = struct.pack("<II", len(body), zlib.crc32(body)) + body
+        assert decode_frames(encode_frame({"n": 1}) + frame) == ([{"n": 1}], False)
 
     def test_concatenated_frames_decode_in_order(self):
         data = encode_frame({"n": 1}) + encode_frame({"n": 2})

@@ -137,6 +137,7 @@ class TestCli:
             "repro/core/data_bucket.py",
             "repro/check",
             "repro/store",
+            "repro/store/codec.py",
             "repro/lint",
             "repro/proto",
         }

@@ -45,6 +45,9 @@ DEFAULT_FLOORS: dict[str, float] = {
     # Durable storage plane (this PR): the simulated disk and WAL codec
     # underpin every restart-recovery claim — keep them pinned.
     "repro/store": 85.0,
+    # The one encoding of every frame and image on disk: a branch of it
+    # no test reaches is a value shape that may not survive a restart.
+    "repro/store/codec.py": 90.0,
     # Static-analysis suite (this PR): the checkers enforce the wire
     # contract; an unexercised rule is a rule that silently stopped
     # firing.  The registry is data-heavy, hence the higher floor.
