@@ -29,7 +29,7 @@ from repro.core.group import data_node, group_of, position_of
 from repro.lh import addressing
 from repro.sdds.server import DataServer
 from repro.sim.faults import RetryPolicy
-from repro.sim.messages import HEADER_BYTES, Message
+from repro.sim.messages import HEADER_BYTES, Message, estimate_size
 from repro.sim.network import DeliveryFault, NodeUnavailable, UnknownNode
 from repro.rs.encoder import delta_payload
 from repro.store.simdisk import DiskError, SimDisk, disk_rng
@@ -289,37 +289,12 @@ class RSDataServer(DataServer):
         if not self._coalesce_depth:
             self.flush_parity()
 
-    @staticmethod
-    def _parity_batch_size_of(ops: list[dict]) -> int:
-        """Wire size of a ``{"ops": [...]}`` parity batch, arithmetically.
-
-        A per-op Δ is a 7-field :meth:`_parity_op` dict (26 bytes of key
-        strings + five 8-byte ints + the action string + the Δ bytes); a
-        columnar block is 34 bytes of key strings, the action, two
-        8-byte ints and three 8-byte-int columns plus the Δ bytes.  The
-        envelope's generic payload walk is replaced by one sum, computed
-        once per batch instead of once per parity target.
-        ``tests/core/test_batch_ops.py`` pins equality with
-        :func:`~repro.sim.messages.estimate_size`.
-        """
-        total = HEADER_BYTES + 3
-        for op in ops:
-            if "block" in op:
-                total += (
-                    50 + len(op["block"]) + 24 * len(op["keys"])
-                    + sum(len(d) for d in op["deltas"])
-                )
-            else:
-                total += 66 + len(op["op"]) + len(op["delta"])
-        return total
-
     def flush_parity(self) -> int:
         """Ship every queued Δ-record now; returns how many flushed."""
         if not self._parity_queue:
             return 0
         ops, self._parity_queue = self._parity_queue, []
-        self._fanout("parity.batch", {"ops": ops},
-                     size=self._parity_batch_size_of(ops))
+        self._fanout("parity.batch", {"ops": ops})
         return len(ops)
 
     def _send_parity_batch(self, ops: list[dict]) -> None:
@@ -334,11 +309,13 @@ class RSDataServer(DataServer):
         self.flush_parity()
         if not ops:
             return
-        self._fanout("parity.batch", {"ops": ops},
-                     size=self._parity_batch_size_of(ops))
+        self._fanout("parity.batch", {"ops": ops})
 
-    def _fanout(self, kind: str, payload: Any, size: int = 0) -> None:
+    def _fanout(self, kind: str, payload: Any) -> None:
         """One Δ (or batch) to every parity target, then escalations.
+
+        Every target gets the identical payload, so it is sized once
+        here and the number rides along with each copy.
 
         Escalation reports are *deferred* until every reachable target
         received the Δ.  Reporting mid-loop would trigger a group
@@ -350,6 +327,7 @@ class RSDataServer(DataServer):
         the Δ and every reported one gets rebuilt from current data.
         """
         reports = []
+        size = HEADER_BYTES + estimate_size(payload, kind)
         for target in self.parity_targets:
             report = self._send_parity_to(target, kind, payload, size)
             if report is not None:
@@ -364,7 +342,7 @@ class RSDataServer(DataServer):
                 pass
 
     def _send_parity_to(
-        self, target: str, kind: str, payload: Any, size: int = 0
+        self, target: str, kind: str, payload: Any, size: int
     ) -> tuple[str, dict] | None:
         """Ship one Δ (or batch) to one parity bucket, surviving faults.
 
@@ -1187,8 +1165,7 @@ class RSDataServer(DataServer):
             resend.reverse()
             self._parity_queue = []
             if resend:
-                self._fanout("parity.batch", {"ops": resend},
-                             size=self._parity_batch_size_of(resend))
+                self._fanout("parity.batch", {"ops": resend})
         else:
             # Every parity channel is at (or past) our durable prefix:
             # the restored queue is all duplicates.

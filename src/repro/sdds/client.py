@@ -18,7 +18,7 @@ from repro.lh import addressing
 from repro.lh.image import ClientImage
 from repro.obs.metrics import BATCH_SIZE_BUCKETS
 from repro.sim.faults import RetryPolicy
-from repro.sim.messages import HEADER_BYTES, Message, estimate_size
+from repro.sim.messages import Message
 from repro.sim.network import DeliveryFault, NodeUnavailable, UnknownNode
 from repro.sim.node import Node
 
@@ -195,6 +195,10 @@ class Client(Node):
 
     @staticmethod
     def _validate_key(key: Any) -> None:
+        # A plain int first: the ABC check below costs a Python-level
+        # __instancecheck__ on every op.
+        if type(key) is int and key >= 0:
+            return
         if (
             not isinstance(key, numbers.Integral)
             or isinstance(key, bool)
@@ -545,21 +549,6 @@ class Client(Node):
         for idx, op in enumerate(ops):
             (fallback if self._batch_route_scalar(kind, op)
              else pending).append(idx)
-        # Per-op wire size, computed once for the whole run: servers
-        # never mutate client op dicts, so every round and retry reuses
-        # the same objects, and each ops.batch message is sized
-        # arithmetically instead of walking its payload.  A mutation op
-        # sizes to its key strings ("op"+"key"+"value" = 10) plus the
-        # kind, an 8-byte key and the value; key-only ops drop the
-        # "value" term.  Non-bytes values fall back to the estimator.
-        base = 13 + len(kind)
-        op_sizes = [
-            base + (0 if "value" not in op
-                    else 5 + len(op["value"])
-                    if type(op["value"]) is bytes
-                    else estimate_size(op) - base)
-            for op in ops
-        ]
         # idx -> (refusing bucket, its A2 forward address): applied when
         # the image still points at the bucket that just said "moved".
         hints: dict[int, tuple[int, int]] = {}
@@ -567,7 +556,7 @@ class Client(Node):
             if not pending:
                 break
             pending, unreachable = self._scatter_round(
-                kind, ops, op_sizes, pending, hints, outcome, round_no
+                kind, ops, pending, hints, outcome, round_no
             )
             fallback.extend(unreachable)
         fallback.extend(pending)
@@ -591,7 +580,6 @@ class Client(Node):
         self,
         kind: str,
         ops: list[dict],
-        op_sizes: list[int],
         pending: list[int],
         hints: dict[int, tuple[int, int]],
         outcome: BatchOutcome,
@@ -623,9 +611,7 @@ class Client(Node):
                         "batch.size", BATCH_SIZE_BUCKETS,
                         "ops per scattered ops.batch message",
                     ).observe(len(chunk))
-                reply = self._call_batch(
-                    bucket, kind, ops, op_sizes, chunk, outcome
-                )
+                reply = self._call_batch(bucket, kind, ops, chunk, outcome)
                 if reply is None:
                     unreachable.extend(chunk)
                     continue
@@ -672,7 +658,6 @@ class Client(Node):
         bucket: int,
         kind: str,
         ops: list[dict],
-        op_sizes: list[int],
         chunk: list[int],
         outcome: BatchOutcome,
     ) -> dict | None:
@@ -689,17 +674,10 @@ class Client(Node):
             "ops": [ops[i] for i in chunk],
             "client": self.node_id,
         }
-        # Arithmetic wire size of the payload dict: its two key strings
-        # ("ops" + "client" = 9 bytes), the client id, and the op dicts
-        # (sized once in _run_many).  Must equal HEADER_BYTES +
-        # estimate_size(payload) — pinned by a regression test.
-        size = (HEADER_BYTES + 9 + len(self.node_id)
-                + sum(op_sizes[i] for i in chunk))
         attempts = self.retry.attempts if self.retry else 1
         for attempt in range(attempts):
             try:
-                reply = self.call(target, "ops.batch", dict(payload),
-                                  size=size)
+                reply = self.call(target, "ops.batch", dict(payload))
             except UnknownNode:
                 return None
             except NodeUnavailable as failure:

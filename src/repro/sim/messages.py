@@ -7,44 +7,60 @@ correctness of the protocols never depends on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
+
+from repro.proto.wire import Sizer, compile_sizers
 
 #: Fixed per-message overhead (addressing, kind tag, ...), in bytes.
 HEADER_BYTES = 32
 
+#: kind -> size function compiled from the kind's registered format
+#: (filled below, once ``estimate_size`` exists to size ``any`` fields).
+_SIZERS: dict[str, Sizer] = {}
 
-def estimate_size(payload: Any) -> int:
+
+def estimate_size(payload: Any, kind: str | None = None) -> int:
     """Rough wire size of a message payload, in bytes.
 
     Counts byte strings at face value, numbers as 8 bytes, strings by
     length, and containers recursively.  Deliberately simple — it feeds a
     latency *model*, not an implementation.
 
-    Implemented with an explicit stack and exact-type dispatch: batch
-    messages carry hundreds of nested op dicts, and this runs once per
-    message on the simulator's hot path.  Subclassed containers fall
-    through to the general checks and size identically to before.
+    With the message ``kind`` given and registered, the size comes from
+    the function :mod:`repro.proto.wire` compiled from the kind's
+    declared format: constants plus a ``len()`` per variable field.  It
+    is the walker's number by construction; a payload that is not of the
+    declared shape (and every unregistered kind) is walked as before, so
+    no payload is ever refused or guessed at.
+
+    The walker uses an explicit stack and exact-type dispatch.
+    Subclassed containers fall through to the general checks.
     """
+    if kind is not None:
+        sizer = _SIZERS.get(kind)
+        if sizer is not None:
+            total = sizer(payload)
+            if total >= 0:
+                return total
     total = 0
     stack = [payload]
     while stack:
         item = stack.pop()
-        kind = type(item)
-        if kind is int or kind is float:
+        cls = type(item)
+        if cls is int or cls is float:
             total += 8
-        elif kind is str:
+        elif cls is str:
             total += len(item)
-        elif kind is dict:
+        elif cls is dict:
             stack.extend(item.keys())
             stack.extend(item.values())
-        elif kind is bytes or kind is bytearray:
+        elif cls is bytes or cls is bytearray:
             total += len(item)
-        elif kind is list or kind is tuple:
+        elif cls is list or cls is tuple:
             stack.extend(item)
         elif item is None:
             continue
-        elif kind is bool:
+        elif cls is bool:
             total += 1
         # exact-type misses (subclasses, sets, opaque objects)
         elif isinstance(item, (bytes, bytearray)):
@@ -67,16 +83,29 @@ def estimate_size(payload: Any) -> int:
     return total
 
 
-@dataclass
+_SIZERS.update(compile_sizers(estimate_size))
+
+
 class Message:
-    """One simulated network message."""
+    """One simulated network message.
 
-    sender: str
-    recipient: str
-    kind: str
-    payload: Any = None
-    size: int = field(default=0)
+    ``size`` (header included) may be handed in by a sender that already
+    sized this very payload for another copy of the message; 0 means
+    "estimate for me".
+    """
 
-    def __post_init__(self) -> None:
-        if not self.size:
-            self.size = HEADER_BYTES + estimate_size(self.payload)
+    __slots__ = ("sender", "recipient", "kind", "payload", "size")
+
+    def __init__(self, sender: str, recipient: str, kind: str,
+                 payload: Any = None, size: int = 0) -> None:
+        self.sender = sender
+        self.recipient = recipient
+        self.kind = kind
+        self.payload = payload
+        self.size = size or HEADER_BYTES + estimate_size(payload, kind)
+
+    def __repr__(self) -> str:
+        return (
+            f"Message({self.sender!r} -> {self.recipient!r}, {self.kind!r}, "
+            f"{self.size} B)"
+        )

@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Callable
 
+from repro.proto.wire import REPLY_KINDS
 from repro.sim.messages import Message
 from repro.sim.node import Node
 from repro.sim.stats import MessageStats
@@ -596,9 +597,9 @@ class Network:
              size: int = 0) -> None:
         """Fire-and-forget unicast: one message, no reply charged.
 
-        ``size`` optionally carries a sender-precomputed wire size
-        (header included); it must match what the envelope would
-        estimate.  0 estimates as always."""
+        ``size`` optionally carries the wire size (header included) the
+        sender found for another copy of this very payload; it must be
+        what the envelope would estimate.  0 estimates as always."""
         if self._depth == 0:
             self._tick()
         message = Message(sender, recipient, kind, payload, size)
@@ -692,7 +693,7 @@ class Network:
                 result = self._deliver(self._corrupted_copy(message))
             else:
                 result = self._deliver(message)
-            reply = Message(recipient, sender, f"{kind}.reply", result)
+            reply = Message(recipient, sender, REPLY_KINDS[kind], result)
             outcome, _ = plane.outcome_for(reply, self.now, can_delay=False)
             if outcome in ("drop", "fail"):
                 plane.counters["dropped" if outcome == "drop" else "failed"] += 1
@@ -709,7 +710,7 @@ class Network:
             self._record_reply(reply, self._depth + 1)
             return result
         result = self._deliver(message)
-        reply = Message(recipient, sender, f"{kind}.reply", result)
+        reply = Message(recipient, sender, REPLY_KINDS[kind], result)
         self._record_reply(reply, self._depth + 1)
         return result
 
@@ -787,11 +788,13 @@ class Network:
         replies: dict[str, Any] = {}
         charged_request = False
         plane = self.fault_plane
+        size = 0  # the first copy sizes the payload, the rest reuse it
         for recipient in recipients:
             if not self.is_available(recipient):
                 unavailable.append(recipient)
                 continue
-            message = Message(sender, recipient, kind, payload)
+            message = Message(sender, recipient, kind, payload, size)
+            size = message.size
             if plane is not None:
                 outcome, _ = plane.outcome_for(message, self.now, can_delay=False)
                 if outcome in ("drop", "fail"):
@@ -830,7 +833,7 @@ class Network:
                     continue
                 charged_request = True
             if collect_replies:
-                reply = Message(recipient, sender, f"{kind}.reply", result)
+                reply = Message(recipient, sender, REPLY_KINDS[kind], result)
                 if plane is not None:
                     outcome, _ = plane.outcome_for(
                         reply, self.now, can_delay=False

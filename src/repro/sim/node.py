@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
+from repro.proto.wire import HANDLER_NAMES
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.messages import Message
     from repro.sim.network import Network
@@ -17,7 +19,7 @@ class Node:
     ``handle_key_search(message)``.
     """
 
-    def __init__(self, node_id: str):
+    def __init__(self, node_id: str) -> None:
         self.node_id = node_id
         self.network: "Network | None" = None
         #: bounded inbound queue (None = unbounded).  With a service
@@ -28,10 +30,9 @@ class Node:
 
     # ------------------------------------------------------------------
     def receive(self, message: "Message") -> Any:
-        handler_name = "handle_" + "".join(
-            ch if ch.isalnum() else "_" for ch in message.kind
-        )
-        handler = getattr(self, handler_name, None)
+        # Late-bound on purpose: a handler swapped on the class at run
+        # time (span recorders, validation mutants) is the one that runs.
+        handler = getattr(self, HANDLER_NAMES[message.kind], None)
         if handler is None:
             raise NotImplementedError(
                 f"{type(self).__name__} {self.node_id!r} has no handler for "
@@ -49,12 +50,11 @@ class Node:
              size: int = 0) -> None:
         """Fire-and-forget to another node (1 message).
 
-        ``size`` optionally pre-computes the wire size (header included)
-        for payloads whose shape the sender knows — batch senders size
-        hundreds of uniform op dicts arithmetically instead of having
-        the envelope walk them.  It must equal what
-        :func:`~repro.sim.messages.estimate_size` would produce; 0 means
-        "estimate for me".
+        ``size`` optionally carries the wire size (header included) of
+        a payload the sender already sized — one Δ fanned out to k
+        parity buckets is sized once.  It must be what
+        :func:`~repro.sim.messages.estimate_size` produces for this
+        payload and kind; 0 means "estimate for me".
         """
         self._net().send(self.node_id, recipient, kind, payload, size=size)
 

@@ -308,34 +308,15 @@ class TestRankIndex:
 
 
 class TestArithmeticSizes:
-    """The batch plane pre-computes message sizes arithmetically
-    (``size=`` on send/call) instead of letting the envelope walk the
-    payload.  Every pre-computed size must equal what
-    :func:`~repro.sim.messages.estimate_size` would have produced —
-    otherwise the latency/stats model silently drifts between the batch
-    and scalar arms."""
+    """The batch plane ships the fattest messages of the stack — op
+    lists, columnar Δ-blocks, per-op result lists — and fans each Δ
+    batch out with a size handed along (``size=``).  All of it must
+    weigh what :func:`~repro.sim.messages.estimate_size` walks, or the
+    latency/stats model silently drifts between the batch and scalar
+    arms: the suite-wide ``wire_sizes`` fixture (tests/conftest.py)
+    checks every message this workload sends."""
 
-    def test_precomputed_sizes_match_estimator(self, monkeypatch):
-        from repro.sim import messages as msgs
-
-        checked = {"count": 0, "kinds": set()}
-        orig = msgs.Message.__post_init__
-
-        def checking(self):
-            if self.size:
-                expected = msgs.HEADER_BYTES + msgs.estimate_size(
-                    self.payload
-                )
-                assert self.size == expected, (
-                    f"{self.kind}: precomputed {self.size} != "
-                    f"estimated {expected}"
-                )
-                checked["count"] += 1
-                checked["kinds"].add(self.kind)
-            orig(self)
-
-        monkeypatch.setattr(msgs.Message, "__post_init__", checking)
-
+    def test_precomputed_sizes_match_estimator(self, wire_sizes):
         # Small capacity: splits land mid-batch, so structural parity
         # batches (per-op dicts) and compaction ride alongside the
         # columnar insert/update blocks and per-op delete Δs.
@@ -348,6 +329,7 @@ class TestArithmeticSizes:
         assert file.delete_many([k for k, _ in items[::3]]).ok
         assert file.search_many([k for k, _ in items[:40]]).ok
 
-        assert checked["count"] > 0
-        assert "ops.batch" in checked["kinds"]
-        assert "parity.batch" in checked["kinds"]
+        assert wire_sizes["ops.batch", False] > 0
+        assert wire_sizes["ops.batch.reply", False] > 0
+        # a fan-out sizes its batch once and hands the number to each copy
+        assert wire_sizes["parity.batch", True] > 0

@@ -6,10 +6,14 @@ from repro.proto.schema import (
     EVENT_NAME_RE,
     METRIC_NAME_RE,
     REGISTRY,
+    SHAPES,
     MessageKind,
+    Type,
     handler_name,
     kinds,
+    parse_type,
     render_protocol_table,
+    resolve,
     validate_registry,
 )
 
@@ -34,6 +38,54 @@ class TestMessageKind:
         assert handler_name("op.ack") == handler_name("op_ack")
 
 
+class TestTypeGrammar:
+    def test_every_form_parses(self):
+        parsed = parse_type(
+            "{a:int, b?:[bytes|none], c:(int, str), d:{int->[float]}, e:any}"
+        )
+        assert parsed.tag == "struct"
+        assert parsed.names == ("a", "b?", "c", "d", "e")
+        assert [t.tag for t in parsed.items] == [
+            "int", "list", "row", "map", "any",
+        ]
+        assert parsed.items[1].items[0] == Type(
+            "union", (Type("bytes"), Type("none"))
+        )
+        assert parse_type("parity_snapshot|none").items[0] == Type(
+            "ref", (), ("parity_snapshot",)
+        )
+
+    @pytest.mark.parametrize("bad", [
+        "", "int|", "[int", "(int,)", "{int:}", "{a:int,}", "{int->}",
+        "Int", "a?", "int int", "{a?int}", "[int]]",
+    ])
+    def test_grammar_violations_raise(self, bad):
+        with pytest.raises(ValueError):
+            parse_type(bad)
+
+    def test_named_shapes_resolve_to_their_definitions(self):
+        resolved = resolve(parse_type("[delta_op|delta_block]"))
+        assert [alt.tag for alt in resolved.items[0].items] == [
+            "struct", "struct",
+        ]
+        for name in SHAPES:
+            resolve(parse_type(name))  # no refs left dangling, no cycles
+        with pytest.raises(ValueError, match="unknown shape"):
+            resolve(parse_type("[no_such_shape]"))
+
+    def test_payload_type_is_the_struct_of_the_fields(self):
+        entry = REGISTRY["delete"]
+        assert entry.payload_type() == parse_type(
+            "{key:int, client:str, ack?:int, hops?:int}"
+        )
+        assert entry.reply_type() is None
+        # another registered kind answers: nothing to size as a reply
+        assert REGISTRY["search"].reply_type() is None
+        assert REGISTRY["split"].reply_type() == parse_type(
+            "{kept:int, moved:int}"
+        )
+
+
 class TestRegistry:
     def test_registry_is_internally_consistent(self):
         validate_registry()  # raises on any inconsistency
@@ -52,7 +104,7 @@ class TestRegistry:
         # the registry existed; it must never drop out again.
         entry = REGISTRY["signature.dump"]
         assert entry.mode == "call"
-        assert "count?" in entry.payload
+        assert "count?:int" in entry.payload
 
     def test_metric_grammar_examples(self):
         assert METRIC_NAME_RE.match("op.insert.messages")
@@ -77,6 +129,37 @@ class TestRenderedTable:
         entries = list(REGISTRY.values())
         assert render_protocol_table(tuple(entries)) == \
             render_protocol_table(tuple(reversed(entries)))
+
+    @pytest.mark.parametrize("entry, problem", [
+        (MessageKind("t.k", "a", "b", "send", ("key",), section="scans"),
+         "carries no type"),
+        (MessageKind("t.k", "a", "b", "send", ("key:integer",),
+                     section="scans"), "unknown shape 'integer'"),
+        (MessageKind("t.k", "a", "b", "send", ("key:int", "key?:str"),
+                     section="scans"), "duplicate field 'key'"),
+        (MessageKind("t.k", "a", "b", "send", ("Key:int",),
+                     section="scans"), "violates the grammar"),
+        (MessageKind("t.k", "a", "b", "call", ("key:int",),
+                     section="scans"), "a call declares no reply"),
+        (MessageKind("t.k", "a", "b", "call", (), reply="{ok:bool",
+                     section="scans"), "reply: type"),
+    ])
+    def test_untyped_and_ill_typed_entries_rejected(
+        self, monkeypatch, entry, problem
+    ):
+        import repro.proto.schema as schema
+
+        monkeypatch.setattr(schema, "_ENTRIES", (entry,))
+        monkeypatch.setattr(schema, "REGISTRY", {entry.kind: entry})
+        with pytest.raises(ValueError, match=problem):
+            schema.validate_registry()
+
+    def test_self_containing_shape_rejected(self, monkeypatch):
+        import repro.proto.schema as schema
+
+        monkeypatch.setitem(schema.SHAPES, "tree", "{kids:[tree]}")
+        with pytest.raises(ValueError, match="contains itself"):
+            schema.validate_registry()
 
     def test_duplicate_mangles_rejected(self, monkeypatch):
         import repro.proto.schema as schema

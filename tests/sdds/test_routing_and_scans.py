@@ -1,5 +1,6 @@
 """Focused tests of routing fallbacks and scan variants."""
 
+import numpy as np
 import pytest
 
 from repro.sdds import LHStarFile
@@ -114,7 +115,7 @@ class TestScanVariants:
 
 
 class TestKeyValidation:
-    @pytest.mark.parametrize("bad", [-1, 1.5, "key", None, True])
+    @pytest.mark.parametrize("bad", [-1, 1.5, "key", None, True, 1.0, "1"])
     def test_bad_keys_rejected_client_side(self, bad):
         file = LHStarFile(capacity=8)
         with pytest.raises(ValueError, match="non-negative integers"):
@@ -130,6 +131,14 @@ class TestKeyValidation:
         file.insert(2**62, b"huge")
         assert file.search(0).value == b"zero"
         assert file.search(2**62).value == b"huge"
+
+    def test_numpy_integers_are_keys_too(self):
+        # Off the plain-int fast path, through the numbers.Integral check.
+        file = LHStarFile(capacity=8)
+        file.insert(np.int64(5), b"five")
+        assert file.search(5).value == b"five"
+        with pytest.raises(ValueError, match="non-negative integers"):
+            file.insert(np.int64(-5), b"v")
 
 
 class TestStatusAndIntrospection:

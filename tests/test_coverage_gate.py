@@ -140,6 +140,7 @@ class TestCli:
             "repro/store/codec.py",
             "repro/lint",
             "repro/proto",
+            "repro/proto/wire.py",
         }
 
     def test_floor_spec_validation(self):

@@ -53,6 +53,10 @@ DEFAULT_FLOORS: dict[str, float] = {
     # firing.  The registry is data-heavy, hence the higher floor.
     "repro/lint": 85.0,
     "repro/proto": 90.0,
+    # The size-function compiler: a branch of the emitter no test
+    # reaches is a declared shape whose size nothing ever compared with
+    # the walker's.
+    "repro/proto/wire.py": 90.0,
 }
 
 
