@@ -27,7 +27,7 @@ supposed to police, each off unless a test switches it on:
 
 The product code knows none of this.  :func:`enable` installs a mutant
 from this side by wrapping the one product method it breaks
-(``RecoveryManager.recover_record``, ``RSDataServer._send_parity``,
+(``RecoveryManager.recover_record``, ``RSDataServer._emit``,
 ``ParityServer._fold_run``) and :func:`disable` puts the original back,
 so a production run executes unmodified ``repro.core`` code and the
 dependency points downward only (``repro.lint``'s
@@ -59,8 +59,8 @@ def _stale_degraded_read(original: Callable[..., Any]) -> Callable[..., Any]:
 
 
 def _drop_parity_seq(original: Callable[..., Any]) -> Callable[..., Any]:
-    def _send_parity(self: Any, op: dict) -> None:
-        if op["op"] == "update":
+    def _emit(self: Any, delta: Any) -> None:
+        if isinstance(delta, dict) and delta["op"] == "update":
             self._mutant_update_deltas = (
                 getattr(self, "_mutant_update_deltas", 0) + 1
             )
@@ -68,9 +68,9 @@ def _drop_parity_seq(original: Callable[..., Any]) -> Callable[..., Any]:
                 # Drop the Δ and hide the gap from the channel.
                 self._parity_seq -= 1
                 return
-        original(self, op)
+        original(self, delta)
 
-    return _send_parity
+    return _emit
 
 
 def _double_apply_delete(original: Callable[..., Any]) -> Callable[..., Any]:
@@ -99,7 +99,7 @@ _SEAMS: dict[str, tuple[type, str, Callable[..., Any]]] = {
     "stale_degraded_read": (
         RecoveryManager, "recover_record", _stale_degraded_read
     ),
-    "drop_parity_seq": (RSDataServer, "_send_parity", _drop_parity_seq),
+    "drop_parity_seq": (RSDataServer, "_emit", _drop_parity_seq),
     "double_apply_delete": (ParityServer, "_fold_run", _double_apply_delete),
 }
 

@@ -73,16 +73,6 @@ class LHRSConfig:
         parity buckets (encoded from their data, at a measured messaging
         cost) — the paper's eager variant.  Lazy (False) leaves old
         groups at their birth level.
-    parity_batch_size:
-        How many Δ-records a data bucket accumulates before shipping
-        them to its parity buckets in one batch message.  1 (default)
-        is the paper's eager mode: parity is always current and a
-        mutation costs 1 + k messages.  B > 1 amortizes to ~1 + k/B
-        messages per mutation at the price of a *vulnerability window*:
-        if a data bucket crashes with unflushed Δs, those mutations
-        (at most B-1 per bucket) are lost — the bucket recovers to its
-        last-flushed state.  Recovery flushes every *surviving* group
-        member first, so the rest of the group is never affected.
     compact_ranks:
         The §4.3-style deletion enhancement: when a rank below the
         bucket's maximum is freed (delete or split move-out), relocate
@@ -223,7 +213,6 @@ class LHRSConfig:
     generator: str = "cauchy"
     policy: AvailabilityPolicy | None = None
     upgrade_existing_groups: bool = True
-    parity_batch_size: int = 1
     compact_ranks: bool = False
     degraded_reads: bool = True
     auto_recover: bool = True
@@ -268,8 +257,6 @@ class LHRSConfig:
             raise ValueError(
                 "field_width must be 8 or 16 for byte-payload parity"
             )
-        if self.parity_batch_size < 1:
-            raise ValueError("parity_batch_size must be >= 1")
         if self.spare_servers is not None and self.spare_servers < 0:
             raise ValueError("spare_servers cannot be negative")
         if self.coordinator_replicas < 0:

@@ -638,7 +638,6 @@ class RSCoordinator(Coordinator):
             group_size=self.config.group_size,
             parity_targets=targets,
             compact_ranks=self.config.compact_ranks,
-            parity_batch_size=self.config.parity_batch_size,
             field_width=self.config.field_width,
             retry_policy=self.config.retry_policy,
             parity_ack=self.config.parity_ack,

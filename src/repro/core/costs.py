@@ -36,13 +36,9 @@ class CostModel:
         """Any stale image: request + ≤2 forwards + reply + IAM."""
         return 5
 
-    def insert(self, batch: int = 1) -> float:
-        """Insert: the record + one Δ-record per parity bucket.
-
-        ``batch`` > 1 models lazy parity (E15): Δs amortize over B
-        mutations.
-        """
-        return 1.0 + self.k / batch
+    def insert(self) -> float:
+        """Insert: the record + one Δ-record per parity bucket."""
+        return 1.0 + self.k
 
     update = insert
     delete = insert

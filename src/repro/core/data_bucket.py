@@ -20,7 +20,6 @@ from __future__ import annotations
 import heapq
 import zlib
 from collections import deque
-from contextlib import contextmanager
 from typing import Any
 
 import numpy as np
@@ -69,7 +68,6 @@ class RSDataServer(DataServer):
         group_size: int,
         parity_targets: list[str] | None = None,
         compact_ranks: bool = False,
-        parity_batch_size: int = 1,
         field_width: int = 8,
         retry_policy: RetryPolicy | None = None,
         parity_ack: bool = False,
@@ -79,9 +77,11 @@ class RSDataServer(DataServer):
 
         self.group_size = group_size
         self.compact_ranks = compact_ranks
-        self.parity_batch_size = parity_batch_size
         self.field = GF(field_width)
-        #: Δ-records accumulated in lazy mode, FIFO
+        #: True while an ``ops.batch`` applies: only then are Δs held,
+        #: here, in stream order, instead of fanned out at once — no Δ
+        #: outlives the ``receive()`` that created it
+        self._in_batch = False
         self._parity_queue: list[dict] = []
         self.group = group_of(number, group_size)
         self.position = position_of(number, group_size)
@@ -94,9 +94,6 @@ class RSDataServer(DataServer):
         #: rank -> key reverse index (kept in lockstep with ``ranks``)
         #: so compaction finds the highest occupied rank in O(1) amortized
         self._rank_to_key: dict[int, int] = {}
-        #: >0 while a client batch is applying: Δ-records coalesce into
-        #: the queue and ship as one parity.batch per target at depth 0
-        self._coalesce_depth = 0
         self.retry_policy = retry_policy or RetryPolicy()
         self.parity_ack = parity_ack
         #: monotonic Δ sequence number; the *same* stream goes to every
@@ -239,21 +236,6 @@ class RSDataServer(DataServer):
             self._log_entry(op)
         return op
 
-    def _send_parity(self, op: dict) -> None:
-        if self._coalesce_depth:
-            # Client-batch coalescing: hold every Δ (no size-triggered
-            # flush) and ship one parity.batch per target at batch end.
-            self._parity_queue.append(op)
-            return
-        if self.parity_batch_size > 1:
-            # Lazy mode: queue and flush when the batch fills.  The
-            # queue is the vulnerability window — a crash loses it.
-            self._parity_queue.append(op)
-            if len(self._parity_queue) >= self.parity_batch_size:
-                self.flush_parity()
-            return
-        self._fanout("parity.update", op)
-
     def _parity_block(
         self,
         action: str,
@@ -281,35 +263,27 @@ class RSDataServer(DataServer):
             self._log_entry(block)
         return block
 
-    def _send_parity_block(self, block: dict) -> None:
-        """Queue one columnar block in the Δ stream (FIFO with per-op
-        Δs); blocks only arise inside a coalesced client batch, but a
-        bare one still flushes immediately to keep stream order."""
-        self._parity_queue.append(block)
-        if not self._coalesce_depth:
-            self.flush_parity()
+    def _emit(self, delta: dict | list[dict]) -> None:
+        """The one way a Δ leaves its mutation.  A dict is one scalar
+        mutation's Δ (``parity.update``); a list is a structural batch
+        (split, merge, moved records, compaction) or a columnar block
+        (``parity.batch``).  While an ``ops.batch`` applies, both join
+        the held list instead; sequence numbers were taken at creation,
+        so list order is Δ-stream order."""
+        scalar = isinstance(delta, dict)
+        if self._in_batch:
+            self._parity_queue.extend((delta,) if scalar else delta)
+        elif scalar:
+            self._fanout("parity.update", delta)
+        elif delta:
+            self._fanout("parity.batch", {"ops": delta})
 
-    def flush_parity(self) -> int:
-        """Ship every queued Δ-record now; returns how many flushed."""
-        if not self._parity_queue:
-            return 0
-        ops, self._parity_queue = self._parity_queue, []
-        self._fanout("parity.batch", {"ops": ops})
-        return len(ops)
-
-    def _send_parity_batch(self, ops: list[dict]) -> None:
-        if self._coalesce_depth:
-            # Mid-client-batch structural work (split deletes, merges,
-            # compaction) joins the coalesced queue; seqs were taken at
-            # creation, so queue order stays the Δ-stream order.
-            self._parity_queue.extend(ops)
-            return
-        # Structural batches (splits, merges, compaction) must apply
-        # after any queued per-record Δs — flush preserves FIFO order.
-        self.flush_parity()
-        if not ops:
-            return
-        self._fanout("parity.batch", {"ops": ops})
+    def flush_parity(self) -> None:
+        """Ship every held Δ as one ``parity.batch`` per parity target;
+        nothing else ships the list."""
+        if self._parity_queue:
+            ops, self._parity_queue = self._parity_queue, []
+            self._fanout("parity.batch", {"ops": ops})
 
     def _fanout(self, kind: str, payload: Any) -> None:
         """One Δ (or batch) to every parity target, then escalations.
@@ -417,7 +391,7 @@ class RSDataServer(DataServer):
         rank = self._take_rank()
         self._assign_rank(key, rank)
         self.bucket.put(key, value)
-        self._send_parity(self._parity_op("insert", key, rank, value, len(value)))
+        self._emit(self._parity_op("insert", key, rank, value, len(value)))
 
     def apply_update(self, key: int, value: bytes) -> None:
         if key not in self.bucket:
@@ -425,7 +399,7 @@ class RSDataServer(DataServer):
             return
         old = self.bucket.get(key)
         self.bucket.put(key, value)
-        self._send_parity(
+        self._emit(
             self._parity_op(
                 "update", key, self.ranks[key], delta_payload(old, value), len(value)
             )
@@ -436,32 +410,25 @@ class RSDataServer(DataServer):
             return
         payload = self.bucket.delete(key)
         rank = self._unassign_rank(key)
-        self._send_parity(self._parity_op("delete", key, rank, payload, 0))
+        self._emit(self._parity_op("delete", key, rank, payload, 0))
         self._release_rank(rank)
-        self._send_parity_batch(self._compact())
+        self._emit(self._compact())
 
     # ------------------------------------------------------------------
     # batched key operations: Δ-coalescing and vectorized runs
     # ------------------------------------------------------------------
-    def _batch_context(self, ops: list[dict]):
-        return self._coalesce()
-
-    @contextmanager
-    def _coalesce(self):
-        """Hold Δ-records for the duration of one client sub-batch.
-
-        Re-entrant: a split triggered mid-batch re-enters through its
-        own structural parity batch, which simply joins the queue.  At
-        depth 0 the whole queue ships as ONE ``parity.batch`` per parity
-        target — the coalesced-Δ message the 2D bulk fold feeds on.
-        """
-        self._coalesce_depth += 1
+    def handle_ops_batch(self, message: Message) -> dict:
+        """One client sub-batch, its Δs held while it applies (a split
+        triggered mid-batch joins the list with its structural Δs).  At
+        the end, however the batch ends — what was applied must reach
+        parity — the list ships as ONE ``parity.batch`` per target, the
+        coalesced-Δ message the 2D bulk fold feeds on."""
+        self._in_batch = True
         try:
-            yield
+            return super().handle_ops_batch(message)
         finally:
-            self._coalesce_depth -= 1
-            if self._coalesce_depth == 0:
-                self.flush_parity()
+            self._in_batch = False
+            self.flush_parity()
 
     def _apply_batch_ops(self, ops: list[dict]) -> list[dict]:
         """Vectorize maximal eligible runs of same-kind mutations;
@@ -523,7 +490,7 @@ class RSDataServer(DataServer):
 
     def _apply_bulk_insert(self, ops: list[dict]) -> list[dict]:
         """Insert a run in one pass: ranks taken together, one store
-        write per record, Δs queued in stream order."""
+        write per record, one columnar Δ-block for the run."""
         ranks = self._take_ranks(len(ops))
         keys: list[int] = []
         values: list[bytes] = []
@@ -537,9 +504,7 @@ class RSDataServer(DataServer):
             keys.append(key)
             values.append(value)
             lengths.append(len(value))
-        self._send_parity_block(
-            self._parity_block("insert", keys, ranks, values, lengths)
-        )
+        self._emit([self._parity_block("insert", keys, ranks, values, lengths)])
         # The run fits under capacity, so this is the scalar sequence's
         # final not-overflowing marker reset, not a report.
         self._report_overflow_if_needed()
@@ -577,8 +542,8 @@ class RSDataServer(DataServer):
             start = idx * row_bytes
             deltas.append(blob[start:start + lengths[idx]])
             new_lengths.append(len(new))
-        self._send_parity_block(
-            self._parity_block("update", keys, ranks, deltas, new_lengths)
+        self._emit(
+            [self._parity_block("update", keys, ranks, deltas, new_lengths)]
         )
         # No size change and no report pending (run precondition), so
         # this only performs the scalar sequence's marker bookkeeping.
@@ -612,7 +577,7 @@ class RSDataServer(DataServer):
         self._last_reported_size = -1
         if self._wal is not None:
             self._log_entry({"ctl": "level", "level": self.bucket.level})
-        self._send_parity_batch(delete_ops)
+        self._emit(delete_ops)
         self.send(
             data_node(self.file_id, target),
             "records.bulk",
@@ -630,7 +595,7 @@ class RSDataServer(DataServer):
             insert_ops.append(
                 self._parity_op("insert", key, rank, payload, len(payload))
             )
-        self._send_parity_batch(insert_ops)
+        self._emit(insert_ops)
         self._report_overflow_if_needed()
 
     def handle_merge(self, message: Message) -> Any:
@@ -655,7 +620,7 @@ class RSDataServer(DataServer):
             self._free_ranks.clear()
             self._rank_counter = 0
             self.bucket.records = {}
-            self._send_parity_batch(delete_ops)
+            self._emit(delete_ops)
         else:
             self.ranks.clear()
             self._rank_to_key.clear()
@@ -669,14 +634,6 @@ class RSDataServer(DataServer):
         )
         return {"moved": len(records)}
 
-    def receive_moved_record(self, key: int, value: bytes) -> None:
-        # Single-record arrival outside a bulk (not used by RS splits,
-        # but kept consistent for subclasses / tests).
-        rank = self._take_rank()
-        self._assign_rank(key, rank)
-        self.bucket.put(key, value)
-        self._send_parity(self._parity_op("insert", key, rank, value, len(value)))
-
     # ------------------------------------------------------------------
     # configuration & recovery support
     # ------------------------------------------------------------------
@@ -684,16 +641,13 @@ class RSDataServer(DataServer):
         """Coordinator raised this group's availability level."""
         self.parity_targets = list(message.payload["targets"])
 
-    def handle_parity_flush(self, message: Message) -> dict:
-        """Explicit flush command (coordinator probe / recovery prep)."""
-        return {"flushed": self.flush_parity()}
-
     def handle_signature_dump(self, message: Message) -> dict:
         """Algebraic signatures of every record, keyed by rank.
 
         Constant bytes per record regardless of payload size — the
-        audit's whole advantage over shipping payloads.  Flushes lazy
-        Δs first so parity and data describe the same state.
+        audit's whole advantage over shipping payloads.  Ships Δs held
+        by an in-flight batch first (see :meth:`handle_bucket_dump`) so
+        parity and data describe the same state.
         """
         from repro.gf.signatures import signature_vector
 
@@ -711,8 +665,9 @@ class RSDataServer(DataServer):
         """Direct fetch by key (record recovery addresses buckets
         explicitly from the parity directory — no A2 involved).
 
-        Flushes first: the decode combining this payload with parity
-        records needs the parity to be current with it.
+        Ships Δs held by an in-flight batch first: the decode combining
+        this payload with parity records needs the parity to be current
+        with it.
         """
         self.flush_parity()
         key = message.payload["key"]
@@ -723,9 +678,10 @@ class RSDataServer(DataServer):
     def handle_bucket_dump(self, message: Message) -> dict:
         """Everything recovery needs to treat this bucket as a survivor.
 
-        Flushes queued Δs first so the dump and the group's parity
-        describe the same state (lazy mode would otherwise feed the
-        decoder a survivor ahead of its parity).
+        Ships Δs held by an in-flight batch first: a split fired from
+        inside this bucket's own ``ops.batch`` can start a recovery that
+        dumps it mid-batch, and the decoder must not be fed a survivor
+        ahead of its parity.
         """
         self.flush_parity()
         return {
@@ -809,16 +765,20 @@ class RSDataServer(DataServer):
         """One WAL frame (mutation op/block or a ``ctl`` record).
 
         Sequenced entries also join the in-RAM history ring that serves
-        a restarted parity bucket's catch-up ask.  Disk errors are
+        a restarted parity bucket's catch-up ask.  A ``ctl`` record is
+        synced at once: Δ catch-up gives a restarted bucket records
+        back, never a level or a counter.  Disk errors are
         fail-stop (:meth:`_fail_stop`): a bucket that cannot log must
         not keep mutating, or its disk diverges from its acked state.
         """
         try:
             self._wal.append(entry)
+            if "ctl" in entry:
+                self._wal.sync()
+            else:
+                self._delta_history.append(entry)
         except DiskError:
             self._fail_stop()
-        if "ctl" not in entry:
-            self._delta_history.append(entry)
         self._appends_since_ckpt += 1
 
     def _checkpoint_if_due(self) -> None:
@@ -838,19 +798,20 @@ class RSDataServer(DataServer):
             self.checkpoint_now()
 
     def _fail_stop(self) -> None:
-        """Crash the node rather than run past a disk write it lost."""
+        """Crash the node rather than run past a disk write it lost.
+
+        What an in-flight batch holds dies with it (a dead node ships
+        nothing): logged and unacked, those Δs are re-sent from the
+        history ring after a restart (:meth:`handle_catchup_load`).
+        """
         net = self.network
         if net is not None and net.is_available(self.node_id):
             net.fail(self.node_id)
+        self._parity_queue.clear()
         raise NodeUnavailable(self.node_id)
 
     def checkpoint_now(self) -> None:
-        """Write a full-state checkpoint and truncate the WAL.
-
-        The lazy parity queue is part of the image: those Δs were acked
-        locally but may never have left, and the restart resend path
-        (:meth:`handle_catchup_load`) needs them back.
-        """
+        """Write a full-state checkpoint and truncate the WAL."""
         try:
             self._wal.checkpoint(self._image())
         except DiskError:
@@ -872,10 +833,8 @@ class RSDataServer(DataServer):
 
         Records are three parallel columns in store order — the codec
         packs each in one pass where a list of per-record tuples would
-        cost a walk over every field.  The parity queue goes as the list
-        of Δ dicts it is: checkpoints are taken at the end of a message,
-        so it is empty unless parity is lazy, and then shorter than
-        ``parity_batch_size``.
+        cost a walk over every field.  No Δ is part of the image:
+        checkpoints are taken between messages, when none is held.
         """
         records = self.bucket.records
         return {
@@ -888,7 +847,6 @@ class RSDataServer(DataServer):
             "ranks": list(map(self.ranks.__getitem__, records)),
             "payloads": list(records.values()),
             "parity_seq": self._parity_seq,
-            "queue": self._parity_queue,
         }
 
     def _load_image(self, state: dict) -> None:
@@ -903,7 +861,6 @@ class RSDataServer(DataServer):
         self.ranks = dict(zip(keys, ranks))
         self._rank_to_key = dict(zip(ranks, keys))
         self._parity_seq = state["parity_seq"]
-        self._parity_queue = state["queue"]
 
     # -- restart-with-delta-catch-up -----------------------------------
     def on_restored(self) -> None:
@@ -937,8 +894,6 @@ class RSDataServer(DataServer):
         self._disk.crash()
         state, tail, clean = self._wal.recover()
         # Everything volatile is lost with the process.
-        self._parity_queue = []
-        self._coalesce_depth = 0
         self.bucket.records = {}
         self.ranks = {}
         self._rank_to_key = {}
@@ -958,6 +913,9 @@ class RSDataServer(DataServer):
                 self._replay_entry(entry)
                 if "ctl" not in entry:
                     self._delta_history.append(entry)
+                    # the durable prefix the rejoin reports: catch-up
+                    # fetches past it, channels behind it get a resend
+                    self._parity_seq = self._entry_seq_range(entry)[1]
         self.fenced = True
         if net.tracer is not None:
             net.tracer.emit(
@@ -1116,10 +1074,10 @@ class RSDataServer(DataServer):
         fans out Δs — the live parity buckets already reflect them.
 
         ``resend_after`` (when present) means some parity bucket lags
-        our own durable prefix (Δs we logged but never shipped — the
-        lazy-queue vulnerability window the WAL exists to close): we
-        re-fan-out our tail above it, in sequence order, merged from the
-        restored queue and the history ring.  Per-channel sequence
+        our own durable prefix — Δs we logged but never shipped (a
+        fail-stop inside a batch, :meth:`_fail_stop`) or that were lost
+        on the way: we re-fan-out our tail above it, in sequence order,
+        from the history ring the replay refilled.  Per-channel sequence
         numbers make the copies other parities already hold harmless
         duplicates.  The reply's ``floor`` is the highest sequence the
         resend could *not* reach back past; the coordinator rebuilds any
@@ -1149,27 +1107,18 @@ class RSDataServer(DataServer):
         floor = disk_seq
         resend_after = payload.get("resend_after")
         if resend_after is not None and resend_after < disk_seq:
-            pool: dict[int, tuple[int, dict]] = {}
-            for entry in list(self._parity_queue) + list(self._delta_history):
-                lo, hi = self._entry_seq_range(entry)
-                if hi > resend_after and lo <= disk_seq:
-                    pool[lo] = (hi, entry)
+            # the ring is the replayed tail, in order, ending at disk_seq
             resend: list[dict] = []
-            for lo in sorted(pool, reverse=True):
-                hi, entry = pool[lo]
-                if hi != floor:
-                    break  # gap: entries below were retired by checkpoints
+            for entry in reversed(self._delta_history):
+                lo, hi = self._entry_seq_range(entry)
+                if hi != floor or hi <= resend_after:
+                    break  # a gap (retired by a checkpoint) or below the lag
                 resend.append(entry)
                 floor = lo - 1
             floor = max(floor, resend_after)
             resend.reverse()
-            self._parity_queue = []
             if resend:
                 self._fanout("parity.batch", {"ops": resend})
-        else:
-            # Every parity channel is at (or past) our durable prefix:
-            # the restored queue is all duplicates.
-            self._parity_queue = []
         net = self._net()
         if net.tracer is not None:
             net.tracer.emit(

@@ -223,10 +223,6 @@ class LHRSFile(LHStarFile):
         """Run the A6-style file-state reconstruction and return (n, i)."""
         return self.rs_coordinator.recovery.recover_file_state()
 
-    def flush_all_parity(self) -> int:
-        """Lazy mode: flush every data bucket's Δ queue; total flushed."""
-        return sum(server.flush_parity() for server in self.data_servers())
-
     # ------------------------------------------------------------------
     # integrity auditing (algebraic signatures)
     # ------------------------------------------------------------------

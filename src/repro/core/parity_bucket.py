@@ -186,6 +186,7 @@ class ParityServer(Node):
         self._delta_log_cap = 0
         self._ckpt_interval = 0
         self._appends_since_ckpt = 0
+        self._retry_policy: RetryPolicy | None = None  # set when durable
         self.epoch = 0
         self.fenced = False
         self._restarting = False
@@ -636,6 +637,7 @@ class ParityServer(Node):
         self._ckpt_interval = config.durability_checkpoint_interval
         self._delta_log = {}
         self._delta_log_cap = config.delta_log_capacity
+        self._retry_policy = config.retry_policy
         self.checkpoint_now()
 
     def _disk_profile(self) -> dict:
@@ -818,7 +820,7 @@ class ParityServer(Node):
             "expected_seqs": dict(self._expected_seq),
             "clean": clean and not self.stale,
         }
-        policy = RetryPolicy()
+        policy = self._retry_policy
         for attempt in range(policy.attempts):
             try:
                 self.call(f"{self.file_id}.coord", "rejoin", payload)

@@ -272,18 +272,6 @@ def check(ctx) -> None:
                         symbol=f"{kind}.{field}",
                     )
 
-    # The test suite is send evidence too: operator probes like
-    # parity.flush are exercised via client.call(...) from tests only.
-    tests_dir = ctx.root / "tests"
-    if tests_dir.is_dir():
-        blob = "\n".join(
-            path.read_text()
-            for path in sorted(tests_dir.rglob("*.py"))
-        )
-        for kind in registry:
-            if f'"{kind}"' in blob or f"'{kind}'" in blob:
-                literal_evidence.add(kind)
-
     registry_path = "src/repro/proto/schema.py"
     for kind in sorted(registry):
         if handler_name(kind) not in seen_handlers:

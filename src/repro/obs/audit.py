@@ -146,9 +146,11 @@ class InvariantAuditor:
         Walks the live server objects directly (no messages): for every
         group, each parity bucket's next-expected Δ sequence per
         position must be exactly ``data._parity_seq + 1`` for the live
-        data member at that position.  Call this when the file is
-        quiet — all Δs flushed and delivered, no open failures; the
-        chaos tests call it after the final heal + recovery pass.
+        data member at that position, and no data bucket may hold a Δ
+        (one is held only while an ``ops.batch`` applies; a hold that
+        outlives its message is a leak).  Call this when the file is
+        quiet — all Δs delivered, no open failures; the chaos tests
+        call it after the final heal + recovery pass.
 
         Returns the list of problems (empty = clean) and also records
         them as violations under the ``parity-generation`` rule.
@@ -163,7 +165,8 @@ class InvariantAuditor:
             if server._parity_queue:
                 problems.append(
                     f"data bucket {server.node_id} has "
-                    f"{len(server._parity_queue)} unflushed Δs (not quiesced)"
+                    f"{len(server._parity_queue)} held Δs outside an "
+                    f"ops.batch (leaked hold)"
                 )
                 continue
             for target in server.parity_targets:

@@ -457,13 +457,6 @@ _ENTRIES: tuple[MessageKind, ...] = (
         seq_guard=("_fold_run", "_expected_seq"),
     ),
     MessageKind(
-        "parity.flush", "any", "data", "call",
-        (),
-        reply="{flushed:int}",
-        section="parity maintenance",
-        summary="force a lazy-mode Δ-queue flush",
-    ),
-    MessageKind(
         "parity.reset", "coordinator", "parity", "send",
         ("positions:[int]",),
         section="parity maintenance",
@@ -491,7 +484,7 @@ _ENTRIES: tuple[MessageKind, ...] = (
             "{records:[moved_row], level:int}"
         ),
         section="recovery",
-        summary="survivor data snapshot (flushes lazy Δs first)",
+        summary="survivor data snapshot (ships batch-held Δs first)",
     ),
     MessageKind(
         "parity.dump", "coordinator", "parity", "call",

@@ -13,7 +13,6 @@ message, and bumps its level.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Any
 
 from repro.lh import addressing
@@ -231,15 +230,8 @@ class DataServer(Node):
         it — the remaining ops then see the post-split bucket and are
         refused, landing at the batch boundary.
         """
-        ops = message.payload["ops"]
-        with self._batch_context(ops):
-            results = self._apply_batch_ops(ops)
+        results = self._apply_batch_ops(message.payload["ops"])
         return {"j": self.level, "a": self.number, "results": results}
-
-    def _batch_context(self, ops: list[dict]):
-        """Hook wrapping one sub-batch apply; LH*RS coalesces Δ-parity
-        inside it (one ``parity.batch`` per parity target per batch)."""
-        return nullcontext()
 
     def _apply_batch_ops(self, ops: list[dict]) -> list[dict]:
         """Hook: apply a sub-batch.  Plain LH* applies op by op; LH*RS

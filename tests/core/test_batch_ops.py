@@ -21,10 +21,12 @@ it must be:
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import LHRSConfig, LHRSFile
+from repro.core.data_bucket import RSDataServer
 from repro.sdds.client import OperationFailed
 from repro.sim import FaultPlane
 
@@ -135,11 +137,9 @@ def test_batched_ops_equal_scalar_replay(batches, m, k, compact):
     with up to 200 inserts forces splits *inside* ``insert_many``)."""
     batched = LHRSFile(_cfg(True, m=m, k=k, compact=compact))
     orders = _apply_batches(batched, batches)
-    batched.flush_all_parity()
 
     scalar = LHRSFile(_cfg(False, m=m, k=k, compact=compact))
     _replay_scalar(scalar, batches, orders)
-    scalar.flush_all_parity()
 
     assert batched.census_with_ranks() == scalar.census_with_ranks()
     assert _parity_snapshot(batched) == _parity_snapshot(scalar)
@@ -159,11 +159,9 @@ def test_batched_growth_scenario_equals_scalar_replay():
     ]
     batched = LHRSFile(_cfg(True, m=4, k=2, capacity=8))
     orders = _apply_batches(batched, batches)
-    batched.flush_all_parity()
 
     scalar = LHRSFile(_cfg(False, m=4, k=2, capacity=8))
     _replay_scalar(scalar, batches, orders)
-    scalar.flush_all_parity()
 
     assert batched.bucket_count > 4  # splits actually happened mid-batch
     assert batched.census_with_ranks() == scalar.census_with_ranks()
@@ -252,7 +250,6 @@ def test_dropped_and_duplicated_batches_apply_exactly_once():
     for key in deletes:
         oracle.pop(key, None)
 
-    file.flush_all_parity()
     assert plane.counters["duplicated"] > 0
     assert plane.counters["dropped"] + plane.counters["failed"] > 0
 
@@ -262,6 +259,40 @@ def test_dropped_and_duplicated_batches_apply_exactly_once():
         for key, (_, value) in bucket.items()
     }
     assert logical == oracle
+    assert file.verify_parity_consistency() == []
+
+
+@pytest.mark.parametrize("victim", ["f.d0", "f.p0.0"])
+def test_dump_inside_a_batch_ships_the_held_deltas_first(victim, monkeypatch):
+    """A split fired from inside bucket 1's ``ops.batch`` finds a dead
+    member of its group, and the recovery that follows dumps bucket 1
+    while it still holds that batch's Δs: the dump ships them first, so
+    the decoder is not fed a survivor ahead of its parity (without that
+    flush a lost data bucket is unrecoverable here: every parity lags)."""
+    file = LHRSFile(_cfg(True, m=4, k=2, compact=False, client_acks=True))
+    oracle = {key: b"v%d" % key for key in range(16)}
+    for key, value in oracle.items():
+        file.insert(key, value)
+    assert file.bucket_count == 4 and file.coordinator.state.n == 0
+    shipped_by_a_dump = set()
+    dump = RSDataServer.handle_bucket_dump
+
+    def spy(server, message):
+        if server._parity_queue:
+            assert server._in_batch
+            shipped_by_a_dump.add(server.node_id)
+        reply = dump(server, message)
+        assert not server._parity_queue
+        return reply
+
+    monkeypatch.setattr(RSDataServer, "handle_bucket_dump", spy)
+    file.network.fail(victim)  # silently: the split is what finds it
+    fresh = [k for k in range(100, 2000) if file.find_bucket_of(k) == 1][:12]
+    assert file.insert_many([(k, b"w%d" % k) for k in fresh]).ok
+    oracle.update((k, b"w%d" % k) for k in fresh)
+    assert file.bucket_count > 4 and shipped_by_a_dump == {"f.d1"}
+    assert file.network.is_available(victim)  # rebuilt onto a spare
+    assert [k for k, v in oracle.items() if file.search(k).value != v] == []
     assert file.verify_parity_consistency() == []
 
 

@@ -98,10 +98,6 @@ class TestModelAgainstSystem:
             rel=0.15,
         )
 
-    def test_lazy_insert_model(self):
-        model = CostModel(m=4, k=2)
-        assert model.insert(batch=4) == pytest.approx(1.5)
-
     def test_baseline_formulas(self):
         assert mirroring_recovery_messages() == 3
         # LH*g cost grows with file size; LH*RS group recovery does not.

@@ -19,6 +19,7 @@ The tentpole's service-level contract, pinned end to end:
   run and contain no durable-plane event types at all.
 """
 
+import itertools
 import random
 
 import numpy as np
@@ -33,6 +34,8 @@ from repro.gf import GF
 from repro.rs.generator import parity_matrix
 from repro.sdds.client import OperationFailed
 from repro.sim import FaultPlane, Network
+from repro.sim.network import NodeUnavailable
+from repro.store.simdisk import DiskError
 from tests.core.test_parity_bucket import (
     Coord,
     Probe,
@@ -136,6 +139,25 @@ class TestParityRestartCatchUp:
         assert_all_readable(file)
         assert file.verify_parity_consistency() == []
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 1: the lost WAL tail held the merge's Δs and its ctl "
+        "reset, and catch_up_parity asks the group's current members only"
+    ))
+    def test_parity_restart_after_a_merge(self):
+        file = LHRSFile(LHRSConfig(
+            bucket_capacity=8, durability=True, wal_fsync_interval=64,
+            durability_checkpoint_interval=10**6,
+        ))
+        for key in range(60):
+            file.insert(key * 7919, b"v%d" % key)
+        assert file.bucket_count == 8
+        for server in file.parity_servers():
+            server.checkpoint_now()
+        file.rs_coordinator.merge_once()  # bucket 7 dissolves, group 1 lives
+        file.failures.crash(["f.p1.0"])
+        file.failures.heal(["f.p1.0"])
+        assert file.verify_parity_consistency() == []
+
     def test_parity_crashed_under_traffic_is_rebuilt_before_heal(self):
         """Mutations while a parity is down trip unavailability reports:
         the coordinator rebuilds it onto a spare long before the heal
@@ -149,6 +171,78 @@ class TestParityRestartCatchUp:
         assert not file.network.nodes["f.p0.0"].stale
         assert file.verify_parity_consistency() == []
         assert_all_readable(file)
+
+
+class TestRejoinRetryPolicy:
+    def test_parity_rejoin_follows_the_configured_retry_policy(self):
+        """Coordinator dark, ``retry_attempts=1``: a healed parity node
+        asks to rejoin on the file's ladder — exactly once — and stays
+        down, as a data node does."""
+        file, tracer = build(retry_attempts=1)
+        file.failures.crash(["f.p0.0", "f.d1"])
+        file.network.fail("f.coord")
+        file.failures.heal(["f.p0.0", "f.d1"])
+        asked = sorted(
+            event.attrs["from"] for event in tracer.events
+            if event.type == "msg.send" and event.attrs["kind"] == "rejoin"
+        )
+        assert asked == ["f.d1", "f.p0.0"]
+        assert file.network.failed >= {"f.p0.0", "f.d1"}
+
+
+class TestFailStopInsideABatch:
+    def test_logged_but_unshipped_deltas_are_resent_from_the_history_ring(
+        self, monkeypatch
+    ):
+        """A disk error on the fifth WAL append of one ``ops.batch``:
+        the bucket fail-stops with four Δs logged and held, and a dead
+        node ships nothing.  Heal → the replay credits the durable
+        prefix, the catch-up re-sends it from the history ring, every
+        parity channel closes, and a rebuild of the bucket returns what
+        the WAL said — keys no parity ring had seen included."""
+        file, tracer = build(capacity=64, batch_ops=True)
+        server = file.network.nodes["f.d0"]
+        server.checkpoint_now()  # the 40 inserts leave the catch-up window
+        old = [k for k in range(40) if file.find_bucket_of(k) == 0]
+        new = [k for k in range(100, 900) if file.find_bucket_of(k) == 0]
+        ops = [  # alternating kinds: no vectorised run, one frame per op
+            {"op": "delete", "key": old[0]},
+            {"op": "insert", "key": new[0], "value": b"new-0"},
+            {"op": "update", "key": old[1], "value": b"changed"},
+            {"op": "insert", "key": new[1], "value": b"new-1"},
+            {"op": "delete", "key": old[2]},  # its append fails
+            {"op": "update", "key": old[3], "value": b"never"},
+        ]
+        expected = {key: b"v%d" % key for key in range(40)}
+        del expected[old[0]]
+        expected.update({new[0]: b"new-0", old[1]: b"changed", new[1]: b"new-1"})
+        append, appends = server._wal.append, itertools.count(1)
+
+        def fifth_append_fails(entry):
+            if next(appends) == 5:
+                raise DiskError("injected")
+            return append(entry)
+
+        def channels():
+            return [p._expected_seq[0] for p in file.parity_servers(0)]
+
+        monkeypatch.setattr(server._wal, "append", fifth_append_fails)
+        shipped = server._parity_seq
+        with pytest.raises(NodeUnavailable):
+            file.client.call("f.d0", "ops.batch", {"ops": ops})
+        monkeypatch.undo()
+        assert not file.network.is_available("f.d0")
+        assert server._parity_queue == []
+        assert channels() == [shipped + 1] * 2  # nothing left the dead node
+
+        file.network.restore("f.d0")
+        assert not server.fenced and server._parity_seq == shipped + 4
+        assert channels() == [shipped + 5] * 2
+        assert tracer.counts.get("catchup.fallback") is None
+        file.recover([file.fail_data_bucket(0)])
+        found = {k: file.search(k) for k in [*range(40), *new[:2]]}
+        assert {k: o.value for k, o in found.items() if o.found} == expected
+        assert file.verify_parity_consistency() == []
 
 
 class TestCheckpointsUnderGrowth:
@@ -176,6 +270,26 @@ class TestCheckpointsUnderGrowth:
                 file.failures.heal([victim])
         assert len(file.data_servers()) > 100
         assert [k for k, v in oracle.items() if file.search(k).value != v] == []
+        assert file.verify_parity_consistency() == []
+
+    def test_a_split_outlives_a_crash_between_fsyncs(self):
+        """``wal_fsync_interval`` > 1: no parity ring gives a split's
+        level back, so its frame is synced at once (a bucket restarted
+        at a stale level accepts keys that belong to its offspring)."""
+        file = LHRSFile(LHRSConfig(
+            bucket_capacity=8, durability=True, wal_fsync_interval=64,
+            durability_checkpoint_interval=10**6,
+        ))
+        for key in range(120):
+            file.insert(key * 7919, b"v%d" % key)
+        levels = file.levels_census()
+        for node in [server.node_id for server in file.data_servers()]:
+            file.failures.crash([node])
+            file.failures.heal([node])
+        assert file.levels_census() == levels
+        for key in range(120, 240):
+            file.insert(key * 7919, b"v%d" % key)
+        assert all(file.search(key * 7919).found for key in range(240))
         assert file.verify_parity_consistency() == []
 
     def test_checkpoint_waits_for_the_end_of_the_message(self, monkeypatch):
@@ -267,27 +381,16 @@ class TestImageEqualsLiveState:
         file = LHRSFile(LHRSConfig(
             group_size=4, availability=2, bucket_capacity=4096,
             durability=True, durability_checkpoint_interval=10**6,
-            parity_batch_size=64,  # lazy parity: the queue fills
         ))
         keys = [rng.randrange(2**40) for _ in range(120)]
         for key in keys:
             file.insert(key, rng.randbytes(rng.randrange(0, 24)))
-        for key in keys[:30]:  # frees ranks (and flushes the queue)
+        for key in keys[:30]:  # frees ranks
             file.delete(key)
         for key in rng.sample(keys[30:], 60):
             file.update(key, rng.randbytes(rng.randrange(0, 24)))
-        server = max(file.data_servers(), key=lambda s: len(s._parity_queue))
-        assert server._parity_queue and server._free_ranks
-        # a columnar block between per-op Δs, and an empty one
-        server._parity_queue.insert(1, {
-            "block": "update", "pos": server.position, "seq0": 900,
-            "keys": [5, 6], "ranks": [1, 2], "deltas": [b"", b"xy"],
-            "lengths": [0, 2],
-        })
-        server._parity_queue.append({
-            "block": "delete", "pos": server.position, "seq0": 902,
-            "keys": [], "ranks": [], "deltas": [], "lengths": [],
-        })
+        server = max(file.data_servers(), key=lambda s: len(s._free_ranks))
+        assert server._free_ranks and "queue" not in server._image()
 
         def live():
             return (
@@ -295,7 +398,6 @@ class TestImageEqualsLiveState:
                 dict(server.ranks), dict(server._rank_to_key),
                 sorted(server._free_ranks), server._rank_counter,
                 server._parity_seq, server.bucket.level, server.epoch,
-                [dict(entry) for entry in server._parity_queue],
             )
 
         before = live()

@@ -54,11 +54,12 @@ class TestRoundtrip:
         assert restored.verify_parity_consistency() == []
 
     def test_snapshot_flushes_lazy_queues(self):
-        original, keys = build(parity_batch_size=16)
-        original.update(keys[0], b"queued-then-snapshotted")
+        """The last write before a snapshot is in it, parity included."""
+        original, keys = build()
+        original.update(keys[0], b"written-then-snapshotted")
         snap = snapshot_file(original)
         restored = restore_file(snap, file_id="r")
-        assert restored.search(keys[0]).value == b"queued-then-snapshotted"
+        assert restored.search(keys[0]).value == b"written-then-snapshotted"
         assert restored.verify_parity_consistency() == []
 
     def test_scalable_levels_survive(self):
@@ -149,11 +150,13 @@ class TestValidation:
 
     def test_retired_layout_key_is_dropped_on_restore(self):
         """Snapshots of this version written before the per-record
-        parity layout went away still name it; it was never content."""
+        parity layout or the lazy-parity knob went away still name them;
+        neither was ever content."""
         original, keys = build(count=30)
         snap = snapshot_file(original)
         assert "parity_stripe_store" not in snap["config"]
         snap["config"]["parity_stripe_store"] = False
+        snap["config"]["parity_batch_size"] = 16
         restored = restore_file(snap, file_id="r")
         assert restored.census_with_ranks() == original.census_with_ranks()
         assert restored.verify_parity_consistency() == []

@@ -117,7 +117,6 @@ def run_batch_soak(operations: int, seed: int, batch_size: int = 40) -> LHRSFile
     entries = file.rs_coordinator.run_probe_cycle(rounds=3)
     assert entries[-1]["unavailable"] == []
     assert entries[-1]["errors"] == []
-    file.flush_all_parity()
 
     # ---- acceptance: the file survived --------------------------------
     assert file.verify_parity_consistency() == []

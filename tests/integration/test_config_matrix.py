@@ -1,0 +1,199 @@
+"""Config-matrix composition sweep: every ``LHRSConfig`` in ``GRID``'s
+product (320 configs) keeps every acknowledged operation through
+growth, a 75 % shrink and a crash/heal process, and rebuilds every
+bucket to the oracle's bytes.
+
+One config is one seeded run of mixed scalar and ``*_many`` calls under
+the strict auditor; node failures are a process (exponential gaps, a
+random data or parity victim, a random outage), not hand-placed points.
+After every call no data bucket may hold a Δ.  At the end: nothing was
+raised but a typed ``OperationFailed``, the file equals the oracle,
+parity and auditor are clean, and **every data bucket, failed and
+rebuilt in turn, returns the oracle's bytes** — the check that catches
+a Δ the parity side never saw, under restart.
+
+Tier-1 runs :func:`tier1_slice`; CI runs the whole product as a script:
+``python tests/integration/test_config_matrix.py [operations]``.
+"""
+
+import itertools
+import random
+import sys
+
+import pytest
+
+from repro.core import LHRSConfig, LHRSFile
+from repro.sdds.client import OperationFailed
+
+GRID = {
+    "durability": (False, True),
+    "batch_ops": (False, True),
+    "compact_ranks": (False, True),
+    "availability": (1, 2),
+    "bucket_capacity": (8, 32),
+    "field_width": (8, 16),
+    "coordinator_replicas": (0, 1),
+    # read, and so varied, with durability on only
+    "wal_fsync_interval": (1, 4),
+    "durability_checkpoint_interval": (16, 128),
+}
+
+
+def product() -> list[dict]:
+    """The 320 configs, in a fixed order."""
+    configs = (dict(zip(GRID, v)) for v in itertools.product(*GRID.values()))
+    return [
+        c for c in configs
+        if c["durability"] or (
+            c["wal_fsync_interval"], c["durability_checkpoint_interval"]
+        ) == (1, 16)
+    ]
+
+
+def tier1_slice() -> list[dict]:
+    """The eight durability × batch × compaction corners, the other
+    knobs rotated so that each value of each appears at least twice."""
+    return [
+        {
+            "durability": durable, "batch_ops": batch, "compact_ranks": compact,
+            "availability": 1 + (durable ^ batch),
+            "bucket_capacity": 32 if compact else 8,
+            "field_width": 16 if batch else 8,
+            "coordinator_replicas": int(batch ^ compact),
+            "wal_fsync_interval": 4 if batch else 1,
+            "durability_checkpoint_interval": 128 if compact else 16,
+        }
+        for durable, batch, compact in itertools.product((False, True), repeat=3)
+    ]
+
+
+def run(params: dict, operations: int, seed: int) -> LHRSFile:
+    """One config, one seeded run; raises AssertionError on any loss."""
+    rng = random.Random(seed)
+    file = LHRSFile(LHRSConfig(group_size=4, client_acks=True, **params))
+    _, _, auditor = file.enable_observability(trace_capacity=2_000)
+    oracle: dict[int, bytes] = {}
+    ambiguous: set[int] = set()
+    down: dict[str, int] = {}  # node -> the step its outage ends
+    next_failure = rng.expovariate(1 / 400)
+    done = 0
+    phase, shrink_to = "grow", 0
+    kinds = ("insert", "update", "search", "delete")
+    mixes = {"grow": (60, 20, 15, 5), "shrink": (0, 0, 0, 1),
+             "churn": (35, 30, 20, 15)}
+
+    while done < operations:
+        # ---- the failure process ------------------------------------
+        for node in [n for n, until in down.items() if until <= done]:
+            file.failures.heal([node])
+            del down[node]
+        if done >= next_failure and not down:
+            nodes = [s.node_id for s in file.data_servers()]
+            nodes += [s.node_id for s in file.parity_servers()]
+            victim = rng.choice(nodes)
+            file.failures.crash([victim])
+            down[victim] = done + int(rng.expovariate(1 / 15))
+            next_failure = done + rng.expovariate(1 / 400)
+
+        # ---- the workload: grow, shrink by 75 %, carry on -----------
+        if phase == "grow" and done >= operations * 0.5:
+            phase, shrink_to = "shrink", len(oracle) // 4
+        elif phase == "shrink" and len(oracle) <= shrink_to:
+            phase = "churn"
+        kind = rng.choices(kinds, mixes[phase])[0]
+        many = rng.random() < 0.3
+        count = rng.randrange(2, 49) if many else 1
+        if kind == "insert" or not oracle:
+            keys = [rng.randrange(2**40) for _ in range(count)]
+        else:
+            keys = rng.sample(sorted(oracle), min(count, len(oracle)))
+            if many and kind != "update" and rng.random() < 0.1:
+                keys.append(rng.randrange(2**40))  # an absent key
+        items = [(k, rng.randbytes(rng.randrange(48))) for k in keys]
+        done += len(keys)
+
+        if many:
+            call = getattr(file, f"{kind}_many")
+            out = call(items if kind in ("insert", "update") else keys)
+            results = [
+                None if res is None or res.status == "failed" else res
+                for res in out.outcomes
+            ]
+        else:
+            args = items[0] if kind in ("insert", "update") else keys
+            try:
+                results = [getattr(file, kind)(*args) or True]
+            except OperationFailed:
+                results = [None]
+
+        for (key, new), res in zip(items, results):
+            if res is None:  # typed failure: may or may not have applied
+                if kind != "search":
+                    ambiguous.add(key)
+            elif kind in ("insert", "update"):
+                oracle[key] = new
+                ambiguous.discard(key)
+            elif kind == "delete":
+                oracle.pop(key, None)
+                ambiguous.discard(key)
+            elif key not in ambiguous:
+                found = res.found if not many else res.status == "found"
+                assert found == (key in oracle), (kind, key)
+                assert not found or res.value == oracle[key], (kind, key)
+
+        held = [s.node_id for s in file.data_servers() if s._parity_queue]
+        assert not held, f"Δs held between calls by {held}"
+
+    # ---- quiesce ----------------------------------------------------
+    file.failures.heal()
+    entries = file.rs_coordinator.run_probe_cycle(rounds=3)
+    assert entries[-1]["unavailable"] == [] and entries[-1]["errors"] == []
+
+    # ---- acceptance -------------------------------------------------
+    assert len(ambiguous) <= operations // 100, len(ambiguous)
+    assert phase == "churn" and file.bucket_count > 4, "no shrink or no growth"
+    assert file.verify_parity_consistency() == []
+    assert auditor.check_file(file) == [] and auditor.violations == []
+
+    stored = {
+        key: value
+        for bucket in file.census_with_ranks().values()
+        for key, (_, value) in bucket.items()
+    }
+    assert {k: v for k, v in stored.items() if k not in ambiguous} == {
+        k: v for k, v in oracle.items() if k not in ambiguous
+    }
+    by_bucket: dict[int, list[int]] = {}
+    for key in sorted(oracle.keys() - ambiguous):
+        by_bucket.setdefault(file.find_bucket_of(key), []).append(key)
+    for bucket in range(file.bucket_count):
+        file.recover([file.fail_data_bucket(bucket)])
+        for key in by_bucket.get(bucket, ()):
+            assert file.search(key).value == oracle[key], (bucket, key)
+    assert file.verify_parity_consistency() == []
+    assert auditor.violations == []
+    return file
+
+
+@pytest.mark.parametrize(
+    "params", tier1_slice(),
+    ids=lambda p: "-".join(f"{v:d}" for v in p.values()),
+)
+def test_config_matrix_slice(params):
+    run(params, operations=1_500, seed=18)
+
+
+def main(operations: int = 3_000, seed: int = 18) -> int:
+    failures = 0
+    for index, params in enumerate(product()):
+        try:
+            run(params, operations, seed + index)
+        except Exception as failure:  # report every config, then fail
+            failures += 1
+            print(f"FAIL {params}: {type(failure).__name__}: {failure}")
+    print(f"{failures} of {len(product())} configs failed at {operations} ops")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(*map(int, sys.argv[1:])))

@@ -97,7 +97,7 @@ class TestFailuresDuringWorkloadWithLazyParity:
             FailureSchedule, OperationMix, generate_operations, run_trace,
         )
 
-        file, _ = build(k=2, parity_batch_size=4, capacity=16, count=300)
+        file, _ = build(k=2, capacity=16, count=300)
         candidates = [f"f.d{b}" for b in range(file.bucket_count)]
         schedule = FailureSchedule.random_bursts(
             candidates, operations=400, bursts=3, seed=55
@@ -108,5 +108,4 @@ class TestFailuresDuringWorkloadWithLazyParity:
         )
         run_trace(file, ops, schedule)
         file.rs_coordinator.probe()
-        file.flush_all_parity()
         assert file.verify_parity_consistency() == []

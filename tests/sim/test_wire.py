@@ -118,7 +118,7 @@ QUICK = settings(
 class TestCompiledSizes:
     def test_every_kind_and_declared_reply_is_compiled(self):
         assert set(_SIZERS) == set(DECLARED)
-        assert len(REGISTRY) == 63
+        assert len(REGISTRY) == 62
 
     @pytest.mark.parametrize("kind", sorted(DECLARED))
     @QUICK

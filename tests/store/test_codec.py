@@ -295,13 +295,13 @@ class TestGoldenImages:
     the tag set, a column layout or an image schema shows up here and
     has to come with a new :data:`codec.VERSION`."""
 
-    DATA = "c8a7c6147d3ac19e02f592ed1d9f80bac3f00407544e13308bfca7a9392af9f5"
-    PARITY = "fd044dd20b72d31e4f283f6279cd3117209b0161e3ddd74d8f292380e219614b"
+    DATA = "433f396ed818e2a4a86e3cb2f76c9c400215725e1b9f57fe10e183871a3d591a"
+    PARITY = "42e9a6f949e634545bc10b6ff47fe4686faf7d30ea00f415ba501912e78890da"
 
     def images(self):
         file = LHRSFile(LHRSConfig(
             group_size=4, availability=2, bucket_capacity=64,
-            durability=True, field_width=8, parity_batch_size=32,
+            durability=True, field_width=8,
         ))
         rng = random.Random(20)
         keys = [rng.randrange(2**40) for _ in range(48)]
@@ -309,7 +309,7 @@ class TestGoldenImages:
             file.insert(key, rng.randbytes(rng.randrange(0, 40)))
         for key in keys[1::7]:
             file.delete(key)
-        for key in keys[::3]:  # stay in the lazy-parity queue
+        for key in keys[::3]:
             file.update(key, rng.randbytes(rng.randrange(0, 40)))
         out = []
         for node in ("f.d0", "f.p0.1"):
@@ -323,6 +323,6 @@ class TestGoldenImages:
     def test_images_are_pinned(self):
         (data, data_hash), (parity, parity_hash) = self.images()
         assert data["kind"] == "data" and len(data["keys"]) >= codec.PACK_MIN
-        assert data["queue"] and data["free"]
+        assert data["free"] and "queue" not in data
         assert parity["kind"] == "parity" and parity["delta_log"]
         assert (data_hash, parity_hash) == (self.DATA, self.PARITY)
