@@ -167,8 +167,8 @@ def bench_overhead(count: int, repeats: int) -> dict:
                 file.insert(key, value)
             best = min(best, time.perf_counter() - start)
             if durable:
-                disks = [s._disk for s in file.data_servers()]
-                disks += [s._disk for s in file.parity_servers()]
+                disks = [s._durable.disk for s in file.data_servers()]
+                disks += [s._durable.disk for s in file.parity_servers()]
                 disk = {
                     "fsyncs": sum(d.fsyncs for d in disks),
                     "appends": sum(d.appends for d in disks),

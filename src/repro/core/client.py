@@ -7,7 +7,7 @@ unavailable the client reports to the coordinator, which serves searches
 through record recovery (degraded mode) and rebuilds the bucket.
 
 Gray failures get the same treatment as death, one step earlier: with a
-:class:`~repro.core.config.DeadlinePolicy` configured (and a
+read deadline configured (``LHRSConfig.read_deadline``, and a
 :class:`~repro.sim.network.ServiceModel` installed), every read carries
 a latency budget.  A read that outruns the client's adaptive p99 is
 *hedged* — the parity-reconstruction path serves the same record through
@@ -23,10 +23,20 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.core.config import DeadlinePolicy
 from repro.obs.metrics import LATENCY_BUCKETS
 from repro.sdds.client import Client, SearchOutcome
 from repro.sim.network import DeliveryFault, NodeUnavailable, UnknownNode
+
+#: A read is hedged once it outruns this quantile of the client's recent
+#: read latencies; the first ``HEDGE_MIN_SAMPLES`` reads (warm-up) hedge
+#: at half the deadline.
+HEDGE_QUANTILE = 0.99
+HEDGE_MIN_SAMPLES = 16
+#: This many consecutive slow reads against one bucket open its breaker
+#: for ``BREAKER_COOLDOWN`` clock units; the first read after the
+#: cooldown probes the primary again.
+BREAKER_THRESHOLD = 4
+BREAKER_COOLDOWN = 32.0
 
 
 class _Breaker:
@@ -69,9 +79,10 @@ class _Breaker:
 class RSClient(Client):
     """An application's access point to one LH*RS file."""
 
-    def __init__(self, *args, deadline: DeadlinePolicy | None = None, **kwargs):
+    def __init__(self, *args, deadline: float | None = None, **kwargs):
         super().__init__(*args, **kwargs)
-        #: read-latency discipline (None = plain LH*RS behaviour)
+        #: per-read latency budget in virtual time units, the SLO
+        #: (None = plain LH*RS behaviour)
         self.deadline = deadline
         #: recent effective read latencies, for the adaptive hedge delay
         self._latency_samples: deque[float] = deque(maxlen=256)
@@ -154,9 +165,11 @@ class RSClient(Client):
         """Open-breaker searches skip the batch plane: the scalar
         :meth:`search` carries the hedge/degraded machinery a slow
         bucket needs, which an ``ops.batch`` call would bypass."""
-        policy = self.deadline
         net = self.network
-        if kind != "search" or policy is None or net is None or net.service is None:
+        if (
+            kind != "search" or self.deadline is None
+            or net is None or net.service is None
+        ):
             return False
         breaker = self._breakers.get(self.image.address(op["key"]))
         return breaker is not None and breaker.is_open(net.now)
@@ -169,16 +182,16 @@ class RSClient(Client):
         # recording wrapper: whatever path serves the read — primary,
         # hedge or breaker short-circuit — the recorded outcome is the
         # one the application saw.
-        policy = self.deadline
+        deadline = self.deadline
         net = self.network
-        if policy is None or net is None or net.service is None:
+        if deadline is None or net is None or net.service is None:
             return super()._search_impl(key)
 
         bucket = self.image.address(key)
         breaker = self._breakers.get(bucket)
         if breaker is None:
             breaker = self._breakers[bucket] = _Breaker(
-                policy.breaker_threshold, policy.breaker_cooldown
+                BREAKER_THRESHOLD, BREAKER_COOLDOWN
             )
 
         if breaker.is_open(net.now):
@@ -186,7 +199,7 @@ class RSClient(Client):
             outcome = self._degraded_search(key)
             if outcome is not None:
                 self._count("read.breaker.short_circuit")
-                self._observe_read(net.virtual_time - start, policy)
+                self._observe_read(net.virtual_time - start, deadline)
                 return outcome
             # The alternate path is dark too — fall through and take
             # our chances with the primary.
@@ -197,8 +210,8 @@ class RSClient(Client):
 
         effective = elapsed
         hedged = False
-        hedge_after = self._hedge_delay(policy)
-        if policy.hedge and elapsed > hedge_after:
+        hedge_after = self._hedge_delay(deadline)
+        if elapsed > hedge_after:
             hedge_start = net.virtual_time
             alternate = self._degraded_search(key)
             if alternate is not None:
@@ -221,7 +234,7 @@ class RSClient(Client):
                     effective = hedge_total
                     outcome = alternate
 
-        miss = self._observe_read(effective, policy)
+        miss = self._observe_read(effective, deadline)
         transition = breaker.record(miss or hedged, net.now)
         if transition == "opened":
             self._count("read.breaker.opened")
@@ -250,8 +263,8 @@ class RSClient(Client):
             key=key, found=reply["found"], value=reply["value"]
         )
 
-    def _hedge_delay(self, policy: DeadlinePolicy) -> float:
-        """Adaptive hedge trigger: the configured quantile of this
+    def _hedge_delay(self, deadline: float) -> float:
+        """Adaptive hedge trigger: :data:`HEDGE_QUANTILE` of this
         client's recent reads (half the deadline until warmed up).
 
         Clamped to half the deadline from above: past that point a
@@ -260,15 +273,13 @@ class RSClient(Client):
         the sample quantile, which delays the next hedge further.
         """
         samples = self._latency_samples
-        if len(samples) < policy.hedge_min_samples:
-            return policy.deadline / 2.0
+        if len(samples) < HEDGE_MIN_SAMPLES:
+            return deadline / 2.0
         ordered = sorted(samples)
-        index = min(
-            len(ordered) - 1, int(policy.hedge_quantile * len(ordered))
-        )
-        return min(ordered[index], policy.deadline / 2.0)
+        index = min(len(ordered) - 1, int(HEDGE_QUANTILE * len(ordered)))
+        return min(ordered[index], deadline / 2.0)
 
-    def _observe_read(self, effective: float, policy: DeadlinePolicy) -> bool:
+    def _observe_read(self, effective: float, deadline: float) -> bool:
         """Record one read's effective latency; True = deadline miss."""
         self._latency_samples.append(effective)
         self.last_read_latency = effective
@@ -279,7 +290,7 @@ class RSClient(Client):
                 LATENCY_BUCKETS,
                 "end-to-end read latency (virtual time)",
             ).observe(effective)
-        miss = effective > policy.deadline
+        miss = effective > deadline
         if miss:
             self.deadline_misses += 1
             self._count("read.deadline_miss")
@@ -287,7 +298,7 @@ class RSClient(Client):
                 net.tracer.emit(
                     "op.deadline_miss",
                     latency=round(effective, 3),
-                    budget=policy.deadline,
+                    budget=deadline,
                 )
         return miss
 

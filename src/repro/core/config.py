@@ -10,41 +10,6 @@ from repro.sim.faults import RetryPolicy
 
 
 @dataclass(frozen=True)
-class DeadlinePolicy:
-    """Per-read latency discipline: budget, hedging and circuit breaking.
-
-    ``deadline`` is the hard per-read latency budget (the SLO, in
-    virtual time units).  ``hedge`` lets a client fire the degraded
-    parity-reconstruction read once the primary exceeds an adaptive
-    delay — the ``hedge_quantile`` of the client's last observed read
-    latencies (``hedge_min_samples`` warm-up reads use half the
-    deadline).  ``breaker_threshold`` consecutive slow reads against
-    one bucket open its circuit breaker for ``breaker_cooldown`` clock
-    units, during which reads short-circuit straight to the degraded
-    path; the first read after the cooldown probes the primary again.
-    """
-
-    deadline: float
-    hedge: bool = True
-    hedge_quantile: float = 0.99
-    hedge_min_samples: int = 16
-    breaker_threshold: int = 4
-    breaker_cooldown: float = 32.0
-
-    def __post_init__(self) -> None:
-        if self.deadline <= 0:
-            raise ValueError("deadline must be positive")
-        if not 0.0 < self.hedge_quantile < 1.0:
-            raise ValueError("hedge_quantile must be in (0, 1)")
-        if self.hedge_min_samples < 1:
-            raise ValueError("hedge_min_samples must be >= 1")
-        if self.breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1")
-        if self.breaker_cooldown <= 0:
-            raise ValueError("breaker_cooldown must be positive")
-
-
-@dataclass(frozen=True)
 class LHRSConfig:
     """All tunables of an LH*RS file.
 
@@ -106,12 +71,12 @@ class LHRSConfig:
         are retried under ``retry_policy`` and surface
         :class:`~repro.sdds.client.OperationFailed` when the budget runs
         out.  Off by default for the paper's message counts.
-    retry_attempts / retry_backoff_base / retry_backoff_factor /
-    retry_backoff_max:
+    retry_attempts / retry_backoff_base:
         The bounded-exponential-backoff discipline senders use against
         transient delivery faults (see
-        :class:`~repro.sim.faults.RetryPolicy`).  Backoff waits advance
-        the simulated clock, maturing delayed messages and letting crash
+        :class:`~repro.sim.faults.RetryPolicy`, whose own defaults set
+        the growth factor and the cap).  Backoff waits advance the
+        simulated clock, maturing delayed messages and letting crash
         windows pass.
     coordinator_replicas:
         Number of standby coordinator replicas (0 = the classic
@@ -133,10 +98,8 @@ class LHRSConfig:
         the whole deadline/hedge/breaker discipline — the default, and
         a no-op anyway unless a
         :class:`~repro.sim.network.ServiceModel` is installed).  See
-        :class:`DeadlinePolicy` for the semantics of the companion
-        knobs ``hedge_reads``, ``hedge_quantile``,
-        ``hedge_min_samples``, ``breaker_threshold`` and
-        ``breaker_cooldown``.
+        :class:`~repro.core.client.RSClient` for the hedge and breaker
+        it drives.
     bucket_queue_limit:
         Bounded inbound queue per bucket server (None = unbounded).
         With a service model installed, sheddable messages beyond the
@@ -171,13 +134,6 @@ class LHRSConfig:
         Ceiling on ops per scattered sub-batch message; a larger client
         batch is chunked.  Bounds server-side admission cost per
         message and the shed/retry unit.
-    batch_bulk_weight:
-        Extra service-time units a :class:`~repro.sim.network.ServiceModel`
-        charges per op beyond the first in a batch message (``ops.batch``
-        and ``parity.batch``), via ``charge_bulk``.  0.0 (default) keeps
-        batch messages costing one service time like any other message —
-        the pre-batch costing — while a positive weight models per-op
-        server work so E20 can report honest batched latency.
     durability:
         Give every data and parity bucket a local
         :class:`~repro.store.SimDisk` with a checksummed write-ahead
@@ -199,11 +155,6 @@ class LHRSConfig:
     durability_checkpoint_interval:
         WAL appends between local checkpoints (atomic whole-state
         replace + log truncate).  Bounds replay work and log growth.
-    delta_log_capacity:
-        Ring-buffer bound on the in-memory Δ tail each server keeps
-        for peers catching up (``wal.tail`` / ``delta.tail``).  A
-        restarted bucket whose staleness exceeds the ring falls back
-        to the full rebuild.
     """
 
     group_size: int = 4
@@ -221,18 +172,11 @@ class LHRSConfig:
     client_acks: bool = False
     retry_attempts: int = 4
     retry_backoff_base: float = 1.0
-    retry_backoff_factor: float = 2.0
-    retry_backoff_max: float = 16.0
     coordinator_replicas: int = 0
     heartbeat_interval: float = 4.0
     lease_timeout: float = 12.0
     journal_checkpoint_interval: int = 16
     read_deadline: float | None = None
-    hedge_reads: bool = True
-    hedge_quantile: float = 0.99
-    hedge_min_samples: int = 16
-    breaker_threshold: int = 4
-    breaker_cooldown: float = 32.0
     bucket_queue_limit: int | None = None
     recovery_pace_rate: float | None = None
     recovery_pace_burst: float = 8.0
@@ -240,11 +184,9 @@ class LHRSConfig:
     health_log_capacity: int = 512
     batch_ops: bool = False
     batch_max_ops: int = 256
-    batch_bulk_weight: float = 0.0
     durability: bool = False
     wal_fsync_interval: int = 1
     durability_checkpoint_interval: int = 128
-    delta_log_capacity: int = 1024
 
     def __post_init__(self) -> None:
         if self.group_size < 1:
@@ -280,15 +222,12 @@ class LHRSConfig:
             raise ValueError("health_log_capacity must be >= 1")
         if self.batch_max_ops < 1:
             raise ValueError("batch_max_ops must be >= 1")
-        if self.batch_bulk_weight < 0:
-            raise ValueError("batch_bulk_weight cannot be negative")
         if self.wal_fsync_interval < 1:
             raise ValueError("wal_fsync_interval must be >= 1")
         if self.durability_checkpoint_interval < 1:
             raise ValueError("durability_checkpoint_interval must be >= 1")
-        if self.delta_log_capacity < 1:
-            raise ValueError("delta_log_capacity must be >= 1")
-        self.deadline_policy  # validate the SLO knobs (DeadlinePolicy raises)
+        if self.read_deadline is not None and self.read_deadline <= 0:
+            raise ValueError("read_deadline must be positive")
         self.retry_policy  # validate the retry knobs (RetryPolicy raises)
         limit = (1 << self.field_width) - self.group_size
         if self.max_availability > limit:
@@ -302,23 +241,7 @@ class LHRSConfig:
         return RetryPolicy(
             attempts=self.retry_attempts,
             backoff_base=self.retry_backoff_base,
-            backoff_factor=self.retry_backoff_factor,
-            backoff_max=self.retry_backoff_max,
             jitter=self.retry_jitter,
-        )
-
-    @property
-    def deadline_policy(self) -> DeadlinePolicy | None:
-        """The read-latency discipline as a policy object (None = off)."""
-        if self.read_deadline is None:
-            return None
-        return DeadlinePolicy(
-            deadline=self.read_deadline,
-            hedge=self.hedge_reads,
-            hedge_quantile=self.hedge_quantile,
-            hedge_min_samples=self.hedge_min_samples,
-            breaker_threshold=self.breaker_threshold,
-            breaker_cooldown=self.breaker_cooldown,
         )
 
     @property

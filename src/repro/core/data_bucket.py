@@ -24,6 +24,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.durable import DELTA_LOG_CAPACITY, Durability
 from repro.core.group import data_node, group_of, position_of
 from repro.lh import addressing
 from repro.sdds.server import DataServer
@@ -31,8 +32,6 @@ from repro.sim.faults import RetryPolicy
 from repro.sim.messages import HEADER_BYTES, Message, estimate_size
 from repro.sim.network import DeliveryFault, NodeUnavailable, UnknownNode
 from repro.rs.encoder import delta_payload
-from repro.store.simdisk import DiskError, SimDisk, disk_rng
-from repro.store.wal import BucketLog
 
 #: Kinds a fenced (restarted, not yet caught-up) data bucket refuses
 #: with NodeUnavailable: everything that serves or mutates record state.
@@ -99,20 +98,16 @@ class RSDataServer(DataServer):
         #: monotonic Δ sequence number; the *same* stream goes to every
         #: parity bucket, so one counter serves all channels from here
         self._parity_seq = 0
-        # durable storage plane (None = the legacy RAM-only server;
-        # enable_durability wires it when config.durability is on)
-        self._disk = None
-        self._wal = None
+        #: the durability shell (None = the legacy RAM-only server;
+        #: enable_durability wires it when config.durability is on)
+        self._durable: Durability | None = None
         self._delta_history: deque | None = None
-        self._ckpt_interval = 0
-        self._appends_since_ckpt = 0
         #: incarnation stamped by the coordinator; a rebuilt spare under
         #: the same node id gets a higher epoch, fencing stale disks
         self.epoch = 0
         #: True between restart-replay and catch-up completion: the
         #: bucket answers catch-up traffic but refuses the data plane
         self.fenced = False
-        self._restarting = False
 
     # ------------------------------------------------------------------
     # fencing
@@ -123,8 +118,8 @@ class RSDataServer(DataServer):
             failure.fenced = True
             raise failure
         result = super().receive(message)
-        if self._wal is not None:
-            self._checkpoint_if_due()
+        if self._durable is not None and self._durable.due():
+            self.checkpoint_now()
         return result
 
     # ------------------------------------------------------------------
@@ -201,10 +196,10 @@ class RSDataServer(DataServer):
             del self._rank_to_key[r_max]
             self._assign_rank(key_max, free)
         self._rank_counter = target
-        if self._wal is not None:
+        if self._durable is not None:
             # the move ops logged above; the counter shrink (and drained
             # free list) is the one effect they do not imply
-            self._log_entry({"ctl": "counter", "counter": target})
+            self._log({"ctl": "counter", "counter": target})
         return ops
 
     # ------------------------------------------------------------------
@@ -228,12 +223,12 @@ class RSDataServer(DataServer):
             "length": length,
             "seq": self._parity_seq,
         }
-        if self._wal is not None:
+        if self._durable is not None:
             # WAL-before-send: the mutation already applied locally, and
             # it hits disk before the Δ leaves (or the op is acked), so
             # every acked operation is in the durable prefix + fsync
             # staleness window by construction.
-            self._log_entry(op)
+            self._log(op)
         return op
 
     def _parity_block(
@@ -259,8 +254,8 @@ class RSDataServer(DataServer):
             "deltas": deltas,
             "lengths": lengths,
         }
-        if self._wal is not None:
-            self._log_entry(block)
+        if self._durable is not None:
+            self._log(block)
         return block
 
     def _emit(self, delta: dict | list[dict]) -> None:
@@ -575,8 +570,8 @@ class RSDataServer(DataServer):
         self.bucket.records = dict(stay)
         self.bucket.level += 1
         self._last_reported_size = -1
-        if self._wal is not None:
-            self._log_entry({"ctl": "level", "level": self.bucket.level})
+        if self._durable is not None:
+            self._log({"ctl": "level", "level": self.bucket.level})
         self._emit(delete_ops)
         self.send(
             data_node(self.file_id, target),
@@ -610,23 +605,14 @@ class RSDataServer(DataServer):
         """
         into = message.payload["into"]
         records = list(self.bucket.records.items())
-        if not message.payload.get("retiring"):
-            delete_ops = [
-                self._parity_op("delete", key, self.ranks[key], payload, 0)
-                for key, payload in records
-            ]
-            self.ranks.clear()
-            self._rank_to_key.clear()
-            self._free_ranks.clear()
-            self._rank_counter = 0
-            self.bucket.records = {}
-            self._emit(delete_ops)
-        else:
-            self.ranks.clear()
-            self._rank_to_key.clear()
-            self.bucket.records = {}
-        if self._wal is not None:
-            self._log_entry({"ctl": "wipe"})
+        delete_ops = [] if message.payload.get("retiring") else [
+            self._parity_op("delete", key, self.ranks[key], payload, 0)
+            for key, payload in records
+        ]
+        self._wipe()
+        self._emit(delete_ops)
+        if self._durable is not None:
+            self._log({"ctl": "wipe"})
         self.send(
             data_node(self.file_id, into),
             "records.bulk",
@@ -697,12 +683,19 @@ class RSDataServer(DataServer):
             ],
         }
 
-    def handle_bucket_load(self, message: Message) -> None:
-        """Bulk-load recovered content into a fresh (spare) data bucket."""
-        payload = message.payload
+    def _wipe(self) -> None:
+        """Forget every record and rank (a merge's ``ctl wipe`` frame
+        replays as this, a restart begins with it)."""
         self.bucket.records = {}
         self.ranks = {}
         self._rank_to_key = {}
+        self._free_ranks = []
+        self._rank_counter = 0
+
+    def handle_bucket_load(self, message: Message) -> None:
+        """Bulk-load recovered content into a fresh (spare) data bucket."""
+        payload = message.payload
+        self._wipe()
         for key, rank, value in payload["records"]:
             self.bucket.put(key, value)
             self._assign_rank(key, rank)
@@ -713,7 +706,7 @@ class RSDataServer(DataServer):
         # Resume the Δ stream where the lost bucket left it, so the
         # surviving parity buckets' channel expectations stay aligned.
         self._parity_seq = payload.get("parity_seq", 0)
-        if self._wal is not None:
+        if self._durable is not None:
             # A rebuilt (or snapshot-restored) image is the new durable
             # baseline; whatever the disk held belonged to another life.
             self.checkpoint_now()
@@ -722,111 +715,48 @@ class RSDataServer(DataServer):
         status = super().handle_status(message)
         status.update(group=self.group, position=self.position,
                       counter=self._rank_counter)
-        if self._wal is not None:
+        if self._durable is not None:
             status.update(fenced=self.fenced, epoch=self.epoch)
         return status
 
     def handle_level_set(self, message: Message) -> Any:
         result = super().handle_level_set(message)
-        if self._wal is not None:
-            self._log_entry({"ctl": "level", "level": self.bucket.level})
+        if self._durable is not None:
+            self._log({"ctl": "level", "level": self.bucket.level})
         return result
 
     # ------------------------------------------------------------------
     # durable storage plane: WAL, checkpoints, restart and catch-up
     # ------------------------------------------------------------------
     def enable_durability(self, config) -> None:
-        """Attach the simulated disk and WAL (``config.durability``).
+        """Attach the durability shell (``config.durability``).
 
         Ends with a baseline checkpoint: recovery then always finds a
         durable image of the bucket's *birth* state, so a crash before
         the first periodic checkpoint still replays cleanly.
         """
-        from repro.sim.rng import DEFAULT_SEED
-
-        self._disk = SimDisk(
-            self.node_id,
-            rng=disk_rng(DEFAULT_SEED, self.node_id),
-            profile=self._disk_profile,
-        )
-        self._wal = BucketLog(self._disk, fsync_interval=config.wal_fsync_interval)
-        self._ckpt_interval = config.durability_checkpoint_interval
-        self._delta_history = deque(maxlen=config.delta_log_capacity)
+        self._durable = Durability(self, config, self._coordinator())
+        self._delta_history = deque(maxlen=DELTA_LOG_CAPACITY)
         self.checkpoint_now()
 
-    def _disk_profile(self) -> dict:
-        """Current disk fault profile from the network's fault plane."""
-        net = self.network
-        if net is None or net.fault_plane is None:
-            return {}
-        return net.fault_plane.disk_profile(self.node_id, net.now)
-
-    def _log_entry(self, entry: dict) -> None:
-        """One WAL frame (mutation op/block or a ``ctl`` record).
-
-        Sequenced entries also join the in-RAM history ring that serves
-        a restarted parity bucket's catch-up ask.  A ``ctl`` record is
-        synced at once: Δ catch-up gives a restarted bucket records
-        back, never a level or a counter.  Disk errors are
-        fail-stop (:meth:`_fail_stop`): a bucket that cannot log must
-        not keep mutating, or its disk diverges from its acked state.
-        """
+    def _log(self, entry: dict) -> None:
+        """One WAL frame (mutation op/block or a ``ctl`` record); a
+        sequenced one also joins the history ring that serves a
+        restarted parity bucket's catch-up ask.  A fail-stop drops what
+        an in-flight batch holds (a dead node ships nothing): logged and
+        unacked, those Δs are re-sent from the ring after a restart
+        (:meth:`handle_catchup_load`)."""
         try:
-            self._wal.append(entry)
-            if "ctl" in entry:
-                self._wal.sync()
-            else:
-                self._delta_history.append(entry)
-        except DiskError:
-            self._fail_stop()
-        self._appends_since_ckpt += 1
-
-    def _checkpoint_if_due(self) -> None:
-        """The periodic checkpoint, taken between messages only.
-
-        :meth:`_log_entry` runs in the middle of splits, merges and rank
-        compaction, where ``ranks`` and ``bucket.records`` disagree; the
-        end of :meth:`receive` is the first point at which the bucket is
-        whole again.  A restarting bucket checkpoints when its catch-up
-        lands, a fail-stopped one not at all.
-        """
-        if (
-            self._appends_since_ckpt >= self._ckpt_interval
-            and not self._restarting
-            and self._net().is_available(self.node_id)
-        ):
-            self.checkpoint_now()
-
-    def _fail_stop(self) -> None:
-        """Crash the node rather than run past a disk write it lost.
-
-        What an in-flight batch holds dies with it (a dead node ships
-        nothing): logged and unacked, those Δs are re-sent from the
-        history ring after a restart (:meth:`handle_catchup_load`).
-        """
-        net = self.network
-        if net is not None and net.is_available(self.node_id):
-            net.fail(self.node_id)
-        self._parity_queue.clear()
-        raise NodeUnavailable(self.node_id)
+            self._durable.log(entry)
+        except NodeUnavailable:
+            self._parity_queue.clear()
+            raise
+        if "ctl" not in entry:
+            self._delta_history.append(entry)
 
     def checkpoint_now(self) -> None:
         """Write a full-state checkpoint and truncate the WAL."""
-        try:
-            self._wal.checkpoint(self._image())
-        except DiskError:
-            self._fail_stop()
-        self._appends_since_ckpt = 0
-        net = self.network
-        if net is not None and net.tracer is not None:
-            net.tracer.emit(
-                "disk.checkpoint", node=self.node_id, lsn=self._wal.lsn,
-                records=len(self.bucket.records),
-            )
-        if net is not None and net.metrics is not None:
-            net.metrics.counter(
-                "disk.checkpoints", "bucket checkpoints written"
-            ).inc()
+        self._durable.checkpoint(self._image(), len(self.bucket.records))
 
     def _image(self) -> dict:
         """The checkpoint image: the bucket as a few long columns.
@@ -868,46 +798,20 @@ class RSDataServer(DataServer):
 
         RAM-only servers (durability off) keep the legacy silent-rebirth
         semantics — state intact, nobody told — which the pre-durability
-        chaos suites pin byte-for-byte: the hook returns immediately.
+        chaos suites pin byte-for-byte: the hook does nothing.
         """
-        if self._wal is None or self._restarting:
-            return
-        self._restarting = True
-        try:
-            self._restart()
-        except NodeUnavailable:
-            # A disk fail-stop (or a coordinator verdict) put the node
-            # back down mid-restart; the probe sweep will rebuild it.
-            pass
-        finally:
-            self._restarting = False
+        if self._durable is not None:
+            self._durable.restored(self._restart)
 
     def _restart(self) -> None:
-        """Replay the durable prefix, fence, and rejoin the file.
-
-        The crash is applied to the disk *here*: a failed node runs no
-        code in the simulation, so dropping the unsynced tail (and any
-        torn-write / bit-rot rule) at restore time is equivalent to
-        dropping it at crash time.
-        """
+        """Replay the durable prefix, fence, and rejoin the file."""
         net = self._net()
-        self._disk.crash()
-        state, tail, clean = self._wal.recover()
-        # Everything volatile is lost with the process.
-        self.bucket.records = {}
-        self.ranks = {}
-        self._rank_to_key = {}
-        self._free_ranks = []
-        self._rank_counter = 0
+        state, tail, clean = self._durable.read_back("data")
+        self._wipe()  # everything volatile is lost with the process
         self._parity_seq = 0
         self._delta_history.clear()
-        self._appends_since_ckpt = 0
-        if state is None or state.get("kind") != "data":
-            # No readable checkpoint (torn or rotted): the tail has no
-            # base to replay onto — everything on disk is suspect.
-            clean, tail = False, []
-            self.epoch = 0
-        else:
+        self.epoch = 0
+        if state is not None:
             self._load_image(state)
             for entry in tail:
                 self._replay_entry(entry)
@@ -923,20 +827,7 @@ class RSDataServer(DataServer):
                 bucket=self.number, seq=self._parity_seq, clean=clean,
                 replayed=len(tail),
             )
-        if net.metrics is not None:
-            net.metrics.counter("disk.restarts", "bucket restart replays").inc()
-        self._rejoin_file(clean)
-
-    def _rejoin_file(self, clean: bool) -> None:
-        """Report the restart; the coordinator catches us up or rebuilds.
-
-        The verdict itself travels out-of-band: a ``catchup.load``
-        arriving mid-call unfences us, a rebuild replaces us under our
-        own node id.  The reply is informational, so a lost reply after
-        the coordinator acted changes nothing.
-        """
-        net = self._net()
-        payload = {
+        self._durable.rejoin({
             "node": self.node_id,
             "kind": "data",
             "bucket": self.number,
@@ -944,29 +835,7 @@ class RSDataServer(DataServer):
             "epoch": self.epoch,
             "seq": self._parity_seq,
             "clean": clean,
-        }
-        policy = self.retry_policy
-        for attempt in range(policy.attempts):
-            try:
-                self.call(self._coordinator(), "rejoin", payload)
-                return
-            except DeliveryFault as fault:
-                if fault.stage == "reply":
-                    return  # the coordinator acted; only the ack was lost
-            except (NodeUnavailable, UnknownNode):
-                pass  # coordinator dark (pre-takeover window)
-            if attempt + 1 < policy.attempts:
-                net.advance(policy.delay(
-                    attempt, zlib.crc32(f"{self.node_id}->rejoin".encode()),
-                ))
-        # Could not reach the coordinator: stay down — a fenced bucket
-        # nobody knows about is indistinguishable from a dead one, and
-        # the probe sweep will find and rebuild it.  Guard on identity:
-        # if a rebuild already replaced us under this id, failing the id
-        # would kill the healthy replacement.
-        if net.nodes.get(self.node_id) is self:
-            net.fail(self.node_id)
-        raise NodeUnavailable(self.node_id)
+        })
 
     # -- WAL replay ----------------------------------------------------
     def _replay_entry(self, entry: dict) -> None:
@@ -979,11 +848,7 @@ class RSDataServer(DataServer):
                 self._free_ranks = []
                 self._rank_counter = entry["counter"]
             elif ctl == "wipe":
-                self.bucket.records = {}
-                self.ranks = {}
-                self._rank_to_key = {}
-                self._free_ranks = []
-                self._rank_counter = 0
+                self._wipe()
             return
         if "block" in entry:
             for key, rank, delta, length in zip(
@@ -1075,7 +940,7 @@ class RSDataServer(DataServer):
 
         ``resend_after`` (when present) means some parity bucket lags
         our own durable prefix — Δs we logged but never shipped (a
-        fail-stop inside a batch, :meth:`_fail_stop`) or that were lost
+        fail-stop inside a batch, :meth:`_log`) or that were lost
         on the way: we re-fan-out our tail above it, in sequence order,
         from the history ring the replay refilled.  Per-channel sequence
         numbers make the copies other parities already hold harmless

@@ -34,22 +34,19 @@ folded by :meth:`ParityServer._fold_run`, the only routine that writes
 
 from __future__ import annotations
 
-import zlib
 from collections import deque
 from collections.abc import Iterable, Iterator
 from itertools import repeat
 
 import numpy as np
 
+from repro.core.durable import DELTA_LOG_CAPACITY, Durability
 from repro.core.records import ParityRecord
 from repro.core.stripe_store import StripeStore
 from repro.gf.field import GF
-from repro.sim.faults import RetryPolicy
 from repro.sim.messages import Message
-from repro.sim.network import DeliveryFault, NodeUnavailable, UnknownNode
+from repro.sim.network import NodeUnavailable, UnknownNode
 from repro.sim.node import Node
-from repro.store.simdisk import DiskError, SimDisk, disk_rng
-from repro.store.wal import BucketLog
 
 #: Kinds a fenced (restarted, not yet caught-up) parity bucket refuses
 #: with NodeUnavailable: everything that folds Δs or serves content.
@@ -95,7 +92,7 @@ class StoredParityRecord(ParityRecord):
 
 
 class DeltaRing:
-    """The last ``capacity`` Δs applied on one channel, oldest first.
+    """The last ``DELTA_LOG_CAPACITY`` Δs of one channel, oldest first.
 
     Iterates as ``(seq, action, key, rank)`` descriptors but is held as
     four parallel columns (the action as its index in :data:`ACTIONS`):
@@ -106,14 +103,14 @@ class DeltaRing:
     __slots__ = ("seqs", "codes", "keys", "ranks")
 
     def __init__(
-        self, capacity: int,
+        self,
         seqs: Iterable[int] = (), codes: Iterable[int] = (),
         keys: Iterable[int] = (), ranks: Iterable[int] = (),
     ):
-        self.seqs = deque(seqs, maxlen=capacity)
-        self.codes = deque(codes, maxlen=capacity)
-        self.keys = deque(keys, maxlen=capacity)
-        self.ranks = deque(ranks, maxlen=capacity)
+        self.seqs = deque(seqs, maxlen=DELTA_LOG_CAPACITY)
+        self.codes = deque(codes, maxlen=DELTA_LOG_CAPACITY)
+        self.keys = deque(keys, maxlen=DELTA_LOG_CAPACITY)
+        self.ranks = deque(ranks, maxlen=DELTA_LOG_CAPACITY)
 
     def extend(
         self, seq0: int, action: str, keys: list[int], ranks: list[int]
@@ -176,20 +173,14 @@ class ParityServer(Node):
         #: how many of those folds were coefficient-1 (pure XOR)
         self.xor_folds = 0
         self.general_folds = 0
-        # durable storage plane (None = the legacy RAM-only server;
-        # enable_durability wires it when config.durability is on)
-        self._disk = None
-        self._wal = None
+        #: the durability shell (None = the legacy RAM-only server;
+        #: enable_durability wires it when config.durability is on)
+        self._durable: Durability | None = None
         #: per-position ring of (seq, action, key, rank) descriptors of
         #: applied Δs — serves a restarted data bucket's catch-up ask
         self._delta_log: dict[int, DeltaRing] | None = None
-        self._delta_log_cap = 0
-        self._ckpt_interval = 0
-        self._appends_since_ckpt = 0
-        self._retry_policy: RetryPolicy | None = None  # set when durable
         self.epoch = 0
         self.fenced = False
-        self._restarting = False
 
     # ------------------------------------------------------------------
     # fencing
@@ -200,8 +191,8 @@ class ParityServer(Node):
             failure.fenced = True
             raise failure
         result = super().receive(message)
-        if self._wal is not None:
-            self._checkpoint_if_due()
+        if self._durable is not None and self._durable.due():
+            self.checkpoint_now()
         return result
 
     # ------------------------------------------------------------------
@@ -334,10 +325,10 @@ class ParityServer(Node):
                 # (seq, action, key, rank) descriptors for delta.tail
                 ring = self._delta_log.get(pos)
                 if ring is None:
-                    ring = self._delta_log[pos] = DeltaRing(self._delta_log_cap)
+                    ring = self._delta_log[pos] = DeltaRing()
                 ring.extend(seq0, action, keys, ranks)
-        if wal and self._wal is not None:
-            self._log_entry(
+        if wal and self._durable is not None:
+            self._durable.log(
                 {"prun": [action, pos, seq0, keys, ranks, deltas, lengths]}
             )
         return n, False
@@ -488,7 +479,7 @@ class ParityServer(Node):
             self._expected_seq.update(
                 {int(pos): seq for pos, seq in rebase.items()}
             )
-        if rebase and self._wal is not None:
+        if rebase and self._durable is not None:
             self.checkpoint_now()
         return {"status": "stale" if stale else "applied", "applied": applied}
 
@@ -509,10 +500,10 @@ class ParityServer(Node):
             )
         for pos in positions:
             self._expected_seq.pop(pos, None)
-        if self._wal is not None:
+        if self._durable is not None:
             for pos in positions:
                 self._delta_log.pop(pos, None)
-            self._log_entry({"ctl": "reset", "positions": list(positions)})
+            self._durable.log({"ctl": "reset", "positions": list(positions)})
 
     # ------------------------------------------------------------------
     # queries used by recovery
@@ -562,24 +553,41 @@ class ParityServer(Node):
         record = self.records.get(message.payload["rank"])
         return record.snapshot(self.field) if record else None
 
-    def _load_records(self, snaps: list[dict]) -> None:
-        """Replace the whole record set from snapshots (load / restart)."""
-        self._store.bulk_load(
-            [(snap["rank"], snap["parity"]) for snap in snaps]
-        )
-        self.records = {}
-        self._key_index = {}
-        for snap in snaps:
-            rank = snap["rank"]
-            record = self.records[rank] = StoredParityRecord(rank, self._store)
-            record.keys = dict(snap["keys"])
-            record.lengths = dict(snap["lengths"])
-            for pos, key in record.keys.items():
-                self._key_index[key] = (rank, pos)
+    def _install(
+        self,
+        ranks: list[int],
+        rows: list[bytes],
+        directory: Iterable[tuple[int, int, int | None, int]],
+    ) -> None:
+        """Replace the whole record set (load / restart): ``rows`` are
+        the parity symbols of ``ranks``, ``directory`` the members as
+        ``(rank, pos, key, length)`` — the key is None for a member
+        whose length is known but whose key is not."""
+        store = self._store
+        store.bulk_load(list(zip(ranks, rows)))
+        records = self.records = {
+            rank: StoredParityRecord(rank, store) for rank in ranks
+        }
+        key_index = self._key_index = {}
+        for rank, pos, key, length in directory:
+            record = records[rank]
+            record.lengths[pos] = length
+            if key is not None:
+                record.keys[pos] = key
+                key_index[key] = (rank, pos)
 
     def handle_parity_load(self, message: Message) -> None:
         """Bulk-load recovered content into a fresh (spare) parity bucket."""
-        self._load_records(message.payload["records"])
+        snaps = message.payload["records"]
+        self._install(
+            [snap["rank"] for snap in snaps],
+            [snap["parity"] for snap in snaps],
+            (
+                (snap["rank"], pos, snap["keys"].get(pos), length)
+                for snap in snaps
+                for pos, length in snap["lengths"].items()
+            ),
+        )
         # A rebuilt spare is encoded from the group's *current* data, so
         # every Δ the senders have issued is already reflected; adopting
         # their counters makes any in-flight retransmission a duplicate.
@@ -588,7 +596,7 @@ class ParityServer(Node):
             for pos, seq in message.payload.get("expected_seqs", {}).items()
         }
         self.stale = False
-        if self._wal is not None:
+        if self._durable is not None:
             # A rebuilt image is the new durable baseline; whatever the
             # disk held belonged to another life.
             self._delta_log.clear()
@@ -617,7 +625,7 @@ class ParityServer(Node):
             "parity_bytes": self._store.nbytes(),
             "stale": self.stale,
         }
-        if self._wal is not None:
+        if self._durable is not None:
             status.update(fenced=self.fenced, epoch=self.epoch)
         return status
 
@@ -625,69 +633,15 @@ class ParityServer(Node):
     # durable storage plane: WAL, checkpoints, restart and catch-up
     # ------------------------------------------------------------------
     def enable_durability(self, config) -> None:
-        """Attach the simulated disk and WAL (``config.durability``)."""
-        from repro.sim.rng import DEFAULT_SEED
-
-        self._disk = SimDisk(
-            self.node_id,
-            rng=disk_rng(DEFAULT_SEED, self.node_id),
-            profile=self._disk_profile,
-        )
-        self._wal = BucketLog(self._disk, fsync_interval=config.wal_fsync_interval)
-        self._ckpt_interval = config.durability_checkpoint_interval
+        """Attach the durability shell (``config.durability``); ends
+        with the baseline checkpoint of the bucket's birth state."""
+        self._durable = Durability(self, config, f"{self.file_id}.coord")
         self._delta_log = {}
-        self._delta_log_cap = config.delta_log_capacity
-        self._retry_policy = config.retry_policy
         self.checkpoint_now()
-
-    def _disk_profile(self) -> dict:
-        net = self.network
-        if net is None or net.fault_plane is None:
-            return {}
-        return net.fault_plane.disk_profile(self.node_id, net.now)
-
-    def _log_entry(self, entry: dict) -> None:
-        try:
-            self._wal.append(entry)
-        except DiskError:
-            self._fail_stop()
-        self._appends_since_ckpt += 1
-
-    def _checkpoint_if_due(self) -> None:
-        """The periodic checkpoint, taken between messages only and
-        never by a restarting or fail-stopped bucket (the rule of
-        :meth:`RSDataServer._checkpoint_if_due`)."""
-        if (
-            self._appends_since_ckpt >= self._ckpt_interval
-            and not self._restarting
-            and self._net().is_available(self.node_id)
-        ):
-            self.checkpoint_now()
-
-    def _fail_stop(self) -> None:
-        """Crash the node rather than run past a disk write it lost."""
-        net = self.network
-        if net is not None and net.is_available(self.node_id):
-            net.fail(self.node_id)
-        raise NodeUnavailable(self.node_id)
 
     def checkpoint_now(self) -> None:
         """Write a full-state checkpoint and truncate the WAL."""
-        try:
-            self._wal.checkpoint(self._image())
-        except DiskError:
-            self._fail_stop()
-        self._appends_since_ckpt = 0
-        net = self.network
-        if net is not None and net.tracer is not None:
-            net.tracer.emit(
-                "disk.checkpoint", node=self.node_id, lsn=self._wal.lsn,
-                records=len(self.records),
-            )
-        if net is not None and net.metrics is not None:
-            net.metrics.counter(
-                "disk.checkpoints", "bucket checkpoints written"
-            ).inc()
+        self._durable.checkpoint(self._image(), len(self.records))
 
     def _image(self) -> dict:
         """The checkpoint image: the bucket as a few long columns.
@@ -733,61 +687,37 @@ class ParityServer(Node):
     def _load_image(self, state: dict) -> None:
         """Inverse of :meth:`_image` (restart)."""
         self.epoch = state["epoch"]
-        store, ranks = self._store, state["ranks"]
-        store.bulk_load(list(zip(ranks, state["rows"])))
-        records = self.records = {
-            rank: StoredParityRecord(rank, store) for rank in ranks
-        }
-        key_index = self._key_index = {}
-        for rank, pos, key, length in zip(
-            state["dir_rank"], state["dir_pos"], state["dir_key"],
-            state["dir_len"],
-        ):
-            record = records[rank]
-            record.lengths[pos] = length
-            if key is not None:
-                record.keys[pos] = key
-                key_index[key] = (rank, pos)
+        self._install(
+            state["ranks"], state["rows"],
+            zip(state["dir_rank"], state["dir_pos"], state["dir_key"],
+                state["dir_len"]),
+        )
         self._expected_seq = state["expected_seqs"]
         self.stale = state["stale"]
         self.coord_checkpoint = state["coord"]
         self._delta_log = {
-            pos: DeltaRing(self._delta_log_cap, *columns)
+            pos: DeltaRing(*columns)
             for pos, columns in state["delta_log"].items()
         }
 
     # -- restart-with-delta-catch-up -----------------------------------
     def on_restored(self) -> None:
-        """Network hook: this node just came back from a crash.
-
-        RAM-only servers (durability off) keep the legacy silent-rebirth
-        semantics, which the pre-durability chaos suites pin: the hook
-        returns immediately.
-        """
-        if self._wal is None or self._restarting:
-            return
-        self._restarting = True
-        try:
-            self._restart()
-        except NodeUnavailable:
-            pass  # disk fail-stop mid-restart; the probe sweep rebuilds
-        finally:
-            self._restarting = False
+        """Network hook: this node just came back from a crash (the
+        rule of :meth:`RSDataServer.on_restored`)."""
+        if self._durable is not None:
+            self._durable.restored(self._restart)
 
     def _restart(self) -> None:
         """Replay the durable prefix, fence, and rejoin the file."""
         net = self._net()
-        self._disk.crash()
-        state, tail, clean = self._wal.recover()
+        state, tail, clean = self._durable.read_back("parity")
         self._expected_seq = {}
         self.stale = False
         self.coord_checkpoint = None
         self._delta_log = {}
-        self._appends_since_ckpt = 0
-        if state is None or state.get("kind") != "parity":
-            clean, tail = False, []
-            self.epoch = 0
-            self._load_records([])
+        self.epoch = 0
+        if state is None:
+            self._install([], [], ())
         else:
             self._load_image(state)
             for frame in tail:
@@ -798,20 +728,7 @@ class ParityServer(Node):
                 "bucket.restart", node=self.node_id, kind="parity",
                 bucket=self.index, clean=clean, replayed=len(tail),
             )
-        if net.metrics is not None:
-            net.metrics.counter("disk.restarts", "bucket restart replays").inc()
-        self._rejoin_file(clean)
-
-    def _rejoin_file(self, clean: bool) -> None:
-        """Report the restart; the coordinator catches us up or rebuilds.
-
-        Mirrors the data-bucket flow: the verdict travels out-of-band
-        (``catchup.parity`` unfences, a rebuild replaces us under our
-        own id), so a lost reply after the coordinator acted is
-        harmless.
-        """
-        net = self._net()
-        payload = {
+        self._durable.rejoin({
             "node": self.node_id,
             "kind": "parity",
             "group": self.group,
@@ -819,24 +736,7 @@ class ParityServer(Node):
             "epoch": self.epoch,
             "expected_seqs": dict(self._expected_seq),
             "clean": clean and not self.stale,
-        }
-        policy = self._retry_policy
-        for attempt in range(policy.attempts):
-            try:
-                self.call(f"{self.file_id}.coord", "rejoin", payload)
-                return
-            except DeliveryFault as fault:
-                if fault.stage == "reply":
-                    return
-            except (NodeUnavailable, UnknownNode):
-                pass
-            if attempt + 1 < policy.attempts:
-                net.advance(policy.delay(
-                    attempt, zlib.crc32(f"{self.node_id}->rejoin".encode()),
-                ))
-        if net.nodes.get(self.node_id) is self:
-            net.fail(self.node_id)
-        raise NodeUnavailable(self.node_id)
+        })
 
     # -- WAL replay ----------------------------------------------------
     def _replay_frame(self, frame: dict) -> None:

@@ -74,7 +74,6 @@ def snapshot_file(file: LHRSFile) -> dict:
             "wal_fsync_interval": config.wal_fsync_interval,
             "durability_checkpoint_interval":
                 config.durability_checkpoint_interval,
-            "delta_log_capacity": config.delta_log_capacity,
         },
         "state": {
             "n": coordinator.state.n,
@@ -100,8 +99,9 @@ def restore_file(snapshot: dict, file_id: str = "f",
             f"unsupported snapshot version {snapshot.get('version')!r}"
         )
     # Config keys this build does not have are dropped: earlier builds
-    # of this snapshot version also wrote a since-retired knob (the
-    # parity memory layout), which never was snapshot content.
+    # of this snapshot version also wrote since-retired knobs (the
+    # parity memory layout, the Δ-ring capacity), which never were
+    # snapshot content.
     known = {field.name for field in dataclasses.fields(LHRSConfig)}
     config = LHRSConfig(
         **{k: v for k, v in snapshot["config"].items() if k in known}

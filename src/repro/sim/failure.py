@@ -83,9 +83,15 @@ class FailureInjector:
         replay, fencing, delta catch-up).  ``force=True`` doubles as
         the legacy *silent* restore — state intact, nobody told — the
         escape hatch the pre-durability chaos suites pin.
+
+        The no-argument form forgets injected ids that are no longer
+        registered (a merge dissolved the bucket while it was down);
+        explicit ids stay strict.
         """
-        targets = list(node_ids) if node_ids is not None else sorted(self._injected)
-        for node_id in targets:
+        if node_ids is None:
+            self._injected &= self.network.nodes.keys()
+            node_ids = sorted(self._injected)
+        for node_id in list(node_ids):
             if node_id not in self._injected and not force:
                 raise ValueError(
                     f"node {node_id!r} was not failed by this injector "

@@ -126,22 +126,15 @@ class ServiceModel:
         service_time: float = 1.0,
         drain_rate: float = 1.0,
         sheddable_kinds=DEFAULT_SHEDDABLE_KINDS,
-        bulk_op_weight: float = 0.0,
     ):
         if link_latency < 0 or service_time < 0:
             raise ValueError("latencies cannot be negative")
         if drain_rate <= 0:
             raise ValueError("drain_rate must be positive")
-        if bulk_op_weight < 0:
-            raise ValueError("bulk_op_weight cannot be negative")
         self.link_latency = link_latency
         self.service_time = service_time
         self.drain_rate = drain_rate
         self.sheddable_kinds = frozenset(sheddable_kinds)
-        #: extra backlog units per op beyond the first in a batch
-        #: message (ops.batch / parity.batch) — 0.0 keeps batch messages
-        #: costing one service time, the pre-batch behaviour
-        self.bulk_op_weight = bulk_op_weight
         #: (sender, recipient) -> base link latency override
         self.link_overrides: dict[tuple[str, str], float] = {}
         #: node id -> base service time override
@@ -575,20 +568,6 @@ class Network:
             plane.slowdown(recipient, self.now) if plane is not None else 1.0
         )
         service.charge(message, self.now, slowdown)
-        if service.bulk_op_weight and message.kind in (
-            "ops.batch", "parity.batch"
-        ):
-            payload = message.payload
-            ops = payload.get("ops") if isinstance(payload, dict) else None
-            if isinstance(ops, list) and len(ops) > 1:
-                # The message charged one service time; the per-op work
-                # beyond the first parks as weighted backlog the queue
-                # term drains — batched throughput is amortized, not free.
-                service.charge_bulk(
-                    recipient,
-                    service.bulk_op_weight * (len(ops) - 1),
-                    self.now,
-                )
         if self._m_queue_depth is not None:
             self._m_queue_depth.observe(depth)
             self._m_queue_max.set(service.max_depth_seen)

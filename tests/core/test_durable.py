@@ -1,0 +1,251 @@
+"""The durability shell (``repro.core.durable``), checked once for both
+bucket kinds: every test runs against a lone data server and a lone
+parity server, each owning a :class:`Durability` at
+``wal_fsync_interval=64`` — nothing but a ``ctl`` frame or a checkpoint
+reaches the durable tier on its own.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core.config import LHRSConfig
+from repro.core.data_bucket import RSDataServer
+from repro.core.parity_bucket import ParityServer
+from repro.gf import GF
+from repro.rs.generator import parity_matrix
+from repro.sim import FaultPlane, Network, Node
+from repro.sim.network import NodeUnavailable
+
+CONFIG = LHRSConfig(
+    durability=True, wal_fsync_interval=64, durability_checkpoint_interval=4,
+    retry_attempts=3,
+)
+#: the message that makes each kind log its ``ctl`` frame
+CTL = {
+    "data": ("level.set", {"level": 1}),
+    "parity": ("parity.reset", {"positions": [3]}),
+}
+
+
+class Coord(Node):
+    """The coordinator as a lone bucket needs it: it notes who rejoins."""
+
+    def __init__(self, node_id):
+        super().__init__(node_id)
+        self.rejoins = []
+
+    def handle_rejoin(self, message):
+        self.rejoins.append(message.payload)
+        return {"role": "current"}
+
+
+def make_server(kind):
+    if kind == "data":
+        return RSDataServer(
+            "f.d0", "f", number=0, level=0, capacity=64, n0=4, group_size=4
+        )
+    field = GF(8)
+    return ParityServer(
+        "f.p0.0", "f", group=0, index=0,
+        row=parity_matrix(field, 4, 1).row(0), field=field,
+    )
+
+
+class Rig:
+    def __init__(self, kind):
+        self.kind = kind
+        self.net = Network()
+        self.server = make_server(kind)
+        self.coord = Coord("f.coord")
+        self.net.register(self.server)
+        self.net.register(self.coord)
+        self.server.enable_durability(CONFIG)
+        self.node = self.server.node_id
+        self.durable = self.server._durable
+        self.disk, self.wal = self.durable.disk, self.durable.wal
+        self.deltas = 0
+
+    def mutate(self):
+        """One logged Δ, applied below ``receive`` (no checkpoint)."""
+        self.deltas += 1
+        n = self.deltas
+        if self.kind == "data":
+            self.server.apply_insert(n, b"v%d" % n)
+        else:
+            self.server._fold_run("insert", 0, n, [n], [n], [b"v%d" % n], [2])
+
+    def ctl(self):
+        self.net.send("f.coord", self.node, *CTL[self.kind])
+
+    def reboot(self):
+        self.net.fail(self.node)
+        self.net.restore(self.node)
+
+    def break_disk(self):
+        plane = FaultPlane(rng=np.random.default_rng(1))
+        plane.add_disk_rule(node=self.node, io_error=1.0)
+        self.net.install_fault_plane(plane)
+
+
+@pytest.fixture(params=["data", "parity"])
+def rig(request):
+    return Rig(request.param)
+
+
+def test_a_ctl_frame_is_durable_when_log_returns(rig):
+    """And with it every frame logged before it: the crash that follows
+    loses nothing, where a Δ frame alone stays in the unsynced tail."""
+    rig.mutate()
+    rig.mutate()
+    assert rig.disk.unsynced_bytes(rig.wal.LOG) > 0
+    rig.ctl()
+    assert rig.disk.unsynced_bytes(rig.wal.LOG) == 0
+    state, tail, clean = rig.durable.read_back(rig.kind)
+    assert state["kind"] == rig.kind and clean
+    assert ["ctl" in frame for frame in tail] == [False, False, True]
+
+
+def test_a_delta_frame_alone_dies_with_the_crash(rig):
+    rig.mutate()
+    assert rig.durable.read_back(rig.kind)[1] == []
+
+
+@pytest.mark.parametrize("write", ["append", "checkpoint"])
+def test_a_disk_error_is_fail_stop(rig, write):
+    rig.break_disk()
+    if rig.kind == "data":
+        rig.server._parity_queue.append({"held": "by a batch"})
+    failing = rig.mutate if write == "append" else rig.server.checkpoint_now
+    with pytest.raises(NodeUnavailable):
+        failing()
+    assert not rig.net.is_available(rig.node)
+    if rig.kind == "data" and write == "append":
+        assert rig.server._parity_queue == []  # a dead node ships nothing
+    # failing an already failed node again is not an error either
+    with pytest.raises(NodeUnavailable):
+        rig.durable.fail_stop()
+
+
+def test_checkpoints_fall_due_between_messages_only(rig):
+    for _ in range(CONFIG.durability_checkpoint_interval):
+        assert not rig.durable.due()
+        rig.mutate()
+    assert rig.durable.due() and rig.durable.appends == 4
+    rig.durable.restarting = True
+    assert not rig.durable.due()
+    rig.durable.restarting = False
+    rig.net.call("f.coord", rig.node, "status")  # any message: receive() ends
+    assert not rig.durable.due() and rig.durable.appends == 0
+    assert rig.disk.unsynced_bytes(rig.wal.LOG) == 0
+    for _ in range(CONFIG.durability_checkpoint_interval):
+        rig.mutate()
+    rig.net.fail(rig.node)
+    assert not rig.durable.due()  # a failed node writes nothing
+
+
+@pytest.mark.parametrize("damage", ["rotted", "missing", "foreign"])
+def test_read_back_without_a_usable_image(rig, damage):
+    """No base to replay onto: the synced tail is not returned either,
+    and the server restarts empty, fenced and asking for a rebuild."""
+    rig.mutate()
+    rig.ctl()  # the tail is on disk
+    kind = rig.kind
+    if damage == "rotted":
+        image = bytearray(rig.disk.read(rig.wal.CHECKPOINT))
+        image[len(image) // 2] ^= 0x55
+        rig.disk.write_file(rig.wal.CHECKPOINT, bytes(image))
+        rig.disk.fsync(rig.wal.CHECKPOINT)
+    elif damage == "missing":
+        rig.disk.write_file(rig.wal.CHECKPOINT, b"")
+        rig.disk.fsync(rig.wal.CHECKPOINT)
+    else:
+        kind = {"data": "parity", "parity": "data"}[kind]
+    assert rig.durable.read_back(kind) == (None, [], False)
+    if damage != "foreign":
+        rig.reboot()
+        assert rig.coord.rejoins[-1]["clean"] is False
+        assert rig.coord.rejoins[-1]["epoch"] == 0
+        assert rig.server.fenced
+        held = rig.server.ranks if rig.kind == "data" else rig.server.records
+        assert held == {}
+
+
+def test_a_reboot_replays_once_and_rejoins(rig):
+    rig.mutate()
+    rig.ctl()
+    rig.server.epoch = 5
+    rig.server.checkpoint_now()
+    rig.mutate()  # unsynced: lost
+    rig.reboot()
+    (asked,) = rig.coord.rejoins
+    assert asked["node"] == rig.node and asked["kind"] == rig.kind
+    assert asked["clean"] and asked["epoch"] == 5
+    assert rig.server.fenced and not rig.durable.restarting
+    # the hook is once-per-reboot: a restart that is told again mid-way
+    # (a scheduled restore firing inside its backoff) does not nest
+    calls = []
+    rig.durable.restored(lambda: calls.append(1) or rig.server.on_restored())
+    assert calls == [1] and len(rig.coord.rejoins) == 1
+
+
+def rejoin_calls(rig, monkeypatch):
+    calls = []
+    call = rig.net.call
+
+    def counted(sender, recipient, kind, *args, **kwargs):
+        if kind == "rejoin":
+            calls.append((sender, recipient))
+        return call(sender, recipient, kind, *args, **kwargs)
+
+    monkeypatch.setattr(rig.net, "call", counted)
+    return calls
+
+
+def test_rejoin_ladder_against_a_dark_coordinator(rig, monkeypatch):
+    """Exactly ``retry_attempts`` asks, backed off, then it stays down."""
+    calls = rejoin_calls(rig, monkeypatch)
+    rig.net.fail("f.coord")
+    before = rig.net.now
+    rig.reboot()
+    assert calls == [(rig.node, "f.coord")] * CONFIG.retry_attempts
+    assert rig.net.now > before  # it backed off between the attempts
+    assert not rig.net.is_available(rig.node) and rig.server.fenced
+
+
+@pytest.mark.parametrize("lost, asks, up", [
+    ("rejoin", CONFIG.retry_attempts, False),  # the handler never ran
+    ("rejoin.reply", 1, True),  # the coordinator acted; only the ack is lost
+])
+def test_rejoin_over_a_lossy_link(rig, monkeypatch, lost, asks, up):
+    calls = rejoin_calls(rig, monkeypatch)
+    plane = FaultPlane(rng=np.random.default_rng(1))
+    plane.add_rule(kinds={lost}, fail=1.0)
+    rig.net.install_fault_plane(plane)
+    rig.reboot()
+    assert len(calls) == asks
+    assert len(rig.coord.rejoins) == (1 if up else 0)
+    assert rig.net.is_available(rig.node) is up and rig.server.fenced
+
+
+def test_rejoin_never_fails_a_replacement_under_its_id(rig, monkeypatch):
+    """A rebuild installed a spare under this node's id while it was
+    down: the zombie's exhausted ladder must leave the spare alone."""
+    calls = rejoin_calls(rig, monkeypatch)
+    rig.net.fail("f.coord")
+    rig.net.fail(rig.node)
+    rig.net.unregister(rig.node)
+    rig.net.register(make_server(rig.kind))
+    rig.server.on_restored()
+    assert len(calls) == CONFIG.retry_attempts
+    assert rig.net.is_available(rig.node)
+
+
+def test_a_ram_only_server_has_no_shell(rig):
+    server = make_server(rig.kind)
+    rig.net.unregister(rig.node)
+    rig.net.register(server)
+    assert server._durable is None
+    server.on_restored()  # nothing to replay, nobody told
+    assert rig.coord.rejoins == []
+    status = rig.net.call("f.coord", rig.node, "status")
+    assert "fenced" not in status

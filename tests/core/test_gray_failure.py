@@ -7,8 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import LHRSConfig, LHRSFile
-from repro.core.client import _Breaker
-from repro.core.config import DeadlinePolicy
+from repro.core.client import BREAKER_COOLDOWN, _Breaker
 from repro.core.coordinator import BoundedHealthLog
 from repro.core.group import data_node
 from repro.core.recovery import RecoveryPacer
@@ -107,7 +106,7 @@ class TestHedgedReads:
                 file.search(key)
         assert file.tracer.counts.get("breaker.open", 0) >= 1
         plane.clear_rules()
-        file.network.advance(file.config.breaker_cooldown + 1.0)
+        file.network.advance(BREAKER_COOLDOWN + 1.0)
         for _ in range(3):
             for key in oracle:
                 file.search(key)
@@ -258,12 +257,10 @@ class TestRecoveryPacer:
 
 class TestConfigValidation:
     def test_deadline_policy_is_derived_from_config(self):
-        config = LHRSConfig(read_deadline=16.0, hedge_quantile=0.95)
-        policy = config.deadline_policy
-        assert isinstance(policy, DeadlinePolicy)
-        assert policy.deadline == 16.0
-        assert policy.hedge_quantile == 0.95
-        assert LHRSConfig().deadline_policy is None
+        """The policy is the one number it carries; the hedge and
+        breaker figures are constants of ``repro.core.client``."""
+        assert LHRSFile(LHRSConfig(read_deadline=16.0)).client.deadline == 16.0
+        assert LHRSFile(LHRSConfig()).client.deadline is None
 
     def test_bad_knobs_rejected(self):
         with pytest.raises(ValueError):
@@ -274,5 +271,12 @@ class TestConfigValidation:
             LHRSConfig(recovery_pace_rate=0.0)
         with pytest.raises(ValueError):
             LHRSConfig(health_log_capacity=0)
-        with pytest.raises(ValueError):
-            DeadlinePolicy(deadline=10.0, hedge_quantile=1.5)
+        for retired in (
+            "hedge_reads", "hedge_quantile", "hedge_min_samples",
+            "breaker_threshold", "breaker_cooldown", "retry_backoff_factor",
+            "retry_backoff_max", "batch_bulk_weight", "delta_log_capacity",
+        ):
+            with pytest.raises(TypeError):
+                LHRSConfig(**{retired: 1})
+        with pytest.raises(TypeError):
+            ServiceModel(bulk_op_weight=1.0)

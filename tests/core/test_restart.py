@@ -139,13 +139,16 @@ class TestParityRestartCatchUp:
         assert_all_readable(file)
         assert file.verify_parity_consistency() == []
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "ROADMAP item 1: the lost WAL tail held the merge's Δs and its ctl "
-        "reset, and catch_up_parity asks the group's current members only"
-    ))
-    def test_parity_restart_after_a_merge(self):
+    @pytest.mark.parametrize("fsync_interval", [1, 64])
+    def test_parity_restart_after_a_merge(self, fsync_interval):
+        """The merge's ``ctl reset`` frame — and with it the merge's Δs
+        logged before it — is durable before ``handle_parity_reset``
+        returns: a restart never comes back with the retired position's
+        channel, which ``catch_up_parity`` (it asks the group's current
+        members only) could not close."""
         file = LHRSFile(LHRSConfig(
-            bucket_capacity=8, durability=True, wal_fsync_interval=64,
+            bucket_capacity=8, durability=True,
+            wal_fsync_interval=fsync_interval,
             durability_checkpoint_interval=10**6,
         ))
         for key in range(60):
@@ -171,23 +174,6 @@ class TestParityRestartCatchUp:
         assert not file.network.nodes["f.p0.0"].stale
         assert file.verify_parity_consistency() == []
         assert_all_readable(file)
-
-
-class TestRejoinRetryPolicy:
-    def test_parity_rejoin_follows_the_configured_retry_policy(self):
-        """Coordinator dark, ``retry_attempts=1``: a healed parity node
-        asks to rejoin on the file's ladder — exactly once — and stays
-        down, as a data node does."""
-        file, tracer = build(retry_attempts=1)
-        file.failures.crash(["f.p0.0", "f.d1"])
-        file.network.fail("f.coord")
-        file.failures.heal(["f.p0.0", "f.d1"])
-        asked = sorted(
-            event.attrs["from"] for event in tracer.events
-            if event.type == "msg.send" and event.attrs["kind"] == "rejoin"
-        )
-        assert asked == ["f.d1", "f.p0.0"]
-        assert file.network.failed >= {"f.p0.0", "f.d1"}
 
 
 class TestFailStopInsideABatch:
@@ -216,7 +202,8 @@ class TestFailStopInsideABatch:
         expected = {key: b"v%d" % key for key in range(40)}
         del expected[old[0]]
         expected.update({new[0]: b"new-0", old[1]: b"changed", new[1]: b"new-1"})
-        append, appends = server._wal.append, itertools.count(1)
+        wal = server._durable.wal
+        append, appends = wal.append, itertools.count(1)
 
         def fifth_append_fails(entry):
             if next(appends) == 5:
@@ -226,7 +213,7 @@ class TestFailStopInsideABatch:
         def channels():
             return [p._expected_seq[0] for p in file.parity_servers(0)]
 
-        monkeypatch.setattr(server._wal, "append", fifth_append_fails)
+        monkeypatch.setattr(wal, "append", fifth_append_fails)
         shipped = server._parity_seq
         with pytest.raises(NodeUnavailable):
             file.client.call("f.d0", "ops.batch", {"ops": ops})
@@ -363,7 +350,7 @@ class TestImageEqualsLiveState:
         assert server.stale and before[4][min(positions)]
         server.checkpoint_now()
         net.fail("f.p0.0")
-        net.restore("f.p0.0")  # -> _disk.crash() -> _restart()
+        net.restore("f.p0.0")  # -> on_restored() -> _restart()
         assert server.fenced and live() == before
         # The locate index is rebuilt from the directory.  (The live one
         # is not compared: this generator inserts onto occupied slots,
@@ -402,7 +389,7 @@ class TestImageEqualsLiveState:
 
         before = live()
         server.checkpoint_now()
-        server._rejoin_file = lambda clean: None  # the state replay leaves
+        server._durable.rejoin = lambda payload: None  # what replay leaves
         server._restart()
         assert server.fenced and live() == before
 
@@ -413,8 +400,9 @@ class TestFallbackToFullRebuild:
         its durable prefix — the rejoin must take the full rebuild."""
         file, tracer = build()
         server = file.network.nodes["f.d1"]
-        server._disk.append(server._wal.LOG, b"\x99\x07torn-frame-junk")
-        server._disk.fsync(server._wal.LOG)
+        disk = server._durable.disk
+        disk.append(server._durable.wal.LOG, b"\x99\x07torn-frame-junk")
+        disk.fsync(server._durable.wal.LOG)
         file.failures.crash(["f.d1"])
         file.failures.heal(["f.d1"])
         assert tracer.counts.get("catchup.fallback") == 1

@@ -1,7 +1,7 @@
 """Config-matrix composition sweep: every ``LHRSConfig`` in ``GRID``'s
 product (320 configs) keeps every acknowledged operation through
-growth, a 75 % shrink and a crash/heal process, and rebuilds every
-bucket to the oracle's bytes.
+growth, a 75 % shrink with up to three merges and a crash/heal process,
+and rebuilds every bucket to the oracle's bytes.
 
 One config is one seeded run of mixed scalar and ``*_many`` calls under
 the strict auditor; node failures are a process (exponential gaps, a
@@ -85,7 +85,8 @@ def run(params: dict, operations: int, seed: int) -> LHRSFile:
     while done < operations:
         # ---- the failure process ------------------------------------
         for node in [n for n, until in down.items() if until <= done]:
-            file.failures.heal([node])
+            if node in file.network.nodes:  # else a merge dissolved it
+                file.failures.heal([node])
             del down[node]
         if done >= next_failure and not down:
             nodes = [s.node_id for s in file.data_servers()]
@@ -100,6 +101,11 @@ def run(params: dict, operations: int, seed: int) -> LHRSFile:
             phase, shrink_to = "shrink", len(oracle) // 4
         elif phase == "shrink" and len(oracle) <= shrink_to:
             phase = "churn"
+            # The merge policy's load estimate barely moves under this
+            # shrink, so the merges are commanded.
+            for _ in range(3):
+                if file.bucket_count > 5:
+                    file.rs_coordinator.merge_once()
         kind = rng.choices(kinds, mixes[phase])[0]
         many = rng.random() < 0.3
         count = rng.randrange(2, 49) if many else 1

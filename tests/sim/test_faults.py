@@ -18,6 +18,7 @@ from repro.sim import (
     Network,
     Node,
     RetryPolicy,
+    UnknownNode,
 )
 
 
@@ -379,3 +380,14 @@ class TestStrictHeal:
         assert inj.currently_failed == []
         with pytest.raises(ValueError):
             inj.heal(["b"])  # already healed: no longer owned
+
+    def test_heal_all_forgets_nodes_unregistered_while_down(self, net):
+        """A merge dissolves a bucket the injector holds down: healing
+        "everything" skips it, naming it stays an error."""
+        inj = FailureInjector(net)
+        inj.crash(["b", "c"])
+        net.unregister("c")
+        with pytest.raises(UnknownNode):
+            inj.heal(["c"])
+        inj.heal()
+        assert inj.currently_failed == [] and net.is_available("b")

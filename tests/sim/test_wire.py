@@ -185,7 +185,7 @@ class TestDispatch:
         """For every kind the class handles.  The instance exists before
         the handler is swapped on its class: dispatch is late-bound."""
         node = cls.__new__(cls)
-        node.node_id, node.fenced, node._wal = "n", False, None
+        node.node_id, node.fenced, node._durable = "n", False, None
         handled = [k for k in REGISTRY if hasattr(cls, handler_name(k))]
         assert handled, f"{cls.__qualname__} handles no registered kind"
         for kind in handled:

@@ -275,12 +275,11 @@ class TestFormatVersion:
         for node in ("f.d1", "f.p0.0"):
             server = file.network.nodes[node]
             server.checkpoint_now()
-            image = server._disk.read(server._wal.CHECKPOINT)
+            disk, name = server._durable.disk, server._durable.wal.CHECKPOINT
+            image = disk.read(name)
             assert decode_blob(image) is not None
-            server._disk.write_file(
-                server._wal.CHECKPOINT, forge_version(image, codec.VERSION + 1)
-            )
-            server._disk.fsync(server._wal.CHECKPOINT)
+            disk.write_file(name, forge_version(image, codec.VERSION + 1))
+            disk.fsync(name)
             before = tracer.counts.get("catchup.fallback", 0)
             file.failures.crash([node])
             file.failures.heal([node])
@@ -315,7 +314,7 @@ class TestGoldenImages:
         for node in ("f.d0", "f.p0.1"):
             server = file.network.nodes[node]
             server.checkpoint_now()
-            image = server._disk.read(server._wal.CHECKPOINT)
+            image = server._durable.disk.read(server._durable.wal.CHECKPOINT)
             state = decode_blob(image)
             out.append((state, hashlib.sha256(image).hexdigest()))
         return out

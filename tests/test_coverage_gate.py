@@ -135,6 +135,7 @@ class TestCli:
             "repro/sdds",
             "repro/sdds/client.py",
             "repro/core/data_bucket.py",
+            "repro/core/durable.py",
             "repro/check",
             "repro/store",
             "repro/store/codec.py",

@@ -39,6 +39,9 @@ DEFAULT_FLOORS: dict[str, float] = {
     "repro/sdds": 75.0,
     "repro/sdds/client.py": 72.0,
     "repro/core/data_bucket.py": 82.0,
+    # The durability shell both bucket kinds own: every branch of it is
+    # a crash, disk-error or rejoin outcome (tests/core/test_durable.py).
+    "repro/core/durable.py": 90.0,
     # Model-checking harness (this PR): the linearizability checker,
     # schedulers and shrinker must stay exercised end to end.
     "repro/check": 85.0,
