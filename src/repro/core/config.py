@@ -117,9 +117,6 @@ class LHRSConfig:
         Decorrelate sender backoff with deterministic jitter (see
         :class:`~repro.sim.faults.RetryPolicy`); off by default to
         keep the exact exponential schedule the pinned tests use.
-    health_log_capacity:
-        Ring-buffer bound on the coordinator's per-probe-round health
-        log; the oldest entries are dropped (and counted) beyond it.
     batch_ops:
         Enable the bulk scatter-gather data plane: the ``*_many``
         client calls bin operations by the client image into one
@@ -181,7 +178,6 @@ class LHRSConfig:
     recovery_pace_rate: float | None = None
     recovery_pace_burst: float = 8.0
     retry_jitter: bool = False
-    health_log_capacity: int = 512
     batch_ops: bool = False
     batch_max_ops: int = 256
     durability: bool = False
@@ -218,8 +214,6 @@ class LHRSConfig:
             raise ValueError("recovery_pace_rate must be positive")
         if self.recovery_pace_burst < 1:
             raise ValueError("recovery_pace_burst must be >= 1")
-        if self.health_log_capacity < 1:
-            raise ValueError("health_log_capacity must be >= 1")
         if self.batch_max_ops < 1:
             raise ValueError("batch_max_ops must be >= 1")
         if self.wal_fsync_interval < 1:

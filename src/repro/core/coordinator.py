@@ -54,6 +54,10 @@ class CoordinatorCrashed(DeliveryFault):
         self.point = point
 
 
+#: entries the coordinator's health log keeps before evicting the oldest
+HEALTH_LOG_CAPACITY = 512
+
+
 class BoundedHealthLog:
     """Drop-oldest ring buffer over probe-round health entries.
 
@@ -119,9 +123,8 @@ class RSCoordinator(Coordinator):
         self.spares_remaining = self.config.spare_servers
         self.recovery = RecoveryManager(self)
         #: per-probe-round health entries (the self-healing loop's log;
-        #: bench_e16_lifetime consumes this), bounded to the configured
-        #: capacity with drop-oldest eviction
-        self.health_log = BoundedHealthLog(self.config.health_log_capacity)
+        #: bench_e16_lifetime consumes this), a drop-oldest ring
+        self.health_log = BoundedHealthLog(HEALTH_LOG_CAPACITY)
         #: first probe round that saw each currently-down node (feeds
         #: the probe.mttr histogram when the node comes back)
         self._down_since: dict[str, float] = {}
@@ -314,7 +317,7 @@ class RSCoordinator(Coordinator):
             else self.config.spare_servers
         )
         if n is None:
-            checkpoint = self._fetch_checkpoint()
+            checkpoint = self.newest_checkpoint()
             if checkpoint is not None:
                 n, i = checkpoint["n"], checkpoint["i"]
                 for group, level in checkpoint["group_levels"].items():
@@ -348,21 +351,24 @@ class RSCoordinator(Coordinator):
             replayed.open_intents, key=lambda r: r.lsn, reverse=True
         ):
             self._resume_intent(record)
+        # The retrofit a split owed when the journal stopped is not an
+        # intent of its own; the policy is re-read instead.
+        self._maybe_scale_availability()
         if self.standby_ids:
             self.checkpoint_to_parity()
 
-    def _fetch_checkpoint(self) -> dict | None:
-        """Newest coordinator checkpoint held by any parity bucket.
+    def newest_checkpoint(self) -> dict | None:
+        """Newest coordinator checkpoint any reachable parity bucket
+        holds (None when nothing is reachable or nothing was stored).
 
         Walks the parity namespace by existence (``UnknownNode`` ends a
-        row/column) so it needs no prior knowledge of the group map.
+        row, an empty row the walk), so it needs no prior knowledge of
+        the group map.
         """
-        network = self._net()
         best: dict | None = None
         group = 0
         while True:
             index = 0
-            existed = False
             while True:
                 node_id = parity_node(self.file_id, group, index)
                 try:
@@ -370,19 +376,15 @@ class RSCoordinator(Coordinator):
                 except UnknownNode:
                     break
                 except (NodeUnavailable, DeliveryFault):
-                    existed = True
-                    index += 1
-                    continue
-                existed = True
+                    reply = None
                 index += 1
                 if reply is not None and (
                     best is None or reply["lsn"] > best["lsn"]
                 ):
                     best = dict(reply)
-            if not existed:
-                break
+            if index == 0:
+                return best
             group += 1
-        return best
 
     def _discover_from_survivors(self) -> tuple[int, int]:
         """A6 discipline with nothing else to go on: probe data-bucket
@@ -420,110 +422,41 @@ class RSCoordinator(Coordinator):
     # intent roll-forward
     # ------------------------------------------------------------------
     def _resume_intent(self, record: JournalRecord) -> None:
-        op = record.payload.get("op")
+        """Settle one open intent: a command is its own roll-forward.
+
+        A split or merge is re-entered — through the command itself,
+        whose every step tolerates having run — only when the plan
+        re-derived from the replayed state equals the journaled one.
+        Otherwise the intent is stale (leaked by a command that raised,
+        or finished with its ``intent.end`` not replicated): it is
+        closed as aborted and the state is left alone.
+        """
+        payload = record.payload
+        op = payload.get("op")
         network = self._net()
         if network.tracer is not None:
             network.tracer.emit("coord.resume", op=op, lsn=record.lsn)
         self.takeover_resumes.append({"op": op, "lsn": record.lsn})
-        if op == "split":
-            self._resume_split(record)
-        elif op == "merge":
-            self._resume_merge(record)
+        plan = (payload.get("source"), payload.get("target"), payload.get("level"))
+        shrinkable = self.state.bucket_count > self.state.n0
+        if op == "split" and plan == self.state.next_split():
+            if data_node(self.file_id, plan[1]) in network.failed:
+                # The target died after the crash.  It belongs to the
+                # file only in the post-split extent, so only there can
+                # it be rebuilt — and it must be, before the split ships
+                # records to it.
+                self.state.advance_split()
+                self._ensure_available(data_node(self.file_id, plan[1]))
+                self.state.retreat_merge()
+            self.split_once(record)
+        elif op == "merge" and shrinkable and plan == self.state.next_merge():
+            self.merge_once(record)
         elif op == "raise":
             self._resume_raise(record)
         elif op == "recover":
             self._resume_recover(record)
         else:
             self._journal("intent.end", begin=record.lsn, outcome="abort")
-
-    def _resume_split(self, record: JournalRecord) -> None:
-        """Roll an interrupted split forward.
-
-        The crash window leaves the target registered (possibly empty)
-        and the source either pre- or post-partition.  ``handle_split``
-        is idempotent on already-partitioned content (it moves nothing
-        and re-asserts the level), so: recover participants, re-issue
-        the structural command if the source's level says it never ran,
-        then commit the post-split state.
-        """
-        payload = record.payload
-        source, target = payload["source"], payload["target"]
-        new_level = payload["new_level"]
-        m = self.config.group_size
-        network = self._net()
-        source_id = data_node(self.file_id, source)
-        target_id = data_node(self.file_id, target)
-        # Group infrastructure for the target may be half-born.
-        if target % m == 0:
-            group = group_of(target, m)
-            if group not in self._group_levels:
-                self._create_group(group)
-            else:
-                for index in range(self._group_levels[group]):
-                    node_id = parity_node(self.file_id, group, index)
-                    if node_id not in network.nodes:
-                        network.register(self.make_parity_server(group, index))
-        # Recover the source under the *pre-split* directory (its level
-        # label must match the extent the parity data describes).
-        self._ensure_available(source_id)
-        source_level = self.call(source_id, "status")["level"]
-        self.state.n, self.state.i = payload["post_n"], payload["post_i"]
-        self.state.splits_done = max(0, self.state.bucket_count - self.state.n0)
-        if target_id not in network.nodes:
-            network.register(self.make_server(target, new_level))
-        self._ensure_available(target_id)
-        if source_level < new_level:
-            result = self._structural_call(
-                source_id, "split", {"target": target, "new_level": new_level}
-            )
-            self._sizes[source] = result["kept"]
-            self._sizes[target] = result["moved"]
-        self._journal("file.state", n=self.state.n, i=self.state.i)
-        self._journal("intent.end", begin=record.lsn)
-
-    def _resume_merge(self, record: JournalRecord) -> None:
-        """Roll an interrupted merge forward.
-
-        The crash window leaves the absorber's level possibly already
-        lowered and the dissolving bucket still registered with its
-        records; re-running ``level.set`` (absolute) and the structural
-        merge (moves whatever is still there) converges either way.
-        """
-        payload = record.payload
-        source, target = payload["source"], payload["target"]
-        level, retiring = payload["level"], payload["retiring"]
-        m = self.config.group_size
-        network = self._net()
-        source_id = data_node(self.file_id, source)
-        target_id = data_node(self.file_id, target)
-        self.state.n, self.state.i = payload["post_n"], payload["post_i"]
-        self.state.splits_done = max(0, self.state.bucket_count - self.state.n0)
-        self._ensure_available(source_id)
-        with self._restructure_lock():
-            before = len(self._pending_overflows)
-            self.send(source_id, "level.set", {"level": level})
-            if target_id in network.nodes:
-                self._structural_call(
-                    target_id, "merge", {"into": source, "retiring": retiring}
-                )
-                network.unregister(target_id)
-            self.on_bucket_removed(target)
-            # Same rule as merge_once: overflow reports raised by the
-            # merge's own record movement would split right back.
-            del self._pending_overflows[before:]
-        if not retiring:
-            group = group_of(target, m)
-            if group in self._group_levels:
-                for index in range(self.group_level(group)):
-                    node_id = parity_node(self.file_id, group, index)
-                    if network.is_available(node_id):
-                        self.send(
-                            node_id, "parity.reset",
-                            {"positions": [target % m]},
-                        )
-        self._sizes.pop(target, None)
-        self._journal("file.state", n=self.state.n, i=self.state.i)
-        self._journal("intent.end", begin=record.lsn)
 
     def _resume_raise(self, record: JournalRecord) -> None:
         """Abort a half-done availability raise, then redo it.
@@ -649,7 +582,8 @@ class RSCoordinator(Coordinator):
         return server
 
     def bump_epoch(self, node_id: str) -> int:
-        """Advance a bucket address's incarnation (spare install fence)."""
+        """Advance a bucket address's incarnation: the fence behind a
+        spare install, or a merge a down parity bucket missed."""
         epoch = self._bucket_epochs.get(node_id, 0) + 1
         self._bucket_epochs[node_id] = epoch
         return epoch
@@ -664,111 +598,90 @@ class RSCoordinator(Coordinator):
         self._journal("file.state", n=self.state.n, i=self.state.i)
 
     def _create_group(self, group: int) -> None:
-        level = self.config.effective_policy.level_for(
-            group_count(self.state.bucket_count, self.config.group_size) or 1
-        )
-        self._group_levels[group] = level
-        self._journal("group.level", group=group, level=level)
-        for index in range(level):
-            self._net().register(self.make_parity_server(group, index))
+        """Give ``group`` its level and parity buckets, whichever of the
+        two it still lacks (a resumed split may find it half-born)."""
+        if group not in self._group_levels:
+            level = self.config.effective_policy.level_for(
+                group_count(self.state.bucket_count, self.config.group_size) or 1
+            )
+            self._group_levels[group] = level
+            self._journal("group.level", group=group, level=level)
+        for index in range(self._group_levels[group]):
+            if parity_node(self.file_id, group, index) not in self._net().nodes:
+                self._net().register(self.make_parity_server(group, index))
 
     def on_new_bucket(self, number: int, level: int) -> None:
         if number % self.config.group_size == 0:
             self._create_group(group_of(number, self.config.group_size))
-        self._maybe_scale_availability()
 
-    def merge_once(self) -> tuple[int, int]:
+    def merge_once(self, intent: JournalRecord | None = None) -> tuple[int, int]:
         """Shrink by one bucket, maintaining parity on both groups.
 
         The dissolving bucket's records leave its record groups (batched
         Δ-deletes) and re-enter the absorber's (fresh ranks, batched
         Δ-inserts, via the ordinary bulk path).  When the dissolving
         bucket was its group's only member, the whole group — parity
-        buckets included — retires with it.
+        buckets included — retires with it (:meth:`on_bucket_removed`).
+        ``intent`` is the open record of an interrupted merge a takeover
+        re-enters; the live command journals its own.
         """
-        if self.state.bucket_count <= self.state.n0:
-            raise ValueError("cannot shrink below the initial buckets")
+        source, target, level = self.state.next_merge()
         m = self.config.group_size
-        target = self.state.bucket_count - 1
-        retiring = target % m == 0  # group's first and only bucket
-        # Both participants must be up before the state retreats (see
-        # _ensure_available on why recovery cannot happen mid-command).
-        # The absorber is the bucket whose split created the last one —
-        # retreat_merge's source, computed here without mutating state.
-        if self.state.n:
-            peek_source = self.state.n - 1
-        else:
-            peek_source = (1 << (self.state.i - 1)) * self.state.n0 - 1
+        group = group_of(target, m)
+        # The participants must be up before the state retreats (see
+        # _ensure_available on why recovery cannot happen mid-command):
+        # both data buckets and the parity buckets that are to forget the
+        # dissolved position (an empty bucket ships no Δ to heal one).
         self._ensure_available(
-            data_node(self.file_id, target),
-            data_node(self.file_id, peek_source),
+            data_node(self.file_id, target), data_node(self.file_id, source),
+            *(parity_node(self.file_id, group, index)
+              for index in range(self._group_levels.get(group, 0))),
         )
         tracer = self._net().tracer
         if tracer is not None:
-            tracer.emit("merge.start", target=target, retiring=retiring)
-        post = self.state.copy()
-        peek = post.retreat_merge()
-        begin = self._journal(
-            "intent.begin",
-            op="merge",
-            source=peek[0],
-            target=peek[1],
-            level=peek[2],
-            retiring=retiring,
-            post_n=post.n,
-            post_i=post.i,
+            tracer.emit("merge.start", target=target, retiring=target % m == 0)
+        begin = intent or self._journal(
+            "intent.begin", op="merge", source=source, target=target, level=level
         )
-        with self._restructure_lock():
-            before = len(self._pending_overflows)
-            source, _, level = self.state.retreat_merge()
-            self.send(data_node(self.file_id, source), "level.set",
-                      {"level": level})
-            self._crash_hook("merge.mid")
-            self._structural_call(
-                data_node(self.file_id, target), "merge",
-                {"into": source, "retiring": retiring},
-            )
-            self._net().unregister(data_node(self.file_id, target))
-            self.on_bucket_removed(target)
-            if not retiring:
-                # The group lives on: close the dissolved bucket's
-                # Δ-channels so a future split re-creating it (fresh
-                # sequence counter) is not mistaken for retransmissions.
-                group = group_of(target, m)
-                for index in range(self.group_level(group)):
-                    self.send(
-                        parity_node(self.file_id, group, index),
-                        "parity.reset",
-                        {"positions": [target % m]},
-                    )
-            self._sizes.pop(target, None)
-            # Drop overflow reports raised by the merge's own movement
-            # (see the base class note on merge/split ping-pong).
-            del self._pending_overflows[before:]
+        result = super().merge_once()
         self._journal("file.state", n=self.state.n, i=self.state.i)
         self._journal("intent.end", begin=begin.lsn)
         if tracer is not None:
             tracer.emit("merge.end", source=source, target=target)
-        return source, target
+        return result
 
     def on_bucket_removed(self, number: int) -> None:
-        if number % self.config.group_size == 0:
-            group = group_of(number, self.config.group_size)
-            level = self._group_levels.pop(group, None)
-            if level is None:
-                return  # already retired (idempotent under resume)
+        """Retire the dissolved bucket's group if it was the only member,
+        else close its Δ-channels so a future split re-creating the
+        bucket (fresh sequence counter) is not mistaken for
+        retransmissions.  A parity bucket that is down (``auto_recover``
+        off) gets no reset: a rebuild from data has no channel for the
+        position, and the epoch fence keeps a restart from catching up
+        onto the dead one."""
+        m = self.config.group_size
+        group, pos = group_of(number, m), number % m
+        level = self._group_levels.get(group)
+        if level is None:
+            return  # already retired (idempotent under resume)
+        network = self._net()
+        if pos == 0:
+            del self._group_levels[group]
             self._journal("group.level", group=group, level=RETIRED)
-            network = self._net()
-            for index in range(level):
-                node_id = parity_node(self.file_id, group, index)
+        for index in range(level):
+            node_id = parity_node(self.file_id, group, index)
+            if pos == 0:
                 if node_id in network.nodes:
                     network.unregister(node_id)
+            elif network.is_available(node_id):
+                self.send(node_id, "parity.reset", {"positions": [pos]})
+            else:
+                self.bump_epoch(node_id)
 
     def _maybe_scale_availability(self) -> None:
         """Retrofit existing groups when the policy raised the level."""
         if not self.config.upgrade_existing_groups:
             return
-        groups = group_count(self.state.bucket_count + 1, self.config.group_size)
+        groups = group_count(self.state.bucket_count, self.config.group_size)
         target = self.config.effective_policy.level_for(groups)
         for group, current in sorted(self._group_levels.items()):
             if current < target:
@@ -777,10 +690,12 @@ class RSCoordinator(Coordinator):
     def raise_group_level(self, group: int, new_level: int) -> None:
         """Add parity buckets to an existing group and encode them.
 
-        The new buckets' contents are computed by the recovery machinery
-        (a "loss" of the new indices against zero prior content is
-        exactly an encode), then the group's data servers are told their
-        new parity targets.
+        A new parity column is the RS encode group recovery already
+        performs for a lost one — a loss of the new indices against zero
+        prior content — so the recovery machinery builds it from the
+        members' dumps and delivers it by ``parity.load``; no spare is
+        taken and the existing parity buckets are not read.  Then the
+        group's data servers are told their new parity targets.
         """
         current = self.group_level(group)
         if new_level <= current:
@@ -801,7 +716,7 @@ class RSCoordinator(Coordinator):
         # Read the group's data *before* committing anything: a dead
         # member surfaces here and leaves the group untouched (recover
         # it, then retry the raise).
-        ops, expected_seqs = self._collect_group_ops(group)
+        dumps = self.recovery.dump_data(group)
         begin = self._journal(
             "intent.begin",
             op="raise",
@@ -809,59 +724,20 @@ class RSCoordinator(Coordinator):
             from_level=current,
             to_level=new_level,
         )
-        for index in range(current, new_level):
-            self._net().register(self.make_parity_server(group, index))
         self._group_levels[group] = new_level
         self._journal("group.level", group=group, level=new_level)
         self._crash_hook("raise.mid")
-        for index in range(current, new_level):
-            self.send(
-                parity_node(self.file_id, group, index),
-                "parity.batch",
-                {"ops": ops, "expected_seqs": expected_seqs},
-            )
+        self.recovery.encode_parity(group, dumps, range(current, new_level))
         targets = [
             parity_node(self.file_id, group, i) for i in range(new_level)
         ]
-        for bucket in group_buckets(
-            group, self.config.group_size, self.state.bucket_count
-        ):
+        for bucket in dumps:
             self.send(
                 data_node(self.file_id, bucket),
                 "config.parity",
                 {"targets": targets},
             )
         self._journal("intent.end", begin=begin.lsn)
-
-    def _collect_group_ops(self, group: int) -> tuple[list[dict], dict[int, int]]:
-        """Dump a group's data as (unsequenced) insert Δ-ops plus the
-        channel expectations a fresh parity bucket should start from.
-
-        The ops feed new parity buckets in one encode batch; the
-        expectations make any in-flight or retransmitted Δ from before
-        the dump a detectable duplicate at the new bucket.
-        """
-        m = self.config.group_size
-        buckets = group_buckets(group, m, self.state.bucket_count)
-        ops_by_rank: dict[int, list] = {}
-        expected_seqs: dict[int, int] = {}
-        for bucket in buckets:
-            dump = self.call(data_node(self.file_id, bucket), "bucket.dump")
-            pos = bucket % m
-            expected_seqs[pos] = dump.get("parity_seq", 0) + 1
-            for key, rank, payload in dump["records"]:
-                ops_by_rank.setdefault(rank, []).append(
-                    {
-                        "op": "insert",
-                        "key": key,
-                        "rank": rank,
-                        "pos": pos,
-                        "delta": payload,
-                        "length": len(payload),
-                    }
-                )
-        ops = [op for rank in sorted(ops_by_rank) for op in ops_by_rank[rank]]
-        return ops, expected_seqs
 
     # ------------------------------------------------------------------
     # unavailability handling
@@ -953,27 +829,24 @@ class RSCoordinator(Coordinator):
         happen between operation chains, so a participant alive here is
         alive for the whole command.)
         """
-        down = [n for n in node_ids if not self._net().is_available(n)]
+        down = [n for n in node_ids if n in self._net().failed]
         if down and self.config.auto_recover:
             self.recovery.recover_nodes(down)
 
-    def split_once(self) -> tuple[int, int]:
-        source, target, new_level = self.state.next_split()
+    def split_once(self, intent: JournalRecord | None = None) -> tuple[int, int]:
+        """One split, bracketed by its intent; ``intent`` is the open
+        record of an interrupted split a takeover re-enters.  Retrofits
+        the policy asks for follow once it closed: a raise is a command
+        of its own and reads the extent the split produced."""
+        source, target, level = self.state.next_split()
         self._ensure_available(data_node(self.file_id, source))
-        post = self.state.copy()
-        post.advance_split()
-        begin = self._journal(
-            "intent.begin",
-            op="split",
-            source=source,
-            target=target,
-            new_level=new_level,
-            post_n=post.n,
-            post_i=post.i,
+        begin = intent or self._journal(
+            "intent.begin", op="split", source=source, target=target, level=level
         )
         result = super().split_once()
         self._journal("file.state", n=self.state.n, i=self.state.i)
         self._journal("intent.end", begin=begin.lsn)
+        self._maybe_scale_availability()
         return result
 
     def handle_report_stale(self, message: Message) -> None:

@@ -549,6 +549,8 @@ class RSDataServer(DataServer):
     # splits: group membership follows the record
     # ------------------------------------------------------------------
     def handle_split(self, message: Message) -> Any:
+        if self.level >= message.payload["new_level"]:
+            return {"moved": 0, "kept": len(self.bucket)}  # re-sent: it ran
         target = message.payload["target"]
         stay, move = addressing.split_records(
             list(self.bucket.records.items()),
@@ -598,14 +600,14 @@ class RSDataServer(DataServer):
         group's record groups (batched parity deletes), then ship the
         records to the absorbing bucket, which re-groups them there.
 
-        If this bucket was its group's only member, the coordinator
-        retires the group's parity buckets afterwards — the batch then
-        merely zeroes records that are about to be discarded, so it is
-        skipped (the coordinator tells us via ``retiring``).
+        The last bucket at group position 0 is its group's only member:
+        the coordinator retires the group's parity buckets afterwards —
+        the batch then merely zeroes records that are about to be
+        discarded, so it is skipped.
         """
         into = message.payload["into"]
         records = list(self.bucket.records.items())
-        delete_ops = [] if message.payload.get("retiring") else [
+        delete_ops = [] if self.position == 0 else [
             self._parity_op("delete", key, self.ranks[key], payload, 0)
             for key, payload in records
         ]

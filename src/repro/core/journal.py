@@ -22,8 +22,10 @@ Record taxonomy (``RECORD_TYPES``):
 ``intent.begin`` / ``intent.end``
     Bracket a restructuring operation (``op`` ∈ split / merge / raise /
     recover).  A ``begin`` whose LSN is never named by an ``end`` is an
-    *open intent*: the operation was in flight when the journal stopped,
-    and a takeover must roll it forward (or cleanly abort it).
+    *open intent*: the operation was in flight when the journal stopped.
+    A split or merge carries its plan ``{source, target, level}``; a
+    takeover re-enters the command when the replayed state still
+    yields that plan and closes the intent as aborted otherwise.
 ``takeover``
     A standby assumed the coordinator identity at ``{term}``.
 

@@ -17,16 +17,15 @@ retransmission and is *skipped* — folding it again would silently
 corrupt the parity, since the fold is its own inverse in GF(2^w).  A Δ
 above it proves this bucket missed traffic (a dropped message): it
 reports itself stale to the coordinator, which rebuilds it from the
-group's data.  Unsequenced Δs (coordinator encode batches) apply
-unconditionally.
+group's data.  An unsequenced Δ applies unconditionally.
 
 Storage and maintenance each have one shape.  Every parity symbol lives
 in one contiguous :class:`~repro.core.stripe_store.StripeStore` matrix
 with a rank→row map (``records`` holds only the key/length directory),
 so dumps render in one bytes pass and signature scans run as one 2D
 kernel.  Every Δ — a ``parity.update``, the per-op entries and columnar
-blocks of a ``parity.batch``, an encode batch, a catch-up tail, a WAL
-frame — is normalised at the handler edge to a *run* (one position, one
+blocks of a ``parity.batch``, a catch-up tail, a WAL frame — is
+normalised at the handler edge to a *run* (one position, one
 action, distinct ranks, consecutive-or-absent sequence numbers) and
 folded by :meth:`ParityServer._fold_run`, the only routine that writes
 Δ-derived symbols.
@@ -443,44 +442,26 @@ class ParityServer(Node):
         }
 
     def handle_parity_batch(self, message: Message) -> dict:
-        """Batched Δ-records (client batches, splits, merges, encodes).
+        """Batched Δ-records (client batches, splits, merges).
 
         Ops in one batch share a channel and are contiguous, so the
         first stale run means every later one is too — stop and report
-        once.  A trailing ``expected_seqs`` map (coordinator encode
-        paths) re-bases the channels afterwards.
+        once.  A whole bucket's content never arrives here: a new or
+        rebuilt parity bucket is loaded by ``parity.load``.
         """
         ops = message.payload["ops"]
-        rebase = message.payload.get("expected_seqs")
         tracer = self.network.tracer if self.network is not None else None
         if tracer is not None:
             tracer.emit(
                 "parity.batch", node=self.node_id, ops=len(ops)
             )
-        slots = {
-            (op["rank"], op["pos"]) for op in ops
-            if op.get("op") == "insert" and op.get("seq") is None
-        }
-        if len(slots) == len(ops):
-            # A whole-group encode (unsequenced inserts, one per slot)
-            # arrives rank-major; the inserts commute, so take them
-            # position-major: m long runs instead of one per record.
-            ops = sorted(ops, key=lambda op: op["pos"])
         applied, stale = 0, False
         for run in self._runs(ops):
-            # A re-basing batch is a full-state event: checkpointed
-            # below instead of logged run by run.
-            done, stale = self._fold_run(*run, wal=not rebase)
+            done, stale = self._fold_run(*run)
             applied += done
             if stale:
                 self._report_stale()
                 break
-        if rebase and not stale:
-            self._expected_seq.update(
-                {int(pos): seq for pos, seq in rebase.items()}
-            )
-        if rebase and self._durable is not None:
-            self.checkpoint_now()
         return {"status": "stale" if stale else "applied", "applied": applied}
 
     def handle_parity_reset(self, message: Message) -> None:

@@ -21,6 +21,8 @@ costs straight off the accounting windows.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.core.group import data_node, group_buckets, group_of, parity_node, position_of
@@ -169,17 +171,9 @@ class RecoveryManager:
             kind=cfg.generator,
         )
 
-    def _make_pacer(self) -> RecoveryPacer | None:
-        """A fresh token bucket per rebuild (None = pacing off)."""
-        cfg = self.coordinator.config
-        if cfg.recovery_pace_rate is None:
-            return None
-        return RecoveryPacer(
-            self._net, cfg.recovery_pace_rate, cfg.recovery_pace_burst
-        )
-
-    def _account_transfer(self, pacer, node_id: str, payload) -> None:
-        """Account one rebuild transfer's weight.
+    def _account_transfer(self, pacer, node_id: str, payload: dict) -> None:
+        """Account one rebuild transfer's weight (``payload`` is the
+        dump reply or the load sent: either lists its ``records``).
 
         A dump/load moves a whole bucket in one RPC, not one request's
         worth of work: the service plane (when installed) parks one unit
@@ -188,14 +182,7 @@ class RecoveryManager:
         as records per clock unit.  Pacing *after* the transfer lets the
         just-charged queue drain before the next one fires.
         """
-        if isinstance(payload, dict):
-            records = payload.get("records")
-        else:
-            records = payload
-        try:
-            units = float(max(1, len(records)))
-        except TypeError:
-            units = 1.0
+        units = float(max(1, len(payload["records"])))
         net = self._net
         if net.service is not None:
             net.service.charge_bulk(node_id, units, net.now)
@@ -262,6 +249,7 @@ class RecoveryManager:
                 "skipped": True,
             }
         self._recovering_groups.add(group)
+        lost_data, lost_parity = sorted(set(lost_data)), sorted(set(lost_parity))
         tracer = self._net.tracer
         # Recovery intent: a coordinator crash mid-rebuild leaves this
         # begin record open, and the takeover re-probes the group (the
@@ -270,33 +258,18 @@ class RecoveryManager:
             "intent.begin",
             op="recover",
             group=group,
-            lost_data=sorted(set(lost_data)),
-            lost_parity=sorted(set(lost_parity)),
+            lost_data=lost_data,
+            lost_parity=lost_parity,
+        )
+        span = nullcontext() if tracer is None else tracer.span(
+            "recovery", group=group, lost_data=lost_data, lost_parity=lost_parity
         )
         try:
             try:
-                if tracer is None:
+                with span:
                     stats = self._recover_group_locked(
                         group, lost_data, lost_parity
                     )
-                else:
-                    with tracer.span(
-                        "recovery",
-                        group=group,
-                        lost_data=sorted(set(lost_data)),
-                        lost_parity=sorted(set(lost_parity)),
-                    ):
-                        tracer.emit("recovery.start", group=group)
-                        stats = self._recover_group_locked(
-                            group, lost_data, lost_parity
-                        )
-                        tracer.emit(
-                            "recovery.end",
-                            group=group,
-                            records=stats["records"],
-                            data_buckets=len(stats["data_buckets"]),
-                            parity_buckets=len(stats["parity_buckets"]),
-                        )
             except RecoveryError:
                 self.coordinator._journal(
                     "intent.end", begin=begin.lsn, outcome="abort"
@@ -310,15 +283,83 @@ class RecoveryManager:
     def _recover_group_locked(
         self, group: int, lost_data: list[int], lost_parity: list[int]
     ) -> dict:
+        """The rebuild in its phases: collect the survivors, promote the
+        stale ones, claim the spares, decode, install."""
         coordinator = self.coordinator
+        tracer = self._net.tracer
+        if tracer is not None:
+            tracer.emit("recovery.start", group=group)
         cfg = coordinator.config
-        m = cfg.group_size
-        k = coordinator.group_level(group)
-        codec = self._codec(group)
+        # A fresh token bucket per rebuild (None = pacing off).
+        pacer = None if cfg.recovery_pace_rate is None else RecoveryPacer(
+            self._net, cfg.recovery_pace_rate, cfg.recovery_pace_burst
+        )
+        data_dumps, parity_dumps, lost_data, lost_parity = (
+            self._collect_survivors(group, lost_data, lost_parity, pacer)
+        )
+        # Crash point: survivors dumped, nothing claimed or installed
+        # yet — the window a takeover must re-probe (see recover_group's
+        # intent record).
+        coordinator._crash_hook("recover.mid")
+        lost_parity = self._promote_stale(
+            group, data_dumps, parity_dumps, lost_data, lost_parity
+        )
+        # Claim every needed spare before the rebuild: pool exhaustion
+        # must abort before any server is torn down, never mid-install.
+        for _ in range(len(lost_data) + len(lost_parity)):
+            coordinator.take_spare()
 
-        data_buckets = group_buckets(group, m, coordinator.state.bucket_count)
-        lost_data = sorted(set(lost_data))
-        lost_parity = sorted(set(lost_parity))
+        new_data, new_parity, decoded = self._rebuild(
+            group, data_dumps, parity_dumps, lost_data, lost_parity
+        )
+        self._install(group, data_dumps, parity_dumps, new_data, new_parity, pacer)
+
+        self.groups_recovered += 1
+        self.records_reconstructed += decoded
+        if tracer is not None:
+            tracer.emit(
+                "recovery.end",
+                group=group,
+                records=decoded,
+                data_buckets=len(lost_data),
+                parity_buckets=len(lost_parity),
+            )
+        return {
+            "group": group,
+            "data_buckets": lost_data,
+            "parity_buckets": lost_parity,
+            "records": decoded,
+        }
+
+    def _dump(self, node_id: str, kind: str, pacer: RecoveryPacer | None) -> dict:
+        """One member's ``bucket.dump`` / ``parity.dump``, accounted."""
+        dump = self._net.call(self.coordinator.node_id, node_id, kind)
+        self._account_transfer(pacer, node_id, dump)
+        return dump
+
+    def dump_data(
+        self, group: int, lost: list[int] = (), pacer: RecoveryPacer | None = None
+    ) -> dict[int, dict]:
+        """Dumps of ``group``'s data buckets not in ``lost``, by bucket
+        number; a dead one raises ``NodeUnavailable``."""
+        cfg = self.coordinator.config
+        return {
+            b: self._dump(data_node(self._file_id, b), "bucket.dump", pacer)
+            for b in group_buckets(
+                group, cfg.group_size, self.coordinator.state.bucket_count
+            )
+            if b not in lost
+        }
+
+    def _collect_survivors(
+        self, group: int, lost_data: list[int], lost_parity: list[int],
+        pacer: RecoveryPacer | None,
+    ) -> tuple[dict[int, dict], dict[int, dict], list[int], list[int]]:
+        """Dump every member not lost (counted messages); returns the
+        data dumps, the parity dumps and the widened loss lists."""
+        m = self.coordinator.config.group_size
+        k = self.coordinator.group_level(group)
+        data_buckets = group_buckets(group, m, self.coordinator.state.bucket_count)
         for bucket in lost_data:
             if bucket not in data_buckets:
                 raise RecoveryError(
@@ -329,27 +370,21 @@ class RecoveryManager:
                 raise RecoveryError(
                     f"parity index {index} beyond group {group}'s level {k}"
                 )
-
         # Widen to any additional members found unavailable right now.
-        for bucket in data_buckets:
-            if bucket not in lost_data and not self._net.is_available(
-                data_node(self._file_id, bucket)
-            ):
-                lost_data.append(bucket)
-        for index in range(k):
-            if index not in lost_parity and not self._net.is_available(
-                parity_node(self._file_id, group, index)
-            ):
-                lost_parity.append(index)
-        lost_data.sort()
-        lost_parity.sort()
+        available = self._net.is_available
+        lost_data = sorted({*lost_data, *(
+            b for b in data_buckets
+            if not available(data_node(self._file_id, b))
+        )})
+        lost_parity = sorted({*lost_parity, *(
+            i for i in range(k)
+            if not available(parity_node(self._file_id, group, i))
+        )})
 
-        # ---- collect survivor state (counted messages) ----------------
         # Every dump is a top-level call, so the clock ticks between
         # them and a scheduled failure can take a survivor down *mid-
         # recovery*.  Fold the casualty into the lost set and restart
         # the collection rather than decoding from a torn survivor set.
-        coord_id = coordinator.node_id
         while True:
             if len(lost_data) + len(lost_parity) > k:
                 raise RecoveryError(
@@ -357,30 +392,14 @@ class RecoveryManager:
                     f"{len(lost_parity)} parity buckets lost exceeds "
                     f"availability level k={k}"
                 )
-            survivors_data = [b for b in data_buckets if b not in lost_data]
-            survivors_parity = [i for i in range(k) if i not in lost_parity]
-            pacer = self._make_pacer()
             try:
-                data_dumps = {}
-                for b in survivors_data:
-                    data_dumps[b] = self._net.call(
-                        coord_id, data_node(self._file_id, b), "bucket.dump"
+                data_dumps = self.dump_data(group, lost_data, pacer)
+                parity_dumps = {
+                    i: self._dump(
+                        parity_node(self._file_id, group, i), "parity.dump", pacer
                     )
-                    self._account_transfer(
-                        pacer, data_node(self._file_id, b), data_dumps[b]
-                    )
-                parity_dumps = {}
-                for i in survivors_parity:
-                    parity_dumps[i] = self._net.call(
-                        coord_id,
-                        parity_node(self._file_id, group, i),
-                        "parity.dump",
-                    )
-                    self._account_transfer(
-                        pacer,
-                        parity_node(self._file_id, group, i),
-                        parity_dumps[i],
-                    )
+                    for i in range(k) if i not in lost_parity
+                }
             except NodeUnavailable as failure:
                 parsed = parse_node_id(self._file_id, failure.node_id)
                 if parsed is None:  # pragma: no cover - own group members only
@@ -390,108 +409,47 @@ class RecoveryManager:
                 else:
                     lost_parity = sorted({*lost_parity, parsed[2]})
                 continue
-            break
+            return data_dumps, parity_dumps, lost_data, lost_parity
 
-        # Crash point: survivors dumped, nothing claimed or installed
-        # yet — the window a takeover must re-probe (see recover_group's
-        # intent record).
-        coordinator._crash_hook("recover.mid")
+    def _promote_stale(
+        self, group: int, data_dumps: dict[int, dict],
+        parity_dumps: dict[int, dict], lost_data: list[int],
+        lost_parity: list[int],
+    ) -> list[int]:
+        """Stale-survivor promotion; returns the widened ``lost_parity``.
 
-        # ---- stale-survivor promotion ---------------------------------
-        # A surviving parity bucket whose Δ channel lags a surviving data
-        # bucket's sequence counter missed traffic (fire-and-forget mode,
-        # or a crash report racing the Δ fan-out).  Folding a decode
-        # through its payloads would resurrect deleted records, so it is
-        # promoted into the lost set and re-encoded from current data.
-        survivor_seqs = {
-            position_of(b, m): dump.get("parity_seq", 0)
-            for b, dump in data_dumps.items()
-        }
+        A surviving parity bucket whose Δ channel lags a surviving data
+        bucket's sequence counter missed traffic (fire-and-forget mode,
+        or a crash report racing the Δ fan-out).  Folding a decode
+        through its payloads would resurrect deleted records, so it is
+        promoted into the lost set (its dump dropped) and re-encoded
+        from current data.
+        """
+        k = self.coordinator.group_level(group)
+        data_seqs = self._data_seqs(data_dumps)
         stale = sorted(
             index for index, dump in parity_dumps.items()
             if any(
                 dump.get("expected_seqs", {}).get(pos, 1) < seq + 1
-                for pos, seq in survivor_seqs.items()
+                for pos, seq in data_seqs.items()
             )
         )
-        if stale:
-            if len(lost_data) + len(lost_parity) + len(stale) > k:
-                raise RecoveryError(
-                    f"group {group}: surviving parity {stale} lag the data "
-                    f"buckets; rebuilding them too exceeds availability "
-                    f"level k={k}"
-                )
-            for index in stale:
-                del parity_dumps[index]
-            lost_parity = sorted({*lost_parity, *stale})
-            survivors_parity = [i for i in range(k) if i not in lost_parity]
+        if len(lost_data) + len(lost_parity) + len(stale) > k:
+            raise RecoveryError(
+                f"group {group}: surviving parity {stale} lag the data "
+                f"buckets; rebuilding them too exceeds availability "
+                f"level k={k}"
+            )
+        for index in stale:
+            del parity_dumps[index]
+        return sorted({*lost_parity, *stale})
 
-        # Claim every needed spare before the rebuild: pool exhaustion
-        # must abort before any server is torn down, never mid-install.
-        for _ in range(len(lost_data) + len(lost_parity)):
-            coordinator.take_spare()
-
-        # ---- rebuild lost content -------------------------------------
-        if lost_data:
-            if not survivors_parity:
-                raise RecoveryError(
-                    f"group {group}: data lost but no parity bucket survives"
-                )
-            directory = self._merge_directory(parity_dumps)
-        else:
-            directory = self._directory_from_data(data_dumps)
-
-        new_data, new_parity, decoded = self._rebuild(
-            codec, m, directory, data_dumps, parity_dumps,
-            lost_data, lost_parity, group,
-        )
-
-        # ---- Δ-channel bookkeeping ------------------------------------
-        # A rebuilt data bucket resumes its sequence counter from the
-        # most advanced surviving parity channel (that channel saw every
-        # Δ the lost bucket issued); a rebuilt parity bucket expects the
-        # next Δ after each data counter, so in-flight retransmissions
-        # arrive as duplicates, never as double-applied folds.
-        data_seqs = {
+    def _data_seqs(self, data_dumps: dict[int, dict]) -> dict[int, int]:
+        """Group position -> Δ sequence counter of each dumped bucket."""
+        m = self.coordinator.config.group_size
+        return {
             position_of(b, m): dump.get("parity_seq", 0)
             for b, dump in data_dumps.items()
-        }
-        for bucket in lost_data:
-            pos = position_of(bucket, m)
-            data_seqs[pos] = max(
-                (
-                    dump.get("expected_seqs", {}).get(pos, 1) - 1
-                    for dump in parity_dumps.values()
-                ),
-                default=0,
-            )
-
-        # ---- install spares under the lost logical addresses ----------
-        for bucket in lost_data:
-            self._install_data_spare(
-                bucket, new_data[bucket], data_seqs[position_of(bucket, m)]
-            )
-            self._account_transfer(
-                pacer, data_node(self._file_id, bucket), new_data[bucket]
-            )
-        expected_seqs = {pos: seq + 1 for pos, seq in data_seqs.items()}
-        for index in lost_parity:
-            self._install_parity_spare(
-                group, index, new_parity[index], expected_seqs
-            )
-            self._account_transfer(
-                pacer,
-                parity_node(self._file_id, group, index),
-                new_parity[index],
-            )
-
-        self.groups_recovered += 1
-        self.records_reconstructed += decoded
-        return {
-            "group": group,
-            "data_buckets": lost_data,
-            "parity_buckets": lost_parity,
-            "records": decoded,
         }
 
     # ------------------------------------------------------------------
@@ -533,14 +491,11 @@ class RecoveryManager:
 
     def _rebuild(
         self,
-        codec: RSCodec,
-        m: int,
-        directory: dict[int, dict],
+        group: int,
         data_dumps: dict[int, dict],
         parity_dumps: dict[int, dict],
         lost_data: list[int],
         lost_parity: list[int],
-        group: int,
     ) -> tuple[dict[int, dict], dict[int, list], int]:
         """Decode every affected record group; assemble spare contents.
 
@@ -553,58 +508,26 @@ class RecoveryManager:
         lengths the record-at-a-time path produces (bit-exact: zero
         padding to the batch stripe length is semantically free).
         """
+        m = self.coordinator.config.group_size
+        codec = self._codec(group)
         field = codec.field
-        # Index survivor data records by rank and position.
-        by_rank: dict[int, dict[int, bytes]] = {}
-        for bucket, dump in data_dumps.items():
-            pos = position_of(bucket, m)
-            for key, rank, payload in dump["records"]:
-                by_rank.setdefault(rank, {})[pos] = payload
-
+        if not lost_data:
+            directory = self._directory_from_data(data_dumps)
+        elif parity_dumps:
+            directory = self._merge_directory(parity_dumps)
+        else:
+            raise RecoveryError(
+                f"group {group}: data lost but no parity bucket survives"
+            )
         lost_positions_data = {position_of(b, m): b for b in lost_data}
         new_data: dict[int, dict] = {
             b: {"records": [], "max_rank": 0} for b in lost_data
         }
         new_parity: dict[int, list] = {i: [] for i in lost_parity}
         decoded = 0
-
-        # ---- pass 1: assemble shares, batch ranks by loss pattern -----
-        batches: dict[tuple, list[tuple[int, dict[int, bytes]]]] = {}
-        for rank, entry in sorted(directory.items()):
-            keys = entry["keys"]
-            # Which codeword positions need rebuilding for this rank?
-            lost_here = [
-                pos for pos in lost_positions_data if pos in keys
-            ]
-            want = [*lost_here, *(m + i for i in lost_parity)]
-            # Track the lost bucket's counter even when nothing decodes.
-            for pos in lost_positions_data:
-                if pos in keys:
-                    bucket = lost_positions_data[pos]
-                    new_data[bucket]["max_rank"] = max(
-                        new_data[bucket]["max_rank"], rank
-                    )
-            if not want:
-                continue
-
-            shares: dict[int, bytes] = {}
-            for pos in range(m):
-                if pos in lost_positions_data:
-                    continue
-                if pos in keys:
-                    payload = by_rank.get(rank, {}).get(pos)
-                    if payload is None:  # pragma: no cover
-                        raise RecoveryError(
-                            f"survivor bucket at position {pos} lacks rank {rank}"
-                        )
-                    shares[pos] = payload
-                else:
-                    shares[pos] = b""  # known-empty slot: zero payload
-            for index, parity in entry["parity"].items():
-                shares[m + index] = parity
-
-            signature = (tuple(sorted(shares)), tuple(want))
-            batches.setdefault(signature, []).append((rank, shares))
+        batches = self._loss_batches(
+            directory, data_dumps, lost_positions_data, lost_parity, new_data
+        )
 
         # ---- pass 2: one stacked decode per loss pattern --------------
         stats = getattr(self._net, "stats", None)
@@ -674,64 +597,144 @@ class RecoveryManager:
             new_data[bucket]["records"].sort(key=lambda rec: rec[1])
         return new_data, new_parity, decoded
 
+    def _loss_batches(
+        self,
+        directory: dict[int, dict],
+        data_dumps: dict[int, dict],
+        lost_positions_data: dict[int, int],
+        lost_parity: list[int],
+        new_data: dict[int, dict],
+    ) -> dict[tuple, list[tuple[int, dict[int, bytes]]]]:
+        """Pass 1 of :meth:`_rebuild`: assemble every rank's surviving
+        shares and batch the ranks by loss pattern, ``(surviving
+        positions, wanted positions) -> [(rank, shares)]``.  Notes each
+        lost bucket's highest rank in ``new_data`` on the way."""
+        m = self.coordinator.config.group_size
+        # Index survivor data records by rank and position.
+        by_rank: dict[int, dict[int, bytes]] = {}
+        for bucket, dump in data_dumps.items():
+            pos = position_of(bucket, m)
+            for key, rank, payload in dump["records"]:
+                by_rank.setdefault(rank, {})[pos] = payload
+
+        batches: dict[tuple, list[tuple[int, dict[int, bytes]]]] = {}
+        for rank, entry in sorted(directory.items()):
+            keys = entry["keys"]
+            # Which codeword positions need rebuilding for this rank?
+            lost_here = [
+                pos for pos in lost_positions_data if pos in keys
+            ]
+            want = [*lost_here, *(m + i for i in lost_parity)]
+            # Track the lost bucket's counter even when nothing decodes.
+            for pos in lost_here:
+                content = new_data[lost_positions_data[pos]]
+                content["max_rank"] = max(content["max_rank"], rank)
+            if not want:
+                continue
+
+            shares: dict[int, bytes] = {}
+            for pos in range(m):
+                if pos in lost_positions_data:
+                    continue
+                if pos in keys:
+                    payload = by_rank.get(rank, {}).get(pos)
+                    if payload is None:  # pragma: no cover
+                        raise RecoveryError(
+                            f"survivor bucket at position {pos} lacks rank {rank}"
+                        )
+                    shares[pos] = payload
+                else:
+                    shares[pos] = b""  # known-empty slot: zero payload
+            for index, parity in entry["parity"].items():
+                shares[m + index] = parity
+
+            signature = (tuple(sorted(shares)), tuple(want))
+            batches.setdefault(signature, []).append((rank, shares))
+        return batches
+
     # ------------------------------------------------------------------
-    def _install_data_spare(
-        self, bucket: int, content: dict, parity_seq: int = 0
+    def _install(
+        self, group: int, data_dumps: dict[int, dict],
+        parity_dumps: dict[int, dict], new_data: dict[int, dict],
+        new_parity: dict[int, list], pacer: RecoveryPacer | None,
     ) -> None:
+        """Install the rebuilt contents under their logical addresses.
+
+        Δ-channel bookkeeping first: a rebuilt data bucket resumes its
+        sequence counter from the most advanced surviving parity channel
+        (that channel saw every Δ the lost bucket issued); a rebuilt
+        parity bucket expects the next Δ after each data counter, so
+        in-flight retransmissions arrive as duplicates, never as
+        double-applied folds.
+        """
         coordinator = self.coordinator
-        node_id = data_node(self._file_id, bucket)
-        if coordinator.config.durability:
-            coordinator.bump_epoch(node_id)
-        self._net.unregister(node_id)
-        level = coordinator.state.level_of(bucket)
-        server = coordinator.make_server(bucket, level)
-        self._net.register(server)
-        used = sorted(rank for _, rank, _ in content["records"])
-        counter = content["max_rank"]
-        free = sorted(set(range(1, counter + 1)) - set(used))
-        try:
-            self._net.send(
-                coordinator.node_id,
-                node_id,
+        m = coordinator.config.group_size
+        data_seqs = self._data_seqs(data_dumps)
+        for bucket, content in new_data.items():
+            pos = position_of(bucket, m)
+            data_seqs[pos] = max(
+                (
+                    dump.get("expected_seqs", {}).get(pos, 1) - 1
+                    for dump in parity_dumps.values()
+                ),
+                default=0,
+            )
+            level = coordinator.state.level_of(bucket)
+            counter = content["max_rank"]
+            used = {rank for _, rank, _ in content["records"]}
+            self._install_spare(
+                data_node(self._file_id, bucket),
+                partial(coordinator.make_server, bucket, level),
                 "bucket.load",
                 {
                     "records": content["records"],
                     "counter": counter,
-                    "free_ranks": free,
+                    "free_ranks": sorted(set(range(1, counter + 1)) - used),
                     "level": level,
-                    "parity_seq": parity_seq,
+                    "parity_seq": data_seqs[pos],
                 },
+                pacer,
             )
+        expected_seqs = {pos: seq + 1 for pos, seq in data_seqs.items()}
+        for index, records in new_parity.items():
+            self._install_spare(
+                parity_node(self._file_id, group, index),
+                partial(coordinator.make_parity_server, group, index),
+                "parity.load",
+                {"records": records, "expected_seqs": expected_seqs},
+                pacer,
+            )
+
+    def _install_spare(
+        self, node_id: str, make_server, kind: str, payload: dict,
+        pacer: RecoveryPacer | None,
+    ) -> None:
+        """Put a fresh server under a logical address — a lost bucket's,
+        or one not registered yet (a raise's new parity bucket) — behind
+        a new epoch fence, and load its content."""
+        coordinator = self.coordinator
+        if coordinator.config.durability:
+            coordinator.bump_epoch(node_id)
+        if node_id in self._net.nodes:
+            self._net.unregister(node_id)
+        self._net.register(make_server())
+        try:
+            self._net.send(coordinator.node_id, node_id, kind, payload)
         except NodeUnavailable:
             # A scheduled failure hit the spare on this very tick: it is
             # now just another unavailable bucket for the next sweep.
             pass
+        self._account_transfer(pacer, node_id, payload)
 
-    def _install_parity_spare(
-        self,
-        group: int,
-        index: int,
-        records: list,
-        expected_seqs: dict[int, int] | None = None,
-    ) -> None:
-        coordinator = self.coordinator
-        node_id = parity_node(self._file_id, group, index)
-        if coordinator.config.durability:
-            coordinator.bump_epoch(node_id)
-        self._net.unregister(node_id)
-        server = coordinator.make_parity_server(group, index)
-        self._net.register(server)
-        try:
-            self._net.send(
-                coordinator.node_id,
-                node_id,
-                "parity.load",
-                {"records": records, "expected_seqs": expected_seqs or {}},
-            )
-        except NodeUnavailable:
-            # The spare crashed the instant it was installed; the next
-            # probe round rebuilds it like any other loss.
-            pass
+    # ------------------------------------------------------------------
+    # scalable availability: a new parity bucket is a rebuilt one
+    # ------------------------------------------------------------------
+    def encode_parity(self, group: int, data_dumps: dict[int, dict], indices) -> None:
+        """Build parity buckets ``indices`` of ``group`` from its members'
+        dumps: the decode of a lost parity bucket, for one that never
+        existed.  Nothing is lost, so no intent, spare or counter."""
+        _, new_parity, _ = self._rebuild(group, data_dumps, {}, [], list(indices))
+        self._install(group, data_dumps, {}, {}, new_parity, None)
 
     # ------------------------------------------------------------------
     # delta catch-up (durable restart rejoin)
@@ -755,25 +758,10 @@ class RecoveryManager:
         if group in self._recovering_groups:
             return False  # the group is mid-rebuild higher up the stack
         pos = position_of(bucket, m)
-        k = coordinator.group_level(group)
-        node_id = data_node(self._file_id, bucket)
         disk_seq = payload["seq"]
-        coord_id = coordinator.node_id
-        net = self._net
 
-        tails: dict[int, dict] = {}
-        for index in range(k):
-            pnode = parity_node(self._file_id, group, index)
-            if not net.is_available(pnode):
-                continue
-            try:
-                tails[index] = net.call(
-                    coord_id, pnode, "delta.tail",
-                    {"pos": pos, "after": disk_seq},
-                )
-            except NodeUnavailable:
-                continue
-        if k > 0 and not tails:
+        tails = self._delta_tails(group, pos, disk_seq)
+        if coordinator.group_level(group) > 0 and not tails:
             # Without parity evidence the durable prefix cannot be
             # proven complete against what was acknowledged.
             return False
@@ -808,12 +796,13 @@ class RecoveryManager:
             items.append((key, op["rank"], value))
 
         min_live = min((t["live"] for t in tails.values()), default=disk_seq)
-        net.call(
-            coord_id, node_id, "catchup.load",
+        target = max(live_max, disk_seq)
+        self._net.call(
+            coordinator.node_id, data_node(self._file_id, bucket), "catchup.load",
             {
                 "set": items,
                 "delete": deletes,
-                "parity_seq": max(live_max, disk_seq),
+                "parity_seq": target,
                 "resend_after": min_live if min_live < disk_seq else None,
             },
         )
@@ -823,27 +812,35 @@ class RecoveryManager:
         # (``floor``); anything still gapped would otherwise stay
         # silently behind until the next Δ arrives — or forever, under
         # quiescence — so it is rebuilt now.
-        target = max(live_max, disk_seq)
-        lagging = []
-        for index in range(k):
-            pnode = parity_node(self._file_id, group, index)
-            if not net.is_available(pnode):
-                continue  # down: the self-healing probe loop owns it
-            try:
-                check = net.call(
-                    coord_id, pnode, "delta.tail",
-                    {"pos": pos, "after": target},
-                )
-            except NodeUnavailable:
-                continue
-            if check["live"] < target:
-                lagging.append(index)
+        lagging = [
+            index
+            for index, check in self._delta_tails(group, pos, target).items()
+            if check["live"] < target
+        ]
         if lagging:
             self.recover_nodes(
                 [parity_node(self._file_id, group, i) for i in lagging],
                 best_effort=True,
             )
         return True
+
+    def _delta_tails(self, group: int, pos: int, after: int) -> dict[int, dict]:
+        """``delta.tail`` of position ``pos`` past ``after`` from every
+        parity bucket of ``group`` that is up, by index (one that is
+        down is the self-healing probe loop's business)."""
+        tails: dict[int, dict] = {}
+        for index in range(self.coordinator.group_level(group)):
+            pnode = parity_node(self._file_id, group, index)
+            if not self._net.is_available(pnode):
+                continue
+            try:
+                tails[index] = self._net.call(
+                    self.coordinator.node_id, pnode, "delta.tail",
+                    {"pos": pos, "after": after},
+                )
+            except NodeUnavailable:
+                continue
+        return tails
 
     def catch_up_parity(self, group: int, index: int, payload: dict) -> bool:
         """Catch a cleanly-restarted parity bucket up from member WALs.
@@ -1137,7 +1134,7 @@ class RecoveryManager:
         levels = {r["bucket"]: r["level"] for r in replies.values()}
         missing = sorted(b for b in targets if b not in levels)
         if missing:
-            checkpoint = self._best_parity_checkpoint()
+            checkpoint = coordinator.newest_checkpoint()
             if checkpoint is not None:
                 from repro.lh.state import FileState
 
@@ -1157,23 +1154,3 @@ class RecoveryManager:
                 f"(unavailable: {sorted(unavailable)})"
             )
         return reconstruct_state(levels, coordinator.state.n0)
-
-    def _best_parity_checkpoint(self) -> dict | None:
-        """Newest coordinator checkpoint any reachable parity bucket
-        holds (None when nothing is reachable or nothing was stored)."""
-        coordinator = self.coordinator
-        best: dict | None = None
-        for group, level in sorted(coordinator.group_levels.items()):
-            for index in range(level):
-                node_id = parity_node(self._file_id, group, index)
-                try:
-                    reply = self._net.call(
-                        coordinator.node_id, node_id, "coord.checkpoint.fetch"
-                    )
-                except NodeUnavailable:
-                    continue
-                if reply is not None and (
-                    best is None or reply["lsn"] > best["lsn"]
-                ):
-                    best = dict(reply)
-        return best

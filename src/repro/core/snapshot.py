@@ -100,8 +100,8 @@ def restore_file(snapshot: dict, file_id: str = "f",
         )
     # Config keys this build does not have are dropped: earlier builds
     # of this snapshot version also wrote since-retired knobs (the
-    # parity memory layout, the Δ-ring capacity), which never were
-    # snapshot content.
+    # parity memory layout, the Δ-ring and health-log capacities),
+    # which never were snapshot content.
     known = {field.name for field in dataclasses.fields(LHRSConfig)}
     config = LHRSConfig(
         **{k: v for k, v in snapshot["config"].items() if k in known}

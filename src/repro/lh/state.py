@@ -102,6 +102,10 @@ class FileState:
         self.splits_done -= 1
         return source, target, self.i
 
+    def next_merge(self) -> tuple[int, int, int]:
+        """Describe (without performing) the next merge."""
+        return self.copy().retreat_merge()
+
     def copy(self) -> "FileState":
         return FileState(n0=self.n0, n=self.n, i=self.i, splits_done=self.splits_done)
 

@@ -269,8 +269,9 @@ SHAPES: dict[str, str] = {
     # status string is the lean form of ``{status}``)
     "batch_op": "{op:str, key:int, value?:bytes}",
     "batch_result": "{status:str, value?:bytes|none, error?:str, to?:int}",
-    # the per-op Δ-record (unsequenced in whole-group encodes) and the
-    # columnar Δ-block: one same-position run over parallel columns
+    # the per-op Δ-record (``seq`` absent: applies without touching its
+    # channel) and the columnar Δ-block: one same-position run over
+    # parallel columns
     "delta_op": (
         "{op:str, key:int, rank:int, pos:int, delta:bytes, length:int, "
         "seq?:int}"
@@ -398,7 +399,10 @@ _ENTRIES: tuple[MessageKind, ...] = (
         ("target:int", "new_level:int"),
         reply="{kept:int, moved:int}",
         section="file structure",
-        summary="move the upper half of the key range to a new bucket",
+        summary=(
+            "move the upper half of the key range to a new bucket; "
+            "`new_level` makes it idempotent (already there: no-op)"
+        ),
     ),
     MessageKind(
         "records.bulk", "data", "data", "send",
@@ -408,7 +412,7 @@ _ENTRIES: tuple[MessageKind, ...] = (
     ),
     MessageKind(
         "merge", "coordinator", "data", "call",
-        ("into:int", "retiring?:bool"),
+        ("into:int",),
         reply="{moved:int}",
         section="file structure",
         summary="dissolve the last bucket into its sibling",
@@ -449,11 +453,11 @@ _ENTRIES: tuple[MessageKind, ...] = (
         seq_guard=("_fold_run", "_expected_seq"),
     ),
     MessageKind(
-        "parity.batch", "data/coordinator", "parity", "send/call",
-        ("ops:[delta_op|delta_block]", "expected_seqs?:{int->int}"),
+        "parity.batch", "data", "parity", "send/call",
+        ("ops:[delta_op|delta_block]",),
         reply="{status:str, applied:int}",
         section="parity maintenance",
-        summary="Δ-op list or columnar Δ-blocks; encode batches re-base",
+        summary="Δ-op list or columnar Δ-blocks of one structural move or batch",
         seq_guard=("_fold_run", "_expected_seq"),
     ),
     MessageKind(

@@ -11,6 +11,7 @@ splits is usually not the one that reported the overflow.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.lh.state import FileState
@@ -107,6 +108,10 @@ class Coordinator(Node):
         The state advances *before* the split command runs: the moved
         records can re-trigger overflow handling at the target, and that
         nested handling must already see the new file extent.
+
+        Every step tolerates having run already (group exists, target
+        registered, a source at ``new_level`` moves nothing), so a
+        takeover re-enters an interrupted split through this same body.
         """
         source, target, new_level = self.state.next_split()
         tracer = self._net().tracer
@@ -121,11 +126,12 @@ class Coordinator(Node):
         # reads it (LH*RS: parity buckets must exist and be known before
         # the data server is built, or its parity targets come up empty).
         self.on_new_bucket(target, new_level)
-        self._net().register(self.make_server(target, new_level))
+        if self._data_node(target) not in self._net().nodes:
+            self._net().register(self.make_server(target, new_level))
         self.state.advance_split()
         self._crash_hook("split.mid")
-        result = self._structural_call(self._data_node(source), "split",
-                                       {"target": target, "new_level": new_level})
+        result = self.call(self._data_node(source), "split",
+                           {"target": target, "new_level": new_level})
         self._sizes[source] = result["kept"]
         self._sizes[target] = result["moved"]
         if tracer is not None:
@@ -147,24 +153,15 @@ class Coordinator(Node):
         The HA coordinator arms these for fault injection — the plain
         coordinator never crashes."""
 
-    def _structural_call(self, node_id: str, kind: str, payload: dict):
-        """A call the file's structure depends on (split/merge commands).
-
-        The file state advances *before* these commands run, so an
-        unanswered command would leave the directory and the buckets
-        disagreeing.  Subclass hook: LH*RS recovers an unavailable
-        addressee and retries; plain LH* has no recovery and lets the
-        failure propagate.
-        """
-        return self.call(node_id, kind, payload)
-
     def merge_once(self) -> tuple[int, int]:
         """Perform one bucket merge (inverse split); returns
         ``(source, target)`` — ``target`` was reabsorbed by ``source``.
 
         The coordinator sets the source's level back first, so records
         arriving from the dissolving bucket pass its A2 check, then
-        commands the dissolution and retires the empty server.
+        commands the dissolution and retires the empty server.  Like
+        :meth:`split_once` it tolerates steps already done: the level is
+        absolute and a target already unregistered has dissolved.
         """
         if self.state.bucket_count <= self.state.n0:
             raise ValueError("cannot shrink below the initial buckets")
@@ -172,9 +169,10 @@ class Coordinator(Node):
             before = len(self._pending_overflows)
             source, target, level = self.state.retreat_merge()
             self.send(self._data_node(source), "level.set", {"level": level})
-            self._structural_call(self._data_node(target), "merge",
-                                  {"into": source})
-            self._net().unregister(self._data_node(target))
+            self._crash_hook("merge.mid")
+            if self._data_node(target) in self._net().nodes:
+                self.call(self._data_node(target), "merge", {"into": source})
+                self._net().unregister(self._data_node(target))
             self.on_bucket_removed(target)
             self._sizes.pop(target, None)
             # Overflow reports raised by the merge's own record movement
@@ -235,20 +233,15 @@ class Coordinator(Node):
         finally:
             self._draining = False
 
+    @contextmanager
     def _restructure_lock(self):
         """Context holding back overflow handling during a merge."""
-        from contextlib import contextmanager
-
-        @contextmanager
-        def lock():
-            already = self._draining
-            self._draining = True
-            try:
-                yield
-            finally:
-                self._draining = already
-
-        return lock()
+        already = self._draining
+        self._draining = True
+        try:
+            yield
+        finally:
+            self._draining = already
 
     def _estimated_load_factor(self) -> float:
         """Free load estimate: known sizes, mean-imputed for the rest."""

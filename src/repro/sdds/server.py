@@ -337,7 +337,12 @@ class DataServer(Node):
     # split protocol
     # ------------------------------------------------------------------
     def handle_split(self, message: Message) -> Any:
-        """Coordinator command: split into ``target`` at ``new_level``."""
+        """Coordinator command: split into ``target`` at ``new_level``.
+
+        Already at ``new_level`` means a takeover re-sent the command
+        after it ran: nothing moves."""
+        if self.level >= message.payload["new_level"]:
+            return {"moved": 0, "kept": len(self.bucket)}
         target = message.payload["target"]
         stay, move = addressing.split_records(
             list(self.bucket.records.items()),

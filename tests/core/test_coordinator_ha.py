@@ -10,14 +10,19 @@ that clients fail over without losing a single record.
 import pytest
 
 from repro.core import (
+    AvailabilityPolicy,
     CoordinatorCrashed,
     LHRSConfig,
     LHRSFile,
     RecoveryError,
 )
+from repro.core.coordinator import RSCoordinator
 from repro.core.group import parity_node
+from repro.core.journal import CoordinatorJournal
+from repro.sdds.file import LHStarFile
 from repro.sim.faults import DEFAULT_PROTECTED_KINDS, FaultPlane
 from repro.sim.rng import make_rng
+from tests.core.test_merge_rs import emptied_last_bucket
 
 
 def ha_file(replicas=1, **overrides) -> LHRSFile:
@@ -207,6 +212,23 @@ class TestResumableIntents:
         assert file.census_with_ranks() == before
         assert_intact(file, 40)
 
+    def test_split_target_lost_before_the_takeover_is_rebuilt_first(self):
+        """The target of an interrupted split exists in no extent yet.
+        Dead, it must be rebuilt (in the post-split extent) before the
+        re-entered split ships the movers to it."""
+        file = ha_file(replicas=1)
+        load(file, 60)
+        file.rs_coordinator.arm_crash("split.mid")
+        _, target, _ = file.rs_coordinator.state.next_split()
+        with pytest.raises(CoordinatorCrashed):
+            file.rs_coordinator.split_once()
+        file.failures.crash([f"f.d{target}"])
+        new = file.await_takeover()
+        assert new.journal.replay().open_intents == []
+        assert file.network.is_available(f"f.d{target}")
+        assert len(file.data_servers()[target].bucket) > 0
+        assert_intact(file, 60)
+
     def test_byte_equal_state_after_mid_split_takeover(self):
         """The acceptance-criteria check in miniature: the standby's
         reconstructed (n, i) and group-level map byte-equal the journal
@@ -244,6 +266,148 @@ class TestResumableIntents:
             sort_keys=True,
         ).encode()
         assert live == truth
+
+
+class TestStaleIntents:
+    """An open intent is re-entered only when its plan still matches
+    the replayed state; otherwise it is closed and the state left
+    alone."""
+
+    @pytest.mark.parametrize("parity_down", [True, False])
+    def test_takeover_aborts_an_intent_the_file_has_outgrown(
+        self, parity_down
+    ):
+        file = LHRSFile(LHRSConfig(
+            group_size=4, bucket_capacity=8, availability=2,
+            coordinator_replicas=1,
+        ))
+        last = emptied_last_bucket(file)
+        if parity_down:
+            file.fail_parity_bucket(last // 4, 1)
+        file.rs_coordinator.merge_once()
+        for key in range(10**6, 10**6 + 300):
+            file.insert(key, b"w" * 8)
+        # The merge finished, but its intent.end never reached the
+        # standby: the takeover finds the intent open, 60 splits later.
+        primary = file.rs_coordinator
+        begin = next(
+            r.lsn for r in primary.journal.records()
+            if r.type == "intent.begin" and r.payload["op"] == "merge"
+        )
+        file.standbys[0].journal = CoordinatorJournal(
+            r for r in primary.journal.records()
+            if not (r.type == "intent.end" and r.payload["begin"] == begin)
+        )
+        truth = primary.state.as_tuple()
+        file.fail_coordinator()
+        new = file.await_takeover()
+        assert new.takeover_resumes == [{"op": "merge", "lsn": begin}]
+        assert new.journal.replay().open_intents == []
+        assert new.state.as_tuple() == truth
+        assert file.bucket_count == len(file.census_with_ranks())
+        assert file.check_reconstructed_state()
+        for key in range(2 * 10**6, 2 * 10**6 + 400):
+            file.insert(key, b"x" * 8)
+        assert file.bucket_count > len(file.group_levels()) * 2
+        assert file.verify_parity_consistency() == []
+
+
+# ----------------------------------------------------------------------
+# resume is idempotent at every journal prefix
+# ----------------------------------------------------------------------
+def prefix_scenario(name: str, durable: bool):
+    """Build a small file, run one command to completion; returns the
+    file and the LSNs of the command's intent.begin and of the last
+    intent.end (a split's, or that of the last retrofit it owed)."""
+    file = LHRSFile(LHRSConfig(
+        group_size=2, availability=1, bucket_capacity=8, spare_servers=6,
+        durability=durable, upgrade_existing_groups=True,
+        policy=AvailabilityPolicy.scalable(
+            base_level=1, first_threshold=4, growth=2, max_level=3
+        ),
+    ))
+    file.enable_observability(trace_capacity=2_000)
+    load(file, 70)
+    coordinator = file.rs_coordinator
+    journal = coordinator.journal
+    mark = journal.last_lsn
+    if name.startswith("split"):
+        kind = None
+        while kind != name:  # split on until one is of the wanted kind
+            opens_group = coordinator.state.next_split()[1] % 2 == 0
+            mark = journal.last_lsn
+            coordinator.split_once()
+            if any(r.payload.get("op") == "raise"
+                   for r in journal.records() if r.lsn > mark):
+                kind = "split-raising"
+            else:
+                kind = "split-new-group" if opens_group else "split-in-group"
+    elif name.startswith("merge"):
+        while (file.bucket_count - 1) % 2 != (name == "merge-in-group"):
+            coordinator.merge_once()
+        mark = journal.last_lsn
+        coordinator.merge_once()
+    elif name == "raise":
+        coordinator.raise_group_level(1, coordinator.group_level(1) + 1)
+    else:
+        file.recover([file.fail_data_bucket(1)])
+    begin = next(r.lsn for r in journal.records() if r.lsn > mark)
+    assert journal.records()[-1].type == "intent.end"
+    return file, begin, journal.last_lsn
+
+
+def adopt_prefix(file: LHRSFile, lsn: int) -> RSCoordinator:
+    """What ``StandbyCoordinator.take_over`` does, from the journal cut
+    at ``lsn``: a fresh coordinator under the coordinator's id."""
+    old = file.rs_coordinator
+    journal = CoordinatorJournal(
+        r for r in old.journal.records() if r.lsn <= lsn
+    )
+    file.network.unregister(old.node_id)
+    new = RSCoordinator(
+        node_id=old.node_id, file_id=file.file_id, policy=old.policy,
+        config=file.config,
+    )
+    new.journal = journal
+    new.term = old.term + 1
+    file.network.register(new)
+    new.adopt_journal_state(journal.replay())
+    return new
+
+
+class TestResumeAtEveryJournalPrefix:
+    @pytest.mark.parametrize("durable", [False, True], ids=["ram", "durable"])
+    @pytest.mark.parametrize("name", [
+        "split-in-group", "split-new-group", "split-raising",
+        "merge-in-group", "merge-retiring", "raise", "recover",
+    ])
+    def test_resume_is_idempotent(self, name, durable):
+        done, begin, end = prefix_scenario(name, durable)
+        coordinator = done.rs_coordinator
+        expected = (
+            done.census_with_ranks(), coordinator.state.as_tuple(),
+            coordinator.group_levels,
+        )
+        spares = coordinator.spares_remaining
+        assert end - begin >= 2
+        for lsn in range(begin, end + 1):
+            file, _, _ = prefix_scenario(name, durable)
+            known = file.rs_coordinator.journal.replay(upto=lsn)
+            new = adopt_prefix(file, lsn)
+            assert (
+                file.census_with_ranks(), new.state.as_tuple(),
+                new.group_levels,
+            ) == expected, lsn
+            # No spare consumed by the resume: the balance is the one
+            # the prefix knows (the completed run's once it is in).
+            assert new.spares_remaining == (
+                known.spares_remaining if known.spares_known else 6
+            ), lsn
+            assert new.journal.replay().open_intents == [], lsn
+            assert file.verify_parity_consistency() == [], lsn
+            assert file.auditor.check_file(file) == [], lsn
+            assert file.auditor.violations == [], lsn
+        assert new.spares_remaining == spares
 
 
 # ----------------------------------------------------------------------
@@ -341,6 +505,35 @@ class TestHandlerIdempotence:
         assert file.network.is_available("f.d0")
         assert file.census_with_ranks() == before
         assert file.verify_parity_consistency() == []
+
+    @pytest.mark.parametrize("rs", [False, True], ids=["DataServer", "RSDataServer"])
+    def test_resent_split_moves_nothing(self, rs):
+        """``new_level`` makes the split command idempotent: a bucket
+        already there answers at once — no records.bulk, no Δ, no
+        ``ctl level`` frame."""
+        if rs:
+            file = ha_file(replicas=0, durability=True)
+        else:
+            file = LHStarFile(capacity=8)
+        for key in range(60):
+            file.insert(key, bytes([key]) * 8)
+        coordinator = file.coordinator
+        source, target, new_level = coordinator.state.next_split()
+        coordinator.split_once()
+        server = file.network.nodes[f"f.d{source}"]
+        held = dict(server.bucket.records)
+        written = server._durable.disk.bytes_written if rs else None
+        with file.stats.measure("resend") as window:
+            reply = file.network.call(
+                "f.coord", server.node_id, "split",
+                {"target": target, "new_level": new_level},
+            )
+        assert reply == {"moved": 0, "kept": len(held)}
+        assert dict(window.by_kind) == {"split": 1, "split.reply": 1}
+        assert (server.level, dict(server.bucket.records)) == (new_level, held)
+        if rs:
+            assert server._durable.disk.bytes_written == written
+            assert file.verify_parity_consistency() == []
 
     def test_duplicated_rejoin_is_idempotent(self):
         """rejoin is a pure read of the registry: duplicated delivery

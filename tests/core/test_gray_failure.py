@@ -199,7 +199,8 @@ class TestBoundedHealthLog:
             BoundedHealthLog(0)
 
     def test_probe_loop_is_bounded_and_gauged(self):
-        file, plane, oracle = make_file(n=20, health_log_capacity=5)
+        file, plane, oracle = make_file(n=20)
+        file.rs_coordinator.health_log = BoundedHealthLog(5)
         for _ in range(4):
             file.rs_coordinator.run_probe_cycle(rounds=3)
         log = file.rs_coordinator.health_log
@@ -269,12 +270,11 @@ class TestConfigValidation:
             LHRSConfig(bucket_queue_limit=0)
         with pytest.raises(ValueError):
             LHRSConfig(recovery_pace_rate=0.0)
-        with pytest.raises(ValueError):
-            LHRSConfig(health_log_capacity=0)
         for retired in (
             "hedge_reads", "hedge_quantile", "hedge_min_samples",
             "breaker_threshold", "breaker_cooldown", "retry_backoff_factor",
             "retry_backoff_max", "batch_bulk_weight", "delta_log_capacity",
+            "health_log_capacity",
         ):
             with pytest.raises(TypeError):
                 LHRSConfig(**{retired: 1})

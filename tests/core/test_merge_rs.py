@@ -96,3 +96,70 @@ class TestRSMerge:
         survivors = keys[int(len(keys) * 0.92):]
         for key in survivors[::7]:
             assert file.search(key).found
+
+
+def emptied_last_bucket(file: LHRSFile) -> int:
+    """Grow until the last bucket is not its group's first, then delete
+    every record it holds; returns its number."""
+    key = 0
+    while file.bucket_count < 6 or (file.bucket_count - 1) % 4 == 0:
+        file.insert(key, b"v" * 8)
+        key += 1
+    last = file.bucket_count - 1
+    for stored in list(file.data_servers()[last].bucket.records):
+        file.delete(stored)
+    return last
+
+
+class TestMergeWithParityDown:
+    """An empty bucket ships no Δ, so nothing heals a dead parity bucket
+    of its group on the way: the merge has to deal with it itself."""
+
+    def build(self, **kw):
+        file = LHRSFile(LHRSConfig(
+            group_size=4, bucket_capacity=8, availability=2,
+            coordinator_replicas=1, **kw,
+        ))
+        last = emptied_last_bucket(file)
+        return file, last, f"f.p{last // 4}.1"
+
+    def check_closed_and_regrows(self, file, last):
+        journal = file.rs_coordinator.journal
+        assert journal.records()[-1].type == "intent.end"
+        assert journal.replay().open_intents == []
+        for key in range(10**6, 10**6 + 100):
+            file.insert(key, b"w" * 8)
+        assert file.bucket_count > last + 1  # the position is back
+        assert file.verify_parity_consistency() == []
+
+    def test_the_dead_parity_bucket_is_rebuilt_first(self):
+        file, last, dead = self.build()
+        file.failures.crash([dead])
+        with file.stats.measure("merge") as window:
+            file.rs_coordinator.merge_once()
+        assert file.bucket_count == last
+        assert file.network.is_available(dead)
+        assert window.by_kind["parity.reset"] == 2
+        self.check_closed_and_regrows(file, last)
+
+    @pytest.mark.parametrize("durability", [False, True])
+    def test_without_auto_recover_the_merge_works_around_it(self, durability):
+        """A down parity bucket gets no ``parity.reset``: rebuilt from
+        data it has no channel for the dissolved position, and a durable
+        restart is fenced into that rebuild instead of catching up onto
+        the dead channel."""
+        file, last, dead = self.build(auto_recover=False, durability=durability)
+        file.enable_observability(audit=False)
+        file.failures.crash([dead])
+        with file.stats.measure("merge") as window:
+            file.rs_coordinator.merge_once()
+        assert file.bucket_count == last
+        assert not file.network.is_available(dead)
+        assert window.by_kind["parity.reset"] == 1  # the live one
+        if durability:
+            file.failures.heal([dead])
+            assert file.tracer.counts["catchup.fallback"] == 1
+        else:
+            file.recover([dead])
+        assert last % 4 not in file.network.nodes[dead]._expected_seq
+        self.check_closed_and_regrows(file, last)

@@ -381,3 +381,38 @@ class TestRecoveryCosts:
         node = file.fail_data_bucket(0)
         file.recover([node])
         assert decoder._decode_matrix.cache_info().misses == 0
+
+
+class TestRaiseIsRecoverysEncode:
+    """A new parity bucket is built the way a lost one is rebuilt: from
+    the members' dumps, delivered by ``parity.load``."""
+
+    def test_one_level_on_a_full_group_message_shape(self):
+        file, _ = build_file(k=1, spare_servers=3)
+        file.enable_observability(audit=False)
+        coordinator = file.rs_coordinator
+        with file.stats.measure("raise") as window:
+            coordinator.raise_group_level(0, 2)
+        m = 4
+        assert dict(window.by_kind) == {
+            "bucket.dump": m, "bucket.dump.reply": m,
+            "parity.load": 1, "config.parity": m,
+        }
+        # Nothing was lost: no spare, no recovery counted or logged.
+        assert coordinator.spares_remaining == 3
+        assert coordinator.recovery.groups_recovered == 0
+        assert len(coordinator.health_log) == 0
+        assert file.tracer.counts.get("recovery.start", 0) == 0
+        assert file.verify_parity_consistency() == []
+
+    def test_new_bucket_starts_on_the_members_channels(self):
+        """Δs the members already issued arrive as duplicates at the new
+        bucket, never as folds."""
+        file, _ = build_file(k=1)
+        file.rs_coordinator.raise_group_level(0, 3)
+        for index in (1, 2):
+            new = file.network.nodes[f"f.p0.{index}"]
+            assert new._expected_seq == {
+                s.position: s._parity_seq + 1 for s in file.data_servers()[:4]
+            }
+            assert new._expected_seq == file.network.nodes["f.p0.0"]._expected_seq

@@ -150,8 +150,9 @@ class TestValidation:
 
     def test_retired_layout_key_is_dropped_on_restore(self):
         """Snapshots of this version written before the per-record
-        parity layout, the lazy-parity knob or the Δ-ring capacity went
-        away still name them; none was ever content."""
+        parity layout, the lazy-parity knob, the Δ-ring capacity or the
+        health-log bound went away still name them; none was ever
+        content."""
         original, keys = build(count=30)
         snap = snapshot_file(original)
         assert "parity_stripe_store" not in snap["config"]
@@ -159,6 +160,7 @@ class TestValidation:
         snap["config"]["parity_stripe_store"] = False
         snap["config"]["parity_batch_size"] = 16
         snap["config"]["delta_log_capacity"] = 1024
+        snap["config"]["health_log_capacity"] = 512
         restored = restore_file(snap, file_id="r")
         assert restored.census_with_ranks() == original.census_with_ranks()
         assert restored.verify_parity_consistency() == []

@@ -1,7 +1,10 @@
 """Config-matrix composition sweep: every ``LHRSConfig`` in ``GRID``'s
 product (320 configs) keeps every acknowledged operation through
 growth, a 75 % shrink with up to three merges and a crash/heal process,
-and rebuilds every bucket to the oracle's bytes.
+and rebuilds every bucket to the oracle's bytes.  The ``availability=1``
+half raises one group to k = 2 before it shrinks; the
+``coordinator_replicas=1`` half loses its primary inside a split, a
+merge and that raise, and a standby's takeover finishes each.
 
 One config is one seeded run of mixed scalar and ``*_many`` calls under
 the strict auditor; node failures are a process (exponential gaps, a
@@ -22,7 +25,7 @@ import sys
 
 import pytest
 
-from repro.core import LHRSConfig, LHRSFile
+from repro.core import CoordinatorCrashed, LHRSConfig, LHRSFile
 from repro.sdds.client import OperationFailed
 
 GRID = {
@@ -67,10 +70,26 @@ def tier1_slice() -> list[dict]:
     ]
 
 
+def command(file: LHRSFile, owed: set[str], point: str, call) -> None:
+    """One coordinator command.  If the config still owes the crash
+    ``point``, the primary dies there and a standby's takeover has to
+    finish the command."""
+    if point not in owed:
+        call(file.rs_coordinator)
+        return
+    owed.remove(point)
+    file.rs_coordinator.arm_crash(point)
+    with pytest.raises(CoordinatorCrashed):
+        call(file.rs_coordinator)
+    file.await_takeover()
+
+
 def run(params: dict, operations: int, seed: int) -> LHRSFile:
     """One config, one seeded run; raises AssertionError on any loss."""
     rng = random.Random(seed)
     file = LHRSFile(LHRSConfig(group_size=4, client_acks=True, **params))
+    #: the structural crash points this config still owes (HA half)
+    owed = {"split.mid", "merge.mid", "raise.mid"} if file.standbys else set()
     _, _, auditor = file.enable_observability(trace_capacity=2_000)
     oracle: dict[int, bytes] = {}
     ambiguous: set[int] = set()
@@ -97,15 +116,26 @@ def run(params: dict, operations: int, seed: int) -> LHRSFile:
             next_failure = done + rng.expovariate(1 / 400)
 
         # ---- the workload: grow, shrink by 75 %, carry on -----------
+        if "split.mid" in owed and done >= operations * 0.25:
+            owed.remove("split.mid")  # the next split kills the primary
+            file.rs_coordinator.arm_crash("split.mid")
         if phase == "grow" and done >= operations * 0.5:
             phase, shrink_to = "shrink", len(oracle) // 4
+            if params["availability"] == 1:
+                # Every member must be up for a raise to read it.
+                file.rs_coordinator.probe()
+                group = len(file.group_levels()) // 2
+                command(
+                    file, owed, "raise.mid",
+                    lambda c: c.raise_group_level(group, 2),
+                )
         elif phase == "shrink" and len(oracle) <= shrink_to:
             phase = "churn"
             # The merge policy's load estimate barely moves under this
             # shrink, so the merges are commanded.
             for _ in range(3):
                 if file.bucket_count > 5:
-                    file.rs_coordinator.merge_once()
+                    command(file, owed, "merge.mid", lambda c: c.merge_once())
         kind = rng.choices(kinds, mixes[phase])[0]
         many = rng.random() < 0.3
         count = rng.randrange(2, 49) if many else 1
@@ -147,6 +177,8 @@ def run(params: dict, operations: int, seed: int) -> LHRSFile:
                 assert found == (key in oracle), (kind, key)
                 assert not found or res.value == oracle[key], (kind, key)
 
+        if not file.network.is_available(file.rs_coordinator.node_id):
+            file.await_takeover()  # split.mid fired inside that call
         held = [s.node_id for s in file.data_servers() if s._parity_queue]
         assert not held, f"Δs held between calls by {held}"
 
@@ -158,6 +190,11 @@ def run(params: dict, operations: int, seed: int) -> LHRSFile:
     # ---- acceptance -------------------------------------------------
     assert len(ambiguous) <= operations // 100, len(ambiguous)
     assert phase == "churn" and file.bucket_count > 4, "no shrink or no growth"
+    assert (params["availability"] == 1) == (
+        sorted(set(file.group_levels().values())) == [1, 2]
+    ), "the raise"
+    assert owed <= {"raise.mid"}, f"never reached: {owed}"
+    assert not file.rs_coordinator.crash_points, "split.mid never fired"
     assert file.verify_parity_consistency() == []
     assert auditor.check_file(file) == [] and auditor.violations == []
 

@@ -132,6 +132,7 @@ class TestCli:
             "repro/rs",
             "repro/core",
             "repro/core/journal.py",
+            "repro/core/coordinator.py",
             "repro/sdds",
             "repro/sdds/client.py",
             "repro/core/data_bucket.py",

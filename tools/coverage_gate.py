@@ -34,6 +34,10 @@ DEFAULT_FLOORS: dict[str, float] = {
     "repro/rs": 90.0,
     "repro/core": 85.0,
     "repro/core/journal.py": 90.0,
+    # The structural commands are their own takeover roll-forward: a
+    # branch of the coordinator no test reaches is a step nobody has
+    # shown to be safe to run twice.
+    "repro/core/coordinator.py": 85.0,
     # Batch data plane (this PR): the client scatter-gather loop and
     # the vectorized bucket/parity apply paths must stay exercised.
     "repro/sdds": 75.0,
