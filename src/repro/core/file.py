@@ -254,13 +254,7 @@ class LHRSFile(LHStarFile):
 
     def parity_storage_bytes(self) -> int:
         """Parity payload bytes held in parity buckets."""
-        return int(
-            sum(
-                record.symbols.nbytes
-                for server in self.parity_servers()
-                for record in server.records.values()
-            )
-        )
+        return sum(server._store.nbytes() for server in self.parity_servers())
 
     def storage_overhead(self) -> float:
         """Parity bytes / data bytes — the paper's ~k/m figure."""

@@ -19,11 +19,12 @@ above it proves this bucket missed traffic (a dropped message): it
 reports itself stale to the coordinator, which rebuilds it from the
 group's data.  An unsequenced Δ applies unconditionally.
 
-Storage and maintenance each have one shape.  Every parity symbol lives
-in one contiguous :class:`~repro.core.stripe_store.StripeStore` matrix
-with a rank→row map (``records`` holds only the key/length directory),
-so dumps render in one bytes pass and signature scans run as one 2D
-kernel.  Every Δ — a ``parity.update``, the per-op entries and columnar
+Storage and maintenance each have one shape.  Every record is one row
+of a :class:`~repro.core.stripe_store.StripeStore` — parity symbols, key
+and length directory alike, behind a rank→row map (``records`` is that
+store read as a mapping) — so dumps render in one bytes pass, signature
+scans run as one 2D kernel and a checkpoint writes the columns as they
+stand.  Every Δ — a ``parity.update``, the per-op entries and columnar
 blocks of a ``parity.batch``, a catch-up tail, a WAL frame — is
 normalised at the handler edge to a *run* (one position, one
 action, distinct ranks, consecutive-or-absent sequence numbers) and
@@ -33,15 +34,12 @@ folded by :meth:`ParityServer._fold_run`, the only routine that writes
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Iterable, Iterator
-from itertools import repeat
+from collections.abc import Iterator, Mapping
 
-import numpy as np
-
-from repro.core.durable import DELTA_LOG_CAPACITY, Durability
+from repro.core.delta_ring import ACTIONS, DeltaRing
+from repro.core.durable import Durability
 from repro.core.records import ParityRecord
-from repro.core.stripe_store import StripeStore
+from repro.core.stripe_store import ABSENT, KEY_LIMIT, NO_KEY, StripeStore
 from repro.gf.field import GF
 from repro.sim.messages import Message
 from repro.sim.network import NodeUnavailable, UnknownNode
@@ -63,68 +61,9 @@ PARITY_FENCED_KINDS = frozenset(
 )
 
 
-#: what a Δ may do to a record group's directory
-ACTIONS = ("insert", "update", "delete")
-
 #: One run of Δs: (action, pos, seq0, keys, ranks, deltas, lengths) —
 #: the columns are parallel, ``seq0`` is None for an unsequenced run.
 Run = tuple[str, int, int | None, list[int], list[int], list[bytes], list[int]]
-
-
-class StoredParityRecord(ParityRecord):
-    """One rank's key/length directory; the symbols are its store row.
-
-    ``symbols`` is a read-only view rendered from the store on demand —
-    folds write through the store, so there is nothing to re-bind after
-    a store reallocation.
-    """
-
-    def __init__(self, rank: int, store: StripeStore):
-        self._store = store
-        self.rank = rank
-        self.keys = {}
-        self.lengths = {}
-
-    @property
-    def symbols(self) -> np.ndarray:
-        return self._store.view(self.rank)
-
-
-class DeltaRing:
-    """The last ``DELTA_LOG_CAPACITY`` Δs of one channel, oldest first.
-
-    Iterates as ``(seq, action, key, rank)`` descriptors but is held as
-    four parallel columns (the action as its index in :data:`ACTIONS`):
-    a run extends each column in one call, and a checkpoint writes the
-    columns as they stand instead of transposing a thousand tuples.
-    """
-
-    __slots__ = ("seqs", "codes", "keys", "ranks")
-
-    def __init__(
-        self,
-        seqs: Iterable[int] = (), codes: Iterable[int] = (),
-        keys: Iterable[int] = (), ranks: Iterable[int] = (),
-    ):
-        self.seqs = deque(seqs, maxlen=DELTA_LOG_CAPACITY)
-        self.codes = deque(codes, maxlen=DELTA_LOG_CAPACITY)
-        self.keys = deque(keys, maxlen=DELTA_LOG_CAPACITY)
-        self.ranks = deque(ranks, maxlen=DELTA_LOG_CAPACITY)
-
-    def extend(
-        self, seq0: int, action: str, keys: list[int], ranks: list[int]
-    ) -> None:
-        """Record one applied run: seqs ``seq0``, ``seq0 + 1``, ..."""
-        self.seqs.extend(range(seq0, seq0 + len(keys)))
-        self.codes.extend(repeat(ACTIONS.index(action), len(keys)))
-        self.keys.extend(keys)
-        self.ranks.extend(ranks)
-
-    def __iter__(self) -> Iterator[tuple[int, str, int, int]]:
-        return zip(
-            self.seqs, map(ACTIONS.__getitem__, self.codes), self.keys,
-            self.ranks,
-        )
 
 
 class ParityServer(Node):
@@ -145,9 +84,9 @@ class ParityServer(Node):
         self.index = index
         self.row = list(row)
         self.field = field
-        #: rank -> directory entry; the symbols live in ``_store``
-        self.records: dict[int, StoredParityRecord] = {}
-        self._store = StripeStore(field)
+        self._store = StripeStore(field, slots=len(self.row))
+        #: rank -> record: the store's rows read as a mapping
+        self.records: Mapping[int, ParityRecord] = self._store
         #: next expected Δ sequence number per group position (default 1)
         self._expected_seq: dict[int, int] = {}
         #: retransmissions skipped / gaps detected (observability)
@@ -237,6 +176,9 @@ class ParityServer(Node):
         if n > 1 and len(set(ranks)) != n:
             # A scatter over repeated ranks would drop all but one fold.
             raise ValueError("the ranks of a parity run must be distinct")
+        span = keys if n == 1 else (min(keys, default=0), max(keys, default=0))
+        if not NO_KEY < span[0] <= span[-1] < KEY_LIMIT:
+            raise ValueError("member keys are signed 64-bit integers")
         tracer = self.network.tracer if self.network is not None else None
         expected = 0
         if seq0 is not None:
@@ -264,7 +206,7 @@ class ParityServer(Node):
         if n == 0:
             return 0, False
 
-        field, store, records = self.field, self._store, self.records
+        field, store = self.field, self._store
         coefficient = self.row[pos]
         try:
             # The kernel follows the run length: a lone Δ scales into
@@ -284,30 +226,30 @@ class ParityServer(Node):
                     else field.mul_matrix(stacked, coefficient),
                 )
         except BaseException:
-            # No half-born record for parity.locate / parity.dump to see.
+            # No half-born record (a row no member was ever written to)
+            # for parity.locate / parity.dump to see.
             for rank in ranks:
-                if rank not in records and rank in store:
+                if rank in store and not store.snapshot(rank)["lengths"]:
                     store.release(rank)
             raise
 
-        key_index = self._key_index
+        # The fold may have reallocated the store: fetch its cells now.
+        slots, row_of, key_index = store.slots, store._row_of, self._key_index
+        key_cells, length_cells = store.key_cells, store.length_cells
         for key, rank, length in zip(keys, ranks, lengths):
-            record = records.get(rank)
-            if record is None:
-                record = records[rank] = StoredParityRecord(rank, store)
+            first = row_of[rank] * slots
             if action == "delete":
-                record.keys.pop(pos, None)
-                record.lengths.pop(pos, None)
+                key_cells[first + pos] = NO_KEY
+                length_cells[first + pos] = ABSENT
                 key_index.pop(key, None)
-                if not record.keys:
+                if key_cells[first : first + slots].tolist().count(NO_KEY) == slots:
                     # All members gone: the accumulated deltas cancel.
-                    del records[rank]
                     store.release(rank)
                 continue
             if action == "insert":
-                record.keys[pos] = key
+                key_cells[first + pos] = key
                 key_index[key] = (rank, pos)
-            record.lengths[pos] = length
+            length_cells[first + pos] = length
         self.symbol_ops += sum(needs)
         if coefficient == 1:
             self.xor_folds += n
@@ -452,9 +394,7 @@ class ParityServer(Node):
         ops = message.payload["ops"]
         tracer = self.network.tracer if self.network is not None else None
         if tracer is not None:
-            tracer.emit(
-                "parity.batch", node=self.node_id, ops=len(ops)
-            )
+            tracer.emit("parity.batch", node=self.node_id, ops=len(ops))
         applied, stale = 0, False
         for run in self._runs(ops):
             done, stale = self._fold_run(*run)
@@ -479,35 +419,25 @@ class ParityServer(Node):
             tracer.emit(
                 "parity.reset", node=self.node_id, positions=list(positions)
             )
+        self._close_channels(positions)
+        if self._durable is not None:
+            self._durable.log({"ctl": "reset", "positions": list(positions)})
+
+    def _close_channels(self, positions: list[int]) -> None:
         for pos in positions:
             self._expected_seq.pop(pos, None)
-        if self._durable is not None:
-            for pos in positions:
+            if self._delta_log is not None:
                 self._delta_log.pop(pos, None)
-            self._durable.log({"ctl": "reset", "positions": list(positions)})
 
     # ------------------------------------------------------------------
     # queries used by recovery
     # ------------------------------------------------------------------
-    def _snapshots(self) -> list[dict]:
-        """Snapshot every record in one contiguous bytes pass."""
-        payloads = self._store.row_bytes()
-        return [
-            {
-                "rank": rank,
-                "keys": dict(record.keys),
-                "lengths": dict(record.lengths),
-                "parity": payloads[rank],
-            }
-            for rank, record in self.records.items()
-        ]
-
     def handle_parity_dump(self, message: Message) -> dict:
         """Everything this bucket knows (bucket recovery reads this)."""
         return {
             "group": self.group,
             "index": self.index,
-            "records": self._snapshots(),
+            "records": self._store.snapshots(),
             "expected_seqs": dict(self._expected_seq),
         }
 
@@ -519,56 +449,33 @@ class ParityServer(Node):
         searched key does not exist and the key search can terminate
         *unsuccessfully with certainty* even while data buckets are down.
         """
-        key = message.payload["key"]
-        entry = self._key_index.get(key)
+        entry = self._key_index.get(message.payload["key"])
         if entry is None:
             return None
-        rank, pos = entry
-        record = self.records[rank]
-        snap = record.snapshot(self.field)
-        snap["pos"] = pos
-        return snap
+        return {**self._store.snapshot(entry[0]), "pos": entry[1]}
 
     def handle_parity_rank(self, message: Message) -> dict | None:
         """Snapshot of one rank's parity record (or None)."""
-        record = self.records.get(message.payload["rank"])
-        return record.snapshot(self.field) if record else None
-
-    def _install(
-        self,
-        ranks: list[int],
-        rows: list[bytes],
-        directory: Iterable[tuple[int, int, int | None, int]],
-    ) -> None:
-        """Replace the whole record set (load / restart): ``rows`` are
-        the parity symbols of ``ranks``, ``directory`` the members as
-        ``(rank, pos, key, length)`` — the key is None for a member
-        whose length is known but whose key is not."""
-        store = self._store
-        store.bulk_load(list(zip(ranks, rows)))
-        records = self.records = {
-            rank: StoredParityRecord(rank, store) for rank in ranks
-        }
-        key_index = self._key_index = {}
-        for rank, pos, key, length in directory:
-            record = records[rank]
-            record.lengths[pos] = length
-            if key is not None:
-                record.keys[pos] = key
-                key_index[key] = (rank, pos)
+        rank = message.payload["rank"]
+        return self._store.snapshot(rank) if rank in self._store else None
 
     def handle_parity_load(self, message: Message) -> None:
-        """Bulk-load recovered content into a fresh (spare) parity bucket."""
+        """Bulk-load recovered content into a fresh (spare) parity bucket.
+        A member's length may be known while its key is not; a key
+        without a length is no member."""
         snaps = message.payload["records"]
-        self._install(
-            [snap["rank"] for snap in snaps],
-            [snap["parity"] for snap in snaps],
-            (
-                (snap["rank"], pos, snap["keys"].get(pos), length)
-                for snap in snaps
-                for pos, length in snap["lengths"].items()
-            ),
-        )
+        store = self._store
+        slots = store.slots
+        if any(not 0 <= pos < slots for snap in snaps for pos in snap["lengths"]):
+            raise ValueError(f"group position outside 0..{slots - 1}")
+        store.bulk_load([(snap["rank"], snap["parity"]) for snap in snaps])
+        key_cells, length_cells = store.key_cells, store.length_cells
+        for row, snap in enumerate(snaps):
+            keys = snap["keys"]
+            for pos, length in snap["lengths"].items():
+                length_cells[row * slots + pos] = length
+                key_cells[row * slots + pos] = keys.get(pos, NO_KEY)
+        self._key_index = store.locations()
         # A rebuilt spare is encoded from the group's *current* data, so
         # every Δ the senders have issued is already reflected; adopting
         # their counters makes any in-flight retransmission a duplicate.
@@ -625,42 +532,21 @@ class ParityServer(Node):
         self._durable.checkpoint(self._image(), len(self.records))
 
     def _image(self) -> dict:
-        """The checkpoint image: the bucket as a few long columns.
-
-        ``ranks`` and ``rows`` are the record groups in directory order
-        with their parity symbols, ``dir_*`` the key directory flattened
-        to one row per (rank, position) — the key is None for a member
-        whose length is known but whose key is not —, and each Δ-log
-        ring its four columns.  The wire keeps :meth:`_snapshots`; this shape
-        is for the disk alone, where the codec packs a column in one
-        pass but would walk a per-record dict field by field.
+        """The checkpoint image: the live state, column for column —
+        ``store`` is :meth:`StripeStore.image`, each Δ-log ring its first
+        sequence number and its columns.  Nothing is transposed or walked
+        per record: the codec packs each array in one pass.  The wire
+        keeps ``snapshots()``.
         """
-        ranks = list(self.records)
-        dir_rank: list[int] = []
-        dir_pos: list[int] = []
-        dir_key: list[int | None] = []
-        dir_len: list[int] = []
-        for rank, record in self.records.items():
-            lengths = record.lengths
-            dir_rank.extend(repeat(rank, len(lengths)))
-            dir_pos.extend(lengths)
-            dir_key.extend(map(record.keys.get, lengths))
-            dir_len.extend(lengths.values())
         return {
             "kind": "parity",
             "epoch": self.epoch,
-            "ranks": ranks,
-            "rows": list(map(self._store.row_bytes().__getitem__, ranks)),
-            "dir_rank": dir_rank,
-            "dir_pos": dir_pos,
-            "dir_key": dir_key,
-            "dir_len": dir_len,
+            "store": self._store.image(),
             "expected_seqs": self._expected_seq,
             "stale": self.stale,
             "coord": self.coord_checkpoint,
             "delta_log": {
-                pos: [list(ring.seqs), list(ring.codes), list(ring.keys),
-                      list(ring.ranks)]
+                pos: [ring.first, *ring.columns()]
                 for pos, ring in self._delta_log.items()
             },
         }
@@ -668,17 +554,14 @@ class ParityServer(Node):
     def _load_image(self, state: dict) -> None:
         """Inverse of :meth:`_image` (restart)."""
         self.epoch = state["epoch"]
-        self._install(
-            state["ranks"], state["rows"],
-            zip(state["dir_rank"], state["dir_pos"], state["dir_key"],
-                state["dir_len"]),
-        )
+        self._store.load_image(state["store"])
+        self._key_index = self._store.locations()
         self._expected_seq = state["expected_seqs"]
         self.stale = state["stale"]
         self.coord_checkpoint = state["coord"]
         self._delta_log = {
-            pos: DeltaRing(*columns)
-            for pos, columns in state["delta_log"].items()
+            pos: DeltaRing(first, columns)
+            for pos, (first, *columns) in state["delta_log"].items()
         }
 
     # -- restart-with-delta-catch-up -----------------------------------
@@ -692,17 +575,12 @@ class ParityServer(Node):
         """Replay the durable prefix, fence, and rejoin the file."""
         net = self._net()
         state, tail, clean = self._durable.read_back("parity")
-        self._expected_seq = {}
-        self.stale = False
-        self.coord_checkpoint = None
-        self._delta_log = {}
-        self.epoch = 0
-        if state is None:
-            self._install([], [], ())
-        else:
-            self._load_image(state)
-            for frame in tail:
-                self._replay_frame(frame)
+        self._load_image(state or {  # no image: the bucket as it was born
+            "epoch": 0, "store": StripeStore(self.field, len(self.row)).image(),
+            "expected_seqs": {}, "stale": False, "coord": None, "delta_log": {},
+        })
+        for frame in tail:
+            self._replay_frame(frame)
         self.fenced = True
         if net.tracer is not None:
             net.tracer.emit(
@@ -721,13 +599,10 @@ class ParityServer(Node):
 
     # -- WAL replay ----------------------------------------------------
     def _replay_frame(self, frame: dict) -> None:
-        if "ctl" in frame:
-            if frame["ctl"] == "reset":
-                for pos in frame["positions"]:
-                    self._expected_seq.pop(pos, None)
-                    self._delta_log.pop(pos, None)
-            return
-        self._fold_run(*frame["prun"], wal=False)
+        if "prun" in frame:
+            self._fold_run(*frame["prun"], wal=False)
+        elif frame["ctl"] == "reset":
+            self._close_channels(frame["positions"])
 
     # -- serving catch-up ----------------------------------------------
     def handle_delta_tail(self, message: Message) -> dict:
@@ -738,28 +613,17 @@ class ParityServer(Node):
         parity symbols).  ``covered`` is False when the ring no longer
         reaches back to ``after`` + 1.
         """
-        pos = message.payload["pos"]
-        after = message.payload["after"]
+        pos, after = message.payload["pos"], message.payload["after"]
         live = self._expected_seq.get(pos, 1) - 1
-        ops: list[dict] = []
-        covered = True
-        if after < live:
-            ring = (self._delta_log or {}).get(pos)
-            next_needed = after + 1
-            if ring is None:
-                covered = False
-            else:
-                for seq, action, key, rank in ring:
-                    if seq < next_needed:
-                        continue
-                    if seq > next_needed:
-                        covered = False
-                        break
-                    ops.append(
-                        {"seq": seq, "op": action, "key": key, "rank": rank}
-                    )
-                    next_needed += 1
-                covered = covered and next_needed > live
+        tail = [
+            entry for entry in (self._delta_log or {}).get(pos, ())
+            if entry[0] > after
+        ]
+        covered = [seq for seq, _, _, _ in tail] == list(range(after + 1, live + 1))
+        ops = [
+            {"seq": seq, "op": action, "key": key, "rank": rank}
+            for seq, action, key, rank in tail
+        ] if covered else []
         return {"covered": covered, "live": live, "ops": ops}
 
     # -- receiving catch-up --------------------------------------------

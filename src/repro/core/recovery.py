@@ -750,7 +750,7 @@ class RecoveryManager:
         False when the evidence is insufficient — no reachable parity,
         tail evicted from every ring — and the caller must fall back to
         a full RS rebuild.  Repair traffic scales with the missed tail,
-        not with the bucket (experiment E21's headline).
+        not with the bucket.
         """
         coordinator = self.coordinator
         m = coordinator.config.group_size

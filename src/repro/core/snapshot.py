@@ -58,7 +58,7 @@ def snapshot_file(file: LHRSFile) -> dict:
                 "group": server.group,
                 "index": server.index,
                 "expected_seqs": dict(server._expected_seq),
-                "records": server._snapshots(),
+                "records": server._store.snapshots(),
             }
         )
     return {

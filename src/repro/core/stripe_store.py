@@ -1,55 +1,139 @@
-"""Contiguous stripe storage for parity buckets.
+"""Contiguous, columnar storage for a parity bucket's records.
 
-A parity bucket holds one parity symbol array per record group (rank).
-:class:`StripeStore` packs them all into one ``(rows x width)`` symbol
-matrix with a rank→row map: each rank's parity lives in a row slice,
-zero-padded to the store width (the paper's padding rule makes the
-padding semantically free).  Dumps, signature scans and block folds then
-run as single 2D passes instead of walking one array per record.
+A parity record is a fixed-shape row — rank *r*, the group's member keys
+*c₁…c_m* with their payload lengths, one parity field.
+:class:`StripeStore` holds all of a bucket's records as the rows of a few
+arrays that grow and free together, with a rank→row map as the only
+index: ``matrix`` (one zero-padded parity stripe per row; the paper's
+padding rule makes the padding semantically free), ``dir_keys`` and
+``dir_lengths`` (one cell per group position), ``rank_of`` and
+``extents`` (one cell per row).  Dumps, signature scans and block folds
+run as single 2D passes, and a checkpoint image *is* these columns
+(:meth:`StripeStore.image`): nothing is transposed to write it.
 
-The matrix grows geometrically in both dimensions.  Growth reallocates
-it, so a row view is only good until the next ``ensure`` /
-``scatter_xor`` / ``bulk_load``: callers fetch a view (:meth:`view`),
-use it and let it go — nothing caches one.
+The arrays grow geometrically.  Growth reallocates them, so a row view
+or a cell accessor is only good until the next ``ensure`` /
+``scatter_xor`` / ``bulk_load``: callers fetch one, use it and let it go
+— nothing caches one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
+
 import numpy as np
 
+from repro.core.records import ParityRecord
 from repro.gf.field import GF
 
+#: ``dir_keys`` cell of a position whose key is not known (or that holds
+#: no member); member keys are the signed 64-bit integers above it
+NO_KEY, KEY_LIMIT = -(1 << 63), 1 << 63
+#: ``dir_lengths`` cell of a position that holds no member
+ABSENT = -1
 
-class StripeStore:
-    """One contiguous (rows x width) symbol matrix, addressed by rank."""
+_CELL = np.dtype(np.int64)
 
-    __slots__ = ("field", "matrix", "_row_of", "_length", "_free")
 
-    def __init__(self, field: GF, rows: int = 0, width: int = 0):
+def _members(cells: list[int], blank: int) -> dict[int, int]:
+    """``{position: value}`` over the occupied cells of a directory row."""
+    if blank not in cells:
+        return dict(enumerate(cells))
+    return {pos: cell for pos, cell in enumerate(cells) if cell != blank}
+
+
+def _fit(need: int, have: int) -> int:
+    """``have`` if it holds ``need``, else the next power of two up."""
+    return have if need <= have else max(8, 1 << (need - 1).bit_length())
+
+
+class StoredParityRecord(ParityRecord):
+    """One rank's row of a :class:`StripeStore`, read on demand: the
+    record holds nothing of its own, so there is nothing to re-bind
+    after a store reallocation.  ``symbols`` is a view (writes hit the
+    store); the two directory dicts are copies."""
+
+    def __init__(self, rank: int, store: "StripeStore"):
+        self._store = store
+        self.rank = rank
+
+    def snapshot(self, gf: GF | None = None) -> dict:
+        return self._store.snapshot(self.rank)
+
+    keys = property(lambda self: self.snapshot()["keys"])
+    lengths = property(lambda self: self.snapshot()["lengths"])
+    symbols = property(lambda self: self._store.view(self.rank))
+
+
+class StripeStore(Mapping):
+    """A parity bucket's records as rows of contiguous columns.
+
+    Reads as a mapping ``rank -> StoredParityRecord`` in the order the
+    ranks arrived.  ``slots`` is the number of group positions a row's
+    directory covers (0: stripes only).  Scalar directory access goes
+    through ``key_cells`` / ``length_cells``, flat accessors whose cell
+    ``row * slots + pos`` is ``dir_keys[row, pos]`` /
+    ``dir_lengths[row, pos]`` at the cost of a dict store.
+    """
+
+    __slots__ = (
+        "field", "slots", "matrix", "rank_of", "extents", "dir_keys",
+        "dir_lengths", "key_cells", "length_cells", "_extent", "_row_of",
+        "_free", "_top",
+    )
+
+    def __init__(self, field: GF, slots: int = 0):
         if field.width < 8:
             # Sub-byte symbols would make row slices non-byte-aligned in
             # row_bytes; the file configs only use GF(2^8)/GF(2^16).
             raise ValueError("StripeStore requires a whole-byte symbol field")
         self.field = field
-        self.matrix = np.zeros((rows, width), dtype=field.symbol_dtype)
-        self._row_of: dict[int, int] = {}
-        self._length: dict[int, int] = {}
-        self._free: list[int] = list(range(rows - 1, -1, -1))
+        self.slots = slots
+        self._adopt(np.zeros((0, 0), dtype=field.symbol_dtype), *self._blank(0))
+
+    def _blank(self, rows: int) -> tuple[np.ndarray, ...]:
+        """``(rank_of, extents, dir_keys, dir_lengths)`` of free rows."""
+        return (
+            np.full(rows, -1, dtype=_CELL),
+            np.zeros(rows, dtype=_CELL),
+            np.full((rows, self.slots), NO_KEY, dtype=_CELL),
+            np.full((rows, self.slots), ABSENT, dtype=_CELL),
+        )
+
+    def _bind(self, matrix, rank_of, extents, dir_keys, dir_lengths) -> None:
+        """Take (re)allocated columns and make their scalar accessors."""
+        self.matrix, self.rank_of, self.extents = matrix, rank_of, extents
+        self.dir_keys, self.dir_lengths = dir_keys, dir_lengths
+        self._extent = memoryview(extents)
+        self.key_cells = memoryview(dir_keys.reshape(-1))
+        self.length_cells = memoryview(dir_lengths.reshape(-1))
+
+    def _adopt(self, matrix, rank_of, *columns) -> None:
+        """Replace the content: every row is in use but those whose
+        ``rank_of`` is -1, which are free."""
+        self._bind(matrix, rank_of, *columns)
+        used = np.flatnonzero(rank_of >= 0)
+        self._row_of: dict[int, int] = dict(
+            zip(rank_of[used].tolist(), used.tolist())
+        )
+        #: released rows below ``_top``, the number of rows ever handed out
+        self._free: list[int] = np.flatnonzero(rank_of < 0)[::-1].tolist()
+        self._top = len(rank_of)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._row_of)
 
-    def __contains__(self, rank: int) -> bool:
+    def __contains__(self, rank: object) -> bool:
         return rank in self._row_of
 
-    def ranks(self) -> list[int]:
-        """Stored ranks in insertion-independent sorted order."""
-        return sorted(self._row_of)
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._row_of)
 
-    def length_of(self, rank: int) -> int:
-        """Logical symbol length of one rank's stripe."""
-        return self._length[rank]
+    def __getitem__(self, rank: int) -> StoredParityRecord:
+        if rank not in self._row_of:
+            raise KeyError(rank)
+        return StoredParityRecord(rank, self)
 
     @property
     def width(self) -> int:
@@ -58,44 +142,46 @@ class StripeStore:
     # ------------------------------------------------------------------
     def view(self, rank: int) -> np.ndarray:
         """Logical-length view of one rank's row (writes hit the store)."""
-        return self.matrix[self._row_of[rank], : self._length[rank]]
+        row = self._row_of[rank]
+        return self.matrix[row, : self._extent[row]]
 
-    def _reserve(self, width: int, fresh: int) -> None:
-        """Grow the matrix to ``width`` columns and ``fresh`` free rows."""
-        if width > self.width:
-            new_width = max(8, self.width)
-            while new_width < width:
-                new_width *= 2
-            wider = np.zeros(
-                (self.matrix.shape[0], new_width), dtype=self.field.symbol_dtype
-            )
-            wider[:, : self.width] = self.matrix
-            self.matrix = wider
-        if fresh > len(self._free):
-            old_rows = self.matrix.shape[0]
-            new_rows = max(8, 2 * old_rows)
-            while new_rows - old_rows + len(self._free) < fresh:
-                new_rows *= 2
-            taller = np.zeros(
-                (new_rows, self.width), dtype=self.field.symbol_dtype
-            )
-            taller[:old_rows] = self.matrix
-            self.matrix = taller
-            self._free.extend(range(new_rows - 1, old_rows - 1, -1))
+    def _allot(self, fresh: list[int], width: int) -> None:
+        """Give each rank of ``fresh`` a blank row, growing the columns
+        to hold them and stripes of ``width`` symbols."""
+        rows, old_width = self.matrix.shape
+        need = len(self._row_of) + len(fresh)
+        if need > rows or width > old_width:
+            shape = _fit(need, rows), _fit(width, old_width)
+            matrix = np.zeros(shape, dtype=self.matrix.dtype)
+            matrix[:rows, :old_width] = self.matrix
+            columns = self._blank(shape[0])
+            for new, old in zip(columns, (
+                self.rank_of, self.extents, self.dir_keys, self.dir_lengths
+            )):
+                new[:rows] = old
+            self._bind(matrix, *columns)
+        for rank in fresh:
+            if rank < 0:  # -1 marks a free row
+                raise ValueError("ranks are non-negative")
+            if self._free:
+                row = self._free.pop()
+            else:
+                row = self._top
+                self._top += 1
+            self._row_of[rank] = row
+            self.rank_of[row] = rank
 
     def ensure(self, rank: int, length: int) -> np.ndarray:
         """Make ``rank`` exist with at least ``length`` logical symbols;
         returns its :meth:`view`."""
         row = self._row_of.get(rank)
-        if length > self.matrix.shape[1] or (row is None and not self._free):
-            self._reserve(length, 1 if row is None else 0)
-        if row is None:
-            row = self._row_of[rank] = self._free.pop()
-            self._length[rank] = length
-        elif length > self._length[rank]:
-            self._length[rank] = length
+        if row is None or length > self.matrix.shape[1]:
+            self._allot([rank] if row is None else [], length)
+            row = self._row_of[rank]
+        if length > self._extent[row]:
+            self._extent[row] = length
         else:
-            length = self._length[rank]
+            length = self._extent[row]
         return self.matrix[row, :length]
 
     def scatter_xor(
@@ -111,31 +197,28 @@ class StripeStore:
         fancy-index scatter would silently drop all but one fold.
 
         Equivalent to ``ensure`` + ``view`` + per-row XOR, with at most
-        one reallocation per dimension for the whole batch.
+        one reallocation for the whole batch.
         """
         width = int(rows.shape[1])
-        row_of, length_of = self._row_of, self._length
-        fresh_ranks = [r for r in ranks if r not in row_of]
-        if width > self.width or len(fresh_ranks) > len(self._free):
-            self._reserve(width, len(fresh_ranks))
-        for rank in fresh_ranks:
-            row_of[rank] = self._free.pop()
-            length_of[rank] = 0
-        for rank, length in zip(ranks, lengths):
-            if length > length_of[rank]:
-                length_of[rank] = length
+        row_of = self._row_of
+        self._allot([rank for rank in ranks if rank not in row_of], width)
+        extent = self._extent
         targets = [row_of[rank] for rank in ranks]
+        for row, length in zip(targets, lengths):
+            if length > extent[row]:
+                extent[row] = length
         self.matrix[targets, :width] ^= rows
 
     def release(self, rank: int) -> None:
-        """Drop a rank; its row is zeroed and recycled."""
+        """Drop a rank; its row is blanked in every column and recycled."""
         row = self._row_of.pop(rank)
-        self._length.pop(rank)
         self.matrix[row] = 0
+        self.rank_of[row], self.extents[row] = -1, 0
+        self.dir_keys[row], self.dir_lengths[row] = NO_KEY, ABSENT
         self._free.append(row)
 
     # ------------------------------------------------------------------
-    # bulk views (what dumps and signature scans ride on)
+    # bulk views (what dumps, signature scans and checkpoints ride on)
     # ------------------------------------------------------------------
     def stacked(self) -> tuple[list[int], np.ndarray]:
         """``(ranks, matrix)`` with one full-width row per stored rank.
@@ -143,30 +226,60 @@ class StripeStore:
         The matrix is a single fancy-index gather — one allocation for
         the whole bucket, in rank order.
         """
-        ranks = self.ranks()
+        ranks = sorted(self._row_of)
         rows = [self._row_of[rank] for rank in ranks]
         return ranks, self.matrix[rows, :]
 
     def row_bytes(self) -> dict[int, bytes]:
-        """Per-rank parity payloads rendered from one contiguous pass.
+        """Per-rank parity payloads: the used rows become bytes in one
+        pass, each payload a slice of that blob trimmed to its logical
+        (symbol-aligned) length."""
+        blob = self.field.bytes_from_symbols(self.matrix[: self._top].reshape(-1))
+        itemsize, extent = self.matrix.dtype.itemsize, self._extent
+        stride = self.width * itemsize
+        return {
+            rank: blob[row * stride : row * stride + extent[row] * itemsize]
+            for rank, row in self._row_of.items()
+        }
 
-        The whole store is converted to bytes once; each rank's payload
-        is then a cheap slice of that blob, trimmed to its logical
-        (symbol-aligned) length.
-        """
-        ranks, matrix = self.stacked()
-        if not ranks:
-            return {}
-        blob = self.field.bytes_from_symbols(matrix.reshape(-1))
-        stride = self.width * matrix.dtype.itemsize
-        out: dict[int, bytes] = {}
-        for i, rank in enumerate(ranks):
-            nbytes = self._length[rank] * matrix.dtype.itemsize
-            out[rank] = blob[i * stride : i * stride + nbytes]
-        return out
+    def snapshot(self, rank: int) -> dict:
+        """One record's :meth:`ParityRecord.snapshot`, from its row."""
+        row, slots = self._row_of[rank], self.slots
+        cells = slice(row * slots, (row + 1) * slots)
+        return {
+            "rank": rank,
+            "keys": _members(self.key_cells[cells].tolist(), NO_KEY),
+            "lengths": _members(self.length_cells[cells].tolist(), ABSENT),
+            "parity": self.field.bytes_from_symbols(self.view(rank)),
+        }
+
+    def snapshots(self) -> list[dict]:
+        """Every record's :meth:`ParityRecord.snapshot`, in one bytes
+        pass and one pass per directory column."""
+        payloads = self.row_bytes()
+        keys = self.dir_keys[: self._top].tolist()
+        lengths = self.dir_lengths[: self._top].tolist()
+        return [
+            {
+                "rank": rank,
+                "keys": _members(keys[row], NO_KEY),
+                "lengths": _members(lengths[row], ABSENT),
+                "parity": payloads[rank],
+            }
+            for rank, row in self._row_of.items()
+        ]
+
+    def locations(self) -> dict[int, tuple[int, int]]:
+        """``{key: (rank, pos)}`` over every known member key."""
+        rows, positions = np.nonzero(self.dir_keys != NO_KEY)
+        return dict(zip(
+            self.dir_keys[rows, positions].tolist(),
+            zip(self.rank_of[rows].tolist(), positions.tolist()),
+        ))
 
     def bulk_load(self, items: list[tuple[int, bytes]]) -> None:
-        """Replace the store content with ``(rank, payload)`` pairs.
+        """Replace the store content with ``(rank, payload)`` pairs, one
+        row each in the order given, their directory rows blank.
 
         Packs every payload in one :meth:`GF.stack_payloads` pass —
         the fast path for ``parity.load`` (spare installation, snapshot
@@ -179,20 +292,41 @@ class StripeStore:
             # stack_payloads may alias the (immutable) joined input
             # bytes; the store matrix is written in place by later folds.
             packed = packed.copy()
-        self.matrix = packed
-        self._row_of = {rank: i for i, (rank, _) in enumerate(items)}
-        self._length = {
-            rank: length for (rank, _), length in zip(items, lengths)
+        rank_of, extents, *directory = self._blank(len(items))
+        rank_of[:] = [rank for rank, _ in items]
+        extents[:] = lengths
+        self._adopt(packed, rank_of, extents, *directory)
+
+    def image(self) -> dict:
+        """The used rows of every column as they stand: what a checkpoint
+        writes.  The arrays are views of the live store — encode them
+        before the next mutation.  :meth:`load_image` is the inverse."""
+        top = self._top
+        return {
+            "slots": self.slots,
+            "width": self.width,
+            "rank_of": self.rank_of[:top],
+            "extents": self.extents[:top],
+            "matrix": self.field.bytes_from_symbols(self.matrix[:top].reshape(-1)),
+            "dir_keys": self.dir_keys[:top].reshape(-1),
+            "dir_lengths": self.dir_lengths[:top].reshape(-1),
         }
-        self._free = []
+
+    def load_image(self, image: dict) -> None:
+        """Replace the store content with a decoded :meth:`image` (whose
+        integer columns arrive as lists); rows keep their numbers."""
+        rank_of = np.array(image["rank_of"], dtype=_CELL)
+        shape = len(rank_of), image["slots"]
+        self.slots = image["slots"]
+        matrix = self.field.symbols_from_bytes(image["matrix"])
+        self._adopt(
+            matrix.reshape(len(rank_of), image["width"]).copy(),
+            rank_of,
+            np.array(image["extents"], dtype=_CELL),
+            np.array(image["dir_keys"], dtype=_CELL).reshape(shape),
+            np.array(image["dir_lengths"], dtype=_CELL).reshape(shape),
+        )
 
     def nbytes(self) -> int:
         """Logical payload bytes held (excludes padding and free rows)."""
-        itemsize = self.matrix.dtype.itemsize
-        return sum(self._length.values()) * itemsize
-
-    def __repr__(self) -> str:
-        return (
-            f"StripeStore({len(self)} ranks, "
-            f"{self.matrix.shape[0]}x{self.width} {self.matrix.dtype})"
-        )
+        return int(self.extents.sum()) * self.matrix.dtype.itemsize

@@ -18,7 +18,8 @@ tag   type      content
                 an ``int`` or a ``str`` value, written ints ascending
                 first, then strs ascending
 0x0A  list      packed int column: ``<u8 width> <u32 count>`` + count
-                signed integers of ``width`` ∈ {1, 2, 4, 8} bytes
+                signed integers of ``width`` ∈ {1, 2, 4, 8} bytes;
+                a 1-D integer ``ndarray`` is written as the equal list
 0x0B  list      packed bytes column: ``<u32 count>`` + count ``<u32>``
                 lengths + the items joined into one blob
 ====  ========  ====================================================
@@ -32,7 +33,10 @@ The two packed columns are what make a checkpoint image cheap: a list of
 :data:`PACK_MIN` or more items that are all ``int`` (and fit 64 bits) or
 all ``bytes`` is written as one column — chosen by inspecting the list,
 the narrowest integer width that holds its extremes — and decodes back
-to a plain list.  Shorter or mixed lists take the generic form.
+to a plain list.  Shorter or mixed lists take the generic form.  A
+one-dimensional integer ``numpy`` array encodes to the very bytes of the
+list of its items, straight from its buffer — a column that already
+lives as an array skips the inspection and the list → array pass.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from typing import Any, Callable
 import numpy as np
 
 #: version of this tag set; the first byte of every frame body
-VERSION = 2
+VERSION = 3
 
 #: shortest list that takes a packed column (below it the generic form
 #: is as small and skips the array round trip)
@@ -105,6 +109,8 @@ def _put(value: Any, emit: Emit) -> None:
         emit(b"\x02" if value else b"\x01")
     elif kind is float:
         emit(_TAG_FLOAT.pack(_FLOAT, value))
+    elif kind is np.ndarray:
+        _put_array(value, emit)
     else:
         raise TypeError(f"cannot encode {kind.__name__} values")
 
@@ -119,13 +125,7 @@ def _put_list(value: "list[Any] | tuple[Any, ...]", emit: Emit) -> None:
             except OverflowError:
                 pass  # some item needs more than 64 bits: generic form
             else:
-                low, high = int(column.min()), int(column.max())
-                width = next(
-                    w for w in (1, 2, 4, 8)
-                    if -(1 << (8 * w - 1)) <= low and high < 1 << (8 * w - 1)
-                )
-                emit(_TAG_INTS.pack(_INTS, width, count))
-                emit(column.astype(_INT_DTYPES[width]).tobytes())
+                _put_array(column, emit)
                 return
         elif kinds == {bytes}:
             emit(_TAG_LEN.pack(_BLOBS, count))
@@ -135,6 +135,25 @@ def _put_list(value: "list[Any] | tuple[Any, ...]", emit: Emit) -> None:
     emit(_TAG_LEN.pack(_LIST, count))
     for item in value:
         _put(item, emit)
+
+
+def _put_array(column: np.ndarray, emit: Emit) -> None:
+    """A 1-D integer array, as the list of its items would be written."""
+    if column.ndim != 1 or column.dtype.kind not in "iu":
+        raise TypeError("only one-dimensional integer arrays encode")
+    count = len(column)
+    if count >= PACK_MIN:
+        low, high = int(column.min()), int(column.max())
+        width = next(
+            (w for w in (1, 2, 4, 8)
+             if -(1 << (8 * w - 1)) <= low and high < 1 << (8 * w - 1)),
+            None,  # a uint64 past the signed word: generic form
+        )
+        if width is not None:
+            emit(_TAG_INTS.pack(_INTS, width, count))
+            emit(column.astype(_INT_DTYPES[width], copy=False).tobytes())
+            return
+    _put_list(column.tolist(), emit)
 
 
 def _put_dict(value: dict[Any, Any], emit: Emit) -> None:

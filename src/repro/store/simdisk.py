@@ -88,22 +88,27 @@ class SimDisk:
     # fault profile
     # ------------------------------------------------------------------
     def _profile(self) -> dict[str, float]:
+        """The fault profile in force: read once per disk call (a node
+        with no disk rule gets ``NEUTRAL_PROFILE`` itself, unmerged)."""
         rules = self.profile() if self.profile is not None else None
         if not rules:
             return NEUTRAL_PROFILE
         return {**NEUTRAL_PROFILE, **rules}
 
-    def _maybe_io_error(self, op: str) -> None:
-        prob = self._profile()["io_error"]
+    def _maybe_io_error(self, op: str, name: str) -> dict[str, float]:
+        """Draw the call's io-error; returns the profile it read."""
+        profile = self._profile()
+        prob = profile["io_error"]
         if prob > 0.0 and float(self.rng.random()) < prob:
-            raise DiskError(f"{self.node_id}: injected io-error on {op}")
+            raise DiskError(f"{self.node_id}: injected io-error on {op}:{name}")
+        return profile
 
     # ------------------------------------------------------------------
     # write path
     # ------------------------------------------------------------------
     def append(self, name: str, data: bytes) -> None:
         """Buffer ``data`` at the end of ``name`` (durable after fsync)."""
-        self._maybe_io_error(f"append:{name}")
+        self._maybe_io_error("append", name)
         self._unsynced.setdefault(name, []).append(bytes(data))
         self.appends += 1
         self.bytes_written += len(data)
@@ -116,7 +121,7 @@ class SimDisk:
         behind it.  Appends issued *after* the stage accumulate on top
         of the new image.
         """
-        self._maybe_io_error(f"write:{name}")
+        self._maybe_io_error("write", name)
         self._staged[name] = bytes(data)
         self._unsynced.pop(name, None)
         self.bytes_written += len(data)
@@ -127,8 +132,7 @@ class SimDisk:
 
     def fsync(self, name: str) -> None:
         """Make every staged/unsynced byte of ``name`` durable."""
-        self._maybe_io_error(f"fsync:{name}")
-        profile = self._profile()
+        profile = self._maybe_io_error("fsync", name)
         synced = 0
         if name in self._staged:
             # a staged replace supersedes appends buffered before it

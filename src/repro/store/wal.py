@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from collections.abc import Callable
 from typing import Any
 
 from repro.store import codec
@@ -33,16 +34,133 @@ from repro.store.simdisk import SimDisk
 
 _HEADER = struct.Struct("<II")
 _VERSION = bytes([codec.VERSION])
+_VERSION_CRC = zlib.crc32(_VERSION)
 
 #: sanity cap — a rotted length field must not make replay allocate GBs
 _MAX_FRAME = 1 << 26
 
 
 def encode_frame(record: dict[str, Any], lsn: int | None = None) -> bytes:
-    """One checksummed frame: header + version byte + ``[lsn, record]``."""
-    value = codec.encode((lsn, record))
-    crc = zlib.crc32(value, zlib.crc32(_VERSION))
-    return b"".join((_HEADER.pack(1 + len(value), crc), _VERSION, value))
+    """One checksummed frame: header + version byte + ``[lsn, record]``.
+
+    The two frames a scalar durable write logs — a data bucket's
+    one-record ``op`` and a parity bucket's one-record ``prun`` — are
+    written by the packers below; every other record (and any such
+    frame off its usual types) goes through the codec's walker.  Both
+    give the same bytes.
+    """
+    value = None
+    try:
+        if "op" in record:
+            value = _PACK_OP[record["op"]](lsn, record)
+        elif "prun" in record:
+            value = _PACK_PRUN[record["prun"][0]](lsn, record)
+    except (struct.error, LookupError, TypeError, ValueError):
+        pass  # not the scalar shape after all
+    if value is None:
+        value = codec.encode((lsn, record))
+    crc = zlib.crc32(value, _VERSION_CRC)
+    return _HEADER.pack(1 + len(value), crc) + _VERSION + value
+
+
+# -- the scalar frame packers ------------------------------------------
+# A scalar frame body is mostly fixed text — tags, counts, dict keys —
+# that the walker re-derives per frame.  A packer keeps that text as byte
+# strings cut from the walker's own output (the tag set stays the
+# codec's alone) and writes each stretch of it, with the field that
+# follows, through a precompiled Struct.  ``q`` is the codec's int form
+# for a signed 64-bit word: an int beyond it raises ``struct.error``, a
+# value of another type fails the guard (``True`` is not ``1``), and the
+# frame takes the walker.
+_Packer = Callable[[Any, dict[str, Any]], "bytes | None"]
+
+
+def _opens(container: Any) -> bytes:
+    """The tag and count a list or dict of this size starts with."""
+    return codec.encode(container)[:5]
+
+
+def _layout(texts: tuple[bytes, ...], codes: str) -> Callable[..., bytes]:
+    """``pack(text, field, text, field, ...)`` for these fixed byte
+    strings, each followed by one field of its struct code."""
+    return struct.Struct(
+        "<" + "".join(f"{len(text)}s{code}" for text, code in zip(texts, codes))
+    ).pack
+
+
+_INT, _BYTES = codec.encode(0)[:1], codec.encode(b"")[:1]
+_LIST1, _LIST2, _LIST7 = (_opens([None] * count) for count in (1, 2, 7))
+_DICT1, _DICT7 = (_opens(dict.fromkeys(range(count))) for count in (1, 7))
+_LSN = _LIST2 + _INT  # "[lsn, ..."
+
+
+def _op_packer(action: str) -> _Packer:
+    """``[lsn, {"delta": .., "key": .., "length": .., "op": action,
+    "pos": .., "rank": .., "seq": ..}]`` — a data bucket's one-record Δ,
+    keys in the codec's order."""
+    text = codec.encode
+    opening = _DICT7 + text("delta") + _BYTES
+    t_key, t_length = text("key") + _INT, text("length") + _INT
+    t_pos = text("op") + text(action) + text("pos") + _INT
+    t_rank, t_seq = text("rank") + _INT, text("seq") + _INT
+    head = _layout((_LSN, opening), "qI")
+    tail = _layout((t_key, t_length, t_pos, t_rank, t_seq), "qqqqq")
+
+    def pack(lsn: Any, record: dict[str, Any]) -> bytes | None:
+        delta, key, length = record["delta"], record["key"], record["length"]
+        pos, rank, seq = record["pos"], record["rank"], record["seq"]
+        if (
+            len(record) != 7 or type(delta) is not bytes
+            or type(lsn) is not int or type(key) is not int
+            or type(length) is not int or type(pos) is not int
+            or type(rank) is not int or type(seq) is not int
+        ):
+            return None
+        return b"".join((
+            head(_LSN, lsn, opening, len(delta)),
+            delta,
+            tail(t_key, key, t_length, length, t_pos, pos, t_rank, rank,
+                 t_seq, seq),
+        ))
+
+    return pack
+
+
+def _prun_packer(action: str) -> _Packer:
+    """``[lsn, {"prun": [action, pos, seq0, [key], [rank], [delta],
+    [length]]}]`` — a parity bucket's one-record sequenced run."""
+    text = codec.encode
+    t_pos = _DICT1 + text("prun") + _LIST7 + text(action) + _INT
+    t_one, t_delta = _LIST1 + _INT, _LIST1 + _BYTES
+    head = _layout((_LSN, t_pos, _INT, t_one, t_one, t_delta), "qqqqqI")
+    tail = _layout((t_one,), "q")
+
+    def pack(lsn: Any, record: dict[str, Any]) -> bytes | None:
+        run = record["prun"]
+        _, pos, seq0, keys, ranks, deltas, lengths = run
+        (key,), (rank,), (delta,), (length,) = keys, ranks, deltas, lengths
+        if (
+            len(record) != 1 or type(delta) is not bytes
+            or {type(run), type(keys), type(ranks), type(deltas), type(lengths)}
+            != {list}
+            or type(lsn) is not int or type(pos) is not int
+            or type(seq0) is not int or type(key) is not int
+            or type(rank) is not int or type(length) is not int
+        ):
+            return None
+        return b"".join((
+            head(_LSN, lsn, t_pos, pos, _INT, seq0, t_one, key, t_one, rank,
+                 t_delta, len(delta)),
+            delta,
+            tail(t_one, length),
+        ))
+
+    return pack
+
+
+_ACTIONS = ("insert", "update", "delete")
+_PACK_OP = {action: _op_packer(action) for action in _ACTIONS}
+_PACK_PRUN = {action: _prun_packer(action) for action in _ACTIONS}
 
 
 def decode_frames(data: bytes) -> tuple[list[dict[str, Any]], bool]:

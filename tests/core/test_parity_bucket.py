@@ -1,6 +1,8 @@
 """Unit tests of the parity bucket server in isolation."""
 
 import random
+from collections import deque
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import LHRSConfig
+from repro.core.delta_ring import ACTIONS, DeltaRing
+from repro.core.durable import DELTA_LOG_CAPACITY
 from repro.core.parity_bucket import ParityServer
 from repro.gf import GF
 from repro.rs.encoder import delta_payload, fold_delta
@@ -364,6 +368,25 @@ class Coord(Node):
         pass
 
 
+def lone_parity(field, index=0, durable=True):
+    """A parity bucket on a net of its own, with a sender and a
+    coordinator stub; durable, it checkpoints only when asked (and at a
+    restart or a catch-up), so a replay covers the same Δs whatever
+    frames they came in."""
+    net = Network()
+    server = ParityServer(
+        "f.p0.0", "f", group=0, index=index,
+        row=parity_matrix(field, 4, index + 1).row(index), field=field,
+    )
+    probe = Probe("probe")
+    for node in (server, probe, Coord("f.coord")):
+        net.register(node)
+    if durable:
+        server.enable_durability(LHRSConfig(
+            durability=True, durability_checkpoint_interval=10**6))
+    return net, server, probe
+
+
 class Oracle:
     """One parity bucket Δ by Δ: the scalar channel check and the
     ``rs.encoder.fold_delta`` reference, one array per record."""
@@ -494,19 +517,8 @@ class TestDeliveryShapes:
     SHAPES = ("update", "batch", "block", "mixed")
 
     def run_shape(self, shape, field, index, durable, streams, slices, cuts):
-        net = Network()
-        row = parity_matrix(field, 4, index + 1).row(index)
-        server = ParityServer("f.p0.0", "f", group=0, index=index, row=row,
-                              field=field)
-        probe = Probe("probe")
-        for node in (server, probe, Coord("f.coord")):
-            net.register(node)
-        if durable:
-            # No checkpoint but the ones restart and catch-up write: the
-            # replay then covers the same Δs whatever frames they came in.
-            server.enable_durability(LHRSConfig(
-                durability=True, durability_checkpoint_interval=10**6))
-        oracle = Oracle(field, row)
+        net, server, probe = lone_parity(field, index, durable)
+        oracle = Oracle(field, server.row)
         for step, (pos, lo, hi) in enumerate(slices):
             if durable and step == len(slices) // 2:
                 net.fail("f.p0.0")
@@ -562,6 +574,49 @@ class TestDeliveryShapes:
                 } == oracle.applied
             seen.append((dump, counters))
         assert all(result == seen[0] for result in seen)
+
+
+class TestDeltaRing:
+    """The column ring against a ``deque(maxlen)`` of descriptors."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        runs=st.lists(
+            st.tuples(
+                st.sampled_from(ACTIONS),
+                st.one_of(st.integers(1, 5), st.integers(300, 2600)),
+            ),
+            min_size=1, max_size=12,
+        ),
+        reload_at=st.integers(0, 12),
+    )
+    def test_holds_the_newest_descriptors_in_order(self, runs, reload_at):
+        ring, oracle, seq = DeltaRing(), deque(maxlen=DELTA_LOG_CAPACITY), 1
+        for step, (action, count) in enumerate(runs):
+            if step == reload_at:  # what a checkpoint and a restart do
+                ring = DeltaRing(
+                    ring.first, [column.tolist() for column in ring.columns()])
+            keys = [seq * 7 + i for i in range(count)]
+            ranks = [(seq + i) % 50 for i in range(count)]
+            ring.extend(seq, action, keys, ranks)
+            oracle.extend(zip(range(seq, seq + count), repeat(action), keys, ranks))
+            seq += count
+            assert list(ring) == list(oracle)
+            assert ring.columns().shape == (3, len(oracle))
+            assert ring.cells.shape[1] <= 2 * DELTA_LOG_CAPACITY
+
+    def test_a_run_that_does_not_follow_on_starts_the_ring_afresh(self):
+        ring = DeltaRing()
+        ring.extend(1, "insert", [5, 6], [1, 2])
+        ring.extend(3, "delete", [5], [1])
+        assert [seq for seq, *_ in ring] == [1, 2, 3]
+        ring.extend(7, "update", [6], [2])  # 4..6 never came
+        assert list(ring) == [(7, "update", 6, 2)] and ring.first == 7
+
+    def test_a_quiet_channel_stays_small(self):
+        ring = DeltaRing()
+        ring.extend(1, "insert", [5, 6, 7], [1, 2, 3])
+        assert ring.cells.nbytes < 1024
 
 
 class TestNestedRows:

@@ -21,6 +21,7 @@ The tentpole's service-level contract, pinned end to end:
 
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -35,13 +36,19 @@ from repro.rs.generator import parity_matrix
 from repro.sdds.client import OperationFailed
 from repro.sim import FaultPlane, Network
 from repro.sim.network import NodeUnavailable
+from repro.sim.stats import LatencyModel
 from repro.store.simdisk import DiskError
+from repro.core.stripe_store import NO_KEY
+from repro.store import codec, decode_blob, encode_blob
 from tests.core.test_parity_bucket import (
     Coord,
     Probe,
     as_blocks,
     delivery_schedule,
     delta_streams,
+    lone_parity,
+    op,
+    seq_op,
 )
 
 
@@ -301,6 +308,39 @@ class TestCheckpointsUnderGrowth:
         assert len(file.data_servers()) > 8 and len(images) > 200
 
 
+def parity_state(server):
+    """Everything a parity bucket holds, records in rank order (a live
+    bucket lists them as they arrived, a restarted one row by row)."""
+    dump = server.handle_parity_dump(None)
+    dump["records"].sort(key=lambda record: record["rank"])
+    return (
+        dump, dict(server._expected_seq), server.stale,
+        server.coord_checkpoint,
+        {pos: list(ring) for pos, ring in server._delta_log.items()},
+    )
+
+
+def directory_of(server):
+    """``{key: (rank, pos)}`` as the records spell it."""
+    return {
+        key: (rank, pos)
+        for rank, record in server.records.items()
+        for pos, key in record.keys.items()
+    }
+
+
+def checkpoint_and_restart(net, server):
+    """``checkpoint_now`` → crash → restart; the bucket must come back
+    as it was, with the locate index rebuilt from the directory."""
+    before = parity_state(server)
+    server.checkpoint_now()
+    net.fail(server.node_id)
+    net.restore(server.node_id)  # -> on_restored() -> _restart()
+    assert server.fenced and parity_state(server) == before
+    assert server._key_index == directory_of(server)
+    return before
+
+
 class TestImageEqualsLiveState:
     """``checkpoint_now`` → crash → replay gives back the bucket that
     was checkpointed, field for field."""
@@ -315,16 +355,7 @@ class TestImageEqualsLiveState:
     @example(seed=498803173, width=8, index=0, positions={0, 1, 2, 3})
     def test_parity_bucket(self, seed, width, index, positions):
         field, rng = GF(width), random.Random(seed)
-        net = Network()
-        server = ParityServer(
-            "f.p0.0", "f", group=0, index=index,
-            row=parity_matrix(field, 4, index + 1).row(index), field=field,
-        )
-        probe = Probe("probe")
-        for node in (server, probe, Coord("f.coord")):
-            net.register(node)
-        server.enable_durability(LHRSConfig(
-            durability=True, durability_checkpoint_interval=10**6))
+        net, server, probe = lone_parity(field, index)
         # ragged and zero-length payloads, resends, a final gap
         streams = delta_streams(rng, sorted(positions))
         slices = delivery_schedule(rng, streams)
@@ -338,29 +369,140 @@ class TestImageEqualsLiveState:
             probe.call("f.p0.0", "parity.batch", {"ops": entries})
         probe.send("f.p0.0", "coord.checkpoint",
                    {"lsn": 4, "n": 1, "i": 2, "group_levels": {0: 2, 1: 1}})
+        # A member whose length is known and whose key is not (an update
+        # of a slot this bucket never saw inserted), among known ones.
+        pos = min(positions)
+        probe.call("f.p0.0", "parity.update",
+                   op("update", 77, rng.choice(range(8, 12)), pos, b"xy"))
+        assert server.stale
+        before = checkpoint_and_restart(net, server)
+        assert before[4][pos]
+        assert any(
+            set(record["lengths"]) - set(record["keys"])
+            for record in before[0]["records"]
+        )
+        # (The live locate index is not compared: this generator inserts
+        # onto occupied slots, which no data bucket does, and that
+        # leaves the displaced key behind in it — the pinned example.)
 
-        def live():
-            return (
-                server.handle_parity_dump(None), dict(server._expected_seq),
-                server.stale, server.coord_checkpoint,
-                {pos: list(ring) for pos, ring in server._delta_log.items()},
-            )
+    def test_one_unknown_key_leaves_the_key_column_packed(self):
+        net, server, probe = lone_parity(GF(8))
+        for rank in range(1, 40):
+            probe.call("f.p0.0", "parity.update",
+                       seq_op(rank, "insert", 2**40 + rank, rank, 0, b"abc"))
+        probe.call("f.p0.0", "parity.update", op("update", 5, 50, 2, b"zz"))
+        assert server.records[50].lengths == {2: 2}
+        assert server.records[50].keys == {}
+        image = server._image()["store"]
+        packed = codec.encode(image["dir_keys"])
+        assert packed[0] == 0x0A and packed[1] == 8  # one packed column
+        assert len(packed) == 6 + 8 * len(image["dir_keys"])
+        del image
+        checkpoint_and_restart(net, server)
+        probe.call("f.p0.0", "catchup.parity", {"ops": []})  # unfence
+        assert probe.call("f.p0.0", "parity.locate", {"key": 5}) is None
 
-        before = live()
-        assert server.stale and before[4][min(positions)]
-        server.checkpoint_now()
-        net.fail("f.p0.0")
-        net.restore("f.p0.0")  # -> on_restored() -> _restart()
-        assert server.fenced and live() == before
-        # The locate index is rebuilt from the directory.  (The live one
-        # is not compared: this generator inserts onto occupied slots,
-        # which no data bucket does, and that leaves the displaced key
-        # behind in it — the pinned example.)
-        assert server._key_index == {
-            key: (rank, pos)
-            for rank, record in server.records.items()
-            for pos, key in record.keys.items()
-        }
+    def test_empty_bucket(self):
+        net, server, probe = lone_parity(GF(16), index=1)
+        before = checkpoint_and_restart(net, server)
+        assert before[0]["records"] == [] and len(server.records) == 0
+        probe.call("f.p0.0", "catchup.parity", {"ops": []})
+        probe.call("f.p0.0", "parity.update", seq_op(1, "insert", 9, 1, 0, b"ab"))
+        checkpoint_and_restart(net, server)
+        assert directory_of(server) == {9: (1, 0)}
+
+    def test_after_a_channel_reset(self):
+        net, server, probe = lone_parity(GF(8))
+        for pos in (0, 1):
+            for seq in (1, 2, 3):
+                probe.call("f.p0.0", "parity.update", seq_op(
+                    seq, "insert", 10 * pos + seq, seq, pos, b"p%d" % seq))
+        probe.send("f.p0.0", "parity.reset", {"positions": [1]})
+        before = checkpoint_and_restart(net, server)
+        assert before[1] == {0: 4} and set(before[4]) == {0}
+        assert len(directory_of(server)) == 6  # a reset keeps the members
+
+    def test_after_the_store_grew_rows_and_width(self):
+        net, server, probe = lone_parity(GF(16))
+        store = server._store
+        probe.call("f.p0.0", "parity.update", seq_op(1, "insert", 500, 0, 3, b"ab"))
+        rows, width = store.matrix.shape
+        ranks = list(range(1, 3 * rows))
+        probe.call("f.p0.0", "parity.batch", {"ops": [{
+            "block": "insert", "pos": 1, "seq0": 1,
+            "keys": [1000 + rank for rank in ranks], "ranks": ranks,
+            "deltas": [bytes([rank]) * (4 * width + rank) for rank in ranks],
+            "lengths": [4 * width + rank for rank in ranks],
+        }]})
+        assert store.matrix.shape[0] > rows and store.width > width
+        assert server.records[0].keys == {3: 500}  # carried across
+        checkpoint_and_restart(net, server)
+        assert server._store.matrix.shape == (len(ranks) + 1, store.width)
+
+    def test_a_reused_row_does_not_leak_its_old_keys(self):
+        net, server, probe = lone_parity(GF(8))
+        for seq, (action, key, rank, pos) in enumerate([
+            ("insert", 11, 1, 0), ("insert", 12, 2, 0), ("insert", 13, 3, 0),
+            ("delete", 12, 2, 0),
+        ], start=1):
+            probe.call("f.p0.0", "parity.update",
+                       seq_op(seq, action, key, rank, pos, b"same"))
+        probe.call("f.p0.0", "parity.update",
+                   seq_op(1, "insert", 21, 1, 1, b"mate"))
+        row = server._store._row_of[3]
+        probe.call("f.p0.0", "parity.update",
+                   seq_op(5, "delete", 13, 3, 0, b"same"))
+        # the tombstoned row is blank in every column of the image ...
+        image = server._image()["store"]
+        slots = image["slots"]
+        assert image["rank_of"][row] == -1 and image["extents"][row] == 0
+        assert set(image["dir_keys"][row * slots:(row + 1) * slots]) == {NO_KEY}
+        assert set(image["dir_lengths"][row * slots:(row + 1) * slots]) == {-1}
+        del image
+        assert probe.call("f.p0.0", "parity.locate", {"key": 13}) is None
+        # ... and its next tenant starts from nothing
+        probe.call("f.p0.0", "parity.update",
+                   seq_op(2, "insert", 31, 7, 1, b"new"))
+        assert server._store._row_of[7] == row
+        assert server.records[7].keys == {1: 31}
+        assert server.records[7].lengths == {1: 3}
+        assert server.records[7].parity_bytes(server.field) == b"new"
+        checkpoint_and_restart(net, server)
+        probe.call("f.p0.0", "catchup.parity", {"ops": []})  # unfence
+        located = probe.call("f.p0.0", "parity.locate", {"key": 31})
+        assert located["keys"] == {1: 31} and located["pos"] == 1
+        assert probe.call("f.p0.0", "parity.locate", {"key": 12}) is None
+
+    def test_an_image_costs_the_same_calls_whatever_the_bucket_holds(self):
+        """Timing-free cost guard: building and encoding the image runs
+        the same number of calls (Python and C functions alike) at 100
+        and at 2 000 record groups — nothing walks the records."""
+        def calls_to_image(groups):
+            _, server, probe = lone_parity(GF(8))
+            for pos in range(4):
+                ranks = list(range(1, groups + 1))
+                probe.call("f.p0.0", "parity.batch", {"ops": [{
+                    "block": "insert", "pos": pos, "seq0": 1,
+                    "keys": [10 * rank + pos for rank in ranks], "ranks": ranks,
+                    "deltas": [b"%04d" % rank for rank in ranks],
+                    "lengths": [4] * groups,
+                }]})
+            assert len(server.records) == groups
+            count = 0
+
+            def profiler(frame, event, arg):
+                nonlocal count
+                count += event in ("call", "c_call")
+
+            sys.setprofile(profiler)
+            try:
+                blob = encode_blob(server._image(), 9)
+            finally:
+                sys.setprofile(None)
+            assert len(decode_blob(blob)["store"]["rank_of"]) == groups
+            return count
+
+        assert calls_to_image(100) == calls_to_image(2000) > 0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_data_bucket(self, seed):
@@ -435,6 +577,72 @@ class TestFallbackToFullRebuild:
         assert tracer.counts.get("catchup.data") is None
         assert_all_readable(file)
         assert file.verify_parity_consistency() == []
+
+
+class TestCatchUpBeatsRebuild:
+    """The service-level claim of restart-with-catch-up, in simulated
+    repair time (:class:`LatencyModel` over the message window) and
+    bytes moved, so exact: a bucket that missed a small tail rejoins far
+    cheaper than a rebuild, at a cost that follows the tail, not the
+    bucket.  (Wall-clock restart is ``durable/restart_mean_ms`` in
+    ``benchmarks/e2e``.)"""
+
+    COUNT = 240
+    FRACTIONS = (0.02, 0.05, 0.1, 0.2, 0.4)
+
+    def stale_file(self, fraction):
+        """A durable file whose WAL never syncs by itself, checkpointed,
+        then ``fraction`` of bucket 1's records updated: acked, folded
+        into parity, and in an unsynced tail a crash will eat."""
+        rng = random.Random(7)
+        items = [(key, rng.randbytes(128))
+                 for key in rng.sample(range(10**9), self.COUNT)]
+        file = LHRSFile(LHRSConfig(
+            group_size=4, availability=2, bucket_capacity=256,
+            parity_ack=True, client_acks=True, durability=True,
+            wal_fsync_interval=10**9,
+        ))
+        for key, value in items:
+            file.insert(key, value)
+        for server in file.data_servers() + file.parity_servers():
+            server.checkpoint_now()
+        victims = [(key, value) for key, value in items
+                   if file.find_bucket_of(key) == 1]
+        updated = [(key, value[::-1]) for key, value
+                   in victims[:max(1, round(fraction * len(victims)))]]
+        for key, value in updated:
+            file.update(key, value)
+        file.stats.reset()
+        return file, updated
+
+    def both_arms(self, fraction):
+        file, updated = self.stale_file(fraction)
+        tracer, _, _ = file.enable_observability(audit=False)
+        with file.stats.measure("catchup") as catchup:
+            file.failures.crash(["f.d1"])
+            file.failures.heal(["f.d1"])
+        assert "catchup.fallback" not in tracer.counts
+        for key, value in updated:
+            assert file.search(key).value == value
+        assert file.verify_parity_consistency() == []
+
+        file, _ = self.stale_file(fraction)
+        victim = file.fail_data_bucket(1)
+        with file.stats.measure("rebuild") as rebuild:
+            file.recover([victim])
+        assert file.verify_parity_consistency() == []
+        return catchup, rebuild
+
+    def test_catch_up_cost_follows_the_missed_tail(self):
+        model = LatencyModel()
+        sweep = [self.both_arms(fraction) for fraction in self.FRACTIONS]
+        for fraction, (catchup, rebuild) in zip(self.FRACTIONS, sweep):
+            if fraction <= 0.05:
+                ratio = model.window_time(catchup) / model.window_time(rebuild)
+                assert ratio <= 0.3, (fraction, ratio)
+                assert catchup.bytes < rebuild.bytes, fraction
+        moved = [catchup.bytes for catchup, _ in sweep]
+        assert moved == sorted(moved) and moved[0] < moved[-1]
 
 
 class TestFencing:

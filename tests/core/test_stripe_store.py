@@ -25,7 +25,7 @@ class TestLifecycle:
         view[:] = [1, 2, 3, 4]
         assert (store.view(3) == [1, 2, 3, 4]).all()
         assert 3 in store and len(store) == 1
-        assert store.length_of(3) == 4
+        assert len(store.view(3)) == 4
 
     def test_views_write_through_to_matrix(self, field):
         store = StripeStore(field)
@@ -51,9 +51,9 @@ class TestLifecycle:
         store.ensure(0, 4)
         store.view(0)[:] = 5
         store.ensure(0, 2)  # shorter request never shrinks
-        assert store.length_of(0) == 4
+        assert len(store.view(0)) == 4
         store.ensure(0, 6)
-        assert store.length_of(0) == 6
+        assert len(store.view(0)) == 6
         assert (store.view(0)[:4] == 5).all()
         assert (store.view(0)[4:] == 0).all()
 
@@ -110,7 +110,7 @@ class TestStaleHandles:
         with pytest.raises(KeyError):
             store.view(3)
         with pytest.raises(KeyError):
-            store.length_of(3)
+            store[3]
 
     def test_view_after_release_raises(self, field):
         store = StripeStore(field)
@@ -168,9 +168,9 @@ class TestBulkViews:
         store = StripeStore(field)
         store.ensure(9, 4)
         store.bulk_load([(1, b"abcd"), (2, b"xy")])
-        assert sorted(store.ranks()) == [1, 2]
+        assert sorted(store) == [1, 2]
         assert field.bytes_from_symbols(store.view(1)) == b"abcd"
-        assert store.length_of(2) == field.symbol_length_for_bytes(2)
+        assert len(store.view(2)) == field.symbol_length_for_bytes(2)
 
     def test_nbytes_counts_logical_payload_only(self, field):
         store = StripeStore(field)
@@ -178,4 +178,3 @@ class TestBulkViews:
         store.ensure(1, 5)
         itemsize = np.dtype(field.symbol_dtype).itemsize
         assert store.nbytes() == 8 * itemsize
-        assert "StripeStore" in repr(store)

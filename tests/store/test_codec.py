@@ -12,6 +12,7 @@ import random
 import struct
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -177,6 +178,64 @@ class TestPackedColumns:
         assert codec.decode(bytes([self.INTS, 8]) + struct.pack("<I", 0)) == []
         assert codec.decode(bytes([self.BLOBS]) + struct.pack("<I", 0)) == []
 
+    @pytest.mark.parametrize("dtype, low, high, width", [
+        (dtype, low, high, width)
+        for dtype in ("<i8", "<i4", "<i2", "i1", "<u4", "<u8")
+        for low, high, width in [
+            (-128, 127, 1), (-129, 100, 2), (0, 128, 2),
+            (-(2**15), 2**15 - 1, 2), (0, 2**15, 4), (-(2**31), 2**31 - 1, 4),
+            (0, 2**31, 8), (-(2**63), 2**63 - 1, 8),
+        ]
+        if np.iinfo(dtype).min <= low and high <= np.iinfo(dtype).max
+    ])
+    def test_int_array_is_written_as_the_equal_list(self, dtype, low, high, width):
+        column = [low, high, 0, 1] * 3
+        data = codec.encode(np.array(column, dtype=dtype))
+        assert data == codec.encode(column)
+        assert data[0] == self.INTS and data[1] == width
+        assert typed(codec.decode(data)) == typed(column)
+
+    @pytest.mark.parametrize("count", [0, 1, codec.PACK_MIN - 1])
+    def test_short_and_empty_arrays_take_the_generic_form_too(self, count):
+        column = list(range(-1, count - 1))
+        data = codec.encode(np.array(column, dtype=np.int64))
+        assert data == codec.encode(column) and data[0] == self.LIST
+        assert typed(codec.decode(data)) == typed(column)
+
+    def test_non_contiguous_slices(self):
+        table = np.arange(-60, 60, dtype=np.int64).reshape(12, 10)
+        for view in (table[:, 3], table[::2, 0], table[3, ::-3], table[::-1, 9]):
+            assert not view.flags.c_contiguous or view.size == 1
+            assert codec.encode(view) == codec.encode(view.tolist())
+        nested = {"rings": {2: [table[:, 1], table[1, :4]]}, "n": 3}
+        plain = {"rings": {2: [table[:, 1].tolist(), table[1, :4].tolist()]}, "n": 3}
+        assert codec.encode(nested) == codec.encode(plain)
+        assert codec.decode(codec.encode(nested)) == plain
+
+    def test_uint64_past_the_signed_word_stays_generic(self):
+        column = [2**63, 0, 1, 2, 3, 4, 5, 6]
+        data = codec.encode(np.array(column, dtype=np.uint64))
+        assert data == codec.encode(column) and data[0] == self.LIST
+
+    @pytest.mark.parametrize("value", [
+        np.zeros((3, 3), dtype=np.int64), np.zeros(9), np.zeros(9, dtype=bool),
+        np.int64(3), np.array(3),
+    ])
+    def test_other_arrays_are_refused(self, value):
+        with pytest.raises(TypeError):
+            codec.encode(value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        column=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=40),
+        step=st.sampled_from([1, 2, -1, -3]),
+    )
+    def test_any_int64_array_round_trips_as_its_list(self, column, step):
+        view = np.array(column, dtype=np.int64)[::step]
+        data = codec.encode(view)
+        assert data == codec.encode(view.tolist())
+        assert typed(codec.decode(data)) == typed(view.tolist())
+
 
 class TestMalformedBodies:
     @settings(max_examples=100, deadline=None)
@@ -246,6 +305,92 @@ class TestDamagedLogs:
             assert records == self.expected(before), bit
 
 
+INT64 = st.integers(-(2**63), 2**63 - 1)
+#: what a frame field may hold when it is *not* what the packer expects
+ODD = st.one_of(
+    st.none(), st.booleans(), st.integers(2**63, 2**70), st.text(max_size=3),
+    st.binary(max_size=3), st.floats(allow_nan=False),
+    st.lists(INT64, max_size=2),
+)
+
+
+def walked(record, lsn):
+    """The frame as the codec's walker alone writes it."""
+    value = codec.encode((lsn, record))
+    body = bytes([codec.VERSION]) + value
+    return struct.pack("<II", len(body), zlib.crc32(body)) + body
+
+
+class TestScalarFramePacker:
+    """``encode_frame`` packs the two frames of a scalar durable write
+    itself; whatever it is handed, the bytes are the walker's."""
+
+    OP = ("delta", "key", "length", "op", "pos", "rank", "seq")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        action=st.sampled_from(["insert", "update", "delete", "upsert", ""]),
+        ints=st.lists(INT64, min_size=6, max_size=6),
+        delta=st.binary(max_size=40),
+        lsn=st.one_of(st.none(), INT64),
+        shuffle=st.randoms(use_true_random=False),
+        odd=st.one_of(st.none(), st.tuples(st.integers(0, 8), ODD)),
+    )
+    def test_op_and_prun_frames_equal_the_walker(self, action, ints, delta,
+                                                 lsn, shuffle, odd):
+        key, length, pos, rank, seq, _ = ints
+        fields = [delta, key, length, action, pos, rank, seq]
+        if odd is not None and odd[0] < 7:
+            fields[odd[0]] = odd[1]  # one field off its type
+        pairs = list(zip(self.OP, fields))
+        shuffle.shuffle(pairs)  # dict order must not matter
+        op = dict(pairs)
+        if odd is not None and odd[0] == 7:
+            op["extra"] = odd[1]  # a key too many
+        delta, key, length, action, pos, rank, seq = fields
+        prun = {"prun": [action, pos, seq, [key], [rank], [delta], [length]]}
+        if odd is not None and odd[0] == 8:
+            prun["prun"][3] = [key, key]  # a run of two
+        for record in (op, prun):
+            try:
+                expected = walked(record, lsn)
+            except TypeError:
+                with pytest.raises(TypeError):
+                    encode_frame(record, lsn)
+                continue
+            frame = encode_frame(record, lsn)
+            assert frame == expected
+            back = dict(record, lsn=lsn) if lsn is not None else record
+            assert decode_frames(frame) == ([codec.decode(codec.encode(back))], True)
+
+    @pytest.mark.parametrize("record", [
+        {"prun": ("update", 3, 9, (5,), (1,), (b"x",), (1,))},  # tuples
+        {"prun": ["update", 3, None, [5], [1], [b"x"], [1]]},  # unsequenced
+        {"prun": ["update", 3, 9, b"\x05", [1], [b"x"], [1]]},  # bytes as a list
+        {"prun": "update!"}, {"prun": []}, {"prun": None},
+        {"op": "insert"}, {"op": ["insert"]}, {"op": None, "key": 1},
+        {"op": "insert", "key": True, "rank": 1, "pos": 0, "delta": b"",
+         "length": 0, "seq": 1},
+        {"op": "insert", "key": 1, "rank": 1, "pos": 0, "delta": bytearray(b""),
+         "length": 0, "seq": 1},
+    ])
+    def test_near_misses_take_the_walker(self, record):
+        try:
+            expected = walked(record, 7)
+        except TypeError:
+            with pytest.raises(TypeError):
+                encode_frame(record, 7)
+        else:
+            assert encode_frame(record, 7) == expected
+
+    def test_the_scalar_shapes_do_not_reach_the_walker(self, monkeypatch):
+        monkeypatch.setattr(codec, "encode", None)
+        op = {"op": "update", "key": 2**40, "rank": 5, "pos": 3,
+              "delta": b"d" * 128, "length": 128, "seq": 77}
+        prun = {"prun": ["delete", 3, 77, [2**40], [5], [b"d" * 128], [0]]}
+        assert len(encode_frame(op, 12)) == 278 and encode_frame(prun, 12)
+
+
 def forge_version(frame, version):
     """``frame`` re-sealed with another format-version byte: the
     checksum holds, only the version is foreign."""
@@ -257,12 +402,19 @@ class TestFormatVersion:
     def test_body_leads_with_the_version_byte(self):
         assert encode_frame({"n": 1})[8] == codec.VERSION
 
+    #: the format before this one, and one not written yet
+    FOREIGN = (2, codec.VERSION + 1)
+
     def test_unknown_version_reads_as_no_blob(self):
+        assert codec.VERSION == 3
         blob = encode_frame({"kind": "data"}, 3)
         assert decode_blob(blob) == {"kind": "data", "lsn": 3}
-        forged = forge_version(blob, codec.VERSION + 1)
-        assert decode_blob(forged) is None
-        assert decode_frames(blob + forged) == ([{"kind": "data", "lsn": 3}], False)
+        for version in self.FOREIGN:
+            forged = forge_version(blob, version)
+            assert decode_blob(forged) is None
+            assert decode_frames(blob + forged) == (
+                [{"kind": "data", "lsn": 3}], False
+            )
 
     def test_restart_from_a_foreign_image_falls_back_to_rebuild(self):
         file = LHRSFile(LHRSConfig(
@@ -272,18 +424,19 @@ class TestFormatVersion:
         tracer, _, _ = file.enable_observability()
         for key in range(40):
             file.insert(key, b"v%d" % key)
-        for node in ("f.d1", "f.p0.0"):
-            server = file.network.nodes[node]
-            server.checkpoint_now()
-            disk, name = server._durable.disk, server._durable.wal.CHECKPOINT
-            image = disk.read(name)
-            assert decode_blob(image) is not None
-            disk.write_file(name, forge_version(image, codec.VERSION + 1))
-            disk.fsync(name)
-            before = tracer.counts.get("catchup.fallback", 0)
-            file.failures.crash([node])
-            file.failures.heal([node])
-            assert tracer.counts.get("catchup.fallback", 0) == before + 1
+        for version in self.FOREIGN:
+            for node in ("f.d1", "f.p0.0"):
+                server = file.network.nodes[node]
+                server.checkpoint_now()
+                disk, name = server._durable.disk, server._durable.wal.CHECKPOINT
+                image = disk.read(name)
+                assert decode_blob(image) is not None
+                disk.write_file(name, forge_version(image, version))
+                disk.fsync(name)
+                before = tracer.counts.get("catchup.fallback", 0)
+                file.failures.crash([node])
+                file.failures.heal([node])
+                assert tracer.counts.get("catchup.fallback", 0) == before + 1
         for key in range(40):
             assert file.search(key).value == b"v%d" % key
         assert file.verify_parity_consistency() == []
@@ -294,8 +447,8 @@ class TestGoldenImages:
     the tag set, a column layout or an image schema shows up here and
     has to come with a new :data:`codec.VERSION`."""
 
-    DATA = "433f396ed818e2a4a86e3cb2f76c9c400215725e1b9f57fe10e183871a3d591a"
-    PARITY = "42e9a6f949e634545bc10b6ff47fe4686faf7d30ea00f415ba501912e78890da"
+    DATA = "6688c262210c7a0167d05b8e15f49f3b2d17e6decdc412a0168eefdb1264aeec"
+    PARITY = "03c8e8544d1a2fc76acf7bf510c47cc7a26ceeffe73dc865e975455c28d04fbf"
 
     def images(self):
         file = LHRSFile(LHRSConfig(
@@ -324,4 +477,7 @@ class TestGoldenImages:
         assert data["kind"] == "data" and len(data["keys"]) >= codec.PACK_MIN
         assert data["free"] and "queue" not in data
         assert parity["kind"] == "parity" and parity["delta_log"]
+        store = parity["store"]  # VERSION 3: the live columns
+        assert -1 in store["rank_of"] and len(store["dir_keys"]) == (
+            store["slots"] * len(store["rank_of"]))
         assert (data_hash, parity_hash) == (self.DATA, self.PARITY)
