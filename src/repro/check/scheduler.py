@@ -131,10 +131,8 @@ class PCTScheduler(Scheduler):
                 self.deferrals += 1
                 if tracer is not None:
                     tracer.emit(
-                        "sched.defer",
-                        to=channel[1],
-                        kind=messages[0].kind,
-                        count=len(messages),
+                        "sched.defer", channel[1], messages[0].kind,
+                        len(messages),
                     )
                 continue
             deliver.append(channel)
@@ -153,7 +151,7 @@ class PCTScheduler(Scheduler):
         if ranked != deliver:  # deliver keeps the incoming channel order
             self.reorderings += 1
             if tracer is not None:
-                tracer.emit("sched.reorder", batch=len(out))
+                tracer.emit("sched.reorder", len(out))
         return out
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.obs.metrics import LATENCY_BUCKETS
+from repro.obs.trace import OMITTED
 from repro.sdds.client import Client, SearchOutcome
 from repro.sim.network import DeliveryFault, NodeUnavailable, UnknownNode
 
@@ -122,11 +123,8 @@ class RSClient(Client):
         net = self.network
         if net is not None and net.tracer is not None:
             net.tracer.emit(
-                "client.unavailable",
-                node=failure.node_id,
-                op=kind,
-                key=payload.get("key"),
-                **extra,
+                "client.unavailable", failure.node_id, kind,
+                payload.get("key"), True if extra else OMITTED,
             )
         self._coord_send(
             "report.unavailable",
@@ -145,10 +143,8 @@ class RSClient(Client):
         net = self.network
         if net is not None and net.tracer is not None:
             net.tracer.emit(
-                "client.unavailable",
-                node=failure.node_id,
-                op=kind,
-                key=op.get("key"),
+                "client.unavailable", failure.node_id, kind, op.get("key"),
+                OMITTED,
             )
         try:
             self._coord_send(
@@ -224,11 +220,8 @@ class RSClient(Client):
                 hedge_total = hedge_after + (net.virtual_time - hedge_start)
                 if net.tracer is not None:
                     net.tracer.emit(
-                        "op.hedged",
-                        key=key,
-                        bucket=bucket,
-                        primary=round(elapsed, 3),
-                        hedged=round(hedge_total, 3),
+                        "op.hedged", key, bucket, round(elapsed, 3),
+                        round(hedge_total, 3),
                     )
                 if hedge_total < effective:
                     effective = hedge_total
@@ -241,7 +234,7 @@ class RSClient(Client):
         if transition is not None and net.tracer is not None:
             net.tracer.emit(
                 "breaker.open" if transition == "opened" else "breaker.close",
-                bucket=bucket,
+                bucket,
             )
         return outcome
 
@@ -296,9 +289,7 @@ class RSClient(Client):
             self._count("read.deadline_miss")
             if net is not None and net.tracer is not None:
                 net.tracer.emit(
-                    "op.deadline_miss",
-                    latency=round(effective, 3),
-                    budget=deadline,
+                    "op.deadline_miss", round(effective, 3), deadline
                 )
         return miss
 

@@ -176,7 +176,7 @@ class RSCoordinator(Coordinator):
         if network is None:
             return record
         if network.tracer is not None:
-            network.tracer.emit("coord.journal", record=type, lsn=record.lsn)
+            network.tracer.emit("coord.journal", type, record.lsn)
         if self.standby_ids:
             wire = [record.to_wire()]
             for standby_id in self.standby_ids:
@@ -229,11 +229,7 @@ class RSCoordinator(Coordinator):
                     continue
         self._appends_since_checkpoint = 0
         if network.tracer is not None:
-            network.tracer.emit(
-                "coord.checkpoint",
-                lsn=snapshot["lsn"],
-                delivered=delivered,
-            )
+            network.tracer.emit("coord.checkpoint", snapshot["lsn"], delivered)
         return snapshot
 
     def arm_crash(self, point: str) -> None:
@@ -248,7 +244,7 @@ class RSCoordinator(Coordinator):
         self.crash_log.append(point)
         network = self._net()
         if network.tracer is not None:
-            network.tracer.emit("coord.crash", point=point, node=self.node_id)
+            network.tracer.emit("coord.crash", point, self.node_id)
         network.fail(self.node_id)
         raise CoordinatorCrashed(self.node_id, point)
 
@@ -435,7 +431,7 @@ class RSCoordinator(Coordinator):
         op = payload.get("op")
         network = self._net()
         if network.tracer is not None:
-            network.tracer.emit("coord.resume", op=op, lsn=record.lsn)
+            network.tracer.emit("coord.resume", op, record.lsn)
         self.takeover_resumes.append({"op": op, "lsn": record.lsn})
         plan = (payload.get("source"), payload.get("target"), payload.get("level"))
         shrinkable = self.state.bucket_count > self.state.n0
@@ -639,7 +635,7 @@ class RSCoordinator(Coordinator):
         )
         tracer = self._net().tracer
         if tracer is not None:
-            tracer.emit("merge.start", target=target, retiring=target % m == 0)
+            tracer.emit("merge.start", target, target % m == 0)
         begin = intent or self._journal(
             "intent.begin", op="merge", source=source, target=target, level=level
         )
@@ -647,7 +643,7 @@ class RSCoordinator(Coordinator):
         self._journal("file.state", n=self.state.n, i=self.state.i)
         self._journal("intent.end", begin=begin.lsn)
         if tracer is not None:
-            tracer.emit("merge.end", source=source, target=target)
+            tracer.emit("merge.end", source, target)
         return result
 
     def on_bucket_removed(self, number: int) -> None:
@@ -702,12 +698,7 @@ class RSCoordinator(Coordinator):
             return
         tracer = self._net().tracer
         if tracer is not None:
-            tracer.emit(
-                "availability.raise",
-                group=group,
-                level=current,
-                new_level=new_level,
-            )
+            tracer.emit("availability.raise", group, current, new_level)
         if self.config.generator != "cauchy":
             raise RecoveryError(
                 "raising availability needs nested generator rows; "
@@ -754,9 +745,7 @@ class RSCoordinator(Coordinator):
         kind, op = payload.get("kind"), payload.get("op")
         tracer = self._net().tracer
         if tracer is not None:
-            tracer.emit(
-                "report.unavailable", node=payload.get("node"), kind=kind
-            )
+            tracer.emit("report.unavailable", payload.get("node"), kind)
 
         if kind == "search" and op and self.config.degraded_reads:
             found, value = self.recovery.recover_record(op["key"])
@@ -858,7 +847,7 @@ class RSCoordinator(Coordinator):
         node_id = message.payload["node"]
         tracer = self._net().tracer
         if tracer is not None:
-            tracer.emit("report.stale", node=node_id)
+            tracer.emit("report.stale", node_id)
         if not self.config.auto_recover:
             raise RecoveryError(
                 f"{node_id} reported stale parity and auto_recover is disabled"
@@ -896,11 +885,7 @@ class RSCoordinator(Coordinator):
             "stale": stale,
         }
         if network.tracer is not None:
-            network.tracer.emit(
-                "probe.round",
-                probed=len(targets),
-                unavailable=len(unavailable),
-            )
+            network.tracer.emit("probe.round", len(targets), len(unavailable))
         for node in unavailable:
             self._down_since.setdefault(node, network.now)
         needs_recovery = list(unavailable) + stale
@@ -1013,7 +998,7 @@ class RSCoordinator(Coordinator):
         """Delta catch-up refused or impossible: full rebuild fallback."""
         net = self._net()
         if net.tracer is not None:
-            net.tracer.emit("catchup.fallback", node=node_id)
+            net.tracer.emit("catchup.fallback", node_id)
         if net.metrics is not None:
             net.metrics.counter(
                 "catchup.fallbacks",

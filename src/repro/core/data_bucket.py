@@ -27,6 +27,7 @@ import numpy as np
 from repro.core.durable import DELTA_LOG_CAPACITY, Durability
 from repro.core.group import data_node, group_of, position_of
 from repro.lh import addressing
+from repro.obs.trace import OMITTED
 from repro.sdds.server import DataServer
 from repro.sim.faults import RetryPolicy
 from repro.sim.messages import HEADER_BYTES, Message, estimate_size
@@ -350,8 +351,7 @@ class RSDataServer(DataServer):
                     net = self._net()
                     if net.tracer is not None:
                         net.tracer.emit(
-                            "op.retry", op=kind, node=target,
-                            attempt=attempt + 1,
+                            "op.retry", kind, attempt + 1, OMITTED, target
                         )
                     if net.metrics is not None:
                         net.metrics.counter(
@@ -825,9 +825,8 @@ class RSDataServer(DataServer):
         self.fenced = True
         if net.tracer is not None:
             net.tracer.emit(
-                "bucket.restart", node=self.node_id, kind="data",
-                bucket=self.number, seq=self._parity_seq, clean=clean,
-                replayed=len(tail),
+                "bucket.restart", self.node_id, "data", self.number, clean,
+                len(tail), self._parity_seq,
             )
         self._durable.rejoin({
             "node": self.node_id,
@@ -989,8 +988,8 @@ class RSDataServer(DataServer):
         net = self._net()
         if net.tracer is not None:
             net.tracer.emit(
-                "catchup.data", node=self.node_id, bucket=self.number,
-                set=len(items), deleted=len(deletes), seq=self._parity_seq,
+                "catchup.data", self.node_id, self.number, len(items),
+                len(deletes), self._parity_seq,
             )
         if net.metrics is not None:
             net.metrics.counter(

@@ -97,8 +97,7 @@ class Durability:
         net = self.node.network
         if net is not None and net.tracer is not None:
             net.tracer.emit(
-                "disk.checkpoint", node=self.node.node_id, lsn=self.wal.lsn,
-                records=records,
+                "disk.checkpoint", self.node.node_id, self.wal.lsn, records
             )
         if net is not None and net.metrics is not None:
             net.metrics.counter(

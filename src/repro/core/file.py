@@ -74,11 +74,13 @@ class LHRSFile(LHStarFile):
         invariant auditor on this file's network.
 
         Returns ``(tracer, metrics, auditor)`` — also kept as
-        attributes.  ``trace_capacity`` bounds the tracer's event buffer
-        (None keeps everything, the replay-comparison mode); the auditor
-        keeps its own ``audit_tail``-event window regardless.  With
-        nothing enabled the cluster pays a single ``is None`` check per
-        emission site — see docs/observability.md.
+        attributes.  ``trace_capacity`` bounds what ``tracer.events``
+        exposes (None keeps everything, the replay-comparison mode);
+        the one ring holds ``max(trace_capacity, audit_tail)`` events,
+        and a violation's tail is read from it.  On a file already in
+        service the auditor starts from the network's current failure
+        state.  With nothing enabled the cluster pays a single
+        ``is None`` check per emission site — see docs/observability.md.
         """
         from repro.obs import InvariantAuditor, MetricsRegistry, Tracer
 
@@ -87,7 +89,8 @@ class LHRSFile(LHStarFile):
         self.network.install_tracer(self.tracer)
         self.network.install_metrics(self.metrics)
         self.auditor = (
-            InvariantAuditor(self.tracer, tail=audit_tail, strict=strict)
+            InvariantAuditor(self.tracer, tail=audit_tail, strict=strict,
+                             network=self.network)
             if audit
             else None
         )

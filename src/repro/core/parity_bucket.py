@@ -41,6 +41,7 @@ from repro.core.durable import Durability
 from repro.core.records import ParityRecord
 from repro.core.stripe_store import ABSENT, KEY_LIMIT, NO_KEY, StripeStore
 from repro.gf.field import GF
+from repro.obs.trace import OMITTED
 from repro.sim.messages import Message
 from repro.sim.network import NodeUnavailable, UnknownNode
 from repro.sim.node import Node
@@ -282,9 +283,8 @@ class ParityServer(Node):
         the expectation moves (``step`` 1) only while Δs apply."""
         for i in range(count):
             tracer.emit(
-                "parity.delta", node=self.node_id, pos=pos,
-                seq=seq0 + i, expected=expected + i * step,
-                verdict=verdict, op=action,
+                "parity.delta", self.node_id, pos, seq0 + i,
+                expected + i * step, verdict, action,
             )
 
     @staticmethod
@@ -394,7 +394,7 @@ class ParityServer(Node):
         ops = message.payload["ops"]
         tracer = self.network.tracer if self.network is not None else None
         if tracer is not None:
-            tracer.emit("parity.batch", node=self.node_id, ops=len(ops))
+            tracer.emit("parity.batch", self.node_id, len(ops))
         applied, stale = 0, False
         for run in self._runs(ops):
             done, stale = self._fold_run(*run)
@@ -416,9 +416,7 @@ class ParityServer(Node):
         positions = message.payload["positions"]
         tracer = self.network.tracer if self.network is not None else None
         if tracer is not None:
-            tracer.emit(
-                "parity.reset", node=self.node_id, positions=list(positions)
-            )
+            tracer.emit("parity.reset", self.node_id, list(positions))
         self._close_channels(positions)
         if self._durable is not None:
             self._durable.log({"ctl": "reset", "positions": list(positions)})
@@ -584,8 +582,8 @@ class ParityServer(Node):
         self.fenced = True
         if net.tracer is not None:
             net.tracer.emit(
-                "bucket.restart", node=self.node_id, kind="parity",
-                bucket=self.index, clean=clean, replayed=len(tail),
+                "bucket.restart", self.node_id, "parity", self.index, clean,
+                len(tail), OMITTED,
             )
         self._durable.rejoin({
             "node": self.node_id,
@@ -650,8 +648,8 @@ class ParityServer(Node):
         net = self._net()
         if net.tracer is not None:
             net.tracer.emit(
-                "catchup.parity", node=self.node_id, group=self.group,
-                index=self.index, applied=applied,
+                "catchup.parity", self.node_id, self.group, self.index,
+                applied,
             )
         if net.metrics is not None:
             net.metrics.counter(

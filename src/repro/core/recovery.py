@@ -82,7 +82,7 @@ class RecoveryPacer:
             self.waits += 1
             self.waited += wait
             if net.tracer is not None:
-                net.tracer.emit("recovery.paced", wait=round(wait, 3))
+                net.tracer.emit("recovery.paced", round(wait, 3))
             if net.metrics is not None:
                 net.metrics.counter(
                     "recovery.pace.waits", "rebuild transfers throttled"
@@ -288,7 +288,7 @@ class RecoveryManager:
         coordinator = self.coordinator
         tracer = self._net.tracer
         if tracer is not None:
-            tracer.emit("recovery.start", group=group)
+            tracer.emit("recovery.start", group)
         cfg = coordinator.config
         # A fresh token bucket per rebuild (None = pacing off).
         pacer = None if cfg.recovery_pace_rate is None else RecoveryPacer(
@@ -318,11 +318,8 @@ class RecoveryManager:
         self.records_reconstructed += decoded
         if tracer is not None:
             tracer.emit(
-                "recovery.end",
-                group=group,
-                records=decoded,
-                data_buckets=len(lost_data),
-                parity_buckets=len(lost_parity),
+                "recovery.end", group, decoded, len(lost_data),
+                len(lost_parity),
             )
         return {
             "group": group,
@@ -565,11 +562,8 @@ class RecoveryManager:
                 keys, lengths = entry["keys"], entry["lengths"]
                 if tracer is not None:
                     tracer.emit(
-                        "recovery.rank",
-                        group=group,
-                        rank=rank,
-                        rebuilt=list(want),
-                        stripe_symbols=stripe_lengths[i],
+                        "recovery.rank", group, rank, list(want),
+                        stripe_lengths[i],
                     )
                 for pos in lost_here:
                     bucket = lost_positions_data[pos]

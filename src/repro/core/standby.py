@@ -109,9 +109,7 @@ class StandbyCoordinator(Node):
         """Who is the coordinator?  Vouch, stall, or take over inline."""
         network = self._net()
         if network.tracer is not None:
-            network.tracer.emit(
-                "coord.whois", node=self.node_id, client=message.sender
-            )
+            network.tracer.emit("coord.whois", self.node_id, message.sender)
         if network.is_available(self.primary_id):
             return {"primary": self.primary_id, "ready": True}
         remaining = self.config.lease_timeout - (network.now - self.last_beat)
@@ -159,10 +157,8 @@ class StandbyCoordinator(Node):
                     return
             if network.tracer is not None:
                 network.tracer.emit(
-                    "coord.lease.expired",
-                    node=self.node_id,
-                    primary=self.primary_id,
-                    idle=now - self.last_beat,
+                    "coord.lease.expired", self.node_id, self.primary_id,
+                    now - self.last_beat,
                 )
             self.take_over(reason="lease")
         finally:
@@ -186,10 +182,7 @@ class StandbyCoordinator(Node):
             tracer = network.tracer
             if tracer is not None:
                 tracer.emit(
-                    "coord.takeover.start",
-                    node=self.node_id,
-                    reason=reason,
-                    term=self.term,
+                    "coord.takeover.start", self.node_id, reason, self.term
                 )
             # Final catch-up: a peer may hold records we missed.
             for peer_id in self.peer_ids:
@@ -236,11 +229,8 @@ class StandbyCoordinator(Node):
             self.last_beat = network.now
             if tracer is not None:
                 tracer.emit(
-                    "coord.takeover.end",
-                    node=self.node_id,
-                    term=self.term,
-                    lsn=coordinator.journal.last_lsn,
-                    resumed=len(replayed.open_intents),
+                    "coord.takeover.end", self.node_id, self.term,
+                    coordinator.journal.last_lsn, len(replayed.open_intents),
                 )
             return coordinator
         finally:

@@ -10,11 +10,13 @@ enforceable instead of hand-synced or found-per-seed:
   iteration over sets in ``src/repro`` (byte-identical seeded traces
   depend on it);
 * ``taxonomy``    — every statically resolvable ``tracer.emit`` type is
-  registered in ``EVENT_TYPES``; metric names obey the naming grammar;
+  registered in ``EVENTS`` and passes exactly its declared values,
+  positionally; metric names obey the naming grammar;
 * ``seq-guard``   — Δ-applying handlers reference their per-channel
   sequence check;
 * ``docs``        — the generated message-kind index in
-  ``docs/protocol.md`` matches the registry byte-for-byte;
+  ``docs/protocol.md`` and the event taxonomy in
+  ``docs/observability.md`` match their registries byte-for-byte;
 * ``pragma``      — every ``# lint: allow[...]`` pragma is known and
   actually suppresses something.
 

@@ -38,6 +38,10 @@ def configure(parser: argparse.ArgumentParser) -> None:
         "--protocol-table", action="store_true",
         help="print the generated docs/protocol.md kind index and exit",
     )
+    parser.add_argument(
+        "--event-table", action="store_true",
+        help="print the generated docs/observability.md taxonomy and exit",
+    )
 
 
 def run(
@@ -51,6 +55,14 @@ def run(
         return 0, {"protocol_table": table}
 
     root = Path(args.root) if args.root else default_root()
+    if args.event_table:
+        from repro.lint.checkers.taxonomy import render_event_table
+        from repro.lint.sources import load_sources
+
+        table = render_event_table(load_sources(root))
+        out(table.rstrip("\n"))
+        return 0, {"event_table": table}
+
     baseline_path = (
         Path(args.baseline) if args.baseline else root / DEFAULT_BASELINE
     )

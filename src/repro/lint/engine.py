@@ -31,14 +31,14 @@ class LintContext:
         root: Path,
         sources: list[SourceFile],
         registry: dict | None = None,
-        event_types: frozenset[str] | None = None,
+        event_types: frozenset[str] | dict[str, tuple[str, ...]] | None = None,
     ):
         if registry is None:
             from repro.proto.schema import REGISTRY
             registry = REGISTRY
         if event_types is None:
-            from repro.obs.trace import EVENT_TYPES
-            event_types = EVENT_TYPES
+            from repro.obs.trace import EVENTS
+            event_types = EVENTS
         self.root = root
         self.sources = sources
         self.registry = registry
@@ -154,7 +154,7 @@ def run_lint(
     checks: list[str] | None = None,
     baseline: Baseline | None = None,
     registry: dict | None = None,
-    event_types: frozenset[str] | None = None,
+    event_types: frozenset[str] | dict[str, tuple[str, ...]] | None = None,
 ) -> LintResult:
     """Run the selected checkers (default: all) and apply the baseline.
 

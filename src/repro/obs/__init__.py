@@ -33,6 +33,8 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import (
     EVENT_TYPES,
+    EVENTS,
+    OMITTED,
     Span,
     TraceEvent,
     Tracer,
@@ -44,6 +46,7 @@ __all__ = [
     "Counter",
     "DEPTH_BUCKETS",
     "EVENT_TYPES",
+    "EVENTS",
     "FAULT_EVIDENCE",
     "Gauge",
     "Histogram",
@@ -53,6 +56,7 @@ __all__ = [
     "MESSAGE_BUCKETS",
     "MTTR_BUCKETS",
     "MetricsRegistry",
+    "OMITTED",
     "QUEUE_DEPTH_BUCKETS",
     "RETRY_BUCKETS",
     "SYMBOL_BUCKETS",

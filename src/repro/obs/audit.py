@@ -4,12 +4,12 @@ The chaos tests assert *end-state* properties (parity decodes, acked
 writes survive); this auditor asserts *path* properties — things that
 must hold at every step, where a violation seen live points at the
 exact message that broke it.  It subscribes to a
-:class:`~repro.obs.trace.Tracer` and keeps a bounded tail of recent
-events, so a failed check raises :class:`InvariantViolation` carrying
-the offending event *and* the trace leading up to it (the
-explain-on-failure dump).
+:class:`~repro.obs.trace.Tracer` for the event types its rules read and
+has the tracer's ring retain a tail of recent events, so a failed check
+raises :class:`InvariantViolation` carrying the offending event *and*
+the trace leading up to it (the explain-on-failure dump).
 
-Streaming rules (checked on every event):
+Streaming rules (checked on every subscribed event):
 
 * **no-delivery-to-failed** — a ``msg.deliver`` whose recipient the
   failure state (tracked from ``node.fail``/``node.restore`` events)
@@ -33,10 +33,9 @@ State rule (checked at quiesce points via :meth:`check_file`):
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING
 
-from repro.obs.trace import TraceEvent, Tracer
+from repro.obs.trace import EVENTS, Row, TraceEvent, Tracer, render
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.file import LHRSFile
@@ -46,6 +45,12 @@ if TYPE_CHECKING:  # pragma: no cover
 FAULT_EVIDENCE = frozenset(
     {"fault.injected", "node.fail", "msg.hold", "msg.lost", "msg.shed"}
 )
+#: What the streaming rules read; nothing else is delivered.
+AUDITED = FAULT_EVIDENCE | {
+    "node.restore", "node.unregister", "msg.deliver", "parity.delta"
+}
+_TO = EVENTS["msg.deliver"].index("to")
+_VERDICT = EVENTS["parity.delta"].index("verdict")
 
 
 class InvariantViolation(AssertionError):
@@ -70,27 +75,63 @@ class InvariantViolation(AssertionError):
 
 
 class InvariantAuditor:
-    """Subscribe me to a tracer; I keep watch and remember the tail.
+    """Subscribe me to a tracer; I keep watch and the ring remembers
+    the tail.
 
     ``strict=True`` (default) raises :class:`InvariantViolation` at the
     moment a streaming rule breaks — inside the offending operation's
     stack, which is exactly where a debugger wants to be.  With
     ``strict=False`` violations accumulate in :attr:`violations` for a
     post-hoc :meth:`assert_clean`.
+
+    Attached to a ``network`` already in service, the failure state
+    starts from what the network holds: its failed nodes, and — as
+    fault evidence — a node that is down or a fault plane that has
+    already acted.
     """
 
-    def __init__(self, tracer: Tracer, tail: int = 200, strict: bool = True):
+    def __init__(self, tracer: Tracer, tail: int = 200, strict: bool = True,
+                 network=None):
         self.tracer = tracer
         self.strict = strict
-        self._tail: deque[TraceEvent] = deque(maxlen=tail)
+        self._tail = tail
         self.violations: list[InvariantViolation] = []
         #: nodes the trace says are currently failed
         self.failed: set[str] = set()
         #: count of fault-evidence events seen so far
         self.fault_evidence = 0
-        #: events checked (cheap liveness indicator for tests)
-        self.events_seen = 0
-        tracer.subscribe(self._on_event)
+        if network is not None:
+            self.failed.update(network.failed)
+            plane = network.fault_plane
+            self.fault_evidence = len(network.failed) + (
+                sum(plane.counters.values()) if plane is not None else 0
+            )
+        self._attached_at = tracer.emitted
+        tracer.retain(tail)
+        self._watched = AUDITED - {"msg.deliver", "parity.delta"}
+        tracer.subscribe(self._on_event, self._watched, rows=True)
+        self._rewatch()
+
+    def _rewatch(self) -> None:
+        """Take ``msg.deliver`` only while a node is down and
+        ``parity.delta`` only until the first fault evidence: outside
+        those spans their rules cannot fire."""
+        for type, wanted in (
+            ("msg.deliver", bool(self.failed)),
+            ("parity.delta", not self.fault_evidence),
+        ):
+            if wanted == (type in self._watched):
+                continue
+            if wanted:
+                self.tracer.subscribe(self._on_event, {type}, rows=True)
+            else:
+                self.tracer.unsubscribe(self._on_event, {type})
+            self._watched = self._watched ^ {type}
+
+    @property
+    def events_seen(self) -> int:
+        """Events emitted since attach (cheap liveness indicator)."""
+        return self.tracer.emitted - self._attached_at
 
     def close(self) -> None:
         """Detach from the tracer."""
@@ -98,38 +139,27 @@ class InvariantAuditor:
 
     # ------------------------------------------------------------------
     def _violate(self, rule: str, detail: str, event: TraceEvent | None) -> None:
-        violation = InvariantViolation(rule, detail, event, list(self._tail))
+        tail = self.tracer.tail(min(self._tail, self.events_seen))
+        violation = InvariantViolation(rule, detail, event, tail)
         self.violations.append(violation)
         if self.strict:
             raise violation
 
-    def _on_event(self, event: TraceEvent) -> None:
-        self._tail.append(event)
-        self.events_seen += 1
-        kind = event.type
-        if kind in FAULT_EVIDENCE:
-            self.fault_evidence += 1
-            if kind == "node.fail":
-                self.failed.add(event.attrs["node"])
-            return
-        if kind == "node.restore":
-            self.failed.discard(event.attrs["node"])
-            return
-        if kind == "node.unregister":
-            self.failed.discard(event.attrs["node"])
-            return
+    def _on_event(self, row: Row) -> None:
+        kind = row[2]
+        values = row[4]
         if kind == "msg.deliver":
-            recipient = event.attrs.get("to")
-            if recipient in self.failed:
+            if values[_TO] in self.failed:
+                event = render(row)
                 self._violate(
                     "no-delivery-to-failed",
                     f"message {event.attrs.get('kind')!r} delivered to failed "
-                    f"node {recipient!r}",
+                    f"node {values[_TO]!r}",
                     event,
                 )
-            return
-        if kind == "parity.delta" and event.attrs.get("verdict") == "stale":
-            if self.fault_evidence == 0:
+        elif kind == "parity.delta":
+            if values[_VERDICT] == "stale" and self.fault_evidence == 0:
+                event = render(row)
                 self._violate(
                     "gap-implies-fault",
                     "Δ-parity sequence gap (expected "
@@ -137,7 +167,14 @@ class InvariantAuditor:
                     "on a trace with no declared failures",
                     event,
                 )
-            return
+        elif kind in FAULT_EVIDENCE:
+            self.fault_evidence += 1
+            if kind == "node.fail":
+                self.failed.add(values[0])
+            self._rewatch()
+        else:  # node.restore, node.unregister: the node is the one value
+            self.failed.discard(values[0])
+            self._rewatch()
 
     # ------------------------------------------------------------------
     def check_file(self, file: "LHRSFile") -> list[str]:

@@ -167,6 +167,8 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
+        #: label -> the instruments one closed window feeds
+        self._windows: dict[str, tuple] = {}
 
     # ------------------------------------------------------------------
     def counter(self, name: str, help: str = "") -> Counter:
@@ -217,17 +219,24 @@ class MetricsRegistry:
         with no further changes.
         """
         label = window.label or "unlabelled"
-        prefix = f"op.{label}"
-        self.histogram(f"{prefix}.messages", MESSAGE_BUCKETS).observe(window.messages)
-        self.histogram(f"{prefix}.bytes", BYTE_BUCKETS).observe(window.bytes)
-        self.histogram(f"{prefix}.serial_depth", DEPTH_BUCKETS).observe(
-            window.serial_depth
-        )
+        instruments = self._windows.get(label)
+        if instruments is None:
+            prefix = f"op.{label}"
+            instruments = self._windows[label] = (
+                self.histogram(f"{prefix}.messages", MESSAGE_BUCKETS),
+                self.histogram(f"{prefix}.bytes", BYTE_BUCKETS),
+                self.histogram(f"{prefix}.serial_depth", DEPTH_BUCKETS),
+                self.counter(f"{prefix}.ops"),
+            )
+        messages, volume, depth, ops = instruments
+        messages.observe(window.messages)
+        volume.observe(window.bytes)
+        depth.observe(window.serial_depth)
         if window.symbol_ops:
-            self.histogram(f"{prefix}.symbol_ops", SYMBOL_BUCKETS).observe(
+            self.histogram(f"op.{label}.symbol_ops", SYMBOL_BUCKETS).observe(
                 window.symbol_ops
             )
-        self.counter(f"{prefix}.ops").inc()
+        ops.inc()
 
     # ------------------------------------------------------------------
     # exporters
@@ -259,6 +268,7 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         self._instruments.clear()
+        self._windows.clear()
 
     def __repr__(self) -> str:
         return f"MetricsRegistry({len(self._instruments)} instruments)"

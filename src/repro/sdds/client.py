@@ -17,6 +17,7 @@ from typing import Any, Callable
 from repro.lh import addressing
 from repro.lh.image import ClientImage
 from repro.obs.metrics import BATCH_SIZE_BUCKETS
+from repro.obs.trace import OMITTED
 from repro.sim.faults import RetryPolicy
 from repro.sim.messages import Message
 from repro.sim.network import DeliveryFault, NodeUnavailable, UnknownNode
@@ -324,7 +325,7 @@ class Client(Node):
         if net is None:
             return
         if net.tracer is not None:
-            net.tracer.emit("op.retry", op=kind, key=key, attempt=attempt + 1)
+            net.tracer.emit("op.retry", kind, attempt + 1, key, OMITTED)
         if net.metrics is not None:
             net.metrics.counter(
                 "retry.attempts", "client+parity retransmissions"
@@ -334,7 +335,7 @@ class Client(Node):
         """Observability hook: the retry ladder ran dry."""
         net = self.network
         if net is not None and net.tracer is not None:
-            net.tracer.emit("op.failed", op=kind, key=key, attempts=attempts)
+            net.tracer.emit("op.failed", kind, key, attempts)
 
     def _mutate(self, kind: str, payload: dict) -> None:
         """Record the interval around :meth:`_mutate_inner` (no-op
@@ -560,11 +561,12 @@ class Client(Node):
             )
             fallback.extend(unreachable)
         fallback.extend(pending)
+        net = self.network
         if fallback:
-            self._trace("batch.fallback", op=kind, ops=len(fallback))
+            if net is not None and net.tracer is not None:
+                net.tracer.emit("batch.fallback", kind, len(fallback))
             for idx in sorted(set(fallback)):
                 self._scalar_op(kind, ops[idx], idx, outcome)
-        net = self.network
         if net is not None and net.metrics is not None:
             net.metrics.counter(
                 "batch.ops", "operations submitted via *_many"
@@ -595,13 +597,14 @@ class Client(Node):
                 # its A2 forward address instead of knocking again.
                 a = hint[1]
             bins.setdefault(a, []).append(idx)
-        self._trace(
-            "batch.scatter", op=kind, round=round_no,
-            ops=len(pending), buckets=len(bins),
-        )
         rebin: list[int] = []
         unreachable: list[int] = []
         net = self.network
+        tracer = net.tracer if net is not None else None
+        if tracer is not None:
+            tracer.emit(
+                "batch.scatter", kind, round_no, len(pending), len(bins)
+            )
         for bucket in sorted(bins):
             indices = bins[bucket]
             for start in range(0, len(indices), self.batch_max_ops):
@@ -646,10 +649,9 @@ class Client(Node):
                         )
                     outcome.applied_order.append(idx)
                     outcome.batched_ops += 1
-                if moved_here:
-                    self._trace(
-                        "batch.rebin", op=kind, bucket=bucket,
-                        ops=moved_here, round=round_no,
+                if moved_here and tracer is not None:
+                    tracer.emit(
+                        "batch.rebin", kind, bucket, moved_here, round_no
                     )
         return rebin, unreachable
 
@@ -733,11 +735,6 @@ class Client(Node):
         except OperationFailed as exc:
             outcome.outcomes[idx] = OpOutcome(key, "failed", error=str(exc))
             outcome.scalar_ops += 1
-
-    def _trace(self, event: str, **attrs: Any) -> None:
-        net = self.network
-        if net is not None and net.tracer is not None:
-            net.tracer.emit(event, **attrs)
 
     # ------------------------------------------------------------------
     # scans

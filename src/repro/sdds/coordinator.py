@@ -116,12 +116,7 @@ class Coordinator(Node):
         source, target, new_level = self.state.next_split()
         tracer = self._net().tracer
         if tracer is not None:
-            tracer.emit(
-                "split.start",
-                source=source,
-                target=target,
-                new_level=new_level,
-            )
+            tracer.emit("split.start", source, target, new_level)
         # Group infrastructure first: the new bucket's server factory
         # reads it (LH*RS: parity buckets must exist and be known before
         # the data server is built, or its parity targets come up empty).
@@ -136,11 +131,7 @@ class Coordinator(Node):
         self._sizes[target] = result["moved"]
         if tracer is not None:
             tracer.emit(
-                "split.end",
-                source=source,
-                target=target,
-                moved=result["moved"],
-                kept=result["kept"],
+                "split.end", source, target, result["moved"], result["kept"]
             )
         return source, target
 

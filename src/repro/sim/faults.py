@@ -304,10 +304,7 @@ class FaultPlane:
     def _trace(self, message: "Message", outcome: str) -> None:
         if self.tracer is not None:
             self.tracer.emit(
-                "fault.injected",
-                outcome=outcome,
-                kind=message.kind,
-                to=message.recipient,
+                "fault.injected", outcome, message.kind, message.recipient
             )
 
     # ------------------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Callable
 
+from repro.obs.trace import OMITTED
 from repro.proto.wire import REPLY_KINDS
 from repro.sim.messages import Message
 from repro.sim.node import Node
@@ -260,7 +261,7 @@ class Network:
         self.nodes[node.node_id] = node
         node.network = self
         if self.tracer is not None:
-            self.tracer.emit("node.register", node=node.node_id)
+            self.tracer.emit("node.register", node.node_id)
 
     def unregister(self, node_id: str) -> None:
         """Detach a node entirely (decommissioned server).
@@ -274,7 +275,7 @@ class Network:
         del self.nodes[node_id]
         self.failed.discard(node_id)
         if self.tracer is not None:
-            self.tracer.emit("node.unregister", node=node_id)
+            self.tracer.emit("node.unregister", node_id)
 
     def fail(self, node_id: str) -> None:
         """Make a node unavailable (crash / partition / power-off)."""
@@ -282,7 +283,7 @@ class Network:
             raise UnknownNode(node_id)
         self.failed.add(node_id)
         if self.tracer is not None:
-            self.tracer.emit("node.fail", node=node_id)
+            self.tracer.emit("node.fail", node_id)
 
     def restore(self, node_id: str, silent: bool = False) -> None:
         """Bring a failed node back (its state as the node object holds it).
@@ -304,7 +305,7 @@ class Network:
             raise UnknownNode(node_id)
         was_failed = node_id in self.failed
         if was_failed and self.tracer is not None:
-            self.tracer.emit("node.restore", node=node_id)
+            self.tracer.emit("node.restore", node_id)
         self.failed.discard(node_id)
         if was_failed and not silent:
             hook = getattr(self.nodes[node_id], "on_restored", None)
@@ -371,7 +372,7 @@ class Network:
         """
         self.tracer = tracer
         if tracer is not None:
-            tracer.clock = lambda: self.now
+            tracer.clock = self  # read as ``clock.now``
         if self.fault_plane is not None:
             self.fault_plane.tracer = tracer
 
@@ -458,6 +459,8 @@ class Network:
         self._pump()
 
     def _run_listeners(self) -> None:
+        if not self._clock_listeners:
+            return
         # Snapshot: a listener may add/remove listeners (a standby
         # taking over swaps the primary's heartbeat) mid-iteration.
         for listener in list(self._clock_listeners):
@@ -479,7 +482,7 @@ class Network:
         for message in due:
             if self.tracer is not None:
                 self.tracer.emit(
-                    "msg.release", to=message.recipient, kind=message.kind
+                    "msg.release", message.recipient, message.kind
                 )
             try:
                 self._deliver(message)
@@ -487,10 +490,8 @@ class Network:
                 plane.counters["lost_in_flight"] += 1
                 if self.tracer is not None:
                     self.tracer.emit(
-                        "msg.lost",
-                        to=message.recipient,
-                        kind=message.kind,
-                        reason="recipient gone",
+                        "msg.lost", message.recipient, message.kind,
+                        "recipient gone",
                     )
             except NodeBusy:
                 # A matured delayed message arriving at a full queue is
@@ -498,10 +499,7 @@ class Network:
                 plane.counters["lost_in_flight"] += 1
                 if self.tracer is not None:
                     self.tracer.emit(
-                        "msg.lost",
-                        to=message.recipient,
-                        kind=message.kind,
-                        reason="shed",
+                        "msg.lost", message.recipient, message.kind, "shed"
                     )
 
     # ------------------------------------------------------------------
@@ -521,12 +519,8 @@ class Network:
             self._m_bytes.inc(message.size)
         if self.tracer is not None:
             self.tracer.emit(
-                "msg.deliver",
-                **{"from": message.sender},
-                to=message.recipient,
-                kind=message.kind,
-                size=message.size,
-                depth=self._depth,
+                "msg.deliver", message.sender, message.recipient,
+                message.kind, message.size, self._depth, OMITTED,
             )
         try:
             return self.nodes[message.recipient].receive(message)
@@ -556,11 +550,7 @@ class Network:
                 self._m_shed.inc()
             if self.tracer is not None:
                 self.tracer.emit(
-                    "msg.shed",
-                    to=recipient,
-                    kind=message.kind,
-                    depth=int(depth),
-                    limit=limit,
+                    "msg.shed", recipient, message.kind, int(depth), limit
                 )
             raise NodeBusy(recipient, int(depth), limit)
         plane = self.fault_plane
@@ -584,11 +574,7 @@ class Network:
         message = Message(sender, recipient, kind, payload, size)
         if self.tracer is not None:
             self.tracer.emit(
-                "msg.send",
-                **{"from": sender},
-                to=recipient,
-                kind=kind,
-                size=message.size,
+                "msg.send", sender, recipient, kind, message.size, OMITTED
             )
         plane = self.fault_plane
         if plane is not None:
@@ -599,9 +585,7 @@ class Network:
                 plane.counters["dropped"] += 1
                 self.stats.record(message.kind, message.size, self._depth + 1)
                 if self.tracer is not None:
-                    self.tracer.emit(
-                        "msg.lost", to=recipient, kind=kind, reason="drop"
-                    )
+                    self.tracer.emit("msg.lost", recipient, kind, "drop")
                 return
             if outcome == "fail":
                 plane.counters["failed"] += 1
@@ -609,12 +593,7 @@ class Network:
             if outcome == "delay":
                 plane.hold(message, release_at)
                 if self.tracer is not None:
-                    self.tracer.emit(
-                        "msg.hold",
-                        to=recipient,
-                        kind=kind,
-                        release_at=release_at,
-                    )
+                    self.tracer.emit("msg.hold", recipient, kind, release_at)
                 return
             if outcome == "duplicate":
                 plane.counters["duplicated"] += 1
@@ -643,12 +622,7 @@ class Network:
         message = Message(sender, recipient, kind, payload, size)
         if self.tracer is not None:
             self.tracer.emit(
-                "msg.send",
-                **{"from": sender},
-                to=recipient,
-                kind=kind,
-                size=message.size,
-                rpc=True,
+                "msg.send", sender, recipient, kind, message.size, True
             )
         plane = self.fault_plane
         if plane is not None:
@@ -658,9 +632,7 @@ class Network:
                 if outcome == "drop":
                     self.stats.record(message.kind, message.size, self._depth + 1)
                     if self.tracer is not None:
-                        self.tracer.emit(
-                            "msg.lost", to=recipient, kind=kind, reason="drop"
-                        )
+                        self.tracer.emit("msg.lost", recipient, kind, "drop")
                 raise DeliveryFault(recipient, "request")
             if outcome == "duplicate":
                 plane.counters["duplicated"] += 1
@@ -679,12 +651,7 @@ class Network:
                 if outcome == "drop":
                     self.stats.record(reply.kind, reply.size, self._depth + 1)
                     if self.tracer is not None:
-                        self.tracer.emit(
-                            "msg.lost",
-                            to=sender,
-                            kind=reply.kind,
-                            reason="drop",
-                        )
+                        self.tracer.emit("msg.lost", sender, reply.kind, "drop")
                 raise DeliveryFault(recipient, "reply")
             self._record_reply(reply, self._depth + 1)
             return result
@@ -734,11 +701,8 @@ class Network:
             self._m_bytes.inc(reply.size)
         if self.tracer is not None:
             self.tracer.emit(
-                "msg.reply",
-                **{"from": reply.sender},
-                to=reply.recipient,
-                kind=reply.kind,
-                size=reply.size,
+                "msg.reply", reply.sender, reply.recipient, reply.kind,
+                reply.size,
             )
 
     def multicast(
@@ -790,13 +754,8 @@ class Network:
                 self._depth += 1
                 if self.tracer is not None:
                     self.tracer.emit(
-                        "msg.deliver",
-                        **{"from": sender},
-                        to=recipient,
-                        kind=kind,
-                        size=message.size,
-                        depth=self._depth,
-                        free=True,
+                        "msg.deliver", sender, recipient, kind,
+                        message.size, self._depth, True,
                     )
                 try:
                     result = self.nodes[recipient].receive(message)
@@ -827,10 +786,7 @@ class Network:
                             )
                             if self.tracer is not None:
                                 self.tracer.emit(
-                                    "msg.lost",
-                                    to=sender,
-                                    kind=reply.kind,
-                                    reason="drop",
+                                    "msg.lost", sender, reply.kind, "drop"
                                 )
                         unavailable.append(recipient)
                         continue

@@ -85,3 +85,49 @@ class TestMetricNames:
         result = lint({"src/repro/x.py": code}, checks=["taxonomy"],
                       event_types=EVENTS)
         assert result.findings == []
+
+
+class TestEventFields:
+    """``taxonomy.event-fields``: with a type → fields registry, an
+    emission passes exactly the declared values, positionally."""
+
+    FIELDS = {"op.start": ("node", "key", "hint"), "op.done": ("node",)}
+
+    def run(self, lint, call):
+        code = (
+            "class S:\n"
+            "    def go(self, done):\n"
+            f"        self.tracer.emit({call})\n"
+        )
+        result = lint({"src/repro/x.py": code}, checks=["taxonomy"],
+                      event_types=self.FIELDS)
+        return [(f.check, f.symbol) for f in result.findings], result
+
+    def test_exact_positional_call_is_clean(self, lint):
+        findings, _ = self.run(lint, "'op.start', 'n1', 7, OMITTED")
+        assert findings == []
+
+    def test_short_call_fires(self, lint):
+        findings, result = self.run(lint, "'op.start', 'n1', 7")
+        assert findings == [("taxonomy.event-fields", "op.start")]
+        assert "passes 2 value(s) for 3" in result.findings[0].message
+
+    def test_long_call_fires(self, lint):
+        findings, _ = self.run(lint, "'op.done', 'n1', 7")
+        assert findings == [("taxonomy.event-fields", "op.done")]
+
+    def test_undeclared_keyword_fires(self, lint):
+        findings, result = self.run(lint, "'op.done', nod='n1'")
+        assert findings == [("taxonomy.event-fields", "op.done")]
+        assert "undeclared attribute(s) nod" in result.findings[0].message
+
+    def test_declared_keyword_is_still_not_library_form(self, lint):
+        findings, result = self.run(lint, "'op.done', node='n1'")
+        assert findings == [("taxonomy.event-fields", "op.done")]
+        assert "positionally" in result.findings[0].message
+
+    def test_every_branch_of_a_ternary_type_is_checked(self, lint):
+        findings, _ = self.run(
+            lint, "'op.done' if done else 'op.start', 'n1'"
+        )
+        assert findings == [("taxonomy.event-fields", "op.start")]

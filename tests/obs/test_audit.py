@@ -8,9 +8,10 @@ the offending event and the trace tail printed.
 
 import pytest
 
-from repro.core import LHRSConfig, LHRSFile
+from repro.core import LHRSConfig, LHRSFile, RecoveryError
 from repro.core.group import parity_node
-from repro.obs import InvariantAuditor, InvariantViolation, Tracer
+from repro.obs import InvariantAuditor, InvariantViolation, TraceEvent, Tracer
+from repro.sim.messages import Message
 
 
 @pytest.fixture
@@ -113,6 +114,131 @@ class TestViolationRendering:
         tracer.emit("node.fail", node="x")
         tracer.emit("msg.deliver", to="x", kind="insert")
         assert auditor.violations == []
+        assert tracer._subscribers == {}  # no typed registration left
+
+    def test_rule_events_are_taken_only_while_their_rule_can_fire(self, tracer):
+        auditor = InvariantAuditor(tracer, strict=False)
+        def watched():
+            return {"msg.deliver", "parity.delta"} & set(tracer._subscribers)
+
+        assert watched() == {"parity.delta"}  # nobody down, no evidence
+        tracer.emit("node.fail", node="a")
+        tracer.emit("node.fail", node="b")
+        assert watched() == {"msg.deliver"}  # gaps are expected from now on
+        tracer.emit("node.restore", node="a")
+        assert watched() == {"msg.deliver"}
+        tracer.emit("node.unregister", node="b")
+        assert watched() == set()
+        tracer.emit("node.fail", node="a")
+        tracer.emit("msg.deliver", to="a", kind="insert")
+        assert [v.rule for v in auditor.violations] == ["no-delivery-to-failed"]
+
+    def test_tail_comes_from_the_ring_past_the_trace_capacity(self):
+        file = LHRSFile(LHRSConfig(group_size=4, availability=1,
+                                   bucket_capacity=16))
+        tracer, _, auditor = file.enable_observability(
+            trace_capacity=50, audit_tail=200, strict=False
+        )
+        for key in range(80):
+            file.insert(key, b"v%d" % key)
+        assert auditor.events_seen > 200 and len(tracer) == 50
+        tracer.emit("node.fail", node="f.d0")
+        tracer.emit("msg.deliver", to="f.d0", kind="insert")
+        violation = auditor.violations[0]
+        assert len(violation.tail) == 200
+        assert violation.tail[-1].seq == violation.event.seq == tracer.emitted
+        assert "trace tail (200 events)" in str(violation)
+
+    def test_tail_is_no_longer_than_the_events_seen(self):
+        tracer = Tracer()
+        for _ in range(25):
+            tracer.emit("msg.send")  # before attach: not the auditor's
+        auditor = InvariantAuditor(tracer, tail=200, strict=False)
+        for _ in range(8):
+            tracer.emit("msg.send")
+        tracer.emit("node.fail", node="x")
+        tracer.emit("msg.deliver", to="x", kind="insert")  # event 10
+        assert auditor.events_seen == 10
+        assert [e.seq for e in auditor.violations[0].tail] == list(range(26, 36))
+
+
+class TestAttachToFileInService:
+    """An auditor attached late starts from the network's failure state."""
+
+    @staticmethod
+    def degraded_file():
+        file = LHRSFile(LHRSConfig(group_size=4, bucket_capacity=16,
+                                   availability=2, auto_recover=False))
+        for key in range(300):
+            file.insert(key, b"v%d" % key)
+        file.network.fail("f.p0.0")
+        for key in range(20):
+            try:
+                file.update(key, b"w%d" % key)
+            except RecoveryError:
+                pass  # f.p0.0 is reported down and auto_recover is off
+        return file
+
+    def test_gap_after_a_failure_older_than_the_auditor_is_expected(self):
+        file = self.degraded_file()
+        _, _, auditor = file.enable_observability()
+        assert auditor.failed == file.network.failed == {"f.p0.0"}
+        assert auditor.fault_evidence > 0
+        file.network.restore("f.p0.0", silent=True)
+        assert auditor.failed == set()
+        # f.p0.0 missed Δs while it was down: it sees a gap and reports
+        # stale, which is this file's (auto_recover=False) answer — not
+        # an InvariantViolation on "a trace with no declared failures".
+        with pytest.raises(RecoveryError, match="stale parity"):
+            file.update(0, b"again")
+        assert auditor.violations == []
+        assert file.tracer.counts.get("parity.delta", 0) > 0
+
+    def test_delivery_to_a_node_that_was_already_down_still_violates(self):
+        file = self.degraded_file()
+        file.enable_observability()
+        net = file.network
+        net.failed.discard("f.p0.0")  # a bypass: no node.restore event
+        with pytest.raises(InvariantViolation) as err:
+            net._deliver(Message("f.d0", "f.p0.0", "parity.update", {}))
+        assert err.value.rule == "no-delivery-to-failed"
+
+    def test_fault_plane_history_counts_as_evidence(self):
+        from repro.sim import FaultPlane
+
+        file = LHRSFile(LHRSConfig(group_size=4, availability=1,
+                                   bucket_capacity=16))
+        plane = FaultPlane()
+        file.network.install_fault_plane(plane)
+        tracer = Tracer()
+        assert InvariantAuditor(tracer, network=file.network).fault_evidence == 0
+        plane.counters["dropped"] += 1
+        assert InvariantAuditor(tracer, network=file.network).fault_evidence == 1
+
+
+class TestCostGuard:
+    """Timing-free: with only the auditor subscribed, scalar traffic
+    builds no TraceEvent and no attribute dict."""
+
+    def test_scalar_ops_render_nothing(self, monkeypatch):
+        file = LHRSFile(LHRSConfig(group_size=4, availability=1,
+                                   bucket_capacity=64))
+        tracer, _, auditor = file.enable_observability(trace_capacity=500)
+        built = []
+        init = TraceEvent.__init__
+        monkeypatch.setattr(
+            TraceEvent, "__init__",
+            lambda self, *args: built.append(args[2]) or init(self, *args),
+        )
+        for key in range(400):
+            file.insert(key, b"v%d" % key)
+        for key in range(300):
+            file.update(key, b"w%d" % key)
+        for key in range(300):
+            file.search(key)
+        assert tracer.emitted > 4_000 and auditor.events_seen == tracer.emitted
+        assert built == []  # attrs dicts are built only inside render()
+        assert len(tracer.tail(7)) == 7 and len(built) == 7
 
 
 class TestSeededViolationOnLiveFile:

@@ -147,6 +147,20 @@ class TestStatsBridge:
         assert reg.get("op.insert.bytes").mean == 150.0
         assert reg.get("op.insert.serial_depth").max == 2
 
+    def test_reset_forgets_the_per_label_instruments(self):
+        # observe_window keeps its instruments per label; a reset must
+        # not leave it feeding histograms the registry no longer holds.
+        stats = MessageStats()
+        reg = MetricsRegistry()
+        stats.metrics = reg
+        with stats.measure("insert"):
+            stats.record("insert", 100, 1)
+        reg.reset()
+        with stats.measure("insert"):
+            stats.record("insert", 100, 1)
+        assert reg.get("op.insert.ops").value == 1
+        assert reg.get("op.insert.messages").count == 1
+
     def test_unlabelled_windows_are_not_observed(self):
         stats = MessageStats()
         reg = MetricsRegistry()

@@ -3,8 +3,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.obs import EVENT_TYPES, Tracer, UnknownEventType
+from repro.obs import EVENT_TYPES, EVENTS, OMITTED, TraceEvent, Tracer, UnknownEventType
+from repro.obs import trace as trace_module
 
 
 @pytest.fixture
@@ -161,3 +163,86 @@ class TestSubscribers:
         tracer.unsubscribe(seen.append)
         tracer.emit("msg.send")
         assert seen == []
+
+
+    def test_typed_subscription_sees_only_its_types_as_rows(self, tracer):
+        rows, events = [], []
+        tracer.subscribe(rows.append, {"msg.deliver"}, rows=True)
+        tracer.subscribe(events.append, {"msg.send"})
+        tracer.emit("msg.send", "c", "f.d1", "insert", 40, OMITTED)
+        tracer.emit("msg.deliver", "c", "f.d1", "insert", 40, 1, OMITTED)
+        tracer.emit("node.fail", "f.d1")
+        assert rows == [
+            (2, 0.0, "msg.deliver", 0, ("c", "f.d1", "insert", 40, 1, OMITTED))
+        ]
+        assert [e.type for e in events] == ["msg.send"]
+        assert isinstance(events[0], TraceEvent)
+        tracer.unsubscribe(rows.append)
+        tracer.unsubscribe(events.append)
+        assert tracer._subscribers == {}
+
+    def test_subscribing_to_an_unknown_type_raises(self, tracer):
+        with pytest.raises(UnknownEventType):
+            tracer.subscribe(print, {"msg.snd"})
+
+
+class TestTypedRows:
+    """An event is a positional row; the TraceEvent is built on read."""
+
+    def test_positional_emit_stores_a_row_and_returns_nothing(self, tracer):
+        assert tracer.emit("msg.lost", "f.d1", "insert", "drop") is None
+        (event,) = tracer.events
+        assert event.attrs == {"to": "f.d1", "kind": "insert", "reason": "drop"}
+
+    def test_omitted_optional_is_left_out_not_null(self, tracer):
+        tracer.emit("msg.send", "c", "f.d1", "insert", 40, OMITTED)
+        tracer.emit("msg.send", "c", "f.d1", "insert", 40, None)
+        plain, null = tracer.events
+        assert "rpc" not in plain.attrs and "a.rpc" not in plain.to_json()
+        assert null.attrs["rpc"] is None and '"a.rpc":null' in null.to_json()
+
+    def test_mixing_values_and_names_is_refused(self, tracer):
+        with pytest.raises(TypeError):
+            tracer.emit("msg.lost", "f.d1", kind="insert")
+        assert len(tracer) == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_row_renders_byte_identically_to_the_named_form(self, data):
+        # Every registered type: N positional values and the same values
+        # by name serialize to the same line (sequence numbers aligned).
+        value = st.one_of(
+            st.integers(-2**40, 2**40), st.text(max_size=8),
+            st.floats(allow_nan=False, allow_infinity=False), st.none(),
+        )
+        for type, fields in EVENTS.items():
+            values = [data.draw(value) for _ in fields]
+            positional, named = Tracer(), Tracer()
+            positional.emit(type, *values)
+            named.emit(type, **dict(zip(fields, values)))
+            assert positional.to_jsonl() == named.to_jsonl()
+            assert repr(positional.events[0]) == repr(named.events[0])
+
+    def test_tail_renders_only_what_it_returns(self, monkeypatch):
+        tracer = Tracer(capacity=10_000)
+        for i in range(10_000):
+            tracer.emit("recovery.start", i)
+        rendered = []
+        real = trace_module.render
+        monkeypatch.setattr(
+            trace_module, "render",
+            lambda row: rendered.append(row[0]) or real(row),
+        )
+        assert [e.attrs["group"] for e in tracer.tail(3)] == [9997, 9998, 9999]
+        assert len(tracer.format_tail(5).splitlines()) == 5
+        assert len(rendered) == 8
+
+    def test_retain_keeps_rows_past_the_exposed_capacity(self):
+        tracer = Tracer(capacity=5)
+        tracer.retain(20)
+        for i in range(30):
+            tracer.emit("recovery.start", i)
+        assert len(tracer) == 5
+        assert [e.seq for e in tracer.events] == [26, 27, 28, 29, 30]
+        assert [e.seq for e in tracer.tail(20)] == list(range(11, 31))
+        assert tracer.to_jsonl().count("\n") == 5

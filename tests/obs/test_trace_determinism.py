@@ -8,8 +8,16 @@ makes a trace from a failed CI run *replayable*: re-running the seed
 locally reproduces the exact same stream, event for event.
 """
 
+import hashlib
+
 from repro.obs import Tracer
 from tests.integration.test_chaos import run_chaos
+
+#: sha256 of ``trace_of(700, 1234)`` at 5da85ae, before events became
+#: typed rows: the stream must not move by a byte.
+CHAOS_SMOKE_SHA256 = (
+    "b7b4aef9a193e80e6b60e10d3a10e441057af278371f99139810933750bf22f7"
+)
 
 
 def trace_of(operations: int, seed: int) -> str:
@@ -21,6 +29,7 @@ def test_chaos_smoke_traces_are_byte_identical():
     first = trace_of(700, 1234)
     second = trace_of(700, 1234)
     assert first == second
+    assert hashlib.sha256(first.encode()).hexdigest() == CHAOS_SMOKE_SHA256
     # Sanity: the comparison covered a real stream, not a stub.
     assert first.count("\n") > 5_000
     assert '"type":"fault.injected"' in first
