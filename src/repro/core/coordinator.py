@@ -11,16 +11,19 @@ Extends the LH* coordinator with the high-availability duties:
 * unavailability reports converge here: searches are served through
   record recovery (degraded reads) and failed buckets are rebuilt onto
   spares under their logical addresses;
-* the coordinator itself is expendable: every state transition is
-  journaled (``repro.core.journal``) before it takes effect, replicated
-  to standby replicas and checkpointed into parity-bucket headers, so a
-  standby can replay the journal, adopt the file and roll interrupted
-  restructurings forward (see ``repro.core.standby``).
+* the coordinator itself is expendable: its durable state is one
+  object (``self.durable``, a ``repro.core.journal.JournalState``) that
+  only ``_journal`` writes — append, apply, replicate — and that is
+  checkpointed into parity-bucket headers, so a standby replays the
+  journal, *is handed* the state and rolls interrupted restructurings
+  forward (see ``repro.core.standby``).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
+from itertools import count
 
 from repro.core.config import LHRSConfig
 from repro.core.group import data_node, group_buckets, group_count, group_of, parity_node
@@ -117,10 +120,12 @@ class RSCoordinator(Coordinator):
             policy=policy,
         )
         self.field = self.config.make_field()
-        #: availability level per bucket group
-        self._group_levels: dict[int, int] = {}
-        #: hot spares left in the pool (None = unbounded)
-        self.spares_remaining = self.config.spare_servers
+        #: write-ahead journal of state transitions (HA substrate)
+        self.journal = CoordinatorJournal(spares=self.config.spare_servers)
+        #: everything a takeover must not forget — group levels, spare
+        #: balance, bucket epochs, term, open intents, the committed
+        #: (n, i) — written by :meth:`_journal` alone
+        self.durable: JournalState = self.journal.replay()
         self.recovery = RecoveryManager(self)
         #: per-probe-round health entries (the self-healing loop's log;
         #: bench_e16_lifetime consumes this), a drop-oldest ring
@@ -128,10 +133,6 @@ class RSCoordinator(Coordinator):
         #: first probe round that saw each currently-down node (feeds
         #: the probe.mttr histogram when the node comes back)
         self._down_since: dict[str, float] = {}
-        #: write-ahead journal of state transitions (HA substrate)
-        self.journal = CoordinatorJournal()
-        #: monotonic takeover epoch (bumped by each standby promotion)
-        self.term = 0
         #: standby replica node ids this primary replicates to
         self.standby_ids: list[str] = []
         #: armed crash points (fault injection inside a command chain)
@@ -140,38 +141,45 @@ class RSCoordinator(Coordinator):
         self.crash_log: list[str] = []
         #: intents rolled forward (or aborted) by adopt_journal_state
         self.takeover_resumes: list[dict] = []
-        #: per-bucket incarnation fence (durability mode): bumped every
-        #: time a spare is installed under a bucket's logical address, so
-        #: a restarted server whose disk predates the rebuild can never
-        #: catch up into a file that already replaced it
-        self._bucket_epochs: dict[str, int] = {}
         self._appends_since_checkpoint = 0
         self._last_beat_sent = float("-inf")
         self._hb_busy = False
 
+    @property
+    def spares_remaining(self) -> int | None:
+        """Hot spares left in the pool (None = unbounded)."""
+        return self.durable.spares
+
+    @property
+    def term(self) -> int:
+        """Monotonic takeover epoch (each standby promotion adds one)."""
+        return self.durable.term
+
     def take_spare(self) -> None:
         """Consume one hot spare for a recovery; raises when exhausted."""
-        if self.spares_remaining is None:
+        spares = self.durable.spares
+        if spares is None:
             return
-        if self.spares_remaining <= 0:
+        if spares <= 0:
             raise RecoveryError(
                 "hot-spare pool exhausted: provision more servers before "
                 "further recoveries"
             )
-        self.spares_remaining -= 1
-        self._journal("spares", remaining=self.spares_remaining)
+        self._journal("spares", remaining=spares - 1)
 
     # ------------------------------------------------------------------
     # journal, replication, checkpoints
     # ------------------------------------------------------------------
     def _journal(self, type: str, **payload) -> JournalRecord:
-        """Append one record; replicate and checkpoint when HA is on.
+        """The only writer of :attr:`durable`: append one record, apply
+        it, replicate and checkpoint when HA is on.
 
         Journaling is always local (it costs no messages); replication
         to standbys and parity-header checkpoints only happen once
         standbys are attached, so a replica-less file pays nothing.
         """
         record = self.journal.append(type, **payload)
+        self.durable.apply(record)
         network = self.network
         if network is None:
             return record
@@ -198,7 +206,7 @@ class RSCoordinator(Coordinator):
                 self.checkpoint_to_parity()
         return record
 
-    def checkpoint_to_parity(self) -> dict:
+    def checkpoint_to_parity(self) -> None:
         """Push a state snapshot into every parity bucket's header.
 
         The checkpoint is the journal's belt-and-braces: a takeover that
@@ -206,31 +214,19 @@ class RSCoordinator(Coordinator):
         for the newest checkpoint before falling back to probing the
         data buckets themselves.
         """
-        snapshot = {
-            "lsn": self.journal.last_lsn,
-            "n": self.state.n,
-            "i": self.state.i,
-            "group_levels": dict(self._group_levels),
-            "spares": self.spares_remaining,
-            "term": self.term,
-        }
+        snapshot = self.durable.snapshot()
         network = self._net()
         delivered = 0
-        for group, level in sorted(self._group_levels.items()):
-            for index in range(level):
+        for group in snapshot["group_levels"]:
+            for node_id in self.parity_nodes(group):
                 try:
-                    self.send(
-                        parity_node(self.file_id, group, index),
-                        "coord.checkpoint",
-                        snapshot,
-                    )
+                    self.send(node_id, "coord.checkpoint", snapshot)
                     delivered += 1
                 except (NodeUnavailable, UnknownNode):
                     continue
         self._appends_since_checkpoint = 0
         if network.tracer is not None:
             network.tracer.emit("coord.checkpoint", snapshot["lsn"], delivered)
-        return snapshot
 
     def arm_crash(self, point: str) -> None:
         """Arm a crash point: the next command reaching it kills this
@@ -294,125 +290,88 @@ class RSCoordinator(Coordinator):
     # ------------------------------------------------------------------
     # takeover adoption: journal -> checkpoints -> survivor probes
     # ------------------------------------------------------------------
-    def adopt_journal_state(self, replayed: JournalState) -> None:
-        """Install journal truth, fill gaps from parity checkpoints and
-        survivor probes, then roll open intents forward.
-
-        Called by a promoting standby after it registered this object
-        under the coordinator node id.  Fallback order follows the
-        ISSUE: journal replay first; the newest parity-header checkpoint
-        for anything the journal misses; finally the A6-style survivor
-        probe (``recover_file_state``'s discipline) when neither knows
-        the file state.
+    def adopt_journal_state(self, replayed: JournalState, term: int) -> None:
+        """Take over past ``term`` (a promoting standby registered this
+        object under the coordinator id): hold the replayed state, then
+        roll open intents forward.  A journal that never saw bootstrap
+        journals what the newest parity-header checkpoint says — else
+        the A6-style survivor probe — so it replays to that state too.
         """
-        n, i = replayed.n, replayed.i
-        group_levels = dict(replayed.group_levels)
-        spares = (
-            replayed.spares_remaining
-            if replayed.spares_known
-            else self.config.spare_servers
-        )
-        if n is None:
-            checkpoint = self.newest_checkpoint()
-            if checkpoint is not None:
-                n, i = checkpoint["n"], checkpoint["i"]
-                for group, level in checkpoint["group_levels"].items():
-                    group_levels.setdefault(int(group), level)
-                if not replayed.spares_known:
-                    spares = checkpoint.get("spares", spares)
-        if n is None:
-            n, i = self._discover_from_survivors()
-        self.state.n, self.state.i = n, i
-        self.state.splits_done = max(0, self.state.bucket_count - self.state.n0)
-        self._group_levels = {
-            group: level
-            for group, level in group_levels.items()
-            if level != RETIRED
-        }
-        self.spares_remaining = spares
+        self.durable = durable = replayed
+        if durable.n is None:
+            found = self.newest_checkpoint() or self._discover_from_survivors()
+            for type, payload in found.records():
+                self._journal(type, **payload)
+        self._journal("takeover", term=max(term, durable.term) + 1)
+        self.state.n, self.state.i = durable.n, durable.i
+        self.state.splits_done = self.state.bucket_count - self.state.n0
         # Every group of the current extent must have a known level; a
         # journal-less takeover probes the parity namespace for them.
         for group in range(
             group_count(self.state.bucket_count, self.config.group_size)
         ):
-            if group not in self._group_levels:
+            if group not in durable.group_levels:
                 level = self._probe_group_level(group)
                 if level:
-                    self._group_levels[group] = level
-        self._journal("takeover", term=self.term)
-        self._journal("file.state", n=self.state.n, i=self.state.i)
+                    self._journal("group.level", group=group, level=level)
         # Innermost intent first: a raise triggered inside a split must
         # settle before the split itself is rolled forward.
-        for record in sorted(
-            replayed.open_intents, key=lambda r: r.lsn, reverse=True
-        ):
+        for record in reversed(durable.open_intents):
             self._resume_intent(record)
+        # A replica that was down replays a strict prefix: re-enter the
+        # splits and merges whose buckets show the file went on without it.
+        nodes = self._net().nodes
+        while data_node(self.file_id, self.state.bucket_count) in nodes:
+            self.split_once()
+        while data_node(self.file_id, self.state.bucket_count - 1) not in nodes:
+            self.merge_once()
         # The retrofit a split owed when the journal stopped is not an
         # intent of its own; the policy is re-read instead.
         self._maybe_scale_availability()
         if self.standby_ids:
             self.checkpoint_to_parity()
 
-    def newest_checkpoint(self) -> dict | None:
+    def _walk(self, node_of, kind: str = "status"):
+        """Call ``kind`` on ``node_of(0)``, ``node_of(1)``, … until an
+        address is not registered; yields each reply (None for a node
+        that is down).  Needs no prior knowledge of the extent."""
+        for index in count():
+            try:
+                yield self.call(node_of(index), kind)
+            except UnknownNode:
+                return
+            except (NodeUnavailable, DeliveryFault):
+                yield None
+
+    def newest_checkpoint(self) -> JournalState | None:
         """Newest coordinator checkpoint any reachable parity bucket
-        holds (None when nothing is reachable or nothing was stored).
-
-        Walks the parity namespace by existence (``UnknownNode`` ends a
-        row, an empty row the walk), so it needs no prior knowledge of
-        the group map.
-        """
+        holds (None when nothing is reachable or nothing was stored);
+        an empty parity row ends the walk over the groups."""
         best: dict | None = None
-        group = 0
-        while True:
-            index = 0
-            while True:
-                node_id = parity_node(self.file_id, group, index)
-                try:
-                    reply = self.call(node_id, "coord.checkpoint.fetch")
-                except UnknownNode:
-                    break
-                except (NodeUnavailable, DeliveryFault):
-                    reply = None
-                index += 1
+        for group in count():
+            row = list(self._walk(
+                partial(parity_node, self.file_id, group), "coord.checkpoint.fetch"
+            ))
+            if not row:
+                return None if best is None else JournalState.from_snapshot(best)
+            for reply in row:
                 if reply is not None and (
-                    best is None or reply["lsn"] > best["lsn"]
+                    best is None
+                    or (reply["term"], reply["lsn"]) > (best["term"], best["lsn"])
                 ):
-                    best = dict(reply)
-            if index == 0:
-                return best
-            group += 1
+                    best = reply
 
-    def _discover_from_survivors(self) -> tuple[int, int]:
+    def _discover_from_survivors(self) -> JournalState:
         """A6 discipline with nothing else to go on: probe data-bucket
         levels sequentially and reconstruct ``(n, i)`` from survivors."""
-        levels: dict[int, int] = {}
-        bucket = 0
-        while True:
-            node_id = data_node(self.file_id, bucket)
-            try:
-                reply = self.call(node_id, "status")
-            except UnknownNode:
-                break
-            except (NodeUnavailable, DeliveryFault):
-                bucket += 1
-                continue
-            levels[reply["bucket"]] = reply["level"]
-            bucket += 1
-        return reconstruct_state(levels, self.state.n0)
+        replies = self._walk(partial(data_node, self.file_id))
+        levels = {r["bucket"]: r["level"] for r in replies if r is not None}
+        n, i = reconstruct_state(levels, self.state.n0)
+        return JournalState(n, i, spares=self.durable.spares, term=self.durable.term)
 
     def _probe_group_level(self, group: int) -> int:
         """How many parity buckets exist for ``group`` (0 = none)."""
-        index = 0
-        while True:
-            node_id = parity_node(self.file_id, group, index)
-            try:
-                self.call(node_id, "status")
-            except UnknownNode:
-                break
-            except (NodeUnavailable, DeliveryFault):
-                pass
-            index += 1
-        return index
+        return sum(1 for _ in self._walk(partial(parity_node, self.file_id, group)))
 
     # ------------------------------------------------------------------
     # intent roll-forward
@@ -469,18 +428,12 @@ class RSCoordinator(Coordinator):
             node_id = parity_node(self.file_id, group, index)
             if node_id in network.nodes:
                 network.unregister(node_id)
-        if self._group_levels.get(group, 0) > from_level:
-            self._group_levels[group] = from_level
+        if self.durable.group_levels.get(group, 0) > from_level:
             self._journal("group.level", group=group, level=from_level)
         self._journal("intent.end", begin=record.lsn, outcome="abort")
-        if group not in self._group_levels:
+        if group not in self.durable.group_levels:
             return  # the group has since retired
-        buckets = group_buckets(
-            group, self.config.group_size, self.state.bucket_count
-        )
-        self._ensure_available(
-            *[data_node(self.file_id, b) for b in buckets]
-        )
+        self._ensure_available(*self.data_nodes(group))
         self.raise_group_level(group, to_level)
 
     def _resume_recover(self, record: JournalRecord) -> None:
@@ -493,19 +446,10 @@ class RSCoordinator(Coordinator):
         """
         self._journal("intent.end", begin=record.lsn, outcome="abort")
         group = record.payload["group"]
-        if group not in self._group_levels:
+        if group not in self.durable.group_levels:
             return
-        network = self._net()
-        members = [
-            data_node(self.file_id, b)
-            for b in group_buckets(
-                group, self.config.group_size, self.state.bucket_count
-            )
-        ] + [
-            parity_node(self.file_id, group, index)
-            for index in range(self.group_level(group))
-        ]
-        down = [n for n in members if not network.is_available(n)]
+        members = self.data_nodes(group) + self.parity_nodes(group)
+        down = [n for n in members if not self._net().is_available(n)]
         if down:
             self.recovery.recover_nodes(down, best_effort=True)
 
@@ -515,14 +459,28 @@ class RSCoordinator(Coordinator):
     def group_level(self, group: int) -> int:
         """Current availability level k of a bucket group."""
         try:
-            return self._group_levels[group]
+            return self.durable.group_levels[group]
         except KeyError:
             raise KeyError(f"bucket group {group} does not exist") from None
 
     @property
     def group_levels(self) -> dict[int, int]:
         """Read-only view of every group's availability level."""
-        return dict(self._group_levels)
+        return dict(self.durable.group_levels)
+
+    def data_nodes(self, group: int) -> list[str]:
+        """Addresses of a group's data buckets in the current extent."""
+        members = group_buckets(
+            group, self.config.group_size, self.state.bucket_count
+        )
+        return [data_node(self.file_id, bucket) for bucket in members]
+
+    def parity_nodes(self, group: int) -> list[str]:
+        """Addresses of a group's parity buckets (none: no such group)."""
+        return [
+            parity_node(self.file_id, group, index)
+            for index in range(self.durable.group_levels.get(group, 0))
+        ]
 
     def parity_row(self, index: int) -> list[int]:
         """Generator row for parity bucket ``index`` (nested rows).
@@ -545,18 +503,10 @@ class RSCoordinator(Coordinator):
             row=self.parity_row(index),
             field=self.field,
         )
-        server.inbound_queue_limit = self.config.bucket_queue_limit
-        if self.config.durability:
-            server.epoch = self._bucket_epochs.get(server.node_id, 0)
-            server.enable_durability(self.config)
-        return server
+        return self._outfit(server)
 
     def make_server(self, number: int, level: int) -> RSDataServer:
         group = group_of(number, self.config.group_size)
-        targets = [
-            parity_node(self.file_id, group, i)
-            for i in range(self._group_levels.get(group, 0))
-        ]
         server = RSDataServer(
             node_id=data_node(self.file_id, number),
             file_id=self.file_id,
@@ -565,24 +515,30 @@ class RSCoordinator(Coordinator):
             capacity=self.capacity,
             n0=self.state.n0,
             group_size=self.config.group_size,
-            parity_targets=targets,
+            parity_targets=self.parity_nodes(group),
             compact_ranks=self.config.compact_ranks,
             field_width=self.config.field_width,
             retry_policy=self.config.retry_policy,
             parity_ack=self.config.parity_ack,
         )
+        return self._outfit(server)
+
+    def _outfit(self, server):
+        """What every bucket server gets: its queue bound and, on a
+        durable file, its address's current epoch and its disk."""
         server.inbound_queue_limit = self.config.bucket_queue_limit
         if self.config.durability:
-            server.epoch = self._bucket_epochs.get(server.node_id, 0)
+            server.epoch = self.durable.bucket_epochs.get(server.node_id, 0)
             server.enable_durability(self.config)
         return server
 
-    def bump_epoch(self, node_id: str) -> int:
-        """Advance a bucket address's incarnation: the fence behind a
-        spare install, or a merge a down parity bucket missed."""
-        epoch = self._bucket_epochs.get(node_id, 0) + 1
-        self._bucket_epochs[node_id] = epoch
-        return epoch
+    def bump_epoch(self, node_id: str) -> None:
+        """Advance a bucket address's incarnation — the fence behind a
+        spare install, or a merge a down parity bucket missed — so a
+        restarted server whose disk predates it can never catch up into
+        a file that already replaced it."""
+        epoch = self.durable.bucket_epochs.get(node_id, 0) + 1
+        self._journal("bucket.epoch", node=node_id, epoch=epoch)
 
     # ------------------------------------------------------------------
     # growth hooks
@@ -596,14 +552,13 @@ class RSCoordinator(Coordinator):
     def _create_group(self, group: int) -> None:
         """Give ``group`` its level and parity buckets, whichever of the
         two it still lacks (a resumed split may find it half-born)."""
-        if group not in self._group_levels:
+        if group not in self.durable.group_levels:
             level = self.config.effective_policy.level_for(
                 group_count(self.state.bucket_count, self.config.group_size) or 1
             )
-            self._group_levels[group] = level
             self._journal("group.level", group=group, level=level)
-        for index in range(self._group_levels[group]):
-            if parity_node(self.file_id, group, index) not in self._net().nodes:
+        for index, node_id in enumerate(self.parity_nodes(group)):
+            if node_id not in self._net().nodes:
                 self._net().register(self.make_parity_server(group, index))
 
     def on_new_bucket(self, number: int, level: int) -> None:
@@ -630,8 +585,7 @@ class RSCoordinator(Coordinator):
         # dissolved position (an empty bucket ships no Δ to heal one).
         self._ensure_available(
             data_node(self.file_id, target), data_node(self.file_id, source),
-            *(parity_node(self.file_id, group, index)
-              for index in range(self._group_levels.get(group, 0))),
+            *self.parity_nodes(group),
         )
         tracer = self._net().tracer
         if tracer is not None:
@@ -656,15 +610,13 @@ class RSCoordinator(Coordinator):
         onto the dead one."""
         m = self.config.group_size
         group, pos = group_of(number, m), number % m
-        level = self._group_levels.get(group)
-        if level is None:
+        if group not in self.durable.group_levels:
             return  # already retired (idempotent under resume)
+        parity = self.parity_nodes(group)
         network = self._net()
         if pos == 0:
-            del self._group_levels[group]
             self._journal("group.level", group=group, level=RETIRED)
-        for index in range(level):
-            node_id = parity_node(self.file_id, group, index)
+        for node_id in parity:
             if pos == 0:
                 if node_id in network.nodes:
                     network.unregister(node_id)
@@ -679,7 +631,7 @@ class RSCoordinator(Coordinator):
             return
         groups = group_count(self.state.bucket_count, self.config.group_size)
         target = self.config.effective_policy.level_for(groups)
-        for group, current in sorted(self._group_levels.items()):
+        for group, current in sorted(self.durable.group_levels.items()):
             if current < target:
                 self.raise_group_level(group, target)
 
@@ -715,19 +667,12 @@ class RSCoordinator(Coordinator):
             from_level=current,
             to_level=new_level,
         )
-        self._group_levels[group] = new_level
         self._journal("group.level", group=group, level=new_level)
         self._crash_hook("raise.mid")
         self.recovery.encode_parity(group, dumps, range(current, new_level))
-        targets = [
-            parity_node(self.file_id, group, i) for i in range(new_level)
-        ]
-        for bucket in dumps:
-            self.send(
-                data_node(self.file_id, bucket),
-                "config.parity",
-                {"targets": targets},
-            )
+        targets = self.parity_nodes(group)
+        for node_id in self.data_nodes(group):
+            self.send(node_id, "config.parity", {"targets": targets})
         self._journal("intent.end", begin=begin.lsn)
 
     # ------------------------------------------------------------------
@@ -867,9 +812,8 @@ class RSCoordinator(Coordinator):
         targets = [
             data_node(self.file_id, b) for b in self.state.buckets()
         ] + [
-            parity_node(self.file_id, g, i)
-            for g, level in sorted(self._group_levels.items())
-            for i in range(level)
+            node for g in sorted(self.durable.group_levels)
+            for node in self.parity_nodes(g)
         ]
         network = self._net()
         replies, unavailable = network.multicast(self.node_id, targets, "status")
@@ -978,7 +922,7 @@ class RSCoordinator(Coordinator):
 
     def _rejoin_durable(self, parsed, payload: dict) -> dict:
         node_id = payload["node"]
-        expected = self._bucket_epochs.get(node_id, 0)
+        expected = self.durable.bucket_epochs.get(node_id, 0)
         if payload["epoch"] != expected or not payload.get("clean", False):
             return self._rejoin_rebuild(node_id)
         try:

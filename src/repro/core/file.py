@@ -192,11 +192,11 @@ class LHRSFile(LHStarFile):
         groups = (
             [group] if group is not None else sorted(coordinator.group_levels)
         )
-        out = []
-        for g in groups:
-            for index in range(coordinator.group_level(g)):
-                out.append(self.network.nodes[parity_node(self.file_id, g, index)])
-        return out
+        return [
+            self.network.nodes[node_id]
+            for g in groups
+            for node_id in coordinator.parity_nodes(g)
+        ]
 
     # ------------------------------------------------------------------
     # failure & recovery conveniences

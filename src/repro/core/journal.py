@@ -13,12 +13,16 @@ Record taxonomy (``RECORD_TYPES``):
 
 ``file.state``
     Absolute ``{n, i}`` — journaled at bootstrap and after every
-    committed split/merge (and once per takeover).
+    committed split/merge.
 ``group.level``
     Absolute ``{group, level}``; ``level == RETIRED`` marks a parity
     group dismantled by a merge.
 ``spares``
     Absolute ``{remaining}`` spare-pool balance after a claim.
+``bucket.epoch``
+    Absolute ``{node, epoch}`` incarnation of a bucket address — the
+    fence behind a spare install, or a merge a down parity bucket
+    missed (durable restart, docs/durability.md).
 ``intent.begin`` / ``intent.end``
     Bracket a restructuring operation (``op`` ∈ split / merge / raise /
     recover).  A ``begin`` whose LSN is never named by an ``end`` is an
@@ -34,6 +38,15 @@ deduplicated by LSN, and every state-bearing record carries *absolute*
 values — so replay is idempotent and insensitive to delivery order
 within an LSN prefix (the property tests in
 ``tests/core/test_journal.py`` pin both).
+
+:class:`JournalState` is the coordinator's *whole* durable state and
+:meth:`JournalState.apply` its only writer: the live coordinator applies
+each record as it appends it, replay folds the same function over a
+prefix, and ``snapshot()`` / ``from_snapshot()`` are its one serial form
+(the parity-header checkpoint, the whole-file backup, the test oracle);
+``records()`` turns a state back into absolute records, which is how a
+takeover without a journal adopts a checkpoint — by journaling it.
+A field that is not in this class does not survive a takeover.
 """
 
 from __future__ import annotations
@@ -49,6 +62,7 @@ RECORD_TYPES = frozenset(
         "file.state",
         "group.level",
         "spares",
+        "bucket.epoch",
         "intent.begin",
         "intent.end",
         "takeover",
@@ -81,41 +95,101 @@ class JournalRecord:
 
 @dataclass
 class JournalState:
-    """What a journal prefix says the coordinator state was.
+    """The coordinator's durable state: what a journal prefix says it was.
 
     ``n``/``i`` are None until a ``file.state`` record has been applied
-    (a journal that never saw bootstrap); ``spares_known`` separates
-    "no spares record yet" from "the pool is unbounded (None)".
+    (a journal that never saw bootstrap); ``spares`` starts from the
+    configured pool (None = unbounded) and ``intents`` holds the open
+    ``intent.begin`` records by LSN, in LSN order.
     """
 
     n: int | None = None
     i: int | None = None
     group_levels: dict[int, int] = field(default_factory=dict)
-    spares_remaining: int | None = None
-    spares_known: bool = False
+    spares: int | None = None
+    bucket_epochs: dict[str, int] = field(default_factory=dict)
     term: int = 0
     applied_lsn: int = 0
-    open_intents: list[JournalRecord] = field(default_factory=list)
+    intents: dict[int, JournalRecord] = field(default_factory=dict)
+
+    @property
+    def open_intents(self) -> list[JournalRecord]:
+        """Operations in flight when the journal stopped, oldest first."""
+        return list(self.intents.values())
+
+    def apply(self, record: JournalRecord) -> None:
+        """Fold one record in (O(1)); records arrive in LSN order."""
+        kind, payload = record.type, record.payload
+        if kind == "file.state":
+            self.n, self.i = int(payload["n"]), int(payload["i"])
+        elif kind == "group.level":
+            group, level = int(payload["group"]), int(payload["level"])
+            if level == RETIRED:
+                self.group_levels.pop(group, None)
+            else:
+                self.group_levels[group] = level
+        elif kind == "spares":
+            self.spares = payload["remaining"]
+        elif kind == "bucket.epoch":
+            self.bucket_epochs[str(payload["node"])] = int(payload["epoch"])
+        elif kind == "intent.begin":
+            self.intents[record.lsn] = record
+        elif kind == "intent.end":
+            self.intents.pop(int(payload["begin"]), None)
+        elif kind == "takeover":
+            self.term = int(payload["term"])
+        else:
+            raise ValueError(f"unknown journal record type {kind!r}")
+        self.applied_lsn = max(self.applied_lsn, record.lsn)
 
     def snapshot(self) -> dict[str, Any]:
-        """Canonical comparison/serialization form of the applied state."""
+        """The one serial form (``coord_state`` in ``proto/schema.py``)."""
         return {
             "lsn": self.applied_lsn,
             "n": self.n,
             "i": self.i,
-            "group_levels": {
-                str(group): level
-                for group, level in sorted(self.group_levels.items())
-            },
-            "spares": self.spares_remaining if self.spares_known else None,
+            "group_levels": dict(sorted(self.group_levels.items())),
+            "spares": self.spares,
+            "bucket_epochs": dict(sorted(self.bucket_epochs.items())),
             "term": self.term,
+            "intents": [record.to_wire() for record in self.open_intents],
         }
+
+    def records(self) -> list[tuple[str, dict[str, Any]]]:
+        """Absolute ``(type, payload)`` pairs that, appended in order to a
+        journal without a state, replay to this one (intents: new LSNs)."""
+        levels, epochs = self.group_levels, self.bucket_epochs
+        return [
+            ("takeover", {"term": self.term}),
+            ("file.state", {"n": self.n, "i": self.i}),
+            ("spares", {"remaining": self.spares}),
+            *(("group.level", {"group": g, "level": levels[g]}) for g in levels),
+            *(("bucket.epoch", {"node": n, "epoch": epochs[n]}) for n in epochs),
+            *(("intent.begin", dict(r.payload)) for r in self.open_intents),
+        ]
+
+    @classmethod
+    def from_snapshot(cls, data: Mapping[str, Any]) -> "JournalState":
+        """Inverse of :meth:`snapshot`."""
+        intents = [JournalRecord.from_wire(wire) for wire in data["intents"]]
+        return cls(
+            n=data["n"],
+            i=data["i"],
+            group_levels={int(g): int(k) for g, k in data["group_levels"].items()},
+            spares=data["spares"],
+            bucket_epochs=dict(data["bucket_epochs"]),
+            term=int(data["term"]),
+            applied_lsn=int(data["lsn"]),
+            intents={record.lsn: record for record in intents},
+        )
 
 
 def replay_records(
-    records: Iterable[JournalRecord], upto: int | None = None
+    records: Iterable[JournalRecord],
+    upto: int | None = None,
+    spares: int | None = None,
 ) -> JournalState:
-    """Fold records into a :class:`JournalState`.
+    """Fold records into a state seeded with the configured spare pool.
 
     Sorts by LSN and drops LSN duplicates first, so any permutation (or
     re-delivery) of the same prefix replays to the same state.
@@ -125,36 +199,9 @@ def replay_records(
         if upto is not None and record.lsn > upto:
             continue
         by_lsn.setdefault(record.lsn, record)
-
-    state = JournalState()
-    begins: dict[int, JournalRecord] = {}
-    ended: set[int] = set()
+    state = JournalState(spares=spares)
     for lsn in sorted(by_lsn):
-        record = by_lsn[lsn]
-        payload = record.payload
-        if record.type == "file.state":
-            state.n = int(payload["n"])
-            state.i = int(payload["i"])
-        elif record.type == "group.level":
-            group = int(payload["group"])
-            level = int(payload["level"])
-            if level == RETIRED:
-                state.group_levels.pop(group, None)
-            else:
-                state.group_levels[group] = level
-        elif record.type == "spares":
-            state.spares_remaining = payload["remaining"]
-            state.spares_known = True
-        elif record.type == "intent.begin":
-            begins[lsn] = record
-        elif record.type == "intent.end":
-            ended.add(int(payload["begin"]))
-        elif record.type == "takeover":
-            state.term = int(payload["term"])
-        state.applied_lsn = max(state.applied_lsn, lsn)
-    state.open_intents = [
-        begins[lsn] for lsn in sorted(begins) if lsn not in ended
-    ]
+        state.apply(by_lsn[lsn])
     return state
 
 
@@ -168,10 +215,14 @@ class CoordinatorJournal:
     fetch before its prefix is complete.
     """
 
-    def __init__(self, records: Iterable[JournalRecord] = ()):  # noqa: D401
+    def __init__(
+        self, records: Iterable[JournalRecord] = (), spares: int | None = None
+    ):
         self._records: dict[int, JournalRecord] = {
             record.lsn: record for record in records
         }
+        #: the configured spare pool every replay starts from
+        self.spares = spares
         self._subscribers: list[Callable[[JournalRecord], None]] = []
 
     # ------------------------------------------------------------------
@@ -212,6 +263,8 @@ class CoordinatorJournal:
         fresh: list[JournalRecord] = []
         for data in wire_records:
             record = JournalRecord.from_wire(data)
+            if record.type not in RECORD_TYPES:
+                raise ValueError(f"unknown journal record type {record.type!r}")
             if record.lsn not in self._records:
                 self._records[record.lsn] = record
                 fresh.append(record)
@@ -231,10 +284,10 @@ class CoordinatorJournal:
         ]
 
     def replay(self, upto: int | None = None) -> JournalState:
-        return replay_records(self.records(), upto=upto)
+        return replay_records(self.records(), upto=upto, spares=self.spares)
 
     def clone(self) -> "CoordinatorJournal":
-        return CoordinatorJournal(self.records())
+        return CoordinatorJournal(self.records(), spares=self.spares)
 
     def subscribe(self, callback: Callable[[JournalRecord], None]) -> None:
         """Observe every locally stored record (tests, snapshot capture)."""

@@ -349,13 +349,11 @@ class ParityServer(Node):
     # coordinator-state checkpoints (HA headers)
     # ------------------------------------------------------------------
     def handle_coord_checkpoint(self, message: Message) -> None:
-        """Store the coordinator's state snapshot (newest LSN wins)."""
-        checkpoint = message.payload
-        if (
-            self.coord_checkpoint is None
-            or checkpoint["lsn"] >= self.coord_checkpoint["lsn"]
-        ):
-            self.coord_checkpoint = dict(checkpoint)
+        """Store the coordinator's state snapshot (newest term, then LSN,
+        wins: a primary that adopted a checkpoint numbers its journal anew)."""
+        new, old = message.payload, self.coord_checkpoint
+        if old is None or (new["term"], new["lsn"]) >= (old["term"], old["lsn"]):
+            self.coord_checkpoint = dict(new)
 
     def handle_coord_checkpoint_fetch(self, message: Message) -> dict | None:
         """Return the stored coordinator checkpoint (None = never saw one)."""

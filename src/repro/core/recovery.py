@@ -1133,9 +1133,7 @@ class RecoveryManager:
                 from repro.lh.state import FileState
 
                 ghost = FileState(
-                    n0=coordinator.state.n0,
-                    n=checkpoint["n"],
-                    i=checkpoint["i"],
+                    n0=coordinator.state.n0, n=checkpoint.n, i=checkpoint.i
                 )
                 for bucket in missing:
                     if bucket < ghost.bucket_count:

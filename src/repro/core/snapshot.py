@@ -23,7 +23,8 @@ from typing import Any
 from repro.core.config import LHRSConfig
 from repro.core.file import LHRSFile
 
-SNAPSHOT_VERSION = 1
+#: 2: ``state`` is ``JournalState.snapshot()`` (1 kept the levels beside it)
+SNAPSHOT_VERSION = 2
 
 
 def snapshot_file(file: LHRSFile) -> dict:
@@ -75,12 +76,12 @@ def snapshot_file(file: LHRSFile) -> dict:
             "durability_checkpoint_interval":
                 config.durability_checkpoint_interval,
         },
-        "state": {
-            "n": coordinator.state.n,
-            "i": coordinator.state.i,
-            "splits_done": coordinator.state.splits_done,
-        },
-        "group_levels": dict(coordinator.group_levels),
+        # the coordinator's durable state in its one serial form, plus
+        # the split count restore_file checks (n, i) against
+        "state": dict(
+            coordinator.durable.snapshot(),
+            splits_done=coordinator.state.splits_done,
+        ),
         "data_buckets": data,
         "parity_buckets": parity,
     }
@@ -94,14 +95,12 @@ def restore_file(snapshot: dict, file_id: str = "f",
     records, ranks and parity — `census_with_ranks` and
     `verify_parity_consistency` match the original.
     """
-    if snapshot.get("version") != SNAPSHOT_VERSION:
-        raise ValueError(
-            f"unsupported snapshot version {snapshot.get('version')!r}"
-        )
+    version = snapshot.get("version")
+    if version not in (1, SNAPSHOT_VERSION):
+        raise ValueError(f"unsupported snapshot version {version!r}")
     # Config keys this build does not have are dropped: earlier builds
-    # of this snapshot version also wrote since-retired knobs (the
-    # parity memory layout, the Δ-ring and health-log capacities),
-    # which never were snapshot content.
+    # also wrote since-retired knobs (the parity memory layout, the
+    # Δ-ring and health-log capacities), which never were snapshot content.
     known = {field.name for field in dataclasses.fields(LHRSConfig)}
     config = LHRSConfig(
         **{k: v for k, v in snapshot["config"].items() if k in known}
@@ -123,9 +122,11 @@ def restore_file(snapshot: dict, file_id: str = "f",
         snapshot["state"]["n"], snapshot["state"]["i"]
     ):
         raise ValueError("snapshot state does not match its split count")
+    coordinator._journal("file.state", n=restored_state.n, i=restored_state.i)
 
     # Raise group levels where the snapshot had higher availability.
-    for group, level in sorted(snapshot["group_levels"].items()):
+    levels = (snapshot if version == 1 else snapshot["state"])["group_levels"]
+    for group, level in sorted(levels.items()):
         group = int(group)
         current = coordinator.group_level(group)
         if level > current:

@@ -11,10 +11,12 @@ not a death certificate), then promotes itself:
 3. build a fresh :class:`~repro.core.coordinator.RSCoordinator` under
    the *same* node id — clients keep addressing ``<file>.coord`` and
    only pay a whois round when they notice the blackout,
-4. replay the journal into it and let ``adopt_journal_state`` fill any
-   gaps from parity-header checkpoints / survivor probes and roll open
-   restructuring intents forward,
-5. bump the term, journal the takeover, resume heartbeating.
+4. replay the journal and hand the state to ``adopt_journal_state``
+   (``self.durable = replayed``; a journal-less replica falls back to
+   the parity-header checkpoint, then survivor probes), which journals
+   the takeover at the bumped term and rolls open restructuring intents
+   forward,
+5. resume heartbeating.
 
 Clients that hit the dead primary before any standby noticed use the
 ``coord.whois`` pull path: the answering standby either vouches for the
@@ -56,7 +58,7 @@ class StandbyCoordinator(Node):
         self.primary_id = primary_id or f"{file_id}.coord"
         #: every standby id of this file (including self)
         self.peer_ids = list(peer_ids or [node_id])
-        self.journal = CoordinatorJournal()
+        self.journal = CoordinatorJournal(spares=config.spare_servers)
         self.last_beat = 0.0
         self.term = 0
         #: how many takeovers this standby performed
@@ -211,8 +213,6 @@ class StandbyCoordinator(Node):
                 heartbeat = getattr(old, "_heartbeat_tick", None)
                 if heartbeat is not None:
                     network.remove_clock_listener(heartbeat)
-            replayed = self.journal.replay()
-            self.term = max(self.term, replayed.term) + 1
             coordinator = RSCoordinator(
                 node_id=self.primary_id,
                 file_id=self.file_id,
@@ -220,17 +220,17 @@ class StandbyCoordinator(Node):
                 config=self.config,
             )
             coordinator.journal = self.journal.clone()
-            coordinator.term = self.term
             coordinator.standby_ids = list(self.peer_ids)
             network.register(coordinator)
             network.add_clock_listener(coordinator._heartbeat_tick)
-            coordinator.adopt_journal_state(replayed)
+            coordinator.adopt_journal_state(self.journal.replay(), self.term)
+            self.term = coordinator.term
             self.takeovers += 1
             self.last_beat = network.now
             if tracer is not None:
                 tracer.emit(
                     "coord.takeover.end", self.node_id, self.term,
-                    coordinator.journal.last_lsn, len(replayed.open_intents),
+                    coordinator.journal.last_lsn, len(coordinator.takeover_resumes),
                 )
             return coordinator
         finally:

@@ -257,6 +257,14 @@ SECTIONS: tuple[str, ...] = (
     "LH*m baseline",
 )
 
+#: The coordinator's durable state, ``JournalState.snapshot()``: the
+#: ``coord.checkpoint`` payload and, as the shape ``coord_state``, what
+#: ``coord.checkpoint.fetch`` answers.
+_COORD_STATE = (
+    "lsn:int", "n:int", "i:int", "group_levels:{int->int}", "spares:int|none",
+    "bucket_epochs:{str->int}", "term:int", "intents:[journal_record]",
+)
+
 #: Named shapes: the nested forms more than one kind ships.  A name is
 #: shorthand for its type wherever a type may stand.
 SHAPES: dict[str, str] = {
@@ -291,6 +299,7 @@ SHAPES: dict[str, str] = {
     ),
     # one coordinator-journal record; its body differs per record type
     "journal_record": "{lsn:int, type:str, payload:any}",
+    "coord_state": "{" + ", ".join(_COORD_STATE) + "}",
     # LH*g: one grouped parity record
     "gparity_record": "{gkey:int, keys:{int->int}, parity:bytes}",
 }
@@ -603,18 +612,14 @@ _ENTRIES: tuple[MessageKind, ...] = (
     ),
     MessageKind(
         "coord.checkpoint", "coordinator", "parity", "send",
-        ("lsn:int", "n:int", "i:int", "group_levels:{int->int}",
-         "spares:int|none", "term:int"),
+        _COORD_STATE,
         section="coordinator HA",
         summary="durable coordinator state in the parity-bucket header",
     ),
     MessageKind(
         "coord.checkpoint.fetch", "coordinator", "parity", "call",
         (),
-        reply=(
-            "{lsn:int, n:int, i:int, group_levels:{int->int}, "
-            "spares?:int|none, term?:int}|none"
-        ),
+        reply="coord_state|none",
         section="coordinator HA",
         summary="journal-less takeover reads the newest header back",
     ),

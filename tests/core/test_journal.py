@@ -19,6 +19,7 @@ from repro.core.journal import (
     RETIRED,
     CoordinatorJournal,
     JournalRecord,
+    JournalState,
     replay_records,
 )
 
@@ -39,6 +40,14 @@ class TestJournalStore:
     def test_append_rejects_unknown_type(self):
         with pytest.raises(ValueError):
             CoordinatorJournal().append("banana", n=1)
+
+    def test_ingest_rejects_unknown_type(self):
+        """What replay could not apply is refused at the door, not
+        stored and skipped."""
+        journal = CoordinatorJournal()
+        with pytest.raises(ValueError):
+            journal.ingest([{"lsn": 1, "type": "banana", "payload": {}}])
+        assert len(journal) == 0
 
     def test_ingest_is_idempotent_and_reports_fresh(self):
         journal = CoordinatorJournal()
@@ -107,6 +116,25 @@ class TestReplay:
         assert [r.lsn for r in state.open_intents] == [2]
         assert state.open_intents[0].payload["op"] == "recover"
 
+    def test_apply_rejects_unknown_type(self):
+        with pytest.raises(ValueError):
+            JournalState().apply(JournalRecord(1, "banana", {}))
+
+    def test_bucket_epoch_is_absolute(self):
+        records = [
+            JournalRecord(1, "bucket.epoch", {"node": "f.d1", "epoch": 1}),
+            JournalRecord(2, "bucket.epoch", {"node": "f.p0.1", "epoch": 1}),
+            JournalRecord(3, "bucket.epoch", {"node": "f.d1", "epoch": 2}),
+        ]
+        assert replay_records(records).bucket_epochs == {"f.d1": 2, "f.p0.1": 1}
+
+    def test_replay_starts_from_the_configured_spare_pool(self):
+        journal = CoordinatorJournal(spares=4)
+        assert journal.replay().spares == 4
+        journal.append("spares", remaining=3)
+        assert journal.replay().spares == 3
+        assert journal.clone().replay(upto=0).spares == 4
+
     def test_upto_cuts_the_prefix(self):
         records = [
             JournalRecord(1, "file.state", {"n": 0, "i": 0}),
@@ -125,8 +153,8 @@ def journal_histories(draw):
     records = []
     open_begins = []
     for lsn in range(1, length + 1):
-        choices = ["file.state", "group.level", "spares", "intent.begin",
-                   "takeover"]
+        choices = ["file.state", "group.level", "spares", "bucket.epoch",
+                   "intent.begin", "takeover"]
         if open_begins:
             choices.append("intent.end")
         kind = draw(st.sampled_from(choices))
@@ -142,6 +170,11 @@ def journal_histories(draw):
             }
         elif kind == "spares":
             payload = {"remaining": draw(st.integers(0, 10))}
+        elif kind == "bucket.epoch":
+            payload = {
+                "node": draw(st.sampled_from(["f.d1", "f.d6", "f.p0.1"])),
+                "epoch": draw(st.integers(1, 9)),
+            }
         elif kind == "takeover":
             payload = {"term": draw(st.integers(1, 5))}
         elif kind == "intent.begin":
@@ -155,9 +188,8 @@ def journal_histories(draw):
 
 
 def canonical(state):
-    snap = state.snapshot()
-    snap["open"] = [r.lsn for r in state.open_intents]
-    return snap
+    """Every durable field, open intents included: the one serial form."""
+    return state.snapshot()
 
 
 class TestReplayProperties:
@@ -193,6 +225,36 @@ class TestReplayProperties:
         assert canonical(replay_records(records, upto=len(records))) == (
             canonical(full)
         )
+
+    @given(journal_histories())
+    def test_snapshot_round_trips(self, records):
+        """``from_snapshot`` inverts ``snapshot`` and the restored state
+        keeps folding: a checkpoint plus the tail equals one replay."""
+        cut = len(records) // 2
+        restored = JournalState.from_snapshot(
+            replay_records(records, upto=cut).snapshot()
+        )
+        assert restored == replay_records(records, upto=cut)
+        for record in records[cut:]:
+            restored.apply(record)
+        assert restored == replay_records(records)
+
+    @given(journal_histories())
+    def test_records_replay_to_the_state(self, records):
+        """``records()`` is what a journal-less takeover appends to adopt
+        a checkpoint: folded into an empty journal they give every field
+        back, the open intents under new LSNs."""
+        born = JournalRecord(0, "file.state", {"n": 1, "i": 2})
+        state = replay_records([born, *records], spares=5)
+        journal = CoordinatorJournal(spares=9)
+        for kind, payload in state.records():
+            journal.append(kind, **payload)
+
+        def fields(snapshot):
+            intents = [wire["payload"] for wire in snapshot["intents"]]
+            return dict(snapshot, lsn=None, intents=intents)
+
+        assert fields(journal.replay().snapshot()) == fields(state.snapshot())
 
     @given(journal_histories())
     def test_ingest_path_equals_append_path(self, records):
@@ -241,3 +303,4 @@ def test_replay_at_every_lsn_matches_journaled_truth(_):
     assert (final.n, final.i) == coordinator.state.as_tuple()
     assert final.group_levels == coordinator.group_levels
     assert final.open_intents == []  # every intent committed
+    assert final == coordinator.durable  # the held state is the replay

@@ -142,20 +142,35 @@ class TestMergeWithParityDown:
         assert window.by_kind["parity.reset"] == 2
         self.check_closed_and_regrows(file, last)
 
+    @pytest.mark.parametrize("takeover", [False, True, "lagging"])
     @pytest.mark.parametrize("durability", [False, True])
-    def test_without_auto_recover_the_merge_works_around_it(self, durability):
+    def test_without_auto_recover_the_merge_works_around_it(
+        self, durability, takeover
+    ):
         """A down parity bucket gets no ``parity.reset``: rebuilt from
         data it has no channel for the dissolved position, and a durable
         restart is fenced into that rebuild instead of catching up onto
-        the dead channel."""
+        the dead channel — by a primary that only read of the fence in
+        the journal just the same, and by one whose replica was down for
+        the merge: it re-enters the merge the extent shows it missed and
+        raises the fence itself."""
         file, last, dead = self.build(auto_recover=False, durability=durability)
         file.enable_observability(audit=False)
-        file.failures.crash([dead])
+        standby = file.standbys[0].node_id
+        file.failures.crash([dead] + [standby] * (takeover == "lagging"))
         with file.stats.measure("merge") as window:
             file.rs_coordinator.merge_once()
         assert file.bucket_count == last
         assert not file.network.is_available(dead)
         assert window.by_kind["parity.reset"] == 1  # the live one
+        if takeover:
+            file.fail_coordinator()
+            if takeover == "lagging":
+                file.failures.heal([standby])
+            new = file.await_takeover()
+            assert new.state.bucket_count == last
+            assert new.durable.bucket_epochs == {dead: 1}
+            assert new.durable.snapshot() == new.journal.replay().snapshot()
         if durability:
             file.failures.heal([dead])
             assert file.tracer.counts["catchup.fallback"] == 1

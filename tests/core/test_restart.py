@@ -570,7 +570,7 @@ class TestFallbackToFullRebuild:
         what the restarted bucket persisted, its disk state is from a
         dead incarnation and must not be trusted — full rebuild."""
         file, tracer = build()
-        file.rs_coordinator._bucket_epochs["f.d1"] = 7
+        file.rs_coordinator.bump_epoch("f.d1")
         file.failures.crash(["f.d1"])
         file.failures.heal(["f.d1"])
         assert tracer.counts.get("catchup.fallback") == 1

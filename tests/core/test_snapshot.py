@@ -72,6 +72,26 @@ class TestRoundtrip:
         assert restored.group_levels() == original.group_levels()
         assert restored.verify_parity_consistency() == []
 
+    def test_state_is_the_coordinators_durable_state(self):
+        """The image's ``state`` is ``JournalState.snapshot()`` — through
+        JSON too — and a version-1 image, with the levels beside the
+        state, still restores."""
+        from repro.core.journal import JournalState
+
+        policy = AvailabilityPolicy.scalable(
+            base_level=1, first_threshold=4, growth=4, max_level=3
+        )
+        original, _ = build(count=400, availability=1, policy=policy)
+        snap = from_json(to_json(snapshot_file(original)))
+        durable = original.rs_coordinator.durable
+        assert JournalState.from_snapshot(snap["state"]) == durable
+        assert snap["version"] == 2
+        snap["version"] = 1
+        snap["group_levels"] = snap["state"].pop("group_levels")
+        restored = restore_file(snap, file_id="r")
+        assert restored.group_levels() == original.group_levels()
+        assert restored.verify_parity_consistency() == []
+
     def test_gf16_snapshot(self):
         original, _ = build(field_width=16, count=150)
         restored = restore_file(snapshot_file(original), file_id="r")
@@ -138,6 +158,16 @@ class TestDurableRoundtrip:
         assert [b["parity_seq"] for b in resnap["data_buckets"]] == [
             b["parity_seq"] for b in snap["data_buckets"]
         ]
+        # ... whose state is the restored coordinator's committed one,
+        # so a restored file is itself a snapshot source
+        coordinator = restored.rs_coordinator
+        durable = coordinator.durable
+        assert (coordinator.state.n, coordinator.state.i) == (durable.n, durable.i)
+        assert durable.snapshot() == coordinator.journal.replay().snapshot()
+        for key in ("n", "i", "group_levels", "splits_done"):
+            assert resnap["state"][key] == snap["state"][key]
+        again = restore_file(resnap, file_id="s")
+        assert again.census_with_ranks() == original.census_with_ranks()
 
 
 class TestValidation:
@@ -149,7 +179,7 @@ class TestValidation:
             restore_file(snap)
 
     def test_retired_layout_key_is_dropped_on_restore(self):
-        """Snapshots of this version written before the per-record
+        """Snapshots written before the per-record
         parity layout, the lazy-parity knob, the Δ-ring capacity or the
         health-log bound went away still name them; none was ever
         content."""

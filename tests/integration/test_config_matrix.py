@@ -4,7 +4,8 @@ growth, a 75 % shrink with up to three merges and a crash/heal process,
 and rebuilds every bucket to the oracle's bytes.  The ``availability=1``
 half raises one group to k = 2 before it shrinks; the
 ``coordinator_replicas=1`` half loses its primary inside a split, a
-merge and that raise, and a standby's takeover finishes each.
+merge, that raise and a bucket rebuild; a standby's takeover finishes
+each and must hold exactly the durable state its journal replays.
 
 One config is one seeded run of mixed scalar and ``*_many`` calls under
 the strict auditor; node failures are a process (exponential gaps, a
@@ -70,6 +71,24 @@ def tier1_slice() -> list[dict]:
     ]
 
 
+def durable_state_views(file: LHRSFile) -> tuple:
+    """The coordinator's durable state as held and as its journal
+    replays it, each beside the (n, i) that must agree with it — the
+    working one, the committed one: equal outside an open intent."""
+    coordinator = file.rs_coordinator
+    durable = coordinator.durable
+    return (
+        (durable.snapshot(), coordinator.state.as_tuple()),
+        (coordinator.journal.replay().snapshot(), (durable.n, durable.i)),
+    )
+
+
+def await_takeover(file: LHRSFile) -> None:
+    file.await_takeover()
+    held, replayed = durable_state_views(file)
+    assert held == replayed, "the takeover forgot durable state"
+
+
 def command(file: LHRSFile, owed: set[str], point: str, call) -> None:
     """One coordinator command.  If the config still owes the crash
     ``point``, the primary dies there and a standby's takeover has to
@@ -81,7 +100,7 @@ def command(file: LHRSFile, owed: set[str], point: str, call) -> None:
     file.rs_coordinator.arm_crash(point)
     with pytest.raises(CoordinatorCrashed):
         call(file.rs_coordinator)
-    file.await_takeover()
+    await_takeover(file)
 
 
 def run(params: dict, operations: int, seed: int) -> LHRSFile:
@@ -89,7 +108,10 @@ def run(params: dict, operations: int, seed: int) -> LHRSFile:
     rng = random.Random(seed)
     file = LHRSFile(LHRSConfig(group_size=4, client_acks=True, **params))
     #: the structural crash points this config still owes (HA half)
-    owed = {"split.mid", "merge.mid", "raise.mid"} if file.standbys else set()
+    owed = (
+        {"split.mid", "merge.mid", "raise.mid", "recover.mid"}
+        if file.standbys else set()
+    )
     _, _, auditor = file.enable_observability(trace_capacity=2_000)
     oracle: dict[int, bytes] = {}
     ambiguous: set[int] = set()
@@ -136,6 +158,9 @@ def run(params: dict, operations: int, seed: int) -> LHRSFile:
             for _ in range(3):
                 if file.bucket_count > 5:
                     command(file, owed, "merge.mid", lambda c: c.merge_once())
+            file.rs_coordinator.probe()  # one loss at a time, as for the raise
+            lost = file.fail_data_bucket(file.bucket_count // 2)
+            command(file, owed, "recover.mid", lambda c: file.recover([lost]))
         kind = rng.choices(kinds, mixes[phase])[0]
         many = rng.random() < 0.3
         count = rng.randrange(2, 49) if many else 1
@@ -178,7 +203,7 @@ def run(params: dict, operations: int, seed: int) -> LHRSFile:
                 assert not found or res.value == oracle[key], (kind, key)
 
         if not file.network.is_available(file.rs_coordinator.node_id):
-            file.await_takeover()  # split.mid fired inside that call
+            await_takeover(file)  # split.mid fired inside that call
         held = [s.node_id for s in file.data_servers() if s._parity_queue]
         assert not held, f"Δs held between calls by {held}"
 
@@ -197,6 +222,8 @@ def run(params: dict, operations: int, seed: int) -> LHRSFile:
     assert not file.rs_coordinator.crash_points, "split.mid never fired"
     assert file.verify_parity_consistency() == []
     assert auditor.check_file(file) == [] and auditor.violations == []
+    held, replayed = durable_state_views(file)
+    assert held == replayed, "durable state is not what the journal replays"
 
     stored = {
         key: value

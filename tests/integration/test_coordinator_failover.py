@@ -8,8 +8,9 @@ What the run must show (the PR's acceptance criteria):
 * zero lost or duplicated records — every acked write readable, every
   acked delete gone, under the same hostile message plane as the chaos
   soak;
-* the promoted standby's reconstructed ``(n, i)`` and group-level map
-  byte-equal the journal truth after every takeover;
+* the promoted standby's whole durable state (``(n, i)``, group
+  levels, spare balance, bucket epochs, term, open intents) equals the
+  journal's replay after every takeover;
 * the strict-mode :class:`InvariantAuditor` rides the whole run and
   never fires.
 
@@ -17,49 +18,22 @@ Clients keep addressing ``<file>.coord``; succession is invisible to
 them except for the whois round they pay when they catch the blackout.
 """
 
-import json
-
 import numpy as np
+import pytest
 
 from repro.core import LHRSConfig, LHRSFile
 from repro.core.group import parity_node
 from repro.sdds.client import OperationFailed
 from repro.sim import FaultPlane
+from tests.integration.test_config_matrix import durable_state_views
 
 MUTATION_KINDS = {"insert", "update", "delete", "search", "parity.update"}
 REPLY_KINDS = {"search.result", "op.ack", "iam"}
 
 
-def live_state_bytes(file: LHRSFile) -> bytes:
-    coordinator = file.rs_coordinator
-    return json.dumps(
-        {
-            "n": coordinator.state.n,
-            "i": coordinator.state.i,
-            "group_levels": {
-                str(g): l for g, l in sorted(coordinator.group_levels.items())
-            },
-        },
-        sort_keys=True,
-    ).encode()
-
-
-def journal_state_bytes(file: LHRSFile) -> bytes:
-    replayed = file.rs_coordinator.journal.replay()
-    return json.dumps(
-        {
-            "n": replayed.n,
-            "i": replayed.i,
-            "group_levels": {
-                str(g): l for g, l in sorted(replayed.group_levels.items())
-            },
-        },
-        sort_keys=True,
-    ).encode()
-
-
 def run_coordinator_chaos(
-    operations: int, seed: int, trace_capacity: int | None = 20_000
+    operations: int, seed: int, trace_capacity: int | None = 20_000,
+    durability: bool = False,
 ) -> LHRSFile:
     config = LHRSConfig(
         group_size=4,
@@ -73,6 +47,7 @@ def run_coordinator_chaos(
         heartbeat_interval=3.0,
         lease_timeout=9.0,
         journal_checkpoint_interval=8,
+        durability=durability,
     )
     file = LHRSFile(config)
     net = file.network
@@ -81,18 +56,16 @@ def run_coordinator_chaos(
     )
     # Capacity-bounded tracers evict events; a subscriber sees them all.
     crashes_by_point: dict[str, int] = {}
-    takeover_checks: list[tuple[bytes, bytes]] = []
+    takeover_checks: list[tuple] = []
 
     def watch(event):
         if event.type == "coord.crash":
             point = event.attrs.get("point", "?")
             crashes_by_point[point] = crashes_by_point.get(point, 0) + 1
         elif event.type == "coord.takeover.end":
-            # Byte-equality of live state vs journal truth, captured at
-            # the instant succession completes.
-            takeover_checks.append(
-                (live_state_bytes(file), journal_state_bytes(file))
-            )
+            # Held state vs journal truth, captured at the instant
+            # succession completes.
+            takeover_checks.append(durable_state_views(file))
 
     tracer.subscribe(watch)
 
@@ -207,11 +180,10 @@ def run_coordinator_chaos(
     resumed = tracer.counts.get("coord.resume", 0)
     assert resumed >= 1  # at least one open intent was rolled forward
 
-    # ---- acceptance: state byte-equal to journal truth -----------------
+    # ---- acceptance: durable state equal to journal truth --------------
     assert takeover_checks, "no takeover was observed"
-    for live, truth in takeover_checks:
+    for live, truth in takeover_checks + [durable_state_views(file)]:
         assert live == truth
-    assert live_state_bytes(file) == journal_state_bytes(file)
     assert file.check_reconstructed_state()
 
     # ---- observability acceptance --------------------------------------
@@ -226,6 +198,8 @@ def test_coordinator_failover_soak_5000_ops():
     run_coordinator_chaos(operations=5000, seed=20260806)
 
 
-def test_coordinator_kill_smoke():
-    """Fixed-seed quick variant (CI's coordinator-kill gate)."""
-    run_coordinator_chaos(operations=700, seed=4321)
+@pytest.mark.parametrize("durability", [False, True], ids=["ram", "durable"])
+def test_coordinator_kill_smoke(durability):
+    """Fixed-seed quick variant (CI's coordinator-kill gate), on both
+    planes: the epoch fence only exists on the durable one."""
+    run_coordinator_chaos(operations=700, seed=4321, durability=durability)
