@@ -669,21 +669,11 @@ class RSDataServer(DataServer):
         Ships Δs held by an in-flight batch first: a split fired from
         inside this bucket's own ``ops.batch`` can start a recovery that
         dumps it mid-batch, and the decoder must not be fed a survivor
-        ahead of its parity.
+        ahead of its parity.  The reply is the checkpoint image's content
+        (:meth:`_content`).
         """
         self.flush_parity()
-        return {
-            "bucket": self.number,
-            "position": self.position,
-            "level": self.level,
-            "counter": self._rank_counter,
-            "free_ranks": list(self._free_ranks),
-            "parity_seq": self._parity_seq,
-            "records": [
-                (key, self.ranks[key], payload)
-                for key, payload in self.bucket.records.items()
-            ],
-        }
+        return self._content()
 
     def _wipe(self) -> None:
         """Forget every record and rank (a merge's ``ctl wipe`` frame
@@ -695,19 +685,12 @@ class RSDataServer(DataServer):
         self._rank_counter = 0
 
     def handle_bucket_load(self, message: Message) -> None:
-        """Bulk-load recovered content into a fresh (spare) data bucket."""
-        payload = message.payload
-        self._wipe()
-        for key, rank, value in payload["records"]:
-            self.bucket.put(key, value)
-            self._assign_rank(key, rank)
-        self._rank_counter = payload["counter"]
-        self._free_ranks = list(payload["free_ranks"])
-        heapq.heapify(self._free_ranks)
-        self.bucket.level = payload["level"]
-        # Resume the Δ stream where the lost bucket left it, so the
-        # surviving parity buckets' channel expectations stay aligned.
-        self._parity_seq = payload.get("parity_seq", 0)
+        """Install recovered (or restored) :meth:`_content` into a fresh
+        (spare) data bucket.  Its ``parity_seq`` resumes the Δ stream
+        where the lost bucket left it, so the surviving parity buckets'
+        channel expectations stay aligned; the spare keeps its own
+        fence epoch."""
+        self._load_content(message.payload)
         if self._durable is not None:
             # A rebuilt (or snapshot-restored) image is the new durable
             # baseline; whatever the disk held belonged to another life.
@@ -761,17 +744,24 @@ class RSDataServer(DataServer):
         self._durable.checkpoint(self._image(), len(self.bucket.records))
 
     def _image(self) -> dict:
-        """The checkpoint image: the bucket as a few long columns.
+        """The checkpoint image: the bucket's :meth:`_content` and its
+        fence epoch."""
+        return {"kind": "data", "epoch": self.epoch, **self._content()}
+
+    def _content(self) -> dict:
+        """The bucket as a few long columns — what a checkpoint writes,
+        ``bucket.dump`` ships, ``bucket.load`` installs and a backup
+        keeps.
 
         Records are three parallel columns in store order — the codec
-        packs each in one pass where a list of per-record tuples would
-        cost a walk over every field.  No Δ is part of the image:
-        checkpoints are taken between messages, when none is held.
+        and the wire sizer take each in one pass where a list of
+        per-record tuples would cost a walk over every field.  The
+        lists are fresh: a dump is a copy, never a view of the bucket.
+        No Δ is part of it: checkpoints are taken between messages and
+        a dump ships held Δs first.
         """
         records = self.bucket.records
         return {
-            "kind": "data",
-            "epoch": self.epoch,
             "level": self.bucket.level,
             "counter": self._rank_counter,
             "free": sorted(self._free_ranks),
@@ -784,9 +774,13 @@ class RSDataServer(DataServer):
     def _load_image(self, state: dict) -> None:
         """Inverse of :meth:`_image` (restart)."""
         self.epoch = state["epoch"]
+        self._load_content(state)
+
+    def _load_content(self, state: dict) -> None:
+        """Inverse of :meth:`_content`: replaces every record and rank."""
         self.bucket.level = state["level"]
         self._rank_counter = state["counter"]
-        self._free_ranks = state["free"]
+        self._free_ranks = list(state["free"])
         heapq.heapify(self._free_ranks)
         keys, ranks = state["keys"], state["ranks"]
         self.bucket.records = dict(zip(keys, state["payloads"]))

@@ -10,6 +10,7 @@ kinds run this one implementation; a server supplies only what differs
 
 from __future__ import annotations
 
+import weakref
 import zlib
 from collections.abc import Callable
 
@@ -30,7 +31,9 @@ class Durability:
     """Disk, WAL, checkpoint cadence, fail-stop, restart and rejoin."""
 
     def __init__(self, node: Node, config: LHRSConfig, coordinator_id: str):
-        self.node = node
+        # The server owns this shell; a weak link back means one a rebuild
+        # replaced is freed, disk and all, as soon as it is dropped.
+        self._node = weakref.ref(node)
         self.coordinator_id = coordinator_id
         self.disk = SimDisk(
             node.node_id,
@@ -43,6 +46,10 @@ class Durability:
         #: WAL appends since the last checkpoint
         self.appends = 0
         self.restarting = False
+
+    @property
+    def node(self) -> Node:
+        return self._node()
 
     def _disk_profile(self) -> dict:
         """Current disk fault profile from the network's fault plane."""

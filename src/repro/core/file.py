@@ -321,17 +321,25 @@ class LHRSFile(LHStarFile):
                     )
                     continue
                 for rank, members in group_stripes.items():
-                    record = server.records[rank]
-                    if record.keys != keys_map[group][rank]:
+                    record = server.records[rank].snapshot()
+                    if record["keys"] != keys_map[group][rank]:
                         problems.append(
                             f"group {group} parity {index} rank {rank}: key "
                             f"directory mismatch"
+                        )
+                    # the lengths a degraded read trims a decode to
+                    if record["lengths"] != {
+                        pos: len(payload) for pos, payload in members.items()
+                    }:
+                        problems.append(
+                            f"group {group} parity {index} rank {rank}: "
+                            f"length directory mismatch"
                         )
                     payloads: list[bytes | None] = [None] * m
                     for pos, payload in members.items():
                         payloads[pos] = payload
                     expected = codec.encode(payloads)[index]
-                    actual = record.parity_bytes(field)
+                    actual = record["parity"]
                     length = max(len(expected), len(actual))
                     if expected.ljust(length, b"\0") != actual.ljust(length, b"\0"):
                         problems.append(

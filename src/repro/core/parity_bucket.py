@@ -22,10 +22,10 @@ group's data.  An unsequenced Δ applies unconditionally.
 Storage and maintenance each have one shape.  Every record is one row
 of a :class:`~repro.core.stripe_store.StripeStore` — parity symbols, key
 and length directory alike, behind a rank→row map (``records`` is that
-store read as a mapping) — so dumps render in one bytes pass, signature
-scans run as one 2D kernel and a checkpoint writes the columns as they
-stand.  Every Δ — a ``parity.update``, the per-op entries and columnar
-blocks of a ``parity.batch``, a catch-up tail, a WAL frame — is
+store read as a mapping) — so a dump is a copy of those columns,
+signature scans run as one 2D kernel and a checkpoint writes the columns
+as they stand.  Every Δ — a ``parity.update``, the per-op entries and
+columnar blocks of a ``parity.batch``, a catch-up tail, a WAL frame — is
 normalised at the handler edge to a *run* (one position, one
 action, distinct ranks, consecutive-or-absent sequence numbers) and
 folded by :meth:`ParityServer._fold_run`, the only routine that writes
@@ -429,11 +429,10 @@ class ParityServer(Node):
     # queries used by recovery
     # ------------------------------------------------------------------
     def handle_parity_dump(self, message: Message) -> dict:
-        """Everything this bucket knows (bucket recovery reads this)."""
+        """Everything this bucket knows (bucket recovery reads this): a
+        copy of the store's used rows and the channel expectations."""
         return {
-            "group": self.group,
-            "index": self.index,
-            "records": self._store.snapshots(),
+            "store": self._store.dump(),
             "expected_seqs": dict(self._expected_seq),
         }
 
@@ -456,22 +455,16 @@ class ParityServer(Node):
         return self._store.snapshot(rank) if rank in self._store else None
 
     def handle_parity_load(self, message: Message) -> None:
-        """Bulk-load recovered content into a fresh (spare) parity bucket.
-        A member's length may be known while its key is not; a key
-        without a length is no member."""
-        snaps = message.payload["records"]
-        store = self._store
-        slots = store.slots
-        if any(not 0 <= pos < slots for snap in snaps for pos in snap["lengths"]):
-            raise ValueError(f"group position outside 0..{slots - 1}")
-        store.bulk_load([(snap["rank"], snap["parity"]) for snap in snaps])
-        key_cells, length_cells = store.key_cells, store.length_cells
-        for row, snap in enumerate(snaps):
-            keys = snap["keys"]
-            for pos, length in snap["lengths"].items():
-                length_cells[row * slots + pos] = length
-                key_cells[row * slots + pos] = keys.get(pos, NO_KEY)
-        self._key_index = store.locations()
+        """Install a store image — rebuilt, encoded for a raise, or
+        restored — into a fresh (spare) parity bucket."""
+        image = message.payload["store"]
+        if image["slots"] != len(self.row):
+            raise ValueError(
+                f"an image of {image['slots']} group positions for a group "
+                f"of {len(self.row)}"
+            )
+        self._store.load_image(image)
+        self._key_index = self._store.locations()
         # A rebuilt spare is encoded from the group's *current* data, so
         # every Δ the senders have issued is already reflected; adopting
         # their counters makes any in-flight retransmission a duplicate.
@@ -532,7 +525,8 @@ class ParityServer(Node):
         ``store`` is :meth:`StripeStore.image`, each Δ-log ring its first
         sequence number and its columns.  Nothing is transposed or walked
         per record: the codec packs each array in one pass.  The wire
-        keeps ``snapshots()``.
+        carries the same store form: ``parity.dump`` ships a copy of its
+        used rows, ``parity.load`` installs one.
         """
         return {
             "kind": "parity",

@@ -23,9 +23,13 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from functools import partial
+from itertools import chain
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.core.group import data_node, group_buckets, group_of, parity_node, position_of
+from repro.core.stripe_store import ABSENT, NO_KEY
 from repro.rs.codec import RSCodec
 from repro.sim.network import NodeUnavailable
 
@@ -136,6 +140,66 @@ def reconstruct_state(levels: dict[int, int], n0: int) -> tuple[int, int]:
     return min(m for m, j in levels.items() if j == i), i
 
 
+# -- a rebuild's columns: every (ranks x m) array below is in rank order --
+def _directory_of(data: dict[int, dict], m: int, field):
+    """What :func:`_align` gives, from the data dumps when no data is lost:
+    ranks, directory, longest member (symbols), no parity stripes."""
+    ranks = np.unique(np.fromiter(
+        chain.from_iterable(dump["ranks"] for dump in data.values()), np.int64
+    ))
+    keys = np.full((len(ranks), m), NO_KEY, dtype=np.int64)
+    lengths = np.full((len(ranks), m), ABSENT, dtype=np.int64)
+    for pos, dump in data.items():
+        rows = ranks.searchsorted(dump["ranks"])
+        keys[rows, pos] = dump["keys"]
+        lengths[rows, pos] = list(map(len, dump["payloads"]))
+    longest = np.maximum.reduce(lengths, axis=1, initial=0)
+    return ranks, keys, lengths, field.symbol_length_for_bytes(longest), {}
+
+
+def _directory(image: dict) -> tuple:
+    """A store image's rows in rank order: ``(rows, ranks, keys,
+    lengths)``, ``rows`` the image row of each."""
+    rank_of = np.array(image["rank_of"], dtype=np.int64)
+    cells = np.array([image["dir_keys"], image["dir_lengths"]], dtype=np.int64)
+    cells = cells.reshape(2, len(rank_of), image["slots"])
+    if image["rank_of"] == sorted(image["rank_of"]):  # the usual case
+        return np.arange(len(rank_of)), rank_of, *cells
+    rows = rank_of.argsort()
+    return rows, rank_of[rows], *cells[:, rows]
+
+
+def _align(group: int, parity_dumps: dict[int, dict], m: int):
+    """``(ranks, keys, lengths, extents, stripes)`` of the surviving
+    parity images: the directory they share and the widest extent per
+    rank, in rank order, and under each one's codeword position the
+    image with its row of every rank.  Their directories must agree."""
+    images = {m + index: dump["store"] for index, dump in parity_dumps.items()}
+    base = next(iter(images.values()))
+    order, *directory = _directory(base)
+    alike, others, stripes = [], [], {}
+    for pos, image in images.items():
+        if image["rank_of"] == base["rank_of"]:  # its rows in the same order
+            rows = order
+            agree = (image["dir_keys"], image["dir_lengths"]) == (
+                base["dir_keys"], base["dir_lengths"]
+            )
+            alike.append(image["extents"])
+        else:
+            rows, *mine = _directory(image)
+            agree = all(map(np.array_equal, mine, directory))
+            others.append(np.array(image["extents"], dtype=np.int64)[rows])
+        if not agree:
+            raise RecoveryError(
+                f"group {group}: surviving parity directories disagree"
+            )
+        stripes[pos] = image, rows
+    extents = np.maximum.reduce(np.array(alike, dtype=np.int64), axis=0)[order]
+    for other in others:
+        np.maximum(extents, other, out=extents)
+    return (*directory, extents, stripes)
+
+
 class RecoveryManager:
     """Executes recovery on behalf of an :class:`RSCoordinator`."""
 
@@ -173,7 +237,8 @@ class RecoveryManager:
 
     def _account_transfer(self, pacer, node_id: str, payload: dict) -> None:
         """Account one rebuild transfer's weight (``payload`` is the
-        dump reply or the load sent: either lists its ``records``).
+        dump reply or the load sent: a data bucket's columns or a parity
+        bucket's ``store`` image).
 
         A dump/load moves a whole bucket in one RPC, not one request's
         worth of work: the service plane (when installed) parks one unit
@@ -182,7 +247,8 @@ class RecoveryManager:
         as records per clock unit.  Pacing *after* the transfer lets the
         just-charged queue drain before the next one fires.
         """
-        units = float(max(1, len(payload["records"])))
+        records = payload["store"]["rank_of"] if "store" in payload else payload["keys"]
+        units = float(max(1, len(records)))
         net = self._net
         if net.service is not None:
             net.service.charge_bulk(node_id, units, net.now)
@@ -450,42 +516,6 @@ class RecoveryManager:
         }
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _merge_directory(parity_dumps: dict[int, dict]) -> dict[int, dict]:
-        """rank -> {keys, lengths, parity-by-index} from parity dumps.
-
-        Every surviving parity bucket carries the same key/length
-        directory; their parity payloads differ by generator row.
-        """
-        directory: dict[int, dict] = {}
-        for index, dump in parity_dumps.items():
-            for snap in dump["records"]:
-                entry = directory.setdefault(
-                    snap["rank"],
-                    {"keys": snap["keys"], "lengths": snap["lengths"], "parity": {}},
-                )
-                if entry["keys"] != snap["keys"]:  # pragma: no cover
-                    raise RecoveryError(
-                        f"parity directories disagree for rank {snap['rank']}"
-                    )
-                entry["parity"][index] = snap["parity"]
-        return directory
-
-    def _directory_from_data(self, data_dumps: dict[int, dict]) -> dict[int, dict]:
-        """rank -> {keys, lengths, parity:{}} rebuilt from data dumps
-        (used when only parity buckets were lost)."""
-        m = self.coordinator.config.group_size
-        directory: dict[int, dict] = {}
-        for bucket, dump in data_dumps.items():
-            pos = position_of(bucket, m)
-            for key, rank, payload in dump["records"]:
-                entry = directory.setdefault(
-                    rank, {"keys": {}, "lengths": {}, "parity": {}}
-                )
-                entry["keys"][pos] = key
-                entry["lengths"][pos] = len(payload)
-        return directory
-
     def _rebuild(
         self,
         group: int,
@@ -493,164 +523,157 @@ class RecoveryManager:
         parity_dumps: dict[int, dict],
         lost_data: list[int],
         lost_parity: list[int],
-    ) -> tuple[dict[int, dict], dict[int, list], int]:
+    ) -> tuple[dict[int, dict], dict[int, dict], int]:
         """Decode every affected record group; assemble spare contents.
 
-        Ranks sharing a loss pattern — the same set of surviving
-        codeword positions and the same set wanted back — share a decode
-        matrix, so they are decoded together: each position's payloads
-        stack into one ``(nranks, L)`` matrix and one
-        :meth:`RSCodec.recover_stripes` kernel call rebuilds every rank
-        of the batch at once.  Results are trimmed per rank back to the
-        lengths the record-at-a-time path produces (bit-exact: zero
-        padding to the batch stripe length is semantically free).
+        Everything is a column: the key / length directory is the
+        surviving parity images aligned by rank (with no data lost, the
+        data buckets' columns).  The survivors are the same for every
+        rank, so the ranks split by the lost data positions they hold —
+        at most 2^|lost data| loss patterns, each one
+        :meth:`RSCodec.recover_stripes` call (zero padding to the widest
+        stripe is semantically free).  A rebuilt parity bucket comes out
+        as a store image, a rebuilt data bucket as columns of one blob.
         """
         m = self.coordinator.config.group_size
         codec = self._codec(group)
         field = codec.field
-        if not lost_data:
-            directory = self._directory_from_data(data_dumps)
-        elif parity_dumps:
-            directory = self._merge_directory(parity_dumps)
-        else:
+        lost_at = [position_of(b, m) for b in lost_data]
+        data = {position_of(b, m): dump for b, dump in data_dumps.items()}
+        if lost_data and not parity_dumps:
             raise RecoveryError(
                 f"group {group}: data lost but no parity bucket survives"
             )
-        lost_positions_data = {position_of(b, m): b for b in lost_data}
-        new_data: dict[int, dict] = {
-            b: {"records": [], "max_rank": 0} for b in lost_data
-        }
-        new_parity: dict[int, list] = {i: [] for i in lost_parity}
-        decoded = 0
-        batches = self._loss_batches(
-            directory, data_dumps, lost_positions_data, lost_parity, new_data
+        # ``need``: each rank's stripe length in symbols, its longest
+        # surviving share — the widest parity extent if parity survives
+        # (an extent covers every Δ folded), else the longest member
+        ranks, keys, lengths, need, stripes = (
+            _align(group, parity_dumps, m) if lost_data
+            else _directory_of(data, m, field)
         )
+        width = int(np.maximum.reduce(need, initial=0))
+        stride = width * field.width // 8  # bytes a row
+        blank = partial(np.zeros, dtype=field.symbol_dtype)
 
-        # ---- pass 2: one stacked decode per loss pattern --------------
+        # The ranks to decode as one run of rows per loss pattern, runs in
+        # the order of their first rank and ranks in order within a run:
+        # a run is a slice of the shares, which are gathered once.
+        member = lengths != ABSENT
+        bits = [1 << lost_at.index(p) if p in lost_at else 0 for p in range(m)]
+        codes = member.dot(bits)  # bit j of a rank's code: it holds lost_at[j]
+        active = np.arange(len(ranks)) if lost_parity else codes.nonzero()[0]
+        coded = codes[active]
+        patterns = list(dict.fromkeys(coded.tolist()))
+        runs = (
+            [active[coded == code] for code in patterns] if len(patterns) > 1
+            else [active] * len(patterns)
+        )
+        order = np.concatenate(runs) if len(runs) > 1 else active
+        row_of = np.full(len(ranks), len(order))  # one past: not decoded
+        row_of[order] = np.arange(len(order))
+        grid = len(order), width  # the shape of a share, of a rebuilt position
+
+        # Every surviving data record in one stack with a zero row after
+        # them for the members a bucket does not hold (or has no bucket
+        # yet): each surviving position's share is one gather from it.
+        alive = [pos for pos in range(m) if pos not in lost_at]
+        payloads = list(chain.from_iterable(d["payloads"] for d in data.values()))
+        of_rank = list(chain.from_iterable(d["ranks"] for d in data.values()))
+        owner = np.array([alive.index(pos) for pos in data], dtype=np.intp).repeat(
+            [len(d["ranks"]) for d in data.values()]
+        )
+        rows = ranks.searchsorted(of_rank)
+        cells, at = lengths[:, alive], np.minimum(rows, len(ranks) - 1)
+        if lost_data and (  # every member a record, each where it belongs
+            np.count_nonzero(cells != ABSENT) != len(payloads)
+            or ranks[at].tolist() != of_rank
+            or cells[at, owner].tolist() != list(map(len, payloads))
+        ):
+            raise RecoveryError(
+                f"group {group}: a surviving data bucket disagrees with "
+                "the parity directory"
+            )
+        pick = np.full((len(alive), len(order) + 1), len(payloads))
+        pick[owner, row_of[rows]] = np.arange(len(payloads))
+        gathered = field.stack_payloads([*payloads, bytes(stride)], width)[pick[:, :-1]]
+        shares = dict(zip(alive, gathered))
+        # The decode reads m shares: the surviving data positions', then
+        # parity in index order (``select_rows``); no other is gathered.
+        for pos, (image, rows) in list(stripes.items())[: m - len(alive)]:
+            matrix = field.symbols_from_bytes(image["matrix"], copy=False)
+            matrix = matrix.reshape(len(ranks), image["width"])
+            share = shares[pos] = matrix[rows[order], :width]
+            if share.shape[1] < width:
+                shares[pos] = np.pad(share, ((0, 0), (0, width - share.shape[1])))
+
+        rebuilt: dict[int, np.ndarray] = {}
         stats = getattr(self._net, "stats", None)
         tracer = self._net.tracer
-        for (positions, want), members in batches.items():
-            want = list(want)
-            lost_here = [pos for pos in want if pos < m]
-            ranks = [rank for rank, _ in members]
-            # Logical stripe length of each rank (what the scalar path
-            # would size its output to) and the common batch length.
-            stripe_lengths = [
-                field.symbol_length_for_bytes(
-                    max(len(p) for p in shares.values())
-                )
-                for _, shares in members
-            ]
-            batch_length = max(stripe_lengths)
-            stacked = {
-                pos: field.stack_payloads(
-                    [shares[pos] for _, shares in members], batch_length
-                )
-                for pos in positions
-            }
-            recovered = codec.recover_stripes(stacked, want)
+        start = 0
+        for code, rows in zip(patterns, runs):
+            run, start = slice(start, start + len(rows)), start + len(rows)
+            want = [pos for j, pos in enumerate(lost_at) if code >> j & 1]
+            want += [m + i for i in lost_parity]
+            recovered = codec.recover_stripes(
+                {pos: share[run] for pos, share in shares.items()}, want
+            )
+            stripes_run = need[rows]
             if stats is not None:
                 # CPU model: rebuilding one position of one rank costs m
                 # multiply-accumulates per stripe symbol, regardless of
                 # how the work was dispatched.
-                stats.record_symbols(
-                    len(want) * m * sum(stripe_lengths)
-                )
-
-            for i, rank in enumerate(ranks):
-                entry = directory[rank]
-                keys, lengths = entry["keys"], entry["lengths"]
-                if tracer is not None:
-                    tracer.emit(
-                        "recovery.rank", group, rank, list(want),
-                        stripe_lengths[i],
-                    )
-                for pos in lost_here:
-                    bucket = lost_positions_data[pos]
-                    new_data[bucket]["records"].append(
-                        (keys[pos], rank,
-                         field.bytes_from_symbols(
-                             recovered[pos][i], lengths[pos]
-                         ))
-                    )
-                    decoded += 1
-                for index in lost_parity:
-                    new_parity[index].append(
-                        {
-                            "rank": rank,
-                            "keys": dict(keys),
-                            "lengths": dict(lengths),
-                            "parity": field.bytes_from_symbols(
-                                recovered[m + index][i][: stripe_lengths[i]]
-                            ),
-                        }
-                    )
-        for index in lost_parity:
-            new_parity[index].sort(key=lambda snap: snap["rank"])
-        for bucket in lost_data:
-            new_data[bucket]["records"].sort(key=lambda rec: rec[1])
-        return new_data, new_parity, decoded
-
-    def _loss_batches(
-        self,
-        directory: dict[int, dict],
-        data_dumps: dict[int, dict],
-        lost_positions_data: dict[int, int],
-        lost_parity: list[int],
-        new_data: dict[int, dict],
-    ) -> dict[tuple, list[tuple[int, dict[int, bytes]]]]:
-        """Pass 1 of :meth:`_rebuild`: assemble every rank's surviving
-        shares and batch the ranks by loss pattern, ``(surviving
-        positions, wanted positions) -> [(rank, shares)]``.  Notes each
-        lost bucket's highest rank in ``new_data`` on the way."""
-        m = self.coordinator.config.group_size
-        # Index survivor data records by rank and position.
-        by_rank: dict[int, dict[int, bytes]] = {}
-        for bucket, dump in data_dumps.items():
-            pos = position_of(bucket, m)
-            for key, rank, payload in dump["records"]:
-                by_rank.setdefault(rank, {})[pos] = payload
-
-        batches: dict[tuple, list[tuple[int, dict[int, bytes]]]] = {}
-        for rank, entry in sorted(directory.items()):
-            keys = entry["keys"]
-            # Which codeword positions need rebuilding for this rank?
-            lost_here = [
-                pos for pos in lost_positions_data if pos in keys
-            ]
-            want = [*lost_here, *(m + i for i in lost_parity)]
-            # Track the lost bucket's counter even when nothing decodes.
-            for pos in lost_here:
-                content = new_data[lost_positions_data[pos]]
-                content["max_rank"] = max(content["max_rank"], rank)
-            if not want:
+                stats.record_symbols(len(want) * m * int(stripes_run.sum()))
+            if tracer is not None:
+                for rank, stripe in zip(ranks[rows].tolist(), stripes_run.tolist()):
+                    tracer.emit("recovery.rank", group, rank, list(want), stripe)
+            if len(runs) == 1:  # the one run is every row
+                rebuilt = recovered
                 continue
+            for pos in want:
+                rebuilt.setdefault(pos, blank(grid))[run] = recovered[pos]
 
-            shares: dict[int, bytes] = {}
-            for pos in range(m):
-                if pos in lost_positions_data:
-                    continue
-                if pos in keys:
-                    payload = by_rank.get(rank, {}).get(pos)
-                    if payload is None:  # pragma: no cover
-                        raise RecoveryError(
-                            f"survivor bucket at position {pos} lacks rank {rank}"
-                        )
-                    shares[pos] = payload
-                else:
-                    shares[pos] = b""  # known-empty slot: zero payload
-            for index, parity in entry["parity"].items():
-                shares[m + index] = parity
+        def in_rank_order(pos: int, rows) -> bytes:
+            """``pos``'s rebuilt rows of directory ``rows`` as one blob."""
+            matrix = rebuilt.get(pos, blank((0, width)))
+            if len(runs) > 1:  # (one run: ``rows`` are all of its rows or none)
+                matrix = matrix[row_of[rows]]
+            return field.bytes_from_symbols(matrix.reshape(-1))
 
-            signature = (tuple(sorted(shares)), tuple(want))
-            batches.setdefault(signature, []).append((rank, shares))
-        return batches
+        new_data: dict[int, dict] = {}
+        for bucket, pos in zip(lost_data, lost_at):
+            rows = member[:, pos].nonzero()[0]
+            blob, held = in_rank_order(pos, rows), ranks[rows].tolist()
+            counter = held[-1] if held else 0
+            new_data[bucket] = {
+                "counter": counter,
+                "free": sorted(set(range(1, counter + 1)).difference(held)),
+                "keys": keys[rows, pos].tolist(),
+                "ranks": held,
+                "payloads": [
+                    blob[row * stride : row * stride + size]
+                    for row, size in enumerate(lengths[rows, pos].tolist())
+                ],
+            }
+        new_parity = {
+            index: {
+                "slots": m,
+                "width": width,
+                "rank_of": ranks.tolist(),
+                "extents": need.tolist(),
+                "matrix": in_rank_order(m + index, slice(None)),
+                "dir_keys": keys.reshape(-1).tolist(),
+                "dir_lengths": lengths.reshape(-1).tolist(),
+            }
+            for index in lost_parity
+        }
+        decoded = sum(len(content["keys"]) for content in new_data.values())
+        return new_data, new_parity, decoded
 
     # ------------------------------------------------------------------
     def _install(
         self, group: int, data_dumps: dict[int, dict],
         parity_dumps: dict[int, dict], new_data: dict[int, dict],
-        new_parity: dict[int, list], pacer: RecoveryPacer | None,
+        new_parity: dict[int, dict], pacer: RecoveryPacer | None,
     ) -> None:
         """Install the rebuilt contents under their logical addresses.
 
@@ -666,36 +689,25 @@ class RecoveryManager:
         data_seqs = self._data_seqs(data_dumps)
         for bucket, content in new_data.items():
             pos = position_of(bucket, m)
-            data_seqs[pos] = max(
-                (
-                    dump.get("expected_seqs", {}).get(pos, 1) - 1
-                    for dump in parity_dumps.values()
-                ),
-                default=0,
-            )
+            data_seqs[pos] = max((
+                dump.get("expected_seqs", {}).get(pos, 1) - 1
+                for dump in parity_dumps.values()
+            ), default=0)
             level = coordinator.state.level_of(bucket)
-            counter = content["max_rank"]
-            used = {rank for _, rank, _ in content["records"]}
             self._install_spare(
                 data_node(self._file_id, bucket),
                 partial(coordinator.make_server, bucket, level),
                 "bucket.load",
-                {
-                    "records": content["records"],
-                    "counter": counter,
-                    "free_ranks": sorted(set(range(1, counter + 1)) - used),
-                    "level": level,
-                    "parity_seq": data_seqs[pos],
-                },
+                {"level": level, **content, "parity_seq": data_seqs[pos]},
                 pacer,
             )
         expected_seqs = {pos: seq + 1 for pos, seq in data_seqs.items()}
-        for index, records in new_parity.items():
+        for index, image in new_parity.items():
             self._install_spare(
                 parity_node(self._file_id, group, index),
                 partial(coordinator.make_parity_server, group, index),
                 "parity.load",
-                {"records": records, "expected_seqs": expected_seqs},
+                {"store": image, "expected_seqs": expected_seqs},
                 pacer,
             )
 

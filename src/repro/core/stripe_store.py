@@ -7,9 +7,12 @@ arrays that grow and free together, with a rank→row map as the only
 index: ``matrix`` (one zero-padded parity stripe per row; the paper's
 padding rule makes the padding semantically free), ``dir_keys`` and
 ``dir_lengths`` (one cell per group position), ``rank_of`` and
-``extents`` (one cell per row).  Dumps, signature scans and block folds
-run as single 2D passes, and a checkpoint image *is* these columns
-(:meth:`StripeStore.image`): nothing is transposed to write it.
+``extents`` (one cell per row).  Signature scans and block folds run as
+single 2D passes, and a checkpoint image *is* these columns
+(:meth:`StripeStore.image`): nothing is transposed to write it.  A
+``parity.dump`` ships a copy of the used rows in the same form
+(:meth:`StripeStore.dump`), which recovery decodes as arrays and
+``parity.load`` installs through :meth:`StripeStore.load_image`.
 
 The arrays grow geometrically.  Growth reallocates them, so a row view
 or a cell accessor is only good until the next ``ensure`` /
@@ -84,8 +87,8 @@ class StripeStore(Mapping):
 
     def __init__(self, field: GF, slots: int = 0):
         if field.width < 8:
-            # Sub-byte symbols would make row slices non-byte-aligned in
-            # row_bytes; the file configs only use GF(2^8)/GF(2^16).
+            # Sub-byte symbols would make a row of the image matrix
+            # non-byte-aligned; the file configs only use GF(2^8)/GF(2^16).
             raise ValueError("StripeStore requires a whole-byte symbol field")
         self.field = field
         self.slots = slots
@@ -230,18 +233,6 @@ class StripeStore(Mapping):
         rows = [self._row_of[rank] for rank in ranks]
         return ranks, self.matrix[rows, :]
 
-    def row_bytes(self) -> dict[int, bytes]:
-        """Per-rank parity payloads: the used rows become bytes in one
-        pass, each payload a slice of that blob trimmed to its logical
-        (symbol-aligned) length."""
-        blob = self.field.bytes_from_symbols(self.matrix[: self._top].reshape(-1))
-        itemsize, extent = self.matrix.dtype.itemsize, self._extent
-        stride = self.width * itemsize
-        return {
-            rank: blob[row * stride : row * stride + extent[row] * itemsize]
-            for rank, row in self._row_of.items()
-        }
-
     def snapshot(self, rank: int) -> dict:
         """One record's :meth:`ParityRecord.snapshot`, from its row."""
         row, slots = self._row_of[rank], self.slots
@@ -252,22 +243,6 @@ class StripeStore(Mapping):
             "lengths": _members(self.length_cells[cells].tolist(), ABSENT),
             "parity": self.field.bytes_from_symbols(self.view(rank)),
         }
-
-    def snapshots(self) -> list[dict]:
-        """Every record's :meth:`ParityRecord.snapshot`, in one bytes
-        pass and one pass per directory column."""
-        payloads = self.row_bytes()
-        keys = self.dir_keys[: self._top].tolist()
-        lengths = self.dir_lengths[: self._top].tolist()
-        return [
-            {
-                "rank": rank,
-                "keys": _members(keys[row], NO_KEY),
-                "lengths": _members(lengths[row], ABSENT),
-                "parity": payloads[rank],
-            }
-            for rank, row in self._row_of.items()
-        ]
 
     def locations(self) -> dict[int, tuple[int, int]]:
         """``{key: (rank, pos)}`` over every known member key."""
@@ -281,9 +256,8 @@ class StripeStore(Mapping):
         """Replace the store content with ``(rank, payload)`` pairs, one
         row each in the order given, their directory rows blank.
 
-        Packs every payload in one :meth:`GF.stack_payloads` pass —
-        the fast path for ``parity.load`` (spare installation, snapshot
-        restore).
+        Packs every payload in one :meth:`GF.stack_payloads` pass (what
+        turns a pre-image backup's per-record parity into a store).
         """
         lengths = [self.field.symbol_length_for_bytes(len(p)) for _, p in items]
         width = max(lengths, default=0)
@@ -298,29 +272,40 @@ class StripeStore(Mapping):
         self._adopt(packed, rank_of, extents, *directory)
 
     def image(self) -> dict:
-        """The used rows of every column as they stand: what a checkpoint
-        writes.  The arrays are views of the live store — encode them
-        before the next mutation.  :meth:`load_image` is the inverse."""
-        top = self._top
+        """Every row handed out, free ones included, as it stands: what a
+        checkpoint writes.  The arrays are views of the live store —
+        encode them before the next mutation.  :meth:`load_image` is the
+        inverse."""
+        return self._image(slice(self._top), np.ndarray.view)
+
+    def dump(self) -> dict:
+        """A copy of :meth:`image`'s used rows, the integer columns as
+        lists: the same form, as ``parity.dump`` ships it and a backup
+        keeps it."""
+        rows = (self.rank_of >= 0).nonzero()[0] if self._free else slice(self._top)
+        return self._image(rows, np.ndarray.tolist)
+
+    def _image(self, rows, column) -> dict:
         return {
             "slots": self.slots,
             "width": self.width,
-            "rank_of": self.rank_of[:top],
-            "extents": self.extents[:top],
-            "matrix": self.field.bytes_from_symbols(self.matrix[:top].reshape(-1)),
-            "dir_keys": self.dir_keys[:top].reshape(-1),
-            "dir_lengths": self.dir_lengths[:top].reshape(-1),
+            "rank_of": column(self.rank_of[rows]),
+            "extents": column(self.extents[rows]),
+            "matrix": self.field.bytes_from_symbols(self.matrix[rows].reshape(-1)),
+            "dir_keys": column(self.dir_keys[rows].reshape(-1)),
+            "dir_lengths": column(self.dir_lengths[rows].reshape(-1)),
         }
 
     def load_image(self, image: dict) -> None:
-        """Replace the store content with a decoded :meth:`image` (whose
-        integer columns arrive as lists); rows keep their numbers."""
+        """Replace the store content with an :meth:`image` or a
+        :meth:`dump` (integer columns as arrays or lists); rows keep
+        their numbers."""
         rank_of = np.array(image["rank_of"], dtype=_CELL)
         shape = len(rank_of), image["slots"]
         self.slots = image["slots"]
         matrix = self.field.symbols_from_bytes(image["matrix"])
         self._adopt(
-            matrix.reshape(len(rank_of), image["width"]).copy(),
+            matrix.reshape(len(rank_of), image["width"]),
             rank_of,
             np.array(image["extents"], dtype=_CELL),
             np.array(image["dir_keys"], dtype=_CELL).reshape(shape),

@@ -218,7 +218,8 @@ class GF:
         list, numpy array, or a :class:`~repro.gf.matrix.GFMatrix`'s
         ``.data``); ``stacked`` is a (c, ...) symbol tensor whose leading
         axis indexes shares — typically ``(c, nranks, L)`` with one row
-        per record group.  Returns the (r, ...) tensor
+        per record group — or a list of the c equal-shape shares, which
+        spares stacking them into one.  Returns the (r, ...) tensor
 
             ``out[i] = XOR_j coefficients[i][j] * stacked[j]``
 
@@ -233,20 +234,24 @@ class GF:
         )
         if coeff.ndim != 2:
             raise ValueError("gf_matmul expects a 2-D coefficient matrix")
-        stacked = np.asarray(stacked, dtype=self.symbol_dtype)
-        if stacked.ndim < 1 or stacked.shape[0] != coeff.shape[1]:
+        if isinstance(stacked, list):
+            stacked = [np.asarray(s, dtype=self.symbol_dtype) for s in stacked]
+            shape = stacked[0].shape if stacked else ()
+            contiguous = all(s.flags.c_contiguous for s in stacked)
+        else:
+            stacked = np.asarray(stacked, dtype=self.symbol_dtype)
+            shape, contiguous = stacked.shape[1:], stacked.flags.c_contiguous
+        if len(stacked) != coeff.shape[1] or any(s.shape != shape for s in stacked):
             raise ValueError(
-                f"stacked tensor has {stacked.shape[0] if stacked.ndim else 0} "
-                f"shares but the coefficient matrix has {coeff.shape[1]} columns"
+                f"{len(stacked)} shares of one shape expected: the coefficient "
+                f"matrix has {coeff.shape[1]} columns"
             )
-        out = np.zeros((coeff.shape[0],) + stacked.shape[1:], dtype=self.symbol_dtype)
+        out = np.zeros((coeff.shape[0],) + shape, dtype=self.symbol_dtype)
         # GF(2^8) blocks with an even trailing axis gather two symbols
         # per table lookup through the uint16 pair rows.
         pairs = (
-            self.width == 8
-            and stacked.ndim >= 2
-            and stacked.shape[-1] % 2 == 0
-            and stacked.flags.c_contiguous
+            self.width == 8 and len(shape) >= 1 and shape[-1] % 2 == 0
+            and contiguous
         )
         # np.take(..., mode="clip") skips the bounds check a fancy index
         # pays (indices are in range by construction: symbols index full
@@ -281,11 +286,15 @@ class GF:
         """How many field symbols one payload byte carries."""
         return 8.0 / self.width
 
-    def symbols_from_bytes(self, data: bytes, length: int | None = None) -> Symbols:
+    def symbols_from_bytes(
+        self, data: bytes, length: int | None = None, copy: bool = True
+    ) -> Symbols:
         """View ``data`` as a symbol array, zero-padded to ``length`` symbols.
 
         GF(2^16) payloads of odd byte length are padded with a zero byte;
-        GF(2^4) bytes split into (low, high) nibble pairs.
+        GF(2^4) bytes split into (low, high) nibble pairs.  The result is
+        a fresh array unless ``copy`` is False, which returns a read-only
+        view of ``data`` where the symbols allow one.
         """
         raw = np.frombuffer(data, dtype=np.uint8)
         if self.width == 8:
@@ -304,7 +313,7 @@ class GF:
             padded = np.zeros(length, dtype=self.symbol_dtype)
             padded[: len(symbols)] = symbols
             return padded
-        return symbols.astype(self.symbol_dtype, copy=True)
+        return symbols.astype(self.symbol_dtype, copy=copy)
 
     def bytes_from_symbols(self, symbols: npt.ArrayLike, byte_length: int | None = None) -> bytes:
         """Inverse of :meth:`symbols_from_bytes`, truncated to ``byte_length``."""

@@ -297,6 +297,13 @@ SHAPES: dict[str, str] = {
         "{rank:int, keys:{int->int}, lengths:{int->int}, parity:bytes, "
         "pos?:int}"
     ),
+    # a parity bucket's store as columns (``StripeStore.dump``): per row
+    # its rank and extent, its stripe in ``matrix`` (``width`` symbols),
+    # and ``slots`` key / length directory cells
+    "parity_image": (
+        "{slots:int, width:int, rank_of:[int], extents:[int], matrix:bytes, "
+        "dir_keys:[int], dir_lengths:[int]}"
+    ),
     # one coordinator-journal record; its body differs per record type
     "journal_record": "{lsn:int, type:str, payload:any}",
     "coord_state": "{" + ", ".join(_COORD_STATE) + "}",
@@ -492,35 +499,37 @@ _ENTRIES: tuple[MessageKind, ...] = (
         "bucket.dump", "coordinator", "data", "call",
         (),
         reply=(
-            "{bucket:int, position:int, level:int, counter:int, "
-            "free_ranks:[int], parity_seq:int, records:[record_row]}|"
-            "{records:[moved_row], level:int}"
+            "{level:int, counter:int, free:[int], keys:[int], ranks:[int], "
+            "payloads:[bytes], parity_seq:int}|{records:[moved_row], level:int}"
         ),
         section="recovery",
-        summary="survivor data snapshot (ships batch-held Δs first)",
+        summary=(
+            "survivor data columns, the checkpoint image's content "
+            "(ships batch-held Δs first)"
+        ),
     ),
     MessageKind(
         "parity.dump", "coordinator", "parity", "call",
         (),
-        reply=(
-            "{group:int, index:int, records:[parity_snapshot], "
-            "expected_seqs:{int->int}}"
-        ),
+        reply="{store:parity_image, expected_seqs:{int->int}}",
         section="recovery",
-        summary="all parity-record snapshots",
+        summary="a copy of the store image's used rows",
     ),
     MessageKind(
         "bucket.load", "coordinator", "data", "send",
-        ("records:[record_row]", "counter:int", "free_ranks?:[int]",
-         "level:int", "parity_seq?:int"),
+        # the columns of ``bucket.dump``; the LH*g / LH*m baselines load
+        # ``records`` and ``level`` instead
+        ("level:int", "counter:int", "free?:[int]", "keys?:[int]",
+         "ranks?:[int]", "payloads?:[bytes]", "parity_seq?:int",
+         "records?:[moved_row]"),
         section="recovery",
-        summary="install decoded state on a spare; resumes the Δ stream",
+        summary="install decoded columns on a spare; resumes the Δ stream",
     ),
     MessageKind(
         "parity.load", "coordinator", "parity", "send",
-        ("records:[parity_snapshot]", "expected_seqs:{int->int}"),
+        ("store:parity_image", "expected_seqs:{int->int}"),
         section="recovery",
-        summary="install rebuilt parity; aligns the Δ-channels",
+        summary="install a rebuilt store image; aligns the Δ-channels",
     ),
     MessageKind(
         "parity.locate", "coordinator", "parity", "call",

@@ -148,9 +148,9 @@ def decode_stripes(
     Returns ``{position: (nranks, L) matrix}`` for each requested lost
     position.  The whole rebuild costs O(matrix coefficients) kernel
     dispatches instead of O(ranks): the decode matrix is inverted once
-    per failure pattern (cached) and applied to the stacked tensor with
-    :meth:`GF.gf_matmul`; the single-data-loss XOR fast path reduces the
-    stack with one ``bitwise_xor.reduce`` pass.
+    per failure pattern (cached) and applied with :meth:`GF.gf_matmul`,
+    which reads the shares where they lie (no stacked copy); the
+    single-data-loss XOR fast path folds them into one accumulator.
     """
     all_positions = set(range(m + k))
     available = set(shares)
@@ -185,12 +185,14 @@ def decode_stripes(
         and m in available
         and len(data_present) == m - 1
     ):
-        stack = np.stack([shares[m]] + [shares[p] for p in data_present])
-        recovered = {lost_data[0]: np.bitwise_xor.reduce(stack, axis=0)}
+        acc = shares[m].copy()
+        for p in data_present:
+            np.bitwise_xor(acc, shares[p], out=acc)
+        recovered = {lost_data[0]: acc}
     elif lost_data:
         rows = select_rows(available, m)
         inverse = _decode_matrix(field.width, m, k, kind, rows)
-        rhs = np.stack([shares[r] for r in rows])
+        rhs = [shares[r] for r in rows]
         solved = field.gf_matmul(inverse.data[lost_data, :], rhs)
         recovered = dict(zip(lost_data, solved))
     else:
@@ -201,12 +203,10 @@ def decode_stripes(
         if missing:
             rows = select_rows(available, m)
             inverse = _decode_matrix(field.width, m, k, kind, rows)
-            rhs = np.stack([shares[r] for r in rows])
+            rhs = [shares[r] for r in rows]
             solved = field.gf_matmul(inverse.data[missing, :], rhs)
             recovered.update(dict(zip(missing, solved)))
-        full_data = np.stack(
-            [shares.get(j, recovered.get(j)) for j in range(m)]
-        )
+        full_data = [shares.get(j, recovered.get(j)) for j in range(m)]
         p_matrix = parity_matrix(field, m, k, kind)
         wanted_rows = [p - m for p in lost_parity]
         solved = field.gf_matmul(p_matrix.data[wanted_rows, :], full_data)

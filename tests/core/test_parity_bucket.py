@@ -13,6 +13,7 @@ from repro.core.config import LHRSConfig
 from repro.core.delta_ring import ACTIONS, DeltaRing
 from repro.core.durable import DELTA_LOG_CAPACITY
 from repro.core.parity_bucket import ParityServer
+from repro.core.stripe_store import ABSENT, NO_KEY, StripeStore
 from repro.gf import GF
 from repro.rs.encoder import delta_payload, fold_delta
 from repro.rs.generator import parity_matrix
@@ -35,6 +36,13 @@ def setup():
     for node in (p0, p1, probe):
         net.register(node)
     return net, p0, p1, probe
+
+
+def dumped_records(dump, field):
+    """A ``parity.dump`` reply as per-rank record snapshots, rank order."""
+    store = StripeStore(field, dump["store"]["slots"])
+    store.load_image(dump["store"])
+    return [store.snapshot(rank) for rank in sorted(store)]
 
 
 def op(action, key, rank, pos, delta, length=None):
@@ -146,7 +154,7 @@ class TestQueries:
         dump = probe.call("f.p0.0", "parity.dump")
         fresh = ParityServer("f.p0.9", "f", 0, 0, p0.row, p0.field)
         net.register(fresh)
-        probe.send("f.p0.9", "parity.load", {"records": dump["records"]})
+        probe.send("f.p0.9", "parity.load", dump)
         assert set(fresh.records) == {2, 3}
         assert fresh.records[3].keys == {1: 42}
 
@@ -175,7 +183,7 @@ class TestKeyIndex:
         dump = probe.call("f.p0.0", "parity.dump")
         fresh = ParityServer("f.p0.7", "f", 0, 0, p0.row, p0.field)
         net.register(fresh)
-        probe.send("f.p0.7", "parity.load", {"records": dump["records"]})
+        probe.send("f.p0.7", "parity.load", dump)
         assert fresh._key_index == {42: (3, 1)}
         assert probe.call("f.p0.7", "parity.locate", {"key": 42})["rank"] == 3
         assert probe.call("f.p0.7", "parity.locate", {"key": 42})["pos"] == 1
@@ -246,7 +254,7 @@ class TestCrashConsistency:
         assert 1 not in server.records
         assert 9 not in server._key_index
         assert probe.call("f.p0.0", "parity.locate", {"key": 9}) is None
-        assert probe.call("f.p0.0", "parity.dump")["records"] == []
+        assert probe.call("f.p0.0", "parity.dump")["store"]["rank_of"] == []
         assert 1 not in server._store
         # The bucket still works: a clean retry of the same op succeeds.
         armed["on"] = False
@@ -338,12 +346,16 @@ class TestStoreViewLifecycle:
         server, probe = make_server()
         probe.send("f.p0.0", "parity.update", op("insert", 9, 5, 0, b"old!"))
         dump = probe.call("f.p0.0", "parity.dump")
-        assert [r["rank"] for r in dump["records"]] == [5]
+        assert dump["store"]["rank_of"] == [5]
 
         # Replace the content wholesale (the merge/recovery reload path).
         probe.send("f.p0.0", "parity.load", {
-            "records": [{"rank": 2, "keys": {1: 42}, "lengths": {1: 4},
-                         "parity": b"newp"}],
+            "store": {
+                "slots": 4, "width": 4, "rank_of": [2], "extents": [4],
+                "matrix": b"newp", "dir_keys": [NO_KEY, 42, NO_KEY, NO_KEY],
+                "dir_lengths": [ABSENT, 4, ABSENT, ABSENT],
+            },
+            "expected_seqs": {},
         })
         assert set(server.records) == {2}
         with pytest.raises(KeyError):
@@ -356,6 +368,13 @@ class TestStoreViewLifecycle:
         assert record.symbols.base is server._store.matrix.base or (
             record.symbols.base is server._store.matrix
         )
+
+
+    def test_load_refuses_an_image_of_another_group_size(self):
+        server, probe = make_server()
+        image = StripeStore(server.field, slots=3).dump()
+        with pytest.raises(ValueError, match="3 group positions"):
+            probe.send("f.p0.0", "parity.load", {"store": image, "expected_seqs": {}})
 
 
 class Coord(Node):
@@ -540,7 +559,8 @@ class TestDeliveryShapes:
                 cut = cuts.randint(1, len(entries))
                 probe.call("f.p0.0", "parity.batch", {"ops": entries[:cut]})
                 entries = entries[cut:]
-        return server, probe.call("f.p0.0", "parity.dump"), oracle
+        dump = probe.call("f.p0.0", "parity.dump")
+        return server, dumped_records(dump, field), oracle
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -557,13 +577,11 @@ class TestDeliveryShapes:
         slices = delivery_schedule(rng, streams)
         seen = []
         for shape in self.SHAPES:
-            server, dump, oracle = self.run_shape(
+            server, records, oracle = self.run_shape(
                 shape, field, index, durable, streams, slices,
                 random.Random(rng.random()),
             )
-            assert sorted(dump["records"], key=lambda r: r["rank"]) == (
-                oracle.records()
-            )
+            assert records == oracle.records()
             assert server._expected_seq == oracle.expected
             counters = {name: getattr(server, name) for name in oracle.counters}
             assert counters == oracle.counters
@@ -572,7 +590,7 @@ class TestDeliveryShapes:
                 assert {
                     pos: list(ring) for pos, ring in server._delta_log.items()
                 } == oracle.applied
-            seen.append((dump, counters))
+            seen.append((records, counters))
         assert all(result == seen[0] for result in seen)
 
 

@@ -6,10 +6,16 @@ ranks, counters and parity.  Beyond k, recovery fails loudly (never a
 silent loss).  Degraded reads serve searches while buckets are down.
 """
 
+import copy
+from itertools import combinations
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import LHRSConfig, LHRSFile, RecoveryError
-from repro.core.recovery import parse_node_id, reconstruct_state
+from repro.core.recovery import RecoveryPacer, parse_node_id, reconstruct_state
 from repro.lh import FileState
 from repro.sim.network import NodeUnavailable
 from repro.sim.rng import make_rng
@@ -34,6 +40,24 @@ def snapshot(file):
     separately via check_rank_bookkeeping.
     """
     return file.census_with_ranks(), file.levels_census()
+
+
+def parity_rows(image):
+    """A parity store image row for row, by rank: each rank's key and
+    length directory row and its stripe without the zero padding (a
+    stripe's extent keeps the longest Δ it ever folded, which a rebuild
+    from the current members cannot know, and what a row holds past its
+    members' lengths is zero)."""
+    slots, ranks = image["slots"], list(image["rank_of"])
+    stride = len(image["matrix"]) // max(1, len(ranks))
+    return {
+        rank: (
+            list(image["dir_keys"][row * slots : (row + 1) * slots]),
+            list(image["dir_lengths"][row * slots : (row + 1) * slots]),
+            image["matrix"][row * stride : (row + 1) * stride].rstrip(b"\0"),
+        )
+        for row, rank in enumerate(ranks) if rank >= 0
+    }
 
 
 def check_rank_bookkeeping(file):
@@ -416,3 +440,235 @@ class TestRaiseIsRecoverysEncode:
                 s.position: s._parity_seq + 1 for s in file.data_servers()[:4]
             }
             assert new._expected_seq == file.network.nodes["f.p0.0"]._expected_seq
+
+
+def data_rows(content):
+    """A data bucket's image by rank, with its rank bookkeeping as the
+    parity directory can know it: the counter at the highest held rank
+    and the free ranks below it (ranks freed above every held one leave
+    no trace in any parity bucket)."""
+    held = dict(zip(content["ranks"], zip(content["keys"], content["payloads"])))
+    top = max(held, default=0)
+    return {
+        "records": held, "counter": top,
+        "free": [rank for rank in content["free"] if rank < top],
+        "level": content["level"], "parity_seq": content["parity_seq"],
+    }
+
+
+def image_of(file, node_id):
+    """The bucket at ``node_id`` as its kind's dump has it, row for row
+    by rank (a parity bucket's untouched channels left out)."""
+    server = file.network.nodes[node_id]
+    if node_id.startswith("f.d"):
+        return data_rows(server._content())
+    dump = server.handle_parity_dump(None)
+    return parity_rows(dump["store"]), {
+        pos: seq for pos, seq in dump["expected_seqs"].items() if seq != 1
+    }
+
+
+def records_in(file, node_id):
+    server = file.network.nodes[node_id]
+    return len(server.bucket if node_id.startswith("f.d") else server.records)
+
+
+GROUP = [f"f.d{b}" for b in range(4)] + ["f.p0.0", "f.p0.1"]
+#: every loss pattern up to k = 2 of one group: data only, parity only, mixed
+PATTERNS = [
+    list(lost) for size in (1, 2) for lost in combinations(GROUP, size)
+]
+
+
+@st.composite
+def group_histories(draw):
+    """Inserts, updates and deletes over one group's keys: empty and
+    mixed-length payloads, rows freed by deletes."""
+    return draw(st.lists(
+        st.tuples(
+            st.sampled_from(["insert", "insert", "update", "delete"]),
+            st.integers(0, 40),
+            st.binary(max_size=24),
+        ),
+        max_size=80,
+    ))
+
+
+class TestRebuildIsTheLostImage:
+    """A rebuild decodes columns into the lost bucket's image: every
+    loss pattern up to k, and the parity bucket a raise adds."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        history=group_histories(),
+        width=st.sampled_from([8, 16]),
+        compact=st.booleans(),
+    )
+    def test_every_loss_pattern(self, history, width, compact):
+        file = LHRSFile(LHRSConfig(
+            group_size=4, availability=2, bucket_capacity=64,
+            field_width=width, compact_ranks=compact, recovery_pace_rate=1e9,
+        ))
+        for action, key, value in history:
+            if action == "insert":
+                file.insert(key, value)
+            elif file.search(key).found:
+                getattr(file, action)(*((key, value) if action == "update" else (key,)))
+        assert file.bucket_count == 4  # one group, no split
+        for lost in PATTERNS:
+            before = {node: image_of(file, node) for node in lost}
+            moved = sum(max(1, records_in(file, node)) for node in GROUP)
+            charged = []
+            real = RecoveryPacer.pace
+            with mock.patch.object(
+                RecoveryPacer, "pace",
+                lambda pacer, cost=1.0: charged.append(cost) or real(pacer, cost),
+            ):
+                for node in lost:
+                    file.network.fail(node)
+                file.recover(lost)
+            assert {node: image_of(file, node) for node in lost} == before
+            # survivors dumped, rebuilt buckets loaded: records moved
+            assert sum(charged) == moved
+            assert file.verify_parity_consistency() == []
+        file.rs_coordinator.raise_group_level(0, 3)
+        assert file.verify_parity_consistency() == []
+        raised = image_of(file, "f.p0.2")
+        file.network.fail("f.p0.2")
+        file.recover(["f.p0.2"])
+        assert image_of(file, "f.p0.2") == raised
+        assert file.verify_parity_consistency() == []
+
+    def test_a_dump_is_a_copy(self):
+        """Folding a Δ into a survivor after its dump leaves the dump as
+        it was shipped."""
+        file = one_group()
+        for key in range(40):
+            file.insert(key, b"v%d" % key)
+        net, coordinator = file.network, file.rs_coordinator.node_id
+        dumps = {
+            node: net.call(coordinator, node, kind)
+            for node, kind in (("f.d1", "bucket.dump"), ("f.p0.0", "parity.dump"),
+                               ("f.p0.1", "parity.dump"))
+        }
+        shipped = copy.deepcopy(dumps)
+        file.update(keys_in(file, 1, 1)[0], b"folded after the dump" * 4)
+        file.insert(keys_in(file, 1, 1, start=1000)[0], b"a new rank")
+        assert dumps == shipped
+        assert net.call(coordinator, "f.p0.0", "parity.dump") != shipped["f.p0.0"]
+
+
+class TestParityOracle:
+    def test_a_wrong_length_cell_is_a_discrepancy(self):
+        """The length directory is what a degraded read trims a decode
+        to — and a rebuild writes — so the oracle checks it too."""
+        file = LHRSFile(LHRSConfig(group_size=4, availability=2, bucket_capacity=8))
+        for key in range(40):
+            file.insert(key, b"v%d" % key)
+        assert file.verify_parity_consistency() == []
+        server = file.parity_servers(0)[0]
+        # a record whose group holds a longer member: its decode is wider
+        key, (rank, pos) = next(
+            (key, where) for key, where in sorted(server._key_index.items())
+            if max(server.records[where[0]].lengths.values()) > len(b"v%d" % key)
+        )
+        store = server._store
+        store.length_cells[store._row_of[rank] * store.slots + pos] += 5
+        assert file.verify_parity_consistency() == [
+            f"group 0 parity 0 rank {rank}: length directory mismatch"
+        ]
+        file.fail_data_bucket(file.find_bucket_of(key))
+        found, value = file.recover_record(key)
+        assert found and value != b"v%d" % key
+        assert value.startswith(b"v%d" % key) and not value[len(b"v%d" % key):].strip(b"\0")
+
+
+def one_group(**kw):
+    """One full group of four buckets that will not split."""
+    return LHRSFile(LHRSConfig(
+        group_size=4, availability=2, bucket_capacity=64, **kw
+    ))
+
+
+def keys_in(file, bucket, count, start=0):
+    """``count`` fresh keys the file places in ``bucket``."""
+    found = []
+    key = start
+    while len(found) < count:
+        if file.find_bucket_of(key) == bucket:
+            found.append(key)
+        key += 1
+    return found
+
+
+class TestRebuildEdges:
+    def test_parity_survivors_with_rows_in_other_orders(self):
+        """Each parity bucket numbers its rows as ranks arrive; a rebuilt
+        one numbers them in rank order.  The images align by rank."""
+        file = one_group()
+        first = keys_in(file, 0, 5)
+        for key in first:
+            file.insert(key, b"first%d" % key)
+        for key in first[3:]:  # ranks 4 and 5 release rows 3 and 4
+            file.delete(key)
+        for key in keys_in(file, 1, 5):  # ranks 4 and 5 take them back
+            file.insert(key, b"second%d" % key)
+        file.recover([file.fail_parity_bucket(0, 1)])
+        rows = [file.network.nodes[f"f.p0.{i}"]._store.dump()["rank_of"]
+                for i in (0, 1)]
+        assert rows[0] != rows[1] and sorted(rows[0]) == rows[1]
+        before = snapshot(file)
+        file.recover([file.fail_data_bucket(0), file.fail_data_bucket(1)])
+        assert snapshot(file) == before
+        assert file.verify_parity_consistency() == []
+
+    def test_a_narrow_parity_survivor_is_padded(self):
+        """A long member deleted from a rank its others keep leaves the
+        parity extent wide; a parity bucket rebuilt since is as narrow
+        as the members left, and the rebuild pads it to the widest."""
+        file = one_group()
+        key0, key1 = keys_in(file, 0, 1)[0], keys_in(file, 1, 1)[0]
+        file.insert(key0, b"x" * 300)
+        file.insert(key1, b"short")
+        file.delete(key0)
+        file.insert(keys_in(file, 2, 1)[0], b"kept")
+        file.recover([file.fail_parity_bucket(0, 1)])
+        stores = [file.network.nodes[f"f.p0.{i}"]._store for i in (0, 1)]
+        assert stores[0].extents.max() > stores[1].width
+        file.recover([file.fail_data_bucket(1), file.fail_data_bucket(2)])
+        assert file.search(key1).value == b"short"
+        assert file.verify_parity_consistency() == []
+
+    def test_a_group_short_of_members(self):
+        """The last group of a file holds fewer than m buckets: its
+        empty positions are zero shares."""
+        file = LHRSFile(LHRSConfig(group_size=4, availability=1, bucket_capacity=4))
+        rng = make_rng(5)
+        while file.bucket_count % 4 not in (1, 2):
+            key = int(rng.integers(10**9))
+            file.insert(key, key.to_bytes(8, "big"))
+        before = snapshot(file)
+        file.recover([file.fail_data_bucket(file.bucket_count - 1)])
+        assert snapshot(file) == before
+        assert file.verify_parity_consistency() == []
+
+    def test_a_survivor_that_disagrees_stops_the_rebuild(self):
+        """A data bucket holding a record its parity never saw is not
+        decoded through."""
+        file = one_group()
+        for key in range(40):
+            file.insert(key, b"v%d" % key)
+        server = file.data_servers()[1]
+        key = next(iter(server.bucket.records))
+        server.bucket.records[key] = b"changed behind the parity's back"
+        with pytest.raises(RecoveryError, match="disagrees with the parity"):
+            file.recover([file.fail_data_bucket(0)])
+
+    def test_parity_directories_that_disagree_stop_the_rebuild(self):
+        file = one_group()
+        for key in range(40):
+            file.insert(key, b"v%d" % key)
+        store = file.network.nodes["f.p0.1"]._store
+        store.length_cells[1] += 1
+        with pytest.raises(RecoveryError, match="directories disagree"):
+            file.recover([file.fail_data_bucket(0)])

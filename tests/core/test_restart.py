@@ -19,6 +19,7 @@ The tentpole's service-level contract, pinned end to end:
   run and contain no durable-plane event types at all.
 """
 
+import gc
 import itertools
 import random
 import sys
@@ -45,6 +46,7 @@ from tests.core.test_parity_bucket import (
     Probe,
     as_blocks,
     delivery_schedule,
+    dumped_records,
     delta_streams,
     lone_parity,
     op,
@@ -309,12 +311,11 @@ class TestCheckpointsUnderGrowth:
 
 
 def parity_state(server):
-    """Everything a parity bucket holds, records in rank order (a live
-    bucket lists them as they arrived, a restarted one row by row)."""
+    """Everything a parity bucket holds, its dump's records in rank
+    order."""
     dump = server.handle_parity_dump(None)
-    dump["records"].sort(key=lambda record: record["rank"])
     return (
-        dump, dict(server._expected_seq), server.stale,
+        dumped_records(dump, server.field), dump["expected_seqs"], server.stale,
         server.coord_checkpoint,
         {pos: list(ring) for pos, ring in server._delta_log.items()},
     )
@@ -379,7 +380,7 @@ class TestImageEqualsLiveState:
         assert before[4][pos]
         assert any(
             set(record["lengths"]) - set(record["keys"])
-            for record in before[0]["records"]
+            for record in before[0]
         )
         # (The live locate index is not compared: this generator inserts
         # onto occupied slots, which no data bucket does, and that
@@ -405,7 +406,7 @@ class TestImageEqualsLiveState:
     def test_empty_bucket(self):
         net, server, probe = lone_parity(GF(16), index=1)
         before = checkpoint_and_restart(net, server)
-        assert before[0]["records"] == [] and len(server.records) == 0
+        assert before[0] == [] and len(server.records) == 0
         probe.call("f.p0.0", "catchup.parity", {"ops": []})
         probe.call("f.p0.0", "parity.update", seq_op(1, "insert", 9, 1, 0, b"ab"))
         checkpoint_and_restart(net, server)
@@ -494,11 +495,13 @@ class TestImageEqualsLiveState:
                 nonlocal count
                 count += event in ("call", "c_call")
 
+            gc.disable()  # a collection's finalizers are no calls of ours
             sys.setprofile(profiler)
             try:
                 blob = encode_blob(server._image(), 9)
             finally:
                 sys.setprofile(None)
+                gc.enable()
             assert len(decode_blob(blob)["store"]["rank_of"]) == groups
             return count
 

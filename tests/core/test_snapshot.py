@@ -1,5 +1,7 @@
 """Tests for whole-file snapshot and restore."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,11 @@ from hypothesis import strategies as st
 from repro.core import AvailabilityPolicy, LHRSConfig, LHRSFile
 from repro.core.snapshot import from_json, restore_file, snapshot_file, to_json
 from repro.sim.rng import make_rng
+from tests.core.test_recovery import parity_rows
+
+#: ``to_json(snapshot_file(...))`` of :func:`v2_original`'s file, written
+#: when a snapshot listed records one by one (version 2)
+V2_FIXTURE = Path(__file__).parent / "fixtures" / "snapshot_v2.json"
 
 
 def build(count=250, seed=31, **kw):
@@ -18,6 +25,25 @@ def build(count=250, seed=31, **kw):
     for key in keys:
         file.insert(key, key.to_bytes(8, "big") * 2)
     return file, keys
+
+
+def v2_original():
+    """The file the version-2 fixture was taken of, built again."""
+    file, keys = build(count=40, seed=31)
+    for key in keys[:5]:
+        file.delete(key)
+    file.update(keys[5], b"updated")
+    return file
+
+
+def bucket_images(snap):
+    """What a restore installs: every bucket's image, without its place,
+    a parity bucket's row for row by rank."""
+    return (
+        [{k: v for k, v in b.items() if k != "number"}
+         for b in snap["data_buckets"]],
+        [parity_rows(p["store"]) for p in snap["parity_buckets"]],
+    )
 
 
 class TestRoundtrip:
@@ -74,8 +100,7 @@ class TestRoundtrip:
 
     def test_state_is_the_coordinators_durable_state(self):
         """The image's ``state`` is ``JournalState.snapshot()`` — through
-        JSON too — and a version-1 image, with the levels beside the
-        state, still restores."""
+        JSON too."""
         from repro.core.journal import JournalState
 
         policy = AvailabilityPolicy.scalable(
@@ -85,9 +110,7 @@ class TestRoundtrip:
         snap = from_json(to_json(snapshot_file(original)))
         durable = original.rs_coordinator.durable
         assert JournalState.from_snapshot(snap["state"]) == durable
-        assert snap["version"] == 2
-        snap["version"] = 1
-        snap["group_levels"] = snap["state"].pop("group_levels")
+        assert snap["version"] == 3
         restored = restore_file(snap, file_id="r")
         assert restored.group_levels() == original.group_levels()
         assert restored.verify_parity_consistency() == []
@@ -149,15 +172,10 @@ class TestDurableRoundtrip:
         assert restored.census_with_ranks() == original.census_with_ranks()
         assert restored.levels_census() == original.levels_census()
         assert restored.verify_parity_consistency() == []
-        # the restored image re-snapshots to the same logical content
+        # the restored image re-snapshots to the same content
         snap = snapshot_file(original)
         resnap = snapshot_file(restored)
-        assert [b["records"] for b in resnap["data_buckets"]] == [
-            b["records"] for b in snap["data_buckets"]
-        ]
-        assert [b["parity_seq"] for b in resnap["data_buckets"]] == [
-            b["parity_seq"] for b in snap["data_buckets"]
-        ]
+        assert resnap["data_buckets"] == snap["data_buckets"]
         # ... whose state is the restored coordinator's committed one,
         # so a restored file is itself a snapshot source
         coordinator = restored.rs_coordinator
@@ -168,6 +186,47 @@ class TestDurableRoundtrip:
             assert resnap["state"][key] == snap["state"][key]
         again = restore_file(resnap, file_id="s")
         assert again.census_with_ranks() == original.census_with_ranks()
+
+
+class TestOneBackupForm:
+    """A snapshot holds each bucket in the form its kind has on disk and
+    on the wire; the earlier per-record forms are converted on restore."""
+
+    def test_v3_image_round_trips(self):
+        original, _ = build(count=120, field_width=16)
+        snap = snapshot_file(original)
+        assert snap["version"] == 3
+        assert set(snap["data_buckets"][0]) == {
+            "number", "level", "counter", "free", "keys", "ranks",
+            "payloads", "parity_seq",
+        }
+        assert set(snap["parity_buckets"][0]["store"]) == {
+            "slots", "width", "rank_of", "extents", "matrix", "dir_keys",
+            "dir_lengths",
+        }
+        restored = restore_file(from_json(to_json(snap)), file_id="r")
+        assert restored.census_with_ranks() == original.census_with_ranks()
+        assert restored.verify_parity_consistency() == []
+        assert bucket_images(snapshot_file(restored)) == bucket_images(snap)
+
+    @pytest.mark.parametrize("version", [2, 1])
+    def test_earlier_version_restores(self, version):
+        """The version-2 fixture — and the same image as version 1, the
+        group levels beside the state — restores to the file it was
+        taken of, and re-snapshots as that file does now."""
+        snap = from_json(V2_FIXTURE.read_text())
+        assert snap["version"] == 2
+        if version == 1:
+            snap["version"] = 1
+            snap["group_levels"] = snap["state"].pop("group_levels")
+        original = v2_original()
+        restored = restore_file(snap, file_id="r")
+        assert restored.census_with_ranks() == original.census_with_ranks()
+        assert restored.group_levels() == original.group_levels()
+        assert restored.verify_parity_consistency() == []
+        assert bucket_images(snapshot_file(restored)) == bucket_images(
+            snapshot_file(original)
+        )
 
 
 class TestValidation:

@@ -12,6 +12,11 @@ def field(request):
     return GF(request.param)
 
 
+def rendered(store):
+    """``{rank: parity bytes}``, one record at a time."""
+    return {rank: store.field.bytes_from_symbols(store.view(rank)) for rank in store}
+
+
 class TestLifecycle:
     def test_rejects_sub_byte_fields(self):
         with pytest.raises(ValueError):
@@ -96,7 +101,7 @@ class TestGrowth:
             for rank, length, row in zip(ranks, lengths, rows):
                 other.ensure(rank, length)
                 other.view(rank)[:length] ^= row[:length]
-        assert one.row_bytes() == other.row_bytes()
+        assert rendered(one) == rendered(other)
 
 
 class TestStaleHandles:
@@ -147,22 +152,41 @@ class TestBulkViews:
         for i, rank in enumerate(ranks):
             assert (matrix[i, :2] == rank).all()
 
-    def test_row_bytes_matches_per_record_rendering(self, field):
-        store = StripeStore(field)
+    def test_dump_matches_per_record_rendering(self, field):
+        """A dump holds the used rows — a released one is left out — at
+        the store's width, each row's stripe padded past its extent."""
+        store = StripeStore(field, slots=2)
         payloads = {
             2: bytes(range(10)),
             7: bytes(range(100, 116)),
             4: b"\x00\xff" * 3,
         }
+        store.ensure(5, 1)
         for rank, payload in payloads.items():
             length = field.symbol_length_for_bytes(len(payload))
             store.ensure(rank, length)
             store.view(rank)[:] = field.symbols_from_bytes(payload, length)
-        rendered = store.row_bytes()
-        for rank, payload in payloads.items():
-            expected = field.bytes_from_symbols(store.view(rank))
-            assert rendered[rank] == expected
-            assert rendered[rank][: len(payload)] == payload
+        store.release(5)
+        expected = rendered(store)
+        dump = store.dump()
+        assert sorted(dump["rank_of"]) == sorted(payloads)
+        assert len(dump["dir_keys"]) == len(dump["dir_lengths"]) == 2 * 3
+        itemsize = np.dtype(field.symbol_dtype).itemsize
+        stride = dump["width"] * itemsize
+        for row, (rank, extent) in enumerate(zip(dump["rank_of"], dump["extents"])):
+            stripe = dump["matrix"][row * stride : (row + 1) * stride]
+            assert stripe[: extent * itemsize] == expected[rank]
+            assert stripe[: len(payloads[rank])] == payloads[rank]
+            assert not stripe[extent * itemsize :].strip(b"\0")
+        # a copy: the store moving on leaves the dump as it was
+        before = {name: list(v) if isinstance(v, list) else v
+                  for name, v in dump.items()}
+        store.view(2)[:] = 0
+        store.release(7)
+        assert dump == before
+        copy = StripeStore(field, slots=2)
+        copy.load_image(dump)
+        assert rendered(copy) == expected
 
     def test_bulk_load_replaces_content(self, field):
         store = StripeStore(field)

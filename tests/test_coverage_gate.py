@@ -136,6 +136,8 @@ class TestCli:
             "repro/sdds",
             "repro/sdds/client.py",
             "repro/core/data_bucket.py",
+            "repro/core/recovery.py",
+            "repro/core/stripe_store.py",
             "repro/core/durable.py",
             "repro/check",
             "repro/store",
@@ -144,6 +146,27 @@ class TestCli:
             "repro/proto",
             "repro/proto/wire.py",
         }
+
+    def test_recovery_and_store_answer_to_their_own_floors(self):
+        """The rebuild and the store image are gated file by file: a
+        dip in either fails even while ``repro/core`` holds its floor."""
+        floors = gate.DEFAULT_FLOORS
+        assert floors["repro/core/recovery.py"] > floors["repro/core"]
+        assert floors["repro/core/stripe_store.py"] > floors["repro/core"]
+        status, lines = gate.evaluate(
+            report({
+                "src/repro/core/file.py": (1000, 990),
+                "src/repro/core/recovery.py": (500, 460),
+                "src/repro/core/stripe_store.py": (140, 139),
+            }),
+            {k: floors[k] for k in
+             ("repro/core", "repro/core/recovery.py", "repro/core/stripe_store.py")},
+        )
+        assert status == 1
+        assert [line.split(":")[0] for line in lines] == [
+            "ok   repro/core", "FAIL repro/core/recovery.py",
+            "ok   repro/core/stripe_store.py",
+        ]
 
     def test_floor_spec_validation(self):
         with pytest.raises(Exception):

@@ -43,6 +43,12 @@ DEFAULT_FLOORS: dict[str, float] = {
     "repro/sdds": 75.0,
     "repro/sdds/client.py": 72.0,
     "repro/core/data_bucket.py": 82.0,
+    # Bucket recovery and the parity store: every branch of the columnar
+    # rebuild (loss patterns, survivors in other row orders, a group
+    # short of members, a disagreeing survivor) and of the store image
+    # a dump ships — 2 points under the tier-1 suite's coverage.
+    "repro/core/recovery.py": 94.0,
+    "repro/core/stripe_store.py": 97.0,
     # The durability shell both bucket kinds own: every branch of it is
     # a crash, disk-error or rejoin outcome (tests/core/test_durable.py).
     "repro/core/durable.py": 90.0,
