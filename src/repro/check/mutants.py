@@ -13,9 +13,9 @@ supposed to police, each off unless a test switches it on:
     is updated between two degraded reads.
 
 ``drop_parity_seq``
-    The data bucket silently drops every second ``update`` Δ-parity
-    record *and rolls its sequence counter back*, so the parity channel
-    never sees a gap (the self-reporting ``report.stale`` machinery
+    The data bucket silently drops every second scalar ``update`` Δ
+    *before it takes a sequence number*, so the parity channel never
+    sees a gap (the self-reporting ``report.stale`` machinery
     stays blind).  Parity decodes to a stale value after the next
     bucket loss.
 
@@ -27,7 +27,7 @@ supposed to police, each off unless a test switches it on:
 
 The product code knows none of this.  :func:`enable` installs a mutant
 from this side by wrapping the one product method it breaks
-(``RecoveryManager.recover_record``, ``RSDataServer._emit``,
+(``RecoveryManager.recover_record``, ``RSDataServer._emit_one``,
 ``ParityServer._fold_run``) and :func:`disable` puts the original back,
 so a production run executes unmodified ``repro.core`` code and the
 dependency points downward only (``repro.lint``'s
@@ -59,18 +59,20 @@ def _stale_degraded_read(original: Callable[..., Any]) -> Callable[..., Any]:
 
 
 def _drop_parity_seq(original: Callable[..., Any]) -> Callable[..., Any]:
-    def _emit(self: Any, delta: Any) -> None:
-        if isinstance(delta, dict) and delta["op"] == "update":
+    def _emit_one(
+        self: Any, action: str, key: int, rank: int, delta: bytes, length: int
+    ) -> None:
+        if action == "update":
             self._mutant_update_deltas = (
                 getattr(self, "_mutant_update_deltas", 0) + 1
             )
             if self._mutant_update_deltas % 2 == 0:
-                # Drop the Δ and hide the gap from the channel.
-                self._parity_seq -= 1
+                # Drop the Δ before it takes a sequence number: the
+                # channel never sees a gap.
                 return
-        original(self, delta)
+        original(self, action, key, rank, delta, length)
 
-    return _emit
+    return _emit_one
 
 
 def _double_apply_delete(original: Callable[..., Any]) -> Callable[..., Any]:
@@ -99,7 +101,7 @@ _SEAMS: dict[str, tuple[type, str, Callable[..., Any]]] = {
     "stale_degraded_read": (
         RecoveryManager, "recover_record", _stale_degraded_read
     ),
-    "drop_parity_seq": (RSDataServer, "_emit", _drop_parity_seq),
+    "drop_parity_seq": (RSDataServer, "_emit_one", _drop_parity_seq),
     "double_apply_delete": (ParityServer, "_fold_run", _double_apply_delete),
 }
 

@@ -10,9 +10,14 @@ Extends the LH* data server with the paper's high-availability duties:
 * a **split** removes the movers from this group's record groups and the
   target re-inserts them into its own — record group membership always
   follows the record's *current* bucket, so any two members of a record
-  group are in distinct buckets of one group by construction.  The
-  split's parity traffic is batched: one message per affected parity
-  bucket instead of one per record (the paper's bulk-transfer note).
+  group are in distinct buckets of one group by construction.
+
+Every Δ is created as the parity bucket's *run* (``delta_run`` in
+:mod:`repro.proto.schema`), one action over parallel columns: a scalar
+mutation a run of one, a split's movers, a merge, a ``records.bulk`` or
+a compaction one run per action and one message per parity bucket (the
+paper's bulk-transfer note).  That list is logged as the ``prun`` frame,
+kept in the history ring, shipped and folded.
 """
 
 from __future__ import annotations
@@ -55,7 +60,12 @@ DATA_FENCED_KINDS = frozenset(
 
 
 class RSDataServer(DataServer):
-    """One LH*RS data bucket: LH* behaviour plus parity maintenance."""
+    """One LH*RS data bucket: LH* behaviour plus parity maintenance.
+
+    An instance holds 28 attributes.  CPython 3.11 keeps up to 29 in
+    the object itself; at 30 every bucket carried its own dict — +11 MB
+    of peak RSS at 6 600 buckets and slower attribute reads on every
+    message — so new state belongs in an existing structure."""
 
     def __init__(
         self,
@@ -82,7 +92,9 @@ class RSDataServer(DataServer):
         #: here, in stream order, instead of fanned out at once — no Δ
         #: outlives the ``receive()`` that created it
         self._in_batch = False
-        self._parity_queue: list[dict] = []
+        #: the held runs, each with its set of ranks (what a joining run
+        #: must miss)
+        self._parity_queue: list[tuple[list, set[int]]] = []
         self.group = group_of(number, group_size)
         self.position = position_of(number, group_size)
         #: parity bucket node ids of this group, index order
@@ -102,6 +114,7 @@ class RSDataServer(DataServer):
         #: the durability shell (None = the legacy RAM-only server;
         #: enable_durability wires it when config.durability is on)
         self._durable: Durability | None = None
+        #: the newest logged Δ-runs (see _remember)
         self._delta_history: deque | None = None
         #: incarnation stamped by the coordinator; a rebuilt spare under
         #: the same node id gets a higher epoch, fencing stale disks
@@ -126,8 +139,8 @@ class RSDataServer(DataServer):
     # ------------------------------------------------------------------
     # rank management
     # ------------------------------------------------------------------
-    def _take_rank(self) -> int:
-        """Smallest free rank, else a fresh one.
+    def _take_ranks(self, count: int) -> list[int]:
+        """``count`` ranks: the smallest free ones, then fresh ones.
 
         Taking the *lowest* free rank keeps each bucket's occupied rank
         set dense ({1..size} under pure growth), which maximizes record
@@ -135,14 +148,6 @@ class RSDataServer(DataServer):
         figure of experiment E1 rides on this (§4.3's counter-reuse
         enhancement, applied locally at allocation time).
         """
-        if self._free_ranks:
-            return heapq.heappop(self._free_ranks)
-        self._rank_counter += 1
-        return self._rank_counter
-
-    def _take_ranks(self, count: int) -> list[int]:
-        """``count`` ranks in one pass — the same ranks ``count``
-        successive :meth:`_take_rank` calls would hand out."""
         out: list[int] = []
         while self._free_ranks and len(out) < count:
             out.append(heapq.heappop(self._free_ranks))
@@ -163,123 +168,115 @@ class RSDataServer(DataServer):
         del self._rank_to_key[rank]
         return rank
 
-    def _compact(self) -> list[dict]:
-        """§4.3-style rank compaction; returns the parity ops it implies.
+    def _compact(self) -> list[list]:
+        """§4.3-style rank compaction; returns the Δ-runs it implies.
 
-        Drains the free list: freed ranks inside the dense range
-        {1..size} absorb the highest-ranked records (a delete + insert
-        pair per move, batched by the caller); freed ranks above it are
-        simply retired by shrinking the counter.  Afterwards the bucket's
-        ranks are exactly {1..size} again.
-
-        The highest occupied rank comes from the ``_rank_to_key``
-        reverse index via a pointer walking down from the counter — the
-        maximum only decreases across the drain (each move fills a rank
-        below ``target`` < the vacated maximum), so the whole drain is
+        Drains the free list: freed ranks inside {1..size} absorb the
+        highest-ranked records (a delete run off the old ranks, all
+        above the range, and an insert run onto the new, all inside
+        it); freed ranks above it retire.  The highest occupied rank
+        comes from the ``_rank_to_key`` index via a pointer walking down
+        from the counter (the maximum only decreases), so the drain is
         O(moves + ranks scanned once), not O(moves × bucket size).
         """
-        ops: list[dict] = []
         if not self.compact_ranks:
-            return ops
+            return []
         target = len(self.ranks)
         high = self._rank_counter
+        keys, old, new = [], [], []
         while self._free_ranks:
             free = heapq.heappop(self._free_ranks)
             if free > target:
                 continue  # beyond the dense range: retire silently
             while high not in self._rank_to_key:
                 high -= 1
-            key_max, r_max = self._rank_to_key[high], high
-            payload = self.bucket.get(key_max)
-            ops.append(self._parity_op("delete", key_max, r_max, payload, 0))
-            op = self._parity_op("insert", key_max, free, payload, len(payload))
-            ops.append(op)
-            del self._rank_to_key[r_max]
-            self._assign_rank(key_max, free)
+            key = self._rank_to_key.pop(high)
+            keys.append(key)
+            old.append(high)
+            new.append(free)
+            self._assign_rank(key, free)
+        # no frame for the shrink: the counter is derived (_load_content)
         self._rank_counter = target
-        if self._durable is not None:
-            # the move ops logged above; the counter shrink (and drained
-            # free list) is the one effect they do not imply
-            self._log({"ctl": "counter", "counter": target})
-        return ops
+        if not keys:
+            return []
+        payloads = list(map(self.bucket.get, keys))
+        return [
+            self._run("delete", keys, old, payloads, [0] * len(keys)),
+            self._run("insert", list(keys), new, list(payloads),
+                      list(map(len, payloads))),
+        ]
 
     # ------------------------------------------------------------------
     # parity messaging
     # ------------------------------------------------------------------
-    def _parity_op(
-        self, action: str, key: int, rank: int, delta: bytes, length: int
-    ) -> dict:
-        # The sequence number is taken at *creation* time, after the
-        # local mutation: "everything through seq S is reflected in my
-        # store" then holds by construction, which is what lets a parity
-        # spare rebuilt from dumps treat any in-flight retransmission of
-        # seq <= S as a duplicate.
-        self._parity_seq += 1
-        op = {
-            "op": action,
-            "key": key,
-            "rank": rank,
-            "pos": self.position,
-            "delta": delta,
-            "length": length,
-            "seq": self._parity_seq,
-        }
-        if self._durable is not None:
-            # WAL-before-send: the mutation already applied locally, and
-            # it hits disk before the Δ leaves (or the op is acked), so
-            # every acked operation is in the durable prefix + fsync
-            # staleness window by construction.
-            self._log(op)
-        return op
-
-    def _parity_block(
+    def _run(
         self,
         action: str,
         keys: list[int],
         ranks: list[int],
         deltas: list[bytes],
         lengths: list[int],
-    ) -> dict:
-        """One columnar Δ-block: a same-position ``action`` run over
-        parallel columns, carrying the next ``len(keys)`` consecutive
-        sequence numbers.  The parity bucket folds it as one run
-        (:meth:`ParityServer._fold_run`)."""
+    ) -> list:
+        """Create one Δ-run: ``action`` at this bucket's position,
+        numbered with the next ``len(keys)`` sequence numbers.
+
+        Numbers are taken after the local mutation, so "everything
+        through seq S is in my store" holds by construction (a parity
+        spare rebuilt from dumps treats a retransmission of seq <= S as
+        a duplicate), and the run is logged before it leaves or the op
+        is acked (WAL before send)."""
         seq0 = self._parity_seq + 1
         self._parity_seq += len(keys)
-        block = {
-            "block": action,
-            "pos": self.position,
-            "seq0": seq0,
-            "keys": keys,
-            "ranks": ranks,
-            "deltas": deltas,
-            "lengths": lengths,
-        }
+        run = [action, self.position, seq0, keys, ranks, deltas, lengths]
         if self._durable is not None:
-            self._log(block)
-        return block
+            self._log({"prun": run})
+        return run
 
-    def _emit(self, delta: dict | list[dict]) -> None:
-        """The one way a Δ leaves its mutation.  A dict is one scalar
-        mutation's Δ (``parity.update``); a list is a structural batch
-        (split, merge, moved records, compaction) or a columnar block
-        (``parity.batch``).  While an ``ops.batch`` applies, both join
-        the held list instead; sequence numbers were taken at creation,
-        so list order is Δ-stream order."""
-        scalar = isinstance(delta, dict)
+    def _emit_one(
+        self, action: str, key: int, rank: int, delta: bytes, length: int
+    ) -> None:
+        """A scalar mutation's Δ: a run of one, as ``parity.update``."""
+        run = self._run(action, [key], [rank], [delta], [length])
         if self._in_batch:
-            self._parity_queue.extend((delta,) if scalar else delta)
-        elif scalar:
-            self._fanout("parity.update", delta)
-        elif delta:
-            self._fanout("parity.batch", {"ops": delta})
+            self._hold(run)
+        else:
+            self._fanout("parity.update", {"runs": [run]})
+
+    def _emit(self, runs: list[list]) -> None:
+        """A structural move's or a resend's runs, joined in stream
+        order by :meth:`_hold`, as one ``parity.batch``."""
+        for run in runs:
+            self._hold(run)
+        if not self._in_batch:
+            self.flush_parity()
+
+    def _hold(self, run: list) -> None:
+        """Queue one run for the batch's ``parity.batch``.  It joins the
+        queue's last run when it continues it — same action, the next
+        sequence number, ranks disjoint from the last run's — so the
+        queue holds the runs a parity bucket folds in one pass each.
+        The queue owns fresh lists: the WAL frame and the history ring
+        keep the run as it was created."""
+        queue = self._parity_queue
+        if queue:
+            last, held = queue[-1]
+            if (
+                run[0] == last[0]
+                and run[2] == last[2] + len(last[4])
+                and held.isdisjoint(run[4])
+            ):
+                for column in range(3, 7):
+                    last[column].extend(run[column])
+                held.update(run[4])
+                return
+        queue.append(([*run[:3], *map(list, run[3:])], set(run[4])))
 
     def flush_parity(self) -> None:
         """Ship every held Δ as one ``parity.batch`` per parity target;
         nothing else ships the list."""
         if self._parity_queue:
-            ops, self._parity_queue = self._parity_queue, []
-            self._fanout("parity.batch", {"ops": ops})
+            queue, self._parity_queue = self._parity_queue, []
+            self._fanout("parity.batch", {"runs": [run for run, _ in queue]})
 
     def _fanout(self, kind: str, payload: Any) -> None:
         """One Δ (or batch) to every parity target, then escalations.
@@ -383,10 +380,10 @@ class RSDataServer(DataServer):
         if key in self.bucket:
             self.apply_update(key, value)
             return
-        rank = self._take_rank()
+        (rank,) = self._take_ranks(1)
         self._assign_rank(key, rank)
         self.bucket.put(key, value)
-        self._emit(self._parity_op("insert", key, rank, value, len(value)))
+        self._emit_one("insert", key, rank, value, len(value))
 
     def apply_update(self, key: int, value: bytes) -> None:
         if key not in self.bucket:
@@ -394,10 +391,8 @@ class RSDataServer(DataServer):
             return
         old = self.bucket.get(key)
         self.bucket.put(key, value)
-        self._emit(
-            self._parity_op(
-                "update", key, self.ranks[key], delta_payload(old, value), len(value)
-            )
+        self._emit_one(
+            "update", key, self.ranks[key], delta_payload(old, value), len(value)
         )
 
     def apply_delete(self, key: int) -> None:
@@ -405,7 +400,7 @@ class RSDataServer(DataServer):
             return
         payload = self.bucket.delete(key)
         rank = self._unassign_rank(key)
-        self._emit(self._parity_op("delete", key, rank, payload, 0))
+        self._emit_one("delete", key, rank, payload, 0)
         self._release_rank(rank)
         self._emit(self._compact())
 
@@ -483,23 +478,23 @@ class RSDataServer(DataServer):
             return 1  # an overflow report is due; per-op path sends it
         return count if count >= 2 else 1
 
-    def _apply_bulk_insert(self, ops: list[dict]) -> list[dict]:
-        """Insert a run in one pass: ranks taken together, one store
-        write per record, one columnar Δ-block for the run."""
-        ranks = self._take_ranks(len(ops))
-        keys: list[int] = []
-        values: list[bytes] = []
-        lengths: list[int] = []
-        put = self.bucket.put
-        assign = self._assign_rank
-        for op, rank in zip(ops, ranks):
-            key, value = op["key"], op["value"]
+    def _insert_run(self, keys: list[int], payloads: list[bytes]) -> list:
+        """Store absent records under ranks taken together; their one
+        insert run."""
+        ranks = self._take_ranks(len(keys))
+        put, assign = self.bucket.put, self._assign_rank
+        for key, rank, payload in zip(keys, ranks, payloads):
             assign(key, rank)
-            put(key, value)
-            keys.append(key)
-            values.append(value)
-            lengths.append(len(value))
-        self._emit([self._parity_block("insert", keys, ranks, values, lengths)])
+            put(key, payload)
+        return self._run(
+            "insert", keys, ranks, payloads, list(map(len, payloads))
+        )
+
+    def _apply_bulk_insert(self, ops: list[dict]) -> list[dict]:
+        """Insert a run in one pass: one Δ-run for the run."""
+        self._emit([self._insert_run(
+            [op["key"] for op in ops], [op["value"] for op in ops]
+        )])
         # The run fits under capacity, so this is the scalar sequence's
         # final not-overflowing marker reset, not a report.
         self._report_overflow_if_needed()
@@ -537,9 +532,7 @@ class RSDataServer(DataServer):
             start = idx * row_bytes
             deltas.append(blob[start:start + lengths[idx]])
             new_lengths.append(len(new))
-        self._emit(
-            [self._parity_block("update", keys, ranks, deltas, new_lengths)]
-        )
+        self._emit([self._run("update", keys, ranks, deltas, new_lengths)])
         # No size change and no report pending (run precondition), so
         # this only performs the scalar sequence's marker bookkeeping.
         self._report_overflow_if_needed()
@@ -559,22 +552,24 @@ class RSDataServer(DataServer):
             self.level,
             self.n0,
         )
-        # Remove the movers from this group's record groups (batched).
+        # Remove the movers from this group's record groups (one run).
         # Local state mutates *before* the parity send: a parity spare
         # rebuilt mid-send encodes from current data, so the in-flight
         # batch must already be reflected locally (see _send_parity_to).
-        delete_ops = []
-        for key, payload in move:
-            rank = self._unassign_rank(key)
-            delete_ops.append(self._parity_op("delete", key, rank, payload, 0))
-            self._release_rank(rank)
-        delete_ops.extend(self._compact())
+        runs = []
+        if move:
+            keys, payloads = map(list, zip(*move))
+            ranks = list(map(self._unassign_rank, keys))
+            for rank in ranks:
+                self._release_rank(rank)
+            runs.append(self._run("delete", keys, ranks, payloads, [0] * len(keys)))
+        runs.extend(self._compact())
         self.bucket.records = dict(stay)
         self.bucket.level += 1
         self._last_reported_size = -1
         if self._durable is not None:
             self._log({"ctl": "level", "level": self.bucket.level})
-        self._emit(delete_ops)
+        self._emit(runs)
         self.send(
             data_node(self.file_id, target),
             "records.bulk",
@@ -584,15 +579,17 @@ class RSDataServer(DataServer):
         return {"moved": len(move), "kept": len(stay)}
 
     def handle_records_bulk(self, message: Message) -> None:
-        insert_ops = []
-        for key, payload in message.payload["records"]:
-            rank = self._take_rank()
-            self._assign_rank(key, rank)
-            self.bucket.put(key, payload)
-            insert_ops.append(
-                self._parity_op("insert", key, rank, payload, len(payload))
-            )
-        self._emit(insert_ops)
+        """A split's or merge's movers join this bucket's record groups
+        as one insert run.  A key this bucket already holds is skipped:
+        its value is at least as new as the moved copy, so a second
+        delivery of the message changes nothing."""
+        moved = [
+            (key, payload) for key, payload in message.payload["records"]
+            if key not in self.bucket
+        ]
+        if moved:
+            keys, payloads = map(list, zip(*moved))
+            self._emit([self._insert_run(keys, payloads)])
         self._report_overflow_if_needed()
 
     def handle_merge(self, message: Message) -> Any:
@@ -607,12 +604,13 @@ class RSDataServer(DataServer):
         """
         into = message.payload["into"]
         records = list(self.bucket.records.items())
-        delete_ops = [] if self.position == 0 else [
-            self._parity_op("delete", key, self.ranks[key], payload, 0)
-            for key, payload in records
-        ]
+        runs = []
+        if records and self.position != 0:
+            keys, payloads = map(list, zip(*records))
+            ranks = list(map(self.ranks.__getitem__, keys))
+            runs.append(self._run("delete", keys, ranks, payloads, [0] * len(keys)))
         self._wipe()
-        self._emit(delete_ops)
+        self._emit(runs)
         if self._durable is not None:
             self._log({"ctl": "wipe"})
         self.send(
@@ -721,23 +719,34 @@ class RSDataServer(DataServer):
         the first periodic checkpoint still replays cleanly.
         """
         self._durable = Durability(self, config, self._coordinator())
-        self._delta_history = deque(maxlen=DELTA_LOG_CAPACITY)
+        self._delta_history = deque()
         self.checkpoint_now()
 
-    def _log(self, entry: dict) -> None:
-        """One WAL frame (mutation op/block or a ``ctl`` record); a
-        sequenced one also joins the history ring that serves a
-        restarted parity bucket's catch-up ask.  A fail-stop drops what
-        an in-flight batch holds (a dead node ships nothing): logged and
-        unacked, those Δs are re-sent from the ring after a restart
+    def _log(self, frame: dict) -> None:
+        """One WAL frame (a ``prun`` Δ-run or a ``ctl`` record); a run
+        also joins the history ring that serves a restarted parity
+        bucket's catch-up ask.  A fail-stop drops what an in-flight
+        batch holds (a dead node ships nothing): logged and unacked,
+        those Δs are re-sent from the ring after a restart
         (:meth:`handle_catchup_load`)."""
         try:
-            self._durable.log(entry)
+            self._durable.log(frame)
         except NodeUnavailable:
             self._parity_queue.clear()
             raise
-        if "ctl" not in entry:
-            self._delta_history.append(entry)
+        if "prun" in frame:
+            self._remember(frame["prun"])
+
+    def _remember(self, run: list) -> None:
+        """Ring ``run``, keeping at most :data:`DELTA_LOG_CAPACITY`
+        Δs (as a parity bucket's ring does); old runs retire whole.
+        The ring's sequence span bounds the Δs it holds (a gap only
+        makes it retire early)."""
+        ring = self._delta_history
+        ring.append(run)
+        end = run[2] + len(run[3])
+        while ring and end - ring[0][2] > DELTA_LOG_CAPACITY:
+            ring.popleft()
 
     def checkpoint_now(self) -> None:
         """Write a full-state checkpoint and truncate the WAL."""
@@ -758,13 +767,12 @@ class RSDataServer(DataServer):
         per-record tuples would cost a walk over every field.  The
         lists are fresh: a dump is a copy, never a view of the bucket.
         No Δ is part of it: checkpoints are taken between messages and
-        a dump ships held Δs first.
+        a dump ships held Δs first.  Nor is the rank counter or the free
+        list: both follow from the ranks (:meth:`_load_content`).
         """
         records = self.bucket.records
         return {
             "level": self.bucket.level,
-            "counter": self._rank_counter,
-            "free": sorted(self._free_ranks),
             "keys": list(records),
             "ranks": list(map(self.ranks.__getitem__, records)),
             "payloads": list(records.values()),
@@ -777,15 +785,21 @@ class RSDataServer(DataServer):
         self._load_content(state)
 
     def _load_content(self, state: dict) -> None:
-        """Inverse of :meth:`_content`: replaces every record and rank."""
+        """Inverse of :meth:`_content`: replaces every record and rank,
+        and is the one place the rest is derived — the counter is the
+        highest held rank, the free ranks the unheld ones below it.  A
+        live bucket's free ranks are {1..counter} minus the held ones,
+        so this hands out the ranks it would, whatever its counter."""
         self.bucket.level = state["level"]
-        self._rank_counter = state["counter"]
-        self._free_ranks = list(state["free"])
-        heapq.heapify(self._free_ranks)
         keys, ranks = state["keys"], state["ranks"]
         self.bucket.records = dict(zip(keys, state["payloads"]))
         self.ranks = dict(zip(keys, ranks))
         self._rank_to_key = dict(zip(ranks, keys))
+        self._rank_counter = max(ranks, default=0)
+        # ascending, so already a heap
+        self._free_ranks = sorted(
+            set(range(1, self._rank_counter + 1)).difference(ranks)
+        )
         self._parity_seq = state["parity_seq"]
 
     # -- restart-with-delta-catch-up -----------------------------------
@@ -809,13 +823,15 @@ class RSDataServer(DataServer):
         self.epoch = 0
         if state is not None:
             self._load_image(state)
-            for entry in tail:
-                self._replay_entry(entry)
-                if "ctl" not in entry:
-                    self._delta_history.append(entry)
+            for frame in tail:
+                self._replay_frame(frame)
+                if "prun" in frame:
+                    # the run, not the decoded frame: its ``lsn`` is
+                    # this disk's business, never the wire's
+                    self._remember(frame["prun"])
                     # the durable prefix the rejoin reports: catch-up
                     # fetches past it, channels behind it get a resend
-                    self._parity_seq = self._entry_seq_range(entry)[1]
+                    self._parity_seq = self._seq_span(frame["prun"])[1]
         self.fenced = True
         if net.tracer is not None:
             net.tracer.emit(
@@ -833,28 +849,15 @@ class RSDataServer(DataServer):
         })
 
     # -- WAL replay ----------------------------------------------------
-    def _replay_entry(self, entry: dict) -> None:
-        if "ctl" in entry:
-            ctl = entry["ctl"]
-            if ctl == "level":
-                self.bucket.level = entry["level"]
-            elif ctl == "counter":
-                # compaction epilogue: free list drained, counter shrunk
-                self._free_ranks = []
-                self._rank_counter = entry["counter"]
-            elif ctl == "wipe":
-                self._wipe()
-            return
-        if "block" in entry:
-            for key, rank, delta, length in zip(
-                entry["keys"], entry["ranks"], entry["deltas"], entry["lengths"]
-            ):
-                self._replay_one(entry["block"], key, rank, delta, length)
-            return
-        self._replay_one(
-            entry["op"], entry["key"], entry["rank"], entry["delta"],
-            entry["length"],
-        )
+    def _replay_frame(self, frame: dict) -> None:
+        if "prun" in frame:
+            action, _, _, keys, ranks, deltas, lengths = frame["prun"]
+            for key, rank, delta, length in zip(keys, ranks, deltas, lengths):
+                self._replay_one(action, key, rank, delta, length)
+        elif frame["ctl"] == "level":
+            self.bucket.level = frame["level"]
+        elif frame["ctl"] == "wipe":
+            self._wipe()
 
     def _replay_one(
         self, action: str, key: int, rank: int, delta: bytes, length: int
@@ -881,48 +884,45 @@ class RSDataServer(DataServer):
         from the free heap if present, else extend the counter to cover
         it (ranks skipped on the way up become free, exactly as the
         live allocation path left them)."""
-        if rank <= self._rank_counter:
-            if rank in self._free_ranks:
-                self._free_ranks.remove(rank)
-                heapq.heapify(self._free_ranks)
-        else:
-            while self._rank_counter < rank:
-                self._rank_counter += 1
-                if self._rank_counter < rank:
-                    heapq.heappush(self._free_ranks, self._rank_counter)
+        if rank > self._rank_counter:
+            for skipped in range(self._rank_counter + 1, rank):
+                heapq.heappush(self._free_ranks, skipped)
+            self._rank_counter = rank
+        elif rank in self._free_ranks:
+            self._free_ranks.remove(rank)
+            heapq.heapify(self._free_ranks)
 
     @staticmethod
-    def _entry_seq_range(entry: dict) -> tuple[int, int]:
-        """Inclusive Δ-sequence span of one logged entry."""
-        if "block" in entry:
-            return entry["seq0"], entry["seq0"] + len(entry["keys"]) - 1
-        return entry["seq"], entry["seq"]
+    def _seq_span(run: list) -> tuple[int, int]:
+        """Inclusive Δ-sequence span of one run."""
+        return run[2], run[2] + len(run[3]) - 1
 
     # -- serving catch-up ----------------------------------------------
     def handle_wal_tail(self, message: Message) -> dict:
         """A restarted parity bucket asks for the Δs it missed.
 
-        Returns every entry with a sequence number above ``after`` from
-        the in-RAM history ring; ``covered`` is False when the ring no
-        longer reaches back that far (checkpoints retire old WAL frames)
-        — the asker must then fall back to a full rebuild.
+        Returns every run reaching past sequence number ``after`` from
+        the in-RAM history ring (the receiver's channel check skips the
+        part of the first it already holds); ``covered`` is False when
+        the ring no longer reaches back that far (checkpoints retire old
+        WAL frames) — the asker must then fall back to a full rebuild.
         """
         after = message.payload["after"]
         live = self._parity_seq
-        ops: list[dict] = []
+        runs: list[list] = []
         next_needed = after + 1
         covered = True
-        for entry in self._delta_history or ():
-            lo, hi = self._entry_seq_range(entry)
+        for run in self._delta_history or ():
+            lo, hi = self._seq_span(run)
             if hi < next_needed:
                 continue
             if lo > next_needed:
                 covered = False
                 break
-            ops.append(entry)
+            runs.append(run)
             next_needed = hi + 1
         covered = covered and next_needed > live
-        return {"covered": covered, "live": live, "ops": ops}
+        return {"covered": covered, "live": live, "runs": runs}
 
     # -- receiving catch-up --------------------------------------------
     def handle_catchup_load(self, message: Message) -> dict:
@@ -968,17 +968,16 @@ class RSDataServer(DataServer):
         resend_after = payload.get("resend_after")
         if resend_after is not None and resend_after < disk_seq:
             # the ring is the replayed tail, in order, ending at disk_seq
-            resend: list[dict] = []
-            for entry in reversed(self._delta_history):
-                lo, hi = self._entry_seq_range(entry)
+            resend: list[list] = []
+            for run in reversed(self._delta_history):
+                lo, hi = self._seq_span(run)
                 if hi != floor or hi <= resend_after:
                     break  # a gap (retired by a checkpoint) or below the lag
-                resend.append(entry)
+                resend.append(run)
                 floor = lo - 1
             floor = max(floor, resend_after)
             resend.reverse()
-            if resend:
-                self._fanout("parity.batch", {"ops": resend})
+            self._emit(resend)
         net = self._net()
         if net.tracer is not None:
             net.tracer.emit(

@@ -21,8 +21,8 @@ from repro.sim.rng import DEFAULT_SEED
 from repro.store.simdisk import DiskError, SimDisk, disk_rng
 from repro.store.wal import BucketLog
 
-#: Ring bound on the in-memory Δ tail a server keeps for peers catching
-#: up (``wal.tail`` / ``delta.tail``); a restarted bucket whose
+#: Ring bound, in Δs, on the in-memory Δ tail a server keeps for peers
+#: catching up (``wal.tail`` / ``delta.tail``); a restarted bucket whose
 #: staleness exceeds the ring falls back to the full rebuild.
 DELTA_LOG_CAPACITY = 1024
 
@@ -63,7 +63,7 @@ class Durability:
 
         A ``ctl`` record is synced before this returns, whatever the
         fsync interval: Δ catch-up gives a restarted bucket records and
-        Δs back, never a level, a counter or a closed channel.  A disk
+        Δs back, never a level or a closed channel.  A disk
         error is fail-stop: a bucket that cannot log must not keep
         mutating, or its disk diverges from its acked state.
         """

@@ -10,31 +10,31 @@ every availability level k > i, so raising a group's k never touches
 existing parity buckets — the property scalable availability leans on.
 Row 0 is all ones, making parity bucket 0 a pure XOR site.
 
-Idempotence: every sequenced Δ carries the sending data bucket's
-monotonic operation sequence number, and this bucket tracks the next
-expected number per group position.  A Δ below the expectation is a
+Idempotence: every Δ carries the sending data bucket's monotonic
+operation sequence number, and this bucket tracks the next expected
+number per group position.  A Δ below the expectation is a
 retransmission and is *skipped* — folding it again would silently
 corrupt the parity, since the fold is its own inverse in GF(2^w).  A Δ
 above it proves this bucket missed traffic (a dropped message): it
 reports itself stale to the coordinator, which rebuilds it from the
-group's data.  An unsequenced Δ applies unconditionally.
+group's data.
 
 Storage and maintenance each have one shape.  Every record is one row
 of a :class:`~repro.core.stripe_store.StripeStore` — parity symbols, key
 and length directory alike, behind a rank→row map (``records`` is that
 store read as a mapping) — so a dump is a copy of those columns,
 signature scans run as one 2D kernel and a checkpoint writes the columns
-as they stand.  Every Δ — a ``parity.update``, the per-op entries and
-columnar blocks of a ``parity.batch``, a catch-up tail, a WAL frame — is
-normalised at the handler edge to a *run* (one position, one
-action, distinct ranks, consecutive-or-absent sequence numbers) and
-folded by :meth:`ParityServer._fold_run`, the only routine that writes
-Δ-derived symbols.
+as they stand.  Every Δ is created by its data bucket as a *run* (one
+position, one action, distinct ranks, consecutive sequence numbers;
+``delta_run`` in :mod:`repro.proto.schema`), and a ``parity.update``, a
+``parity.batch``, a catch-up tail and a WAL frame all carry runs as
+created.  :meth:`ParityServer._fold_run` folds one — the only routine
+that writes Δ-derived symbols.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 
 from repro.core.delta_ring import ACTIONS, DeltaRing
 from repro.core.durable import Durability
@@ -60,11 +60,6 @@ PARITY_FENCED_KINDS = frozenset(
         "signature.dump",
     }
 )
-
-
-#: One run of Δs: (action, pos, seq0, keys, ranks, deltas, lengths) —
-#: the columns are parallel, ``seq0`` is None for an unsequenced run.
-Run = tuple[str, int, int | None, list[int], list[int], list[bytes], list[int]]
 
 
 class ParityServer(Node):
@@ -141,7 +136,7 @@ class ParityServer(Node):
         self,
         action: str,
         pos: int,
-        seq0: int | None,
+        seq0: int,
         keys: list[int],
         ranks: list[int],
         deltas: list[bytes],
@@ -153,14 +148,12 @@ class ParityServer(Node):
         The one place parity is maintained: channel check, fold into the
         store, key directory, ``_key_index``, counters, Δ-log ring, WAL.
 
-        A sequenced run classifies against its channel in one
-        comparison.  ``seq0`` above the expectation is ``stale``: a
-        prior Δ never arrived, this bucket's content is behind its data
-        and must be rebuilt, so nothing applies.  Below it, the Δs up to
-        the expectation are retransmissions and are skipped; the rest
-        apply.  An unsequenced run (``seq0`` None) always applies and
-        leaves the channel untouched.  Each sequenced Δ still gets its
-        own ``parity.delta`` event.
+        A run classifies against its channel in one comparison.
+        ``seq0`` above the expectation is ``stale``: a prior Δ never
+        arrived, this bucket's content is behind its data and must be
+        rebuilt, so nothing applies.  Below it, the Δs up to the
+        expectation are retransmissions and are skipped; the rest apply.
+        Each Δ still gets its own ``parity.delta`` event.
 
         Validation comes before any state change and the channel only
         advances after the fold: a rejected or failed Δ can be resent
@@ -181,29 +174,26 @@ class ParityServer(Node):
         if not NO_KEY < span[0] <= span[-1] < KEY_LIMIT:
             raise ValueError("member keys are signed 64-bit integers")
         tracer = self.network.tracer if self.network is not None else None
-        expected = 0
-        if seq0 is not None:
-            expected = self._expected_seq.get(pos, 1)
-            if seq0 > expected:
-                self.gaps_detected += 1
-                self.stale = True
-                if tracer is not None:
-                    self._trace_deltas(
-                        tracer, action, pos, "stale", seq0, 1, expected, 0
-                    )
-                return 0, True
-            skip = min(n, expected - seq0)
-            if skip:
-                self.duplicates_skipped += skip
-                if tracer is not None:
-                    self._trace_deltas(
-                        tracer, action, pos, "duplicate", seq0, skip,
-                        expected, 0,
-                    )
-                n -= skip
-                seq0 += skip
-                keys, ranks = keys[skip:], ranks[skip:]
-                deltas, lengths = deltas[skip:], lengths[skip:]
+        expected = self._expected_seq.get(pos, 1)
+        if seq0 > expected:
+            self.gaps_detected += 1
+            self.stale = True
+            if tracer is not None:
+                self._trace_deltas(
+                    tracer, action, pos, "stale", seq0, 1, expected, 0
+                )
+            return 0, True
+        skip = min(n, expected - seq0)
+        if skip:
+            self.duplicates_skipped += skip
+            if tracer is not None:
+                self._trace_deltas(
+                    tracer, action, pos, "duplicate", seq0, skip, expected, 0
+                )
+            n -= skip
+            seq0 += skip
+            keys, ranks = keys[skip:], ranks[skip:]
+            deltas, lengths = deltas[skip:], lengths[skip:]
         if n == 0:
             return 0, False
 
@@ -257,18 +247,15 @@ class ParityServer(Node):
         else:
             self.general_folds += n
 
-        if seq0 is not None:
-            if tracer is not None:
-                self._trace_deltas(
-                    tracer, action, pos, "apply", seq0, n, expected, 1
-                )
-            self._expected_seq[pos] = expected + n
-            if self._delta_log is not None:
-                # (seq, action, key, rank) descriptors for delta.tail
-                ring = self._delta_log.get(pos)
-                if ring is None:
-                    ring = self._delta_log[pos] = DeltaRing()
-                ring.extend(seq0, action, keys, ranks)
+        if tracer is not None:
+            self._trace_deltas(tracer, action, pos, "apply", seq0, n, expected, 1)
+        self._expected_seq[pos] = expected + n
+        if self._delta_log is not None:
+            # (seq, action, key, rank) descriptors for delta.tail
+            ring = self._delta_log.get(pos)
+            if ring is None:
+                ring = self._delta_log[pos] = DeltaRing()
+            ring.extend(seq0, action, keys, ranks)
         if wal and self._durable is not None:
             self._durable.log(
                 {"prun": [action, pos, seq0, keys, ranks, deltas, lengths]}
@@ -286,50 +273,6 @@ class ParityServer(Node):
                 "parity.delta", self.node_id, pos, seq0 + i,
                 expected + i * step, verdict, action,
             )
-
-    @staticmethod
-    def _runs(entries: list[dict]) -> Iterator[Run]:
-        """Normalise wire Δ entries to runs, in stream order.
-
-        A columnar block already is a run.  Adjacent per-op Δs join one
-        while they share action and position, hit distinct ranks and
-        carry consecutive (or no) sequence numbers.
-        """
-        run: Run | None = None
-        seen: set[int] = set()  # the ranks of ``run``
-        for entry in entries:
-            if "block" in entry:
-                if run is not None:
-                    yield run
-                    run = None
-                yield (
-                    entry["block"], entry["pos"], entry["seq0"], entry["keys"],
-                    entry["ranks"], entry["deltas"], entry["lengths"],
-                )
-                continue
-            action, pos, seq = entry["op"], entry["pos"], entry.get("seq")
-            rank = entry["rank"]
-            if run is not None:
-                run_action, run_pos, seq0, keys, ranks, deltas, lengths = run
-                follows = None if seq0 is None else seq0 + len(ranks)
-                if (
-                    action == run_action and pos == run_pos
-                    and seq == follows and rank not in seen
-                ):
-                    seen.add(rank)
-                    keys.append(entry["key"])
-                    ranks.append(rank)
-                    deltas.append(entry["delta"])
-                    lengths.append(entry["length"])
-                    continue
-                yield run
-            seen = {rank}
-            run = (
-                action, pos, seq, [entry["key"]], [rank],
-                [entry["delta"]], [entry["length"]],
-            )
-        if run is not None:
-            yield run
 
     def _report_stale(self) -> None:
         """Tell the coordinator this bucket missed Δ traffic (rebuild me).
@@ -362,45 +305,34 @@ class ParityServer(Node):
         return dict(self.coord_checkpoint)
 
     def handle_parity_update(self, message: Message) -> dict:
-        """One Δ-record from a data bucket (insert/update/delete).
+        """Δ-runs from one data bucket: a scalar mutation's run of one
+        (``parity.update``), or the runs of a structural move or a
+        client batch (``parity.batch``, which also traces how many Δs
+        it carries).  The reply is the ack in ``parity_ack`` mode; plain
+        sends discard it.
 
-        The return value is the ack in ``parity_ack`` mode; plain sends
-        discard it.
+        The runs of one message share a channel and are contiguous, so
+        the first stale run means every later one is too — stop and
+        report once.  A whole bucket's content never arrives here: a new
+        or rebuilt parity bucket is loaded by ``parity.load``.
         """
-        op = message.payload
-        applied, stale = self._fold_run(
-            op["op"], op["pos"], op.get("seq"), [op["key"]], [op["rank"]],
-            [op["delta"]], [op["length"]],
-        )
-        if applied:
-            return {"status": "applied"}
-        if stale:
-            self._report_stale()
-        return {
-            "status": "stale" if stale else "duplicate",
-            "expected": self._expected_seq.get(op["pos"], 1),
-        }
-
-    def handle_parity_batch(self, message: Message) -> dict:
-        """Batched Δ-records (client batches, splits, merges).
-
-        Ops in one batch share a channel and are contiguous, so the
-        first stale run means every later one is too — stop and report
-        once.  A whole bucket's content never arrives here: a new or
-        rebuilt parity bucket is loaded by ``parity.load``.
-        """
-        ops = message.payload["ops"]
-        tracer = self.network.tracer if self.network is not None else None
-        if tracer is not None:
-            tracer.emit("parity.batch", self.node_id, len(ops))
-        applied, stale = 0, False
-        for run in self._runs(ops):
+        runs = message.payload["runs"]
+        if message.kind == "parity.batch":
+            tracer = self.network.tracer if self.network is not None else None
+            if tracer is not None:
+                tracer.emit(
+                    "parity.batch", self.node_id, sum(len(run[3]) for run in runs)
+                )
+        applied = 0
+        for run in runs:
             done, stale = self._fold_run(*run)
             applied += done
             if stale:
                 self._report_stale()
-                break
-        return {"status": "stale" if stale else "applied", "applied": applied}
+                return {"status": "stale", "applied": applied}
+        return {"status": "applied" if applied else "duplicate", "applied": applied}
+
+    handle_parity_batch = handle_parity_update
 
     def handle_parity_reset(self, message: Message) -> None:
         """Close the Δ-channels of retired group positions.
@@ -620,16 +552,16 @@ class ParityServer(Node):
     def handle_catchup_parity(self, message: Message) -> dict:
         """Apply the Δs this bucket missed while down, then unfence.
 
-        ``ops`` is each group member's WAL tail past our channel
-        expectation (op dicts and columnar blocks, in sequence order).
-        Everything runs through the normal channel check, so overlap
-        with what we already hold dedups per-op; a gap (``stale``
+        ``runs`` is each group member's WAL tail past our channel
+        expectation, the runs as the member logged them, in sequence
+        order.  Everything runs through the normal channel check, so
+        overlap with what we already hold dedups per Δ; a gap (``stale``
         verdict) means the coordinator's coverage check was defeated by
         a concurrent channel advance — report failure so it falls back
         to a full rebuild.
         """
         applied = 0
-        for run in self._runs(message.payload["ops"]):
+        for run in message.payload["runs"]:
             # Not logged run by run: the checkpoint below covers them.
             done, stale = self._fold_run(*run, wal=False)
             applied += done

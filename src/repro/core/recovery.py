@@ -642,13 +642,10 @@ class RecoveryManager:
         new_data: dict[int, dict] = {}
         for bucket, pos in zip(lost_data, lost_at):
             rows = member[:, pos].nonzero()[0]
-            blob, held = in_rank_order(pos, rows), ranks[rows].tolist()
-            counter = held[-1] if held else 0
+            blob = in_rank_order(pos, rows)
             new_data[bucket] = {
-                "counter": counter,
-                "free": sorted(set(range(1, counter + 1)).difference(held)),
                 "keys": keys[rows, pos].tolist(),
-                "ranks": held,
+                "ranks": ranks[rows].tolist(),
                 "payloads": [
                     blob[row * stride : row * stride + size]
                     for row, size in enumerate(lengths[rows, pos].tolist())
@@ -852,9 +849,9 @@ class RecoveryManager:
         """Catch a cleanly-restarted parity bucket up from member WALs.
 
         Each group member returns its WAL tail past the parity's
-        restored channel expectation; the ops (original Δ payloads, in
-        per-channel sequence order) are replayed through the normal
-        channel check.  Returns False — full-rebuild fallback — when a
+        restored channel expectation; the runs (as the member logged
+        them, in per-channel sequence order) are folded through the
+        normal channel check.  Returns False — full-rebuild fallback — when a
         member is unreachable, a tail is no longer covered by the
         member's history ring, or a member's live sequence is *behind*
         the parity's expectation (the member lost a WAL tail this
@@ -872,7 +869,7 @@ class RecoveryManager:
         coord_id = coordinator.node_id
         net = self._net
 
-        ops: list[dict] = []
+        runs: list[list] = []
         for bucket in group_buckets(
             group, m, coordinator.state.bucket_count
         ):
@@ -889,9 +886,9 @@ class RecoveryManager:
                 return False  # sequence divergence (see docstring)
             if not tail["covered"]:
                 return False
-            ops.extend(tail["ops"])
+            runs.extend(tail["runs"])
 
-        reply = net.call(coord_id, node_id, "catchup.parity", {"ops": ops})
+        reply = net.call(coord_id, node_id, "catchup.parity", {"runs": runs})
         return bool(reply["ok"])
 
     # ------------------------------------------------------------------

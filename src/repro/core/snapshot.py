@@ -26,10 +26,11 @@ from repro.core.file import LHRSFile
 from repro.core.stripe_store import NO_KEY, StripeStore
 from repro.gf.field import GF
 
-#: 3: a bucket is its ``bucket.dump`` columns or its store image, not a
-#: list of records; 2: ``state`` is ``JournalState.snapshot()`` (1 kept
-#: the levels beside it)
-SNAPSHOT_VERSION = 3
+#: 4: a data bucket keeps no rank counter or free ranks (both follow
+#: from its ranks); 3: a bucket is its ``bucket.dump`` columns or its
+#: store image, not a list of records; 2: ``state`` is
+#: ``JournalState.snapshot()`` (1 kept the levels beside it)
+SNAPSHOT_VERSION = 4
 
 
 def snapshot_file(file: LHRSFile) -> dict:
@@ -80,13 +81,23 @@ def snapshot_file(file: LHRSFile) -> dict:
 
 
 def _upgrade(snapshot: dict, field: GF, slots: int) -> dict:
-    """A version 1 or 2 snapshot in version 3's form.
+    """An earlier version's snapshot in the current form.
 
-    Those list a data bucket's records as ``(key, rank, payload)`` rows
-    and a parity bucket's as per-rank snapshots (a member's length may
-    be known while its key is not; a key without a length is no
-    member); version 1 also keeps the group levels beside ``state``.
+    Version 3 only adds a data bucket's ``counter`` and ``free``, which
+    are dropped.  Versions 1 and 2 list a data bucket's records as
+    ``(key, rank, payload)`` rows and a parity bucket's as per-rank
+    snapshots (a member's length may be known while its key is not; a
+    key without a length is no member); version 1 also keeps the group
+    levels beside ``state``.
     """
+    if snapshot["version"] == 3:
+        return {
+            **snapshot, "version": SNAPSHOT_VERSION,
+            "data_buckets": [
+                {k: v for k, v in bucket.items() if k not in ("counter", "free")}
+                for bucket in snapshot["data_buckets"]
+            ],
+        }
     state = dict(snapshot["state"])
     if snapshot["version"] == 1:
         state["group_levels"] = snapshot["group_levels"]
@@ -98,8 +109,6 @@ def _upgrade(snapshot: dict, field: GF, slots: int) -> dict:
         data.append({
             "number": bucket["number"],
             "level": bucket["level"],
-            "counter": bucket["counter"],
-            "free": bucket["free_ranks"],
             "keys": keys,
             "ranks": ranks,
             "payloads": payloads,
@@ -135,7 +144,7 @@ def restore_file(snapshot: dict, file_id: str = "f",
     `verify_parity_consistency` match the original.
     """
     version = snapshot.get("version")
-    if version not in (1, 2, SNAPSHOT_VERSION):
+    if version not in (1, 2, 3, SNAPSHOT_VERSION):
         raise ValueError(f"unsupported snapshot version {version!r}")
     # Config keys this build does not have are dropped: earlier builds
     # also wrote since-retired knobs (the parity memory layout, the

@@ -277,17 +277,11 @@ SHAPES: dict[str, str] = {
     # status string is the lean form of ``{status}``)
     "batch_op": "{op:str, key:int, value?:bytes}",
     "batch_result": "{status:str, value?:bytes|none, error?:str, to?:int}",
-    # the per-op Δ-record (``seq`` absent: applies without touching its
-    # channel) and the columnar Δ-block: one same-position run over
-    # parallel columns
-    "delta_op": (
-        "{op:str, key:int, rank:int, pos:int, delta:bytes, length:int, "
-        "seq?:int}"
-    ),
-    "delta_block": (
-        "{block:str, pos:int, seq0:int, keys:[int], ranks:[int], "
-        "deltas:[bytes], lengths:[int]}"
-    ),
+    # the one Δ unit, created, logged, shipped and folded as is: (action,
+    # pos, seq0, keys, ranks, deltas, lengths) — one action at one group
+    # position over parallel columns of distinct ranks, numbered seq0,
+    # seq0 + 1, ...  A scalar mutation's Δ is a run of one.
+    "delta_run": "(str, int, int, [int], [int], [bytes], [int])",
     # (key, rank, payload): a record with its place in a record group
     "record_row": "(int, int, bytes)",
     # (key, payload): a record on the move (split, merge, scan, mirror)
@@ -461,19 +455,18 @@ _ENTRIES: tuple[MessageKind, ...] = (
     # -- parity maintenance --------------------------------------------
     MessageKind(
         "parity.update", "data", "parity", "send/call",
-        ("op:str", "key:int", "rank:int", "pos:int", "delta:bytes",
-         "length:int", "seq:int"),
-        reply="{status:str, expected?:int}",
+        ("runs:[delta_run]",),
+        reply="{status:str, applied:int}",
         section="parity maintenance",
-        summary="one Δ-record; a `call` in `parity_ack` mode",
+        summary="a scalar mutation's Δ, a run of one; a `call` in `parity_ack` mode",
         seq_guard=("_fold_run", "_expected_seq"),
     ),
     MessageKind(
         "parity.batch", "data", "parity", "send/call",
-        ("ops:[delta_op|delta_block]",),
+        ("runs:[delta_run]",),
         reply="{status:str, applied:int}",
         section="parity maintenance",
-        summary="Δ-op list or columnar Δ-blocks of one structural move or batch",
+        summary="the Δ-runs of one structural move or client batch",
         seq_guard=("_fold_run", "_expected_seq"),
     ),
     MessageKind(
@@ -499,8 +492,8 @@ _ENTRIES: tuple[MessageKind, ...] = (
         "bucket.dump", "coordinator", "data", "call",
         (),
         reply=(
-            "{level:int, counter:int, free:[int], keys:[int], ranks:[int], "
-            "payloads:[bytes], parity_seq:int}|{records:[moved_row], level:int}"
+            "{level:int, keys:[int], ranks:[int], payloads:[bytes], "
+            "parity_seq:int}|{records:[moved_row], level:int}"
         ),
         section="recovery",
         summary=(
@@ -518,10 +511,10 @@ _ENTRIES: tuple[MessageKind, ...] = (
     MessageKind(
         "bucket.load", "coordinator", "data", "send",
         # the columns of ``bucket.dump``; the LH*g / LH*m baselines load
-        # ``records`` and ``level`` instead
-        ("level:int", "counter:int", "free?:[int]", "keys?:[int]",
-         "ranks?:[int]", "payloads?:[bytes]", "parity_seq?:int",
-         "records?:[moved_row]"),
+        # ``records`` and ``level`` instead (LH*g its insert ``counter``
+        # too)
+        ("level:int", "keys?:[int]", "ranks?:[int]", "payloads?:[bytes]",
+         "parity_seq?:int", "records?:[moved_row]", "counter?:int"),
         section="recovery",
         summary="install decoded columns on a spare; resumes the Δ stream",
     ),
@@ -591,14 +584,14 @@ _ENTRIES: tuple[MessageKind, ...] = (
     MessageKind(
         "wal.tail", "coordinator", "data", "call",
         ("after:int",),
-        reply="{covered:bool, live:int, ops:[delta_op|delta_block]}",
+        reply="{covered:bool, live:int, runs:[delta_run]}",
         section="durable restart & catch-up",
         summary="retained Δ-history past a parity bucket's durable prefix",
-        seq_guard=("_parity_seq", "_entry_seq_range"),
+        seq_guard=("_parity_seq", "_seq_span"),
     ),
     MessageKind(
         "catchup.parity", "coordinator", "parity", "call",
-        ("ops:[delta_op|delta_block]",),
+        ("runs:[delta_run]",),
         reply="{ok:bool, applied:int}",
         section="durable restart & catch-up",
         summary="fold the missed Δs in channel order, then unfence",

@@ -97,18 +97,17 @@ class _Emitter:
     def emit_list(self, t: Type, var: str, depth: int) -> int:
         (inner,) = t.items
         self.line(depth, f"if {_SEQUENCE.format(v=var)}: return -1")
+        item = self.temp()
         if inner.tag in ATOMS and inner.tag not in ("any", "none"):
-            # A scalar column: one C-level pass for the types, one for
-            # the lengths.
-            self.line(
-                depth,
-                f"if not set(map(type, {var})) <= {{{inner.tag}}}: return -1",
-            )
+            # A scalar column: a plain loop for the types (cheaper than
+            # any set-of-types pass on the short columns most runs
+            # carry), one C-level pass for the lengths.
+            self.line(depth, f"for {item} in {var}:")
+            self.line(depth + 1, f"if type({item}) is not {inner.tag}: return -1")
             width = ATOMS[inner.tag]
             self.line(depth, f"total += sum(map(len, {var}))" if width is None
                       else f"total += {width} * len({var})")
             return 0
-        item = self.temp()
         self.line(depth, f"for {item} in {var}:")
         constant = self.emit(inner, item, depth + 1)
         if constant:

@@ -661,7 +661,9 @@ class Network:
         return result
 
     def _corrupted_copy(self, message: Message) -> Message:
-        """The message with seeded byte-flips in its bytes-valued payload.
+        """The message with a seeded byte-flip in every bytes value of
+        its payload, however deeply nested (a Δ-run's deltas sit in a
+        list inside a list).
 
         Models in-flight corruption that slips past link checksums: the
         frame arrives, parses, and carries wrong bytes — exactly what
@@ -670,25 +672,21 @@ class Network:
         """
         rng = self.fault_plane.rng
 
-        def flip(data: bytes) -> bytes:
-            if not data:
-                return data
-            buf = bytearray(data)
+        def flip(value: Any) -> Any:
+            if isinstance(value, dict):
+                return {key: flip(item) for key, item in value.items()}
+            if isinstance(value, (list, tuple)):
+                return type(value)(map(flip, value))
+            if not isinstance(value, bytes) or not value:
+                return value
+            buf = bytearray(value)
             pos = int(rng.integers(len(buf)))
             buf[pos] ^= 1 << int(rng.integers(8))
             return bytes(buf)
 
-        payload = message.payload
-        if isinstance(payload, bytes):
-            payload = flip(payload)
-        elif isinstance(payload, dict):
-            payload = {
-                key: flip(value) if isinstance(value, bytes) else value
-                for key, value in payload.items()
-            }
         return Message(
-            message.sender, message.recipient, message.kind, payload,
-            message.size,
+            message.sender, message.recipient, message.kind,
+            flip(message.payload), message.size,
         )
 
     def _record_reply(self, reply: Message, depth: int) -> None:

@@ -47,8 +47,11 @@ from typing import Any, Callable
 
 import numpy as np
 
-#: version of this tag set; the first byte of every frame body
-VERSION = 3
+#: version of the frame format — this tag set and the shapes of the
+#: records and images written with it; the first byte of every frame
+#: body (4: the data bucket logs ``prun`` runs, its image drops the rank
+#: counter and free list)
+VERSION = 4
 
 #: shortest list that takes a packed column (below it the generic form
 #: is as small and skips the array round trip)

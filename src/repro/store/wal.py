@@ -43,30 +43,28 @@ _MAX_FRAME = 1 << 26
 def encode_frame(record: dict[str, Any], lsn: int | None = None) -> bytes:
     """One checksummed frame: header + version byte + ``[lsn, record]``.
 
-    The two frames a scalar durable write logs — a data bucket's
-    one-record ``op`` and a parity bucket's one-record ``prun`` — are
-    written by the packers below; every other record (and any such
-    frame off its usual types) goes through the codec's walker.  Both
-    give the same bytes.
+    The frame a scalar durable write logs — a one-record ``prun``, the
+    same at a data bucket and at each of its parity buckets — is written
+    by the packer below; every other record (and any such frame off its
+    usual types) goes through the codec's walker.  Both give the same
+    bytes.
     """
     value = None
-    try:
-        if "op" in record:
-            value = _PACK_OP[record["op"]](lsn, record)
-        elif "prun" in record:
+    if "prun" in record:
+        try:
             value = _PACK_PRUN[record["prun"][0]](lsn, record)
-    except (struct.error, LookupError, TypeError, ValueError):
-        pass  # not the scalar shape after all
+        except (struct.error, LookupError, TypeError, ValueError):
+            pass  # not the scalar shape after all
     if value is None:
         value = codec.encode((lsn, record))
     crc = zlib.crc32(value, _VERSION_CRC)
     return _HEADER.pack(1 + len(value), crc) + _VERSION + value
 
 
-# -- the scalar frame packers ------------------------------------------
+# -- the scalar frame packer -------------------------------------------
 # A scalar frame body is mostly fixed text — tags, counts, dict keys —
-# that the walker re-derives per frame.  A packer keeps that text as byte
-# strings cut from the walker's own output (the tag set stays the
+# that the walker re-derives per frame.  The packer keeps that text as
+# byte strings cut from the walker's own output (the tag set stays the
 # codec's alone) and writes each stretch of it, with the field that
 # follows, through a precompiled Struct.  ``q`` is the codec's int form
 # for a signed 64-bit word: an int beyond it raises ``struct.error``, a
@@ -90,45 +88,13 @@ def _layout(texts: tuple[bytes, ...], codes: str) -> Callable[..., bytes]:
 
 _INT, _BYTES = codec.encode(0)[:1], codec.encode(b"")[:1]
 _LIST1, _LIST2, _LIST7 = (_opens([None] * count) for count in (1, 2, 7))
-_DICT1, _DICT7 = (_opens(dict.fromkeys(range(count))) for count in (1, 7))
+_DICT1 = _opens({0: None})
 _LSN = _LIST2 + _INT  # "[lsn, ..."
-
-
-def _op_packer(action: str) -> _Packer:
-    """``[lsn, {"delta": .., "key": .., "length": .., "op": action,
-    "pos": .., "rank": .., "seq": ..}]`` — a data bucket's one-record Δ,
-    keys in the codec's order."""
-    text = codec.encode
-    opening = _DICT7 + text("delta") + _BYTES
-    t_key, t_length = text("key") + _INT, text("length") + _INT
-    t_pos = text("op") + text(action) + text("pos") + _INT
-    t_rank, t_seq = text("rank") + _INT, text("seq") + _INT
-    head = _layout((_LSN, opening), "qI")
-    tail = _layout((t_key, t_length, t_pos, t_rank, t_seq), "qqqqq")
-
-    def pack(lsn: Any, record: dict[str, Any]) -> bytes | None:
-        delta, key, length = record["delta"], record["key"], record["length"]
-        pos, rank, seq = record["pos"], record["rank"], record["seq"]
-        if (
-            len(record) != 7 or type(delta) is not bytes
-            or type(lsn) is not int or type(key) is not int
-            or type(length) is not int or type(pos) is not int
-            or type(rank) is not int or type(seq) is not int
-        ):
-            return None
-        return b"".join((
-            head(_LSN, lsn, opening, len(delta)),
-            delta,
-            tail(t_key, key, t_length, length, t_pos, pos, t_rank, rank,
-                 t_seq, seq),
-        ))
-
-    return pack
 
 
 def _prun_packer(action: str) -> _Packer:
     """``[lsn, {"prun": [action, pos, seq0, [key], [rank], [delta],
-    [length]]}]`` — a parity bucket's one-record sequenced run."""
+    [length]]}]`` — a run of one Δ, as either bucket kind logs it."""
     text = codec.encode
     t_pos = _DICT1 + text("prun") + _LIST7 + text(action) + _INT
     t_one, t_delta = _LIST1 + _INT, _LIST1 + _BYTES
@@ -141,8 +107,9 @@ def _prun_packer(action: str) -> _Packer:
         (key,), (rank,), (delta,), (length,) = keys, ranks, deltas, lengths
         if (
             len(record) != 1 or type(delta) is not bytes
-            or {type(run), type(keys), type(ranks), type(deltas), type(lengths)}
-            != {list}
+            or type(run) is not list or type(keys) is not list
+            or type(ranks) is not list or type(deltas) is not list
+            or type(lengths) is not list
             or type(lsn) is not int or type(pos) is not int
             or type(seq0) is not int or type(key) is not int
             or type(rank) is not int or type(length) is not int
@@ -158,9 +125,9 @@ def _prun_packer(action: str) -> _Packer:
     return pack
 
 
-_ACTIONS = ("insert", "update", "delete")
-_PACK_OP = {action: _op_packer(action) for action in _ACTIONS}
-_PACK_PRUN = {action: _prun_packer(action) for action in _ACTIONS}
+_PACK_PRUN = {
+    action: _prun_packer(action) for action in ("insert", "update", "delete")
+}
 
 
 def decode_frames(data: bytes) -> tuple[list[dict[str, Any]], bool]:

@@ -21,7 +21,27 @@ from repro.sim import Network, Node
 
 
 class Probe(Node):
-    """A bare sender node for driving the parity server."""
+    """A bare sender node for driving the parity server.  A run built
+    without a sequence number (:func:`op`) is numbered with the
+    target's next expected one on the way out, so it folds in order."""
+
+    def send(self, recipient, kind, payload=None, size=0):
+        super().send(recipient, kind, self._numbered(recipient, payload), size)
+
+    def call(self, recipient, kind, payload=None, size=0):
+        return super().call(
+            recipient, kind, self._numbered(recipient, payload), size
+        )
+
+    def _numbered(self, recipient, payload):
+        if not isinstance(payload, dict) or "runs" not in payload:
+            return payload
+        channels = self._net().nodes[recipient]._expected_seq
+        return {"runs": [
+            run if run[2] is not None
+            else [run[0], run[1], channels.get(run[1], 1), *run[3:]]
+            for run in payload["runs"]
+        ]}
 
 
 @pytest.fixture
@@ -45,15 +65,16 @@ def dumped_records(dump, field):
     return [store.snapshot(rank) for rank in sorted(store)]
 
 
-def op(action, key, rank, pos, delta, length=None):
-    return {
-        "op": action,
-        "key": key,
-        "rank": rank,
-        "pos": pos,
-        "delta": delta,
-        "length": len(delta) if length is None else length,
-    }
+def run(action, key, rank, pos, delta, length=None, seq=None):
+    """One Δ as the run of one its data bucket creates; ``seq`` None
+    leaves the numbering to :class:`Probe`."""
+    return [action, pos, seq, [key], [rank], [delta],
+            [len(delta) if length is None else length]]
+
+
+def op(*args, **kwargs):
+    """A ``parity.update`` payload: one Δ, a run of one."""
+    return {"runs": [run(*args, **kwargs)]}
 
 
 class TestApply:
@@ -112,7 +133,7 @@ class TestApply:
         _, p0, _, probe = setup
         probe.send(
             "f.p0.0", "parity.batch",
-            {"ops": [op("insert", 9, 1, 0, b"ab"), op("insert", 8, 2, 1, b"cd")]},
+            {"runs": [run("insert", 9, 1, 0, b"ab"), run("insert", 8, 2, 1, b"cd")]},
         )
         assert set(p0.records) == {1, 2}
 
@@ -205,7 +226,8 @@ class TestKeyIndex:
 
 
 def seq_op(seq, *args, **kwargs):
-    return {**op(*args, **kwargs), "seq": seq}
+    """:func:`op` numbered ``seq``."""
+    return op(*args, seq=seq, **kwargs)
 
 
 def make_server():
@@ -296,8 +318,7 @@ class TestCrashConsistency:
     def test_rejected_sequenced_delta_leaves_channel_for_the_retry(self, kind):
         server, probe = make_server()
 
-        def ship(delta_op):
-            payload = delta_op if kind == "parity.update" else {"ops": [delta_op]}
+        def ship(payload):
             return probe.call("f.p0.0", kind, payload)
 
         assert ship(seq_op(1, "insert", 9, 1, 0, b"ab"))["status"] == "applied"
@@ -322,12 +343,12 @@ class TestCrashConsistency:
         armed["on"] = False
         reply = probe.call("f.p0.0", "parity.update",
                            seq_op(1, "insert", 9, 1, 0, b"ab"))
-        assert reply == {"status": "applied"}
+        assert reply == {"status": "applied", "applied": 1}
         assert server.records[1].parity_bytes(server.field) == b"ab"
         # ... and the retransmission of an applied Δ still is a duplicate.
         reply = probe.call("f.p0.0", "parity.update",
                            seq_op(1, "insert", 9, 1, 0, b"ab"))
-        assert reply == {"status": "duplicate", "expected": 2}
+        assert reply == {"status": "duplicate", "applied": 0}
         assert server.records[1].parity_bytes(server.field) == b"ab"
 
 
@@ -418,33 +439,33 @@ class Oracle:
             ("duplicates_skipped", "gaps_detected", "symbol_ops",
              "xor_folds", "general_folds"), 0)
 
-    def deliver(self, op):
-        pos, rank = op["pos"], op["rank"]
+    def deliver(self, delta):
+        """One Δ, a run of one."""
+        action, pos, seq, (key,), (rank,), (payload,), (length,) = delta
         expected = self.expected.get(pos, 1)
-        if op["seq"] != expected:
-            late = op["seq"] < expected
+        if seq != expected:
+            late = seq < expected
             self.counters["duplicates_skipped" if late else "gaps_detected"] += 1
             return
         self.expected[pos] = expected + 1
-        self.applied.setdefault(pos, []).append(
-            (op["seq"], op["op"], op["key"], rank))
+        self.applied.setdefault(pos, []).append((seq, action, key, rank))
         empty = np.zeros(0, dtype=self.field.symbol_dtype)
         self.symbols[rank] = fold_delta(
-            self.field, self.symbols.get(rank, empty), self.row[pos], op["delta"]
+            self.field, self.symbols.get(rank, empty), self.row[pos], payload
         )
         self.counters["symbol_ops"] += self.field.symbol_length_for_bytes(
-            len(op["delta"]))
+            len(payload))
         self.counters["xor_folds" if self.row[pos] == 1 else "general_folds"] += 1
         keys = self.keys.setdefault(rank, {})
         lengths = self.lengths.setdefault(rank, {})
-        if op["op"] == "delete":
+        if action == "delete":
             del keys[pos], lengths[pos]
             if not keys:
                 del self.symbols[rank], self.keys[rank], self.lengths[rank]
             return
-        if op["op"] == "insert":
-            keys[pos] = op["key"]
-        lengths[pos] = op["length"]
+        if action == "insert":
+            keys[pos] = key
+        lengths[pos] = length
 
     def replayed(self):
         """A restart re-folds (and re-counts) every Δ applied so far."""
@@ -471,19 +492,19 @@ def delta_streams(rng, positions):
             if not live or (free and choice < 0.5):
                 rank, payload = rng.choice(free), rng.randbytes(rng.randint(0, 12))
                 live[rank] = (next_key, payload)
-                ops.append(seq_op(seq, "insert", next_key, rank, pos, payload))
+                ops.append(run("insert", next_key, rank, pos, payload, seq=seq))
                 next_key += 1
             elif choice < 0.8:
                 rank = rng.choice(sorted(live))
                 key, old = live[rank]
                 new = rng.randbytes(rng.randint(0, 12))
                 live[rank] = (key, new)
-                ops.append(seq_op(seq, "update", key, rank, pos,
-                                  delta_payload(old, new), len(new)))
+                ops.append(run("update", key, rank, pos,
+                               delta_payload(old, new), len(new), seq=seq))
             else:
                 rank = rng.choice(sorted(live))
                 key, old = live.pop(rank)
-                ops.append(seq_op(seq, "delete", key, rank, pos, old, 0))
+                ops.append(run("delete", key, rank, pos, old, 0, seq=seq))
         streams[pos] = ops
     return streams
 
@@ -503,30 +524,28 @@ def delivery_schedule(rng, streams):
         cursor[pos] = max(cursor[pos], hi)
         slices.append((pos, lo, hi))
     pos = rng.choice(sorted(streams))
-    gap = seq_op(len(streams[pos]) + 2, "insert", 99, 7, pos, b"gap")
+    gap = run("insert", 99, 7, pos, b"gap", seq=len(streams[pos]) + 2)
     streams[pos].append(gap)
     slices.append((pos, len(streams[pos]) - 1, len(streams[pos])))
     return slices
 
 
-def as_blocks(ops):
-    """Columnar blocks: maximal same-action runs over distinct ranks."""
+def as_blocks(deltas):
+    """Runs of one joined into maximal runs: same action and position,
+    consecutive sequence numbers, distinct ranks."""
     blocks = []
-    for delta_op in ops:
+    for delta in deltas:
         block = blocks[-1] if blocks else None
         if (
             block is None
-            or block["block"] != delta_op["op"]
-            or delta_op["rank"] in block["ranks"]
-            or delta_op["seq"] != block["seq0"] + len(block["ranks"])
+            or block[:2] != delta[:2]
+            or delta[4][0] in block[4]
+            or delta[2] != block[2] + len(block[4])
         ):
-            block = {"block": delta_op["op"], "pos": delta_op["pos"],
-                     "seq0": delta_op["seq"], "keys": [], "ranks": [],
-                     "deltas": [], "lengths": []}
+            block = [*delta[:3], [], [], [], []]
             blocks.append(block)
-        for column, name in (("keys", "key"), ("ranks", "rank"),
-                             ("deltas", "delta"), ("lengths", "length")):
-            block[column].append(delta_op[name])
+        for column in range(3, 7):
+            block[column].extend(delta[column])
     return blocks
 
 
@@ -543,21 +562,21 @@ class TestDeliveryShapes:
                 net.fail("f.p0.0")
                 net.restore("f.p0.0")
                 assert server.fenced
-                reply = probe.call("f.p0.0", "catchup.parity", {"ops": []})
+                reply = probe.call("f.p0.0", "catchup.parity", {"runs": []})
                 assert reply == {"ok": True, "applied": 0}
                 oracle.replayed()
-            ops = streams[pos][lo:hi]
-            for delta_op in ops:
-                oracle.deliver(delta_op)
+            deltas = streams[pos][lo:hi]
+            for delta in deltas:
+                oracle.deliver(delta)
             form = cuts.choice(self.SHAPES[:3]) if shape == "mixed" else shape
             if form == "update":
-                for delta_op in ops:
-                    probe.call("f.p0.0", "parity.update", delta_op)
+                for delta in deltas:
+                    probe.call("f.p0.0", "parity.update", {"runs": [delta]})
                 continue
-            entries = as_blocks(ops) if form == "block" else ops
+            entries = as_blocks(deltas) if form == "block" else deltas
             while entries:
                 cut = cuts.randint(1, len(entries))
-                probe.call("f.p0.0", "parity.batch", {"ops": entries[:cut]})
+                probe.call("f.p0.0", "parity.batch", {"runs": entries[:cut]})
                 entries = entries[cut:]
         dump = probe.call("f.p0.0", "parity.dump")
         return server, dumped_records(dump, field), oracle

@@ -22,16 +22,12 @@ def make_file(**overrides) -> LHRSFile:
 
 
 def last_op_of(server, key: int, value: bytes) -> dict:
-    """Reconstruct the exact Δ message the server just sent for ``key``."""
-    return {
-        "op": "insert",
-        "key": key,
-        "rank": server.ranks[key],
-        "pos": server.position,
-        "delta": value,
-        "length": len(value),
-        "seq": server._parity_seq,
-    }
+    """Reconstruct the exact Δ message the server just sent for ``key``:
+    an insert run of one."""
+    return {"runs": [[
+        "insert", server.position, server._parity_seq, [key],
+        [server.ranks[key]], [value], [len(value)],
+    ]]}
 
 
 class TestDuplicateDelta:
@@ -63,7 +59,7 @@ class TestDuplicateDelta:
         # A Δ from the future proves earlier traffic was lost: the
         # parity bucket must not apply it, and must get itself rebuilt.
         op = last_op_of(server, 6, b"payload")
-        op["seq"] = server._parity_seq + 5
+        op["runs"][0][2] = server._parity_seq + 5
         file.network.send(server.node_id, pnode, "parity.update", op)
         assert file.rs_coordinator.recovery.groups_recovered == 1
         assert file.verify_parity_consistency() == []

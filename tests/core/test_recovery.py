@@ -443,15 +443,12 @@ class TestRaiseIsRecoverysEncode:
 
 
 def data_rows(content):
-    """A data bucket's image by rank, with its rank bookkeeping as the
-    parity directory can know it: the counter at the highest held rank
-    and the free ranks below it (ranks freed above every held one leave
-    no trace in any parity bucket)."""
-    held = dict(zip(content["ranks"], zip(content["keys"], content["payloads"])))
-    top = max(held, default=0)
+    """A data bucket's image by rank (its rank counter and free ranks
+    follow from the ranks, so no image carries them)."""
     return {
-        "records": held, "counter": top,
-        "free": [rank for rank in content["free"] if rank < top],
+        "records": dict(
+            zip(content["ranks"], zip(content["keys"], content["payloads"]))
+        ),
         "level": content["level"], "parity_seq": content["parity_seq"],
     }
 

@@ -310,6 +310,14 @@ class TestCheckpointsUnderGrowth:
         assert len(file.data_servers()) > 8 and len(images) > 200
 
 
+def next_ranks(server, count=64):
+    """The ``count`` ranks a data bucket hands out next, not taken: its
+    free ranks smallest first, then the ones above its counter."""
+    top = server._rank_counter
+    ranks = sorted(server._free_ranks) + list(range(top + 1, top + 1 + count))
+    return ranks[:count]
+
+
 def parity_state(server):
     """Everything a parity bucket holds, its dump's records in rank
     order."""
@@ -367,7 +375,7 @@ class TestImageEqualsLiveState:
                            {"positions": [rng.choice(sorted(positions)[1:])]})
             ops = streams[pos][lo:hi]
             entries = as_blocks(ops) if rng.random() < 0.5 else ops
-            probe.call("f.p0.0", "parity.batch", {"ops": entries})
+            probe.call("f.p0.0", "parity.batch", {"runs": entries})
         probe.send("f.p0.0", "coord.checkpoint",
                    {"lsn": 4, "n": 1, "i": 2, "group_levels": {0: 2, 1: 1}})
         # A member whose length is known and whose key is not (an update
@@ -400,14 +408,14 @@ class TestImageEqualsLiveState:
         assert len(packed) == 6 + 8 * len(image["dir_keys"])
         del image
         checkpoint_and_restart(net, server)
-        probe.call("f.p0.0", "catchup.parity", {"ops": []})  # unfence
+        probe.call("f.p0.0", "catchup.parity", {"runs": []})  # unfence
         assert probe.call("f.p0.0", "parity.locate", {"key": 5}) is None
 
     def test_empty_bucket(self):
         net, server, probe = lone_parity(GF(16), index=1)
         before = checkpoint_and_restart(net, server)
         assert before[0] == [] and len(server.records) == 0
-        probe.call("f.p0.0", "catchup.parity", {"ops": []})
+        probe.call("f.p0.0", "catchup.parity", {"runs": []})
         probe.call("f.p0.0", "parity.update", seq_op(1, "insert", 9, 1, 0, b"ab"))
         checkpoint_and_restart(net, server)
         assert directory_of(server) == {9: (1, 0)}
@@ -429,12 +437,11 @@ class TestImageEqualsLiveState:
         probe.call("f.p0.0", "parity.update", seq_op(1, "insert", 500, 0, 3, b"ab"))
         rows, width = store.matrix.shape
         ranks = list(range(1, 3 * rows))
-        probe.call("f.p0.0", "parity.batch", {"ops": [{
-            "block": "insert", "pos": 1, "seq0": 1,
-            "keys": [1000 + rank for rank in ranks], "ranks": ranks,
-            "deltas": [bytes([rank]) * (4 * width + rank) for rank in ranks],
-            "lengths": [4 * width + rank for rank in ranks],
-        }]})
+        probe.call("f.p0.0", "parity.batch", {"runs": [[
+            "insert", 1, 1, [1000 + rank for rank in ranks], ranks,
+            [bytes([rank]) * (4 * width + rank) for rank in ranks],
+            [4 * width + rank for rank in ranks],
+        ]]})
         assert store.matrix.shape[0] > rows and store.width > width
         assert server.records[0].keys == {3: 500}  # carried across
         checkpoint_and_restart(net, server)
@@ -469,7 +476,7 @@ class TestImageEqualsLiveState:
         assert server.records[7].lengths == {1: 3}
         assert server.records[7].parity_bytes(server.field) == b"new"
         checkpoint_and_restart(net, server)
-        probe.call("f.p0.0", "catchup.parity", {"ops": []})  # unfence
+        probe.call("f.p0.0", "catchup.parity", {"runs": []})  # unfence
         located = probe.call("f.p0.0", "parity.locate", {"key": 31})
         assert located["keys"] == {1: 31} and located["pos"] == 1
         assert probe.call("f.p0.0", "parity.locate", {"key": 12}) is None
@@ -482,12 +489,10 @@ class TestImageEqualsLiveState:
             _, server, probe = lone_parity(GF(8))
             for pos in range(4):
                 ranks = list(range(1, groups + 1))
-                probe.call("f.p0.0", "parity.batch", {"ops": [{
-                    "block": "insert", "pos": pos, "seq0": 1,
-                    "keys": [10 * rank + pos for rank in ranks], "ranks": ranks,
-                    "deltas": [b"%04d" % rank for rank in ranks],
-                    "lengths": [4] * groups,
-                }]})
+                probe.call("f.p0.0", "parity.batch", {"runs": [[
+                    "insert", pos, 1, [10 * rank + pos for rank in ranks],
+                    ranks, [b"%04d" % rank for rank in ranks], [4] * groups,
+                ]]})
             assert len(server.records) == groups
             count = 0
 
@@ -528,8 +533,8 @@ class TestImageEqualsLiveState:
             return (
                 dict(server.bucket.records), list(server.bucket.records),
                 dict(server.ranks), dict(server._rank_to_key),
-                sorted(server._free_ranks), server._rank_counter,
-                server._parity_seq, server.bucket.level, server.epoch,
+                next_ranks(server), server._parity_seq, server.bucket.level,
+                server.epoch,
             )
 
         before = live()

@@ -110,7 +110,7 @@ class TestRoundtrip:
         snap = from_json(to_json(snapshot_file(original)))
         durable = original.rs_coordinator.durable
         assert JournalState.from_snapshot(snap["state"]) == durable
-        assert snap["version"] == 3
+        assert snap["version"] == 4
         restored = restore_file(snap, file_id="r")
         assert restored.group_levels() == original.group_levels()
         assert restored.verify_parity_consistency() == []
@@ -195,10 +195,9 @@ class TestOneBackupForm:
     def test_v3_image_round_trips(self):
         original, _ = build(count=120, field_width=16)
         snap = snapshot_file(original)
-        assert snap["version"] == 3
+        assert snap["version"] == 4
         assert set(snap["data_buckets"][0]) == {
-            "number", "level", "counter", "free", "keys", "ranks",
-            "payloads", "parity_seq",
+            "number", "level", "keys", "ranks", "payloads", "parity_seq",
         }
         assert set(snap["parity_buckets"][0]["store"]) == {
             "slots", "width", "rank_of", "extents", "matrix", "dir_keys",
@@ -208,6 +207,17 @@ class TestOneBackupForm:
         assert restored.census_with_ranks() == original.census_with_ranks()
         assert restored.verify_parity_consistency() == []
         assert bucket_images(snapshot_file(restored)) == bucket_images(snap)
+        # Version 3 kept each data bucket's rank counter and free ranks
+        # beside its columns; a restore drops them.
+        v3 = from_json(to_json(snap))
+        v3["version"] = 3
+        for bucket in v3["data_buckets"]:
+            top = max(bucket["ranks"], default=0) + 2
+            bucket["counter"] = top
+            bucket["free"] = sorted(set(range(1, top + 1)) - set(bucket["ranks"]))
+        again = restore_file(v3, file_id="v")
+        assert again.census_with_ranks() == original.census_with_ranks()
+        assert bucket_images(snapshot_file(again)) == bucket_images(snap)
 
     @pytest.mark.parametrize("version", [2, 1])
     def test_earlier_version_restores(self, version):

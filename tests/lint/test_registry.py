@@ -64,7 +64,7 @@ class TestTypeGrammar:
             parse_type(bad)
 
     def test_named_shapes_resolve_to_their_definitions(self):
-        resolved = resolve(parse_type("[delta_op|delta_block]"))
+        resolved = resolve(parse_type("[batch_op|parity_snapshot]"))
         assert [alt.tag for alt in resolved.items[0].items] == [
             "struct", "struct",
         ]

@@ -256,8 +256,7 @@ class TestSeededViolationOnLiveFile:
         with pytest.raises(InvariantViolation) as err:
             file.network.send(
                 "f.d0", target, "parity.update",
-                {"op": "insert", "key": 999, "rank": 0, "pos": 0,
-                 "delta": b"\x01\x02", "length": 2, "seq": 999},
+                {"runs": [["insert", 0, 999, [999], [0], [b"\x01\x02"], [2]]]},
             )
         text = str(err.value)
         assert err.value.rule == "gap-implies-fault"

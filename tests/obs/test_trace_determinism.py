@@ -14,12 +14,13 @@ import json
 from repro.obs import Tracer
 from tests.integration.test_chaos import run_chaos
 
-#: sha256 of ``trace_of(700, 1234)``, re-anchored when a bucket's dump
-#: and load became its image's columns: the sizes of ``bucket.dump``,
-#: ``parity.dump`` (their replies), ``bucket.load`` and ``parity.load``
-#: moved, nothing else did (see the pin below).
+#: sha256 of ``trace_of(700, 1234)``, re-anchored when every Δ became a
+#: run and a data bucket's image lost its rank counter and free ranks:
+#: the sizes of ``parity.update`` (and its reply, now ``{status,
+#: applied}``), ``parity.batch``, ``bucket.load`` and the ``bucket.dump``
+#: reply moved, nothing else did (see the pin below).
 CHAOS_SMOKE_SHA256 = (
-    "761820d3977a0c865b442dbec77bd5ee8d4da466c730a1d64bef85dd85e9368d"
+    "39fdb5c5cedd9256ee6dbb9706c3d8ae2680c1c9131851a26caf69fe6da97c39"
 )
 #: sha256 of the same stream with every message size dropped
 #: (:func:`without_sizes`): which messages travel, in what order, of

@@ -384,11 +384,14 @@ class TestScalarFramePacker:
             assert encode_frame(record, 7) == expected
 
     def test_the_scalar_shapes_do_not_reach_the_walker(self, monkeypatch):
+        pruns = [
+            {"prun": [action, 3, 77, [2**40], [5], [b"d" * 128], [length]]}
+            for action, length in (("insert", 128), ("update", 128),
+                                   ("delete", 0))
+        ]
+        expected = [walked(prun, 12) for prun in pruns]
         monkeypatch.setattr(codec, "encode", None)
-        op = {"op": "update", "key": 2**40, "rank": 5, "pos": 3,
-              "delta": b"d" * 128, "length": 128, "seq": 77}
-        prun = {"prun": ["delete", 3, 77, [2**40], [5], [b"d" * 128], [0]]}
-        assert len(encode_frame(op, 12)) == 278 and encode_frame(prun, 12)
+        assert [encode_frame(prun, 12) for prun in pruns] == expected
 
 
 def forge_version(frame, version):
@@ -403,10 +406,10 @@ class TestFormatVersion:
         assert encode_frame({"n": 1})[8] == codec.VERSION
 
     #: the format before this one, and one not written yet
-    FOREIGN = (2, codec.VERSION + 1)
+    FOREIGN = (3, codec.VERSION + 1)
 
     def test_unknown_version_reads_as_no_blob(self):
-        assert codec.VERSION == 3
+        assert codec.VERSION == 4
         blob = encode_frame({"kind": "data"}, 3)
         assert decode_blob(blob) == {"kind": "data", "lsn": 3}
         for version in self.FOREIGN:
@@ -447,8 +450,8 @@ class TestGoldenImages:
     the tag set, a column layout or an image schema shows up here and
     has to come with a new :data:`codec.VERSION`."""
 
-    DATA = "6688c262210c7a0167d05b8e15f49f3b2d17e6decdc412a0168eefdb1264aeec"
-    PARITY = "03c8e8544d1a2fc76acf7bf510c47cc7a26ceeffe73dc865e975455c28d04fbf"
+    DATA = "b72cf6302f11042e48aa7e127a6f68378c094f73b12506f72540e9d5fbd4e469"
+    PARITY = "3430424eae4d128dca34dca8ea329abe7aff3c5a3ce5e1fef7084091aeb57a51"
 
     def images(self):
         file = LHRSFile(LHRSConfig(
@@ -475,9 +478,9 @@ class TestGoldenImages:
     def test_images_are_pinned(self):
         (data, data_hash), (parity, parity_hash) = self.images()
         assert data["kind"] == "data" and len(data["keys"]) >= codec.PACK_MIN
-        assert data["free"] and "queue" not in data
+        assert not {"counter", "free", "queue"} & set(data)
         assert parity["kind"] == "parity" and parity["delta_log"]
-        store = parity["store"]  # VERSION 3: the live columns
+        store = parity["store"]  # since VERSION 3: the live columns
         assert -1 in store["rank_of"] and len(store["dir_keys"]) == (
             store["slots"] * len(store["rank_of"]))
         assert (data_hash, parity_hash) == (self.DATA, self.PARITY)

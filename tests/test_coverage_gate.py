@@ -139,9 +139,11 @@ class TestCli:
             "repro/core/recovery.py",
             "repro/core/stripe_store.py",
             "repro/core/durable.py",
+            "repro/core/parity_bucket.py",
             "repro/check",
             "repro/store",
             "repro/store/codec.py",
+            "repro/store/wal.py",
             "repro/lint",
             "repro/proto",
             "repro/proto/wire.py",
@@ -166,6 +168,29 @@ class TestCli:
         assert [line.split(":")[0] for line in lines] == [
             "ok   repro/core", "FAIL repro/core/recovery.py",
             "ok   repro/core/stripe_store.py",
+        ]
+
+    def test_the_delta_path_answers_to_its_own_floors(self):
+        """The parity bucket and the WAL frame layer are gated file by
+        file: a dip in either fails while their packages hold."""
+        floors = gate.DEFAULT_FLOORS
+        assert floors["repro/core/parity_bucket.py"] > floors["repro/core"]
+        assert floors["repro/store/wal.py"] > floors["repro/store"]
+        watched = ("repro/core", "repro/core/parity_bucket.py",
+                   "repro/store", "repro/store/wal.py")
+        status, lines = gate.evaluate(
+            report({
+                "src/repro/core/file.py": (1000, 990),
+                "src/repro/core/parity_bucket.py": (300, 270),
+                "src/repro/store/simdisk.py": (100, 99),
+                "src/repro/store/wal.py": (100, 100),
+            }),
+            {k: floors[k] for k in watched},
+        )
+        assert status == 1
+        assert [line.split(":")[0] for line in lines] == [
+            "ok   repro/core", "FAIL repro/core/parity_bucket.py",
+            "ok   repro/store", "ok   repro/store/wal.py",
         ]
 
     def test_floor_spec_validation(self):
