@@ -30,6 +30,7 @@ from repro.check import mutants
 from repro.check.history import HistoryRecorder, OpRecord
 from repro.check.linearize import Verdict, check_history
 from repro.check.scheduler import build_scheduler
+from repro.core.recovery import IntegrityError
 
 #: Kinds the chaos envelope may drop / fail / duplicate (never delay).
 MUTATION_KINDS = (
@@ -111,6 +112,9 @@ class RunResult:
     #: those are recorded as ambiguous ops, not errors)
     errors: list[str] = field(default_factory=list)
     file: Any = None
+    #: the errors that were the product refusing survivors that
+    #: disagree (:class:`IntegrityError`): each fails the run
+    integrity: list[str] = field(default_factory=list)
 
 
 def _decode_rule(rule: dict) -> dict:
@@ -120,7 +124,9 @@ def _decode_rule(rule: dict) -> dict:
     return decoded
 
 
-def _apply_step(file, step: list, errors: list[str]) -> None:
+def _apply_step(
+    file, step: list, errors: list[str], integrity: list[str]
+) -> None:
     from repro.sdds.client import OperationFailed
 
     op = step[0]
@@ -167,8 +173,11 @@ def _apply_step(file, step: list, errors: list[str]) -> None:
         # A shrunk scenario can strip the restore that made a crash
         # survivable; the run must stay evaluable (the verdict over the
         # recorded history is still meaningful), so step-level wreckage
-        # is noted, not raised.
+        # is noted, not raised.  A refused rebuild is no wreckage: the
+        # product caught survivors that disagree, so the run fails.
         errors.append(f"{op}: {err!r}")
+        if isinstance(err, IntegrityError):
+            integrity.append(errors[-1])
 
 
 def run_scenario(
@@ -202,24 +211,26 @@ def run_scenario(
         recorder = HistoryRecorder()
         file.client.recorder = recorder
         errors: list[str] = []
+        integrity: list[str] = []
         # Prefill is recorded too: the checker's model starts empty, so
         # every value a later search may observe must be in the history.
         for key in range(scenario.prefill):
-            _apply_step(file, ["insert", key, f"p{key}"], errors)
+            _apply_step(file, ["insert", key, f"p{key}"], errors, integrity)
         for step in scenario.ops:
-            _apply_step(file, step, errors)
+            _apply_step(file, step, errors, integrity)
         if scenario.settle > 0:
             net.advance(float(scenario.settle))
 
         verdict = check_history(recorder.records)
         return RunResult(
-            ok=verdict.ok,
+            ok=verdict.ok and not integrity,
             verdict=verdict,
             scenario=scenario,
             history=list(recorder.records),
             tracer=tracer,
             errors=errors,
             file=file if keep_file else None,
+            integrity=integrity,
         )
 
 
@@ -357,6 +368,7 @@ class Counterexample:
                 "failed_keys": result.verdict.failed_keys,
                 "reason": result.verdict.describe(),
                 "errors": result.errors,
+                "integrity": result.integrity,
             },
             history=[record.to_dict() for record in result.history],
             trace_tail=[repr(e) for e in result.tracer.tail(tail)],

@@ -13,11 +13,12 @@ supposed to police, each off unless a test switches it on:
     is updated between two degraded reads.
 
 ``drop_parity_seq``
-    The data bucket silently drops every second scalar ``update`` Δ
-    *before it takes a sequence number*, so the parity channel never
-    sees a gap (the self-reporting ``report.stale`` machinery
-    stays blind).  Parity decodes to a stale value after the next
-    bucket loss.
+    The data bucket silently drops every second ``update`` Δ, an
+    ``ops.batch``'s included, *before it takes a sequence number*, so
+    the parity channel never sees a gap (the self-reporting
+    ``report.stale`` machinery stays blind).  Parity decodes to a stale
+    value after the next bucket loss, or recovery refuses survivors
+    that disagree (``IntegrityError``).
 
 ``double_apply_delete``
     The parity bucket folds a ``delete`` Δ twice.  GF(2) folding is

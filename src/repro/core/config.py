@@ -121,12 +121,11 @@ class LHRSConfig:
         Enable the bulk scatter-gather data plane: the ``*_many``
         client calls bin operations by the client image into one
         ``ops.batch`` message per target bucket, servers apply each
-        sub-batch vectorized (ranks taken in one pass, payloads stacked
-        into 2D kernels) and coalesce Δ-parity into a single
-        ``parity.batch`` per (bucket, parity-target) pair per client
-        batch.  Off by default: with the knob off the ``*_many`` calls
-        degrade to the scalar per-op loop and every message trace is
-        byte-identical to the unbatched code.
+        sub-batch op by op and coalesce its Δs into runs, shipped as a
+        single ``parity.batch`` per (bucket, parity-target) pair per
+        client batch.  Off by default: with the knob off the ``*_many``
+        calls degrade to the scalar per-op loop and every message trace
+        is byte-identical to the unbatched code.
     batch_max_ops:
         Ceiling on ops per scattered sub-batch message; a larger client
         batch is chunked.  Bounds server-side admission cost per

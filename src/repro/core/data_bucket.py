@@ -16,7 +16,9 @@ Every Δ is created as the parity bucket's *run* (``delta_run`` in
 :mod:`repro.proto.schema`), one action over parallel columns: a scalar
 mutation a run of one, a split's movers, a merge, a ``records.bulk`` or
 a compaction one run per action and one message per parity bucket (the
-paper's bulk-transfer note).  That list is logged as the ``prun`` frame,
+paper's bulk-transfer note).  An ``ops.batch`` applies op by op through
+the scalar primitives; each op's Δ grows the batch's open run while the
+action repeats on a new rank.  A run is logged as the ``prun`` frame,
 kept in the history ring, shipped and folded.
 """
 
@@ -26,8 +28,6 @@ import heapq
 import zlib
 from collections import deque
 from typing import Any
-
-import numpy as np
 
 from repro.core.durable import DELTA_LOG_CAPACITY, Durability
 from repro.core.group import data_node, group_of, position_of
@@ -44,19 +44,10 @@ from repro.rs.encoder import delta_payload
 #: Catch-up traffic (catchup.load, wal.tail), structural commands and
 #: status probes stay answerable — a fenced bucket is indistinguishable
 #: from a dead one to the data plane, nothing more.
-DATA_FENCED_KINDS = frozenset(
-    {
-        "insert",
-        "update",
-        "delete",
-        "search",
-        "scan",
-        "ops.batch",
-        "record.fetch",
-        "bucket.dump",
-        "signature.dump",
-    }
-)
+DATA_FENCED_KINDS = frozenset({
+    "insert", "update", "delete", "search", "scan", "ops.batch",
+    "record.fetch", "bucket.dump", "signature.dump",
+})
 
 
 class RSDataServer(DataServer):
@@ -210,12 +201,8 @@ class RSDataServer(DataServer):
     # parity messaging
     # ------------------------------------------------------------------
     def _run(
-        self,
-        action: str,
-        keys: list[int],
-        ranks: list[int],
-        deltas: list[bytes],
-        lengths: list[int],
+        self, action: str, keys: list[int], ranks: list[int],
+        deltas: list[bytes], lengths: list[int],
     ) -> list:
         """Create one Δ-run: ``action`` at this bucket's position,
         numbered with the next ``len(keys)`` sequence numbers.
@@ -235,12 +222,34 @@ class RSDataServer(DataServer):
     def _emit_one(
         self, action: str, key: int, rank: int, delta: bytes, length: int
     ) -> None:
-        """A scalar mutation's Δ: a run of one, as ``parity.update``."""
-        run = self._run(action, [key], [rank], [delta], [length])
-        if self._in_batch:
-            self._hold(run)
-        else:
+        """A scalar mutation's Δ.  Outside a batch it is a run of one,
+        logged and shipped as ``parity.update``.  Inside one it takes the
+        next sequence number and joins the queue's last run in place by
+        :meth:`_hold`'s rule (no run of one is built for it); else that
+        run closes (:meth:`_log`) and the Δ opens the next one."""
+        if not self._in_batch:
+            run = self._run(action, [key], [rank], [delta], [length])
             self._fanout("parity.update", {"runs": [run]})
+            return
+        queue = self._parity_queue
+        self._parity_seq += 1
+        if queue:
+            run, held = queue[-1]
+            if (
+                run[0] == action
+                and rank not in held
+                and run[2] + len(held) == self._parity_seq
+            ):
+                run[3].append(key)
+                run[4].append(rank)
+                run[5].append(delta)
+                run[6].append(length)
+                held.add(rank)
+                return
+            if self._durable is not None:
+                self._log()
+        queue.append(([action, self.position, self._parity_seq, [key],
+                       [rank], [delta], [length]], {rank}))
 
     def _emit(self, runs: list[list]) -> None:
         """A structural move's or a resend's runs, joined in stream
@@ -251,12 +260,12 @@ class RSDataServer(DataServer):
             self.flush_parity()
 
     def _hold(self, run: list) -> None:
-        """Queue one run for the batch's ``parity.batch``.  It joins the
-        queue's last run when it continues it — same action, the next
-        sequence number, ranks disjoint from the last run's — so the
-        queue holds the runs a parity bucket folds in one pass each.
-        The queue owns fresh lists: the WAL frame and the history ring
-        keep the run as it was created."""
+        """Queue a run :meth:`_run` made, or a resent one, for the
+        batch's ``parity.batch``.  It joins the queue's last run when it
+        continues it — same action, the next sequence number, disjoint
+        ranks — so the queue holds the runs a parity bucket folds in one
+        pass each.  The queue owns fresh lists: the WAL frame and the
+        history ring keep the run as it was created."""
         queue = self._parity_queue
         if queue:
             last, held = queue[-1]
@@ -272,9 +281,12 @@ class RSDataServer(DataServer):
         queue.append(([*run[:3], *map(list, run[3:])], set(run[4])))
 
     def flush_parity(self) -> None:
-        """Ship every held Δ as one ``parity.batch`` per parity target;
-        nothing else ships the list."""
+        """Log the open run, then ship every held Δ as one
+        ``parity.batch`` per parity target; nothing else ships the
+        list."""
         if self._parity_queue:
+            if self._durable is not None:
+                self._log()
             queue, self._parity_queue = self._parity_queue, []
             self._fanout("parity.batch", {"runs": [run for run, _ in queue]})
 
@@ -405,138 +417,21 @@ class RSDataServer(DataServer):
         self._emit(self._compact())
 
     # ------------------------------------------------------------------
-    # batched key operations: Δ-coalescing and vectorized runs
+    # batched key operations: Δ-coalescing
     # ------------------------------------------------------------------
     def handle_ops_batch(self, message: Message) -> dict:
-        """One client sub-batch, its Δs held while it applies (a split
-        triggered mid-batch joins the list with its structural Δs).  At
-        the end, however the batch ends — what was applied must reach
-        parity — the list ships as ONE ``parity.batch`` per target, the
-        coalesced-Δ message the 2D bulk fold feeds on."""
+        """One client sub-batch, applied op by op with its Δs held (a
+        split triggered mid-batch joins the list with its structural
+        Δs).  At the end, however the batch ends — what was applied must
+        reach parity — the list is logged and ships as ONE
+        ``parity.batch`` per target, the coalesced-Δ message the 2D bulk
+        fold feeds on."""
         self._in_batch = True
         try:
             return super().handle_ops_batch(message)
         finally:
             self._in_batch = False
             self.flush_parity()
-
-    def _apply_batch_ops(self, ops: list[dict]) -> list[dict]:
-        """Vectorize maximal eligible runs of same-kind mutations;
-        everything else takes the scalar per-op path unchanged."""
-        results: list[dict] = []
-        i = 0
-        while i < len(ops):
-            run = self._bulk_run(ops, i)
-            if run > 1:
-                chunk = ops[i:i + run]
-                if chunk[0]["op"] == "insert":
-                    results.extend(self._apply_bulk_insert(chunk))
-                else:
-                    results.extend(self._apply_bulk_update(chunk))
-                i += run
-            else:
-                results.append(self._apply_batch_op(ops[i]))
-                i += 1
-        return results
-
-    def _bulk_run(self, ops: list[dict], start: int) -> int:
-        """Length of the vectorizable run at ``start`` (1 = scalar).
-
-        A run must be same-kind insert-or-update, bytes payloads,
-        pairwise-distinct keys, every key accepted by A2, inserts all
-        absent (and fitting under capacity, so no overflow report can
-        fire mid-run) and updates all present (with no overflow report
-        pending, which only a size change or growth could owe) — the
-        conditions under which the vectorized apply is step-for-step
-        equivalent to the scalar sequence.
-        """
-        kind = ops[start]["op"]
-        if kind not in ("insert", "update"):
-            return 1
-        seen: set[int] = set()
-        run = start
-        while run < len(ops):
-            op = ops[run]
-            key = op["key"]
-            if (
-                op["op"] != kind
-                or key in seen
-                or not isinstance(op.get("value"), (bytes, bytearray))
-                or self._verify(key) is not None
-                or (key in self.bucket) != (kind == "update")
-            ):
-                break
-            seen.add(key)
-            run += 1
-        count = run - start
-        if kind == "insert":
-            # Stop the run at capacity: the tail goes per-op, where the
-            # overflow reports (and any split they trigger) fire exactly
-            # when the scalar sequence would fire them.
-            count = min(count, self.bucket.capacity - len(self.bucket))
-        elif self.bucket.overflowing and len(self.bucket) > self._last_reported_size:
-            return 1  # an overflow report is due; per-op path sends it
-        return count if count >= 2 else 1
-
-    def _insert_run(self, keys: list[int], payloads: list[bytes]) -> list:
-        """Store absent records under ranks taken together; their one
-        insert run."""
-        ranks = self._take_ranks(len(keys))
-        put, assign = self.bucket.put, self._assign_rank
-        for key, rank, payload in zip(keys, ranks, payloads):
-            assign(key, rank)
-            put(key, payload)
-        return self._run(
-            "insert", keys, ranks, payloads, list(map(len, payloads))
-        )
-
-    def _apply_bulk_insert(self, ops: list[dict]) -> list[dict]:
-        """Insert a run in one pass: one Δ-run for the run."""
-        self._emit([self._insert_run(
-            [op["key"] for op in ops], [op["value"] for op in ops]
-        )])
-        # The run fits under capacity, so this is the scalar sequence's
-        # final not-overflowing marker reset, not a report.
-        self._report_overflow_if_needed()
-        return ["applied"] * len(ops)
-
-    def _apply_bulk_update(self, ops: list[dict]) -> list[dict]:
-        """Update a run with one stacked-XOR delta kernel.
-
-        Old and new payloads are stacked into two (run × symbols)
-        matrices, XORed in one pass, and converted back to bytes in one
-        call; each op's Δ is its row trimmed to max(len(old), len(new))
-        — byte-identical to scalar ``delta_payload``, which zero-extends
-        the shorter operand to exactly that length.
-        """
-        keys = [op["key"] for op in ops]
-        news = [op["value"] for op in ops]
-        olds = [self.bucket.get(k) for k in keys]
-        lengths = [max(len(o), len(n)) for o, n in zip(olds, news)]
-        longest = max(lengths)
-        if longest:
-            sym_len = self.field.symbol_length_for_bytes(longest)
-            stacked_old = self.field.stack_payloads(olds, sym_len)
-            stacked_new = self.field.stack_payloads(news, sym_len)
-            delta = np.bitwise_xor(stacked_old, stacked_new)
-            blob = self.field.bytes_from_symbols(delta.reshape(-1))
-            row_bytes = len(blob) // len(ops)
-        else:
-            blob, row_bytes = b"", 0
-        put = self.bucket.put
-        ranks = [self.ranks[key] for key in keys]
-        deltas: list[bytes] = []
-        new_lengths: list[int] = []
-        for idx, (key, new) in enumerate(zip(keys, news)):
-            put(key, new)
-            start = idx * row_bytes
-            deltas.append(blob[start:start + lengths[idx]])
-            new_lengths.append(len(new))
-        self._emit([self._run("update", keys, ranks, deltas, new_lengths)])
-        # No size change and no report pending (run precondition), so
-        # this only performs the scalar sequence's marker bookkeeping.
-        self._report_overflow_if_needed()
-        return ["applied"] * len(ops)
 
     # ------------------------------------------------------------------
     # splits: group membership follows the record
@@ -546,11 +441,8 @@ class RSDataServer(DataServer):
             return {"moved": 0, "kept": len(self.bucket)}  # re-sent: it ran
         target = message.payload["target"]
         stay, move = addressing.split_records(
-            list(self.bucket.records.items()),
-            lambda item: item[0],
-            self.number,
-            self.level,
-            self.n0,
+            list(self.bucket.records.items()), lambda item: item[0],
+            self.number, self.level, self.n0,
         )
         # Remove the movers from this group's record groups (one run).
         # Local state mutates *before* the parity send: a parity spare
@@ -589,7 +481,13 @@ class RSDataServer(DataServer):
         ]
         if moved:
             keys, payloads = map(list, zip(*moved))
-            self._emit([self._insert_run(keys, payloads)])
+            ranks = self._take_ranks(len(keys))
+            for key, rank, payload in zip(keys, ranks, payloads):
+                self._assign_rank(key, rank)
+                self.bucket.put(key, payload)
+            self._emit([self._run(
+                "insert", keys, ranks, payloads, list(map(len, payloads))
+            )])
         self._report_overflow_if_needed()
 
     def handle_merge(self, message: Message) -> Any:
@@ -722,34 +620,50 @@ class RSDataServer(DataServer):
         self._delta_history = deque()
         self.checkpoint_now()
 
-    def _log(self, frame: dict) -> None:
-        """One WAL frame (a ``prun`` Δ-run or a ``ctl`` record); a run
-        also joins the history ring that serves a restarted parity
-        bucket's catch-up ask.  A fail-stop drops what an in-flight
-        batch holds (a dead node ships nothing): logged and unacked,
-        those Δs are re-sent from the ring after a restart
-        (:meth:`handle_catchup_load`)."""
-        try:
-            self._durable.log(frame)
-        except NodeUnavailable:
-            self._parity_queue.clear()
-            raise
-        if "prun" in frame:
-            self._remember(frame["prun"])
+    def _log(self, frame: dict | None = None) -> None:
+        """Close the queue's last run — log its Δs not logged yet (a
+        batch's ops) as one ``prun`` frame — then log ``frame``, so
+        frames keep sequence order; a run also joins the history ring
+        that serves a restarted parity bucket's catch-up ask.  A
+        fail-stop drops what an in-flight batch holds (a dead node ships
+        nothing): logged and unacked, those Δs are re-sent from the ring
+        after a restart (:meth:`handle_catchup_load`)."""
+        frames = [] if frame is None else [frame]
+        if self._parity_queue:
+            # the ring's newest run ends at the last logged sequence
+            # number; the queue's Δs past it are the open ones
+            run, ring = self._parity_queue[-1][0], self._delta_history
+            skip = max(0, ring[-1][2] + len(ring[-1][3]) - run[2]) if ring else 0
+            if skip < len(run[3]):
+                frames.insert(0, {"prun": [
+                    run[0], run[1], run[2] + skip,
+                    *(column[skip:] for column in run[3:]),
+                ]})
+        for entry in frames:
+            try:
+                self._durable.log(entry)
+            except NodeUnavailable:
+                self._parity_queue.clear()
+                raise
+            if "prun" in entry:
+                self._remember(entry["prun"])
 
     def _remember(self, run: list) -> None:
-        """Ring ``run``, keeping at most :data:`DELTA_LOG_CAPACITY`
-        Δs (as a parity bucket's ring does); old runs retire whole.
-        The ring's sequence span bounds the Δs it holds (a gap only
-        makes it retire early)."""
+        """Ring ``run``, keeping at most :data:`DELTA_LOG_CAPACITY` Δs
+        (as a parity bucket's ring does) besides the newest run, which
+        marks the last logged sequence number (:meth:`_log`) whatever
+        its length.  Old runs retire whole; the ring's sequence span
+        bounds the Δs it holds (a gap only makes it retire early)."""
         ring = self._delta_history
         ring.append(run)
         end = run[2] + len(run[3])
-        while ring and end - ring[0][2] > DELTA_LOG_CAPACITY:
+        while len(ring) > 1 and end - ring[0][2] > DELTA_LOG_CAPACITY:
             ring.popleft()
 
     def checkpoint_now(self) -> None:
-        """Write a full-state checkpoint and truncate the WAL."""
+        """Close the open run, write a full-state checkpoint and truncate
+        the WAL: an image never holds Δs the log is still owed."""
+        self._log()
         self._durable.checkpoint(self._image(), len(self.bucket.records))
 
     def _image(self) -> dict:
@@ -850,34 +764,28 @@ class RSDataServer(DataServer):
 
     # -- WAL replay ----------------------------------------------------
     def _replay_frame(self, frame: dict) -> None:
-        if "prun" in frame:
-            action, _, _, keys, ranks, deltas, lengths = frame["prun"]
-            for key, rank, delta, length in zip(keys, ranks, deltas, lengths):
-                self._replay_one(action, key, rank, delta, length)
-        elif frame["ctl"] == "level":
-            self.bucket.level = frame["level"]
-        elif frame["ctl"] == "wipe":
-            self._wipe()
-
-    def _replay_one(
-        self, action: str, key: int, rank: int, delta: bytes, length: int
-    ) -> None:
-        """Apply one logged mutation to the store.
-
-        Inserts log the payload verbatim; updates log the XOR Δ, so the
-        new value is ``old ⊕ Δ`` trimmed to the logged length (exactly
-        how the parity channel reconstructs it).
-        """
-        if action == "insert":
-            self._adopt_rank(rank)
-            self._assign_rank(key, rank)
-            self.bucket.put(key, delta)
-        elif action == "update":
-            old = self.bucket.get(key)
-            self.bucket.put(key, delta_payload(old, delta)[:length])
-        elif key in self.bucket:  # delete
-            self.bucket.delete(key)
-            self._release_rank(self._unassign_rank(key))
+        """Apply one logged frame to the store.  Inserts log the payload
+        verbatim; updates log the XOR Δ, so the new value is ``old ⊕ Δ``
+        trimmed to the logged length (exactly how the parity channel
+        reconstructs it)."""
+        if "ctl" in frame:
+            if frame["ctl"] == "level":
+                self.bucket.level = frame["level"]
+            elif frame["ctl"] == "wipe":
+                self._wipe()
+            return
+        action, _, _, keys, ranks, deltas, lengths = frame["prun"]
+        bucket = self.bucket
+        for key, rank, delta, length in zip(keys, ranks, deltas, lengths):
+            if action == "insert":
+                self._adopt_rank(rank)
+                self._assign_rank(key, rank)
+                bucket.put(key, delta)
+            elif action == "update":
+                bucket.put(key, delta_payload(bucket.get(key), delta)[:length])
+            elif key in bucket:  # delete
+                bucket.delete(key)
+                self._release_rank(self._unassign_rank(key))
 
     def _adopt_rank(self, rank: int) -> None:
         """Claim a *specific* rank during replay or catch-up: pull it

@@ -46,6 +46,12 @@ class RecoveryError(RuntimeError):
     """
 
 
+class IntegrityError(RecoveryError):
+    """Survivors that must agree do not: two parity directories, or a
+    data bucket and the parity directory.  Recovery refuses to decode
+    rather than rebuild from a parity bucket that missed a Δ."""
+
+
 class RecoveryPacer:
     """Token bucket throttling rebuild transfers against foreground load.
 
@@ -190,7 +196,7 @@ def _align(group: int, parity_dumps: dict[int, dict], m: int):
             agree = all(map(np.array_equal, mine, directory))
             others.append(np.array(image["extents"], dtype=np.int64)[rows])
         if not agree:
-            raise RecoveryError(
+            raise IntegrityError(
                 f"group {group}: surviving parity directories disagree"
             )
         stripes[pos] = image, rows
@@ -589,7 +595,7 @@ class RecoveryManager:
             or ranks[at].tolist() != of_rank
             or cells[at, owner].tolist() != list(map(len, payloads))
         ):
-            raise RecoveryError(
+            raise IntegrityError(
                 f"group {group}: a surviving data bucket disagrees with "
                 "the parity directory"
             )

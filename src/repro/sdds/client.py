@@ -622,8 +622,8 @@ class Client(Node):
                 moved_here = 0
                 for idx, res in zip(chunk, reply["results"]):
                     if type(res) is str:
-                        # Lean reply form: a bare status string, emitted
-                        # by the server's vectorized runs ("applied").
+                        # Lean reply form: a bare status string, what a
+                        # plain applied mutation answers ("applied").
                         hints.pop(idx, None)
                         outcome.outcomes[idx] = OpOutcome(
                             ops[idx]["key"], "ok"

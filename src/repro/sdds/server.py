@@ -230,17 +230,13 @@ class DataServer(Node):
         it — the remaining ops then see the post-split bucket and are
         refused, landing at the batch boundary.
         """
-        results = self._apply_batch_ops(message.payload["ops"])
+        results = list(map(self._apply_batch_op, message.payload["ops"]))
         return {"j": self.level, "a": self.number, "results": results}
 
-    def _apply_batch_ops(self, ops: list[dict]) -> list[dict]:
-        """Hook: apply a sub-batch.  Plain LH* applies op by op; LH*RS
-        overrides to vectorize runs of same-kind ops."""
-        return [self._apply_batch_op(op) for op in ops]
-
-    def _apply_batch_op(self, op: dict) -> dict:
+    def _apply_batch_op(self, op: dict) -> dict | str:
         """Apply one batch op, mirroring the scalar handler's effects
-        (same verify, same mutation primitive, same load reports)."""
+        (same verify, same mutation primitive, same load reports).  A
+        plain applied mutation answers with the bare ``"applied"``."""
         kind = op["op"]
         key = op["key"]
         forward = self._verify(key)
@@ -255,7 +251,7 @@ class DataServer(Node):
         if kind == "insert":
             self.apply_insert(key, op["value"])
             self._report_overflow_if_needed()
-            return {"status": "applied"}
+            return "applied"
         if kind == "update":
             found = key in self.bucket
             self.apply_update(key, op["value"])
@@ -263,12 +259,12 @@ class DataServer(Node):
             if not found:
                 return {"status": "applied",
                         "error": "update of absent key"}
-            return {"status": "applied"}
+            return "applied"
         if kind == "delete":
             self.apply_delete(key)
             self._report_overflow_if_needed()
             self._report_underflow_if_needed()
-            return {"status": "applied"}
+            return "applied"
         raise ValueError(f"unknown batch op kind {kind!r}")
 
     # ------------------------------------------------------------------
@@ -363,9 +359,12 @@ class DataServer(Node):
         return {"moved": len(move), "kept": len(stay)}
 
     def handle_records_bulk(self, message: Message) -> None:
-        """Bulk arrival of records moved by a split."""
+        """Bulk arrival of records moved by a split or merge.  A key this
+        bucket already holds is skipped: its value is at least as new as
+        the moved copy, so a second delivery changes nothing."""
+        records = self.bucket.records
         for key, value in message.payload["records"]:
-            self.receive_moved_record(key, value)
+            records.setdefault(key, value)
         self._report_overflow_if_needed()
 
     # ------------------------------------------------------------------
@@ -388,10 +387,6 @@ class DataServer(Node):
         """Coordinator command: adopt a new bucket level (merge source
         widens its hash coverage back to the pre-split level)."""
         self.bucket.level = message.payload["level"]
-
-    def receive_moved_record(self, key: int, value: Any) -> None:
-        """Store one record that moved here through a split."""
-        self.bucket.put(key, value)
 
     # ------------------------------------------------------------------
     # introspection (file-state recovery, tests)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines import LHGConfig, LHGFile
 from repro.baselines.lhg import decode_group_key, encode_group_key, xor_into
+from repro.sdds.server import DataServer
 from repro.sim.rng import make_rng
 
 
@@ -126,6 +127,32 @@ class TestRecovery:
             file.recover([node])
         assert window.by_kind["gparity.scan_for_bucket"] >= 1
         assert window.by_kind["gparity.scan_for_bucket.reply"] == parity_buckets
+
+    def test_a_resent_split_brings_back_no_old_value(self, monkeypatch):
+        """m = 2, b = 4, keys 0–39, then key 15 updated: a second
+        delivery of the last split's ``records.bulk`` must not put the
+        old value back — before or after a rebuild of its bucket, whose
+        parity holds the update."""
+        file = LHGFile(LHGConfig(group_size=2, bucket_capacity=4))
+        moves = []
+        handle = DataServer.handle_records_bulk
+
+        def spy(server, message):
+            moves.append(message)
+            return handle(server, message)
+
+        monkeypatch.setattr(DataServer, "handle_records_bulk", spy)
+        for key in range(40):
+            file.insert(key, b"v%d" % key)
+        monkeypatch.undo()
+        file.update(15, b"newer")
+        last = moves[-1]
+        assert 15 in dict(last.payload["records"])
+        file.network.send(last.sender, last.recipient, last.kind, last.payload)
+        assert file.search(15).value == b"newer"
+        assert file.verify_parity_consistency() == []
+        file.recover([file.fail_data_bucket(file.find_bucket_of(15))])
+        assert file.search(15).value == b"newer"
 
     def test_parity_bucket_recovery(self):
         file, keys = build(count=600)

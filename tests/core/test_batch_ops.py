@@ -10,8 +10,8 @@ it must be:
   batch's actual confirmation order (``BatchOutcome.applied_order``)
   through a scalar-only file produces a byte-identical file: same
   bucket layout, same records, same ranks, same parity symbols.  The
-  vectorized bulk-apply runs, the coalesced ``parity.batch`` folds and
-  the O(moves) ``_compact`` are all invisible.
+  Δ-runs a batch's ops join into, the coalesced ``parity.batch`` folds
+  and the O(moves) ``_compact`` are all invisible.
 * **Knobs off ⇒ scalar** — with ``batch_ops=False`` the ``*_many``
   entry points emit byte-identical message traces to a hand-written
   scalar loop.
@@ -294,6 +294,83 @@ def test_dump_inside_a_batch_ships_the_held_deltas_first(victim, monkeypatch):
     assert file.network.is_available(victim)  # rebuilt onto a spare
     assert [k for k, v in oracle.items() if file.search(k).value != v] == []
     assert file.verify_parity_consistency() == []
+
+
+class TestOpByOp:
+    """An ``ops.batch`` applies op by op through the scalar primitives;
+    its Δs still travel and are logged as the parity bucket's runs."""
+
+    @staticmethod
+    def _fresh(file, bucket, count, start=1000):
+        keys = (k for k in range(start, 100 * start)
+                if file.find_bucket_of(k) == bucket)
+        return [next(keys) for _ in range(count)]
+
+    def test_a_durable_batch_of_one_action_logs_one_frame(self, monkeypatch):
+        file = LHRSFile(_cfg(
+            True, m=4, k=2, capacity=128, durability=True,
+            durability_checkpoint_interval=10**6,
+        ))
+        server = file.network.nodes["f.d2"]
+        frames = []
+        append = server._durable.wal.append
+
+        def spy(entry):
+            frames.append(entry)
+            return append(entry)
+
+        monkeypatch.setattr(server._durable.wal, "append", spy)
+        keys = self._fresh(file, 2, 50)
+        ops = [{"op": "insert", "key": k, "value": b"v%d" % k} for k in keys]
+        reply = file.client.call("f.d2", "ops.batch", {"ops": ops})
+        assert reply["results"] == ["applied"] * 50
+        assert [list(frame) for frame in frames] == [["prun"]]
+        action, _, seq0, logged, *_ = frames[0]["prun"]
+        assert (action, seq0, logged) == ("insert", 1, keys)
+        assert server._delta_history[-1][3] == keys
+
+    def test_a_plain_applied_mutation_answers_bare_applied(self):
+        file = LHRSFile(_cfg(True, m=4, k=2, capacity=64))
+        old = self._fresh(file, 1, 3, start=10)
+        for key in old:
+            file.insert(key, b"old")
+        (new,) = self._fresh(file, 1, 1, start=5000)
+        (absent,) = self._fresh(file, 1, 1, start=9000)
+        ops = [
+            {"op": "insert", "key": new, "value": b"n"},
+            {"op": "update", "key": old[0], "value": b"u"},
+            {"op": "delete", "key": old[1]},
+            {"op": "insert", "key": old[2], "value": b"upsert"},
+            {"op": "delete", "key": old[1]},  # already gone
+            {"op": "update", "key": absent, "value": b"a"},
+            {"op": "search", "key": old[0]},
+        ]
+        reply = file.client.call("f.d1", "ops.batch", {"ops": ops})
+        assert reply["results"] == ["applied"] * 5 + [
+            {"status": "applied", "error": "update of absent key"},
+            {"status": "found", "value": b"u"},
+        ]
+        assert file.verify_parity_consistency() == []
+
+    def test_a_full_bucket_verifies_each_op_once(self, monkeypatch):
+        file = LHRSFile(_cfg(True, m=4, k=2, capacity=8))
+        for key in self._fresh(file, 3, 8, start=10):
+            file.insert(key, b"full")
+        server = file.network.nodes["f.d3"]
+        assert len(server.bucket) == server.bucket.capacity
+        verified = []
+        verify = RSDataServer._verify
+
+        def counted(self, key):
+            if self is server:
+                verified.append(key)
+            return verify(self, key)
+
+        monkeypatch.setattr(RSDataServer, "_verify", counted)
+        keys = self._fresh(file, 3, 20)
+        ops = [{"op": "insert", "key": k, "value": b"v"} for k in keys]
+        file.client.call("f.d3", "ops.batch", {"ops": ops})
+        assert verified == keys
 
 
 class TestRankIndex:

@@ -363,6 +363,38 @@ def test_the_history_ring_is_bounded_in_deltas(monkeypatch):
             assert not reply["covered"]
 
 
+def test_a_run_longer_than_the_ring_is_logged_once(monkeypatch):
+    """The ring's newest run marks the last logged sequence number, so it
+    stays even when longer than the ring's bound: a split inside an
+    ``ops.batch`` whose movers outnumber the bound is logged once, and
+    the batch's later runs start past it."""
+    monkeypatch.setattr(data_bucket, "DELTA_LOG_CAPACITY", 4)
+    file = LHRSFile(LHRSConfig(
+        group_size=4, availability=1, bucket_capacity=16, durability=True,
+        durability_checkpoint_interval=10**6, batch_ops=True,
+    ))
+    server = file.network.nodes["f.d0"]
+    for key in range(0, 64, 4):
+        file.insert(key, b"v%d" % key)
+    frames = []
+    append = server._durable.wal.append
+
+    def spy(entry):
+        frames.append(entry)
+        return append(entry)
+
+    monkeypatch.setattr(server._durable.wal, "append", spy)
+    ops = [{"op": "insert", "key": k, "value": b"w"} for k in range(64, 160, 8)]
+    file.client.call("f.d0", "ops.batch", {"ops": ops})
+    assert server.level == 1  # split inside the batch
+    spans = [server._seq_span(frame["prun"]) for frame in frames
+             if "prun" in frame]
+    assert max(hi - lo for lo, hi in spans) >= 4  # the split's movers
+    assert [lo for lo, _ in spans[1:]] == [hi + 1 for _, hi in spans[:-1]]
+    assert spans[-1][1] == server._parity_seq
+    assert file.verify_parity_consistency() == []
+
+
 def test_a_restarted_data_bucket_puts_no_lsn_on_the_wire():
     """The history ring a restart refills holds the logged runs, not the
     decoded frames: a ``wal.tail`` reply and a catch-up resend stay on

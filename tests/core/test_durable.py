@@ -113,8 +113,11 @@ def test_a_delta_frame_alone_dies_with_the_crash(rig):
 @pytest.mark.parametrize("write", ["append", "checkpoint"])
 def test_a_disk_error_is_fail_stop(rig, write):
     rig.break_disk()
-    if rig.kind == "data":
-        rig.server._parity_queue.append({"held": "by a batch"})
+    if rig.kind == "data" and write == "append":
+        # a batch's open run: (run, ranks), its one Δ not yet logged
+        rig.server._parity_queue.append(
+            (["insert", 0, 1, [9], [1], [b"v9"], [2]], {1})
+        )
     failing = rig.mutate if write == "append" else rig.server.checkpoint_now
     with pytest.raises(NodeUnavailable):
         failing()

@@ -200,7 +200,7 @@ class TestFailStopInsideABatch:
         server.checkpoint_now()  # the 40 inserts leave the catch-up window
         old = [k for k in range(40) if file.find_bucket_of(k) == 0]
         new = [k for k in range(100, 900) if file.find_bucket_of(k) == 0]
-        ops = [  # alternating kinds: no vectorised run, one frame per op
+        ops = [  # alternating kinds: each op closes the run before it
             {"op": "delete", "key": old[0]},
             {"op": "insert", "key": new[0], "value": b"new-0"},
             {"op": "update", "key": old[1], "value": b"changed"},

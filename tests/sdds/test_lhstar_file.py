@@ -12,6 +12,7 @@ import pytest
 
 from repro.lh import addressing
 from repro.sdds import LHStarFile, SplitPolicy
+from repro.sdds.server import DataServer
 from repro.sim.rng import make_rng
 
 
@@ -152,6 +153,29 @@ class TestUpdatesAndDeletes:
         file = LHStarFile(capacity=8)
         file.delete(12345)
         assert file.total_records() == 0
+
+    def test_a_resent_split_brings_back_no_old_value(self, monkeypatch):
+        """b = 4, keys 0–39, then key 15 updated: the last split moved
+        it with its old value, and a second delivery of that
+        ``records.bulk`` must not put the old value back."""
+        file = LHStarFile(capacity=4)
+        moves = []
+        handle = DataServer.handle_records_bulk
+
+        def spy(server, message):
+            moves.append(message)
+            return handle(server, message)
+
+        monkeypatch.setattr(DataServer, "handle_records_bulk", spy)
+        for key in range(40):
+            file.insert(key, b"v%d" % key)
+        monkeypatch.undo()
+        file.update(15, b"newer")
+        last = moves[-1]
+        assert 15 in dict(last.payload["records"])
+        file.network.send(last.sender, last.recipient, last.kind, last.payload)
+        assert file.search(15).value == b"newer"
+        assert file.total_records() == 40
 
 
 class TestScans:

@@ -38,8 +38,8 @@ DEFAULT_FLOORS: dict[str, float] = {
     # branch of the coordinator no test reaches is a step nobody has
     # shown to be safe to run twice.
     "repro/core/coordinator.py": 85.0,
-    # Batch data plane (this PR): the client scatter-gather loop and
-    # the vectorized bucket/parity apply paths must stay exercised.
+    # Batch data plane: the client scatter-gather loop and the data
+    # bucket's Δ-run holding, logging and shipping must stay exercised.
     "repro/sdds": 75.0,
     "repro/sdds/client.py": 72.0,
     "repro/core/data_bucket.py": 82.0,
