@@ -19,17 +19,18 @@ a compaction one run per action and one message per parity bucket (the
 paper's bulk-transfer note).  An ``ops.batch`` applies op by op through
 the scalar primitives; each op's Δ grows the batch's open run while the
 action repeats on a new rank.  A run is logged as the ``prun`` frame,
-kept in the history ring, shipped and folded.
+kept in the history ring, shipped and folded; a restarted bucket that
+lost a WAL tail gets its runs back from a parity bucket's ring and
+replays them as its own frames.
 """
 
 from __future__ import annotations
 
 import heapq
 import zlib
-from collections import deque
 from typing import Any
 
-from repro.core.durable import DELTA_LOG_CAPACITY, Durability
+from repro.core.durable import Durability, RunRing
 from repro.core.group import data_node, group_of, position_of
 from repro.lh import addressing
 from repro.obs.trace import OMITTED
@@ -105,8 +106,8 @@ class RSDataServer(DataServer):
         #: the durability shell (None = the legacy RAM-only server;
         #: enable_durability wires it when config.durability is on)
         self._durable: Durability | None = None
-        #: the newest logged Δ-runs (see _remember)
-        self._delta_history: deque | None = None
+        #: the newest logged Δ-runs (durable buckets only)
+        self._delta_history: RunRing | None = None
         #: incarnation stamped by the coordinator; a rebuilt spare under
         #: the same node id gets a higher epoch, fencing stale disks
         self.epoch = 0
@@ -617,7 +618,7 @@ class RSDataServer(DataServer):
         the first periodic checkpoint still replays cleanly.
         """
         self._durable = Durability(self, config, self._coordinator())
-        self._delta_history = deque()
+        self._delta_history = RunRing()
         self.checkpoint_now()
 
     def _log(self, frame: dict | None = None) -> None:
@@ -632,8 +633,8 @@ class RSDataServer(DataServer):
         if self._parity_queue:
             # the ring's newest run ends at the last logged sequence
             # number; the queue's Δs past it are the open ones
-            run, ring = self._parity_queue[-1][0], self._delta_history
-            skip = max(0, ring[-1][2] + len(ring[-1][3]) - run[2]) if ring else 0
+            run = self._parity_queue[-1][0]
+            skip = max(0, self._delta_history.last + 1 - run[2])
             if skip < len(run[3]):
                 frames.insert(0, {"prun": [
                     run[0], run[1], run[2] + skip,
@@ -646,19 +647,7 @@ class RSDataServer(DataServer):
                 self._parity_queue.clear()
                 raise
             if "prun" in entry:
-                self._remember(entry["prun"])
-
-    def _remember(self, run: list) -> None:
-        """Ring ``run``, keeping at most :data:`DELTA_LOG_CAPACITY` Δs
-        (as a parity bucket's ring does) besides the newest run, which
-        marks the last logged sequence number (:meth:`_log`) whatever
-        its length.  Old runs retire whole; the ring's sequence span
-        bounds the Δs it holds (a gap only makes it retire early)."""
-        ring = self._delta_history
-        ring.append(run)
-        end = run[2] + len(run[3])
-        while len(ring) > 1 and end - ring[0][2] > DELTA_LOG_CAPACITY:
-            ring.popleft()
+                self._delta_history.remember(entry["prun"])
 
     def checkpoint_now(self) -> None:
         """Close the open run, write a full-state checkpoint and truncate
@@ -733,19 +722,12 @@ class RSDataServer(DataServer):
         state, tail, clean = self._durable.read_back("data")
         self._wipe()  # everything volatile is lost with the process
         self._parity_seq = 0
-        self._delta_history.clear()
+        self._delta_history = RunRing()
         self.epoch = 0
         if state is not None:
             self._load_image(state)
             for frame in tail:
                 self._replay_frame(frame)
-                if "prun" in frame:
-                    # the run, not the decoded frame: its ``lsn`` is
-                    # this disk's business, never the wire's
-                    self._remember(frame["prun"])
-                    # the durable prefix the rejoin reports: catch-up
-                    # fetches past it, channels behind it get a resend
-                    self._parity_seq = self._seq_span(frame["prun"])[1]
         self.fenced = True
         if net.tracer is not None:
             net.tracer.emit(
@@ -767,14 +749,19 @@ class RSDataServer(DataServer):
         """Apply one logged frame to the store.  Inserts log the payload
         verbatim; updates log the XOR Δ, so the new value is ``old ⊕ Δ``
         trimmed to the logged length (exactly how the parity channel
-        reconstructs it)."""
+        reconstructs it).  A run joins the history ring and ends the
+        durable prefix the rejoin reports: catch-up fetches past it,
+        channels behind it get a resend."""
         if "ctl" in frame:
             if frame["ctl"] == "level":
                 self.bucket.level = frame["level"]
             elif frame["ctl"] == "wipe":
                 self._wipe()
             return
-        action, _, _, keys, ranks, deltas, lengths = frame["prun"]
+        # the run, not the decoded frame: its ``lsn`` is this disk's
+        # business, never the wire's
+        run = frame["prun"]
+        action, _, seq0, keys, ranks, deltas, lengths = run
         bucket = self.bucket
         for key, rank, delta, length in zip(keys, ranks, deltas, lengths):
             if action == "insert":
@@ -786,12 +773,14 @@ class RSDataServer(DataServer):
             elif key in bucket:  # delete
                 bucket.delete(key)
                 self._release_rank(self._unassign_rank(key))
+        self._delta_history.remember(run)
+        self._parity_seq = seq0 + len(keys) - 1
 
     def _adopt_rank(self, rank: int) -> None:
-        """Claim a *specific* rank during replay or catch-up: pull it
-        from the free heap if present, else extend the counter to cover
-        it (ranks skipped on the way up become free, exactly as the
-        live allocation path left them)."""
+        """Claim a *specific* rank during replay: pull it from the free
+        heap if present, else extend the counter to cover it (ranks
+        skipped on the way up become free, exactly as the live
+        allocation path left them)."""
         if rank > self._rank_counter:
             for skipped in range(self._rank_counter + 1, rank):
                 heapq.heappush(self._free_ranks, skipped)
@@ -800,101 +789,60 @@ class RSDataServer(DataServer):
             self._free_ranks.remove(rank)
             heapq.heapify(self._free_ranks)
 
-    @staticmethod
-    def _seq_span(run: list) -> tuple[int, int]:
-        """Inclusive Δ-sequence span of one run."""
-        return run[2], run[2] + len(run[3]) - 1
-
     # -- serving catch-up ----------------------------------------------
     def handle_wal_tail(self, message: Message) -> dict:
-        """A restarted parity bucket asks for the Δs it missed.
-
-        Returns every run reaching past sequence number ``after`` from
-        the in-RAM history ring (the receiver's channel check skips the
-        part of the first it already holds); ``covered`` is False when
-        the ring no longer reaches back that far (checkpoints retire old
-        WAL frames) — the asker must then fall back to a full rebuild.
-        """
-        after = message.payload["after"]
-        live = self._parity_seq
-        runs: list[list] = []
-        next_needed = after + 1
-        covered = True
-        for run in self._delta_history or ():
-            lo, hi = self._seq_span(run)
-            if hi < next_needed:
-                continue
-            if lo > next_needed:
-                covered = False
-                break
-            runs.append(run)
-            next_needed = hi + 1
-        covered = covered and next_needed > live
-        return {"covered": covered, "live": live, "runs": runs}
+        """A restarted parity bucket asks for the Δs it missed: the
+        history ring's runs past ``after`` (:meth:`RunRing.tail`)."""
+        return self._delta_history.tail(
+            message.payload["after"], self._parity_seq
+        )
 
     # -- receiving catch-up --------------------------------------------
     def handle_catchup_load(self, message: Message) -> dict:
-        """Apply the coordinator's delta catch-up verdict and unfence.
+        """Replay the Δs a live parity bucket applied past our durable
+        prefix ``disk_seq``, resend what lagging ones miss, and unfence.
 
-        ``set`` holds the *final* state of every key that changed while
-        we were down (the coordinator already resolved per-key winners);
-        ``delete`` lists keys whose final state is absence.  Neither
-        fans out Δs — the live parity buckets already reflect them.
+        ``runs`` is the newest covering parity ring's tail (``delta.tail``),
+        the runs as we created them.  The Δs of the first that we hold
+        are dropped — an update Δ is an XOR and must not apply twice —
+        and the rest replay as the WAL's own frames; nothing fans out.
 
         ``resend_after`` (when present) means some parity bucket lags
-        our own durable prefix — Δs we logged but never shipped (a
-        fail-stop inside a batch, :meth:`_log`) or that were lost
-        on the way: we re-fan-out our tail above it, in sequence order,
-        from the history ring the replay refilled.  Per-channel sequence
-        numbers make the copies other parities already hold harmless
-        duplicates.  The reply's ``floor`` is the highest sequence the
-        resend could *not* reach back past; the coordinator rebuilds any
-        parity bucket still gapped below it.
+        ``disk_seq`` — Δs we logged but never shipped (a fail-stop inside
+        a batch, :meth:`_log`) or that were lost on the way: the ring's
+        runs past it, taken while it still ends at ``disk_seq``, go out
+        again (other channels skip them as duplicates).  The reply's
+        ``floor`` is the highest sequence the resend could *not* reach
+        back past; the coordinator rebuilds any parity still gapped.
         """
         payload = message.payload
-        disk_seq = self._parity_seq
-        deletes = payload.get("delete", [])
-        items = payload.get("set", [])
-        for key in deletes:
-            if key in self.bucket:
-                self.bucket.delete(key)
-                self._release_rank(self._unassign_rank(key))
-        # Two passes: release every stale rank first, then adopt the
-        # final ones — a catch-up that swaps two keys' ranks would
-        # otherwise collide mid-loop.
-        for key, rank, value in items:
-            if key in self.ranks:
-                self._release_rank(self._unassign_rank(key))
-        for key, rank, value in items:
-            self._adopt_rank(rank)
-            self._assign_rank(key, rank)
-            self.bucket.put(key, value)
-        self._parity_seq = payload["parity_seq"]
-        self.fenced = False
-        # Resend our unshipped tail to lagging parity channels.
-        floor = disk_seq
+        floor = self._parity_seq
         resend_after = payload.get("resend_after")
-        if resend_after is not None and resend_after < disk_seq:
-            # the ring is the replayed tail, in order, ending at disk_seq
-            resend: list[list] = []
-            for run in reversed(self._delta_history):
-                lo, hi = self._seq_span(run)
-                if hi != floor or hi <= resend_after:
-                    break  # a gap (retired by a checkpoint) or below the lag
-                resend.append(run)
-                floor = lo - 1
-            floor = max(floor, resend_after)
-            resend.reverse()
-            self._emit(resend)
+        resend = []
+        if resend_after is not None and resend_after < floor:
+            resend = self._delta_history.tail(resend_after, floor)["runs"]
+            if resend:
+                floor = resend_after
+        applied = 0
+        for run in payload["runs"]:
+            skip = max(0, self._parity_seq + 1 - run[2])
+            if skip < len(run[3]):
+                if skip:
+                    run = [*run[:2], run[2] + skip,
+                           *(column[skip:] for column in run[3:])]
+                self._replay_frame({"prun": run})
+                applied += len(run[3])
+        self.fenced = False
+        self._emit(resend)
         net = self._net()
         if net.tracer is not None:
             net.tracer.emit(
-                "catchup.data", self.node_id, self.number, len(items),
-                len(deletes), self._parity_seq,
+                "catchup.data", self.node_id, self.number, applied,
+                self._parity_seq,
             )
         if net.metrics is not None:
             net.metrics.counter(
-                "catchup.records", "records shipped by delta catch-up"
-            ).inc(len(items) + len(deletes))
+                "catchup.records", "Δs applied by delta catch-up"
+            ).inc(applied)
         self.checkpoint_now()
         return {"floor": floor}

@@ -4,14 +4,18 @@ A durable server holds one :class:`Durability` (``None`` = the RAM-only
 server): its simulated disk and write-ahead log, the checkpoint cadence,
 the fail-stop rule and the restart / rejoin handshake.  Both bucket
 kinds run this one implementation; a server supplies only what differs
-— its checkpoint image and loader, its replay of one logged frame, its
-Δ ring and its rejoin payload.
+— its checkpoint image and loader, its replay of one logged frame and
+its rejoin payload.  Both keep their recent Δ-runs in a
+:class:`RunRing`: a data bucket the runs it logs, a parity bucket per
+position the runs it applies, and either ring serves the other kind's
+catch-up (``wal.tail`` / ``delta.tail``).
 """
 
 from __future__ import annotations
 
 import weakref
 import zlib
+from collections import deque
 from collections.abc import Callable
 
 from repro.core.config import LHRSConfig
@@ -25,6 +29,59 @@ from repro.store.wal import BucketLog
 #: catching up (``wal.tail`` / ``delta.tail``); a restarted bucket whose
 #: staleness exceeds the ring falls back to the full rebuild.
 DELTA_LOG_CAPACITY = 1024
+
+
+class RunRing:
+    """The newest Δ-runs of one channel, oldest first, as logged.
+
+    It lives in RAM: a restart refills it from the WAL replay only.  It
+    holds at most :data:`DELTA_LOG_CAPACITY` Δs besides the newest run,
+    which stays whatever its length (a data bucket reads the last logged
+    sequence number off it); older runs retire whole.  A ringed run is
+    never extended again: a sender extends only the runs it has not
+    shipped or logged yet.
+    """
+
+    __slots__ = ("runs", "held")
+
+    def __init__(self):
+        self.runs: deque[list] = deque()
+        #: Δs in ``runs``
+        self.held = 0
+
+    @property
+    def last(self) -> int:
+        """Sequence number of the newest Δ held (0 = none)."""
+        if not self.runs:
+            return 0
+        run = self.runs[-1]
+        return run[2] + len(run[3]) - 1
+
+    def remember(self, run: list) -> None:
+        runs = self.runs
+        runs.append(run)
+        self.held += len(run[3])
+        while len(runs) > 1 and self.held > DELTA_LOG_CAPACITY:
+            self.held -= len(runs.popleft()[3])
+
+    def tail(self, after: int, live: int) -> dict:
+        """The runs reaching past sequence number ``after`` (the asker's
+        channel check skips the part of the first it already holds).
+        ``covered`` is False when they do not span ``after + 1 … live``
+        without a gap — the ring retired or never saw a Δ of it — and
+        the asker must fall back to a full rebuild; no runs travel then.
+        """
+        runs, needed = [], after + 1
+        for run in self.runs:
+            end = run[2] + len(run[3])
+            if end <= needed:
+                continue
+            if run[2] > needed:
+                break
+            runs.append(run)
+            needed = end
+        covered = needed > live
+        return {"covered": covered, "live": live, "runs": runs if covered else []}
 
 
 class Durability:
@@ -62,8 +119,9 @@ class Durability:
         """Append one WAL frame (a mutation or a ``ctl`` record).
 
         A ``ctl`` record is synced before this returns, whatever the
-        fsync interval: Δ catch-up gives a restarted bucket records and
-        Δs back, never a level or a closed channel.  A disk
+        fsync interval: Δ catch-up gives a restarted bucket the Δ-runs
+        it lost back from the other kind's rings, never a level or a
+        closed channel.  A disk
         error is fail-stop: a bucket that cannot log must not keep
         mutating, or its disk diverges from its acked state.
         """

@@ -29,15 +29,15 @@ position, one action, distinct ranks, consecutive sequence numbers;
 ``delta_run`` in :mod:`repro.proto.schema`), and a ``parity.update``, a
 ``parity.batch``, a catch-up tail and a WAL frame all carry runs as
 created.  :meth:`ParityServer._fold_run` folds one — the only routine
-that writes Δ-derived symbols.
+that writes Δ-derived symbols — and a durable bucket rings the part it
+applied per position, the runs a restarted data bucket replays.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 
-from repro.core.delta_ring import ACTIONS, DeltaRing
-from repro.core.durable import Durability
+from repro.core.durable import Durability, RunRing
 from repro.core.records import ParityRecord
 from repro.core.stripe_store import ABSENT, KEY_LIMIT, NO_KEY, StripeStore
 from repro.gf.field import GF
@@ -110,9 +110,9 @@ class ParityServer(Node):
         #: the durability shell (None = the legacy RAM-only server;
         #: enable_durability wires it when config.durability is on)
         self._durable: Durability | None = None
-        #: per-position ring of (seq, action, key, rank) descriptors of
-        #: applied Δs — serves a restarted data bucket's catch-up ask
-        self._delta_log: dict[int, DeltaRing] | None = None
+        #: per-position ring of the applied runs (durable buckets only) —
+        #: serves a restarted data bucket's catch-up ask
+        self._delta_log: dict[int, RunRing] | None = None
         self.epoch = 0
         self.fenced = False
 
@@ -160,7 +160,7 @@ class ParityServer(Node):
         and will apply.  ``wal`` is False when the caller replays the
         WAL or checkpoints the whole state itself.
         """
-        if action not in ACTIONS:
+        if action not in ("insert", "update", "delete"):
             raise ValueError(f"unknown parity op {action!r}")
         if not 0 <= pos < len(self.row):
             raise ValueError(
@@ -250,16 +250,14 @@ class ParityServer(Node):
         if tracer is not None:
             self._trace_deltas(tracer, action, pos, "apply", seq0, n, expected, 1)
         self._expected_seq[pos] = expected + n
-        if self._delta_log is not None:
-            # (seq, action, key, rank) descriptors for delta.tail
+        if self._durable is not None:
+            run = [action, pos, seq0, keys, ranks, deltas, lengths]
             ring = self._delta_log.get(pos)
             if ring is None:
-                ring = self._delta_log[pos] = DeltaRing()
-            ring.extend(seq0, action, keys, ranks)
-        if wal and self._durable is not None:
-            self._durable.log(
-                {"prun": [action, pos, seq0, keys, ranks, deltas, lengths]}
-            )
+                ring = self._delta_log[pos] = RunRing()
+            ring.remember(run)
+            if wal:
+                self._durable.log({"prun": run})
         return n, False
 
     def _trace_deltas(
@@ -454,11 +452,11 @@ class ParityServer(Node):
 
     def _image(self) -> dict:
         """The checkpoint image: the live state, column for column —
-        ``store`` is :meth:`StripeStore.image`, each Δ-log ring its first
-        sequence number and its columns.  Nothing is transposed or walked
-        per record: the codec packs each array in one pass.  The wire
-        carries the same store form: ``parity.dump`` ships a copy of its
-        used rows, ``parity.load`` installs one.
+        ``store`` is :meth:`StripeStore.image`.  Nothing is transposed or
+        walked per record: the codec packs each array in one pass.  The
+        wire carries the same store form: ``parity.dump`` ships a copy of
+        its used rows, ``parity.load`` installs one.  The Δ rings are not
+        imaged: a restart refills them from the WAL replay only.
         """
         return {
             "kind": "parity",
@@ -467,10 +465,6 @@ class ParityServer(Node):
             "expected_seqs": self._expected_seq,
             "stale": self.stale,
             "coord": self.coord_checkpoint,
-            "delta_log": {
-                pos: [ring.first, *ring.columns()]
-                for pos, ring in self._delta_log.items()
-            },
         }
 
     def _load_image(self, state: dict) -> None:
@@ -481,10 +475,7 @@ class ParityServer(Node):
         self._expected_seq = state["expected_seqs"]
         self.stale = state["stale"]
         self.coord_checkpoint = state["coord"]
-        self._delta_log = {
-            pos: DeltaRing(first, columns)
-            for pos, (first, *columns) in state["delta_log"].items()
-        }
+        self._delta_log = {}
 
     # -- restart-with-delta-catch-up -----------------------------------
     def on_restored(self) -> None:
@@ -499,7 +490,7 @@ class ParityServer(Node):
         state, tail, clean = self._durable.read_back("parity")
         self._load_image(state or {  # no image: the bucket as it was born
             "epoch": 0, "store": StripeStore(self.field, len(self.row)).image(),
-            "expected_seqs": {}, "stale": False, "coord": None, "delta_log": {},
+            "expected_seqs": {}, "stale": False, "coord": None,
         })
         for frame in tail:
             self._replay_frame(frame)
@@ -528,25 +519,14 @@ class ParityServer(Node):
 
     # -- serving catch-up ----------------------------------------------
     def handle_delta_tail(self, message: Message) -> dict:
-        """A restarted data bucket asks which Δs it issued past its
-        durable prefix: ``(seq, action, key, rank)`` descriptors from
-        the per-position ring.  The coordinator resolves these to final
-        record states (payloads come from record recovery, not from
-        parity symbols).  ``covered`` is False when the ring no longer
-        reaches back to ``after`` + 1.
-        """
-        pos, after = message.payload["pos"], message.payload["after"]
-        live = self._expected_seq.get(pos, 1) - 1
-        tail = [
-            entry for entry in (self._delta_log or {}).get(pos, ())
-            if entry[0] > after
-        ]
-        covered = [seq for seq, _, _, _ in tail] == list(range(after + 1, live + 1))
-        ops = [
-            {"seq": seq, "op": action, "key": key, "rank": rank}
-            for seq, action, key, rank in tail
-        ] if covered else []
-        return {"covered": covered, "live": live, "ops": ops}
+        """A restarted data bucket asks for the Δs it issued past its
+        durable prefix: the position's ring of applied runs past
+        ``after`` (:meth:`RunRing.tail`), the runs the data bucket
+        created, which it replays as its own WAL frames."""
+        pos = message.payload["pos"]
+        return self._delta_log.get(pos, RunRing()).tail(
+            message.payload["after"], self._expected_seq.get(pos, 1) - 1
+        )
 
     # -- receiving catch-up --------------------------------------------
     def handle_catchup_parity(self, message: Message) -> dict:
@@ -577,7 +557,7 @@ class ParityServer(Node):
             )
         if net.metrics is not None:
             net.metrics.counter(
-                "catchup.records", "records shipped by delta catch-up"
+                "catchup.records", "Δs applied by delta catch-up"
             ).inc(applied)
         self.checkpoint_now()
         return {"ok": True, "applied": applied}

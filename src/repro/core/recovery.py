@@ -15,6 +15,9 @@ costs straight off the accounting windows.
   serving one key search while bucket recovery would still be running;
   also delivers *certain* unsuccessful searches (the parity directory is
   authoritative about which keys exist).
+* **Delta catch-up** (`catch_up_data` / `catch_up_parity`): a cleanly
+  restarted bucket gets the Δ-runs it lost back from the other kind's
+  history rings, one load message either way.
 * **File-state reconstruction** (`reconstruct_state`): the A6-style
   procedure computing (n, i) from surviving buckets' levels.
 """
@@ -749,17 +752,17 @@ class RecoveryManager:
     # delta catch-up (durable restart rejoin)
     # ------------------------------------------------------------------
     def catch_up_data(self, bucket: int, payload: dict) -> bool:
-        """Catch a cleanly-restarted data bucket up from its Δ tail.
+        """Catch a cleanly-restarted data bucket up from its Δ tail — the
+        mirror of :meth:`catch_up_parity`.
 
         The bucket replayed its WAL to ``payload["seq"]`` and is fenced.
-        The live parity buckets' per-position rings hold the Δs it
-        issued past that prefix; the coordinator resolves them to final
-        record states (payloads via record recovery — the parity symbols
-        alone cannot be unfolded) and ships a ``catchup.load``.  Returns
-        False when the evidence is insufficient — no reachable parity,
-        tail evicted from every ring — and the caller must fall back to
-        a full RS rebuild.  Repair traffic scales with the missed tail,
-        not with the bucket.
+        Every live parity bucket's per-position ring holds the runs it
+        applied; the newest that covers the gap past that prefix ships
+        them in one ``catchup.load``, which the bucket replays as its own
+        WAL frames.  Returns False when the evidence is insufficient — no
+        reachable parity, no newest ring reaching back far enough — and
+        the caller must fall back to a full RS rebuild.  Repair traffic
+        scales with the missed tail, not with the bucket.
         """
         coordinator = self.coordinator
         m = coordinator.config.group_size
@@ -776,7 +779,7 @@ class RecoveryManager:
             return False
 
         live_max = max((t["live"] for t in tails.values()), default=disk_seq)
-        ops: list[dict] = []
+        runs: list[list] = []
         if live_max > disk_seq:
             source = next(
                 (t for t in tails.values()
@@ -784,36 +787,15 @@ class RecoveryManager:
                 None,
             )
             if source is None:
-                return False  # too stale: every ring evicted the tail
-            ops = source["ops"]
-
-        # Per-key winners, in sequence order (a later op supersedes).
-        final: dict[int, dict] = {}
-        for op in ops:
-            final[op["key"]] = op
-        deletes = sorted(
-            key for key, op in final.items() if op["op"] == "delete"
-        )
-        items: list[tuple[int, int, bytes]] = []
-        for key in sorted(final):
-            op = final[key]
-            if op["op"] == "delete":
-                continue
-            found, value = self.recover_record(key)
-            if not found:  # pragma: no cover - directory is authoritative
-                return False
-            items.append((key, op["rank"], value))
+                return False  # too stale: no newest ring reaches back
+            runs = source["runs"]
 
         min_live = min((t["live"] for t in tails.values()), default=disk_seq)
         target = max(live_max, disk_seq)
         self._net.call(
             coordinator.node_id, data_node(self._file_id, bucket), "catchup.load",
-            {
-                "set": items,
-                "delete": deletes,
-                "parity_seq": target,
-                "resend_after": min_live if min_live < disk_seq else None,
-            },
+            {"runs": runs,
+             "resend_after": min_live if min_live < disk_seq else None},
         )
 
         # Post-verify every live parity channel against the final

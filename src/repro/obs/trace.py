@@ -123,7 +123,7 @@ TAXONOMY: dict[str, dict[str, str]] = {
     "durable storage plane": {
         "disk.checkpoint": "node lsn records",
         "bucket.restart": "node kind bucket clean replayed seq?",
-        "catchup.data": "node bucket set deleted seq",
+        "catchup.data": "node bucket applied seq",
         "catchup.parity": "node group index applied",
         "catchup.fallback": "node",
     },

@@ -282,8 +282,6 @@ SHAPES: dict[str, str] = {
     # position over parallel columns of distinct ranks, numbered seq0,
     # seq0 + 1, ...  A scalar mutation's Δ is a run of one.
     "delta_run": "(str, int, int, [int], [int], [bytes], [int])",
-    # (key, rank, payload): a record with its place in a record group
-    "record_row": "(int, int, bytes)",
     # (key, payload): a record on the move (split, merge, scan, mirror)
     "moved_row": "(int, bytes)",
     # one parity record; ``pos`` only in a ``parity.locate`` answer
@@ -564,21 +562,17 @@ _ENTRIES: tuple[MessageKind, ...] = (
     MessageKind(
         "delta.tail", "coordinator", "parity", "call",
         ("pos:int", "after:int"),
-        reply=(
-            "{covered:bool, live:int, ops:[{seq:int, op:str, key:int, "
-            "rank:int}]}"
-        ),
+        reply="{covered:bool, live:int, runs:[delta_run]}",
         section="durable restart & catch-up",
-        summary="Δ descriptors a restarted data bucket missed",
+        summary="applied Δ-runs past a data bucket's durable prefix",
         seq_guard=("_expected_seq",),
     ),
     MessageKind(
         "catchup.load", "coordinator", "data", "call",
-        ("set:[record_row]", "delete:[int]", "parity_seq:int",
-         "resend_after?:int|none"),
+        ("runs:[delta_run]", "resend_after?:int|none"),
         reply="{floor:int}",
         section="durable restart & catch-up",
-        summary="final missed-key states; re-bases the Δ counter, unfences",
+        summary="replay the missed Δ-runs as WAL frames, resend, unfence",
         seq_guard=("_parity_seq",),
     ),
     MessageKind(
@@ -587,7 +581,7 @@ _ENTRIES: tuple[MessageKind, ...] = (
         reply="{covered:bool, live:int, runs:[delta_run]}",
         section="durable restart & catch-up",
         summary="retained Δ-history past a parity bucket's durable prefix",
-        seq_guard=("_parity_seq", "_seq_span"),
+        seq_guard=("_parity_seq",),
     ),
     MessageKind(
         "catchup.parity", "coordinator", "parity", "call",

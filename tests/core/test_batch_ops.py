@@ -327,7 +327,7 @@ class TestOpByOp:
         assert [list(frame) for frame in frames] == [["prun"]]
         action, _, seq0, logged, *_ = frames[0]["prun"]
         assert (action, seq0, logged) == ("insert", 1, keys)
-        assert server._delta_history[-1][3] == keys
+        assert server._delta_history.runs[-1][3] == keys
 
     def test_a_plain_applied_mutation_answers_bare_applied(self):
         file = LHRSFile(_cfg(True, m=4, k=2, capacity=64))

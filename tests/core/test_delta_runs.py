@@ -28,8 +28,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import LHRSConfig, LHRSFile, data_bucket
+from repro.core import LHRSConfig, LHRSFile, durable
 from repro.core.data_bucket import RSDataServer
+from repro.core.durable import RunRing
 from repro.core.parity_bucket import ParityServer
 from repro.sim import FaultPlane
 from repro.sim.messages import _SIZERS
@@ -60,6 +61,7 @@ def replayed(server):
     frames, clean = decode_frames(disk.read(wal.LOG))
     assert clean
     twin = fresh_data_server()
+    twin._delta_history = RunRing()  # the ring a replay refills
     twin._load_image(image)
     for frame in frames:
         if frame["lsn"] > image["lsn"]:
@@ -107,7 +109,8 @@ def watched():
     def checked_flush(self):
         ring = {
             id(run[column])
-            for run in self._delta_history or () for column in range(3, 7)
+            for run in getattr(self._delta_history, "runs", ())
+            for column in range(3, 7)
         }
         assert not any(
             id(run[column]) in ring
@@ -329,22 +332,22 @@ def test_the_history_ring_is_bounded_in_deltas(monkeypatch):
     """The ring keeps at most ``DELTA_LOG_CAPACITY`` Δs however they are
     grouped: a split's movers are one run but count as many Δs, and the
     oldest runs retire whole, leaving a contiguous newest tail."""
-    monkeypatch.setattr(data_bucket, "DELTA_LOG_CAPACITY", 48)
+    monkeypatch.setattr(durable, "DELTA_LOG_CAPACITY", 48)
     file = LHRSFile(LHRSConfig(
         group_size=4, availability=1, bucket_capacity=32, durability=True,
         durability_checkpoint_interval=10**6,
     ))
     def ringed(server):
-        return sum(len(run[3]) for run in server._delta_history)
+        return sum(len(run[3]) for run in server._delta_history.runs)
 
     longest = 0
     for key in range(300):
         file.insert(key, b"v%d" % key)
         for server in file.data_servers():
-            ring = list(server._delta_history)
+            ring = list(server._delta_history.runs)
             assert ringed(server) <= 48
             assert all(
-                server._seq_span(a)[1] + 1 == b[2] for a, b in zip(ring, ring[1:])
+                a[2] + len(a[3]) == b[2] for a, b in zip(ring, ring[1:])
             )
             longest = max(longest, *(len(run[3]) for run in ring), 0)
     assert file.bucket_count > 4 and longest > 1
@@ -368,7 +371,7 @@ def test_a_run_longer_than_the_ring_is_logged_once(monkeypatch):
     stays even when longer than the ring's bound: a split inside an
     ``ops.batch`` whose movers outnumber the bound is logged once, and
     the batch's later runs start past it."""
-    monkeypatch.setattr(data_bucket, "DELTA_LOG_CAPACITY", 4)
+    monkeypatch.setattr(durable, "DELTA_LOG_CAPACITY", 4)
     file = LHRSFile(LHRSConfig(
         group_size=4, availability=1, bucket_capacity=16, durability=True,
         durability_checkpoint_interval=10**6, batch_ops=True,
@@ -387,8 +390,8 @@ def test_a_run_longer_than_the_ring_is_logged_once(monkeypatch):
     ops = [{"op": "insert", "key": k, "value": b"w"} for k in range(64, 160, 8)]
     file.client.call("f.d0", "ops.batch", {"ops": ops})
     assert server.level == 1  # split inside the batch
-    spans = [server._seq_span(frame["prun"]) for frame in frames
-             if "prun" in frame]
+    spans = [(run[2], run[2] + len(run[3]) - 1)
+             for run in (frame["prun"] for frame in frames if "prun" in frame)]
     assert max(hi - lo for lo, hi in spans) >= 4  # the split's movers
     assert [lo for lo, _ in spans[1:]] == [hi + 1 for _, hi in spans[:-1]]
     assert spans[-1][1] == server._parity_seq
@@ -409,14 +412,14 @@ def test_a_restarted_data_bucket_puts_no_lsn_on_the_wire():
     file.failures.crash(["f.d1"])
     file.failures.heal(["f.d1"])
     server = file.network.nodes["f.d1"]
-    assert not server.fenced and server._delta_history
+    assert not server.fenced and server._delta_history.runs
     reply = file.network.call(
         file.rs_coordinator.node_id, "f.d1", "wal.tail", {"after": 0}
     )
     assert reply["covered"] and reply["runs"]
     assert all(type(run) is list and len(run) == 7 for run in reply["runs"])
     assert _SIZERS["wal.tail.reply"](reply) >= 0
-    assert _SIZERS["parity.batch"]({"runs": list(server._delta_history)}) >= 0
+    assert _SIZERS["parity.batch"]({"runs": list(server._delta_history.runs)}) >= 0
 
 
 def test_a_data_bucket_keeps_its_attributes_inline():

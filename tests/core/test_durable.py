@@ -5,11 +5,17 @@ parity server, each owning a :class:`Durability` at
 reaches the durable tier on its own.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import durable
 from repro.core.config import LHRSConfig
 from repro.core.data_bucket import RSDataServer
+from repro.core.durable import RunRing
 from repro.core.parity_bucket import ParityServer
 from repro.gf import GF
 from repro.rs.generator import parity_matrix
@@ -252,3 +258,70 @@ def test_a_ram_only_server_has_no_shell(rig):
     assert rig.coord.rejoins == []
     status = rig.net.call("f.coord", rig.node, "status")
     assert "fenced" not in status
+
+
+class TestRunRing:
+    """The history ring both kinds keep, against a list of Δ
+    descriptors ``(seq, action, key, rank)``."""
+
+    CAPACITY = 32
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        # (sequence numbers skipped before the run, its length)
+        runs=st.lists(
+            st.tuples(st.sampled_from([0, 0, 0, 1, 5]), st.integers(1, 40)),
+            min_size=1, max_size=12,
+        ),
+        afters=st.lists(st.integers(0, 400), min_size=1, max_size=4),
+        lag=st.integers(0, 2),
+    )
+    def test_matches_a_list_of_descriptors(self, runs, afters, lag):
+        ring, logged, seq = RunRing(), [], 1
+        with mock.patch.object(durable, "DELTA_LOG_CAPACITY", self.CAPACITY):
+            for step, (skipped, count) in enumerate(runs):
+                seq += skipped
+                keys = [1000 * step + i for i in range(count)]
+                ranks = [(seq + i) % 50 for i in range(count)]
+                ring.remember(["update", 0, seq, keys, ranks,
+                               [b"d"] * count, [1] * count])
+                logged.append([
+                    (seq + i, "update", key, rank)
+                    for i, (key, rank) in enumerate(zip(keys, ranks))
+                ])
+                seq += count
+                # old runs retire whole by Δ count; the newest stays
+                # whatever its length
+                kept = [logged[-1]]
+                for older in reversed(logged[:-1]):
+                    if sum(map(len, kept)) + len(older) > self.CAPACITY:
+                        break
+                    kept.insert(0, older)
+                assert [self.descriptors(run) for run in ring.runs] == kept
+                assert ring.held == sum(map(len, kept))
+                assert ring.last == seq - 1
+                held = {entry[0] for run in kept for entry in run}
+                live = seq - 1 + lag  # a sender may be past its ring
+                for after in afters:
+                    reply = ring.tail(after, live)
+                    returned = [
+                        entry[0]
+                        for run in reply["runs"] for entry in self.descriptors(run)
+                    ]
+                    first = returned[0] if returned else after + 1
+                    assert reply["covered"] == (
+                        first <= after + 1
+                        and returned == list(range(first, live + 1))
+                    )
+                    assert reply["covered"] == (
+                        set(range(after + 1, live + 1)) <= held
+                    )
+                    assert reply["live"] == live
+
+    @staticmethod
+    def descriptors(run):
+        action, _, seq0, keys, ranks = run[:5]
+        return [
+            (seq0 + i, action, key, rank)
+            for i, (key, rank) in enumerate(zip(keys, ranks))
+        ]

@@ -1,8 +1,6 @@
 """Unit tests of the parity bucket server in isolation."""
 
 import random
-from collections import deque
-from itertools import repeat
 
 import numpy as np
 import pytest
@@ -10,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import LHRSConfig
-from repro.core.delta_ring import ACTIONS, DeltaRing
-from repro.core.durable import DELTA_LOG_CAPACITY
 from repro.core.parity_bucket import ParityServer
 from repro.core.stripe_store import ABSENT, NO_KEY, StripeStore
 from repro.gf import GF
@@ -607,53 +603,15 @@ class TestDeliveryShapes:
             assert server.stale and oracle.counters["gaps_detected"] == 1
             if durable:  # the catch-up ring names every applied Δ, once
                 assert {
-                    pos: list(ring) for pos, ring in server._delta_log.items()
+                    pos: [
+                        (run[2] + i, run[0], key, rank)
+                        for run in ring.runs
+                        for i, (key, rank) in enumerate(zip(run[3], run[4]))
+                    ]
+                    for pos, ring in server._delta_log.items()
                 } == oracle.applied
             seen.append((records, counters))
         assert all(result == seen[0] for result in seen)
-
-
-class TestDeltaRing:
-    """The column ring against a ``deque(maxlen)`` of descriptors."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        runs=st.lists(
-            st.tuples(
-                st.sampled_from(ACTIONS),
-                st.one_of(st.integers(1, 5), st.integers(300, 2600)),
-            ),
-            min_size=1, max_size=12,
-        ),
-        reload_at=st.integers(0, 12),
-    )
-    def test_holds_the_newest_descriptors_in_order(self, runs, reload_at):
-        ring, oracle, seq = DeltaRing(), deque(maxlen=DELTA_LOG_CAPACITY), 1
-        for step, (action, count) in enumerate(runs):
-            if step == reload_at:  # what a checkpoint and a restart do
-                ring = DeltaRing(
-                    ring.first, [column.tolist() for column in ring.columns()])
-            keys = [seq * 7 + i for i in range(count)]
-            ranks = [(seq + i) % 50 for i in range(count)]
-            ring.extend(seq, action, keys, ranks)
-            oracle.extend(zip(range(seq, seq + count), repeat(action), keys, ranks))
-            seq += count
-            assert list(ring) == list(oracle)
-            assert ring.columns().shape == (3, len(oracle))
-            assert ring.cells.shape[1] <= 2 * DELTA_LOG_CAPACITY
-
-    def test_a_run_that_does_not_follow_on_starts_the_ring_afresh(self):
-        ring = DeltaRing()
-        ring.extend(1, "insert", [5, 6], [1, 2])
-        ring.extend(3, "delete", [5], [1])
-        assert [seq for seq, *_ in ring] == [1, 2, 3]
-        ring.extend(7, "update", [6], [2])  # 4..6 never came
-        assert list(ring) == [(7, "update", 6, 2)] and ring.first == 7
-
-    def test_a_quiet_channel_stays_small(self):
-        ring = DeltaRing()
-        ring.extend(1, "insert", [5, 6, 7], [1, 2, 3])
-        assert ring.cells.nbytes < 1024
 
 
 class TestNestedRows:
