@@ -11,6 +11,7 @@ compaction off/on and compares overhead and message costs.
 import pytest
 
 from harness import build_lhrs, converge, fmt, save_table, scaled
+from repro.core.stripe_store import ABSENT
 from repro.sim.rng import make_rng
 
 
@@ -40,12 +41,15 @@ def run_comparison():
         overhead_before = file.storage_overhead()
         window = churn(file, keys, rounds=scaled(600), seed=5)
         assert file.verify_parity_consistency() == []
-        # Record-group density: members per rank relative to m.
+        # Record-group density: members per rank relative to m, read
+        # off the store columns (occupied length cells of used rows).
         members = ranks = 0
         for server in file.parity_servers():
             if server.index == 0:
-                ranks += len(server.records)
-                members += sum(r.member_count for r in server.records.values())
+                store = server._store
+                ranks += len(store)
+                used = store.dir_lengths[store.rank_of >= 0]
+                members += int((used != ABSENT).sum())
         rows.append(
             {
                 "compaction": compact,

@@ -88,7 +88,7 @@ def _double_apply_delete(original: Callable[..., Any]) -> Callable[..., Any]:
             # Fold the applied delete Δs once more into every record
             # group that still has members.
             for rank, delta in zip(ranks[-applied:], deltas[-applied:]):
-                if rank in self.records:
+                if rank in self._store:
                     self.field.scale_accumulate(
                         self._store.view(rank), self.row[pos], delta
                     )

@@ -30,7 +30,6 @@ from repro.core.data_bucket import RSDataServer
 from repro.core.file import LHRSFile
 from repro.core.journal import CoordinatorJournal, JournalRecord, JournalState
 from repro.core.parity_bucket import ParityServer
-from repro.core.records import DataRecord, ParityRecord
 from repro.core.recovery import RecoveryError, RecoveryManager
 from repro.core.snapshot import restore_file, snapshot_file
 from repro.core.standby import StandbyCoordinator
@@ -48,8 +47,6 @@ __all__ = [
     "JournalState",
     "RSDataServer",
     "ParityServer",
-    "DataRecord",
-    "ParityRecord",
     "RecoveryManager",
     "RecoveryError",
     "snapshot_file",

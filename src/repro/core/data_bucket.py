@@ -54,7 +54,7 @@ DATA_FENCED_KINDS = frozenset({
 class RSDataServer(DataServer):
     """One LH*RS data bucket: LH* behaviour plus parity maintenance.
 
-    An instance holds 28 attributes.  CPython 3.11 keeps up to 29 in
+    An instance holds 27 attributes.  CPython 3.11 keeps up to 29 in
     the object itself; at 30 every bucket carried its own dict — +11 MB
     of peak RSS at 6 600 buckets and slower attribute reads on every
     message — so new state belongs in an existing structure."""
@@ -91,13 +91,15 @@ class RSDataServer(DataServer):
         self.position = position_of(number, group_size)
         #: parity bucket node ids of this group, index order
         self.parity_targets = list(parity_targets or [])
-        self._rank_counter = 0
-        self._free_ranks: list[int] = []
-        #: key -> rank for every stored record
+        #: key -> rank for every stored record: the only index
         self.ranks: dict[int, int] = {}
-        #: rank -> key reverse index (kept in lockstep with ``ranks``)
-        #: so compaction finds the highest occupied rank in O(1) amortized
-        self._rank_to_key: dict[int, int] = {}
+        #: the rank column: ``_key_at[r]`` is the key holding rank r, or
+        #: None while r is free; slot 0 is unused, so ``len - 1`` is the
+        #: rank counter (the highest rank handed out)
+        self._key_at: list[int | None] = [None]
+        #: the free ranks below the counter (exactly the None slots but
+        #: 0), a heap: the smallest is handed out first
+        self._free_ranks: list[int] = []
         self.retry_policy = retry_policy or RetryPolicy()
         self.parity_ack = parity_ack
         #: monotonic Δ sequence number; the *same* stream goes to every
@@ -144,8 +146,8 @@ class RSDataServer(DataServer):
         while self._free_ranks and len(out) < count:
             out.append(heapq.heappop(self._free_ranks))
         while len(out) < count:
-            self._rank_counter += 1
-            out.append(self._rank_counter)
+            out.append(len(self._key_at))
+            self._key_at.append(None)
         return out
 
     def _release_rank(self, rank: int) -> None:
@@ -153,11 +155,11 @@ class RSDataServer(DataServer):
 
     def _assign_rank(self, key: int, rank: int) -> None:
         self.ranks[key] = rank
-        self._rank_to_key[rank] = key
+        self._key_at[rank] = key
 
     def _unassign_rank(self, key: int) -> int:
         rank = self.ranks.pop(key)
-        del self._rank_to_key[rank]
+        self._key_at[rank] = None
         return rank
 
     def _compact(self) -> list[list]:
@@ -167,28 +169,29 @@ class RSDataServer(DataServer):
         highest-ranked records (a delete run off the old ranks, all
         above the range, and an insert run onto the new, all inside
         it); freed ranks above it retire.  The highest occupied rank
-        comes from the ``_rank_to_key`` index via a pointer walking down
-        from the counter (the maximum only decreases), so the drain is
+        is the rank column's last slot once its trailing free slots are
+        popped (the maximum only decreases), so the drain is
         O(moves + ranks scanned once), not O(moves × bucket size).
         """
         if not self.compact_ranks:
             return []
         target = len(self.ranks)
-        high = self._rank_counter
+        key_at = self._key_at
         keys, old, new = [], [], []
         while self._free_ranks:
             free = heapq.heappop(self._free_ranks)
             if free > target:
                 continue  # beyond the dense range: retire silently
-            while high not in self._rank_to_key:
-                high -= 1
-            key = self._rank_to_key.pop(high)
+            while key_at[-1] is None:
+                key_at.pop()
+            key = key_at.pop()
             keys.append(key)
-            old.append(high)
+            old.append(len(key_at))  # the popped slot's rank
             new.append(free)
             self._assign_rank(key, free)
-        # no frame for the shrink: the counter is derived (_load_content)
-        self._rank_counter = target
+        # {1..target} is full now; no frame for the shrink: the counter
+        # is derived (_load_content)
+        del key_at[target + 1:]
         if not keys:
             return []
         payloads = list(map(self.bucket.get, keys))
@@ -577,9 +580,8 @@ class RSDataServer(DataServer):
         replays as this, a restart begins with it)."""
         self.bucket.records = {}
         self.ranks = {}
-        self._rank_to_key = {}
+        self._key_at = [None]
         self._free_ranks = []
-        self._rank_counter = 0
 
     def handle_bucket_load(self, message: Message) -> None:
         """Install recovered (or restored) :meth:`_content` into a fresh
@@ -596,7 +598,7 @@ class RSDataServer(DataServer):
     def handle_status(self, message: Message) -> dict:
         status = super().handle_status(message)
         status.update(group=self.group, position=self.position,
-                      counter=self._rank_counter)
+                      counter=len(self._key_at) - 1)
         if self._durable is not None:
             status.update(fenced=self.fenced, epoch=self.epoch)
         return status
@@ -697,12 +699,14 @@ class RSDataServer(DataServer):
         keys, ranks = state["keys"], state["ranks"]
         self.bucket.records = dict(zip(keys, state["payloads"]))
         self.ranks = dict(zip(keys, ranks))
-        self._rank_to_key = dict(zip(ranks, keys))
-        self._rank_counter = max(ranks, default=0)
+        key_at: list[int | None] = [None] * (max(ranks, default=0) + 1)
+        for key, rank in zip(keys, ranks):
+            key_at[rank] = key
+        self._key_at = key_at
         # ascending, so already a heap
-        self._free_ranks = sorted(
-            set(range(1, self._rank_counter + 1)).difference(ranks)
-        )
+        self._free_ranks = [
+            rank for rank in range(1, len(key_at)) if key_at[rank] is None
+        ]
         self._parity_seq = state["parity_seq"]
 
     # -- restart-with-delta-catch-up -----------------------------------
@@ -781,10 +785,11 @@ class RSDataServer(DataServer):
         heap if present, else extend the counter to cover it (ranks
         skipped on the way up become free, exactly as the live
         allocation path left them)."""
-        if rank > self._rank_counter:
-            for skipped in range(self._rank_counter + 1, rank):
+        top = len(self._key_at)
+        if rank >= top:
+            for skipped in range(top, rank):
                 heapq.heappush(self._free_ranks, skipped)
-            self._rank_counter = rank
+            self._key_at.extend([None] * (rank + 1 - top))
         elif rank in self._free_ranks:
             self._free_ranks.remove(rank)
             heapq.heapify(self._free_ranks)

@@ -313,7 +313,7 @@ class LHRSFile(LHStarFile):
                     parity_node(self.file_id, group, index)
                 ]
                 expected_ranks = set(group_stripes)
-                actual_ranks = set(server.records)
+                actual_ranks = set(server._store)
                 if expected_ranks != actual_ranks:
                     problems.append(
                         f"group {group} parity {index}: ranks {actual_ranks} "
@@ -321,7 +321,7 @@ class LHRSFile(LHStarFile):
                     )
                     continue
                 for rank, members in group_stripes.items():
-                    record = server.records[rank].snapshot()
+                    record = server._store.snapshot(rank)
                     if record["keys"] != keys_map[group][rank]:
                         problems.append(
                             f"group {group} parity {index} rank {rank}: key "

@@ -1,7 +1,7 @@
 """The LH*RS parity bucket server.
 
-Parity bucket i of bucket group g holds one :class:`ParityRecord` per
-record group (rank) of g: the fold of every member's payload scaled by
+Parity bucket i of bucket group g holds one parity record per record
+group (rank) of g: the fold of every member's payload scaled by
 this bucket's generator-row coefficient for the member's position.
 
 The coefficients are handed in by the coordinator at creation.  With the
@@ -19,26 +19,25 @@ above it proves this bucket missed traffic (a dropped message): it
 reports itself stale to the coordinator, which rebuilds it from the
 group's data.
 
-Storage and maintenance each have one shape.  Every record is one row
-of a :class:`~repro.core.stripe_store.StripeStore` — parity symbols, key
-and length directory alike, behind a rank→row map (``records`` is that
-store read as a mapping) — so a dump is a copy of those columns,
-signature scans run as one 2D kernel and a checkpoint writes the columns
-as they stand.  Every Δ is created by its data bucket as a *run* (one
-position, one action, distinct ranks, consecutive sequence numbers;
-``delta_run`` in :mod:`repro.proto.schema`), and a ``parity.update``, a
-``parity.batch``, a catch-up tail and a WAL frame all carry runs as
-created.  :meth:`ParityServer._fold_run` folds one — the only routine
-that writes Δ-derived symbols — and a durable bucket rings the part it
-applied per position, the runs a restarted data bucket replays.
+Storage and maintenance each have one shape.  A record is one row of
+a :class:`~repro.core.stripe_store.StripeStore` — parity symbols, key
+and length directory alike, behind a rank→row map — and nothing else:
+a dump is a copy of those columns, signature scans run as one 2D
+kernel, a checkpoint writes the columns as they stand, and the one
+per-record form is :meth:`StripeStore.snapshot`, which
+``parity.locate`` and ``parity.rank`` reply with.  Every Δ is created by
+its data bucket as a *run* (one position, one action, distinct ranks,
+consecutive sequence numbers; ``delta_run`` in
+:mod:`repro.proto.schema`), and a ``parity.update``, a ``parity.batch``,
+a catch-up tail and a WAL frame all carry runs as created.
+:meth:`ParityServer._fold_run` folds one — the only routine that writes
+Δ-derived symbols — and a durable bucket rings the part it applied per
+position, the runs a restarted data bucket replays.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 from repro.core.durable import Durability, RunRing
-from repro.core.records import ParityRecord
 from repro.core.stripe_store import ABSENT, KEY_LIMIT, NO_KEY, StripeStore
 from repro.gf.field import GF
 from repro.obs.trace import OMITTED
@@ -81,8 +80,6 @@ class ParityServer(Node):
         self.row = list(row)
         self.field = field
         self._store = StripeStore(field, slots=len(self.row))
-        #: rank -> record: the store's rows read as a mapping
-        self.records: Mapping[int, ParityRecord] = self._store
         #: next expected Δ sequence number per group position (default 1)
         self._expected_seq: dict[int, int] = {}
         #: retransmissions skipped / gaps detected (observability)
@@ -428,7 +425,7 @@ class ParityServer(Node):
         status = {
             "group": self.group,
             "index": self.index,
-            "records": len(self.records),
+            "records": len(self._store),
             "parity_bytes": self._store.nbytes(),
             "stale": self.stale,
         }
@@ -448,7 +445,7 @@ class ParityServer(Node):
 
     def checkpoint_now(self) -> None:
         """Write a full-state checkpoint and truncate the WAL."""
-        self._durable.checkpoint(self._image(), len(self.records))
+        self._durable.checkpoint(self._image(), len(self._store))
 
     def _image(self) -> dict:
         """The checkpoint image: the live state, column for column —

@@ -22,11 +22,10 @@ or a cell accessor is only good until the next ``ensure`` /
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 
 import numpy as np
 
-from repro.core.records import ParityRecord
 from repro.gf.field import GF
 
 #: ``dir_keys`` cell of a position whose key is not known (or that holds
@@ -50,30 +49,13 @@ def _fit(need: int, have: int) -> int:
     return have if need <= have else max(8, 1 << (need - 1).bit_length())
 
 
-class StoredParityRecord(ParityRecord):
-    """One rank's row of a :class:`StripeStore`, read on demand: the
-    record holds nothing of its own, so there is nothing to re-bind
-    after a store reallocation.  ``symbols`` is a view (writes hit the
-    store); the two directory dicts are copies."""
-
-    def __init__(self, rank: int, store: "StripeStore"):
-        self._store = store
-        self.rank = rank
-
-    def snapshot(self, gf: GF | None = None) -> dict:
-        return self._store.snapshot(self.rank)
-
-    keys = property(lambda self: self.snapshot()["keys"])
-    lengths = property(lambda self: self.snapshot()["lengths"])
-    symbols = property(lambda self: self._store.view(self.rank))
-
-
-class StripeStore(Mapping):
+class StripeStore:
     """A parity bucket's records as rows of contiguous columns.
 
-    Reads as a mapping ``rank -> StoredParityRecord`` in the order the
-    ranks arrived.  ``slots`` is the number of group positions a row's
-    directory covers (0: stripes only).  Scalar directory access goes
+    Iterates, sizes and tests membership over the stored ranks, in the
+    order they arrived; :meth:`snapshot` is the one per-record form.
+    ``slots`` is the number of group positions a row's directory covers
+    (0: stripes only).  Scalar directory access goes
     through ``key_cells`` / ``length_cells``, flat accessors whose cell
     ``row * slots + pos`` is ``dir_keys[row, pos]`` /
     ``dir_lengths[row, pos]`` at the cost of a dict store.
@@ -87,8 +69,7 @@ class StripeStore(Mapping):
 
     def __init__(self, field: GF, slots: int = 0):
         if field.width < 8:
-            # Sub-byte symbols would make a row of the image matrix
-            # non-byte-aligned; the file configs only use GF(2^8)/GF(2^16).
+            # GF(2^4) has no byte payload form (GF.symbols_from_bytes)
             raise ValueError("StripeStore requires a whole-byte symbol field")
         self.field = field
         self.slots = slots
@@ -132,11 +113,6 @@ class StripeStore(Mapping):
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._row_of)
-
-    def __getitem__(self, rank: int) -> StoredParityRecord:
-        if rank not in self._row_of:
-            raise KeyError(rank)
-        return StoredParityRecord(rank, self)
 
     @property
     def width(self) -> int:
@@ -234,7 +210,9 @@ class StripeStore(Mapping):
         return ranks, self.matrix[rows, :]
 
     def snapshot(self, rank: int) -> dict:
-        """One record's :meth:`ParityRecord.snapshot`, from its row."""
+        """One record read from its row: ``{rank, keys, lengths, parity}``,
+        the directory as ``{position: value}`` over the occupied cells —
+        what ``parity.locate`` and ``parity.rank`` reply with."""
         row, slots = self._row_of[rank], self.slots
         cells = slice(row * slots, (row + 1) * slots)
         return {

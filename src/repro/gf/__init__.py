@@ -10,8 +10,9 @@ Public API
 ----------
 ``GF(width)``
     A field object for ``w`` in {4, 8, 16}; exposes scalar arithmetic
-    (``add``/``mul``/``div``/``inv``/``pow``) and vectorized payload
-    arithmetic (``mul_bytes``/``add_bytes``/``scale_accumulate``).
+    (``add``/``mul``/``div``/``inv``/``pow``) and vectorized symbol
+    arithmetic (``mul_symbols``/``scale_accumulate``).  Byte payloads
+    convert to symbols at w in {8, 16} only; GF(2^4) is arithmetic alone.
 ``GFMatrix``
     Dense matrices over a ``GF``; multiplication, Gauss-Jordan inversion,
     Vandermonde and Cauchy constructions, MDS checks.

@@ -2,7 +2,8 @@
 
 Record payloads in LH*RS are byte strings.  The RS calculus views a payload
 as a vector of field symbols: one byte per symbol for GF(2^8), two bytes
-(little-endian) for GF(2^16), and two symbols per byte for GF(2^4).  All
+(little-endian) for GF(2^16).  GF(2^4) has arithmetic only: no payload
+converts to nibble symbols, and its byte methods raise.  All
 per-payload operations are numpy-vectorized; the per-call overhead is paid
 once per record, not once per symbol, mirroring the table-driven C codec
 of the paper.
@@ -33,7 +34,7 @@ class GF:
 
     Instances are cheap, stateless beyond cached tables, and safe to share.
     Elements are plain Python ints (or numpy integer arrays) in
-    ``[0, 2^width)``.
+    ``[0, 2^width)``.  Byte payloads convert only at width 8 and 16.
     """
 
     __slots__ = (
@@ -280,33 +281,34 @@ class GF:
         return out
 
     # ------------------------------------------------------------------
-    # byte payload arithmetic
+    # byte payload arithmetic (whole-byte fields only)
     # ------------------------------------------------------------------
-    def symbols_per_byte(self) -> float:
-        """How many field symbols one payload byte carries."""
-        return 8.0 / self.width
+    def _byte_width(self) -> int:
+        """Bytes per symbol; only whole-byte fields carry payloads."""
+        if self.width == 8:
+            return 1
+        if self.width == 16:
+            return 2
+        raise ValueError(
+            f"{self!r} has no byte payload form; use GF(2^8) or GF(2^16)"
+        )
 
     def symbols_from_bytes(
         self, data: bytes, length: int | None = None, copy: bool = True
     ) -> Symbols:
         """View ``data`` as a symbol array, zero-padded to ``length`` symbols.
 
-        GF(2^16) payloads of odd byte length are padded with a zero byte;
-        GF(2^4) bytes split into (low, high) nibble pairs.  The result is
-        a fresh array unless ``copy`` is False, which returns a read-only
-        view of ``data`` where the symbols allow one.
+        GF(2^16) payloads of odd byte length are padded with a zero byte.
+        The result is a fresh array unless ``copy`` is False, which
+        returns a read-only view of ``data`` where the symbols allow one.
         """
         raw = np.frombuffer(data, dtype=np.uint8)
-        if self.width == 8:
+        if self._byte_width() == 1:
             symbols = raw
-        elif self.width == 16:
+        else:
             if len(raw) % 2:
                 raw = np.concatenate([raw, np.zeros(1, dtype=np.uint8)])
             symbols = raw.view("<u2")
-        else:  # width == 4: two symbols per byte, low nibble first
-            symbols = np.empty(2 * len(raw), dtype=np.uint8)
-            symbols[0::2] = raw & 0x0F
-            symbols[1::2] = raw >> 4
         if length is not None:
             if length < len(symbols):
                 raise ValueError("target length shorter than payload")
@@ -318,16 +320,10 @@ class GF:
     def bytes_from_symbols(self, symbols: npt.ArrayLike, byte_length: int | None = None) -> bytes:
         """Inverse of :meth:`symbols_from_bytes`, truncated to ``byte_length``."""
         symbols = np.ascontiguousarray(symbols, dtype=self.symbol_dtype)
-        if self.width == 8:
+        if self._byte_width() == 1:
             raw = symbols.view(np.uint8)
-        elif self.width == 16:
-            raw = symbols.astype("<u2").view(np.uint8)
         else:
-            if len(symbols) % 2:
-                symbols = np.concatenate(
-                    [symbols, np.zeros(1, dtype=self.symbol_dtype)]
-                )
-            raw = (symbols[0::2] | (symbols[1::2] << 4)).astype(np.uint8)
+            raw = symbols.astype("<u2").view(np.uint8)
         data = raw.tobytes()
         if byte_length is not None:
             data = data[:byte_length]
@@ -335,26 +331,8 @@ class GF:
 
     def symbol_length_for_bytes(self, nbytes: int) -> int:
         """Number of symbols needed to carry ``nbytes`` payload bytes."""
-        if self.width == 8:
-            return nbytes
-        if self.width == 16:
-            return (nbytes + 1) // 2
-        return 2 * nbytes
-
-    def add_bytes(self, a: bytes, b: bytes) -> bytes:
-        """XOR two payloads, the shorter zero-padded (paper's padding rule).
-
-        Runs through arbitrary-precision int XOR: little-endian conversion
-        zero-extends the shorter payload for free and the XOR itself is a
-        single C-level pass instead of a Python byte loop.
-        """
-        if len(a) < len(b):
-            a, b = b, a
-        if not b:
-            return bytes(a)
-        return (
-            int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
-        ).to_bytes(len(a), "little")
+        size = self._byte_width()
+        return (nbytes + size - 1) // size
 
     def stack_payloads(
         self, payloads: Sequence[bytes | None], length: int
@@ -368,14 +346,12 @@ class GF:
         read-only (it can alias the joined input bytes); the kernels only
         read their stacked operands.
         """
-        bytes_per_row = length if self.width == 8 else (
-            2 * length if self.width == 16 else (length + 1) // 2
-        )
+        bytes_per_row = length * self._byte_width()
         uniform = [
             p for p in payloads
             if p is not None and len(p) == bytes_per_row
         ]
-        if self.width in (8, 16) and payloads and len(uniform) == len(payloads):
+        if payloads and len(uniform) == len(payloads):
             # Uniform full-width payloads (bulk encodes of fixed-size
             # records): one join + one memcpy instead of a per-row loop.
             raw = np.frombuffer(b"".join(uniform), dtype=np.uint8).reshape(
@@ -391,14 +367,7 @@ class GF:
                         "payload longer than the stripe symbol length"
                     )
                 raw[row, : len(payload)] = np.frombuffer(payload, dtype=np.uint8)
-        if self.width == 8:
-            return raw
-        if self.width == 16:
-            return raw.view("<u2")
-        symbols = np.empty((len(payloads), length), dtype=np.uint8)
-        symbols[:, 0::2] = (raw & 0x0F)[:, : (length + 1) // 2]
-        symbols[:, 1::2] = (raw >> 4)[:, : length // 2]
-        return symbols
+        return raw if self.width == 8 else raw.view("<u2")
 
     def scale_accumulate(self, acc: Symbols, scalar: int, data: bytes) -> None:
         """In-place ``acc ^= scalar * symbols(data)`` (the Δ-record fold).

@@ -171,26 +171,17 @@ class RSCodec:
         stripes = [self.stripe_symbol_length(g) for g in groups]
         stacked = self.pack_stripes(groups, max(stripes))
         parity = self.encode_stripes(stacked)
-        if field.width in (8, 16):
-            # Whole-byte symbols: render each parity plane as one blob
-            # and slice per group (prefix trims are byte-aligned).
-            itemsize = np.dtype(field.symbol_dtype).itemsize
-            stride = parity.shape[2] * itemsize
-            wire = "<u2" if field.width == 16 else np.uint8
-            blobs = [
-                parity[i].astype(wire, copy=False).tobytes()
-                for i in range(self.k)
-            ]
-            return [
-                [
-                    blobs[i][r * stride : r * stride + stripes[r] * itemsize]
-                    for i in range(self.k)
-                ]
-                for r in range(len(groups))
-            ]
+        # Render each parity plane as one blob and slice per group
+        # (symbols are whole bytes, so prefix trims are byte-aligned).
+        itemsize = np.dtype(field.symbol_dtype).itemsize
+        stride = parity.shape[2] * itemsize
+        blobs = [
+            field.bytes_from_symbols(parity[i].reshape(-1))
+            for i in range(self.k)
+        ]
         return [
             [
-                field.bytes_from_symbols(parity[i, r, : stripes[r]])
+                blobs[i][r * stride : r * stride + stripes[r] * itemsize]
                 for i in range(self.k)
             ]
             for r in range(len(groups))

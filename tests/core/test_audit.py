@@ -30,11 +30,11 @@ def corrupt_data_record(file, bucket):
 
 def corrupt_parity_record(file, group, index):
     server = file.parity_servers(group)[index]
-    rank, record = next(iter(server.records.items()))
-    # Flip bits in the *stored* symbols: with the contiguous stripe
-    # store, record.symbols is a view into the bucket's matrix, so the
-    # rot must land in place to reach what dumps and scans read.
-    record.symbols[0] ^= 0x3C
+    rank = next(iter(server._store))
+    # Flip bits in the *stored* symbols: the row view writes into the
+    # bucket's matrix, so the rot lands in place, where dumps and scans
+    # read.
+    server._store.view(rank)[0] ^= 0x3C
     return rank
 
 

@@ -57,15 +57,15 @@ def _parity_snapshot(file: LHRSFile) -> dict:
         if ".p" not in node_id:
             continue
         node = file.network.nodes[node_id]
-        if not hasattr(node, "records"):
+        if not hasattr(node, "_store"):
             continue
+        records = map(node._store.snapshot, node._store)
         snap[node_id] = {
-            rank: (
-                dict(record.keys),
-                dict(record.lengths),
-                record.parity_bytes(node.field).rstrip(b"\0"),
+            record["rank"]: (
+                record["keys"], record["lengths"],
+                record["parity"].rstrip(b"\0"),
             )
-            for rank, record in node.records.items()
+            for record in records
         }
     return snap
 
@@ -385,9 +385,11 @@ class TestRankIndex:
 
     def _assert_index_consistent(self, file):
         for server in self._servers(file):
-            assert server._rank_to_key == {
-                rank: key for key, rank in server.ranks.items()
-            }
+            assert server._key_at[0] is None
+            assert {
+                rank: key for rank, key in enumerate(server._key_at)
+                if key is not None
+            } == {rank: key for key, rank in server.ranks.items()}
 
     def test_index_mirrors_ranks_through_restructuring(self):
         file = LHRSFile(_cfg(True, m=4, k=2, capacity=8))

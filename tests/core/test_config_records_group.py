@@ -1,8 +1,7 @@
-"""Tests for LHRSConfig, record structures and group geometry."""
+"""Tests for LHRSConfig and group geometry."""
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.core.availability import AvailabilityPolicy
@@ -15,7 +14,6 @@ from repro.core.group import (
     parity_node,
     position_of,
 )
-from repro.core.records import DataRecord, ParityRecord
 from repro.gf import GF
 
 
@@ -49,40 +47,6 @@ class TestConfig:
         cfg = LHRSConfig(policy=AvailabilityPolicy.scalable(max_level=3))
         assert cfg.max_availability == 3
         assert cfg.effective_policy.level_for(8) == 2
-
-
-class TestRecords:
-    def test_data_record_wire_size(self):
-        rec = DataRecord(key=7, payload=b"abcd", rank=3)
-        assert rec.wire_size() == 20
-
-    def test_parity_record_snapshot_roundtrip(self):
-        gf = GF(8)
-        rec = ParityRecord(
-            rank=5,
-            keys={0: 11, 2: 13},
-            lengths={0: 4, 2: 2},
-            symbols=np.array([1, 2, 3, 4], dtype=np.uint8),
-        )
-        snap = rec.snapshot(gf)
-        back = ParityRecord.from_snapshot(snap, gf)
-        assert back.rank == 5
-        assert back.keys == rec.keys
-        assert back.lengths == rec.lengths
-        assert (back.symbols == rec.symbols).all()
-
-    def test_parity_record_properties(self):
-        rec = ParityRecord(rank=1, keys={0: 5}, lengths={0: 9})
-        assert rec.member_count == 1
-        assert rec.max_length == 9
-        assert ParityRecord(rank=2).max_length == 0
-
-    def test_wire_size_counts_directory_and_parity(self):
-        rec = ParityRecord(
-            rank=1, keys={0: 5, 1: 6}, lengths={0: 4, 1: 4},
-            symbols=np.zeros(10, dtype=np.uint8),
-        )
-        assert rec.wire_size() == 2 * 24 + 10
 
 
 class TestGroupGeometry:

@@ -256,7 +256,9 @@ class TestDuplicateDelivery:
             "f.d0", "f.d1", "records.bulk", {"records": moved, "source": 0}
         )
         assert (rows(server), next_ranks(server), server._parity_seq) == before
-        assert server._rank_to_key == {r: k for k, r in server.ranks.items()}
+        assert {r: k for r, k in enumerate(server._key_at) if k is not None} == {
+            r: k for k, r in server.ranks.items()
+        }
         assert file.verify_parity_consistency() == []
         file.recover([file.fail_data_bucket(1)])
         assert rows(file.network.nodes["f.d1"]) == before[0]

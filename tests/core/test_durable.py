@@ -175,8 +175,8 @@ def test_read_back_without_a_usable_image(rig, damage):
         assert rig.coord.rejoins[-1]["clean"] is False
         assert rig.coord.rejoins[-1]["epoch"] == 0
         assert rig.server.fenced
-        held = rig.server.ranks if rig.kind == "data" else rig.server.records
-        assert held == {}
+        held = rig.server.ranks if rig.kind == "data" else rig.server._store
+        assert len(held) == 0
 
 
 def test_a_reboot_replays_once_and_rejoins(rig):

@@ -50,8 +50,8 @@ class TestGrowthConsistency:
         for server in file.parity_servers():
             if server.index:
                 continue
-            for record in server.records.values():
-                positions = list(record.keys)
+            for rank in server._store:
+                positions = list(server._store.snapshot(rank)["keys"])
                 assert len(positions) == len(set(positions))
                 assert all(0 <= p < 4 for p in positions)
 
@@ -75,7 +75,7 @@ class TestGrowthConsistency:
             used = set(server.ranks.values())
             free = set(server._free_ranks)
             assert not used & free
-            assert used | free == set(range(1, server._rank_counter + 1))
+            assert used | free == set(range(1, len(server._key_at)))
 
     def test_mutations_preserve_consistency(self):
         file, keys = build_file()

@@ -77,17 +77,17 @@ class TestApply:
     def test_insert_creates_record(self, setup):
         _, p0, _, probe = setup
         probe.send("f.p0.0", "parity.update", op("insert", 9, 1, 0, b"abcd"))
-        record = p0.records[1]
-        assert record.keys == {0: 9}
-        assert record.lengths == {0: 4}
-        assert record.parity_bytes(p0.field) == b"abcd"
+        record = p0._store.snapshot(1)
+        assert record["keys"] == {0: 9}
+        assert record["lengths"] == {0: 4}
+        assert record["parity"] == b"abcd"
 
     def test_xor_bucket_accumulates_xor(self, setup):
         _, p0, _, probe = setup
         probe.send("f.p0.0", "parity.update", op("insert", 9, 1, 0, b"ab"))
         probe.send("f.p0.0", "parity.update", op("insert", 8, 1, 1, b"cd"))
         expected = bytes(x ^ y for x, y in zip(b"ab", b"cd"))
-        assert p0.records[1].parity_bytes(p0.field) == expected
+        assert p0._store.snapshot(1)["parity"] == expected
         assert p0.xor_folds == 2 and p0.general_folds == 0
 
     def test_second_parity_uses_general_gf(self, setup):
@@ -100,30 +100,30 @@ class TestApply:
         _, _, p1, probe = setup
         probe.send("f.p0.1", "parity.update", op("insert", 9, 1, 0, b"zz"))
         assert p1.xor_folds == 1
-        assert p1.records[1].parity_bytes(p1.field) == b"zz"
+        assert p1._store.snapshot(1)["parity"] == b"zz"
 
     def test_update_changes_parity_and_length(self, setup):
         _, p0, _, probe = setup
         probe.send("f.p0.0", "parity.update", op("insert", 9, 1, 0, b"aaaa"))
         delta = bytes(x ^ y for x, y in zip(b"aaaa", b"bb\0\0"))
         probe.send("f.p0.0", "parity.update", op("update", 9, 1, 0, delta, 2))
-        record = p0.records[1]
-        assert record.lengths == {0: 2}
-        assert record.parity_bytes(p0.field)[:2] == b"bb"
+        record = p0._store.snapshot(1)
+        assert record["lengths"] == {0: 2}
+        assert record["parity"][:2] == b"bb"
 
     def test_delete_last_member_removes_record(self, setup):
         _, p0, _, probe = setup
         probe.send("f.p0.0", "parity.update", op("insert", 9, 1, 0, b"abcd"))
         probe.send("f.p0.0", "parity.update", op("delete", 9, 1, 0, b"abcd", 0))
-        assert 1 not in p0.records
+        assert 1 not in p0._store
 
     def test_delete_keeps_record_with_other_members(self, setup):
         _, p0, _, probe = setup
         probe.send("f.p0.0", "parity.update", op("insert", 9, 1, 0, b"ab"))
         probe.send("f.p0.0", "parity.update", op("insert", 8, 1, 2, b"cd"))
         probe.send("f.p0.0", "parity.update", op("delete", 9, 1, 0, b"ab", 0))
-        assert p0.records[1].keys == {2: 8}
-        assert p0.records[1].parity_bytes(p0.field) == b"cd"
+        assert p0._store.snapshot(1)["keys"] == {2: 8}
+        assert p0._store.snapshot(1)["parity"] == b"cd"
 
     def test_batch(self, setup):
         _, p0, _, probe = setup
@@ -131,7 +131,7 @@ class TestApply:
             "f.p0.0", "parity.batch",
             {"runs": [run("insert", 9, 1, 0, b"ab"), run("insert", 8, 2, 1, b"cd")]},
         )
-        assert set(p0.records) == {1, 2}
+        assert set(p0._store) == {1, 2}
 
     def test_bad_position_rejected(self, setup):
         _, _, _, probe = setup
@@ -172,8 +172,8 @@ class TestQueries:
         fresh = ParityServer("f.p0.9", "f", 0, 0, p0.row, p0.field)
         net.register(fresh)
         probe.send("f.p0.9", "parity.load", dump)
-        assert set(fresh.records) == {2, 3}
-        assert fresh.records[3].keys == {1: 42}
+        assert set(fresh._store) == {2, 3}
+        assert fresh._store.snapshot(3)["keys"] == {1: 42}
 
     def test_status(self, setup):
         _, _, _, probe = setup
@@ -214,8 +214,8 @@ class TestKeyIndex:
         for key in (10, 11, 12, 13):
             hit = probe.call("f.p0.0", "parity.locate", {"key": key})
             scan_hit = next(
-                (rank for rank, rec in p0.records.items()
-                 if key in rec.keys.values()),
+                (rank for rank in p0._store
+                 if key in p0._store.snapshot(rank)["keys"].values()),
                 None,
             )
             assert hit["rank"] == scan_hit
@@ -269,7 +269,7 @@ class TestCrashConsistency:
         with pytest.raises(RuntimeError, match="simulated crash"):
             probe.send("f.p0.0", "parity.update", op("insert", 9, 1, 0, b"ab"))
         # No half-born record anywhere recovery looks.
-        assert 1 not in server.records
+        assert 1 not in server._store
         assert 9 not in server._key_index
         assert probe.call("f.p0.0", "parity.locate", {"key": 9}) is None
         assert probe.call("f.p0.0", "parity.dump")["store"]["rank_of"] == []
@@ -278,37 +278,37 @@ class TestCrashConsistency:
         armed["on"] = False
         probe.send("f.p0.0", "parity.update", op("insert", 9, 1, 0, b"ab"))
         assert probe.call("f.p0.0", "parity.locate", {"key": 9})["rank"] == 1
-        assert server.records[1].parity_bytes(server.field) == b"ab"
+        assert server._store.snapshot(1)["parity"] == b"ab"
 
     def test_crash_on_existing_rank_keeps_old_record_intact(self, crashing):
         server, probe, armed = crashing
         probe.send("f.p0.0", "parity.update", op("insert", 9, 1, 0, b"ab"))
-        before = server.records[1].parity_bytes(server.field)
+        before = server._store.snapshot(1)["parity"]
         armed["on"] = True
         with pytest.raises(RuntimeError):
             probe.send("f.p0.0", "parity.update", op("insert", 8, 1, 1, b"cd"))
         armed["on"] = False
-        record = server.records[1]
-        assert record.keys == {0: 9}
+        record = server._store.snapshot(1)
+        assert record["keys"] == {0: 9}
         assert 8 not in server._key_index
-        assert record.parity_bytes(server.field) == before
+        assert record["parity"] == before
 
     def test_unknown_action_rejected_before_any_fold(self):
         """Validation precedes mutation: a bad action folds nothing."""
         server, probe = make_server()
         probe.send("f.p0.0", "parity.update", op("insert", 9, 1, 0, b"ab"))
-        before = server.records[1].parity_bytes(server.field)
+        before = server._store.snapshot(1)["parity"]
         ops_before = server.symbol_ops
         with pytest.raises(ValueError, match="unknown parity op"):
             probe.send("f.p0.0", "parity.update",
                        op("frobnicate", 8, 1, 1, b"cd"))
-        assert server.records[1].parity_bytes(server.field) == before
+        assert server._store.snapshot(1)["parity"] == before
         assert server.symbol_ops == ops_before
-        assert 2 not in server.records
+        assert 2 not in server._store
         with pytest.raises(ValueError):
             probe.send("f.p0.0", "parity.update",
                        op("frobnicate", 7, 2, 0, b"zz"))
-        assert 2 not in server.records  # fresh rank not allocated either
+        assert 2 not in server._store  # fresh rank not allocated either
 
     @pytest.mark.parametrize("kind", ["parity.update", "parity.batch"])
     def test_rejected_sequenced_delta_leaves_channel_for_the_retry(self, kind):
@@ -325,7 +325,7 @@ class TestCrashConsistency:
         reply = ship(seq_op(2, "insert", 8, 2, 0, b"cd"))
         assert reply["status"] == "applied"
         assert server._expected_seq[0] == 3
-        assert server.records[2].parity_bytes(server.field) == b"cd"
+        assert server._store.snapshot(2)["parity"] == b"cd"
         assert not server.stale and server.duplicates_skipped == 0
 
     def test_sequenced_delta_dying_mid_fold_applies_on_retry(self, crashing):
@@ -335,17 +335,17 @@ class TestCrashConsistency:
             probe.call("f.p0.0", "parity.update",
                        seq_op(1, "insert", 9, 1, 0, b"ab"))
         assert server._expected_seq.get(0, 1) == 1
-        assert 1 not in server.records and 1 not in server._store
+        assert 1 not in server._store
         armed["on"] = False
         reply = probe.call("f.p0.0", "parity.update",
                            seq_op(1, "insert", 9, 1, 0, b"ab"))
         assert reply == {"status": "applied", "applied": 1}
-        assert server.records[1].parity_bytes(server.field) == b"ab"
+        assert server._store.snapshot(1)["parity"] == b"ab"
         # ... and the retransmission of an applied Δ still is a duplicate.
         reply = probe.call("f.p0.0", "parity.update",
                            seq_op(1, "insert", 9, 1, 0, b"ab"))
         assert reply == {"status": "duplicate", "applied": 0}
-        assert server.records[1].parity_bytes(server.field) == b"ab"
+        assert server._store.snapshot(1)["parity"] == b"ab"
 
 
 class TestStoreViewLifecycle:
@@ -374,16 +374,16 @@ class TestStoreViewLifecycle:
             },
             "expected_seqs": {},
         })
-        assert set(server.records) == {2}
+        assert set(server._store) == {2}
         with pytest.raises(KeyError):
             server._store.view(5)
         assert probe.call("f.p0.0", "parity.locate", {"key": 9}) is None
         # The surviving record's symbols are live views of the new store:
         # folding through them writes through to the matrix.
-        record = server.records[2]
-        assert record.parity_bytes(server.field) == b"newp"
-        assert record.symbols.base is server._store.matrix.base or (
-            record.symbols.base is server._store.matrix
+        assert server._store.snapshot(2)["parity"] == b"newp"
+        symbols = server._store.view(2)
+        assert symbols.base is server._store.matrix.base or (
+            symbols.base is server._store.matrix
         )
 
 

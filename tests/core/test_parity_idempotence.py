@@ -37,7 +37,7 @@ class TestDuplicateDelta:
         server = file.network.nodes["f.d0"]
         parity = file.network.nodes[parity_node("f", 0, 0)]
         rank = server.ranks[6]
-        before = parity.records[rank].parity_bytes(parity.field)
+        before = parity._store.snapshot(rank)["parity"]
 
         op = last_op_of(server, 6, b"payload")
         for n in range(1, 4):
@@ -46,7 +46,7 @@ class TestDuplicateDelta:
             )
             assert reply["status"] == "duplicate"
             assert parity.duplicates_skipped == n
-        after = parity.records[rank].parity_bytes(parity.field)
+        after = parity._store.snapshot(rank)["parity"]
         assert after == before
         assert file.verify_parity_consistency() == []
 

@@ -65,7 +65,12 @@ def check_rank_bookkeeping(file):
         used = set(server.ranks.values())
         free = set(server._free_ranks)
         assert not used & free
-        assert used | free == set(range(1, server._rank_counter + 1))
+        assert used | free == set(range(1, len(server._key_at)))
+        assert server._key_at[0] is None
+        assert {
+            rank: key for rank, key in enumerate(server._key_at)
+            if key is not None
+        } == {rank: key for key, rank in server.ranks.items()}
 
 
 class TestSingleDataBucketRecovery:
@@ -310,21 +315,17 @@ class TestRecordRecovery:
         file.fail_data_bucket(0)
         file.fail_data_bucket(1)
         parity_sees = file.parity_servers(0)[0]
-        rank = next(
-            r for r, rec in parity_sees.records.items()
-            if rec.keys.get(0) == file.data_servers() and False
-        ) if False else None
         # Only raise when the record group actually spans both buckets;
         # find such a key.
-        groups = parity_sees.records
+        groups = map(parity_sees._store.snapshot, parity_sees._store)
         spanning = next(
-            (rec for rec in groups.values() if 0 in rec.keys and 1 in rec.keys),
+            (rec for rec in groups if 0 in rec["keys"] and 1 in rec["keys"]),
             None,
         )
         if spanning is None:
             pytest.skip("no record group spans buckets 0 and 1 in this build")
         with pytest.raises(RecoveryError):
-            file.recover_record(spanning.keys[0])
+            file.recover_record(spanning["keys"][0])
 
 
 class TestFileStateRecovery:
@@ -467,7 +468,7 @@ def image_of(file, node_id):
 
 def records_in(file, node_id):
     server = file.network.nodes[node_id]
-    return len(server.bucket if node_id.startswith("f.d") else server.records)
+    return len(server.bucket if node_id.startswith("f.d") else server._store)
 
 
 GROUP = [f"f.d{b}" for b in range(4)] + ["f.p0.0", "f.p0.1"]
@@ -567,7 +568,8 @@ class TestParityOracle:
         # a record whose group holds a longer member: its decode is wider
         key, (rank, pos) = next(
             (key, where) for key, where in sorted(server._key_index.items())
-            if max(server.records[where[0]].lengths.values()) > len(b"v%d" % key)
+            if max(server._store.snapshot(where[0])["lengths"].values())
+            > len(b"v%d" % key)
         )
         store = server._store
         store.length_cells[store._row_of[rank] * store.slots + pos] += 5

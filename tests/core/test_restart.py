@@ -341,7 +341,9 @@ class TestCheckpointsUnderGrowth:
 
         def whole_bucket_image(server):
             assert set(server.ranks) == set(server.bucket.records)
-            assert server._rank_to_key == {r: k for k, r in server.ranks.items()}
+            assert {
+                r: k for r, k in enumerate(server._key_at) if k is not None
+            } == {r: k for k, r in server.ranks.items()}
             images.append(server.node_id)
             return image(server)
 
@@ -358,7 +360,7 @@ class TestCheckpointsUnderGrowth:
 def next_ranks(server, count=64):
     """The ``count`` ranks a data bucket hands out next, not taken: its
     free ranks smallest first, then the ones above its counter."""
-    top = server._rank_counter
+    top = len(server._key_at) - 1
     ranks = sorted(server._free_ranks) + list(range(top + 1, top + 1 + count))
     return ranks[:count]
 
@@ -377,8 +379,8 @@ def directory_of(server):
     """``{key: (rank, pos)}`` as the records spell it."""
     return {
         key: (rank, pos)
-        for rank, record in server.records.items()
-        for pos, key in record.keys.items()
+        for rank in server._store
+        for pos, key in server._store.snapshot(rank)["keys"].items()
     }
 
 
@@ -443,8 +445,8 @@ class TestImageEqualsLiveState:
             probe.call("f.p0.0", "parity.update",
                        seq_op(rank, "insert", 2**40 + rank, rank, 0, b"abc"))
         probe.call("f.p0.0", "parity.update", op("update", 5, 50, 2, b"zz"))
-        assert server.records[50].lengths == {2: 2}
-        assert server.records[50].keys == {}
+        assert server._store.snapshot(50)["lengths"] == {2: 2}
+        assert server._store.snapshot(50)["keys"] == {}
         image = server._image()["store"]
         packed = codec.encode(image["dir_keys"])
         assert packed[0] == 0x0A and packed[1] == 8  # one packed column
@@ -457,7 +459,7 @@ class TestImageEqualsLiveState:
     def test_empty_bucket(self):
         net, server, probe = lone_parity(GF(16), index=1)
         before = checkpoint_and_restart(net, server)
-        assert before[0] == [] and len(server.records) == 0
+        assert before[0] == [] and len(server._store) == 0
         probe.call("f.p0.0", "catchup.parity", {"runs": []})
         probe.call("f.p0.0", "parity.update", seq_op(1, "insert", 9, 1, 0, b"ab"))
         checkpoint_and_restart(net, server)
@@ -486,7 +488,7 @@ class TestImageEqualsLiveState:
             [4 * width + rank for rank in ranks],
         ]]})
         assert store.matrix.shape[0] > rows and store.width > width
-        assert server.records[0].keys == {3: 500}  # carried across
+        assert server._store.snapshot(0)["keys"] == {3: 500}  # carried across
         checkpoint_and_restart(net, server)
         assert server._store.matrix.shape == (len(ranks) + 1, store.width)
 
@@ -515,9 +517,9 @@ class TestImageEqualsLiveState:
         probe.call("f.p0.0", "parity.update",
                    seq_op(2, "insert", 31, 7, 1, b"new"))
         assert server._store._row_of[7] == row
-        assert server.records[7].keys == {1: 31}
-        assert server.records[7].lengths == {1: 3}
-        assert server.records[7].parity_bytes(server.field) == b"new"
+        assert server._store.snapshot(7)["keys"] == {1: 31}
+        assert server._store.snapshot(7)["lengths"] == {1: 3}
+        assert server._store.snapshot(7)["parity"] == b"new"
         checkpoint_and_restart(net, server)
         probe.call("f.p0.0", "catchup.parity", {"runs": []})  # unfence
         located = probe.call("f.p0.0", "parity.locate", {"key": 31})
@@ -536,7 +538,7 @@ class TestImageEqualsLiveState:
                     "insert", pos, 1, [10 * rank + pos for rank in ranks],
                     ranks, [b"%04d" % rank for rank in ranks], [4] * groups,
                 ]]})
-            assert len(server.records) == groups
+            assert len(server._store) == groups
             count = 0
 
             def profiler(frame, event, arg):
@@ -575,7 +577,8 @@ class TestImageEqualsLiveState:
         def live():
             return (
                 dict(server.bucket.records), list(server.bucket.records),
-                dict(server.ranks), dict(server._rank_to_key),
+                dict(server.ranks),
+                {r: k for r, k in enumerate(server._key_at) if k is not None},
                 next_ranks(server), server._parity_seq, server.bucket.level,
                 server.epoch,
             )

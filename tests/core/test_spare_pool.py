@@ -54,9 +54,9 @@ class TestSparePool:
         # Degraded reads still work: they need no spare.  Read a record
         # of the dead bucket itself via record recovery.
         parity = file.parity_servers(0)[0]
+        records = map(parity._store.snapshot, parity._store)
         key = next(
-            record.keys[0] for record in parity.records.values()
-            if 0 in record.keys
+            record["keys"][0] for record in records if 0 in record["keys"]
         )
         found, payload = file.recover_record(key)
         assert found and payload == b"spare-me"

@@ -115,7 +115,7 @@ class TestStaleHandles:
         with pytest.raises(KeyError):
             store.view(3)
         with pytest.raises(KeyError):
-            store[3]
+            store.snapshot(3)
 
     def test_view_after_release_raises(self, field):
         store = StripeStore(field)

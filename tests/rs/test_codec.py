@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.gf import GF
 from repro.rs import DecodeError, RSCodec
+from repro.rs.encoder import delta_payload
 
 
 def make_group(codec, payloads):
@@ -132,6 +133,20 @@ class TestDelta:
 
     def test_delta_of_delete_is_payload(self):
         assert RSCodec.delta(b"old", b"") == b"old"
+
+    @given(a=st.binary(max_size=32), b=st.binary(max_size=32))
+    def test_delta_payload_is_padded_xor(self, a, b):
+        out = delta_payload(a, b)
+        assert len(out) == max(len(a), len(b))
+        for i, byte in enumerate(out):
+            av = a[i] if i < len(a) else 0
+            bv = b[i] if i < len(b) else 0
+            assert byte == av ^ bv
+
+    @given(a=st.binary(max_size=32), b=st.binary(max_size=32))
+    def test_delta_payload_self_inverse(self, a, b):
+        twice = delta_payload(delta_payload(a, b), b)
+        assert twice[: len(a)] == a
 
     def test_fold_insert_then_update_then_delete(self):
         codec = RSCodec(m=4, k=2)

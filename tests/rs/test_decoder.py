@@ -74,10 +74,10 @@ class TestDecodeSymbols:
 
 
 class TestUnusualConfigurations:
-    def test_gf4_codec_roundtrip(self):
-        """GF(2^4): two symbols per byte — exercises nibble packing."""
-        codec = RSCodec(m=3, k=2, field=GF(4))
-        payloads = [b"nibble-packed!", b"odd", b"payloads here"]
+    def test_ragged_codec_roundtrip(self):
+        """Ragged payloads: two lost records come back at their lengths."""
+        codec = RSCodec(m=3, k=2, field=GF(8))
+        payloads = [b"ragged-length!", b"odd", b"payloads here"]
         parity = codec.encode(payloads)
         shares = {j: p for j, p in enumerate(payloads)}
         shares.update({3 + i: p for i, p in enumerate(parity)})

@@ -19,7 +19,8 @@ from repro.gf import GF
 from repro.gf.signatures import signature_matrix, signature_vector
 from repro.rs import RSCodec, decode_stripes, encode_stripes, encode_symbols
 
-WIDTHS = [4, 8, 16]
+#: the widths with a byte payload form (GF(2^4) is arithmetic only)
+WIDTHS = [8, 16]
 
 
 def group_strategy(max_m=5, max_payload=40):
