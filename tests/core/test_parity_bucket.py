@@ -558,7 +558,7 @@ class TestDeliveryShapes:
                 net.fail("f.p0.0")
                 net.restore("f.p0.0")
                 assert server.fenced
-                reply = probe.call("f.p0.0", "catchup.parity", {"runs": []})
+                reply = probe.call("f.p0.0", "runs.catchup", {"runs": []})
                 assert reply == {"ok": True, "applied": 0}
                 oracle.replayed()
             deltas = streams[pos][lo:hi]

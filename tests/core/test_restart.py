@@ -106,7 +106,7 @@ class TestDataRestartCatchUp:
 
     def test_a_lost_tail_comes_back_as_runs_not_records(self):
         """The parity ring hands the restarted bucket the runs it issued
-        and lost: one ``catchup.load``, no record recovery per missed
+        and lost: one ``runs.catchup``, no record recovery per missed
         key (a locate, fetches and rank reads each)."""
         file, tracer = build(wal_fsync_interval=8)
         with file.stats.measure("catchup") as window:
@@ -115,7 +115,7 @@ class TestDataRestartCatchUp:
         assert not {"parity.locate", "record.fetch", "parity.rank"} & {
             kind for kind, count in window.by_kind.items() if count
         }
-        assert window.by_kind["catchup.load"] == 1
+        assert window.by_kind["runs.catchup"] == 1
         (event,) = [e for e in tracer.events if e.type == "catchup.data"]
         assert event.attrs["applied"] > 0
         assert tracer.counts.get("catchup.fallback") is None
@@ -123,7 +123,7 @@ class TestDataRestartCatchUp:
         assert file.verify_parity_consistency() == []
 
     def test_deltas_the_bucket_holds_are_not_replayed_twice(self):
-        """A ``catchup.load`` whose first run starts at the fenced
+        """A ``runs.catchup`` whose first run starts at the fenced
         bucket's durable prefix: that update Δ is an XOR the bucket
         already applied, so it is dropped and only the lost ones
         replay."""
@@ -140,10 +140,10 @@ class TestDataRestartCatchUp:
         file.network.restore("f.d1")
         assert server.fenced and server._parity_seq == disk_seq
         coordinator = file.rs_coordinator.node_id
-        tail = file.network.call(coordinator, "f.p0.0", "delta.tail",
-                                 {"pos": server.position, "after": disk_seq - 1})
+        tail = file.network.call(coordinator, "f.p0.0", "runs.tail",
+                                 {"after": disk_seq - 1, "pos": server.position})
         assert tail["covered"] and tail["runs"][0][2] == disk_seq
-        file.network.call(coordinator, "f.d1", "catchup.load",
+        file.network.call(coordinator, "f.d1", "runs.catchup",
                           {"runs": tail["runs"]})
         assert not server.fenced and server._parity_seq == disk_seq + 2
         assert file.search(key).value == b"3rd"
@@ -390,7 +390,7 @@ def checkpoint_and_restart(net, server):
     before = parity_state(server)
     server.checkpoint_now()
     net.fail(server.node_id)
-    net.restore(server.node_id)  # -> on_restored() -> _restart()
+    net.restore(server.node_id)  # -> on_restored() -> Durability.restart()
     assert server.fenced and parity_state(server) == before
     assert server._key_index == directory_of(server)
     return before
@@ -453,14 +453,14 @@ class TestImageEqualsLiveState:
         assert len(packed) == 6 + 8 * len(image["dir_keys"])
         del image
         checkpoint_and_restart(net, server)
-        probe.call("f.p0.0", "catchup.parity", {"runs": []})  # unfence
+        probe.call("f.p0.0", "runs.catchup", {"runs": []})  # unfence
         assert probe.call("f.p0.0", "parity.locate", {"key": 5}) is None
 
     def test_empty_bucket(self):
         net, server, probe = lone_parity(GF(16), index=1)
         before = checkpoint_and_restart(net, server)
         assert before[0] == [] and len(server._store) == 0
-        probe.call("f.p0.0", "catchup.parity", {"runs": []})
+        probe.call("f.p0.0", "runs.catchup", {"runs": []})
         probe.call("f.p0.0", "parity.update", seq_op(1, "insert", 9, 1, 0, b"ab"))
         checkpoint_and_restart(net, server)
         assert directory_of(server) == {9: (1, 0)}
@@ -521,7 +521,7 @@ class TestImageEqualsLiveState:
         assert server._store.snapshot(7)["lengths"] == {1: 3}
         assert server._store.snapshot(7)["parity"] == b"new"
         checkpoint_and_restart(net, server)
-        probe.call("f.p0.0", "catchup.parity", {"runs": []})  # unfence
+        probe.call("f.p0.0", "runs.catchup", {"runs": []})  # unfence
         located = probe.call("f.p0.0", "parity.locate", {"key": 31})
         assert located["keys"] == {1: 31} and located["pos"] == 1
         assert probe.call("f.p0.0", "parity.locate", {"key": 12}) is None
@@ -586,7 +586,7 @@ class TestImageEqualsLiveState:
         before = live()
         server.checkpoint_now()
         server._durable.rejoin = lambda payload: None  # what replay leaves
-        server._restart()
+        server._durable.restart()
         assert server.fenced and live() == before
 
 

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.check import harness
+from repro.core.data_bucket import DATA_FENCED_KINDS
+from repro.core.parity_bucket import PARITY_FENCED_KINDS
 from repro.proto.schema import (
     EVENT_NAME_RE,
     METRIC_NAME_RE,
@@ -16,6 +19,18 @@ from repro.proto.schema import (
     resolve,
     validate_registry,
 )
+from repro.sim.faults import DEFAULT_PROTECTED_KINDS
+from repro.sim.network import DEFAULT_SHEDDABLE_KINDS
+
+#: the kind sets written out by hand, which no registry check reads
+HARD_CODED_KIND_SETS = {
+    "DEFAULT_PROTECTED_KINDS": DEFAULT_PROTECTED_KINDS,
+    "DEFAULT_SHEDDABLE_KINDS": DEFAULT_SHEDDABLE_KINDS,
+    "DATA_FENCED_KINDS": DATA_FENCED_KINDS,
+    "PARITY_FENCED_KINDS": PARITY_FENCED_KINDS,
+    "MUTATION_KINDS": harness.MUTATION_KINDS,
+    "REPLY_KINDS": harness.REPLY_KINDS,
+}
 
 
 class TestMessageKind:
@@ -105,6 +120,14 @@ class TestRegistry:
         entry = REGISTRY["signature.dump"]
         assert entry.mode == "call"
         assert "count?:int" in entry.payload
+
+    @pytest.mark.parametrize("name", sorted(HARD_CODED_KIND_SETS))
+    def test_hard_coded_kind_sets_name_registered_kinds(self, name):
+        """A renamed kind must not go stale in a set that names it: a
+        stale name in ``DEFAULT_PROTECTED_KINDS`` would silently open
+        the renamed kind to fault injection."""
+        stale = set(HARD_CODED_KIND_SETS[name]) - set(REGISTRY)
+        assert not stale, f"{name} names unregistered kinds {sorted(stale)}"
 
     def test_metric_grammar_examples(self):
         assert METRIC_NAME_RE.match("op.insert.messages")
