@@ -3,7 +3,7 @@
 Paper theme: with fixed k the whole-file availability still goes to 0 as
 M grows; a policy that raises k at group-count thresholds keeps it ~flat
 at bounded extra storage.  Includes a measured run: a real file grown
-through two policy thresholds with eager retrofits, its per-checkpoint
+through two policy thresholds with paced retrofits, its per-checkpoint
 availability and overhead tabulated, consistency verified.
 """
 
@@ -48,7 +48,6 @@ def measured_run():
         group_size=M_GROUP,
         bucket_capacity=8,
         policy=POLICY,
-        upgrade_existing_groups=True,
     )
     file = LHRSFile(config)
     checkpoints, inserted = [], 0
@@ -60,7 +59,8 @@ def measured_run():
             {
                 "records": inserted,
                 "M": file.bucket_count,
-                "k": max(file.group_levels().values()),
+                "min_k": min(file.group_levels().values()),
+                "max_k": max(file.group_levels().values()),
                 "P": file.analytic_availability(P),
                 "overhead": file.storage_overhead(),
                 "consistent": not file.verify_parity_consistency(),
@@ -94,12 +94,13 @@ def test_e6_scalable_availability(benchmark):
     checkpoints = measured_run()
     lines.append("")
     lines.append("Measured file grown through policy thresholds "
-                 "(eager retrofits):")
-    lines.append(f"{'records':>8} {'M':>5} {'k':>3} {'P':>10} "
+                 "(paced retrofits):")
+    lines.append(f"{'records':>8} {'M':>5} {'min k':>5} {'max k':>5} {'P':>10} "
                  f"{'overhead':>9} {'consistent':>11}")
     for c in checkpoints:
         lines.append(
-            f"{c['records']:>8} {c['M']:>5} {c['k']:>3} {c['P']:>10.6f} "
+            f"{c['records']:>8} {c['M']:>5} {c['min_k']:>5} {c['max_k']:>5} "
+            f"{c['P']:>10.6f} "
             f"{c['overhead']:>9.3f} {str(c['consistent']):>11}"
         )
     save_table(
@@ -114,5 +115,6 @@ def test_e6_scalable_availability(benchmark):
     assert min(scalable) > 0.95
     for c in checkpoints:
         assert c["consistent"]
-    assert checkpoints[-1]["k"] > checkpoints[0]["k"] or checkpoints[0]["k"] >= 2
+    first, last = checkpoints[0]["max_k"], checkpoints[-1]["max_k"]
+    assert last > first or first >= 2
     assert checkpoints[-1]["P"] > 0.99

@@ -20,8 +20,7 @@ policy = AvailabilityPolicy.scalable(
 config = LHRSConfig(
     group_size=4,
     bucket_capacity=8,
-    policy=policy,
-    upgrade_existing_groups=True,  # retrofit old groups eagerly
+    policy=policy,  # a lagging group is raised when one of its buckets splits
 )
 file = LHRSFile(config)
 
@@ -45,7 +44,7 @@ for target in checkpoints:
           f"{file.storage_overhead():>9.3f}")
 
 assert file.verify_parity_consistency() == [], "parity must stay consistent"
-print("\nEvery group after eager upgrades:", dict(sorted(
+print("\nEvery group after paced upgrades:", dict(sorted(
     (lvl, list(file.group_levels().values()).count(lvl))
     for lvl in set(file.group_levels().values())
 )), "(level -> group count)")

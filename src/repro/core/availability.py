@@ -104,8 +104,8 @@ class AvailabilityPolicy:
         k = base_level + #{ t : G >= first_threshold * growth**t, t >= 0 }
 
     capped at ``max_level``.  ``fixed(k)`` never scales.  Each time the
-    level rises, newly created groups are born at the higher k (and, with
-    the eager config option, existing groups are retrofitted).
+    level rises, newly created groups are born at the higher k, and each
+    existing group is retrofitted at the next split of one of its buckets.
     """
 
     base_level: int = 1

@@ -32,12 +32,8 @@ class LHRSConfig:
     policy:
         Scalable-availability policy; ``AvailabilityPolicy.fixed(k)`` by
         default.  When the policy raises the level as the file grows, new
-        groups are born with the higher k.
-    upgrade_existing_groups:
-        Whether a level raise also retrofits existing groups with the new
-        parity buckets (encoded from their data, at a measured messaging
-        cost) — the paper's eager variant.  Lazy (False) leaves old
-        groups at their birth level.
+        groups are born with the higher k, and each split raises its
+        source's group to it (the split pointer paces the retrofit).
     compact_ranks:
         The §4.3-style deletion enhancement: when a rank below the
         bucket's maximum is freed (delete or split move-out), relocate
@@ -159,7 +155,6 @@ class LHRSConfig:
     field_width: int = 8
     generator: str = "cauchy"
     policy: AvailabilityPolicy | None = None
-    upgrade_existing_groups: bool = True
     compact_ranks: bool = False
     degraded_reads: bool = True
     auto_recover: bool = True

@@ -5,8 +5,8 @@ Extends the LH* coordinator with the high-availability duties:
 * every new bucket group gets k parity buckets at birth (k from the
   availability policy at that moment);
 * the scalable-availability policy can raise k as the file grows — new
-  groups are born at the higher level, and (eagerly) existing groups are
-  retrofitted: fresh parity buckets are encoded from the group's data
+  groups are born at the higher level, and the split pointer retrofits
+  existing ones: fresh parity buckets are encoded from the group's data
   and the group's data servers learn their new parity targets;
 * unavailability reports converge here: searches are served through
   record recovery (degraded reads) and failed buckets are rebuilt onto
@@ -325,9 +325,9 @@ class RSCoordinator(Coordinator):
             self.split_once()
         while data_node(self.file_id, self.state.bucket_count - 1) not in nodes:
             self.merge_once()
-        # The retrofit a split owed when the journal stopped is not an
-        # intent of its own; the policy is re-read instead.
-        self._maybe_scale_availability()
+        # The last split's retrofit is no intent: the policy is re-read.
+        if self.state.bucket_count > self.state.n0:
+            self._retrofit(self.state.next_merge()[0])
         if self.standby_ids:
             self.checkpoint_to_parity()
 
@@ -553,10 +553,7 @@ class RSCoordinator(Coordinator):
         """Give ``group`` its level and parity buckets, whichever of the
         two it still lacks (a resumed split may find it half-born)."""
         if group not in self.durable.group_levels:
-            level = self.config.effective_policy.level_for(
-                group_count(self.state.bucket_count, self.config.group_size) or 1
-            )
-            self._journal("group.level", group=group, level=level)
+            self._journal("group.level", group=group, level=self.policy_level)
         for index, node_id in enumerate(self.parity_nodes(group)):
             if node_id not in self._net().nodes:
                 self._net().register(self.make_parity_server(group, index))
@@ -625,15 +622,21 @@ class RSCoordinator(Coordinator):
             else:
                 self.bump_epoch(node_id)
 
-    def _maybe_scale_availability(self) -> None:
-        """Retrofit existing groups when the policy raised the level."""
-        if not self.config.upgrade_existing_groups:
-            return
+    @property
+    def policy_level(self) -> int:
+        """The level the policy asks of every group at the current extent."""
         groups = group_count(self.state.bucket_count, self.config.group_size)
-        target = self.config.effective_policy.level_for(groups)
-        for group, current in sorted(self.durable.group_levels.items()):
-            if current < target:
-                self.raise_group_level(group, target)
+        return self.config.effective_policy.level_for(groups)
+
+    def _retrofit(self, source: int) -> None:
+        """The split pointer paces the retrofit: raise split source
+        ``source``'s group if it lags :attr:`policy_level`, its down data
+        buckets recovered first (``auto_recover`` off: it waits a split)."""
+        group, target = group_of(source, self.config.group_size), self.policy_level
+        if self.group_level(group) < target and self._ensure_available(
+            *self.data_nodes(group)
+        ):
+            self.raise_group_level(group, target)
 
     def raise_group_level(self, group: int, new_level: int) -> None:
         """Add parity buckets to an existing group and encode them.
@@ -751,8 +754,9 @@ class RSCoordinator(Coordinator):
             self.recovery.recover_nodes([data_node(self.file_id, target)])
             self.send(data_node(self.file_id, target), kind, op)
 
-    def _ensure_available(self, *node_ids: str) -> None:
-        """Recover any of the given nodes that are currently down.
+    def _ensure_available(self, *node_ids: str) -> bool:
+        """Recover any of the given nodes that are currently down; True
+        when all of them are up.
 
         Called *before* a structural change (split/merge) touches the
         file state: recovering then is safe because the rebuilt bucket's
@@ -766,12 +770,13 @@ class RSCoordinator(Coordinator):
         down = [n for n in node_ids if n in self._net().failed]
         if down and self.config.auto_recover:
             self.recovery.recover_nodes(down)
+        return not any(n in self._net().failed for n in down)
 
     def split_once(self, intent: JournalRecord | None = None) -> tuple[int, int]:
         """One split, bracketed by its intent; ``intent`` is the open
-        record of an interrupted split a takeover re-enters.  Retrofits
-        the policy asks for follow once it closed: a raise is a command
-        of its own and reads the extent the split produced."""
+        record of an interrupted split a takeover re-enters.  The source
+        group's retrofit follows once it closed: a raise is a command of
+        its own and reads the extent the split produced."""
         source, target, level = self.state.next_split()
         self._ensure_available(data_node(self.file_id, source))
         begin = intent or self._journal(
@@ -780,7 +785,7 @@ class RSCoordinator(Coordinator):
         result = super().split_once()
         self._journal("file.state", n=self.state.n, i=self.state.i)
         self._journal("intent.end", begin=begin.lsn)
-        self._maybe_scale_availability()
+        self._retrofit(source)
         return result
 
     def handle_report_stale(self, message: Message) -> None:

@@ -25,7 +25,7 @@ class TestConfig:
         assert cfg.effective_policy.level_for(100) == 1
         assert cfg.max_availability == 1
         assert cfg.make_field() == GF(8)
-        assert len(dataclasses.fields(LHRSConfig)) == 29
+        assert len(dataclasses.fields(LHRSConfig)) == 28
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -434,7 +434,7 @@ def prefix_scenario(name: str, durable: bool):
     intent.end (a split's, or that of the last retrofit it owed)."""
     file = LHRSFile(LHRSConfig(
         group_size=2, availability=1, bucket_capacity=8, spare_servers=6,
-        durability=durable, upgrade_existing_groups=True,
+        durability=durable,
         policy=AvailabilityPolicy.scalable(
             base_level=1, first_threshold=4, growth=2, max_level=3
         ),

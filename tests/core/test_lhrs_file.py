@@ -192,43 +192,61 @@ class TestGroupLevelsAndPolicy:
         file, _ = build_file(k=3, count=200)
         assert set(file.group_levels().values()) == {3}
 
-    def test_scalable_policy_new_groups_higher(self):
-        cfg = LHRSConfig(
-            group_size=4,
-            availability=1,
-            bucket_capacity=8,
-            policy=AvailabilityPolicy.scalable(
-                base_level=1, first_threshold=4, growth=4, max_level=3
-            ),
-            upgrade_existing_groups=False,
+    def test_split_pointer_paces_the_retrofit(self):
+        """Each split raises at most its source's group, and one round
+        after the last threshold crossing every group is at the level
+        the policy asks for."""
+        policy = AvailabilityPolicy.scalable(
+            base_level=1, first_threshold=4, growth=4, max_level=3
         )
-        file = LHRSFile(cfg)
-        rng = make_rng(5)
-        for key in rng.choice(10**9, size=600, replace=False):
-            file.insert(int(key), b"v" * 16)
+        file = LHRSFile(LHRSConfig(
+            group_size=4, bucket_capacity=8, policy=policy
+        ))
+        tracer, _, _ = file.enable_observability(trace_capacity=0, audit=False)
+        per_split: list[int] = []
+
+        def count(event):
+            if event.type == "split.start":
+                per_split.append(0)
+            else:
+                per_split[-1] += 1  # a raise outside any split fails here
+
+        tracer.subscribe(count, ["split.start", "availability.raise"])
+        # The last crossing (G = 16, k = 3) comes at M = 61; the groups
+        # born in that round first split in the next, which ends at 128.
+        keys = iter(make_rng(5).choice(10**9, size=5_000, replace=False))
+        while file.bucket_count < 128:
+            file.insert(int(next(keys)), b"v" * 16)
+        assert max(per_split) == 1
         levels = file.group_levels()
-        assert min(levels.values()) == 1  # early groups stay at birth level
-        assert max(levels.values()) >= 2  # later groups born higher
+        assert set(levels.values()) == {policy.level_for(len(levels))} == {3}
         assert file.verify_parity_consistency() == []
 
-    def test_scalable_policy_eager_upgrade(self):
-        cfg = LHRSConfig(
-            group_size=4,
-            availability=1,
-            bucket_capacity=8,
+    @pytest.mark.parametrize("auto_recover", [True, False])
+    def test_retrofit_with_a_member_down(self, auto_recover):
+        """A retrofit whose group has a data bucket down does not fail
+        the split: the member is rebuilt and the group raised, or, with
+        ``auto_recover`` off, the group waits for its next split."""
+        file = LHRSFile(LHRSConfig(
+            group_size=4, bucket_capacity=64, auto_recover=auto_recover,
             policy=AvailabilityPolicy.scalable(
                 base_level=1, first_threshold=4, growth=4, max_level=3
             ),
-            upgrade_existing_groups=True,
-        )
-        file = LHRSFile(cfg)
-        rng = make_rng(5)
-        for key in rng.choice(10**9, size=600, replace=False):
-            file.insert(int(key), b"v" * 16)
-        levels = file.group_levels()
-        target = cfg.effective_policy.level_for(len(levels))
-        assert set(levels.values()) == {target}
-        assert file.verify_parity_consistency() == []
+        ))
+        for key in range(100):
+            file.insert(key, b"v" * 16)
+        coordinator = file.rs_coordinator
+        while file.bucket_count < 12:
+            coordinator.split_once()
+        assert coordinator.state.next_split()[0] == 4  # group 1's turn
+        down = file.fail_data_bucket(5)
+        coordinator.split_once()  # G = 4: the policy now asks for k = 2
+        assert file.bucket_count == 13
+        assert file.network.is_available(down) == auto_recover
+        assert file.group_levels()[1] == (2 if auto_recover else 1)
+        if auto_recover:
+            assert file.verify_parity_consistency() == []
+            assert all(file.search(key).found for key in range(100))
 
     def test_analytic_availability_reflects_levels(self):
         file, _ = build_file(k=2, count=200)

@@ -1,11 +1,14 @@
 """Config-matrix composition sweep: every ``LHRSConfig`` in ``GRID``'s
-product (320 configs) keeps every acknowledged operation through
+product (480 configs) keeps every acknowledged operation through
 growth, a 75 % shrink with up to three merges and a crash/heal process,
 and rebuilds every bucket to the oracle's bytes.  The ``availability=1``
-half raises one group to k = 2 before it shrinks; the
-``coordinator_replicas=1`` half loses its primary inside a split, a
-merge, that raise and a bucket rebuild; a standby's takeover finishes
-each and must hold exactly the durable state its journal replays.
+third raises one group to k = 2 before it shrinks; the ``"scalable"``
+third grows under a scalable-availability policy, so splits retrofit
+their groups from k = 1 to 3.  The ``coordinator_replicas=1`` half
+loses its primary inside a split, a merge, a raise (the commanded one,
+or the first retrofit) and a bucket rebuild; a standby's takeover
+finishes each and must hold exactly the durable state its journal
+replays.
 
 One config is one seeded run of mixed scalar and ``*_many`` calls under
 the strict auditor; node failures are a process (exponential gaps, a
@@ -26,14 +29,14 @@ import sys
 
 import pytest
 
-from repro.core import CoordinatorCrashed, LHRSConfig, LHRSFile
+from repro.core import AvailabilityPolicy, CoordinatorCrashed, LHRSConfig, LHRSFile
 from repro.sdds.client import OperationFailed
 
 GRID = {
     "durability": (False, True),
     "batch_ops": (False, True),
     "compact_ranks": (False, True),
-    "availability": (1, 2),
+    "availability": (1, 2, "scalable"),
     "bucket_capacity": (8, 32),
     "field_width": (8, 16),
     "coordinator_replicas": (0, 1),
@@ -42,9 +45,14 @@ GRID = {
     "durability_checkpoint_interval": (16, 128),
 }
 
+#: what ``availability="scalable"`` runs: k = 1, 2 at 2 groups, 3 at 4
+SCALABLE = AvailabilityPolicy.scalable(
+    base_level=1, first_threshold=2, growth=2, max_level=3
+)
+
 
 def product() -> list[dict]:
-    """The 320 configs, in a fixed order."""
+    """The 480 configs, in a fixed order."""
     configs = (dict(zip(GRID, v)) for v in itertools.product(*GRID.values()))
     return [
         c for c in configs
@@ -60,7 +68,9 @@ def tier1_slice() -> list[dict]:
     return [
         {
             "durability": durable, "batch_ops": batch, "compact_ranks": compact,
-            "availability": 1 + (durable ^ batch),
+            "availability": (
+                "scalable" if durable ^ batch and compact else 1 + (durable ^ batch)
+            ),
             "bucket_capacity": 32 if compact else 8,
             "field_width": 16 if batch else 8,
             "coordinator_replicas": int(batch ^ compact),
@@ -106,12 +116,17 @@ def command(file: LHRSFile, owed: set[str], point: str, call) -> None:
 def run(params: dict, operations: int, seed: int) -> LHRSFile:
     """One config, one seeded run; raises AssertionError on any loss."""
     rng = random.Random(seed)
-    file = LHRSFile(LHRSConfig(group_size=4, client_acks=True, **params))
+    scalable = params["availability"] == "scalable"
+    config = dict(params, availability=1, policy=SCALABLE) if scalable else params
+    file = LHRSFile(LHRSConfig(group_size=4, client_acks=True, **config))
     #: the structural crash points this config still owes (HA half)
     owed = (
         {"split.mid", "merge.mid", "raise.mid", "recover.mid"}
         if file.standbys else set()
     )
+    if scalable and owed:
+        owed.remove("raise.mid")  # the first retrofit kills the primary
+        file.rs_coordinator.arm_crash("raise.mid")
     _, _, auditor = file.enable_observability(trace_capacity=2_000)
     oracle: dict[int, bytes] = {}
     ambiguous: set[int] = set()
@@ -138,7 +153,10 @@ def run(params: dict, operations: int, seed: int) -> LHRSFile:
             next_failure = done + rng.expovariate(1 / 400)
 
         # ---- the workload: grow, shrink by 75 %, carry on -----------
-        if "split.mid" in owed and done >= operations * 0.25:
+        if (
+            "split.mid" in owed and done >= operations * 0.25
+            and not file.rs_coordinator.crash_points  # raise.mid fired
+        ):
             owed.remove("split.mid")  # the next split kills the primary
             file.rs_coordinator.arm_crash("split.mid")
         if phase == "grow" and done >= operations * 0.5:
@@ -203,7 +221,7 @@ def run(params: dict, operations: int, seed: int) -> LHRSFile:
                 assert not found or res.value == oracle[key], (kind, key)
 
         if not file.network.is_available(file.rs_coordinator.node_id):
-            await_takeover(file)  # split.mid fired inside that call
+            await_takeover(file)  # split.mid or raise.mid fired in that call
         held = [s.node_id for s in file.data_servers() if s._parity_queue]
         assert not held, f"Δs held between calls by {held}"
 
@@ -215,11 +233,13 @@ def run(params: dict, operations: int, seed: int) -> LHRSFile:
     # ---- acceptance -------------------------------------------------
     assert len(ambiguous) <= operations // 100, len(ambiguous)
     assert phase == "churn" and file.bucket_count > 4, "no shrink or no growth"
-    assert (params["availability"] == 1) == (
-        sorted(set(file.group_levels().values())) == [1, 2]
-    ), "the raise"
+    levels = sorted(set(file.group_levels().values()))
+    if scalable:  # the file crossed both thresholds
+        assert levels[-1] == SCALABLE.max_level, "the retrofits"
+    else:
+        assert (params["availability"] == 1) == (levels == [1, 2]), "the raise"
     assert owed <= {"raise.mid"}, f"never reached: {owed}"
-    assert not file.rs_coordinator.crash_points, "split.mid never fired"
+    assert not file.rs_coordinator.crash_points, "an armed crash point never fired"
     assert file.verify_parity_consistency() == []
     assert auditor.check_file(file) == [] and auditor.violations == []
     held, replayed = durable_state_views(file)
@@ -247,7 +267,7 @@ def run(params: dict, operations: int, seed: int) -> LHRSFile:
 
 @pytest.mark.parametrize(
     "params", tier1_slice(),
-    ids=lambda p: "-".join(f"{v:d}" for v in p.values()),
+    ids=lambda p: "-".join(v if isinstance(v, str) else f"{v:d}" for v in p.values()),
 )
 def test_config_matrix_slice(params):
     run(params, operations=1_500, seed=18)

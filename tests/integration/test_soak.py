@@ -30,7 +30,6 @@ class TestLifecycleSoak:
             policy=AvailabilityPolicy.scalable(
                 base_level=1, first_threshold=4, growth=4, max_level=3
             ),
-            upgrade_existing_groups=True,
         )
         file = LHRSFile(config)
         warm = generate_operations(500, OperationMix(insert=1), seed=41)
