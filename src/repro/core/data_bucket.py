@@ -30,7 +30,7 @@ import heapq
 import zlib
 from typing import Any
 
-from repro.core.durable import Durability, RunRing
+from repro.core.durable import BucketReceive, Durability, RunRing
 from repro.core.group import data_node, group_of, position_of
 from repro.lh import addressing
 from repro.obs.trace import OMITTED
@@ -51,7 +51,7 @@ DATA_FENCED_KINDS = frozenset({
 })
 
 
-class RSDataServer(DataServer):
+class RSDataServer(BucketReceive, DataServer):
     """One LH*RS data bucket: LH* behaviour plus parity maintenance.
 
     An instance holds 27 attributes.  CPython 3.11 keeps up to 29 in
@@ -61,6 +61,7 @@ class RSDataServer(DataServer):
 
     #: what its checkpoint images and restart trace call this kind
     KIND = "data"
+    FENCED_KINDS = DATA_FENCED_KINDS
 
     def __init__(
         self,
@@ -119,19 +120,6 @@ class RSDataServer(DataServer):
         #: True between restart-replay and catch-up completion: the
         #: bucket answers catch-up traffic but refuses the data plane
         self.fenced = False
-
-    # ------------------------------------------------------------------
-    # fencing
-    # ------------------------------------------------------------------
-    def receive(self, message: Message) -> Any:
-        if self.fenced and message.kind in DATA_FENCED_KINDS:
-            failure = NodeUnavailable(self.node_id)
-            failure.fenced = True
-            raise failure
-        result = super().receive(message)
-        if self._durable is not None and self._durable.due():
-            self.checkpoint_now()
-        return result
 
     # ------------------------------------------------------------------
     # rank management
@@ -352,19 +340,18 @@ class RSDataServer(DataServer):
         Exhausted retries are escalated like a crash: the coordinator
         rebuilds the parity bucket from data, which is always safe.
         """
-        policy = self.retry_policy
+        policy, net = self.retry_policy, self.network or self._net()
         for attempt in range(policy.attempts):
             try:
                 if self.parity_ack:
-                    self.call(target, kind, payload, size=size)
+                    net.call(self.node_id, target, kind, payload, size=size)
                 else:
-                    self.send(target, kind, payload, size=size)
+                    net.send(self.node_id, target, kind, payload, size=size)
                 return None
             except DeliveryFault as fault:
                 if fault.stage == "reply":
                     return None  # the Δ was applied; only the ack was lost
                 if attempt + 1 < policy.attempts:
-                    net = self._net()
                     if net.tracer is not None:
                         net.tracer.emit(
                             "op.retry", kind, attempt + 1, OMITTED, target

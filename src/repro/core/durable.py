@@ -18,9 +18,12 @@ import zlib
 from collections import deque
 from collections.abc import Iterator
 from contextlib import contextmanager
+from typing import Any
 
 from repro.core.config import LHRSConfig
 from repro.obs.trace import OMITTED
+from repro.proto.wire import HANDLER_NAMES
+from repro.sim.messages import Message
 from repro.sim.network import DeliveryFault, NodeUnavailable, UnknownNode
 from repro.sim.node import Node
 from repro.sim.rng import DEFAULT_SEED
@@ -84,6 +87,28 @@ class RunRing:
             needed = end
         covered = needed > live
         return {"covered": covered, "live": live, "runs": runs if covered else []}
+
+
+class BucketReceive:
+    """Both bucket kinds' receive in one frame, ahead of :class:`Node`: a
+    fenced bucket refuses its ``FENCED_KINDS`` (``.fenced``), the rest
+    dispatch late-bound, then a due checkpoint is taken."""
+
+    FENCED_KINDS: frozenset[str] = frozenset()
+
+    def receive(self, message: Message) -> Any:
+        kind = message.kind
+        if self.fenced and kind in self.FENCED_KINDS:
+            failure = NodeUnavailable(self.node_id)
+            failure.fenced = True
+            raise failure
+        handler = getattr(self, HANDLER_NAMES[kind], None)
+        if handler is None:
+            return super().receive(message)  # Node's no-handler error
+        result = handler(message)
+        if self._durable is not None and self._durable.due():
+            self.checkpoint_now()
+        return result
 
 
 class Durability:

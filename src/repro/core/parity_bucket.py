@@ -37,7 +37,7 @@ position, the runs a restarted data bucket replays.
 
 from __future__ import annotations
 
-from repro.core.durable import Durability, RunRing
+from repro.core.durable import BucketReceive, Durability, RunRing
 from repro.core.stripe_store import ABSENT, KEY_LIMIT, NO_KEY, StripeStore
 from repro.gf.field import GF
 from repro.sim.messages import Message
@@ -60,11 +60,12 @@ PARITY_FENCED_KINDS = frozenset(
 )
 
 
-class ParityServer(Node):
+class ParityServer(BucketReceive, Node):
     """One parity bucket of one bucket group."""
 
     #: what its checkpoint images and restart trace call this kind
     KIND = "parity"
+    FENCED_KINDS = PARITY_FENCED_KINDS
 
     def __init__(
         self,
@@ -114,19 +115,6 @@ class ParityServer(Node):
         self._delta_log: dict[int, RunRing] | None = None
         self.epoch = 0
         self.fenced = False
-
-    # ------------------------------------------------------------------
-    # fencing
-    # ------------------------------------------------------------------
-    def receive(self, message: Message):
-        if self.fenced and message.kind in PARITY_FENCED_KINDS:
-            failure = NodeUnavailable(self.node_id)
-            failure.fenced = True
-            raise failure
-        result = super().receive(message)
-        if self._durable is not None and self._durable.due():
-            self.checkpoint_now()
-        return result
 
     # ------------------------------------------------------------------
     # the Δ-record protocol
@@ -182,8 +170,8 @@ class ParityServer(Node):
                     tracer, action, pos, "stale", seq0, 1, expected, 0
                 )
             return 0, True
-        skip = min(n, expected - seq0)
-        if skip:
+        if seq0 < expected:
+            skip = min(n, expected - seq0)
             self.duplicates_skipped += skip
             if tracer is not None:
                 self._trace_deltas(
@@ -201,14 +189,15 @@ class ParityServer(Node):
         try:
             # The kernel follows the run length: a lone Δ scales into
             # its row view in place, a longer run is stacked, scaled in
-            # one table gather and scattered in one fancy-index XOR.
+            # one table translate and scattered in one fancy-index XOR.
             if n == 1:
-                needs = [field.symbol_length_for_bytes(len(deltas[0]))]
+                symbols = field.symbol_length_for_bytes(len(deltas[0]))
                 field.scale_accumulate(
-                    store.ensure(ranks[0], needs[0]), coefficient, deltas[0]
+                    store.ensure(ranks[0], symbols), coefficient, deltas[0]
                 )
             else:
                 needs = [field.symbol_length_for_bytes(len(d)) for d in deltas]
+                symbols = sum(needs)
                 stacked = field.stack_payloads(deltas, max(needs))
                 store.scatter_xor(
                     ranks, needs,
@@ -240,7 +229,7 @@ class ParityServer(Node):
                 key_cells[first + pos] = key
                 key_index[key] = (rank, pos)
             length_cells[first + pos] = length
-        self.symbol_ops += sum(needs)
+        self.symbol_ops += symbols
         if coefficient == 1:
             self.xor_folds += n
         else:

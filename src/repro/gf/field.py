@@ -4,9 +4,10 @@ Record payloads in LH*RS are byte strings.  The RS calculus views a payload
 as a vector of field symbols: one byte per symbol for GF(2^8), two bytes
 (little-endian) for GF(2^16).  GF(2^4) has arithmetic only: no payload
 converts to nibble symbols, and its byte methods raise.  All
-per-payload operations are numpy-vectorized; the per-call overhead is paid
-once per record, not once per symbol, mirroring the table-driven C codec
-of the paper.
+per-payload operations run in C, once per record, as in the paper's C
+codec: at w = 8 a constant multiply is a 256-byte ``bytes.translate``
+table (a byte-pair gather in :meth:`GF.gf_matmul`'s even blocks), at
+w = 16 a gather through the zero-safe log/exp tables.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ Symbols = npt.NDArray[Any]
 _SYMBOL_DTYPES: dict[int, type[np.generic]] = {
     4: np.uint8, 8: np.uint8, 16: np.uint16,
 }
+#: a dtype object: ``np.frombuffer`` converts a scalar type on every call
+_BYTE = np.dtype(np.uint8)
 
 
 class GF:
@@ -39,7 +42,7 @@ class GF:
 
     __slots__ = (
         "width", "order", "group_order", "_exp", "_log",
-        "_exp_mul", "_log_mul", "_mul_rows", "_pair_rows",
+        "_exp_mul", "_log_mul", "_mul_rows", "_byte_rows", "_pair_rows",
     )
 
     def __init__(self, width: int = 8) -> None:
@@ -53,9 +56,10 @@ class GF:
         self.group_order = self.order - 1
         self._exp, self._log = build_tables(width)
         self._exp_mul, self._log_mul = build_mul_tables(width)
-        # Per-scalar full multiplication rows (lazy); only worthwhile for
-        # small fields where a row is tiny (16 or 256 entries).
+        # Per-scalar full multiplication rows (lazy), as arrays and as
+        # bytes: only for small fields, where a row is 16 or 256 entries.
         self._mul_rows: dict[int, Symbols] = {}
+        self._byte_rows: dict[int, bytes] = {}
         # Per-scalar byte-*pair* rows for GF(2^8): 65536 uint16 entries
         # mapping a little-endian symbol pair to its scaled pair, so the
         # batch kernels gather half as many elements per coefficient.
@@ -130,10 +134,8 @@ class GF:
         return _SYMBOL_DTYPES[self.width]
 
     def mul_row(self, scalar: int) -> Symbols:
-        """Full product row ``[scalar * x for x in field]`` (w <= 8 only).
-
-        Cached per scalar; turns scalar-vector multiplication into a single
-        fancy-indexing lookup, the fastest path for GF(2^8) payload work.
+        """Full product row ``[scalar * x for x in field]`` (w <= 8 only),
+        cached per scalar: what the byte and pair tables are built from.
         """
         self.check(scalar)
         if self.width > 8:
@@ -143,6 +145,14 @@ class GF:
             xs = np.arange(self.order, dtype=np.int64)
             row = self._mul_symbols_log(xs, scalar).astype(self.symbol_dtype)
             self._mul_rows[scalar] = row
+        return row
+
+    def byte_row(self, scalar: int) -> bytes:
+        """:meth:`mul_row` as a ``bytes.translate`` table, cached per
+        scalar: the GF(2^8) constant multiply."""
+        row = self._byte_rows.get(scalar)
+        if row is None:
+            row = self._byte_rows[scalar] = self.mul_row(scalar).tobytes()
         return row
 
     def mul_pair_row(self, scalar: int) -> Symbols:
@@ -175,8 +185,8 @@ class GF:
     def mul_symbols(self, symbols: npt.ArrayLike, scalar: int) -> Symbols:
         """Return ``scalar * symbols`` as a new symbol-dtype array.
 
-        Works on arrays of any shape (the table gathers are elementwise).
-        Wide fields use the zero-safe table layout from
+        Works on arrays of any shape; GF(2^8) translates the bytes through
+        :meth:`byte_row`, wider fields use the zero-safe table layout from
         :func:`~repro.gf.tables.build_mul_tables`: a single
         ``exp_mul[log_mul[x] + log_mul[s]]`` gather, no masking passes.
         """
@@ -186,7 +196,12 @@ class GF:
             return np.zeros(symbols.shape, dtype=self.symbol_dtype)
         if scalar == 1:
             return symbols.astype(self.symbol_dtype, copy=True)
-        if self.width <= 8:
+        if self.width == 8:
+            # a bytearray's translate keeps the result writable
+            raw = bytearray(np.ascontiguousarray(symbols, dtype=_BYTE).data)
+            out = np.frombuffer(raw.translate(self.byte_row(scalar)), _BYTE)
+            return out.reshape(symbols.shape)
+        if self.width < 8:
             return self.mul_row(scalar)[symbols]
         return self._exp_mul[self._log_mul[symbols] + self._log_mul[scalar]]
 
@@ -271,7 +286,7 @@ class GF:
                         mode="clip",
                     )
                 elif self.width <= 8:
-                    out[i] ^= np.take(self.mul_row(a), stacked[j], mode="clip")
+                    out[i] ^= self.mul_symbols(stacked[j], a)
                 else:
                     logs = np.take(self._log_mul, stacked[j], mode="clip")
                     out[i] ^= np.take(
@@ -374,20 +389,27 @@ class GF:
 
         ``acc`` must be a symbol array at least as long as the payload.
         This is the hot inner operation of parity maintenance: one call per
-        (record, parity bucket) pair.
+        (record, parity bucket) pair.  At w = 8 ``bytes.translate`` maps the
+        payload through :meth:`byte_row`; ``acc`` XORs it from its buffer.
         """
         if scalar == 0 or not data:
             return
-        symbols = self.symbols_from_bytes(data)
-        if len(symbols) > len(acc):
-            raise ValueError(
-                f"payload of {len(symbols)} symbols exceeds accumulator "
-                f"of {len(acc)}"
-            )
-        if scalar == 1:
-            acc[: len(symbols)] ^= symbols
+        if self.width == 8:
+            if scalar != 1:
+                data = data.translate(self.byte_row(scalar))
+            symbols: Symbols = np.frombuffer(data, _BYTE)
         else:
-            acc[: len(symbols)] ^= self.mul_symbols(symbols, scalar)
+            symbols = self.symbols_from_bytes(data)
+            if scalar != 1:
+                symbols = self.mul_symbols(symbols, scalar)
+        n = len(symbols)
+        if n > len(acc):
+            raise ValueError(
+                f"payload of {n} symbols exceeds accumulator of {len(acc)}"
+            )
+        if n < len(acc):
+            acc = acc[:n]
+        acc ^= symbols
 
     def __repr__(self) -> str:
         return f"GF(2^{self.width})"

@@ -455,12 +455,12 @@ class Network:
     def _tick(self) -> None:
         """One clock unit per top-level operation."""
         self.now += 1.0
-        self._run_listeners()
-        self._pump()
+        if self._clock_listeners:
+            self._run_listeners()
+        if self.fault_plane is not None:
+            self._pump()
 
     def _run_listeners(self) -> None:
-        if not self._clock_listeners:
-            return
         # Snapshot: a listener may add/remove listeners (a standby
         # taking over swaps the primary's heartbeat) mid-iteration.
         for listener in list(self._clock_listeners):
@@ -506,7 +506,8 @@ class Network:
     # transport
     # ------------------------------------------------------------------
     def _deliver(self, message: Message) -> Any:
-        if message.recipient not in self.nodes:
+        node = self.nodes.get(message.recipient)
+        if node is None:
             raise UnknownNode(message.recipient)
         if message.recipient in self.failed:
             raise NodeUnavailable(message.recipient)
@@ -523,7 +524,7 @@ class Network:
                 message.kind, message.size, self._depth, OMITTED,
             )
         try:
-            return self.nodes[message.recipient].receive(message)
+            return node.receive(message)
         finally:
             self._depth -= 1
 

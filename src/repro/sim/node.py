@@ -56,14 +56,15 @@ class Node:
         :func:`~repro.sim.messages.estimate_size` produces for this
         payload and kind; 0 means "estimate for me".
         """
-        self._net().send(self.node_id, recipient, kind, payload, size=size)
+        (self.network or self._net()).send(self.node_id, recipient, kind,
+                                           payload, size=size)
 
     def call(self, recipient: str, kind: str, payload: Any = None,
              size: int = 0) -> Any:
         """Request/reply to another node (2 messages).  ``size`` as in
         :meth:`send` (applies to the request; the reply is estimated)."""
-        return self._net().call(self.node_id, recipient, kind, payload,
-                                size=size)
+        return (self.network or self._net()).call(self.node_id, recipient,
+                                                  kind, payload, size=size)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.node_id!r})"

@@ -57,7 +57,12 @@ class MessageStats:
     # ------------------------------------------------------------------
     def record(self, kind: str, size: int, depth: int) -> None:
         """Record one message into the global and all open windows."""
-        self.total.record(kind, size, depth)
+        total = self.total
+        total.messages += 1
+        total.bytes += size
+        total.by_kind[kind] += 1
+        if depth > total.serial_depth:
+            total.serial_depth = depth
         for window in self._stack:
             window.record(kind, size, depth)
 

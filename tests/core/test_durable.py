@@ -14,12 +14,15 @@ from hypothesis import strategies as st
 
 from repro.core import durable
 from repro.core.config import LHRSConfig
-from repro.core.data_bucket import RSDataServer
+from repro.core.data_bucket import DATA_FENCED_KINDS, RSDataServer
 from repro.core.durable import RunRing
-from repro.core.parity_bucket import ParityServer
+from repro.core.parity_bucket import PARITY_FENCED_KINDS, ParityServer
 from repro.gf import GF
+from repro.proto.schema import REGISTRY
+from repro.proto.wire import HANDLER_NAMES
 from repro.rs.generator import parity_matrix
 from repro.sim import FaultPlane, Network, Node
+from repro.sim.messages import Message
 from repro.sim.network import NodeUnavailable
 
 CONFIG = LHRSConfig(
@@ -259,6 +262,78 @@ def test_a_ram_only_server_has_no_shell(rig):
     assert rig.coord.rejoins == []
     status = rig.net.call("f.coord", rig.node, "status")
     assert "fenced" not in status
+
+
+# ----------------------------------------------------------------------
+# the receive path both kinds share
+# ----------------------------------------------------------------------
+FENCED_KINDS = {"data": DATA_FENCED_KINDS, "parity": PARITY_FENCED_KINDS}
+
+
+def test_a_fenced_bucket_refuses_exactly_its_fenced_kinds(rig, monkeypatch):
+    """Every kind the class handles is offered to the fenced bucket (the
+    handlers stubbed): its kind set is refused, typed ``.fenced``, and
+    everything else reaches its handler."""
+    cls = type(rig.server)
+    handled = [kind for kind in REGISTRY if hasattr(cls, HANDLER_NAMES[kind])]
+    ran, refused = [], set()
+    for kind in handled:
+        monkeypatch.setattr(
+            cls, HANDLER_NAMES[kind],
+            lambda self, message: ran.append(message.kind),
+        )
+    rig.server.fenced = True
+    for kind in handled:
+        try:
+            rig.server.receive(Message("f.coord", rig.node, kind))
+        except NodeUnavailable as failure:
+            assert failure.fenced and failure.node_id == rig.node
+            refused.add(kind)
+    assert refused == FENCED_KINDS[rig.kind]
+    assert ran == [kind for kind in handled if kind not in refused]
+
+
+def test_a_fenced_bucket_still_serves_its_catch_up(rig):
+    rig.mutate()
+    rig.ctl()
+    rig.reboot()
+    assert rig.server.fenced
+    with pytest.raises(NodeUnavailable):
+        rig.net.call("f.coord", rig.node, sorted(FENCED_KINDS[rig.kind])[0])
+    reply = rig.net.call("f.coord", rig.node, "runs.catchup", {"runs": []})
+    assert reply["ok"] and not rig.server.fenced
+
+
+def test_a_due_checkpoint_is_taken_once_per_receive(rig, monkeypatch):
+    taken = []
+    checkpoint_now = type(rig.server).checkpoint_now
+    monkeypatch.setattr(
+        type(rig.server), "checkpoint_now",
+        lambda self: taken.append(self) or checkpoint_now(self),
+    )
+    rig.net.call("f.coord", rig.node, "status")
+    assert taken == []  # not due
+    for _ in range(CONFIG.durability_checkpoint_interval):
+        rig.mutate()
+    assert rig.durable.due()
+    rig.net.call("f.coord", rig.node, "status")
+    assert taken == [rig.server] and not rig.durable.due()
+    monkeypatch.setattr(rig.durable, "due", lambda: True)
+    for receives in range(2, 5):
+        rig.net.call("f.coord", rig.node, "status")
+        assert len(taken) == receives
+
+
+def test_a_handler_swapped_on_the_class_later_is_the_one_that_runs(
+    rig, monkeypatch
+):
+    """What the span recorder and the mutants rely on: dispatch is
+    late-bound, on instances already serving."""
+    assert isinstance(rig.net.call("f.coord", rig.node, "status"), dict)
+    monkeypatch.setattr(
+        type(rig.server), "handle_status", lambda self, message: "swapped"
+    )
+    assert rig.net.call("f.coord", rig.node, "status") == "swapped"
 
 
 class TestRunRing:

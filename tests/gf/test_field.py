@@ -455,6 +455,65 @@ class TestZeroSafeLayout:
         assert (acc == 0).all()
 
 
+# ----------------------------------------------------------------------
+# the GF(2^8) byte-table kernel, over the whole field
+# ----------------------------------------------------------------------
+class TestByteTableKernel:
+    """At w = 8 a constant multiply is a 256-byte table and
+    ``bytes.translate``; every payload kernel must agree with the log/exp
+    oracle for all 256 scalars x 256 byte values."""
+
+    def test_every_w8_kernel_matches_the_log_oracle(self):
+        f = GF(8)
+        every = np.arange(256, dtype=np.uint8)
+        data = every.tobytes()
+        noise = np.random.default_rng(8).integers(0, 256, 256, dtype=np.uint8)
+        for scalar in range(256):
+            oracle = f._mul_symbols_log(every.astype(np.int64), scalar)
+            oracle = oracle.astype(np.uint8)
+            acc = noise.copy()
+            f.scale_accumulate(acc, scalar, data)
+            assert (acc == noise ^ oracle).all(), scalar
+            assert (f.mul_symbols(every, scalar) == oracle).all(), scalar
+            matrix = f.mul_matrix(every.reshape(16, 16), scalar)
+            assert (matrix.reshape(-1) == oracle).all(), scalar
+            # gf_matmul: an odd trailing axis takes the row branch, an
+            # even contiguous one the pair-row gather
+            odd = np.append(every, 0).reshape(1, 1, 257)
+            out = f.gf_matmul([[scalar]], odd)
+            assert (out[0, 0, :256] == oracle).all() and out[0, 0, 256] == 0
+            out = f.gf_matmul([[scalar]], every.reshape(1, 1, 256))
+            assert (out.reshape(-1) == oracle).all(), scalar
+
+    def test_a_table_is_256_bytes_cached_per_scalar(self):
+        f = GF(8)
+        row = f.byte_row(29)
+        assert isinstance(row, bytes) and len(row) == 256
+        assert f.byte_row(29) is row
+        assert list(row) == f.mul_row(29).tolist()
+        with pytest.raises(ValueError):
+            GF(16).byte_row(3)
+
+    @pytest.mark.parametrize("scalar", [1, 2, 255])
+    def test_an_oversize_payload_still_raises(self, scalar):
+        acc = np.zeros(4, dtype=np.uint8)
+        with pytest.raises(ValueError, match="exceeds accumulator"):
+            GF(8).scale_accumulate(acc, scalar, b"12345")
+        assert (acc == 0).all()
+
+    def test_a_w16_fold_is_unchanged(self):
+        f = GF(16)
+        rng = np.random.default_rng(16)
+        for length in (1, 2, 99, 256):
+            data = rng.integers(0, 256, length, dtype=np.uint8).tobytes()
+            symbols = f.symbols_from_bytes(data).astype(np.int64)
+            for scalar in (0, 1, 2, 0x1234, 0xFFFF):
+                acc = np.zeros(len(symbols) + 1, dtype=np.uint16)
+                f.scale_accumulate(acc, scalar, data)
+                expected = f._mul_symbols_log(symbols, scalar)
+                assert (acc[:-1] == expected).all() and acc[-1] == 0
+
+
 def test_field_equality_and_hash():
     assert GF(8) == GF(8)
     assert GF(8) != GF(16)

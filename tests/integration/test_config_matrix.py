@@ -93,24 +93,49 @@ def durable_state_views(file: LHRSFile) -> tuple:
     )
 
 
-def await_takeover(file: LHRSFile) -> None:
-    file.await_takeover()
-    held, replayed = durable_state_views(file)
-    assert held == replayed, "the takeover forgot durable state"
+class CrashPoints:
+    """The crash points one run arms, and those its ``coord.crash``
+    events say fired.  A point still armed when its primary dies at
+    another one dies with it, so each takeover arms the pending points
+    again on the successor: every point armed must fire by the end."""
+
+    def __init__(self, file: LHRSFile) -> None:
+        self.file = file
+        self.armed: list[str] = []
+        self.fired: list[str] = []
+        file.tracer.subscribe(
+            lambda event: self.fired.append(event.attrs["point"]),
+            types=["coord.crash"],
+        )
+
+    def arm(self, point: str) -> None:
+        self.armed.append(point)
+        self.file.rs_coordinator.arm_crash(point)
+
+    def pending(self) -> list[str]:
+        return [point for point in self.armed if point not in self.fired]
+
+    def await_takeover(self) -> None:
+        self.file.await_takeover()
+        held, replayed = durable_state_views(self.file)
+        assert held == replayed, "the takeover forgot durable state"
+        for point in self.pending():
+            self.file.rs_coordinator.arm_crash(point)
 
 
-def command(file: LHRSFile, owed: set[str], point: str, call) -> None:
+def command(crashes: CrashPoints, owed: set[str], point: str, call) -> None:
     """One coordinator command.  If the config still owes the crash
     ``point``, the primary dies there and a standby's takeover has to
     finish the command."""
+    coordinator = crashes.file.rs_coordinator
     if point not in owed:
-        call(file.rs_coordinator)
+        call(coordinator)
         return
     owed.remove(point)
-    file.rs_coordinator.arm_crash(point)
+    crashes.arm(point)
     with pytest.raises(CoordinatorCrashed):
-        call(file.rs_coordinator)
-    await_takeover(file)
+        call(coordinator)
+    crashes.await_takeover()
 
 
 def run(params: dict, operations: int, seed: int) -> LHRSFile:
@@ -124,10 +149,11 @@ def run(params: dict, operations: int, seed: int) -> LHRSFile:
         {"split.mid", "merge.mid", "raise.mid", "recover.mid"}
         if file.standbys else set()
     )
+    _, _, auditor = file.enable_observability(trace_capacity=2_000)
+    crashes = CrashPoints(file)
     if scalable and owed:
         owed.remove("raise.mid")  # the first retrofit kills the primary
-        file.rs_coordinator.arm_crash("raise.mid")
-    _, _, auditor = file.enable_observability(trace_capacity=2_000)
+        crashes.arm("raise.mid")
     oracle: dict[int, bytes] = {}
     ambiguous: set[int] = set()
     down: dict[str, int] = {}  # node -> the step its outage ends
@@ -155,18 +181,25 @@ def run(params: dict, operations: int, seed: int) -> LHRSFile:
         # ---- the workload: grow, shrink by 75 %, carry on -----------
         if (
             "split.mid" in owed and done >= operations * 0.25
-            and not file.rs_coordinator.crash_points  # raise.mid fired
+            and not crashes.pending()  # raise.mid fired
         ):
             owed.remove("split.mid")  # the next split kills the primary
-            file.rs_coordinator.arm_crash("split.mid")
+            crashes.arm("split.mid")
         if phase == "grow" and done >= operations * 0.5:
             phase, shrink_to = "shrink", len(oracle) // 4
+            if "split.mid" in crashes.pending():
+                # No split ran since the point was armed, and the file
+                # only shrinks from here: command one.
+                file.rs_coordinator.probe()
+                with pytest.raises(CoordinatorCrashed):
+                    file.rs_coordinator.split_once()
+                crashes.await_takeover()
             if params["availability"] == 1:
                 # Every member must be up for a raise to read it.
                 file.rs_coordinator.probe()
                 group = len(file.group_levels()) // 2
                 command(
-                    file, owed, "raise.mid",
+                    crashes, owed, "raise.mid",
                     lambda c: c.raise_group_level(group, 2),
                 )
         elif phase == "shrink" and len(oracle) <= shrink_to:
@@ -175,10 +208,10 @@ def run(params: dict, operations: int, seed: int) -> LHRSFile:
             # shrink, so the merges are commanded.
             for _ in range(3):
                 if file.bucket_count > 5:
-                    command(file, owed, "merge.mid", lambda c: c.merge_once())
+                    command(crashes, owed, "merge.mid", lambda c: c.merge_once())
             file.rs_coordinator.probe()  # one loss at a time, as for the raise
             lost = file.fail_data_bucket(file.bucket_count // 2)
-            command(file, owed, "recover.mid", lambda c: file.recover([lost]))
+            command(crashes, owed, "recover.mid", lambda c: file.recover([lost]))
         kind = rng.choices(kinds, mixes[phase])[0]
         many = rng.random() < 0.3
         count = rng.randrange(2, 49) if many else 1
@@ -221,7 +254,7 @@ def run(params: dict, operations: int, seed: int) -> LHRSFile:
                 assert not found or res.value == oracle[key], (kind, key)
 
         if not file.network.is_available(file.rs_coordinator.node_id):
-            await_takeover(file)  # split.mid or raise.mid fired in that call
+            crashes.await_takeover()  # split.mid or raise.mid fired in that call
         held = [s.node_id for s in file.data_servers() if s._parity_queue]
         assert not held, f"Δs held between calls by {held}"
 
@@ -239,7 +272,8 @@ def run(params: dict, operations: int, seed: int) -> LHRSFile:
     else:
         assert (params["availability"] == 1) == (levels == [1, 2]), "the raise"
     assert owed <= {"raise.mid"}, f"never reached: {owed}"
-    assert not file.rs_coordinator.crash_points, "an armed crash point never fired"
+    assert crashes.pending() == [], f"armed, never fired: {crashes.pending()}"
+    assert sorted(crashes.fired) == sorted(crashes.armed)
     assert file.verify_parity_consistency() == []
     assert auditor.check_file(file) == [] and auditor.violations == []
     held, replayed = durable_state_views(file)
