@@ -1,10 +1,15 @@
 """E8 — Record recovery / degraded reads (table).
 
 Paper theme: a key search hitting an unavailable bucket is served by
-reconstructing just that record: locate its record group in a parity
-bucket, fetch the surviving members (≤ m-1 key fetches), decode.  Cost
-is O(m + k) messages — independent of the file size — versus the ~2 of
-a normal search; misses stay certain.
+reconstructing just that record.  The coordinator hands the key to the
+group's first live parity bucket in one ``parity.recover`` call; that
+bucket finds the record group in its key directory, fetches the
+surviving members in one ``record.rank`` multicast (one request, ≤ m-1
+replies), adds a ``parity.rank`` share from another parity bucket per
+further member down, and decodes.  Cost is O(m + k) messages —
+independent of the file size — versus the ~2 of a normal search: m + 4
+for one bucket down (8 at m = 4), one more per further bucket down;
+misses stay certain at 4.
 """
 
 import pytest
@@ -70,7 +75,9 @@ def test_e8_degraded_reads(benchmark):
     )
     for r in rows:
         assert r["normal"] == 2
-        # report + locate(2) + fetches(2 each, <= m-1-extra) + result
-        upper = 2 + 2 + 2 * (r["m"] - 1) + 2 * r["k"] + 2
+        # report + parity.recover(2) + record.rank (1 + <= m-1 replies)
+        # + parity.rank(2 per further bucket down) + result
+        upper = 1 + 2 + 1 + (r["m"] - 1) + 2 * (r["down"] - 1) + 1
         assert r["normal"] < r["degraded"] <= upper
-        assert r["miss"] <= 6  # report + locate + result: certainty is cheap
+        # report + parity.recover + result: certainty is cheap
+        assert r["miss"] == 4

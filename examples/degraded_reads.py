@@ -1,8 +1,9 @@
 """Degraded mode: serving reads while buckets stay down.
 
 With automatic recovery disabled, the coordinator answers key searches
-purely through Reed-Solomon record recovery — the paper's point that a
-single requested record can be rebuilt long before the whole bucket is.
+purely through Reed-Solomon record recovery, which the group's parity
+bucket serves — the paper's point that a single requested record can be
+rebuilt long before the whole bucket is.
 The example compares the message cost of a normal search against a
 degraded read at k=1 and k=2, and shows that *unsuccessful* searches
 stay certain (the parity directory is authoritative).
@@ -46,7 +47,8 @@ for k in (1, 2):
         absent = file.search(10**9 + 7)  # addresses a dead bucket? maybe not;
     print(f"  normal search:   {normal.messages} messages")
     print(f"  degraded read:   {degraded.messages} messages "
-          f"(locate parity + fetch {4 - 1 - (k - 1)}+ members + decode)")
+          f"(one parity.recover; the parity bucket multicasts to "
+          f"{4 - 1 - (k - 1)}+ members and decodes)")
     print(f"  still down:      {not file.network.is_available(failed[0])}")
 
     # Certain miss while the addressed bucket is dead:

@@ -502,6 +502,7 @@ class RSCoordinator(Coordinator):
             index=index,
             row=self.parity_row(index),
             field=self.field,
+            generator=self.config.generator,
         )
         return self._outfit(server)
 

@@ -47,7 +47,7 @@ from repro.rs.encoder import delta_payload
 #: from a dead one to the data plane, nothing more.
 DATA_FENCED_KINDS = frozenset({
     "insert", "update", "delete", "search", "scan", "ops.batch",
-    "record.fetch", "bucket.dump", "signature.dump",
+    "record.rank", "bucket.dump", "signature.dump",
 })
 
 
@@ -539,19 +539,22 @@ class RSDataServer(BucketReceive, DataServer):
             },
         }
 
-    def handle_record_fetch(self, message: Message) -> dict:
-        """Direct fetch by key (record recovery addresses buckets
-        explicitly from the parity directory — no A2 involved).
+    def handle_record_rank(self, message: Message) -> dict | None:
+        """This bucket's member of record group ``rank``, or None: what
+        a parity bucket serving a degraded read multicasts for (the
+        rank comes from its directory — no A2 involved).
 
         Ships Δs held by an in-flight batch first: the decode combining
         this payload with parity records needs the parity to be current
         with it.
         """
         self.flush_parity()
-        key = message.payload["key"]
-        if key in self.bucket:
-            return {"found": True, "payload": self.bucket.get(key)}
-        return {"found": False, "payload": None}
+        rank = message.payload["rank"]
+        key_at = self._key_at
+        key = key_at[rank] if 0 < rank < len(key_at) else None
+        if key is None:
+            return None
+        return {"key": key, "payload": self.bucket.get(key)}
 
     def handle_bucket_dump(self, message: Message) -> dict:
         """Everything recovery needs to treat this bucket as a survivor.

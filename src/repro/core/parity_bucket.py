@@ -24,8 +24,9 @@ a :class:`~repro.core.stripe_store.StripeStore` — parity symbols, key
 and length directory alike, behind a rank→row map — and nothing else:
 a dump is a copy of those columns, signature scans run as one 2D
 kernel, a checkpoint writes the columns as they stand, and the one
-per-record form is :meth:`StripeStore.snapshot`, which
-``parity.locate`` and ``parity.rank`` reply with.  Every Δ is created by
+per-record form is :meth:`StripeStore.snapshot`, which ``parity.rank``
+replies with and a degraded read decodes from (``parity.recover``).
+Every Δ is created by
 its data bucket as a *run* (one position, one action, distinct ranks,
 consecutive sequence numbers; ``delta_run`` in
 :mod:`repro.proto.schema`), and a ``parity.update``, a ``parity.batch``,
@@ -38,10 +39,13 @@ position, the runs a restarted data bucket replays.
 from __future__ import annotations
 
 from repro.core.durable import BucketReceive, Durability, RunRing
+from repro.core.group import data_node, parity_node
+from repro.core.recovery import RecoveryError
 from repro.core.stripe_store import ABSENT, KEY_LIMIT, NO_KEY, StripeStore
 from repro.gf.field import GF
+from repro.rs.codec import RSCodec
 from repro.sim.messages import Message
-from repro.sim.network import NodeUnavailable, UnknownNode
+from repro.sim.network import DeliveryFault, NodeUnavailable, UnknownNode
 from repro.sim.node import Node
 
 #: Kinds a fenced (restarted, not yet caught-up) parity bucket refuses
@@ -52,7 +56,7 @@ PARITY_FENCED_KINDS = frozenset(
     {
         "parity.update",
         "parity.batch",
-        "parity.locate",
+        "parity.recover",
         "parity.rank",
         "parity.dump",
         "signature.dump",
@@ -75,6 +79,7 @@ class ParityServer(BucketReceive, Node):
         index: int,
         row: list[int],
         field: GF,
+        generator: str = "cauchy",
     ):
         super().__init__(node_id)
         self.file_id = file_id
@@ -82,6 +87,9 @@ class ParityServer(BucketReceive, Node):
         self.index = index
         self.row = list(row)
         self.field = field
+        #: the generator kind ``row`` is a row of: a degraded read
+        #: decodes with the group's other rows
+        self.generator = generator
         self._store = StripeStore(field, slots=len(self.row))
         #: next expected Δ sequence number per group position (default 1)
         self._expected_seq: dict[int, int] = {}
@@ -96,11 +104,11 @@ class ParityServer(BucketReceive, Node):
         #: RSCoordinator.checkpoint_to_parity)
         self.coord_checkpoint: dict | None = None
         #: §4.1's in-bucket secondary index: member key -> (rank, pos).
-        #: Makes record recovery's locate step an O(1) lookup instead of
-        #: a scan over every parity record ("shortens the bucket search
-        #: time drastically" at negligible storage, as the paper notes);
-        #: carrying the position too removes the per-locate scan over
-        #: the record's key directory.
+        #: Makes record recovery's lookup O(1) instead of a scan over
+        #: every parity record ("shortens the bucket search time
+        #: drastically" at negligible storage, as the paper notes);
+        #: carrying the position too removes a scan over the record's
+        #: key directory.
         self._key_index: dict[int, tuple[int, int]] = {}
         #: GF multiply-accumulate symbol operations performed (CPU model)
         self.symbol_ops = 0
@@ -206,7 +214,7 @@ class ParityServer(BucketReceive, Node):
                 )
         except BaseException:
             # No half-born record (a row no member was ever written to)
-            # for parity.locate / parity.dump to see.
+            # for parity.recover / parity.dump to see.
             for rank in ranks:
                 if rank in store and not store.snapshot(rank)["lengths"]:
                     store.release(rank)
@@ -354,18 +362,73 @@ class ParityServer(BucketReceive, Node):
             "expected_seqs": dict(self._expected_seq),
         }
 
-    def handle_parity_locate(self, message: Message) -> dict | None:
-        """The record group containing ``key``, or None (record recovery).
+    def handle_parity_recover(self, message: Message) -> dict:
+        """Serve one key whose data bucket is unavailable (or slow).
 
-        A None answer from a parity bucket is authoritative: every stored
+        A miss in the key directory is authoritative: every stored
         record of the group has an entry in every parity bucket, so the
         searched key does not exist and the key search can terminate
         *unsuccessfully with certainty* even while data buckets are down.
+
+        On a hit, one ``record.rank`` multicast fetches the record
+        group's other members from the survivors the directory lists;
+        each reply must carry the key the directory names.  A member
+        down, fenced or silent costs one ``parity.rank`` share from the
+        next of the group's other live parity buckets (``parity``, from
+        the coordinator, with the group's ``level``), and the m shares
+        decode with :meth:`RSCodec.recover`.
         """
-        entry = self._key_index.get(message.payload["key"])
+        payload = message.payload
+        entry = self._key_index.get(payload["key"])
         if entry is None:
-            return None
-        return {**self._store.snapshot(entry[0]), "pos": entry[1]}
+            return {"found": False, "value": None}
+        rank, pos = entry
+        m = len(self.row)
+        first = self.group * m
+        targets = {
+            data_node(self.file_id, first + p): p
+            for p, key in enumerate(self._store.keys_of(rank))
+            if key != NO_KEY and p != pos
+        }
+        replies, _ = self._net().multicast(
+            self.node_id, list(targets), "record.rank", {"rank": rank}
+        )
+        # The survivors flushed any Δ they held: read this bucket's
+        # record now, and check every reply against it.
+        record = self._store.snapshot(rank)
+        keys = record["keys"]
+        shares = {p: b"" for p in range(m) if p not in keys}
+        for node_id, reply in replies.items():
+            p = targets[node_id]
+            if keys.get(p) != (None if reply is None else reply["key"]):
+                raise RecoveryError(
+                    f"directory lists key {keys.get(p)} at bucket "
+                    f"{first + p} but the bucket denies it"
+                )
+            shares[p] = b"" if reply is None else reply["payload"]
+        shares[m + self.index] = record["parity"]
+        for index in payload["parity"]:
+            if len(shares) >= m:
+                break
+            try:
+                snapshot = self.call(
+                    parity_node(self.file_id, self.group, index),
+                    "parity.rank", {"rank": rank},
+                )
+            except (NodeUnavailable, DeliveryFault):
+                continue
+            if snapshot is not None:
+                shares[m + index] = snapshot["parity"]
+        if len(shares) < m:
+            raise RecoveryError(
+                f"record group ({self.group}, {rank}): only {len(shares)} "
+                f"shares survive, {m} needed"
+            )
+        codec = RSCodec(m, payload["level"], self.field, self.generator)
+        value = codec.recover(
+            shares, [pos], payload_lengths={pos: record["lengths"][pos]}
+        )[pos]
+        return {"found": True, "value": value}
 
     def handle_parity_rank(self, message: Message) -> dict | None:
         """Snapshot of one rank's parity record (or None)."""

@@ -14,7 +14,8 @@ costs straight off the accounting windows.
 * **Record recovery** (`recover_record`): the degraded-mode fast path
   serving one key search while bucket recovery would still be running;
   also delivers *certain* unsuccessful searches (the parity directory is
-  authoritative about which keys exist).
+  authoritative about which keys exist).  The group's parity bucket does
+  the work (``parity.recover``); the coordinator only picks which one.
 * **Delta catch-up** (`catch_up_data` / `catch_up_parity`): a cleanly
   restarted bucket gets the Δ-runs it lost back from the other kind's
   history rings (`runs.tail`), in one `runs.catchup` either way.
@@ -34,7 +35,7 @@ import numpy as np
 from repro.core.group import data_node, group_buckets, group_of, parity_node, position_of
 from repro.core.stripe_store import ABSENT, NO_KEY
 from repro.rs.codec import RSCodec
-from repro.sim.network import NodeUnavailable
+from repro.sim.network import DeliveryFault, NodeUnavailable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.coordinator import RSCoordinator
@@ -880,83 +881,36 @@ class RecoveryManager:
         """Serve one key whose data bucket is unavailable.
 
         Returns ``(found, payload)``; ``(False, None)`` is *certain* —
-        the parity directory proves the key was never stored.
+        the parity directory proves the key was never stored.  The
+        group's first live parity bucket serves it in one
+        ``parity.recover`` call (:meth:`ParityServer.handle_parity_recover`);
+        only when that call itself fails does the next one get asked.
         """
         coordinator = self.coordinator
-        cfg = coordinator.config
-        m = cfg.group_size
+        m = coordinator.config.group_size
         bucket = coordinator.state.address(key)
         group = group_of(bucket, m)
-        pos = position_of(bucket, m)
         k = coordinator.group_level(group)
         if k == 0:
             raise RecoveryError(
                 f"bucket {bucket} is unavailable and group {group} has no parity"
             )
-        codec = self._codec(group)
-        coord_id = coordinator.node_id
-
-        alive_parity = [
-            i for i in range(k)
-            if self._net.is_available(parity_node(self._file_id, group, i))
-        ]
-        if not alive_parity:
-            raise RecoveryError(f"group {group}: no parity bucket available")
-
-        first = alive_parity[0]
-        located = self._net.call(
-            coord_id, parity_node(self._file_id, group, first),
-            "parity.locate", {"key": key},
-        )
-        if located is None:
-            return False, None
-        rank = located["rank"]
-        keys, lengths = located["keys"], located["lengths"]
-
-        shares: dict[int, bytes] = {m + first: located["parity"]}
-        lost = {pos}
-        for p in range(m):
-            if p == pos:
-                continue
-            if p not in keys:
-                shares[p] = b""
-                continue
-            member = data_node(self._file_id, group * m + p)
+        net, nodes = self._net, coordinator.parity_nodes(group)
+        alive = [i for i in range(k) if net.is_available(nodes[i])]
+        for n, index in enumerate(alive):
             try:
-                reply = self._net.call(
-                    coord_id, member, "record.fetch", {"key": keys[p]}
+                reply = net.call(
+                    coordinator.node_id, nodes[index], "parity.recover",
+                    {"key": key, "level": k, "parity": alive[n + 1:]},
                 )
-            except NodeUnavailable:
-                lost.add(p)
+            except (NodeUnavailable, DeliveryFault):
                 continue
-            if not reply["found"]:  # pragma: no cover - directory is authoritative
-                raise RecoveryError(
-                    f"directory lists key {keys[p]} at bucket {group * m + p} "
-                    "but the bucket denies it"
-                )
-            shares[p] = reply["payload"]
-
-        for index in alive_parity[1:]:
-            if len(shares) >= m:
-                break
-            snap = self._net.call(
-                coord_id, parity_node(self._file_id, group, index),
-                "parity.rank", {"rank": rank},
-            )
-            if snap is not None:
-                shares[m + index] = snap["parity"]
-
-        if len(shares) < m:
-            raise RecoveryError(
-                f"record group ({group}, {rank}): only {len(shares)} shares "
-                f"survive, {m} needed"
-            )
-        recovered = codec.recover(
-            shares, sorted(lost), payload_lengths={pos: lengths[pos]}
-        )
-        self.records_reconstructed += 1
-        self.degraded_reads_served += 1
-        return True, recovered[pos]
+            if not reply["found"]:
+                return False, None
+            self.records_reconstructed += 1
+            self.degraded_reads_served += 1
+            return True, reply["value"]
+        raise RecoveryError(f"group {group}: no parity bucket available")
 
     # ------------------------------------------------------------------
     # integrity auditing via algebraic signatures

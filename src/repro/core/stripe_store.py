@@ -212,7 +212,7 @@ class StripeStore:
     def snapshot(self, rank: int) -> dict:
         """One record read from its row: ``{rank, keys, lengths, parity}``,
         the directory as ``{position: value}`` over the occupied cells —
-        what ``parity.locate`` and ``parity.rank`` reply with."""
+        what ``parity.rank`` replies with and a degraded read decodes."""
         row, slots = self._row_of[rank], self.slots
         cells = slice(row * slots, (row + 1) * slots)
         return {
@@ -221,6 +221,12 @@ class StripeStore:
             "lengths": _members(self.length_cells[cells].tolist(), ABSENT),
             "parity": self.field.bytes_from_symbols(self.view(rank)),
         }
+
+    def keys_of(self, rank: int) -> list[int]:
+        """``rank``'s key directory row, one cell per group position
+        (``NO_KEY`` where none is known)."""
+        first = self._row_of[rank] * self.slots
+        return self.key_cells[first : first + self.slots].tolist()
 
     def locations(self) -> dict[int, tuple[int, int]]:
         """``{key: (rank, pos)}`` over every known member key."""

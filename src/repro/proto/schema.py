@@ -284,10 +284,9 @@ SHAPES: dict[str, str] = {
     "delta_run": "(str, int, int, [int], [int], [bytes], [int])",
     # (key, payload): a record on the move (split, merge, scan, mirror)
     "moved_row": "(int, bytes)",
-    # one parity record; ``pos`` only in a ``parity.locate`` answer
+    # one parity record (``StripeStore.snapshot``)
     "parity_snapshot": (
-        "{rank:int, keys:{int->int}, lengths:{int->int}, parity:bytes, "
-        "pos?:int}"
+        "{rank:int, keys:{int->int}, lengths:{int->int}, parity:bytes}"
     ),
     # a parity bucket's store as columns (``StripeStore.dump``): per row
     # its rank and extent, its stripe in ``matrix`` (``width`` symbols),
@@ -523,25 +522,27 @@ _ENTRIES: tuple[MessageKind, ...] = (
         summary="install a rebuilt store image; aligns the Δ-channels",
     ),
     MessageKind(
-        "parity.locate", "coordinator", "parity", "call",
-        ("key:int",),
-        reply="parity_snapshot|none",
+        "parity.recover", "coordinator", "parity", "call",
+        # the group's level and its other live parity indices: a parity
+        # bucket holds neither
+        ("key:int", "level:int", "parity:[int]"),
+        reply="{found:bool, value:bytes|none}",
         section="recovery",
-        summary="which record group holds a key (record recovery step 1)",
+        summary="record recovery: directory lookup, survivors, decode",
     ),
     MessageKind(
-        "parity.rank", "coordinator", "parity", "call",
+        "record.rank", "parity", "data", "multicast",
+        ("rank:int",),
+        reply="{key:int, payload:bytes}|none",
+        section="recovery",
+        summary="a survivor's member of one record group (no A2)",
+    ),
+    MessageKind(
+        "parity.rank", "parity", "parity", "call",
         ("rank:int",),
         reply="parity_snapshot|none",
         section="recovery",
-        summary="one rank's snapshot — extra shares for a degraded decode",
-    ),
-    MessageKind(
-        "record.fetch", "coordinator", "data", "call",
-        ("key:int",),
-        reply="{found:bool, payload:bytes|none}",
-        section="recovery",
-        summary="direct payload fetch from a survivor (no A2)",
+        summary="one rank's snapshot — a share for a member down or fenced",
     ),
     MessageKind(
         "signature.dump", "auditor", "data/parity", "call",
@@ -668,6 +669,14 @@ _ENTRIES: tuple[MessageKind, ...] = (
         reply="gparity_record|none",
         section="LH*g baseline",
         summary="A7 record recovery lookup",
+        baseline=True,
+    ),
+    MessageKind(
+        "record.fetch", "coordinator", "data", "call",
+        ("key:int",),
+        reply="{found:bool, payload:bytes|none}",
+        section="LH*g baseline",
+        summary="A7: direct payload fetch from a survivor (no A2)",
         baseline=True,
     ),
     MessageKind(

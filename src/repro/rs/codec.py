@@ -13,7 +13,9 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.gf.field import GF
-from repro.rs.decoder import DecodeError, decode_stripes, decode_symbols
+from repro.rs.decoder import (
+    DecodeError, decode_bytes, decode_stripes, decode_symbols,
+)
 from repro.rs.encoder import delta_payload, encode_stripes, encode_symbols, fold_delta
 from repro.rs.generator import parity_matrix
 
@@ -91,29 +93,31 @@ class RSCodec:
         Positions 0..m-1 are data, m..m+k-1 parity.  ``payload_lengths``
         optionally gives the original byte length of each lost position so
         zero-padding can be stripped (LH*RS parity records track member
-        record structure for exactly this purpose).
+        record structure for exactly this purpose).  Without one, a
+        position comes back symbol-aligned to the longest share (it may
+        carry the stripe's zero padding).  GF(2^8) decodes on the bytes
+        (:func:`decode_bytes`), GF(2^16) on symbol arrays.
         """
         if not shares:
             raise DecodeError("no surviving shares")
-        longest = max(len(p) for p in shares.values())
-        length = self.field.symbol_length_for_bytes(longest)
-        symbol_shares = {
-            pos: self.field.symbols_from_bytes(data, length)
-            for pos, data in shares.items()
-        }
-        decoded = decode_symbols(
-            self.field, self.m, self.k, symbol_shares, lost, self.kind
-        )
-        out: dict[int, bytes] = {}
-        for pos, symbols in decoded.items():
-            if payload_lengths and pos in payload_lengths:
-                out[pos] = self.field.bytes_from_symbols(
-                    symbols, payload_lengths[pos]
-                )
-            else:
-                # Without the original length, return the symbol-aligned
-                # payload (may carry the stripe's zero padding).
-                out[pos] = self.field.bytes_from_symbols(symbols)
+        field = self.field
+        if field.width == 8:
+            out = decode_bytes(field, self.m, self.k, shares, lost, self.kind)
+        else:
+            length = field.symbol_length_for_bytes(
+                max(len(p) for p in shares.values())
+            )
+            decoded = decode_symbols(self.field, self.m, self.k, {
+                pos: field.symbols_from_bytes(data, length)
+                for pos, data in shares.items()
+            }, lost, self.kind)
+            out = {
+                pos: field.bytes_from_symbols(symbols)
+                for pos, symbols in decoded.items()
+            }
+        if payload_lengths:
+            for pos in out.keys() & payload_lengths.keys():
+                out[pos] = out[pos][: payload_lengths[pos]]
         return out
 
     # ------------------------------------------------------------------

@@ -7,8 +7,10 @@ failure pattern (cached), and reconstructs the data symbol-wise; lost
 parity positions are then re-encoded from the recovered data.
 
 The single-data-loss fast path — XOR the surviving data with parity 0 —
-falls out naturally because parity row 0 is all ones; it is implemented
-explicitly so the cost difference is measurable (experiment E7).
+falls out naturally because the normalized Cauchy parity row 0 is all
+ones; it is implemented explicitly so the cost difference is measurable
+(experiment E7).  The Vandermonde ablation has no such row and always
+takes the inverse.
 """
 
 from __future__ import annotations
@@ -41,15 +43,29 @@ def select_rows(available: set[int], m: int) -> tuple[int, ...]:
 
     Data rows of the generator are unit vectors, so favoring them keeps
     the decode matrix close to the identity and the symbol work minimal.
+    Every data position sorts below every parity one, so the first m
+    in order are the data positions, then parity by index.
     """
-    data = sorted(p for p in available if p < m)
-    parity = sorted(p for p in available if p >= m)
-    chosen = (data + parity)[:m]
+    chosen = sorted(available)[:m]
     if len(chosen) < m:
         raise DecodeError(
             f"only {len(chosen)} of the required {m} positions survive"
         )
     return tuple(chosen)
+
+
+def _wanted(m: int, k: int, available: set[int], lost: list[int] | None) -> list[int]:
+    """The positions a decode rebuilds: ``lost``, or every position not
+    ``available``; positions outside the codeword or both lost and
+    available are refused."""
+    all_positions = set(range(m + k))
+    if not available <= all_positions:
+        raise ValueError(f"share positions {available - all_positions} out of range")
+    if lost is None:
+        return sorted(all_positions - available)
+    if set(lost) & available:
+        raise ValueError("a position cannot be both lost and available")
+    return lost
 
 
 def decode_symbols(
@@ -67,16 +83,10 @@ def decode_symbols(
     Returns ``{position: symbols}`` for each requested lost position.
     Raises :class:`DecodeError` when fewer than m positions survive.
     """
-    all_positions = set(range(m + k))
     available = set(shares)
-    if not available <= all_positions:
-        raise ValueError(f"share positions {available - all_positions} out of range")
-    if lost is None:
-        lost = sorted(all_positions - available)
+    lost = _wanted(m, k, available, lost)
     if not lost:
         return {}
-    if set(lost) & available:
-        raise ValueError("a position cannot be both lost and available")
 
     lengths = {len(v) for v in shares.values()}
     if len(lengths) != 1:
@@ -87,10 +97,12 @@ def decode_symbols(
     lost_parity = [p for p in lost if p >= m]
 
     # Fast path: exactly one data position lost and parity 0 available —
-    # plain XOR, no matrix inversion (parity row 0 is all ones).
+    # plain XOR, no matrix inversion (the normalized Cauchy parity row 0
+    # is all ones; the Vandermonde one is not).
     data_present = [p for p in sorted(available) if p < m]
     if (
-        len(lost_data) == 1
+        kind == "cauchy"
+        and len(lost_data) == 1
         and m in available
         and len(data_present) == m - 1
     ):
@@ -131,6 +143,71 @@ def decode_symbols(
     return {p: recovered[p] for p in lost}
 
 
+def decode_bytes(
+    field: GF,
+    m: int,
+    k: int,
+    shares: dict[int, bytes],
+    lost: list[int] | None = None,
+    kind: str = "cauchy",
+) -> dict[int, bytes]:
+    """:func:`decode_symbols` for one record group of GF(2^8) byte shares.
+
+    Each wanted row of the cached inverse applies as one
+    ``bytes.translate`` through :meth:`GF.byte_row` per nonzero
+    coefficient (none where it is 1), summed by XOR as Python ints;
+    lost parity positions are re-encoded from the data the same way.
+    Shares may differ in length: a shorter one reads as zero-padded,
+    and every result is as long as the longest share.
+    """
+    available = set(shares)
+    lost = _wanted(m, k, available, lost)
+    if not lost:
+        return {}
+
+    length = max(map(len, shares.values()))
+    if (
+        kind == "cauchy" and len(lost) == 1 and lost[0] < m
+        and len(shares) == m and max(shares) == m
+    ):
+        # one data position lost, the others and parity 0 (position m,
+        # the highest share) survive: the XOR fast path (the Cauchy
+        # parity row 0 is all ones)
+        return {lost[0]: _combine(field, [1] * m, [*shares.values()], length)}
+    rows = select_rows(available, m)
+    lost_parity = [p for p in lost if p >= m]
+    # data positions to solve: the lost ones, and for a parity re-encode
+    # every one that is not a share
+    solve = [p for p in lost if p < m]
+    if lost_parity:
+        solve += [j for j in range(m) if j not in available and j not in solve]
+    out: dict[int, bytes] = {}
+    if solve:
+        inverse = _decode_matrix(field.width, m, k, kind, rows).data
+        columns = [shares[r] for r in rows]
+        for w in solve:
+            out[w] = _combine(field, inverse[w].tolist(), columns, length)
+    if lost_parity:
+        data = [out[j] if j in out else shares[j] for j in range(m)]
+        generator = parity_matrix(field, m, k, kind).data
+        for p in lost_parity:
+            out[p] = _combine(field, generator[p - m].tolist(), data, length)
+    return {p: out[p] for p in lost}
+
+
+def _combine(
+    field: GF, coefficients: list[int], columns: list[bytes], length: int
+) -> bytes:
+    """``XOR_j coefficients[j] * columns[j]`` as ``length`` bytes (w = 8)."""
+    acc = 0
+    for c, column in zip(coefficients, columns):
+        if c:
+            if c != 1:
+                column = column.translate(field.byte_row(c))
+            acc ^= int.from_bytes(column, "little")
+    return acc.to_bytes(length, "little")
+
+
 def decode_stripes(
     field: GF,
     m: int,
@@ -152,16 +229,10 @@ def decode_stripes(
     which reads the shares where they lie (no stacked copy); the
     single-data-loss XOR fast path folds them into one accumulator.
     """
-    all_positions = set(range(m + k))
     available = set(shares)
-    if not available <= all_positions:
-        raise ValueError(f"share positions {available - all_positions} out of range")
-    if lost is None:
-        lost = sorted(all_positions - available)
+    lost = _wanted(m, k, available, lost)
     if not lost:
         return {}
-    if set(lost) & available:
-        raise ValueError("a position cannot be both lost and available")
 
     shares = {
         pos: np.asarray(matrix, dtype=field.symbol_dtype)
@@ -178,10 +249,12 @@ def decode_stripes(
     lost_parity = [p for p in lost if p >= m]
 
     # Fast path: exactly one data position lost and parity 0 available —
-    # one XOR-reduce over the stacked survivors, no matrix inversion.
+    # one XOR-reduce over the stacked survivors, no matrix inversion
+    # (Cauchy only, as in :func:`decode_symbols`).
     data_present = [p for p in sorted(available) if p < m]
     if (
-        len(lost_data) == 1
+        kind == "cauchy"
+        and len(lost_data) == 1
         and m in available
         and len(data_present) == m - 1
     ):

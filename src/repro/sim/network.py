@@ -717,8 +717,9 @@ class Network:
         With hardware multicast available the request costs one message
         regardless of fan-out, otherwise one per recipient (the papers
         price scans both ways).  Replies are always unicast.  Failed
-        recipients are skipped and reported, letting deterministic
-        termination protocols detect the gap.  Under a fault plane a
+        recipients — down, or refusing the kind with ``NodeUnavailable``
+        as a fenced bucket does — are skipped and reported, letting
+        deterministic termination protocols detect the gap.  Under a fault plane a
         recipient whose request copy — or collected *reply* — is dropped
         or transiently failed also lands in ``unavailable``: from the
         sender's seat a lost reply and a dead node look identical (only
@@ -748,6 +749,9 @@ class Network:
                 if outcome == "corrupt":
                     plane.counters["corrupted"] += 1
                     message = self._corrupted_copy(message)
+            # A recipient that refuses the kind (a fenced bucket) or is
+            # overloaded looks like a dead one from the multicaster's
+            # seat: only the timeout fires.
             if self.multicast_available and charged_request:
                 # Multicast fabric: later copies of the request are free.
                 self._depth += 1
@@ -758,14 +762,24 @@ class Network:
                     )
                 try:
                     result = self.nodes[recipient].receive(message)
+                except NodeUnavailable as refusal:
+                    if refusal.node_id != recipient:
+                        raise
+                    unavailable.append(recipient)
+                    continue
                 finally:
                     self._depth -= 1
             else:
                 try:
                     result = self._deliver(message)
                 except NodeBusy:
-                    # An overloaded recipient looks like a dead one from
-                    # the multicaster's seat: only the timeout fires.
+                    unavailable.append(recipient)
+                    continue
+                except NodeUnavailable as refusal:
+                    if refusal.node_id != recipient:
+                        raise
+                    # refused after delivery: the request was charged
+                    charged_request = True
                     unavailable.append(recipient)
                     continue
                 charged_request = True

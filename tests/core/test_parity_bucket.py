@@ -73,6 +73,16 @@ def op(*args, **kwargs):
     return {"runs": [run(*args, **kwargs)]}
 
 
+def recover(key):
+    """A ``parity.recover`` payload for a lone parity bucket 0 of a
+    group at level 1 (no data bucket is registered: only a key alone in
+    its record group decodes)."""
+    return {"key": key, "level": 1, "parity": []}
+
+
+MISS = {"found": False, "value": None}
+
+
 class TestApply:
     def test_insert_creates_record(self, setup):
         _, p0, _, probe = setup
@@ -151,11 +161,12 @@ class TestApply:
 
 class TestQueries:
     def test_locate_found_and_absent(self, setup):
-        _, _, _, probe = setup
+        _, p0, _, probe = setup
         probe.send("f.p0.0", "parity.update", op("insert", 42, 3, 1, b"xy"))
-        hit = probe.call("f.p0.0", "parity.locate", {"key": 42})
-        assert hit["rank"] == 3 and hit["pos"] == 1
-        assert probe.call("f.p0.0", "parity.locate", {"key": 99}) is None
+        hit = probe.call("f.p0.0", "parity.recover", recover(42))
+        assert hit == {"found": True, "value": b"xy"}
+        assert p0._key_index[42] == (3, 1)
+        assert probe.call("f.p0.0", "parity.recover", recover(99)) == MISS
 
     def test_rank_query(self, setup):
         _, _, _, probe = setup
@@ -202,8 +213,7 @@ class TestKeyIndex:
         net.register(fresh)
         probe.send("f.p0.7", "parity.load", dump)
         assert fresh._key_index == {42: (3, 1)}
-        assert probe.call("f.p0.7", "parity.locate", {"key": 42})["rank"] == 3
-        assert probe.call("f.p0.7", "parity.locate", {"key": 42})["pos"] == 1
+        assert probe.call("f.p0.7", "parity.recover", recover(42))["value"] == b"xy"
 
     def test_locate_uses_index_consistently(self, setup):
         """Index answers must match a full scan of the records."""
@@ -212,13 +222,14 @@ class TestKeyIndex:
             probe.send("f.p0.0", "parity.update",
                        op("insert", key, i + 1, i % 4, b"zz"))
         for key in (10, 11, 12, 13):
-            hit = probe.call("f.p0.0", "parity.locate", {"key": key})
+            hit = probe.call("f.p0.0", "parity.recover", recover(key))
             scan_hit = next(
                 (rank for rank in p0._store
                  if key in p0._store.snapshot(rank)["keys"].values()),
                 None,
             )
-            assert hit["rank"] == scan_hit
+            assert p0._key_index[key][0] == scan_hit
+            assert hit == {"found": True, "value": b"zz"}
 
 
 def seq_op(seq, *args, **kwargs):
@@ -243,7 +254,7 @@ class TestCrashConsistency:
 
     ``_fold_run`` allocates a fresh rank's store row while folding but
     enters the key directory and ``_key_index`` only after.  A crash in
-    between used to strand an allocated row that ``parity.locate`` and
+    between used to strand an allocated row that ``parity.recover`` and
     ``parity.dump`` could see with no keys; and a sequenced Δ that was
     rejected or died mid-fold used to leave its channel advanced, so
     the sender's retry came back ``duplicate`` and never applied.
@@ -271,13 +282,14 @@ class TestCrashConsistency:
         # No half-born record anywhere recovery looks.
         assert 1 not in server._store
         assert 9 not in server._key_index
-        assert probe.call("f.p0.0", "parity.locate", {"key": 9}) is None
+        assert probe.call("f.p0.0", "parity.recover", recover(9)) == MISS
         assert probe.call("f.p0.0", "parity.dump")["store"]["rank_of"] == []
         assert 1 not in server._store
         # The bucket still works: a clean retry of the same op succeeds.
         armed["on"] = False
         probe.send("f.p0.0", "parity.update", op("insert", 9, 1, 0, b"ab"))
-        assert probe.call("f.p0.0", "parity.locate", {"key": 9})["rank"] == 1
+        assert server._key_index[9] == (1, 0)
+        assert probe.call("f.p0.0", "parity.recover", recover(9))["value"] == b"ab"
         assert server._store.snapshot(1)["parity"] == b"ab"
 
     def test_crash_on_existing_rank_keeps_old_record_intact(self, crashing):
@@ -377,7 +389,7 @@ class TestStoreViewLifecycle:
         assert set(server._store) == {2}
         with pytest.raises(KeyError):
             server._store.view(5)
-        assert probe.call("f.p0.0", "parity.locate", {"key": 9}) is None
+        assert probe.call("f.p0.0", "parity.recover", recover(9)) == MISS
         # The surviving record's symbols are live views of the new store:
         # folding through them writes through to the matrix.
         assert server._store.snapshot(2)["parity"] == b"newp"

@@ -166,6 +166,20 @@ class TestMultiFailureRecovery:
         file.recover(nodes)
         assert file.verify_parity_consistency() == []
 
+    def test_vandermonde_single_loss_decodes_the_records(self):
+        """The Vandermonde ablation's parity row 0 is not all ones: a
+        single data loss must not ride the XOR fast path, neither in a
+        degraded read nor in the rebuild."""
+        file, keys = build_file(k=2, generator="vandermonde",
+                                auto_recover=False)
+        before = snapshot(file)
+        node = file.fail_data_bucket(1)
+        for key in (k for k in keys if file.find_bucket_of(k) == 1):
+            assert file.recover_record(key) == (True, value_of(key))
+        file.recover([node])
+        assert snapshot(file) == before
+        assert file.verify_parity_consistency() == []
+
     def test_three_availability_three_data_losses(self):
         file, _ = build_file(k=3, count=150)
         before = snapshot(file)
@@ -326,6 +340,170 @@ class TestRecordRecovery:
             pytest.skip("no record group spans buckets 0 and 1 in this build")
         with pytest.raises(RecoveryError):
             file.recover_record(spanning["keys"][0])
+
+
+def value_of(key):
+    return key.to_bytes(8, "big") * 3
+
+
+def directory(file, key, index=0):
+    """``(rank, pos, listed)``: where parity bucket ``index`` of the
+    key's group files it, and the positions its directory lists there."""
+    m = file.config.group_size
+    server = file.parity_servers(file.find_bucket_of(key) // m)[index]
+    rank, pos = server._key_index[key]
+    return rank, pos, set(server._store.snapshot(rank)["keys"])
+
+
+def degraded_search(file, key):
+    """A client search of ``key`` while its bucket is down, measured."""
+    with file.stats.measure("degraded") as window:
+        outcome = file.search(key)
+    assert outcome.found and outcome.value == value_of(key)
+    return window
+
+
+def kinds(window):
+    return {kind: count for kind, count in window.by_kind.items() if count}
+
+
+class TestDegradedReadProtocol:
+    """A degraded read is one ``parity.recover`` call to the group's
+    first live parity bucket, which multicasts ``record.rank`` to the
+    survivors its directory lists and adds a ``parity.rank`` share per
+    member down or fenced."""
+
+    def build(self, k=2, **kw):
+        return build_file(k=k, auto_recover=False, **kw)
+
+    def test_a_single_loss_costs_five_plus_r(self):
+        file, keys = self.build()
+        file.fail_data_bucket(0)
+        seen = set()
+        for key in (k for k in keys if file.find_bucket_of(k) == 0):
+            _, pos, listed = directory(file, key)
+            r = len(listed - {pos})
+            window = degraded_search(file, key)
+            # report, parity.recover (2), record.rank (1 + r replies), result
+            assert window.messages == (5 + r if r else 4)
+            assert kinds(window) == {
+                "report.unavailable": 1, "parity.recover": 1,
+                "parity.recover.reply": 1, "search.result": 1,
+                **({"record.rank": 1, "record.rank.reply": r} if r else {}),
+            }
+            seen.add(r)
+        assert {1, 2, 3} <= seen
+
+    @pytest.mark.parametrize("down", [2, 3])
+    def test_each_further_loss_adds_one_parity_rank_round_trip(self, down):
+        file, keys = self.build(k=3)
+        for bucket in range(down):
+            file.fail_data_bucket(bucket)
+        lost = set(range(down))
+        key = next(  # a group with every lost member and a survivor
+            k for k in keys if file.find_bucket_of(k) == 0
+            and lost < directory(file, k)[2]
+        )
+        _, _, listed = directory(file, key)
+        r = len(listed - lost)  # the listed survivors still up
+        window = degraded_search(file, key)
+        assert kinds(window)["parity.rank"] == down - 1
+        assert kinds(window).get("record.rank.reply", 0) == r
+        assert window.messages == 5 + r + 2 * (down - 1)
+
+    def test_a_certain_miss_stays_at_four_messages(self):
+        file, _ = self.build()
+        file.fail_data_bucket(0)
+        absent = next(
+            key for key in range(10**9, 10**9 + 10**5)
+            if file.find_bucket_of(key) == 0
+        )
+        with file.stats.measure("miss") as window:
+            assert not file.search(absent).found
+        assert window.messages == 4
+        assert "record.rank" not in kinds(window)
+
+    def test_with_parity_zero_down_parity_one_serves(self):
+        file, keys = self.build()
+        key = next(k for k in keys if file.find_bucket_of(k) == 0)
+        file.fail_data_bucket(0)
+        file.fail_parity_bucket(0, 0)
+        served = served_by(file, key)
+        assert served == [1]
+
+    @pytest.mark.parametrize("fault", ["fenced", "dropped"])
+    def test_a_failed_call_moves_to_the_next_parity_bucket(self, fault):
+        """Only the call itself failing sends the coordinator on: a
+        fenced parity bucket 0 refuses it, or the request is lost."""
+        import numpy as np
+
+        from repro.sim import FaultPlane
+
+        file, keys = self.build()
+        key = next(k for k in keys if file.find_bucket_of(k) == 0)
+        file.fail_data_bucket(0)
+        if fault == "fenced":
+            file.parity_servers(0)[0].fenced = True
+        else:
+            plane = FaultPlane(rng=np.random.default_rng(0))
+            plane.add_rule(kinds={"parity.recover"}, recipient="f.p0.0",
+                           drop=1.0)
+            file.network.install_fault_plane(plane)
+        assert served_by(file, key) == [1]
+
+    @pytest.mark.parametrize("fault", ["down", "fenced"])
+    def test_a_member_down_or_fenced_is_replaced_by_a_parity_rank_share(
+        self, fault
+    ):
+        file, keys = self.build()
+        file.fail_data_bucket(0)
+        key = next(
+            k for k in keys if file.find_bucket_of(k) == 0
+            and {0, 1} <= directory(file, k)[2]
+        )
+        if fault == "down":
+            file.fail_data_bucket(1)
+        else:
+            file.data_servers()[1].fenced = True
+        _, _, listed = directory(file, key)
+        window = degraded_search(file, key)
+        assert kinds(window)["parity.rank"] == 1
+        assert kinds(window).get("record.rank.reply", 0) == len(listed) - 2
+
+    def test_a_directory_and_bucket_key_mismatch_raises(self):
+        file, keys = self.build()
+        file.fail_data_bucket(0)
+        key = next(
+            k for k in keys if file.find_bucket_of(k) == 0
+            and 1 in directory(file, k)[2]
+        )
+        rank, _, _ = directory(file, key)
+        # bucket 1 swaps the ranks of two of its records behind the
+        # parity buckets' back
+        server = file.data_servers()[1]
+        other = next(r for r in server.ranks.values() if r != rank)
+        at = server._key_at
+        at[rank], at[other] = at[other], at[rank]
+        server.ranks.update({at[rank]: rank, at[other]: other})
+        with pytest.raises(RecoveryError, match="but the bucket denies it"):
+            file.recover_record(key)
+
+
+def served_by(file, key):
+    """The indices of the parity buckets whose ``parity.recover`` ran
+    for one degraded read of ``key`` (which must come back right)."""
+    from repro.core.parity_bucket import ParityServer
+
+    served = []
+    real = ParityServer.handle_parity_recover
+
+    def spy(self, message):
+        served.append(self.index)
+        return real(self, message)
+
+    with mock.patch.object(ParityServer, "handle_parity_recover", spy):
+        assert file.recover_record(key) == (True, value_of(key))
+    return served
 
 
 class TestFileStateRecovery:

@@ -42,6 +42,7 @@ from repro.store.simdisk import DiskError
 from repro.core.stripe_store import NO_KEY
 from repro.store import codec, decode_blob, encode_blob
 from tests.core.test_parity_bucket import (
+    MISS,
     Coord,
     Probe,
     as_blocks,
@@ -50,6 +51,7 @@ from tests.core.test_parity_bucket import (
     delta_streams,
     lone_parity,
     op,
+    recover,
     seq_op,
 )
 
@@ -107,12 +109,12 @@ class TestDataRestartCatchUp:
     def test_a_lost_tail_comes_back_as_runs_not_records(self):
         """The parity ring hands the restarted bucket the runs it issued
         and lost: one ``runs.catchup``, no record recovery per missed
-        key (a locate, fetches and rank reads each)."""
+        key (a parity.recover, its multicast and rank reads each)."""
         file, tracer = build(wal_fsync_interval=8)
         with file.stats.measure("catchup") as window:
             file.failures.crash(["f.d2"])
             file.failures.heal(["f.d2"])
-        assert not {"parity.locate", "record.fetch", "parity.rank"} & {
+        assert not {"parity.recover", "record.rank", "parity.rank"} & {
             kind for kind, count in window.by_kind.items() if count
         }
         assert window.by_kind["runs.catchup"] == 1
@@ -454,7 +456,7 @@ class TestImageEqualsLiveState:
         del image
         checkpoint_and_restart(net, server)
         probe.call("f.p0.0", "runs.catchup", {"runs": []})  # unfence
-        assert probe.call("f.p0.0", "parity.locate", {"key": 5}) is None
+        assert probe.call("f.p0.0", "parity.recover", recover(5)) == MISS
 
     def test_empty_bucket(self):
         net, server, probe = lone_parity(GF(16), index=1)
@@ -512,7 +514,7 @@ class TestImageEqualsLiveState:
         assert set(image["dir_keys"][row * slots:(row + 1) * slots]) == {NO_KEY}
         assert set(image["dir_lengths"][row * slots:(row + 1) * slots]) == {-1}
         del image
-        assert probe.call("f.p0.0", "parity.locate", {"key": 13}) is None
+        assert probe.call("f.p0.0", "parity.recover", recover(13)) == MISS
         # ... and its next tenant starts from nothing
         probe.call("f.p0.0", "parity.update",
                    seq_op(2, "insert", 31, 7, 1, b"new"))
@@ -522,9 +524,10 @@ class TestImageEqualsLiveState:
         assert server._store.snapshot(7)["parity"] == b"new"
         checkpoint_and_restart(net, server)
         probe.call("f.p0.0", "runs.catchup", {"runs": []})  # unfence
-        located = probe.call("f.p0.0", "parity.locate", {"key": 31})
-        assert located["keys"] == {1: 31} and located["pos"] == 1
-        assert probe.call("f.p0.0", "parity.locate", {"key": 12}) is None
+        assert server._key_index[31] == (7, 1)
+        located = probe.call("f.p0.0", "parity.recover", recover(31))
+        assert located == {"found": True, "value": b"new"}
+        assert probe.call("f.p0.0", "parity.recover", recover(12)) == MISS
 
     def test_an_image_costs_the_same_calls_whatever_the_bucket_holds(self):
         """Timing-free cost guard: building and encoding the image runs

@@ -121,3 +121,61 @@ class TestUnusualConfigurations:
         misses_first = decoder._decode_matrix.cache_info().misses
         codec.recover(survivors, [1, 2])  # same failure pattern
         assert decoder._decode_matrix.cache_info().misses == misses_first
+
+
+class TestByteKernel:
+    """``RSCodec.recover`` at w = 8 decodes on the bytes
+    (``decode_bytes``): it must equal the ``decode_symbols`` oracle for
+    every loss pattern of at most k positions, data and parity."""
+
+    #: ragged lengths, empty members included; cycled to the group size
+    LENGTHS = [0, 1, 17, 5, 0, 33, 2, 9]
+
+    @pytest.mark.parametrize("kind", ["cauchy", "vandermonde"])
+    @pytest.mark.parametrize("m", [4, 8])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_every_loss_pattern_matches_the_symbol_oracle(self, kind, m, k):
+        from itertools import combinations
+
+        field = GF(8)
+        codec = RSCodec(m, k, field, kind)
+        rng = np.random.default_rng(m * 10 + k)
+        payloads = [rng.bytes(self.LENGTHS[j]) for j in range(m)]
+        shares = dict(enumerate(payloads))
+        shares.update(
+            (m + i, parity) for i, parity in enumerate(codec.encode(payloads))
+        )
+        for size in range(1, k + 1):
+            for lost in map(list, combinations(range(m + k), size)):
+                survivors = {p: v for p, v in shares.items() if p not in lost}
+                length = max(map(len, survivors.values()))
+                oracle = decode_symbols(field, m, k, {
+                    p: field.symbols_from_bytes(v, length)
+                    for p, v in survivors.items()
+                }, lost, kind)
+                out = codec.recover(survivors, lost)
+                assert out == {
+                    p: field.bytes_from_symbols(symbols)
+                    for p, symbols in oracle.items()
+                }, lost
+                trimmed = codec.recover(survivors, lost, payload_lengths={
+                    p: len(shares[p]) for p in lost
+                })
+                assert trimmed == {p: shares[p] for p in lost}, lost
+
+    def test_all_shares_empty(self):
+        codec = RSCodec(4, 2)
+        shares = {0: b"", 2: b"", 3: b"", 4: b"", 5: b""}
+        assert codec.recover(shares, [1]) == {1: b""}
+        assert codec.recover(shares) == {1: b""}
+
+    def test_a_parity_loss_with_an_unlisted_missing_member(self):
+        """A lost parity position is re-encoded from all m data
+        positions, so one that is neither a share nor asked for is
+        solved on the way."""
+        codec = RSCodec(4, 2)
+        payloads = [b"abc", b"de", b"", b"fghij"]
+        parity = codec.encode(payloads)
+        shares = {0: payloads[0], 1: payloads[1], 2: payloads[2],
+                  4: parity[0]}
+        assert codec.recover(shares, [5]) == {5: parity[1]}

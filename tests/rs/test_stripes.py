@@ -170,6 +170,30 @@ class TestDecodeStripes:
         for r, cw in enumerate(full):
             assert field.bytes_from_symbols(out[2][r], 8) == cw[2]
 
+    @pytest.mark.parametrize("width", [8, 16])
+    def test_vandermonde_single_data_loss_takes_the_inverse(self, width):
+        """The Vandermonde parity row 0 is not all ones, so the XOR
+        fast path would decode garbage: both decoders take the inverse."""
+        from repro.rs import decode_symbols
+
+        field = GF(width)
+        codec = RSCodec(4, 2, field, "vandermonde")
+        groups = [[bytes([g * 16 + i] * 8) for i in range(4)] for g in range(3)]
+        full = [list(g) + codec.encode(g) for g in groups]
+        length = codec.stripe_symbol_length(groups[0])
+        stacked = {
+            p: field.stack_payloads([cw[p] for cw in full], length)
+            for p in range(6) if p != 2
+        }
+        out = decode_stripes(field, 4, 2, stacked, [2], "vandermonde")
+        for r, cw in enumerate(full):
+            assert field.bytes_from_symbols(out[2][r], 8) == cw[2]
+            scalar = decode_symbols(field, 4, 2, {
+                p: field.symbols_from_bytes(cw[p], length)
+                for p in range(6) if p != 2
+            }, [2], "vandermonde")
+            assert field.bytes_from_symbols(scalar[2], 8) == cw[2]
+
 
 class TestSignatureMatrix:
     @given(

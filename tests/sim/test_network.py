@@ -156,6 +156,45 @@ class TestMulticast:
         assert missing == ["b"]
         assert set(replies) == {"c"}
 
+    @pytest.mark.parametrize("fabric", [True, False])
+    @pytest.mark.parametrize("refuser", ["b", "c"])
+    def test_a_refusing_recipient_lands_in_unavailable(self, fabric, refuser):
+        """A recipient that refuses the kind (a fenced bucket raising
+        ``NodeUnavailable``) is listed, on the charged first copy and on
+        a free fabric copy alike; the request it refused was delivered,
+        so it stays on the bill, and no reply comes back."""
+        network = Network(multicast_available=fabric)
+        for name in ("a", "b", "c"):
+            network.register(Refuser(name) if name == refuser else Echo(name))
+        replies, missing = network.multicast("a", ["b", "c"], "ping")
+        assert missing == [refuser]
+        assert set(replies) == {"b", "c"} - {refuser}
+        # requests: one on the fabric, else one per recipient; 1 reply
+        assert network.stats.total.messages == (2 if fabric else 3)
+
+    def test_an_unavailable_third_node_still_escapes(self, net):
+        """Only the recipient's own refusal is a gap: a handler that
+        lets another node's ``NodeUnavailable`` escape still raises."""
+        net.register(Forwarder("d"))
+        net.fail("c")
+        with pytest.raises(NodeUnavailable) as raised:
+            net.multicast("a", ["b", "d"], "ping")
+        assert raised.value.node_id == "c"
+
+
+class Refuser(Node):
+    """Refuses every kind the way a fenced bucket does."""
+
+    def receive(self, message):
+        raise NodeUnavailable(self.node_id)
+
+
+class Forwarder(Node):
+    """Answers a ping by calling ``c``."""
+
+    def handle_ping(self, message):
+        return self.call("c", "ping")
+
 
 class TestFailureState:
     def test_send_to_failed_raises(self, net):
