@@ -54,13 +54,11 @@ def _best_of(fn, repeats: int) -> tuple[float, dict]:
     return best, stats
 
 
-def _config(batch: bool, m: int, k: int, capacity: int,
-            max_ops: int = 1024) -> LHRSConfig:
+def _config(m: int, k: int, capacity: int, max_ops: int = 1024) -> LHRSConfig:
     return LHRSConfig(
         group_size=m,
         availability=k,
         bucket_capacity=capacity,
-        batch_ops=batch,
         batch_max_ops=max_ops,
     )
 
@@ -74,11 +72,8 @@ def _items(count: int, size: int = 64, seed: int = 7) -> list:
 
 def _preload(file: LHRSFile, items) -> None:
     """Seed records without touching the measured arm's counters."""
-    if file.config.batch_ops:
-        file.insert_many(items)
-    else:
-        for key, value in items:
-            file.insert(key, value)
+    out = file.insert_many(items)
+    assert out.ok
     file.stats.reset()
 
 
@@ -90,7 +85,7 @@ def bench_ops(kind, m, k, batch, count, capacity, repeats) -> dict:
 
     def run(batched: bool):
         def arm():
-            file = LHRSFile(_config(batched, m, k, capacity, max_ops=batch))
+            file = LHRSFile(_config(m, k, capacity, max_ops=batch))
             if kind != "insert":
                 _preload(file, items)
             if kind == "insert":
@@ -141,10 +136,10 @@ def bench_growth(m, k, batch, count, repeats) -> dict:
 
     def run(batched: bool):
         def arm():
-            file = LHRSFile(_config(batched, m, k, capacity=16,
-                                    max_ops=batch))
+            file = LHRSFile(_config(m, k, capacity=16, max_ops=batch))
             if batched:
-                assert file.insert_many(items).ok
+                out = file.insert_many(items)
+                assert out.ok
             else:
                 for key, value in items:
                     file.insert(key, value)
@@ -188,8 +183,8 @@ def run(smoke: bool) -> dict:
             "machine": platform.machine(),
             "smoke": smoke,
             "note": (
-                "scalar_* = one message per record through the pre-batch "
-                "client; batched_* = the ops.batch scatter-gather plane"
+                "scalar_* = one message per record through the scalar "
+                "calls; batched_* = the ops.batch scatter-gather plane"
             ),
         },
         "ops": [],

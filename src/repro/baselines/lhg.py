@@ -234,25 +234,10 @@ class LHGDataServer(DataServer):
     # group keys untouched — the scheme's zero-parity-traffic hallmark.
 
     # ------------------------------------------------------------------
-    def handle_search(self, message: Message) -> None:
-        payload = message.payload
-        if self._verify(payload["key"]) is not None:
-            self._forward(message)
-            return
-        key = payload["key"]
+    def _stored_value(self, key: int) -> bytes | None:
+        """Searches return the payload, never the group key beside it."""
         stored = self.bucket.records.get(key)
-        self.send(
-            payload["client"],
-            "search.result",
-            {
-                "request": payload["request"],
-                "key": key,
-                "found": stored is not None,
-                "value": stored[1] if stored is not None else None,
-            },
-        )
-        if payload.get("hops", 0):
-            self._send_iam(payload["client"])
+        return stored[1] if stored is not None else None
 
     def scan_matches(self, payload: dict) -> list[tuple[int, Any]]:
         predicate = payload.get("predicate")

@@ -43,7 +43,7 @@ REPLY_KINDS = ("search.result", "op.ack", "iam")
 #: The harness cluster shape: small buckets (splits happen early),
 #: k = 2 parity (two concurrent failures per group survivable), acked
 #: writes (a returned mutation definitely applied — the property that
-#: makes completed-op intervals meaningful), batch plane on.
+#: makes completed-op intervals meaningful).
 DEFAULT_CONFIG: dict[str, Any] = {
     "group_size": 4,
     "availability": 2,
@@ -52,7 +52,6 @@ DEFAULT_CONFIG: dict[str, Any] = {
     "client_acks": True,
     "retry_attempts": 6,
     "retry_backoff_base": 0.5,
-    "batch_ops": True,
 }
 
 

@@ -120,7 +120,6 @@ class LHRSFile(LHStarFile):
             "ack_writes": self.config.client_acks,
             "coord_replicas": self.config.coordinator_replicas,
             "deadline": self.config.read_deadline,
-            "batch_ops": self.config.batch_ops,
             "batch_max_ops": self.config.batch_max_ops,
         }
 

@@ -6,8 +6,7 @@ as a vector of field symbols: one byte per symbol for GF(2^8), two bytes
 converts to nibble symbols, and its byte methods raise.  All
 per-payload operations run in C, once per record, as in the paper's C
 codec: at w = 8 a constant multiply is a 256-byte ``bytes.translate``
-table (a byte-pair gather in :meth:`GF.gf_matmul`'s even blocks), at
-w = 16 a gather through the zero-safe log/exp tables.
+table, at w = 16 a gather through the zero-safe log/exp tables.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ class GF:
 
     __slots__ = (
         "width", "order", "group_order", "_exp", "_log",
-        "_exp_mul", "_log_mul", "_mul_rows", "_byte_rows", "_pair_rows",
+        "_exp_mul", "_log_mul", "_mul_rows", "_byte_rows",
     )
 
     def __init__(self, width: int = 8) -> None:
@@ -60,10 +59,6 @@ class GF:
         # bytes: only for small fields, where a row is 16 or 256 entries.
         self._mul_rows: dict[int, Symbols] = {}
         self._byte_rows: dict[int, bytes] = {}
-        # Per-scalar byte-*pair* rows for GF(2^8): 65536 uint16 entries
-        # mapping a little-endian symbol pair to its scaled pair, so the
-        # batch kernels gather half as many elements per coefficient.
-        self._pair_rows: dict[int, Symbols] = {}
 
     # ------------------------------------------------------------------
     # scalar arithmetic
@@ -135,7 +130,7 @@ class GF:
 
     def mul_row(self, scalar: int) -> Symbols:
         """Full product row ``[scalar * x for x in field]`` (w <= 8 only),
-        cached per scalar: what the byte and pair tables are built from.
+        cached per scalar: what the byte tables are built from.
         """
         self.check(scalar)
         if self.width > 8:
@@ -154,23 +149,6 @@ class GF:
         if row is None:
             row = self._byte_rows[scalar] = self.mul_row(scalar).tobytes()
         return row
-
-    def mul_pair_row(self, scalar: int) -> Symbols:
-        """Product table over byte *pairs* for GF(2^8) (65536 uint16 entries).
-
-        ``mul_pair_row(a)[x0 | (x1 << 8)] == (a*x0) | ((a*x1) << 8)``, so
-        a contiguous even-length uint8 symbol block viewed as ``<u2``
-        multiplies with half the gathered elements of :meth:`mul_row` —
-        the per-coefficient kernel of :meth:`gf_matmul`.
-        """
-        if self.width != 8:
-            raise ValueError("mul_pair_row is specific to GF(2^8)")
-        pair = self._pair_rows.get(scalar)
-        if pair is None:
-            row = self.mul_row(scalar).astype(np.uint16)
-            pair = ((row << 8)[:, None] | row[None, :]).reshape(-1)
-            self._pair_rows[scalar] = pair
-        return pair
 
     def _mul_symbols_log(self, symbols: Symbols, scalar: int) -> Symbols:
         """Multiply a symbol array by a scalar via log tables (any width)."""
@@ -253,25 +231,17 @@ class GF:
         if isinstance(stacked, list):
             stacked = [np.asarray(s, dtype=self.symbol_dtype) for s in stacked]
             shape = stacked[0].shape if stacked else ()
-            contiguous = all(s.flags.c_contiguous for s in stacked)
         else:
             stacked = np.asarray(stacked, dtype=self.symbol_dtype)
-            shape, contiguous = stacked.shape[1:], stacked.flags.c_contiguous
+            shape = stacked.shape[1:]
         if len(stacked) != coeff.shape[1] or any(s.shape != shape for s in stacked):
             raise ValueError(
                 f"{len(stacked)} shares of one shape expected: the coefficient "
                 f"matrix has {coeff.shape[1]} columns"
             )
         out = np.zeros((coeff.shape[0],) + shape, dtype=self.symbol_dtype)
-        # GF(2^8) blocks with an even trailing axis gather two symbols
-        # per table lookup through the uint16 pair rows.
-        pairs = (
-            self.width == 8 and len(shape) >= 1 and shape[-1] % 2 == 0
-            and contiguous
-        )
-        # np.take(..., mode="clip") skips the bounds check a fancy index
-        # pays (indices are in range by construction: symbols index full
-        # product tables, log sums stay inside the extended exp table).
+        # w = 16: np.take(..., mode="clip") skips the bounds check a
+        # fancy index pays (log sums stay inside the extended exp table).
         for i in range(coeff.shape[0]):
             for j in range(coeff.shape[1]):
                 a = int(coeff[i, j])
@@ -279,12 +249,6 @@ class GF:
                     continue
                 if a == 1:
                     out[i] ^= stacked[j]
-                elif pairs:
-                    target = out[i].view("<u2")
-                    target ^= np.take(
-                        self.mul_pair_row(a), stacked[j].view("<u2"),
-                        mode="clip",
-                    )
                 elif self.width <= 8:
                     out[i] ^= self.mul_symbols(stacked[j], a)
                 else:

@@ -125,15 +125,12 @@ class Client(Node):
         retry: RetryPolicy | None = None,
         ack_writes: bool = False,
         coord_replicas: int = 0,
-        batch_ops: bool = False,
         batch_max_ops: int = 256,
     ):
         super().__init__(node_id)
         self.file_id = file_id
         self.image = ClientImage(n0=n0)
-        #: bulk scatter-gather plane: off ⇒ ``*_many`` degrade to the
-        #: scalar per-op loop with byte-identical message traces
-        self.batch_ops = batch_ops
+        #: ceiling on ops per scattered ``ops.batch`` message
         self.batch_max_ops = batch_max_ops
         #: how many standby coordinator replicas exist (the whois pull
         #: path walks <file>.coord.r1 .. .rN when the primary is dark)
@@ -529,19 +526,18 @@ class Client(Node):
     def _run_many_inner(self, kind: str, ops: list[dict]) -> BatchOutcome:
         """Scatter ``ops`` by the image, gather per-key outcomes.
 
-        With batching off (or a singleton batch) this is exactly the
-        scalar loop — same calls, same messages, byte-identical traces.
-        Batched: bin by image address into one ``ops.batch`` call per
-        target bucket (chunked at ``batch_max_ops``), adjust the image
-        once per sub-batch reply, re-bin refused ("moved") ops for up to
+        Bin by image address into one ``ops.batch`` call per target
+        bucket (chunked at ``batch_max_ops``), adjust the image once per
+        sub-batch reply, re-bin refused ("moved") ops for up to
         ``_BATCH_ROUNDS`` rounds, and run whatever remains — plus any
         sub-batch whose bucket stayed unreachable — through the scalar
-        per-op path, which handles coordinator routing and recovery.
+        per-op path, which handles coordinator routing and recovery.  A
+        batch of one is the scalar call, same messages and trace.
         """
         for op in ops:
             self._validate_key(op["key"])
         outcome = BatchOutcome(outcomes=[None] * len(ops))
-        if not self.batch_ops or len(ops) <= 1:
+        if len(ops) <= 1:
             for idx, op in enumerate(ops):
                 self._scalar_op(kind, op, idx, outcome)
             return outcome

@@ -201,7 +201,6 @@ class DataServer(Node):
             self._forward(message)
             return
         key = payload["key"]
-        value = self.bucket.records.get(key)
         self.send(
             payload["client"],
             "search.result",
@@ -209,7 +208,7 @@ class DataServer(Node):
                 "request": payload["request"],
                 "key": key,
                 "found": key in self.bucket,
-                "value": value,
+                "value": self._stored_value(key),
             },
         )
         if payload.get("hops", 0):
@@ -246,7 +245,7 @@ class DataServer(Node):
             found = key in self.bucket
             return {
                 "status": "found" if found else "not_found",
-                "value": self.bucket.records.get(key),
+                "value": self._stored_value(key),
             }
         if kind == "insert":
             self.apply_insert(key, op["value"])
@@ -268,8 +267,12 @@ class DataServer(Node):
         raise ValueError(f"unknown batch op kind {kind!r}")
 
     # ------------------------------------------------------------------
-    # record mutation primitives (overridden by LH*RS to maintain parity)
+    # record primitives (overridden by LH*RS and the baselines)
     # ------------------------------------------------------------------
+    def _stored_value(self, key: int) -> Any:
+        """The value a search of ``key`` returns (None when absent)."""
+        return self.bucket.records.get(key)
+
     def apply_insert(self, key: int, value: Any) -> None:
         """Store a record that A2 accepted for this bucket."""
         self.bucket.put(key, value)

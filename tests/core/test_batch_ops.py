@@ -12,9 +12,6 @@ it must be:
   bucket layout, same records, same ranks, same parity symbols.  The
   Δ-runs a batch's ops join into, the coalesced ``parity.batch`` folds
   and the O(moves) ``_compact`` are all invisible.
-* **Knobs off ⇒ scalar** — with ``batch_ops=False`` the ``*_many``
-  entry points emit byte-identical message traces to a hand-written
-  scalar loop.
 * **Exactly-once under faults** — dropped/duplicated ``ops.batch`` and
   ``parity.batch`` messages leave the file logically correct and
   parity-consistent (per-(data, position) sequence numbers).
@@ -34,13 +31,12 @@ KEYS = st.integers(min_value=0, max_value=300)
 PAYLOADS = st.binary(min_size=0, max_size=24)
 
 
-def _cfg(batch: bool, m=2, k=2, capacity=8, compact=True, **kw) -> LHRSConfig:
+def _cfg(m=2, k=2, capacity=8, compact=True, **kw) -> LHRSConfig:
     return LHRSConfig(
         group_size=m,
         availability=k,
         bucket_capacity=capacity,
         compact_ranks=compact,
-        batch_ops=batch,
         **kw,
     )
 
@@ -135,10 +131,10 @@ def _batches_strategy():
 def test_batched_ops_equal_scalar_replay(batches, m, k, compact):
     """Byte-equality oracle, including mid-batch splits (capacity 8
     with up to 200 inserts forces splits *inside* ``insert_many``)."""
-    batched = LHRSFile(_cfg(True, m=m, k=k, compact=compact))
+    batched = LHRSFile(_cfg(m=m, k=k, compact=compact))
     orders = _apply_batches(batched, batches)
 
-    scalar = LHRSFile(_cfg(False, m=m, k=k, compact=compact))
+    scalar = LHRSFile(_cfg(m=m, k=k, compact=compact))
     _replay_scalar(scalar, batches, orders)
 
     assert batched.census_with_ranks() == scalar.census_with_ranks()
@@ -157,10 +153,10 @@ def test_batched_growth_scenario_equals_scalar_replay():
         ("search", [k for k, _ in items[::4]]),
         ("delete", [k for k, _ in items[::5]]),
     ]
-    batched = LHRSFile(_cfg(True, m=4, k=2, capacity=8))
+    batched = LHRSFile(_cfg(m=4, k=2, capacity=8))
     orders = _apply_batches(batched, batches)
 
-    scalar = LHRSFile(_cfg(False, m=4, k=2, capacity=8))
+    scalar = LHRSFile(_cfg(m=4, k=2, capacity=8))
     _replay_scalar(scalar, batches, orders)
 
     assert batched.bucket_count > 4  # splits actually happened mid-batch
@@ -168,50 +164,17 @@ def test_batched_growth_scenario_equals_scalar_replay():
     assert _parity_snapshot(batched) == _parity_snapshot(scalar)
 
 
-def test_batch_knobs_off_traces_are_byte_identical():
-    """``batch_ops=False`` makes ``*_many`` the scalar loop, down to
-    the exact message trace — the flag defaults to today's behaviour."""
-
-    def run(use_many: bool) -> str:
-        file = LHRSFile(_cfg(False, m=2, k=1, capacity=4))
-        file.enable_observability(trace_capacity=None)
-        items = [(k, b"v%d" % k) for k in range(40)]
-        updates = [(k, b"u%d" % k) for k, _ in items[::2]]
-        deletes = [k for k, _ in items[::3]]
-        searches = [k for k, _ in items[::4]]
-        if use_many:
-            file.insert_many(items)
-            file.update_many(updates)
-            file.search_many(searches)
-            file.delete_many(deletes)
-        else:
-            for k, v in items:
-                file.insert(k, v)
-            for k, v in updates:
-                file.update(k, v)
-            for k in searches:
-                file.search(k)
-            for k in deletes:
-                file.delete(k)
-        return file.tracer.to_jsonl()
-
-    scalar_trace = run(False)
-    many_trace = run(True)
-    assert many_trace == scalar_trace
-    assert '"type":"batch.scatter"' not in many_trace
-
-
 def test_batch_plane_uses_fewer_messages():
     """The point of the PR: one ``ops.batch`` per bucket replaces one
     round trip per record."""
     items = [(k, b"payload-%d" % k) for k in range(128)]
 
-    batched = LHRSFile(_cfg(True, m=4, k=2, capacity=512))
+    batched = LHRSFile(_cfg(m=4, k=2, capacity=512))
     out = batched.insert_many(items)
     assert out.ok and out.batched_ops == len(items) and out.scalar_ops == 0
     batched_msgs = batched.stats.total.by_kind.get("ops.batch", 0)
 
-    scalar = LHRSFile(_cfg(False, m=4, k=2, capacity=512))
+    scalar = LHRSFile(_cfg(m=4, k=2, capacity=512))
     for k, v in items:
         scalar.insert(k, v)
 
@@ -224,7 +187,7 @@ def test_dropped_and_duplicated_batches_apply_exactly_once():
     """Per-(data, position) sequence numbers + retry ladder: the batch
     plane survives the chaos rules mutations get in the soak tests."""
     config = _cfg(
-        True, m=4, k=2, capacity=8,
+        m=4, k=2, capacity=8,
         parity_ack=True, retry_attempts=8, retry_backoff_base=0.25,
     )
     file = LHRSFile(config)
@@ -269,7 +232,7 @@ def test_dump_inside_a_batch_ships_the_held_deltas_first(victim, monkeypatch):
     while it still holds that batch's Δs: the dump ships them first, so
     the decoder is not fed a survivor ahead of its parity (without that
     flush a lost data bucket is unrecoverable here: every parity lags)."""
-    file = LHRSFile(_cfg(True, m=4, k=2, compact=False, client_acks=True))
+    file = LHRSFile(_cfg(m=4, k=2, compact=False, client_acks=True))
     oracle = {key: b"v%d" % key for key in range(16)}
     for key, value in oracle.items():
         file.insert(key, value)
@@ -308,7 +271,7 @@ class TestOpByOp:
 
     def test_a_durable_batch_of_one_action_logs_one_frame(self, monkeypatch):
         file = LHRSFile(_cfg(
-            True, m=4, k=2, capacity=128, durability=True,
+            m=4, k=2, capacity=128, durability=True,
             durability_checkpoint_interval=10**6,
         ))
         server = file.network.nodes["f.d2"]
@@ -330,7 +293,7 @@ class TestOpByOp:
         assert server._delta_history.runs[-1][3] == keys
 
     def test_a_plain_applied_mutation_answers_bare_applied(self):
-        file = LHRSFile(_cfg(True, m=4, k=2, capacity=64))
+        file = LHRSFile(_cfg(m=4, k=2, capacity=64))
         old = self._fresh(file, 1, 3, start=10)
         for key in old:
             file.insert(key, b"old")
@@ -353,7 +316,7 @@ class TestOpByOp:
         assert file.verify_parity_consistency() == []
 
     def test_a_full_bucket_verifies_each_op_once(self, monkeypatch):
-        file = LHRSFile(_cfg(True, m=4, k=2, capacity=8))
+        file = LHRSFile(_cfg(m=4, k=2, capacity=8))
         for key in self._fresh(file, 3, 8, start=10):
             file.insert(key, b"full")
         server = file.network.nodes["f.d3"]
@@ -392,7 +355,7 @@ class TestRankIndex:
             } == {rank: key for key, rank in server.ranks.items()}
 
     def test_index_mirrors_ranks_through_restructuring(self):
-        file = LHRSFile(_cfg(True, m=4, k=2, capacity=8))
+        file = LHRSFile(_cfg(m=4, k=2, capacity=8))
         file.insert_many([(k, b"x%d" % k) for k in range(200)])
         self._assert_index_consistent(file)
         file.delete_many(list(range(0, 200, 2)))
@@ -405,7 +368,7 @@ class TestRankIndex:
         assert file.verify_parity_consistency() == []
 
     def test_compact_keeps_ranks_dense(self):
-        file = LHRSFile(_cfg(False, m=2, k=1, capacity=32))
+        file = LHRSFile(_cfg(m=2, k=1, capacity=32))
         for key in range(24):
             file.insert(key, b"r%d" % key)
         for key in range(0, 24, 3):
@@ -430,7 +393,7 @@ class TestArithmeticSizes:
         # Small capacity: splits land mid-batch, so structural parity
         # batches (per-op dicts) and compaction ride alongside the
         # columnar insert/update blocks and per-op delete Δs.
-        file = LHRSFile(_cfg(True, m=4, k=2, capacity=8))
+        file = LHRSFile(_cfg(m=4, k=2, capacity=8))
         items = [(k, bytes([k % 251]) * (k % 17)) for k in range(120)]
         assert file.insert_many(items).ok
         assert file.update_many(

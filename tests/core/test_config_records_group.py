@@ -25,7 +25,17 @@ class TestConfig:
         assert cfg.effective_policy.level_for(100) == 1
         assert cfg.max_availability == 1
         assert cfg.make_field() == GF(8)
-        assert len(dataclasses.fields(LHRSConfig)) == 28
+        assert len(dataclasses.fields(LHRSConfig)) == 27
+
+    def test_batch_ops_is_accepted_only_as_true(self):
+        cfg = LHRSConfig(batch_ops=True, group_size=2)
+        assert "batch_ops" not in {f.name for f in dataclasses.fields(cfg)}
+        assert "batch_ops" not in vars(cfg)
+        assert LHRSConfig.batch_ops is True  # the InitVar's default only
+        assert cfg == LHRSConfig(group_size=2)
+        with pytest.raises(ValueError, match="always batch"):
+            LHRSConfig(batch_ops=False)
+        assert dataclasses.replace(cfg, group_size=4) == LHRSConfig()
 
     def test_validation(self):
         with pytest.raises(ValueError):

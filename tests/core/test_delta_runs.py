@@ -137,7 +137,7 @@ class TestDeltaStream:
         rng = random.Random(seed)
         file = LHRSFile(LHRSConfig(
             group_size=4, availability=1, bucket_capacity=8,
-            field_width=width, compact_ranks=compact, batch_ops=True,
+            field_width=width, compact_ranks=compact,
             durability=durable, wal_fsync_interval=rng.choice([1, 4]),
             durability_checkpoint_interval=rng.choice([16, 10**6]),
             parity_ack=True, client_acks=True,
@@ -211,7 +211,7 @@ class TestDuplicateDelivery:
     def test_deltas_and_moved_records_delivered_twice(self):
         file = LHRSFile(LHRSConfig(
             group_size=4, availability=2, bucket_capacity=8,
-            batch_ops=True, compact_ranks=True,
+            compact_ranks=True,
         ))
         plane = FaultPlane(rng=np.random.default_rng(5))
         plane.add_rule(
@@ -385,7 +385,7 @@ def test_a_run_longer_than_the_ring_is_logged_once(monkeypatch):
     monkeypatch.setattr(durable, "DELTA_LOG_CAPACITY", 4)
     file = LHRSFile(LHRSConfig(
         group_size=4, availability=1, bucket_capacity=16, durability=True,
-        durability_checkpoint_interval=10**6, batch_ops=True,
+        durability_checkpoint_interval=10**6,
     ))
     server = file.network.nodes["f.d0"]
     for key in range(0, 64, 4):

@@ -242,7 +242,7 @@ class TestFailStopInsideABatch:
         prefix, the catch-up re-sends it from the history ring, every
         parity channel closes, and a rebuild of the bucket returns what
         the WAL said — keys no parity ring had seen included."""
-        file, tracer = build(capacity=64, batch_ops=True)
+        file, tracer = build(capacity=64)
         server = file.network.nodes["f.d0"]
         server.checkpoint_now()  # the 40 inserts leave the catch-up window
         old = [k for k in range(40) if file.find_bucket_of(k) == 0]

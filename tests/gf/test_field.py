@@ -477,13 +477,14 @@ class TestByteTableKernel:
             assert (f.mul_symbols(every, scalar) == oracle).all(), scalar
             matrix = f.mul_matrix(every.reshape(16, 16), scalar)
             assert (matrix.reshape(-1) == oracle).all(), scalar
-            # gf_matmul: an odd trailing axis takes the row branch, an
-            # even contiguous one the pair-row gather
+            # gf_matmul translates even, odd and strided planes alike
+            even = every.reshape(1, 1, 256)
             odd = np.append(every, 0).reshape(1, 1, 257)
-            out = f.gf_matmul([[scalar]], odd)
-            assert (out[0, 0, :256] == oracle).all() and out[0, 0, 256] == 0
-            out = f.gf_matmul([[scalar]], every.reshape(1, 1, 256))
-            assert (out.reshape(-1) == oracle).all(), scalar
+            strided = np.repeat(every, 2).reshape(1, 1, 512)[..., ::2]
+            for plane in (even, odd, strided):
+                out = f.gf_matmul([[scalar]], plane)
+                assert (out[0, 0, :256] == oracle).all(), scalar
+                assert not out[0, 0, 256:].any(), scalar
 
     def test_a_table_is_256_bytes_cached_per_scalar(self):
         f = GF(8)

@@ -30,7 +30,6 @@ def run_batch_soak(operations: int, seed: int, batch_size: int = 40) -> LHRSFile
         client_acks=True,
         retry_attempts=8,
         retry_backoff_base=0.5,
-        batch_ops=True,
         batch_max_ops=64,
     )
     file = LHRSFile(config)

@@ -1,5 +1,5 @@
 """Config-matrix composition sweep: every ``LHRSConfig`` in ``GRID``'s
-product (480 configs) keeps every acknowledged operation through
+product (240 configs) keeps every acknowledged operation through
 growth, a 75 % shrink with up to three merges and a crash/heal process,
 and rebuilds every bucket to the oracle's bytes.  The ``availability=1``
 third raises one group to k = 2 before it shrinks; the ``"scalable"``
@@ -34,7 +34,6 @@ from repro.sdds.client import OperationFailed
 
 GRID = {
     "durability": (False, True),
-    "batch_ops": (False, True),
     "compact_ranks": (False, True),
     "availability": (1, 2, "scalable"),
     "bucket_capacity": (8, 32),
@@ -52,7 +51,7 @@ SCALABLE = AvailabilityPolicy.scalable(
 
 
 def product() -> list[dict]:
-    """The 480 configs, in a fixed order."""
+    """The 240 configs, in a fixed order."""
     configs = (dict(zip(GRID, v)) for v in itertools.product(*GRID.values()))
     return [
         c for c in configs
@@ -63,21 +62,22 @@ def product() -> list[dict]:
 
 
 def tier1_slice() -> list[dict]:
-    """The eight durability × batch × compaction corners, the other
-    knobs rotated so that each value of each appears at least twice."""
+    """The eight durability × compaction × field-width corners, the
+    other knobs rotated so that each value of each appears at least
+    twice."""
     return [
         {
-            "durability": durable, "batch_ops": batch, "compact_ranks": compact,
+            "durability": durable, "compact_ranks": compact,
             "availability": (
-                "scalable" if durable ^ batch and compact else 1 + (durable ^ batch)
+                "scalable" if durable ^ wide and compact else 1 + (durable ^ wide)
             ),
             "bucket_capacity": 32 if compact else 8,
-            "field_width": 16 if batch else 8,
-            "coordinator_replicas": int(batch ^ compact),
-            "wal_fsync_interval": 4 if batch else 1,
+            "field_width": 16 if wide else 8,
+            "coordinator_replicas": int(wide ^ compact),
+            "wal_fsync_interval": 4 if wide else 1,
             "durability_checkpoint_interval": 128 if compact else 16,
         }
-        for durable, batch, compact in itertools.product((False, True), repeat=3)
+        for durable, compact, wide in itertools.product((False, True), repeat=3)
     ]
 
 

@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from repro.baselines import LHGConfig, LHGFile, LHMFile
 from repro.lh import addressing
 from repro.sdds import LHStarFile, SplitPolicy
 from repro.sdds.server import DataServer
@@ -256,6 +257,80 @@ class TestLoadControl:
             SplitPolicy(mode="nonsense")
         with pytest.raises(ValueError):
             SplitPolicy(threshold=0.0)
+
+
+def _lhg_file():
+    return LHGFile(LHGConfig(group_size=4, bucket_capacity=8))
+
+
+def _values(file):
+    """{key -> value} over every data bucket (LH*g's group key dropped)."""
+    values = {}
+    for records in file.census().values():
+        for key, stored in records.items():
+            values[key] = stored[1] if isinstance(file, LHGFile) else stored
+    return values
+
+
+def _redundancy_problems(file):
+    if isinstance(file, LHGFile):
+        return file.verify_parity_consistency()
+    if isinstance(file, LHMFile):
+        return file.verify_mirror_consistency()
+    return []
+
+
+class TestBatchedOps:
+    @pytest.mark.parametrize(
+        "make", [lambda: LHStarFile(capacity=8), _lhg_file,
+                 lambda: LHMFile(capacity=8)],
+        ids=["lhstar", "lhg", "lhm"],
+    )
+    def test_many_calls_bin_into_ops_batch_and_equal_a_scalar_replay(self, make):
+        """LH* and its baselines bin ``*_many`` into ``ops.batch``: 300
+        inserts into capacity-8 buckets split mid-batch, ``search_many``
+        returns what a scalar ``search`` returns, the parity or mirror
+        stays consistent, and replaying each batch in its confirmation
+        order through scalar calls stores the same values."""
+        keys = [int(k) for k in make_rng(3).choice(10**9, 300, replace=False)]
+        batches = [
+            ("insert", [(k, b"v%d" % k) for k in keys]),
+            ("update", [(k, b"u%d" % k) for k in keys[::2]]),
+            ("delete", keys[::3]),
+            ("search", keys[::5]),
+        ]
+        batched = make()
+        outcomes = []
+        for kind, items in batches:
+            out = getattr(batched, f"{kind}_many")(items)
+            assert out.ok and out.batched_ops > 0, kind
+            assert sorted(out.applied_order) == list(range(len(items)))
+            outcomes.append(out)
+            if kind == "insert":
+                assert batched.bucket_count > 16  # splits inside the call
+        assert batched.stats.total.by_kind["ops.batch"] > len(batches)
+        assert _redundancy_problems(batched) == []
+        deleted, updated = set(keys[::3]), set(keys[::2])
+        for key, res in zip(keys[::5], outcomes[-1].outcomes):
+            if key in deleted:
+                assert res.status == "not_found"
+            else:
+                value = (b"u%d" if key in updated else b"v%d") % key
+                assert (res.status, res.value) == ("found", value)
+            scalar_read = batched.search(key)
+            assert (scalar_read.found, scalar_read.value) == (
+                res.status == "found", res.value)
+
+        scalar = make()
+        for (kind, items), out in zip(batches, outcomes):
+            call = getattr(scalar, kind)
+            for idx in out.applied_order:
+                args = items[idx] if kind in ("insert", "update") else [items[idx]]
+                call(*args)
+        assert "ops.batch" not in scalar.stats.total.by_kind
+        assert _values(batched) == _values(scalar)
+        if not isinstance(batched, LHGFile):  # LH*g's group keys differ
+            assert batched.census() == scalar.census()
 
 
 class TestOracleHelpers:
