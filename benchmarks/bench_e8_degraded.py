@@ -20,7 +20,7 @@ from harness import build_lhrs, converge, fmt, save_table, scaled
 def measure(m, k, extra_down):
     file, keys = build_lhrs(
         m=m, k=k, capacity=16, count=scaled(800), payload=64,
-        auto_recover=False, degraded_reads=True,
+        auto_recover=False,
     )
     converge(file, keys, sample=scaled(200))
     target = next(key for key in keys if file.find_bucket_of(key) == 0)

@@ -20,7 +20,6 @@ for k in (1, 2):
         availability=k,
         bucket_capacity=16,
         auto_recover=False,   # stay in degraded mode
-        degraded_reads=True,
     )
     file = LHRSFile(config)
     for key in range(800):

@@ -2,26 +2,37 @@
 
 Models the workload the SDDS papers motivate: a large, growing
 dictionary of session records served from distributed RAM, with servers
-failing *while* the application keeps reading and writing.  A failure
-schedule crashes six servers at random points of a 3,000-operation
-mixed workload; the application never sees an error and the file ends
-parity-consistent.
+failing *while* the application keeps reading and writing.  The failure
+injector's schedule crashes six servers at random points of a
+3,000-operation mixed workload; the application never sees an error and
+the file ends parity-consistent.
 
 Run:  python examples/fault_tolerant_kv.py
 """
 
+from collections import Counter
+
 from repro.core import LHRSConfig, LHRSFile
+from repro.sim.rng import make_rng
 from repro.workloads import (
-    FailureSchedule,
     KeyStream,
     OperationMix,
     PayloadShape,
     generate_operations,
-    run_trace,
 )
 
 config = LHRSConfig(group_size=4, availability=2, bucket_capacity=16)
 file = LHRSFile(config)
+
+
+def run(operations) -> Counter:
+    """Apply an operation stream; count the operations per kind."""
+    counts: Counter = Counter()
+    for op, key, payload in operations:
+        getattr(file, op)(*((key,) if payload is None else (key, payload)))
+        counts[op] += 1
+    return counts
+
 
 print("Phase 1 — load 1,500 session records (structured payloads)...")
 warmup = generate_operations(
@@ -31,7 +42,7 @@ warmup = generate_operations(
     payloads=PayloadShape(kind="record", seed=11),
     seed=11,
 )
-run_trace(file, warmup)
+run(warmup)
 print(f"  file grew to {file.bucket_count} data buckets, "
       f"{file.parity_bucket_count()} parity buckets")
 
@@ -39,11 +50,13 @@ print("\nPhase 2 — 3,000 mixed operations with six server crashes...")
 candidates = [f"f.d{b}" for b in range(file.bucket_count)] + [
     f"f.p{g}.{i}" for g, k in file.group_levels().items() for i in range(k)
 ]
-schedule = FailureSchedule.random_bursts(
-    candidates, operations=3_000, bursts=6, burst_size=1, seed=12
-)
-for event in schedule.events:
-    print(f"  will crash {event.node_id} at operation {event.at_operation}")
+rng = make_rng(12)
+victims = [str(node) for node in rng.choice(candidates, size=6, replace=False)]
+# The clock ticks about once per operation: crash times fall inside it.
+start = file.network.now
+for node, offset in zip(victims, sorted(rng.integers(0, 3_000, size=6))):
+    file.failures.schedule_crash(node, at=start + float(offset))
+    print(f"  will crash {node} at clock {start + offset:.0f}")
 
 mixed = generate_operations(
     3_000,
@@ -53,9 +66,10 @@ mixed = generate_operations(
     seed=13,
 )
 with file.stats.measure("phase2") as window:
-    summary = run_trace(file, mixed, schedule)
+    counts = run(mixed)
 
-print(f"\n  operations executed: {summary['counts']}")
+print(f"\n  operations executed: {dict(counts)}")
+print(f"  crashes applied:     {len(file.failures.event_log)}")
 print(f"  messages used:       {window.messages} "
       f"({window.messages / 3_000:.2f} per op)")
 print(f"  groups recovered:    {file.rs_coordinator.recovery.groups_recovered}")
@@ -64,5 +78,6 @@ print(f"  degraded reads:      "
 print(f"  records rebuilt:     "
       f"{file.rs_coordinator.recovery.records_reconstructed}")
 print(f"  parity consistent:   {not file.verify_parity_consistency()}")
+file.rs_coordinator.probe()  # rebuild what no operation touched
 print(f"  every crashed node back: "
-      f"{all(file.network.is_available(e.node_id) for e in schedule.events)}")
+      f"{all(file.network.is_available(node) for node in victims)}")

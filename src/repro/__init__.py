@@ -20,7 +20,7 @@ Package map (bottom-up):
 * ``repro.sdds``      — the LH* scalable distributed data structure
 * ``repro.core``      — **LH*RS** (the paper's contribution)
 * ``repro.baselines`` — LH*, LH*m mirroring, LH*s striping, LH*g grouping
-* ``repro.workloads`` — key/payload/operation generators, failure traces
+* ``repro.workloads`` — key/payload/operation generators
 """
 
 from repro.core import (

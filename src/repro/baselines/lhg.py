@@ -636,8 +636,3 @@ class LHGFile(LHStarFile):
                     != bytes(snap["parity"]).ljust(length, b"\0")):
                 problems.append(f"gkey {gkey}: parity bits mismatch")
         return problems
-
-    def split_parity_message_count(self) -> int:
-        """Parity messages caused by splits: zero by design (the scheme's
-        hallmark, contrasted with LH*RS in E10/E11)."""
-        return 0

@@ -1,6 +1,6 @@
 """repro.check — model-checking harness for the LH*RS simulator.
 
-Four parts (see docs/testing.md):
+Five parts (see docs/testing.md):
 
 * history recording (:mod:`repro.check.history`) off the instrumented
   clients (``client.recorder``),
@@ -11,7 +11,9 @@ Four parts (see docs/testing.md):
   (:mod:`repro.check.scheduler`): FIFO (byte-identical to none),
   seeded PCT-style perturbation, bounded-DFS exploration,
 * scenario running and delta-debugging shrinking
-  (:mod:`repro.check.harness`, :mod:`repro.check.shrink`).
+  (:mod:`repro.check.harness`, :mod:`repro.check.shrink`),
+* the soak harness the randomized drivers share: an expected-state
+  tracker, a settle step and an end check (:mod:`repro.check.soak`).
 
 Exports are lazy (PEP 562): importing one part (the CLI asks for
 ``repro.check.mutants`` alone) should not drag in the whole harness.
@@ -45,6 +47,9 @@ _EXPORTS = {
     "ddmin": ("repro.check.shrink", "ddmin"),
     "shrink_scenario": ("repro.check.shrink", "shrink_scenario"),
     "ShrinkStats": ("repro.check.shrink", "ShrinkStats"),
+    "ExpectedState": ("repro.check.soak", "ExpectedState"),
+    "settle": ("repro.check.soak", "settle"),
+    "verify": ("repro.check.soak", "verify"),
 }
 
 __all__ = sorted(_EXPORTS)

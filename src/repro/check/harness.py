@@ -62,9 +62,8 @@ class Scenario:
     seed: int = 0
     #: workload steps: ["insert", key, value] / ["update", key, value] /
     #: ["delete", key] / ["search", key] / ["batch", kind, items] /
-    #: ["crash", node] / ["restore", node] (silent, state intact) /
-    #: ["reboot", node] (durable restart: WAL replay + rejoin handshake) /
-    #: ["advance", dt]
+    #: ["crash", node] / ["restore", node] (a heal: on a durable file,
+    #: WAL replay + rejoin handshake) / ["advance", dt]
     ops: list = field(default_factory=list)
     #: FaultRule kwargs dicts (kinds as lists)
     fault_rules: list = field(default_factory=list)
@@ -82,7 +81,7 @@ class Scenario:
         """Steps that are client operations (the shrink budget metric)."""
         return sum(
             1 for step in self.ops
-            if step[0] not in ("crash", "restore", "reboot", "advance")
+            if step[0] not in ("crash", "restore", "advance")
         )
 
     def to_dict(self) -> dict:
@@ -154,14 +153,9 @@ def _apply_step(
             if step[1] in net.nodes:
                 file.failures.crash([step[1]])
         elif op == "restore":
-            if step[1] in net.nodes:
-                file.failures.heal([step[1]], force=True)
-        elif op == "reboot":
-            # Non-forced heal: the restored node goes through the rejoin
-            # handshake (WAL replay, fencing, delta catch-up) — the
-            # durable-restart counterpart of the silent "restore".
-            if step[1] in net.nodes:
-                file.failures.heal([step[1]])
+            node = step[1]
+            if node in file.failures.currently_failed and node in net.nodes:
+                file.failures.heal([node])
         elif op == "advance":
             net.advance(float(step[1]))
         else:
@@ -267,7 +261,6 @@ def make_workload(
     batches: bool = True,
     scheduler: str | dict | None = "pct",
     label: str = "",
-    reboot: bool = False,
     config: dict | None = None,
 ) -> Scenario:
     """A mixed insert/update/delete/search (+kill) scenario.
@@ -276,23 +269,20 @@ def make_workload(
     parity buckets (all of which exist from n0 = 4 regardless of file
     growth), restored a handful of steps later — staying within the
     k = 2 survivable envelope while exercising degraded reads, bucket
-    rebuilds and Δ-parity recovery against the checker.
-
-    With ``reboot=True`` the restore steps become durable restarts
-    (``["reboot", node]``): the node crashes its simulated disk, replays
-    WAL + checkpoint and rejoins through the fenced delta-catch-up
-    handshake — pass ``config={"durability": True}`` alongside.
+    rebuilds and Δ-parity recovery against the checker.  Under
+    ``config={"durability": True}`` each restore is a durable restart:
+    the node replays WAL + checkpoint and rejoins through the fenced
+    delta-catch-up handshake.
     """
     rng = np.random.default_rng([seed & 0xFFFFFFFF, 0x307AD])
     victims = [f"f.d{b}" for b in range(4)] + ["f.p0.0", "f.p0.1"]
-    revive = "reboot" if reboot else "restore"
     steps: list = []
     crashed: str | None = None
     restore_at = -1
     serial = 0
     for i in range(ops):
         if crashed is not None and i >= restore_at:
-            steps.append([revive, crashed])
+            steps.append(["restore", crashed])
             crashed = None
         elif crashed is None and crash and float(rng.random()) < crash_rate:
             crashed = victims[int(rng.integers(len(victims)))]
@@ -325,7 +315,7 @@ def make_workload(
         if float(rng.random()) < 0.05:
             steps.append(["advance", round(1.0 + 2.0 * float(rng.random()), 2)])
     if crashed is not None:
-        steps.append([revive, crashed])
+        steps.append(["restore", crashed])
     if isinstance(scheduler, str):
         scheduler_spec: dict | None = {"mode": scheduler, "seed": seed}
         if scheduler == "none":

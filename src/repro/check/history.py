@@ -140,6 +140,3 @@ class HistoryRecorder:
         for record in self.records:
             keyed.setdefault(record.key, []).append(record)
         return keyed
-
-    def to_dicts(self) -> list[dict]:
-        return [record.to_dict() for record in self.records]

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from repro.check.harness import RunResult, Scenario, run_scenario
+from repro.check.harness import Scenario, run_scenario
 
 
 @dataclass
@@ -145,12 +145,3 @@ def shrink_scenario(
 
     stats.final_steps = len(scenario.ops)
     return scenario, stats
-
-
-def shrink_result(
-    result: RunResult,
-    mutant: str | None = None,
-    budget: int = 400,
-) -> tuple[Scenario, ShrinkStats]:
-    """Convenience: shrink straight from a failing :class:`RunResult`."""
-    return shrink_scenario(result.scenario, mutant=mutant, budget=budget)

@@ -42,9 +42,6 @@ class LHRSConfig:
         and the parity storage overhead does not degrade under heavy
         deletion — at the price of extra parity messages per freeing
         operation (benched in E12).
-    degraded_reads:
-        Serve key searches that hit an unavailable bucket via record
-        recovery (A7-style) *before* bucket recovery completes.
     auto_recover:
         Recover failed buckets as soon as an operation or probe detects
         them (the coordinator's normal reaction).  Disable to exercise
@@ -151,7 +148,6 @@ class LHRSConfig:
     generator: str = "cauchy"
     policy: AvailabilityPolicy | None = None
     compact_ranks: bool = False
-    degraded_reads: bool = True
     auto_recover: bool = True
     spare_servers: int | None = None
     parity_ack: bool = False

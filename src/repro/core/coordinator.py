@@ -686,7 +686,7 @@ class RSCoordinator(Coordinator):
         """A client or server hit an unavailable bucket.
 
         Key searches are answered immediately through record recovery
-        (degraded mode) when enabled; the failed bucket (and any other
+        (degraded mode); the failed bucket (and any other
         casualties in its group) is then rebuilt onto a spare so later
         operations proceed normally.
         """
@@ -696,7 +696,7 @@ class RSCoordinator(Coordinator):
         if tracer is not None:
             tracer.emit("report.unavailable", payload.get("node"), kind)
 
-        if kind == "search" and op and self.config.degraded_reads:
+        if kind == "search" and op:
             found, value = self.recovery.recover_record(op["key"])
             self.send(
                 op["client"],
@@ -737,11 +737,8 @@ class RSCoordinator(Coordinator):
         parity.  ``served=False`` tells the client to fall back to the
         primary's answer (no parity, or a member genuinely down).
         """
-        key = message.payload["key"]
-        if not self.config.degraded_reads:
-            return {"served": False, "found": False, "value": None}
         try:
-            found, value = self.recovery.recover_record(key)
+            found, value = self.recovery.recover_record(message.payload["key"])
         except (RecoveryError, NodeUnavailable, DeliveryFault):
             return {"served": False, "found": False, "value": None}
         return {"served": True, "found": found, "value": value}

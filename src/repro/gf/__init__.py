@@ -18,7 +18,7 @@ Public API
     Vandermonde and Cauchy constructions, MDS checks.
 
 The 2D batch kernels (``GF.mul_matrix``, ``GF.gf_matmul``,
-``GF.stack_payloads``, ``GFMatrix.mul_stacked``) operate on whole
+``GF.stack_payloads``) operate on whole
 stacked-stripe matrices at once: one table gather + XOR per generator
 *coefficient* instead of per record, which is where the bulk
 encode/decode/recovery paths get their throughput.

@@ -15,7 +15,7 @@ from typing import Any
 import numpy as np
 import numpy.typing as npt
 
-from repro.gf.field import GF, Symbols
+from repro.gf.field import GF
 
 
 class GFMatrix:
@@ -148,16 +148,6 @@ class GFMatrix:
                     acc ^= f.mul(int(self.data[i, t]), int(other.data[t, j]))
                 out[i, j] = acc
         return GFMatrix(f, out)
-
-    def mul_stacked(self, stacked: npt.ArrayLike) -> Symbols:
-        """This matrix times a stacked share tensor via the batch kernel.
-
-        ``stacked`` has shape ``(cols, ...)`` — e.g. all ranks of a
-        record group as one ``(cols, nranks, L)`` tensor — and the result
-        has shape ``(rows, ...)``.  One table gather + XOR per matrix
-        entry; see :meth:`GF.gf_matmul`.
-        """
-        return self.field.gf_matmul(self.data, stacked)
 
     def mul_vector(self, vector: Sequence[int]) -> list[int]:
         """Matrix-vector product over the field."""

@@ -128,11 +128,3 @@ def walk_calls(tree: ast.AST) -> Iterator[ast.Call]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             yield node
-
-
-def const_str_arg(call: ast.Call, index: int) -> ast.AST | None:
-    """The ``index``-th positional argument expression, if present."""
-    if len(call.args) > index:
-        arg = call.args[index]
-        return None if isinstance(arg, ast.Starred) else arg
-    return None

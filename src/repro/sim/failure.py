@@ -70,19 +70,16 @@ class FailureInjector:
         )
 
     # ------------------------------------------------------------------
-    def heal(self, node_ids: Iterable[str] | None = None, force: bool = False) -> None:
+    def heal(self, node_ids: Iterable[str] | None = None) -> None:
         """Restore nodes (default: everything this injector failed).
 
         Healing a node this injector never failed is a scenario bug —
         it usually means a misspelled id silently "recovered" — and
-        raises :class:`ValueError` unless ``force=True`` opts in (e.g.
-        to clear failures applied directly through ``network.fail``).
+        raises :class:`ValueError`.
 
-        A normal heal routes the node through the rejoin handshake
+        A heal routes the node through the rejoin handshake
         (``Network.restore`` fires its ``on_restored`` hook: local
-        replay, fencing, delta catch-up).  ``force=True`` doubles as
-        the legacy *silent* restore — state intact, nobody told — the
-        escape hatch the pre-durability chaos suites pin.
+        replay, fencing, delta catch-up).
 
         The no-argument form forgets injected ids that are no longer
         registered (a merge dissolved the bucket while it was down);
@@ -92,12 +89,11 @@ class FailureInjector:
             self._injected &= self.network.nodes.keys()
             node_ids = sorted(self._injected)
         for node_id in list(node_ids):
-            if node_id not in self._injected and not force:
+            if node_id not in self._injected:
                 raise ValueError(
-                    f"node {node_id!r} was not failed by this injector "
-                    "(pass force=True to restore it anyway)"
+                    f"node {node_id!r} was not failed by this injector"
                 )
-            self.network.restore(node_id, silent=force)
+            self.network.restore(node_id)
             self._injected.discard(node_id)
 
     @property

@@ -285,7 +285,7 @@ class Network:
         if self.tracer is not None:
             self.tracer.emit("node.fail", node_id)
 
-    def restore(self, node_id: str, silent: bool = False) -> None:
+    def restore(self, node_id: str) -> None:
         """Bring a failed node back (its state as the node object holds it).
 
         Strict: restoring an id that was never registered raises
@@ -296,21 +296,19 @@ class Network:
 
         A restored node that defines ``on_restored`` (the durable
         bucket servers) is told it just rebooted, which starts its
-        local replay + rejoin handshake.  ``silent=True`` skips the
-        hook — the legacy rebirth semantics (node state intact, nobody
-        told), kept as the escape hatch chaos tests rely on.  Nodes
-        without the hook restore exactly as before either way.
+        local replay + rejoin handshake; a node without the hook comes
+        back with its state as it was.
         """
         if node_id not in self.nodes:
             raise UnknownNode(node_id)
-        was_failed = node_id in self.failed
-        if was_failed and self.tracer is not None:
+        if node_id not in self.failed:
+            return
+        if self.tracer is not None:
             self.tracer.emit("node.restore", node_id)
         self.failed.discard(node_id)
-        if was_failed and not silent:
-            hook = getattr(self.nodes[node_id], "on_restored", None)
-            if hook is not None:
-                hook()
+        hook = getattr(self.nodes[node_id], "on_restored", None)
+        if hook is not None:
+            hook()
 
     def is_available(self, node_id: str) -> bool:
         """True when the node exists and is not failed."""
@@ -704,6 +702,23 @@ class Network:
                 reply.size,
             )
 
+    def _multicast_copy(self, message: Message, free: bool) -> Any:
+        """Deliver one request copy of a multicast.  On the multicast
+        fabric every copy after the first charged one is ``free``: it
+        reaches the node without a stats charge or service admission."""
+        if not free:
+            return self._deliver(message)
+        self._depth += 1
+        if self.tracer is not None:
+            self.tracer.emit(
+                "msg.deliver", message.sender, message.recipient,
+                message.kind, message.size, self._depth, True,
+            )
+        try:
+            return self.nodes[message.recipient].receive(message)
+        finally:
+            self._depth -= 1
+
     def multicast(
         self,
         sender: str,
@@ -723,8 +738,11 @@ class Network:
         recipient whose request copy — or collected *reply* — is dropped
         or transiently failed also lands in ``unavailable``: from the
         sender's seat a lost reply and a dead node look identical (only
-        the timeout fires).  The reply leg passes through the same
-        fault-plane rules as a ``call``'s reply; a lost reply means the
+        the timeout fires).  Each request copy meets the plane as a
+        ``call``'s request does: a dropped copy is charged (on the
+        fabric, only while no copy has been) and traced as lost, a
+        duplicated one is delivered twice.  The reply leg passes through
+        the same rules as a ``call``'s reply; a lost reply means the
         handler DID run (the at-least-once case).
         """
         unavailable: list[str] = []
@@ -738,51 +756,49 @@ class Network:
                 continue
             message = Message(sender, recipient, kind, payload, size)
             size = message.size
+            duplicate = False
             if plane is not None:
                 outcome, _ = plane.outcome_for(message, self.now, can_delay=False)
-                if outcome in ("drop", "fail"):
-                    plane.counters[
-                        "dropped" if outcome == "drop" else "failed"
-                    ] += 1
+                if outcome == "drop":
+                    plane.counters["dropped"] += 1
+                    if not (self.multicast_available and charged_request):
+                        self.stats.record(kind, size, self._depth + 1)
+                    charged_request = True
+                    if self.tracer is not None:
+                        self.tracer.emit("msg.lost", recipient, kind, "drop")
                     unavailable.append(recipient)
                     continue
-                if outcome == "corrupt":
+                if outcome == "fail":
+                    plane.counters["failed"] += 1
+                    unavailable.append(recipient)
+                    continue
+                if outcome == "duplicate":
+                    plane.counters["duplicated"] += 1
+                    duplicate = True
+                elif outcome == "corrupt":
                     plane.counters["corrupted"] += 1
                     message = self._corrupted_copy(message)
             # A recipient that refuses the kind (a fenced bucket) or is
             # overloaded looks like a dead one from the multicaster's
             # seat: only the timeout fires.
-            if self.multicast_available and charged_request:
-                # Multicast fabric: later copies of the request are free.
-                self._depth += 1
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        "msg.deliver", sender, recipient, kind,
-                        message.size, self._depth, True,
-                    )
-                try:
-                    result = self.nodes[recipient].receive(message)
-                except NodeUnavailable as refusal:
-                    if refusal.node_id != recipient:
-                        raise
-                    unavailable.append(recipient)
-                    continue
-                finally:
-                    self._depth -= 1
-            else:
-                try:
-                    result = self._deliver(message)
-                except NodeBusy:
-                    unavailable.append(recipient)
-                    continue
-                except NodeUnavailable as refusal:
-                    if refusal.node_id != recipient:
-                        raise
-                    # refused after delivery: the request was charged
+            free = self.multicast_available and charged_request
+            try:
+                if duplicate:
+                    self._multicast_copy(message, free)
                     charged_request = True
-                    unavailable.append(recipient)
-                    continue
+                    free = self.multicast_available
+                result = self._multicast_copy(message, free)
+            except NodeBusy:
+                unavailable.append(recipient)
+                continue
+            except NodeUnavailable as refusal:
+                if refusal.node_id != recipient:
+                    raise
+                # refused after delivery: the request was charged
                 charged_request = True
+                unavailable.append(recipient)
+                continue
+            charged_request = True
             if collect_replies:
                 reply = Message(recipient, sender, REPLY_KINDS[kind], result)
                 if plane is not None:

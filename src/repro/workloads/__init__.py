@@ -1,9 +1,10 @@
-"""Workload and failure-trace generation for experiments.
+"""Workload generation for experiments.
 
 Key streams (uniform / sequential / zipf / clustered), payload shapes
-(fixed / variable / record-like), operation mixes, and failure schedules
-— everything stochastic is seeded through `repro.sim.rng` so every
-benchmark run is reproducible.
+(fixed / variable / record-like) and operation mixes — everything
+stochastic is seeded through `repro.sim.rng` so every benchmark run is
+reproducible.  Failures are scheduled on the file's own injector
+(``file.failures.schedule_crash``).
 """
 
 from repro.workloads.generator import (
@@ -12,14 +13,10 @@ from repro.workloads.generator import (
     PayloadShape,
     generate_operations,
 )
-from repro.workloads.traces import FailureEvent, FailureSchedule, run_trace
 
 __all__ = [
     "KeyStream",
     "PayloadShape",
     "OperationMix",
     "generate_operations",
-    "FailureEvent",
-    "FailureSchedule",
-    "run_trace",
 ]

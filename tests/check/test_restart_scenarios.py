@@ -1,10 +1,10 @@
 """PCT-style scenarios interleaving crash → durable restart → catch-up
 with client batches: the recorded history must stay linearizable.
 
-`make_workload(reboot=True)` emits ``["reboot", node]`` revive steps —
-routed through the injector's rejoin handshake instead of the silent
-restore — under a durability-on config, so every schedule exercises the
-WAL replay + delta catch-up path under concurrent client traffic.
+Under a durability-on config every ``["restore", node]`` step of
+`make_workload` heals through the injector's rejoin handshake, so every
+schedule exercises the WAL replay + delta catch-up path under concurrent
+client traffic.
 """
 
 from repro.check.harness import make_workload, run_scenario
@@ -15,7 +15,7 @@ class TestRestartScenarios:
         for seed in range(6):
             scenario = make_workload(
                 seed=seed, ops=50, keys=12, prefill=10,
-                reboot=True, config={"durability": True},
+                config={"durability": True},
             )
             result = run_scenario(scenario)
             assert result.ok, (
@@ -30,7 +30,6 @@ class TestRestartScenarios:
         for seed in (2, 7, 11):
             scenario = make_workload(
                 seed=seed, ops=50, keys=10, prefill=8,
-                reboot=True,
                 config={"durability": True, "wal_fsync_interval": 6},
             )
             result = run_scenario(scenario)
@@ -41,7 +40,7 @@ class TestRestartScenarios:
     def test_reboot_workloads_are_deterministic(self):
         scenario = make_workload(
             seed=4, ops=40, keys=10, prefill=8,
-            reboot=True, config={"durability": True},
+            config={"durability": True},
         )
         first = run_scenario(scenario)
         second = run_scenario(scenario)
@@ -49,12 +48,3 @@ class TestRestartScenarios:
             r.to_dict() for r in second.history
         ]
         assert first.tracer.to_jsonl() == second.tracer.to_jsonl()
-
-    def test_reboot_flag_changes_revive_step_kind(self):
-        plain = make_workload(seed=4, ops=40)
-        rebooting = make_workload(seed=4, ops=40, reboot=True)
-        kinds = {step[0] for step in rebooting.ops}
-        assert "restore" not in kinds
-        assert {step[0] for step in plain.ops} - kinds == {"restore"} or (
-            "restore" not in {step[0] for step in plain.ops}
-        )

@@ -25,7 +25,7 @@ class TestConfig:
         assert cfg.effective_policy.level_for(100) == 1
         assert cfg.max_availability == 1
         assert cfg.make_field() == GF(8)
-        assert len(dataclasses.fields(LHRSConfig)) == 27
+        assert len(dataclasses.fields(LHRSConfig)) == 26
 
     def test_batch_ops_is_accepted_only_as_true(self):
         cfg = LHRSConfig(batch_ops=True, group_size=2)

@@ -99,15 +99,6 @@ class TestReportEdgeCases:
         )
         assert file.verify_parity_consistency() == []
 
-    def test_degraded_reads_off_and_auto_recover_off(self):
-        from repro.core import RecoveryError
-
-        file, keys = build(degraded_reads=False, auto_recover=False)
-        target = [k for k in keys if file.find_bucket_of(k) == 1][0]
-        file.fail_data_bucket(1)
-        with pytest.raises(RecoveryError):
-            file.search(target)
-
 
 class TestStorageAccessors:
     def test_byte_accounting(self):

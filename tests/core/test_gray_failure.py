@@ -131,13 +131,6 @@ class TestHedgedReads:
         )
         assert missing["served"] and not missing["found"]
 
-    def test_degraded_read_handler_respects_config(self):
-        file, plane, oracle = make_file(degraded_reads=False)
-        reply = file.network.call(
-            file.client.node_id, "f.coord", "read.degraded", {"key": 0}
-        )
-        assert reply["served"] is False
-
 
 SLOW_RULES = st.lists(
     st.tuples(

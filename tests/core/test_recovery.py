@@ -289,14 +289,6 @@ class TestTransparentRecoveryThroughOperations:
         with pytest.raises(RecoveryError, match="auto_recover"):
             file.update(target, b"nope")
 
-    def test_degraded_reads_disabled_falls_back_to_recovery(self):
-        file, keys = build_file(k=1, degraded_reads=False)
-        target = [k for k in keys if file.find_bucket_of(k) == 1][0]
-        node = file.fail_data_bucket(1)
-        outcome = file.search(target)
-        assert outcome.found
-        assert file.network.is_available(node)
-
 
 class TestRecordRecovery:
     def test_direct_record_recovery(self):

@@ -12,7 +12,6 @@ The tentpole's service-level contract, pinned end to end:
   the coordinator's fence can never serve reads or accept Δs — clients
   route around it through the degraded path until catch-up completes;
 * `heal()` routes restored nodes through the rejoin handshake;
-  `force=True` keeps the legacy silent-restore semantics;
 * in-flight payload corruption (the `corrupt` fault mode) is caught by
   the algebraic-signature audit and healed by `repair_corruption`;
 * with every durability knob off, traces stay byte-identical run to
@@ -29,12 +28,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.check.soak import ExpectedState, settle, verify
 from repro.core import LHRSConfig, LHRSFile
 from repro.core.data_bucket import RSDataServer
 from repro.core.parity_bucket import ParityServer
 from repro.gf import GF
 from repro.rs.generator import parity_matrix
-from repro.sdds.client import OperationFailed
 from repro.sim import FaultPlane, Network
 from repro.sim.network import NodeUnavailable
 from repro.sim.stats import LatencyModel
@@ -746,24 +745,12 @@ class TestHealRestoreRouting:
         node = file.fail_data_bucket(1)
         with pytest.raises(ValueError):
             file.failures.heal([node])
-        file.failures.heal([node], force=True)
+        file.network.restore(node)
         assert_all_readable(file)
-
-    def test_force_heal_is_silent_legacy_restore(self):
-        """force=True must bypass the rejoin handshake entirely: the
-        node resurrects with its RAM state intact, exactly the
-        pre-durability restore semantics."""
-        file, tracer = build()
-        file.failures.crash(["f.d1"])
-        file.failures.heal(["f.d1"], force=True)
-        assert tracer.counts.get("bucket.restart") is None
-        assert tracer.counts.get("catchup.data") is None
-        assert_all_readable(file)
-        assert file.verify_parity_consistency() == []
 
     def test_nondurable_heal_keeps_legacy_silence(self):
-        """With durability off there is no disk to replay: a normal
-        heal behaves exactly like the legacy silent restore."""
+        """With durability off there is no disk to replay: a heal
+        brings the node back with its RAM state, and nothing restarts."""
         file, tracer = build(durability=False)
         file.failures.crash(["f.d1"])
         file.failures.heal(["f.d1"])
@@ -849,40 +836,19 @@ class TestRestartSoak:
             )
 
         rng = np.random.default_rng(17)
-        oracle: dict[int, bytes] = {}
-        ambiguous: set[int] = set()
+        expected = ExpectedState()
         for t in range(400):
             key = int(rng.integers(0, 150))
             roll = float(rng.random())
-            try:
-                if roll < 0.55:
-                    value = b"s%d-%d" % (t, key)
-                    file.insert(key, value)
-                    oracle[key] = value
-                    ambiguous.discard(key)
-                elif roll < 0.75:
-                    file.delete(key)
-                    oracle.pop(key, None)
-                    ambiguous.discard(key)
-                else:
-                    file.search(key)
-            except OperationFailed:
-                if roll < 0.75:
-                    ambiguous.add(key)
+            if roll < 0.55:
+                expected.call(file, "insert", key, b"s%d-%d" % (t, key))
+            elif roll < 0.75:
+                expected.call(file, "delete", key)
+            else:
+                expected.call(file, "search", key)
 
-        net = file.network
-        while injector.pending_events:
-            net.advance(60.0)
-        net.advance(60.0)
-        entries = file.rs_coordinator.run_probe_cycle(rounds=3)
-        assert entries[-1]["unavailable"] == []
-
-        assert file.verify_parity_consistency() == []
-        for key, value in oracle.items():
-            if key in ambiguous:
-                continue
-            outcome = file.search(key)
-            assert outcome.found and outcome.value == value, key
+        settle(file)
+        verify(file, expected)
         # restarts really happened (windows closed through the
         # handshake, not through report-driven rebuilds alone)
         assert tracer.counts.get("bucket.restart", 0) >= 1

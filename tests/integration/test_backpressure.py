@@ -12,6 +12,7 @@ are what make that safe; these tests batter exactly that seam.
 import numpy as np
 import pytest
 
+from repro.check.soak import ExpectedState, settle, verify
 from repro.core import LHRSConfig, LHRSFile
 from repro.core.group import parity_node
 from repro.sdds.client import OperationFailed
@@ -44,26 +45,17 @@ def overloaded_file(queue_limit=4, drain_rate=0.15, seed=11, **overrides):
 
 def test_overload_sheds_but_loses_no_acked_write():
     file, plane = overloaded_file()
-    oracle = {}
-    failed = 0
+    expected = ExpectedState()
     for key in range(250):
-        value = b"ov%d" % key
-        try:
-            file.insert(key, value)
-            oracle[key] = value
-        except OperationFailed:
-            failed += 1
+        expected.call(file, "insert", key, b"ov%d" % key)
     service = file.network.service
-    assert service.counters["shed"] > 0  # the bound really bit
-    assert file.tracer.counts.get("msg.shed", 0) == service.counters["shed"]
-    assert file.metrics.counter("svc.shed").value == service.counters["shed"]
+    shed = service.counters["shed"]
+    assert shed > 0  # the bound really bit
+    assert file.tracer.counts.get("msg.shed", 0) == shed
+    assert file.metrics.counter("svc.shed").value == shed
     # jittered backoff + retries carried (nearly) everything through
-    assert len(oracle) > failed * 10
-    for key, value in oracle.items():
-        outcome = file.search(key)
-        assert outcome.found and outcome.value == value
-    assert file.verify_parity_consistency() == []
-    assert file.auditor.violations == []
+    assert expected.acked > expected.failed * 10
+    verify(file, expected)
 
 
 def test_duplicate_after_shed_is_idempotent():
@@ -71,23 +63,14 @@ def test_duplicate_after_shed_is_idempotent():
     numbers must collapse the replay to exactly-once application."""
     file, plane = overloaded_file(queue_limit=3, drain_rate=0.2)
     plane.add_rule(kinds={"parity.update"}, duplicate=0.25)
-    oracle = {}
+    expected = ExpectedState()
     for key in range(200):
-        value = b"dup%d" % key
-        try:
-            file.insert(key, value)
-            oracle[key] = value
-        except OperationFailed:
-            pass
+        expected.call(file, "insert", key, b"dup%d" % key)
     assert file.network.service.counters["shed"] > 0
     assert plane.counters["duplicated"] > 0
     # both hazards fired on the same channel; parity still agrees with
     # data exactly (no double-applied Δ)
-    assert file.verify_parity_consistency() == []
-    for key, value in oracle.items():
-        outcome = file.search(key)
-        assert outcome.found and outcome.value == value
-    assert file.auditor.violations == []
+    verify(file, expected)
 
 
 def test_queue_gauges_and_depth_bound():
@@ -133,57 +116,22 @@ def run_shedding_soak(operations: int, seed: int) -> LHRSFile:
         )
 
     rng = np.random.default_rng(seed + 1)
-    oracle: dict[int, bytes] = {}
-    ambiguous: set[int] = set()
-    acked = failed = 0
+    expected = ExpectedState()
     for t in range(operations):
         key = int(rng.integers(0, 400))
         roll = float(rng.random())
-        try:
-            if roll < 0.5:
-                value = b"s%d-%d" % (t, key)
-                file.insert(key, value)
-                oracle[key] = value
-                ambiguous.discard(key)
-                acked += 1
-            elif roll < 0.7:
-                file.delete(key)
-                oracle.pop(key, None)
-                ambiguous.discard(key)
-                acked += 1
-            else:
-                outcome = file.search(key)
-                if key not in ambiguous:
-                    if key in oracle:
-                        assert outcome.found and outcome.value == oracle[key]
-                    else:
-                        assert not outcome.found
-        except OperationFailed:
-            failed += 1
-            if roll < 0.7:
-                ambiguous.add(key)
+        if roll < 0.5:
+            expected.call(file, "insert", key, b"s%d-%d" % (t, key))
+        elif roll < 0.7:
+            expected.call(file, "delete", key)
+        else:
+            expected.call(file, "search", key)
+    # shedding degraded, it did not stop, service
+    assert expected.acked > expected.failed
 
-    assert acked > failed  # shedding degraded, it did not stop, service
-
-    # quiesce and sweep up
-    plane.clear_rules()
-    while injector.pending_events:
-        net.advance(60.0)
-    net.advance(120.0)
-    entries = file.rs_coordinator.run_probe_cycle(rounds=3)
-    assert entries[-1]["unavailable"] == []
-
+    settle(file)
+    verify(file, expected)
     assert net.service.counters["shed"] > 0  # the soak really shed
-    assert file.verify_parity_consistency() == []
-    for key, value in oracle.items():
-        if key in ambiguous:
-            continue
-        outcome = file.search(key)
-        assert outcome.found and outcome.value == value, key
-    # strict mode: any violation would have raised at the offending
-    # event; the post-hoc list must be empty too
-    assert file.auditor.violations == []
-    assert file.auditor.check_file(file) == []
     return file
 
 

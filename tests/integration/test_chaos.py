@@ -19,16 +19,43 @@ windows.  At the end: every acked write readable, every acked delete
 gone, parity recomputed == stored, every crashed node rebuilt.
 """
 
-import numpy as np
-import pytest
+from collections.abc import Callable
 
+import numpy as np
+
+from repro.check.soak import ExpectedState, settle, verify
 from repro.core import LHRSConfig, LHRSFile
 from repro.core.group import parity_node
-from repro.sdds.client import OperationFailed
 from repro.sim import FaultPlane
 
 MUTATION_KINDS = {"insert", "update", "delete", "search", "parity.update"}
 REPLY_KINDS = {"search.result", "op.ack", "iam"}
+
+
+def scalar_mix(
+    file: LHRSFile, expected: ExpectedState, operations: int, seed: int,
+    before_op: Callable[[int], None] | None = None,
+) -> None:
+    """The scalar soaks' workload over 600 keys: 45 % inserts, 20 %
+    updates (upserts), 15 % deletes, 20 % searches, each recorded in
+    ``expected``; ``before_op(t)`` runs before operation t."""
+    rng = np.random.default_rng(seed + 1)
+    for t in range(operations):
+        if before_op is not None:
+            before_op(t)
+        key = int(rng.integers(0, 600))
+        roll = float(rng.random())
+        if roll < 0.45:
+            expected.call(file, "insert", key, b"v%d-%d" % (t, key))
+        elif roll < 0.65:
+            expected.call(file, "update", key, b"u%d-%d" % (t, key))
+        elif roll < 0.80:
+            expected.call(file, "delete", key)
+        else:
+            expected.call(file, "search", key)
+    # mostly mutations ran, and the retry ladder confirmed the vast majority
+    assert expected.acked + expected.failed >= int(operations * 0.70)
+    assert expected.acked > expected.failed * 10
 
 
 def run_chaos(
@@ -72,71 +99,12 @@ def run_chaos(
         for node in pairs[w % 3](group):
             injector.schedule_crash(node, at=float(at), duration=80.0)
 
-    rng = np.random.default_rng(seed + 1)
-    oracle: dict[int, bytes] = {}
-    written: set[int] = set()
-    ambiguous: set[int] = set()
-    acked = failed = 0
-
-    for t in range(operations):
-        key = int(rng.integers(0, 600))
-        roll = float(rng.random())
-        try:
-            if roll < 0.45:
-                value = b"v%d-%d" % (t, key)
-                file.insert(key, value)
-                oracle[key] = value
-                written.add(key)
-                ambiguous.discard(key)
-                acked += 1
-            elif roll < 0.65:
-                value = b"u%d-%d" % (t, key)
-                file.update(key, value)  # upsert semantics
-                oracle[key] = value
-                written.add(key)
-                ambiguous.discard(key)
-                acked += 1
-            elif roll < 0.80:
-                file.delete(key)
-                oracle.pop(key, None)
-                ambiguous.discard(key)
-                acked += 1
-            else:
-                outcome = file.search(key)
-                if key not in ambiguous:
-                    if key in oracle:
-                        assert outcome.found and outcome.value == oracle[key]
-                    else:
-                        assert not outcome.found
-        except OperationFailed:
-            failed += 1
-            if roll < 0.80:
-                ambiguous.add(key)
-
-    assert acked + failed >= int(operations * 0.70)  # mostly mutations ran
-    assert acked > failed * 10  # the retry ladder confirms the vast majority
-
-    # ---- quiesce: no more faults, windows all closed ------------------
-    plane.clear_rules()
-    while injector.pending_events:
-        net.advance(60.0)
-    net.advance(60.0)
-    assert plane.pending == 0  # every delayed message matured
-
-    # ---- the self-healing loop sweeps up whatever is still down -------
-    entries = file.rs_coordinator.run_probe_cycle(rounds=3)
-    assert entries[-1]["unavailable"] == []
-    assert entries[-1]["errors"] == []
-
-    # ---- acceptance: the file survived ---------------------------------
-    assert file.verify_parity_consistency() == []
-    for key, value in oracle.items():
-        if key in ambiguous:
-            continue
-        outcome = file.search(key)
-        assert outcome.found and outcome.value == value, key
-    for key in written - set(oracle) - ambiguous:
-        assert not file.search(key).found, key
+    expected = ExpectedState()
+    scalar_mix(file, expected, operations, seed)
+    # Quiesce (the self-healing loop sweeps up whatever is still down),
+    # then the file must have survived.
+    settle(file)
+    verify(file, expected)
 
     crashed = {node for _, action, node in injector.event_log
                if action == "crash"}
@@ -147,12 +115,9 @@ def run_chaos(
     for counter in ("dropped", "failed", "duplicated", "delayed", "released"):
         assert plane.counters[counter] > 0, counter
 
-    # ---- observability acceptance --------------------------------------
-    # The auditor watched every event in strict mode and never fired;
-    # the quiesce-point generation audit agrees parity == data.
-    assert auditor.violations == []
-    assert auditor.check_file(file) == []
-    assert auditor.events_seen > operations  # it really saw the traffic
+    # The auditor watched every event in strict mode (verify found it
+    # silent), and really saw the traffic.
+    assert auditor.events_seen > operations
     assert tracer.counts.get("fault.injected", 0) > 0
     assert tracer.counts.get("recovery.rank", 0) > 0
     assert 0 < metrics.get("net.messages").value <= net.stats.total.messages

@@ -1,7 +1,7 @@
 """Config-matrix composition sweep: every ``LHRSConfig`` in ``GRID``'s
 product (240 configs) keeps every acknowledged operation through
 growth, a 75 % shrink with up to three merges and a crash/heal process,
-and rebuilds every bucket to the oracle's bytes.  The ``availability=1``
+and rebuilds every bucket to the expected bytes.  The ``availability=1``
 third raises one group to k = 2 before it shrinks; the ``"scalable"``
 third grows under a scalable-availability policy, so splits retrofit
 their groups from k = 1 to 3.  The ``coordinator_replicas=1`` half
@@ -14,10 +14,10 @@ One config is one seeded run of mixed scalar and ``*_many`` calls under
 the strict auditor; node failures are a process (exponential gaps, a
 random data or parity victim, a random outage), not hand-placed points.
 After every call no data bucket may hold a Δ.  At the end: nothing was
-raised but a typed ``OperationFailed``, the file equals the oracle,
-parity and auditor are clean, and **every data bucket, failed and
-rebuilt in turn, returns the oracle's bytes** — the check that catches
-a Δ the parity side never saw, under restart.
+raised but a typed ``OperationFailed``, the file passes the soaks'
+shared end check (:func:`repro.check.soak.verify`), and **every data
+bucket, failed and rebuilt in turn, returns the expected bytes** — the
+check that catches a Δ the parity side never saw, under restart.
 
 Tier-1 runs :func:`tier1_slice`; CI runs the whole product as a script:
 ``python tests/integration/test_config_matrix.py [operations]``.
@@ -29,8 +29,8 @@ import sys
 
 import pytest
 
+from repro.check.soak import ExpectedState, settle, verify
 from repro.core import AvailabilityPolicy, CoordinatorCrashed, LHRSConfig, LHRSFile
-from repro.sdds.client import OperationFailed
 
 GRID = {
     "durability": (False, True),
@@ -149,13 +149,12 @@ def run(params: dict, operations: int, seed: int) -> LHRSFile:
         {"split.mid", "merge.mid", "raise.mid", "recover.mid"}
         if file.standbys else set()
     )
-    _, _, auditor = file.enable_observability(trace_capacity=2_000)
+    file.enable_observability(trace_capacity=2_000)
     crashes = CrashPoints(file)
     if scalable and owed:
         owed.remove("raise.mid")  # the first retrofit kills the primary
         crashes.arm("raise.mid")
-    oracle: dict[int, bytes] = {}
-    ambiguous: set[int] = set()
+    expected = ExpectedState()
     down: dict[str, int] = {}  # node -> the step its outage ends
     next_failure = rng.expovariate(1 / 400)
     done = 0
@@ -186,7 +185,7 @@ def run(params: dict, operations: int, seed: int) -> LHRSFile:
             owed.remove("split.mid")  # the next split kills the primary
             crashes.arm("split.mid")
         if phase == "grow" and done >= operations * 0.5:
-            phase, shrink_to = "shrink", len(oracle) // 4
+            phase, shrink_to = "shrink", len(expected.values) // 4
             if "split.mid" in crashes.pending():
                 # No split ran since the point was armed, and the file
                 # only shrinks from here: command one.
@@ -202,7 +201,7 @@ def run(params: dict, operations: int, seed: int) -> LHRSFile:
                     crashes, owed, "raise.mid",
                     lambda c: c.raise_group_level(group, 2),
                 )
-        elif phase == "shrink" and len(oracle) <= shrink_to:
+        elif phase == "shrink" and len(expected.values) <= shrink_to:
             phase = "churn"
             # The merge policy's load estimate barely moves under this
             # shrink, so the merges are commanded.
@@ -215,55 +214,32 @@ def run(params: dict, operations: int, seed: int) -> LHRSFile:
         kind = rng.choices(kinds, mixes[phase])[0]
         many = rng.random() < 0.3
         count = rng.randrange(2, 49) if many else 1
-        if kind == "insert" or not oracle:
+        if kind == "insert" or not expected.values:
             keys = [rng.randrange(2**40) for _ in range(count)]
         else:
-            keys = rng.sample(sorted(oracle), min(count, len(oracle)))
+            present = sorted(expected.values)
+            keys = rng.sample(present, min(count, len(present)))
             if many and kind != "update" and rng.random() < 0.1:
                 keys.append(rng.randrange(2**40))  # an absent key
-        items = [(k, rng.randbytes(rng.randrange(48))) for k in keys]
+        values = [rng.randbytes(rng.randrange(48)) for _ in keys]
+        if kind not in ("insert", "update"):
+            values = None
         done += len(keys)
-
         if many:
-            call = getattr(file, f"{kind}_many")
-            out = call(items if kind in ("insert", "update") else keys)
-            results = [
-                None if res is None or res.status == "failed" else res
-                for res in out.outcomes
-            ]
+            expected.many(file, kind, keys, values)
         else:
-            args = items[0] if kind in ("insert", "update") else keys
-            try:
-                results = [getattr(file, kind)(*args) or True]
-            except OperationFailed:
-                results = [None]
-
-        for (key, new), res in zip(items, results):
-            if res is None:  # typed failure: may or may not have applied
-                if kind != "search":
-                    ambiguous.add(key)
-            elif kind in ("insert", "update"):
-                oracle[key] = new
-                ambiguous.discard(key)
-            elif kind == "delete":
-                oracle.pop(key, None)
-                ambiguous.discard(key)
-            elif key not in ambiguous:
-                found = res.found if not many else res.status == "found"
-                assert found == (key in oracle), (kind, key)
-                assert not found or res.value == oracle[key], (kind, key)
+            expected.call(file, kind, keys[0], values and values[0])
 
         if not file.network.is_available(file.rs_coordinator.node_id):
             crashes.await_takeover()  # split.mid or raise.mid fired in that call
         held = [s.node_id for s in file.data_servers() if s._parity_queue]
         assert not held, f"Δs held between calls by {held}"
 
-    # ---- quiesce ----------------------------------------------------
-    file.failures.heal()
-    entries = file.rs_coordinator.run_probe_cycle(rounds=3)
-    assert entries[-1]["unavailable"] == [] and entries[-1]["errors"] == []
+    settle(file)
+    verify(file, expected)
 
     # ---- acceptance -------------------------------------------------
+    ambiguous = expected.ambiguous
     assert len(ambiguous) <= operations // 100, len(ambiguous)
     assert phase == "churn" and file.bucket_count > 4, "no shrink or no growth"
     levels = sorted(set(file.group_levels().values()))
@@ -274,28 +250,19 @@ def run(params: dict, operations: int, seed: int) -> LHRSFile:
     assert owed <= {"raise.mid"}, f"never reached: {owed}"
     assert crashes.pending() == [], f"armed, never fired: {crashes.pending()}"
     assert sorted(crashes.fired) == sorted(crashes.armed)
-    assert file.verify_parity_consistency() == []
-    assert auditor.check_file(file) == [] and auditor.violations == []
     held, replayed = durable_state_views(file)
     assert held == replayed, "durable state is not what the journal replays"
 
-    stored = {
-        key: value
-        for bucket in file.census_with_ranks().values()
-        for key, (_, value) in bucket.items()
-    }
-    assert {k: v for k, v in stored.items() if k not in ambiguous} == {
-        k: v for k, v in oracle.items() if k not in ambiguous
-    }
     by_bucket: dict[int, list[int]] = {}
-    for key in sorted(oracle.keys() - ambiguous):
+    values = expected.values
+    for key in sorted(values.keys() - ambiguous):
         by_bucket.setdefault(file.find_bucket_of(key), []).append(key)
     for bucket in range(file.bucket_count):
         file.recover([file.fail_data_bucket(bucket)])
         for key in by_bucket.get(bucket, ()):
-            assert file.search(key).value == oracle[key], (bucket, key)
+            assert file.search(key).value == values[key], (bucket, key)
     assert file.verify_parity_consistency() == []
-    assert auditor.violations == []
+    assert file.auditor.violations == []
     return file
 
 

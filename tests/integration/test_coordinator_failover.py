@@ -21,14 +21,16 @@ them except for the whois round they pay when they catch the blackout.
 import numpy as np
 import pytest
 
+from repro.check.soak import ExpectedState, settle, verify
 from repro.core import LHRSConfig, LHRSFile
 from repro.core.group import parity_node
-from repro.sdds.client import OperationFailed
 from repro.sim import FaultPlane
+from tests.integration.test_chaos import (
+    MUTATION_KINDS,
+    REPLY_KINDS,
+    scalar_mix,
+)
 from tests.integration.test_config_matrix import durable_state_views
-
-MUTATION_KINDS = {"insert", "update", "delete", "search", "parity.update"}
-REPLY_KINDS = {"search.result", "op.ack", "iam"}
 
 
 def run_coordinator_chaos(
@@ -51,7 +53,7 @@ def run_coordinator_chaos(
     )
     file = LHRSFile(config)
     net = file.network
-    tracer, metrics, auditor = file.enable_observability(
+    tracer, metrics, _ = file.enable_observability(
         trace_capacity=trace_capacity
     )
     # Capacity-bounded tracers evict events; a subscriber sees them all.
@@ -94,83 +96,19 @@ def run_coordinator_chaos(
     file.rs_coordinator.arm_crash("split.mid")
     file.rs_coordinator.arm_crash("recover.mid")
 
-    rng = np.random.default_rng(seed + 1)
-    oracle: dict[int, bytes] = {}
-    written: set[int] = set()
-    ambiguous: set[int] = set()
-    acked = failed = 0
-
-    for t in range(operations):
+    def rearm(t: int) -> None:
         if t % 100 == 0 and net.is_available("f.coord"):
             coordinator = file.rs_coordinator
             for point in ("split.mid", "recover.mid"):
                 if not crashes_by_point.get(point):
                     coordinator.arm_crash(point)
-        key = int(rng.integers(0, 600))
-        roll = float(rng.random())
-        try:
-            if roll < 0.45:
-                value = b"v%d-%d" % (t, key)
-                file.insert(key, value)
-                oracle[key] = value
-                written.add(key)
-                ambiguous.discard(key)
-                acked += 1
-            elif roll < 0.65:
-                value = b"u%d-%d" % (t, key)
-                file.update(key, value)  # upsert semantics
-                oracle[key] = value
-                written.add(key)
-                ambiguous.discard(key)
-                acked += 1
-            elif roll < 0.80:
-                file.delete(key)
-                oracle.pop(key, None)
-                ambiguous.discard(key)
-                acked += 1
-            else:
-                outcome = file.search(key)
-                if key not in ambiguous:
-                    if key in oracle:
-                        assert outcome.found and outcome.value == oracle[key]
-                    else:
-                        assert not outcome.found
-        except OperationFailed:
-            failed += 1
-            if roll < 0.80:
-                ambiguous.add(key)
 
-    assert acked + failed >= int(operations * 0.70)
-    assert acked > failed * 10
-
-    # ---- quiesce -------------------------------------------------------
-    plane.clear_rules()
-    while injector.pending_events:
-        net.advance(60.0)
-    net.advance(60.0)
-    if not net.is_available("f.coord"):
-        file.await_takeover()
-    assert plane.pending == 0
-
-    entries = file.rs_coordinator.run_probe_cycle(rounds=3)
-    assert entries[-1]["unavailable"] == []
-    assert entries[-1]["errors"] == []
-
-    # ---- acceptance: no record lost or duplicated ----------------------
-    assert file.verify_parity_consistency() == []
-    for key, value in oracle.items():
-        if key in ambiguous:
-            continue
-        outcome = file.search(key)
-        assert outcome.found and outcome.value == value, key
-    for key in written - set(oracle) - ambiguous:
-        assert not file.search(key).found, key
-    # No duplicates: every key lives in exactly one bucket.
-    seen: set[int] = set()
-    for records in file.census_with_ranks().values():
-        overlap = seen & set(records)
-        assert not overlap, f"keys duplicated across buckets: {overlap}"
-        seen |= set(records)
+    expected = ExpectedState()
+    scalar_mix(file, expected, operations, seed, before_op=rearm)
+    # Quiesce (a takeover first, if the coordinator is down); then no
+    # record may be lost or duplicated.
+    settle(file)
+    verify(file, expected)
 
     # ---- acceptance: the coordinator really died, repeatedly -----------
     takeovers = sum(s.takeovers for s in file.standbys)
@@ -186,9 +124,7 @@ def run_coordinator_chaos(
         assert live == truth
     assert file.check_reconstructed_state()
 
-    # ---- observability acceptance --------------------------------------
-    assert auditor.violations == []
-    assert auditor.check_file(file) == []
+    # ---- observability acceptance (verify found the auditor silent) ----
     assert tracer.counts.get("coord.takeover.end", 0) == takeovers
     assert metrics.get("net.messages").value > 0
     return file

@@ -9,6 +9,7 @@ reads — including through a failure of any single bucket.
 import pytest
 
 from repro.baselines import LHGConfig, LHGFile, LHMFile, LHSFile, LHStarBaseline
+from repro.check.soak import ExpectedState
 from repro.core import LHRSConfig, LHRSFile
 from repro.workloads import KeyStream, OperationMix, PayloadShape, generate_operations
 
@@ -27,20 +28,11 @@ def make_schemes():
 
 
 def run_workload(file, ops):
-    oracle = {}
-    for op, key, payload in ops:
-        if op == "insert":
-            file.insert(key, payload)
-            oracle[key] = payload
-        elif op == "update":
-            file.update(key, payload)
-            oracle[key] = payload
-        elif op == "delete":
-            file.delete(key)
-            oracle.pop(key, None)
-        else:
-            file.search(key)
-    return oracle
+    """Apply the stream, checking every read; the expected content."""
+    expected = ExpectedState()
+    for op in ops:
+        expected.call(file, *op)
+    return expected.values
 
 
 @pytest.fixture(scope="module")

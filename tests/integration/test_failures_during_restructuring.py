@@ -9,8 +9,10 @@ discipline at work.
 import pytest
 
 from repro.baselines import LHMFile
+from repro.check.soak import ExpectedState
 from repro.core import LHRSConfig, LHRSFile
 from repro.sim.rng import make_rng
+from repro.workloads import OperationMix, generate_operations
 
 
 def build(k=2, count=200, capacity=8, seed=53, **kw):
@@ -91,21 +93,24 @@ class TestMirrorDuringStructuralOps:
         assert file.verify_mirror_consistency() == []
 
 
-class TestFailuresDuringWorkloadWithLazyParity:
-    def test_lazy_mode_soak_with_failures(self):
-        from repro.workloads import (
-            FailureSchedule, OperationMix, generate_operations, run_trace,
-        )
-
-        file, _ = build(k=2, capacity=16, count=300)
-        candidates = [f"f.d{b}" for b in range(file.bucket_count)]
-        schedule = FailureSchedule.random_bursts(
-            candidates, operations=400, bursts=3, seed=55
-        )
+class TestWorkloadWithCrashes:
+    def test_crash_soak(self):
+        file, keys = build(k=2, capacity=16, count=300)
+        expected = ExpectedState()
+        expected.values.update((key, key.to_bytes(8, "big")) for key in keys)
+        # Three crashes in three groups while the workload splits the
+        # file; each bucket stays down until something rebuilds it.
+        start = file.network.now
+        for index, bucket in enumerate((1, 6, 11)):
+            file.failures.schedule_crash(
+                f"f.d{bucket}", at=start + 40 + 120 * index
+            )
         ops = generate_operations(
             400, OperationMix(insert=1, search=2, update=1, delete=0.2),
             seed=56,
         )
-        run_trace(file, ops, schedule)
+        for op in ops:
+            expected.call(file, *op)  # every read checked
+        assert len(file.failures.event_log) == 3
         file.rs_coordinator.probe()
         assert file.verify_parity_consistency() == []

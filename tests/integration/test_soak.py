@@ -8,15 +8,14 @@ multiple clients with diverging images, and coordinator probing.
 
 import pytest
 
+from repro.check.soak import ExpectedState
 from repro.core import AvailabilityPolicy, LHRSConfig, LHRSFile
 from repro.sim.rng import make_rng
 from repro.workloads import (
-    FailureSchedule,
     KeyStream,
     OperationMix,
     PayloadShape,
     generate_operations,
-    run_trace,
 )
 
 
@@ -32,25 +31,29 @@ class TestLifecycleSoak:
             ),
         )
         file = LHRSFile(config)
-        warm = generate_operations(500, OperationMix(insert=1), seed=41)
-        run_trace(file, warm)
-        candidates = [f"f.d{b}" for b in range(file.bucket_count)]
-        schedule = FailureSchedule.random_bursts(
-            candidates, operations=600, bursts=5, seed=42
-        )
+        expected = ExpectedState()
+        for op in generate_operations(500, OperationMix(insert=1), seed=41):
+            expected.call(file, *op)
+        # Five crashes 100 clock units apart, each in its own group; a
+        # crashed bucket stays down until an operation touching it (or
+        # the final probe) rebuilds it.
+        victims = [f"f.d{5 * g}" for g in range(5)]
+        start = file.network.now
+        for index, node in enumerate(victims):
+            file.failures.schedule_crash(node, at=start + 50 + 100 * index)
         ops = generate_operations(
             600, OperationMix(insert=1, search=2, update=1, delete=0.3),
             keys=KeyStream(seed=43, key_space=10**8), seed=43,
         )
-        run_trace(file, ops, schedule)
+        for op in ops:
+            expected.call(file, *op)  # every read checked
+        assert [n for _, action, n in file.failures.event_log] == victims
         # Recovery is reactive: nodes nothing touched stay down until a
         # probe round sweeps them up.
         file.rs_coordinator.probe()
         assert file.verify_parity_consistency() == []
         assert max(file.group_levels().values()) >= 2
-        assert all(
-            file.network.is_available(e.node_id) for e in schedule.events
-        )
+        assert all(file.network.is_available(node) for node in victims)
 
     def test_gf16_full_lifecycle(self):
         """GF(2^16) parity: growth, mutations, multi-failure recovery."""

@@ -184,7 +184,7 @@ class TestAttachToFileInService:
         _, _, auditor = file.enable_observability()
         assert auditor.failed == file.network.failed == {"f.p0.0"}
         assert auditor.fault_evidence > 0
-        file.network.restore("f.p0.0", silent=True)
+        file.network.restore("f.p0.0")
         assert auditor.failed == set()
         # f.p0.0 missed Δs while it was down: it sees a gap and reports
         # stale, which is this file's (auto_recover=False) answer — not

@@ -1,17 +1,24 @@
-"""Tests for workload generation and failure traces."""
+"""Tests for workload generation, and a workload under a failure
+schedule."""
 
 import pytest
 
+from repro.check.soak import ExpectedState
 from repro.core import LHRSConfig, LHRSFile
 from repro.workloads import (
-    FailureEvent,
-    FailureSchedule,
     KeyStream,
     OperationMix,
     PayloadShape,
     generate_operations,
-    run_trace,
 )
+
+
+def drive(file, ops) -> ExpectedState:
+    """Run an operation stream, checking every read as it goes."""
+    expected = ExpectedState()
+    for op in ops:
+        expected.call(file, *op)
+    return expected
 
 
 class TestKeyStream:
@@ -99,38 +106,26 @@ class TestOperationMix:
         ops = generate_operations(
             200, OperationMix(insert=2, search=1, update=1, delete=0.5), seed=7
         )
-        summary = run_trace(file, ops)
-        assert sum(summary["counts"].values()) == 200
+        expected = drive(file, ops)
+        assert expected.failed == 0 and expected.acked > 100
         assert file.verify_parity_consistency() == []
 
 
 class TestFailureSchedule:
-    def test_event_validation(self):
-        with pytest.raises(ValueError):
-            FailureEvent(0, "x", "explode")
-
-    def test_due(self):
-        schedule = FailureSchedule().fail(3, "a").restore(5, "a").fail(3, "b")
-        assert {e.node_id for e in schedule.due(3)} == {"a", "b"}
-        assert schedule.due(4) == []
-
-    def test_random_bursts_reproducible(self):
-        a = FailureSchedule.random_bursts(["x", "y", "z"], 100, 3, seed=8)
-        b = FailureSchedule.random_bursts(["x", "y", "z"], 100, 3, seed=8)
-        assert a.events == b.events
-        assert len(a.events) == 3
-
     def test_trace_with_failures_recovers_transparently(self):
         file = LHRSFile(LHRSConfig(bucket_capacity=8, availability=1))
-        warmup = list(
-            generate_operations(150, OperationMix(insert=1), seed=9)
+        expected = drive(
+            file, generate_operations(150, OperationMix(insert=1), seed=9)
         )
-        run_trace(file, warmup)
-        schedule = FailureSchedule().fail(10, "f.d1").fail(40, "f.d2")
+        start = file.network.now
+        file.failures.schedule_crash("f.d1", at=start + 10)
+        file.failures.schedule_crash("f.d2", at=start + 40)
         mixed = generate_operations(
             80, OperationMix(insert=1, search=2, update=0.5), seed=10
         )
-        summary = run_trace(file, mixed, schedule)
-        assert sum(summary["counts"].values()) == 80
+        for op in mixed:
+            expected.call(file, *op)
+        assert len(file.failures.event_log) == 2
+        assert expected.failed == 0
         assert file.verify_parity_consistency() == []
         assert file.network.is_available("f.d1")
